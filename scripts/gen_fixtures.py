@@ -2,10 +2,14 @@
 """Regenerate the golden fixture files under fixtures/.
 
 Inputs are written from first principles (facet lists, check matrices, rank
-tables); the expected blocks are the canonical strings the library computes,
-frozen so `demimat verify --fixtures fixtures` can catch regressions
-byte-exactly.  The worked-example values themselves are asserted against
-independent oracles in tests/.
+tables).  Each payload is then loaded through ``cli.interpret_input``, the
+loader `demimat verify --fixtures fixtures` uses, and its expected block holds
+the registry's goldens for the listed keys, so verify catches regressions
+byte-exactly and a rerun reproduces fixtures/ byte for byte.  The
+worked-example values themselves are asserted against independent oracles in
+tests/.
+
+    python scripts/gen_fixtures.py
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import json
 from itertools import combinations
 from pathlib import Path
 
-from demimat import codes, core, hamming, simplicial, tutte, weights
+from demimat import cli, core, simplicial
 
 ROOT = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -26,31 +30,67 @@ PROJECTIVE_PLANE_FACETS = [
     [1, 2, 4], [2, 3, 4], [3, 4, 5], [1, 3, 5], [1, 2, 5],
     [2, 5, 6], [2, 3, 6], [1, 3, 6], [1, 4, 6], [4, 5, 6],
 ]
+GOLDENS = ("kind", "tutte", "hamming", "d")
 
 
-def expected_for(table, *, ghwe=False, betti_fields=()):
-    out = {
-        "kind": table.kind,
-        "tutte": str(tutte.tutte(table)),
-        "hamming": str(hamming.hamming_subset_sum(table)),
+def ranks(name, table):
+    return {"name": name, "n": table.n, "ranks": list(table.ranks)}
+
+
+def facets(name, n, facet_lists):
+    return {"name": name, "n": n, "facets": facet_lists}
+
+
+def check_matrix(name, rows):
+    return {"name": name, "p": 2, "rows": rows}
+
+
+def fixtures():
+    """(input payload, golden keys of its expected block) for every fixture."""
+    yield ranks("full_rank2_n3", core.from_wei_sequence(3, [2, 3])), GOLDENS + ("charpoly",)
+    yield ranks("two_basis_matroid_n3", core.from_matroid_bases(3, [[1, 2], [1, 3]])), GOLDENS
+    five_basis = core.from_matroid_bases(4, [[1, 2], [1, 3], [1, 4], [2, 3], [3, 4]])
+    yield ranks("five_basis_matroid_n4", five_basis), GOLDENS
+    yield facets("almost_wheel", 6, ALMOST_WHEEL_EDGES), GOLDENS + ("betti",)
+    ind_facets = [[1], [2, 5], [3, 5], [3, 6], [2, 4, 6]]
+    yield facets("almost_wheel_independence", 6, ind_facets), GOLDENS + ("betti",)
+    yield {"name": "almost_wheel_graph", "n": 6, "edges": ALMOST_WHEEL_EDGES}, ()
+    pp = facets("projective_plane", 6, PROJECTIVE_PLANE_FACETS)
+    pp["notes"] = {
+        # documented constant only; no operation in the library produces it
+        "duursma_zeta": "P_q(t) = (1/2)*(1 + (1-q)*t + q*t^2)",
+        "weight_enumerator_caveat": "the x^2*y^4 slot is negative for t > 1,"
+        " so W is not the enumerator of any linear code",
     }
-    if table.rank:
-        out["d"] = list(weights.wei_hierarchy(table).d)
-    if ghwe:
-        out["ghwe"] = {
-            str(r): str(p) for r, p in enumerate(hamming.generalized_w_all(table))
-        }
-    for flag in betti_fields:
-        spec = (
-            simplicial.RATIONALS
-            if flag.upper() == "Q"
-            else simplicial.FieldSpec.prime(int(flag))
-        )
-        key = "betti" if flag.upper() == "Q" else f"betti/{flag}"
-        out[key] = [
-            str(bt.poly()) for bt in simplicial.betti_of_elongations(table, spec)
-        ]
-    return out
+    yield pp, GOLDENS + ("betti/2", "betti/3")
+    path_facets = [[1, 3, 5], [1, 4], [2, 4], [2, 5]]
+    yield facets("path_independence", 5, path_facets), GOLDENS + ("betti",)
+    chain_facets = [[1, 2], [2, 3, 4], [3, 4, 5]]
+    yield facets("chain_complex_n5", 5, chain_facets), GOLDENS + ("fpoly",)
+    h84_rows = [
+        [1, 0, 0, 0, 0, 1, 1, 1],
+        [0, 1, 0, 0, 1, 0, 1, 1],
+        [0, 0, 1, 0, 1, 1, 0, 1],
+        [0, 0, 0, 1, 1, 1, 1, 0],
+    ]
+    yield check_matrix("hamming_8_4", h84_rows), GOLDENS + ("betti",)
+    for name, rows in (
+        ("code_6_3_a", [[1, 1, 1, 1, 0, 0], [1, 1, 1, 0, 1, 0], [1, 1, 1, 0, 0, 1]]),
+        ("code_6_3_b", [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]]),
+        ("hamming_7_4", [[0, 1, 1, 1, 1, 0, 0], [1, 0, 1, 1, 0, 1, 0], [1, 1, 0, 1, 0, 0, 1]]),
+    ):
+        yield check_matrix(name, rows), GOLDENS + ("ghwe",)
+    non_bases = [{1, 2, 3, 4}, {2, 3, 5, 6}, {1, 4, 5, 6}, {2, 3, 7, 8}, {1, 4, 7, 8}]
+    bases = [c for c in combinations(range(1, 9), 4) if set(c) not in non_bases]
+    yield ranks("vamos", core.from_matroid_bases(8, bases)), GOLDENS
+    yield ranks("uniform_4_2", core.uniform(4, 2)), GOLDENS
+    yield {"name": "wei_n3", "n": 3, "d": [2, 3]}, ()
+    yield facets("simplex_n3", 3, [[1, 2, 3]]), ()
+
+
+def expected_for(payload, keys):
+    ctx = cli.Context(cli.interpret_input(payload), simplicial.RATIONALS)
+    return {key: cli.golden(ctx, key) for key in keys}
 
 
 def write(name, payload):
@@ -61,134 +101,10 @@ def write(name, payload):
 
 def main():
     ROOT.mkdir(exist_ok=True)
-
-    full23 = core.from_wei_sequence(3, [2, 3])
-    data = {"name": "full_rank2_n3", "n": 3, "ranks": list(full23.ranks)}
-    data["expected"] = expected_for(full23)
-    data["expected"]["charpoly"] = str(tutte.characteristic(full23))
-    write("full_rank2_n3", data)
-
-    two_basis = core.from_matroid_bases(3, [[1, 2], [1, 3]])
-    write(
-        "two_basis_matroid_n3",
-        {
-            "name": "two_basis_matroid_n3",
-            "n": 3,
-            "ranks": list(two_basis.ranks),
-            "expected": expected_for(two_basis),
-        },
-    )
-
-    five_basis = core.from_matroid_bases(4, [[1, 2], [1, 3], [1, 4], [2, 3], [3, 4]])
-    write(
-        "five_basis_matroid_n4",
-        {
-            "name": "five_basis_matroid_n4",
-            "n": 4,
-            "ranks": list(five_basis.ranks),
-            "expected": expected_for(five_basis),
-        },
-    )
-
-    wheelish = {"name": "almost_wheel", "n": 6, "facets": ALMOST_WHEEL_EDGES}
-    m = core.complex_to_demimatroid(core.Complex.from_facet_lists(6, ALMOST_WHEEL_EDGES))
-    wheelish["expected"] = expected_for(m, betti_fields=("Q",))
-    write("almost_wheel", wheelish)
-
-    ind_facets = [[1], [2, 5], [3, 5], [3, 6], [2, 4, 6]]
-    ind = {"name": "almost_wheel_independence", "n": 6, "facets": ind_facets}
-    m = core.complex_to_demimatroid(core.Complex.from_facet_lists(6, ind_facets))
-    ind["expected"] = expected_for(m, betti_fields=("Q",))
-    write("almost_wheel_independence", ind)
-
-    write(
-        "almost_wheel_graph",
-        {"name": "almost_wheel_graph", "n": 6, "edges": ALMOST_WHEEL_EDGES},
-    )
-
-    pp = {
-        "name": "projective_plane",
-        "n": 6,
-        "facets": PROJECTIVE_PLANE_FACETS,
-        "notes": {
-            # documented constant only; no operation in the library produces it
-            "duursma_zeta": "P_q(t) = (1/2)*(1 + (1-q)*t + q*t^2)",
-            "weight_enumerator_caveat": "the x^2*y^4 slot is negative for t > 1,"
-            " so W is not the enumerator of any linear code",
-        },
-    }
-    m = core.complex_to_demimatroid(
-        core.Complex.from_facet_lists(6, PROJECTIVE_PLANE_FACETS)
-    )
-    pp["expected"] = expected_for(m, betti_fields=("2", "3"))
-    write("projective_plane", pp)
-
-    path_facets = [[1, 3, 5], [1, 4], [2, 4], [2, 5]]
-    path_cx = {"name": "path_independence", "n": 5, "facets": path_facets}
-    m = core.complex_to_demimatroid(core.Complex.from_facet_lists(5, path_facets))
-    path_cx["expected"] = expected_for(m, betti_fields=("Q",))
-    write("path_independence", path_cx)
-
-    chain = {"name": "chain_complex_n5", "n": 5, "facets": [[1, 2], [2, 3, 4], [3, 4, 5]]}
-    cx = core.Complex.from_facet_lists(5, chain["facets"])
-    m = core.complex_to_demimatroid(cx)
-    chain["expected"] = expected_for(m)
-    chain["expected"]["fpoly"] = str(tutte.f_polynomial(cx))
-    write("chain_complex_n5", chain)
-
-    h84 = {
-        "name": "hamming_8_4",
-        "p": 2,
-        "rows": [
-            [1, 0, 0, 0, 0, 1, 1, 1],
-            [0, 1, 0, 0, 1, 0, 1, 1],
-            [0, 0, 1, 0, 1, 1, 0, 1],
-            [0, 0, 0, 1, 1, 1, 1, 0],
-        ],
-    }
-    h84["expected"] = expected_for(
-        codes.parity_matroid(codes.PrimeMatrix.build(2, h84["rows"])),
-        betti_fields=("Q",),
-    )
-    write("hamming_8_4", h84)
-
-    for name, rows in (
-        ("code_6_3_a", [[1, 1, 1, 1, 0, 0], [1, 1, 1, 0, 1, 0], [1, 1, 1, 0, 0, 1]]),
-        ("code_6_3_b", [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]]),
-        ("hamming_7_4", [[0, 1, 1, 1, 1, 0, 0], [1, 0, 1, 1, 0, 1, 0], [1, 1, 0, 1, 0, 0, 1]]),
-    ):
-        payload = {"name": name, "p": 2, "rows": rows}
-        payload["expected"] = expected_for(
-            codes.parity_matroid(codes.PrimeMatrix.build(2, rows)), ghwe=True
-        )
-        write(name, payload)
-
-    non_bases = [{1, 2, 3, 4}, {2, 3, 5, 6}, {1, 4, 5, 6}, {2, 3, 7, 8}, {1, 4, 7, 8}]
-    bases = [c for c in combinations(range(1, 9), 4) if set(c) not in non_bases]
-    vamos = core.from_matroid_bases(8, bases)
-    write(
-        "vamos",
-        {
-            "name": "vamos",
-            "n": 8,
-            "ranks": list(vamos.ranks),
-            "expected": expected_for(vamos),
-        },
-    )
-
-    u42 = core.uniform(4, 2)
-    write(
-        "uniform_4_2",
-        {
-            "name": "uniform_4_2",
-            "n": 4,
-            "ranks": list(u42.ranks),
-            "expected": expected_for(u42),
-        },
-    )
-
-    write("wei_n3", {"name": "wei_n3", "n": 3, "d": [2, 3]})
-    write("simplex_n3", {"name": "simplex_n3", "n": 3, "facets": [[1, 2, 3]]})
+    for payload, keys in fixtures():
+        if keys:
+            payload["expected"] = expected_for(payload, keys)
+        write(payload["name"], payload)
 
 
 if __name__ == "__main__":

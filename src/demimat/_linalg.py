@@ -1,8 +1,18 @@
-"""Exact matrix ranks: fraction-free over the integers, modular over F_p."""
+"""Exact matrix ranks: fraction-free over the integers, modular over F_p.
+
+The rank over F_p is the pivot count of ``rref_mod_p``.
+"""
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Sequence
+
+from .errors import InvariantViolationError
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % i for i in range(2, isqrt(p) + 1))
 
 
 def rank_fraction_free(rows: Sequence[Sequence[int]]) -> int:
@@ -30,34 +40,10 @@ def rank_fraction_free(rows: Sequence[Sequence[int]]) -> int:
             for c in range(col, n_cols):
                 numerator = row_r[c] * piv - f * row_p[c]
                 q, remainder = divmod(numerator, prev)
-                assert remainder == 0, "fraction-free elimination went inexact"
+                if remainder:
+                    raise InvariantViolationError("fraction-free elimination went inexact")
                 row_r[c] = q
         prev = piv
-        pivot_row += 1
-        rank += 1
-        if pivot_row == n_rows:
-            break
-    return rank
-
-
-def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    mat = [[v % p for v in row] for row in rows]
-    if not mat or not mat[0]:
-        return 0
-    n_rows, n_cols = len(mat), len(mat[0])
-    rank = 0
-    pivot_row = 0
-    for col in range(n_cols):
-        sel = next((r for r in range(pivot_row, n_rows) if mat[r][col]), None)
-        if sel is None:
-            continue
-        mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-        inv = pow(mat[pivot_row][col], p - 2, p)
-        mat[pivot_row] = [(v * inv) % p for v in mat[pivot_row]]
-        for r in range(n_rows):
-            if r != pivot_row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[pivot_row])]
         pivot_row += 1
         rank += 1
         if pivot_row == n_rows:

@@ -11,6 +11,15 @@ Input files are JSON and are recognized by their keys:
   check matrix {"p": 2, "rows": [[1, 0, 1], [0, 1, 1]]}
 A fixture file may also carry "name" and "expected" blocks; they are ignored
 by compute and consumed by ``verify --fixtures``.
+
+Every invariant is one entry of the ``INVARIANTS`` registry: the input it
+needs, its ``compute`` report block and its golden value.  ``compute`` runs
+the blocks; ``verify --fixtures`` compares the goldens only; and
+``scripts/gen_fixtures.py`` writes the goldens through the same loader
+(``interpret_input``), regenerating ``fixtures/`` byte-identically.  Adding an
+invariant means adding one entry.  Entries read the quantities they share (W
+by subset sum, the P_j family, the elongation Betti tables of each field) from
+a per-input ``Context`` that computes each once.
 """
 
 from __future__ import annotations
@@ -21,25 +30,13 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from . import codes, core, hamming, ops, simplicial, tutte, verify, weights
 from .errors import DemimatError, KindError, MalformedInputError
 from .poly import LaurentPoly, monomial, zero
-
-INVARIANT_FLAGS = (
-    "tutte",
-    "whitney",
-    "charpoly",
-    "fpoly",
-    "hamming",
-    "macwilliams",
-    "ghwe",
-    "conjecture",
-    "betti",
-    "wei",
-)
-
 
 # -- canonical polynomial text ---------------------------------------------------
 
@@ -87,37 +84,62 @@ class LoadedInput:
     construction: str
     table: core.RankTable | None
     cx: core.Complex | None = None
-    matrix: codes.PrimeMatrix | None = None
 
 
-def load_input(path: str) -> LoadedInput:
+def _read_json(path) -> object:
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise MalformedInputError(f"no such input file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
-    return interpret_input(data)
+
+
+def load_input(path: str) -> LoadedInput:
+    return interpret_input(_read_json(path))
+
+
+def _int(data: dict, key: str) -> int:
+    value = data.get(key)
+    if type(value) is not int:
+        raise MalformedInputError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(value, what: str) -> list[int]:
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise MalformedInputError(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
+def _int_rows(value, what: str) -> list[list[int]]:
+    if not isinstance(value, list):
+        raise MalformedInputError(f"{what} must be a list of integer lists, got {value!r}")
+    return [_ints(row, f"each entry of {what}") for row in value]
 
 
 def interpret_input(data: dict) -> LoadedInput:
+    """Build the input a JSON object describes, rejecting any malformed shape."""
     if not isinstance(data, dict):
         raise MalformedInputError("input must be a JSON object")
     if "ranks" in data:
-        table = core.RankTable.build(int(data["n"]), data["ranks"])
+        table = core.RankTable.build(_int(data, "n"), _ints(data["ranks"], "ranks"))
         return LoadedInput("rank-table", table)
     if "facets" in data:
-        cx = core.Complex.from_facet_lists(int(data["n"]), data["facets"])
+        cx = core.Complex.from_facet_lists(_int(data, "n"), _int_rows(data["facets"], "facets"))
         table = None if cx.is_void else core.complex_to_demimatroid(cx)
         return LoadedInput("complex-up", table, cx=cx)
     if "edges" in data:
-        edges = [tuple(e) for e in data["edges"]]
-        return LoadedInput("graph", core.graph_demimatroid(int(data["n"]), edges))
+        edges = [tuple(e) for e in _int_rows(data["edges"], "edges")]
+        if any(len(e) != 2 for e in edges):
+            raise MalformedInputError("each edge must be a pair of vertices")
+        return LoadedInput("graph", core.graph_demimatroid(_int(data, "n"), edges))
     if "d" in data:
-        return LoadedInput("wei-sequence", core.from_wei_sequence(int(data["n"]), data["d"]))
+        table = core.from_wei_sequence(_int(data, "n"), _ints(data["d"], "d"))
+        return LoadedInput("wei-sequence", table)
     if "rows" in data:
-        matrix = codes.PrimeMatrix.build(int(data["p"]), data["rows"])
-        return LoadedInput("parity-matroid", codes.parity_matroid(matrix), matrix=matrix)
+        matrix = codes.PrimeMatrix.build(_int(data, "p"), _int_rows(data["rows"], "rows"))
+        return LoadedInput("parity-matroid", codes.parity_matroid(matrix))
     raise MalformedInputError(
         "unrecognized input: expected one of the keys ranks/facets/edges/d/rows"
     )
@@ -137,14 +159,59 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _field_from_flag(flag: str) -> simplicial.FieldSpec:
     if flag.upper() in ("Q", "0"):
-        return simplicial.FieldSpec.rationals()
-    return simplicial.FieldSpec.prime(int(flag))
+        return simplicial.RATIONALS
+    try:
+        p = int(flag)
+    except ValueError:
+        raise MalformedInputError(f"field must be Q or a prime, got {flag!r}") from None
+    return simplicial.FieldSpec.prime(p)
 
 
-# -- compute ------------------------------------------------------------------------
+# -- the invariant registry ---------------------------------------------------------
 
 
-def _compute_wei(table: core.RankTable) -> dict:
+class Context:
+    """One input's quantities that several invariants share, each computed once."""
+
+    def __init__(self, loaded: LoadedInput, fieldspec: simplicial.FieldSpec):
+        self.table = loaded.table
+        self.cx = loaded.cx
+        self.fieldspec = fieldspec
+        self._betti: dict[simplicial.FieldSpec, list[simplicial.BettiTable]] = {}
+
+    @cached_property
+    def w(self) -> LaurentPoly:
+        """W by the subset sum, the route every other route is compared with."""
+        return hamming.hamming_subset_sum(self.table)
+
+    @cached_property
+    def hamming_data(self) -> hamming.HammingData | None:
+        """W's coefficient family; None when there is no formal minimum distance."""
+        try:
+            return hamming.hamming_data(self.table)
+        except KindError:
+            return None
+
+    @cached_property
+    def pj(self) -> tuple[LaurentPoly, ...]:
+        """The P_j family: hamming_data's own, computed here only when it has none."""
+        data = self.hamming_data
+        return data.pj if data else hamming.pj_family(self.table)
+
+    def betti(self, fieldspec: simplicial.FieldSpec) -> list[simplicial.BettiTable]:
+        """Betti tables of the elongation complexes over ``fieldspec``."""
+        if fieldspec not in self._betti:
+            self._betti[fieldspec] = simplicial.betti_of_elongations(self.table, fieldspec)
+        return self._betti[fieldspec]
+
+    @cached_property
+    def w_betti(self) -> LaurentPoly:
+        """W from the Betti tables over the context's field, checked."""
+        return simplicial.w_from_betti(self.table, self.betti(self.fieldspec))
+
+
+def _wei_block(ctx: Context) -> dict:
+    table = ctx.table
     profile = weights.wei_hierarchy(table)
     return {
         "k": profile.k,
@@ -156,67 +223,152 @@ def _compute_wei(table: core.RankTable) -> dict:
     }
 
 
-def _compute_hamming(table: core.RankTable, fieldspec) -> dict:
-    w = hamming.hamming_subset_sum(table)
+def _hamming_block(ctx: Context) -> dict:
+    w = ctx.w
     routes = {
-        "tutte_route": hamming.hamming_via_tutte(table) == w,
-        "pj_route": hamming.w_from_pj(table) == w,
-        "betti_route": simplicial.w_via_betti(table, fieldspec) == w,
+        "tutte_route": hamming.hamming_via_tutte(ctx.table) == w,
+        "pj_route": hamming.assemble_w(ctx.pj) == w,
+        "betti_route": ctx.w_betti == w,
     }
-    result = {"w": str(w), "routes": routes}
-    try:
-        data = hamming.hamming_data(table)
-        result["delta"] = data.delta
-        result["c"] = data.c
-        result["a"] = {str(j): str(p) for j, p in sorted(data.a.items())}
-    except KindError:
-        result["delta"] = None
-        result["c"] = None
-        result["a"] = {}
-    return result
+    data = ctx.hamming_data
+    return {
+        "w": str(w),
+        "routes": routes,
+        "delta": data.delta if data else None,
+        "c": data.c if data else None,
+        "a": {str(j): str(p) for j, p in sorted(data.a.items())} if data else {},
+    }
 
 
-def _compute_fpoly(cx: core.Complex) -> dict:
-    face = tutte.f_polynomial(cx)
-    via_t = tutte.f_polynomial_via_tutte(cx)
-    via_w = tutte.f_polynomial_via_hamming(cx)
+def _fpoly_block(ctx: Context) -> dict:
+    face = tutte.f_polynomial(ctx.cx)
+    via_t = tutte.f_polynomial_via_tutte(ctx.cx)
+    via_w = tutte.f_polynomial_via_hamming(ctx.cx)
     return {
         "f": str(face),
         "via_tutte": str(via_t),
         "via_hamming": str(via_w),
         "agree": face == via_t == via_w,
-        "h": str(tutte.h_polynomial(cx)),
+        "h": str(tutte.h_polynomial(ctx.cx)),
     }
 
 
-def _compute_betti(table: core.RankTable, fieldspec) -> dict:
-    tables = simplicial.betti_of_elongations(table, fieldspec)
-    w = simplicial.w_via_betti(table, fieldspec)
+def _betti_block(ctx: Context) -> dict:
+    w = ctx.w_betti
     return {
-        "field": str(fieldspec),
+        "field": str(ctx.fieldspec),
         "tables": [
             {
                 "r": r,
                 "poly": str(bt.poly()),
                 "entries": {f"{i},{j}": v for (i, j), v in bt.entries},
             }
-            for r, bt in enumerate(tables)
+            for r, bt in enumerate(ctx.betti(ctx.fieldspec))
         ],
         "w_via_betti": str(w),
-        "agrees_with_subset_sum": w == hamming.hamming_subset_sum(table),
+        "agrees_with_subset_sum": w == ctx.w,
     }
 
 
-def _compute_ghwe(table: core.RankTable) -> dict:
+def _enumerators(polys) -> dict:
+    return {str(r): str(p) for r, p in enumerate(polys)}
+
+
+def _ghwe_block(ctx: Context) -> dict:
+    table = ctx.table
     enumerators = hamming.generalized_w_all(table)
     definition_route = [
         hamming.generalized_w(table, r, route="tutte")
         for r in range(table.total_nullity + 1)
     ]
     return {
-        "w_r": {str(r): str(p) for r, p in enumerate(enumerators)},
+        "w_r": _enumerators(enumerators),
         "definition_route_agrees": enumerators == definition_route,
     }
+
+
+def _conjecture_block(ctx: Context) -> dict:
+    verdict = hamming.conjecture_check(ctx.table)
+    return {
+        "holds": verdict.holds,
+        "residual": None if verdict.residual is None else str(verdict.residual),
+        "error": verdict.error,
+    }
+
+
+TABLE = "a rank-table-backed input"
+COMPLEX = "a nonvoid complex input"
+
+
+@dataclass(frozen=True)
+class Invariant:
+    """One registry entry.
+
+    ``block`` gives the entry's ``compute`` report block; ``golden`` gives the
+    value a fixture's ``expected`` block freezes, over the field it is passed.
+    Either is None where the entry has no such form.
+    """
+
+    needs: str
+    block: Callable[[Context], object] | None
+    golden: Callable[[Context, simplicial.FieldSpec], object] | None
+
+
+def _polynomial(compute: Callable[[core.RankTable], LaurentPoly]) -> Invariant:
+    """An entry whose report block and golden are both str(compute(table))."""
+    return Invariant(TABLE, lambda ctx: str(compute(ctx.table)),
+                     lambda ctx, field: str(compute(ctx.table)))
+
+
+# Library functions are looked up through their module at call time, so that
+# replacing a module attribute (a test's monkeypatch, a profiler's wrapper)
+# reaches every call.  Entries with a block are the compute flags, in report
+# order.
+INVARIANTS = {
+    "kind": Invariant(TABLE, None, lambda ctx, field: ctx.table.kind),
+    "tutte": _polynomial(lambda table: tutte.tutte(table)),
+    "whitney": _polynomial(lambda table: tutte.whitney_f(table)),
+    "charpoly": _polynomial(lambda table: tutte.characteristic(table)),
+    "fpoly": Invariant(COMPLEX, _fpoly_block,
+                       lambda ctx, field: str(tutte.f_polynomial(ctx.cx))),
+    "hamming": Invariant(TABLE, _hamming_block, lambda ctx, field: str(ctx.w)),
+    "macwilliams": _polynomial(lambda table: hamming.macwilliams(table)),
+    "ghwe": Invariant(TABLE, _ghwe_block,
+                      lambda ctx, field: _enumerators(hamming.generalized_w_all(ctx.table))),
+    "conjecture": Invariant(TABLE, _conjecture_block, None),
+    "betti": Invariant(TABLE, _betti_block,
+                       lambda ctx, field: [str(bt.poly()) for bt in ctx.betti(field)]),
+    "wei": Invariant(TABLE, _wei_block, None),
+    "d": Invariant(TABLE, None, lambda ctx, field: list(weights.wei_hierarchy(ctx.table).d)),
+}
+INVARIANT_FLAGS = tuple(name for name, entry in INVARIANTS.items() if entry.block)
+
+
+def _entry(name: str, ctx: Context) -> Invariant:
+    """The registry entry ``name``, once the input it needs is checked."""
+    entry = INVARIANTS[name]
+    if entry.needs == TABLE:
+        met = ctx.table is not None
+    else:
+        met = ctx.cx is not None and not ctx.cx.is_void
+    if not met:
+        raise MalformedInputError(f"{name} needs {entry.needs}")
+    return entry
+
+
+def golden(ctx: Context, key: str):
+    """The value a fixture's ``expected`` block freezes under ``key``.
+
+    ``betti/p`` is the Betti golden over F_p; a bare key uses the context's field.
+    """
+    name, _, field = key.partition("/")
+    if name not in INVARIANTS or INVARIANTS[name].golden is None:
+        raise MalformedInputError(f"unknown expected key {key!r}")
+    fieldspec = _field_from_flag(field) if field else ctx.fieldspec
+    return _entry(name, ctx).golden(ctx, fieldspec)
+
+
+# -- compute ------------------------------------------------------------------------
 
 
 def cmd_compute(args) -> int:
@@ -224,7 +376,10 @@ def cmd_compute(args) -> int:
     fieldspec = _field_from_flag(args.field)
     requested = [f for f in INVARIANT_FLAGS if getattr(args, f)]
     if args.all:
-        requested = [f for f in INVARIANT_FLAGS if f != "fpoly" or loaded.cx]
+        requested = [
+            f for f in INVARIANT_FLAGS
+            if INVARIANTS[f].needs == TABLE or loaded.cx is not None
+        ]
     if not requested:
         raise MalformedInputError("no invariants requested; pass --all or flags")
 
@@ -237,42 +392,13 @@ def cmd_compute(args) -> int:
         "seed": args.seed,
         "out": args.out,
     }
-    table = loaded.table
+    ctx = Context(loaded, fieldspec)
     results: dict = {}
-    if table is not None:
-        results["kind"] = table.kind
-        results["n"] = table.n
+    if ctx.table is not None:
+        results["kind"] = ctx.table.kind
+        results["n"] = ctx.table.n
     for name in requested:
-        if name == "fpoly":
-            if loaded.cx is None or loaded.cx.is_void:
-                raise MalformedInputError("fpoly needs a nonvoid complex input")
-            results["fpoly"] = _compute_fpoly(loaded.cx)
-            continue
-        if table is None:
-            raise MalformedInputError(f"{name} needs a rank-table-backed input")
-        if name == "tutte":
-            results["tutte"] = str(tutte.tutte(table))
-        elif name == "whitney":
-            results["whitney"] = str(tutte.whitney_f(table))
-        elif name == "charpoly":
-            results["charpoly"] = str(tutte.characteristic(table))
-        elif name == "wei":
-            results["wei"] = _compute_wei(table)
-        elif name == "hamming":
-            results["hamming"] = _compute_hamming(table, fieldspec)
-        elif name == "macwilliams":
-            results["macwilliams"] = str(hamming.macwilliams(table))
-        elif name == "ghwe":
-            results["ghwe"] = _compute_ghwe(table)
-        elif name == "conjecture":
-            verdict = hamming.conjecture_check(table)
-            results["conjecture"] = {
-                "holds": verdict.holds,
-                "residual": None if verdict.residual is None else str(verdict.residual),
-                "error": verdict.error,
-            }
-        elif name == "betti":
-            results["betti"] = _compute_betti(table, fieldspec)
+        results[name] = _entry(name, ctx).block(ctx)
     _emit({"manifest": manifest, "results": results}, args.out)
     return 0
 
@@ -281,36 +407,17 @@ def cmd_compute(args) -> int:
 
 
 def _check_fixture(path: Path, fieldspec) -> list[str]:
-    data = json.loads(path.read_text())
+    data = _read_json(path)
+    ctx = Context(interpret_input(data), fieldspec)
     expected = data.get("expected", {})
-    loaded = interpret_input(data)
-    table = loaded.table
+    if not isinstance(expected, dict):
+        raise MalformedInputError(f"{path.name}: \"expected\" must be a JSON object")
     problems = []
     for key, want in expected.items():
-        if key == "tutte":
-            got = str(tutte.tutte(table))
-        elif key == "hamming":
-            got = str(hamming.hamming_subset_sum(table))
-        elif key == "whitney":
-            got = str(tutte.whitney_f(table))
-        elif key == "charpoly":
-            got = str(tutte.characteristic(table))
-        elif key == "fpoly":
-            got = str(tutte.f_polynomial(loaded.cx))
-        elif key == "kind":
-            got = table.kind
-        elif key == "d":
-            got = list(weights.wei_hierarchy(table).d)
-        elif key == "ghwe":
-            got = {
-                str(r): str(p)
-                for r, p in enumerate(hamming.generalized_w_all(table))
-            }
-        elif key.startswith("betti"):
-            field = _field_from_flag(key.split("/")[1]) if "/" in key else fieldspec
-            got = [str(bt.poly()) for bt in simplicial.betti_of_elongations(table, field)]
-        else:
-            problems.append(f"{path.name}: unknown expected key {key!r}")
+        try:
+            got = golden(ctx, key)
+        except MalformedInputError as exc:
+            problems.append(f"{path.name}: {exc}")
             continue
         if got != want:
             problems.append(f"{path.name}: {key}: got {got!r}, want {want!r}")

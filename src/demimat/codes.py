@@ -11,22 +11,11 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from . import ops, weights
-from ._linalg import rank_mod_p, rref_mod_p
+from ._linalg import is_prime, rref_mod_p
 from .core import RankTable, popcount
 from .errors import MalformedInputError, SizeCapError
 
 SUBSPACE_ENUM_CAP = 1 << 20
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -38,7 +27,7 @@ class PrimeMatrix:
 
     @classmethod
     def build(cls, p: int, rows: Iterable[Sequence[int]]) -> "PrimeMatrix":
-        if not _is_prime(p):
+        if not is_prime(p):
             raise MalformedInputError(f"{p} is not prime")
         reduced = tuple(tuple(int(v) % p for v in row) for row in rows)
         if reduced and any(len(r) != len(reduced[0]) for r in reduced):
@@ -58,13 +47,13 @@ class PrimeMatrix:
         return [[row[i] for i in idx] for row in self.rows]
 
     def rank(self) -> int:
-        return rank_mod_p(self.rows, self.p)
+        return len(rref_mod_p(self.rows, self.p)[1])
 
 
 def parity_matroid(matrix: PrimeMatrix) -> RankTable:
     """rho(X) = rank of the columns of the check matrix indexed by X."""
     n = matrix.n_cols
-    ranks = [rank_mod_p(matrix.columns(m), matrix.p) for m in range(1 << n)]
+    ranks = [len(rref_mod_p(matrix.columns(m), matrix.p)[1]) for m in range(1 << n)]
     return RankTable.build(n, ranks)
 
 

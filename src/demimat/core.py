@@ -201,17 +201,6 @@ def validate(table: RankTable) -> ValidationReport:
     return _classify(table.n, table.ranks)
 
 
-def validate_raw(n: int, ranks: Sequence[int]) -> ValidationReport:
-    values = tuple(int(r) for r in ranks)
-    if len(values) != 1 << n:
-        raise MalformedInputError(
-            f"rank table needs 2^{n} = {1 << n} entries, got {len(values)}"
-        )
-    if values[0] != 0:
-        raise MalformedInputError("rank of the empty set must be 0")
-    return _classify(n, values)
-
-
 # -- simplicial complexes --------------------------------------------------------
 
 

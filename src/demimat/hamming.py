@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Sequence
 
 from . import core, ops, tutte as tutte_mod
 from .core import RankTable, popcount
@@ -97,10 +98,20 @@ def p_j(table: RankTable, j: int) -> LaurentPoly:
     )
 
 
+def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
+    """(P_0, .., P_n)."""
+    return tuple(p_j(table, j) for j in range(table.n + 1))
+
+
+def assemble_w(pj: Sequence[LaurentPoly]) -> LaurentPoly:
+    """sum_j P_j x^(n-j) y^j for a given family (P_0, .., P_n)."""
+    n = len(pj) - 1
+    return poly_sum(p * monomial(1, x=n - j, y=j) for j, p in enumerate(pj))
+
+
 def w_from_pj(table: RankTable) -> LaurentPoly:
     """W assembled from the P_j coefficient polynomials."""
-    n = table.n
-    return poly_sum(p_j(table, j) * monomial(1, x=n - j, y=j) for j in range(n + 1))
+    return assemble_w(pj_family(table))
 
 
 # -- transforms --------------------------------------------------------------------
@@ -178,7 +189,12 @@ def a_coefficients(table: RankTable) -> tuple[int, dict[int, LaurentPoly]]:
     A_i is cross-checked as well.
     """
     delta, c = formal_min_distance(table)
-    w = hamming_subset_sum(table)
+    return delta, _checked_a_coefficients(table, hamming_subset_sum(table), delta, c)
+
+
+def _checked_a_coefficients(
+    table: RankTable, w: LaurentPoly, delta: int, c: int
+) -> dict[int, LaurentPoly]:
     n = table.n
     coeffs = {j: w.coefficient(x=n - j, y=j) for j in range(1, n + 1)}
     if w.coefficient(x=n, y=0) != 1:
@@ -193,7 +209,7 @@ def a_coefficients(table: RankTable) -> tuple[int, dict[int, LaurentPoly]]:
         for i in range(delta, n + 1):
             if coeffs[i] != _uniform_a_closed_form(n, i, delta):
                 raise InvariantViolationError(f"uniform closed form fails at A_{i}")
-    return delta, coeffs
+    return coeffs
 
 
 # -- generalized enumerators -----------------------------------------------------------
@@ -285,10 +301,9 @@ class HammingData:
 
 def hamming_data(table: RankTable) -> HammingData:
     """W with its coefficient family, checked for internal consistency."""
+    delta, c = formal_min_distance(table)
     w = hamming_subset_sum(table)
-    pj = tuple(p_j(table, j) for j in range(table.n + 1))
-    if w != w_from_pj(table):
+    pj = pj_family(table)
+    if w != assemble_w(pj):
         raise InvariantViolationError("P_j assembly disagrees with the subset sum")
-    delta, a = a_coefficients(table)
-    _, c = formal_min_distance(table)
-    return HammingData(table, w, pj, delta, a, c)
+    return HammingData(table, w, pj, delta, _checked_a_coefficients(table, w, delta, c), c)

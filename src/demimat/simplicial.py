@@ -17,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import core, hamming, ops
-from ._linalg import rank_fraction_free, rank_mod_p
+from ._linalg import is_prime, rank_fraction_free, rref_mod_p
 from .core import Complex, RankTable, popcount
 from .errors import (
     InvariantViolationError,
     MalformedInputError,
     SizeCapError,
 )
-from .poly import LaurentPoly, monomial, poly_sum, zero
+from .poly import LaurentPoly, monomial, poly_sum
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,7 @@ class FieldSpec:
 
     def __post_init__(self):
         p = self.characteristic
-        if p == 0:
-            return
-        if p < 2 or any(p % i == 0 for i in range(2, int(p ** 0.5) + 1)):
+        if p != 0 and not is_prime(p):
             raise MalformedInputError(f"characteristic must be 0 or prime, got {p}")
 
     @classmethod
@@ -121,7 +119,7 @@ def reduced_homology_dims(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> list
         mat = _boundary_matrix(lower, upper)
         if fieldspec.characteristic == 0:
             return rank_fraction_free(mat)
-        return rank_mod_p(mat, fieldspec.characteristic)
+        return len(rref_mod_p(mat, fieldspec.characteristic)[1])
 
     # boundary_ranks[c] = rank of the map C_(c-1) -> C_(c-2), faces of card c
     # mapping down; there are top+1 chain groups (cards 0..top).
@@ -217,46 +215,41 @@ def w_via_betti(table: RankTable, fieldspec: FieldSpec = RATIONALS) -> LaurentPo
     the result is asserted against the subset-sum route, and a disagreement
     reports the offending (r, i, j) contributions.
     """
-    n = table.n
-    tables = betti_of_elongations(table, fieldspec)
-    total = zero()
-    previous: BettiTable | None = None
-    for r, current in enumerate(tables):
-        diff: dict[tuple[int, int], int] = dict(current.entries)
-        if previous is not None:
-            for key, v in previous.entries:
-                diff[key] = diff.get(key, 0) - v
-        term = poly_sum(
-            v * (-1) ** i * monomial(1, x=n - j, y=j)
-            for (i, j), v in diff.items()
-            if v
-        )
-        total = total + term * monomial(1, t=r)
-        previous = current
+    return w_from_betti(table, betti_of_elongations(table, fieldspec))
+
+
+def w_from_betti(table: RankTable, tables: list[BettiTable]) -> LaurentPoly:
+    """W assembled from given elongation Betti tables, checked as ``w_via_betti``."""
+    slices = [
+        _betti_slice(table.n, current, previous)
+        for current, previous in zip(tables, [BettiTable(()), *tables])
+    ]
+    total = poly_sum(got * monomial(1, t=r) for r, (_, got) in enumerate(slices))
     direct = hamming.hamming_subset_sum(table)
     if total != direct:
-        offending = _first_route_disagreement(table, tables, direct)
+        offending = _first_route_disagreement(slices, direct)
         raise InvariantViolationError(
             f"Betti route disagrees with the subset sum at (r,i,j)={offending}"
         )
     return total
 
 
-def _first_route_disagreement(table, tables, direct):
+def _betti_slice(n: int, current: BettiTable, previous: BettiTable):
+    """The entries of B_r - B_{r-1} and the t^r coefficient of W they give."""
+    diff: dict[tuple[int, int], int] = dict(current.entries)
+    for key, v in previous.entries:
+        diff[key] = diff.get(key, 0) - v
+    got = poly_sum(
+        v * (-1) ** i * monomial(1, x=n - j, y=j) for (i, j), v in diff.items() if v
+    )
+    return diff, got
+
+
+def _first_route_disagreement(slices, direct):
     # Only reached on failure; locate the first elongation index whose
     # coefficient slice of the difference polynomial is nonzero.
-    n = table.n
-    for r, current in enumerate(tables):
-        expected_r = direct.coefficient(t=r)
-        prev = tables[r - 1] if r else None
-        diff = dict(current.entries)
-        if prev is not None:
-            for key, v in prev.entries:
-                diff[key] = diff.get(key, 0) - v
-        got = poly_sum(
-            v * (-1) ** i * monomial(1, x=n - j, y=j) for (i, j), v in diff.items() if v
-        )
-        if got != expected_r:
+    for r, (diff, got) in enumerate(slices):
+        if got != direct.coefficient(t=r):
             for (i, j), v in sorted(diff.items()):
                 if v:
                     return (r, i, j)

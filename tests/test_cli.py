@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
 
-from demimat import cli, core
+import pytest
+
+from demimat import cli, core, hamming, simplicial
+from demimat.errors import InvariantViolationError
 from demimat.poly import T, X, Y
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -199,3 +202,82 @@ def test_malformed_input_paths(tmp_path, capsys):
     bad.write_text(json.dumps({"mystery": 1}))
     code, _, err = run_cli(capsys, "compute", "--in", str(bad), "--all")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "payload, extra",
+    [
+        ({"ranks": [0, 1]}, ()),
+        ({"n": 1, "ranks": ["a", 1]}, ()),
+        ({"n": 2, "facets": [[1, "x"]]}, ()),
+        ({"n": 3, "edges": [[1, 2, 3]]}, ()),
+        ({"p": 2, "rows": [1, 0]}, ()),
+        ({"n": 2, "ranks": [0, 1, 1, 2]}, ("--field", "Z")),
+        (None, ("--field", "Z")),
+    ],
+    ids=["no-n", "string-rank", "string-vertex", "triple-edge", "flat-rows",
+         "compute-field", "verify-field"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, payload, extra):
+    if payload is None:
+        argv = ["verify", "--fixtures", str(FIXTURES), *extra]
+    else:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        argv = ["compute", "--in", str(path), "--all", *extra]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["error"] == "malformed-input"
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_compute_all_runs_each_route_once(monkeypatch, capsys):
+    # vamos: n = 8, eta = 4, so one Betti sweep is 5 Hochster tables and the
+    # P_j family is 9 polynomials.
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, simplicial, "betti_of_elongations", counts)
+    _count_calls(monkeypatch, simplicial, "hochster_betti", counts)
+    _count_calls(monkeypatch, hamming, "p_j", counts)
+    code, out, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
+    assert code == 0
+    assert counts == {"betti_of_elongations": 1, "hochster_betti": 5, "p_j": 9}
+    results = json.loads(out)["results"]
+    assert all(results["hamming"]["routes"].values())
+    assert results["betti"]["agrees_with_subset_sum"] is True
+    assert results["ghwe"]["definition_route_agrees"] is True
+
+
+def test_betti_route_disagreement_names_witness(tmp_path, monkeypatch, capsys):
+    # Put one extra beta_{0,0} into the last elongation's table: only the top
+    # t-slice of the Betti route changes, and (0, 0) is its first key.
+    table = core.from_wei_sequence(3, [2, 3])
+    eta = table.total_nullity
+    original = simplicial.betti_of_elongations
+
+    def off_by_one(t, fieldspec=simplicial.RATIONALS):
+        tables = original(t, fieldspec)
+        last = tables[-1].as_dict()
+        last[(0, 0)] = last.get((0, 0), 0) + 1
+        return tables[:-1] + [simplicial.BettiTable.from_dict(last)]
+
+    monkeypatch.setattr(simplicial, "betti_of_elongations", off_by_one)
+    with pytest.raises(InvariantViolationError, match=rf"\(r,i,j\)=\({eta}, 0, 0\)"):
+        simplicial.w_via_betti(table)
+
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"n": 3, "ranks": list(table.ranks)}))
+    code, out, err = run_cli(capsys, "compute", "--in", str(path), "--hamming")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "InvariantViolationError"
+    assert f"(r,i,j)=({eta}, 0, 0)" in error["detail"]
