@@ -1,18 +1,45 @@
 """Exact matrix ranks: fraction-free over the integers, modular over F_p.
 
-The rank over F_p is the pivot count of ``rref_mod_p``.
+The rank over F_p is the pivot count of ``rref_mod_p``.  ``is_prime`` is the one
+primality test behind every field and check-matrix input.
 """
 
 from __future__ import annotations
 
-from math import isqrt
 from typing import Sequence
 
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, MalformedInputError
+
+# Miller-Rabin with the first twelve primes as bases decides primality
+# exactly for every p < 2^64 (Sorenson and Webster, 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_EXACT_BELOW = 1 << 64
 
 
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % i for i in range(2, isqrt(p) + 1))
+    """Exact primality for p < 2^64; larger values are rejected as input errors."""
+    if p >= _EXACT_BELOW:
+        raise MalformedInputError(f"{p} is at or above 2^64, beyond the exact primality test")
+    if p < 2:
+        return False
+    if p in _WITNESSES:
+        return True
+    if any(p % a == 0 for a in _WITNESSES):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def rank_fraction_free(rows: Sequence[Sequence[int]]) -> int:

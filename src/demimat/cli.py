@@ -1,7 +1,8 @@
 """Command-line front end: file-driven, deterministic, JSON in and out.
 
 Verbs: compute, verify, op, from-code, from-facets, from-graph, from-wei.
-Exit codes: 0 ok, 1 invariant/verification failure, 2 usage or input error.
+Exit codes: 0 ok, 1 invariant/verification failure, 2 usage or input error
+(an input over a size cap is an input error).
 
 Input files are JSON and are recognized by their keys:
   rank table   {"n": 3, "ranks": [0, 0, 0, 1, 0, 1, 1, 2]}   (mask order)
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import codes, core, hamming, ops, simplicial, tutte, verify, weights
-from .errors import DemimatError, KindError, MalformedInputError
+from .errors import DemimatError, KindError, MalformedInputError, SizeCapError
 from .poly import LaurentPoly, monomial, zero
 
 # -- canonical polynomial text ---------------------------------------------------
@@ -277,10 +278,7 @@ def _enumerators(polys) -> dict:
 def _ghwe_block(ctx: Context) -> dict:
     table = ctx.table
     enumerators = hamming.generalized_w_all(table)
-    definition_route = [
-        hamming.generalized_w(table, r, route="tutte")
-        for r in range(table.total_nullity + 1)
-    ]
+    definition_route = hamming.generalized_w_all(table, route="tutte")
     return {
         "w_r": _enumerators(enumerators),
         "definition_route_agrees": enumerators == definition_route,
@@ -560,7 +558,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MalformedInputError as exc:
+    except (MalformedInputError, SizeCapError) as exc:
         print(json.dumps({"error": "malformed-input", "detail": str(exc)}), file=sys.stderr)
         return 2
     except DemimatError as exc:

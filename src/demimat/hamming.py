@@ -28,6 +28,7 @@ from .poly import (
     X,
     Y,
     angle,
+    binomial_expansion,
     monomial,
     one,
     poly_sum,
@@ -47,9 +48,8 @@ def hamming_subset_sum(table: RankTable) -> LaurentPoly:
     for mask in range(table.full + 1):
         key = (popcount(mask), table.nullity(mask))
         counts[key] = counts.get(key, 0) + 1
-    return poly_sum(
-        c * ((X - Y) ** (n - s)) * monomial(1, y=s, t=e)
-        for (s, e), c in counts.items()
+    return binomial_expansion(
+        (c, {"y": s, "t": e}, (("x", "y", n - s),)) for (s, e), c in counts.items()
     )
 
 
@@ -57,15 +57,14 @@ def _w_via_tutte_terms(table: RankTable, t_multiplier: int = 1) -> LaurentPoly:
     # Each (x-1,y-1)-basis Tutte term (corank a, nullity b) contributes
     # (x-y)^(eta(E)+a-b) y^(rho(E)-a+b) t^(b * multiplier); the exponent
     # bookkeeping stays in integers, so clearing the substitution
-    # denominators never builds a fraction.
+    # denominators never builds a fraction.  The (x-y) exponent is n-|A|, so
+    # it is never negative.
     eta = table.total_nullity
     k = table.rank
-    total = zero()
-    for (a, b), c in tutte_mod.corank_nullity_counts(table).items():
-        total = total + c * ((X - Y) ** (eta + a - b)) * monomial(
-            1, y=k - a + b, t=b * t_multiplier
-        )
-    return total
+    return binomial_expansion(
+        (c, {"y": k - a + b, "t": b * t_multiplier}, (("x", "y", eta + a - b),))
+        for (a, b), c in tutte_mod.corank_nullity_counts(table).items()
+    )
 
 
 def hamming_via_tutte(table: RankTable) -> LaurentPoly:
@@ -99,8 +98,35 @@ def p_j(table: RankTable, j: int) -> LaurentPoly:
 
 
 def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
-    """(P_0, .., P_n)."""
-    return tuple(p_j(table, j) for j in range(table.n + 1))
+    """(P_0, .., P_n) by one subset Moebius transform per nullity value.
+
+    The t^e coefficient of P_sigma is the Moebius transform of the indicator
+    [eta(g) = e] over the subset lattice, evaluated at sigma; summing it over
+    the sigma of size j gives the t^e coefficient of P_j.  That is
+    O(#nullities * n * 2^n) integer operations, against the 3^n submask terms
+    of ``p_j``, which stays as the definitional route.
+    """
+    n = table.n
+    size = table.full + 1
+    nullities = [table.nullity(mask) for mask in range(size)]
+    family = [zero()] * (n + 1)
+    for e in sorted(set(nullities)):
+        a = [1 if v == e else 0 for v in nullities]
+        # a[m] -= a[m ^ bit] for every m containing bit, one bit at a time
+        half = 1
+        while half < size:
+            for start in range(0, size, 2 * half):
+                hi = start + half
+                a[hi:hi + half] = [u - v for u, v in zip(a[hi:hi + half], a[start:hi])]
+            half *= 2
+        totals = [0] * (n + 1)
+        for mask, value in enumerate(a):
+            if value:
+                totals[popcount(mask)] += value
+        for j, total in enumerate(totals):
+            if total:
+                family[j] = family[j] + monomial(total, t=e)
+    return tuple(family)
 
 
 def assemble_w(pj: Sequence[LaurentPoly]) -> LaurentPoly:
@@ -215,13 +241,29 @@ def _checked_a_coefficients(
 # -- generalized enumerators -----------------------------------------------------------
 
 
-def _w_at_t_power(table: RankTable, j: int, route: str) -> LaurentPoly:
+def _w_at_t_powers(table: RankTable, top: int, route: str) -> list[LaurentPoly]:
+    """W(x, y, t^j) for j = 0 .. top.
+
+    The subset route computes W once and substitutes t -> t^j; the Tutte
+    route expands its terms afresh for each j, so it stays an independent
+    oracle.
+    """
     if route == "subset":
         w = hamming_subset_sum(table)
-        return w.substitute({"t": monomial(1, t=j)}) if j != 1 else w
+        return [w if j == 1 else w.substitute({"t": monomial(1, t=j)})
+                for j in range(top + 1)]
     if route == "tutte":
-        return _w_via_tutte_terms(table, t_multiplier=j)
+        return [_w_via_tutte_terms(table, t_multiplier=j) for j in range(top + 1)]
     raise MalformedInputError(f"unknown route {route!r}")
+
+
+def _combine_t_powers(r: int, w_at: Sequence[LaurentPoly]) -> LaurentPoly:
+    total = zero()
+    for j in range(r + 1):
+        sign = (-1) ** (r - j)
+        prefactor = q_binomial(r, j, var="t") * monomial(sign, t=comb(r - j, 2))
+        total = total + prefactor * w_at[j]
+    return total.divide_exact(angle(r, var="t"))
 
 
 def generalized_w(table: RankTable, r: int, route: str = "subset") -> LaurentPoly:
@@ -235,17 +277,18 @@ def generalized_w(table: RankTable, r: int, route: str = "subset") -> LaurentPol
     table.require_demimatroid("generalized enumerator")
     if not 0 <= r <= table.n:
         raise MalformedInputError(f"need 0 <= r <= {table.n}, got {r}")
-    total = zero()
-    for j in range(r + 1):
-        sign = (-1) ** (r - j)
-        prefactor = q_binomial(r, j, var="t") * monomial(sign, t=comb(r - j, 2))
-        total = total + prefactor * _w_at_t_power(table, j, route)
-    return total.divide_exact(angle(r, var="t"))
+    return _combine_t_powers(r, _w_at_t_powers(table, r, route))
 
 
 def generalized_w_all(table: RankTable, route: str = "subset") -> list[LaurentPoly]:
-    """W^(r) for r = 0 .. eta(E), the range the recovery identity sums over."""
-    return [generalized_w(table, r, route) for r in range(table.total_nullity + 1)]
+    """W^(r) for r = 0 .. eta(E), the range the recovery identity sums over.
+
+    Every W^(r) reads the same W(x, y, t^j), computed once per call.
+    """
+    table.require_demimatroid("generalized enumerator")
+    eta = table.total_nullity
+    w_at = _w_at_t_powers(table, eta, route)
+    return [_combine_t_powers(r, w_at) for r in range(eta + 1)]
 
 
 @dataclass(frozen=True)
@@ -270,8 +313,7 @@ def conjecture_check(table: RankTable) -> ConjectureReport:
         expected = tutte_mod.tutte(table)
         rhs = zero()
         prod = one()
-        for r in range(n - k + 1):
-            wr = generalized_w(table, r)
+        for r, wr in enumerate(generalized_w_all(table)):
             evaluated = wr.substitute({"x": 1, "y": monomial(1, x=-1)})
             rhs = rhs + prod * evaluated
             prod = prod * ((X - 1) * (Y - 1) - monomial(1, t=r))

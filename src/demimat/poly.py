@@ -1,9 +1,17 @@
 """Exact sparse Laurent polynomials in the fixed variable set {x, y, t, q}.
 
 Terms map an exponent vector (signed integers, one slot per variable) to a
-nonzero rational coefficient.  All arithmetic is exact; there is no floating
-point anywhere.  Values are immutable by convention: every operation returns
-a fresh polynomial.
+nonzero rational coefficient.  A coefficient is stored as a plain ``int``
+whenever it is integral and as a ``Fraction`` only when it is not; the only
+operations that can make one are a ``Fraction`` input, ``monomial_inverse`` of
+a non-unit coefficient and a ``divide_exact`` step whose leading coefficient
+is not +-1.  All arithmetic is exact; there is no floating point anywhere.
+Values are immutable by convention: every operation returns a fresh
+polynomial.
+
+``binomial_expansion`` writes products of powers of binomials such as
+(x-y)^m or (x-1)^a (y-1)^b straight from ``math.comb``, without repeated
+multiplication.
 
 Display order is fixed so that printed polynomials are stable golden values:
 terms are sorted by the exponent vector read with x least significant
@@ -14,7 +22,8 @@ print as ``x^-1``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from math import comb
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InexactDivisionError, UnsupportedSubstitutionError
 
@@ -25,12 +34,34 @@ _ZERO_EXP = (0, 0, 0, 0)
 Number = Union[int, Fraction]
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value) -> Number:
+    """``value`` as an int when integral, else as a Fraction."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact integer or Fraction, got {type(value).__name__}")
+
+
+def _settle(terms: dict) -> dict:
+    """Turn integral Fraction coefficients of ``terms`` into ints, in place."""
+    for exp, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[exp] = c.numerator
+    return terms
+
+
+def _reciprocal(c: Number) -> Number:
+    return c if c == 1 or c == -1 else _exact(1 / Fraction(c))
+
+
+def _from_terms(terms: dict) -> LaurentPoly:
+    """Wrap an already clean term dict (nonzero, settled) without copying it."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p._terms = terms
+    return p
 
 
 class LaurentPoly:
@@ -39,22 +70,22 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple, Number] | None = None):
-        clean: dict[tuple, Fraction] = {}
+        clean: dict[tuple, Number] = {}
         if terms:
             for exp, coeff in terms.items():
                 e = tuple(exp)
                 if len(e) != len(VARIABLES) or not all(isinstance(k, int) for k in e):
                     raise ValueError(f"bad exponent vector {exp!r}")
-                c = clean.get(e, Fraction(0)) + _as_fraction(coeff)
+                c = clean.get(e, 0) + _exact(coeff)
                 if c:
                     clean[e] = c
                 else:
                     clean.pop(e, None)
-        self._terms = clean
+        self._terms = _settle(clean)
 
     # -- inspection ---------------------------------------------------------
 
-    def terms(self) -> dict[tuple, Fraction]:
+    def terms(self) -> dict[tuple, Number]:
         return dict(self._terms)
 
     def __bool__(self) -> bool:
@@ -77,10 +108,10 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self._terms or set(self._terms) == {_ZERO_EXP}
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Number:
         if not self.is_constant:
             raise ValueError(f"not a constant: {self}")
-        return self._terms.get(_ZERO_EXP, Fraction(0))
+        return self._terms.get(_ZERO_EXP, 0)
 
     def variables(self) -> tuple[str, ...]:
         """Names of variables that occur with a nonzero exponent."""
@@ -106,11 +137,11 @@ class LaurentPoly:
         variables multiplying x^2*y.
         """
         idx = {_INDEX[v]: e for v, e in fixed.items()}
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, Number] = {}
         for exp, coeff in self._terms.items():
             if all(exp[i] == e for i, e in idx.items()):
                 rest = tuple(0 if i in idx else e for i, e in enumerate(exp))
-                out[rest] = out.get(rest, Fraction(0)) + coeff
+                out[rest] = out.get(rest, 0) + coeff
         return LaurentPoly(out)
 
     # -- ring operations ----------------------------------------------------
@@ -128,21 +159,17 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._terms)
         for exp, coeff in o._terms.items():
-            c = out.get(exp, Fraction(0)) + coeff
+            c = out.get(exp, 0) + coeff
             if c:
-                out[exp] = c
+                out[exp] = c if type(c) is int or c.denominator != 1 else c.numerator
             else:
                 out.pop(exp, None)
-        p = LaurentPoly.__new__(LaurentPoly)
-        p._terms = out
-        return p
+        return _from_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        p = LaurentPoly.__new__(LaurentPoly)
-        p._terms = {exp: -c for exp, c in self._terms.items()}
-        return p
+        return _from_terms({exp: -c for exp, c in self._terms.items()})
 
     def __sub__(self, other) -> LaurentPoly:
         o = self._coerce(other)
@@ -160,18 +187,16 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, Number] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in o._terms.items():
                 exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                c = out.get(exp, Fraction(0)) + c1 * c2
+                c = out.get(exp, 0) + c1 * c2
                 if c:
                     out[exp] = c
                 else:
                     out.pop(exp, None)
-        p = LaurentPoly.__new__(LaurentPoly)
-        p._terms = out
-        return p
+        return _from_terms(_settle(out))
 
     __rmul__ = __mul__
 
@@ -197,7 +222,7 @@ class LaurentPoly:
                 f"only monomials are invertible in the Laurent ring: {self}"
             )
         (exp, coeff), = self._terms.items()
-        return LaurentPoly({tuple(-e for e in exp): Fraction(1) / coeff})
+        return LaurentPoly({tuple(-e for e in exp): _reciprocal(coeff)})
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -266,7 +291,7 @@ class LaurentPoly:
         vi = _INDEX[var]
 
         def split(p: LaurentPoly) -> dict[int, LaurentPoly]:
-            by_deg: dict[int, dict[tuple, Fraction]] = {}
+            by_deg: dict[int, dict[tuple, Number]] = {}
             for exp, coeff in p._terms.items():
                 rest = tuple(0 if i == vi else e for i, e in enumerate(exp))
                 by_deg.setdefault(exp[vi], {})[rest] = coeff
@@ -284,7 +309,9 @@ class LaurentPoly:
             k = max(work)
             if k < deg_d:
                 break
-            factor = work.pop(k) * (Fraction(1) / lead)
+            factor = work.pop(k)
+            if lead != 1:
+                factor = factor * _reciprocal(lead)
             quotient[k - deg_d] = factor
             for j, c in den.items():
                 if j == deg_d:
@@ -309,7 +336,7 @@ class LaurentPoly:
 
     # -- display --------------------------------------------------------------
 
-    def _sorted_terms(self) -> list[tuple[tuple, Fraction]]:
+    def _sorted_terms(self) -> list[tuple[tuple, Number]]:
         # x is least significant: compare (q, t, y, x) exponents ascending.
         return sorted(self._terms.items(), key=lambda kv: tuple(reversed(kv[0])))
 
@@ -383,6 +410,50 @@ def poly_sum(items) -> LaurentPoly:
     for item in items:
         total = total + item
     return total
+
+
+def _unit_exp(var: str | None) -> tuple:
+    return _ZERO_EXP if var is None else _exp_for(var, 1)
+
+
+def binomial_expansion(
+    items: Iterable[tuple[Number, Mapping[str, int], Sequence[tuple[str, str | None, int]]]],
+) -> LaurentPoly:
+    """Sum of c * mono * prod (u - v)^k over items (c, mono, factors), expanded.
+
+    ``mono`` maps variable names to the exponents of a monomial; each factor
+    (u, v, k) is the binomial u - v, with u and v variable names or None for
+    1, raised to k >= 0.  Every power is written term by term from
+    ``math.comb``, so no intermediate polynomial is multiplied.  A negative k
+    has no Laurent expansion and raises UnsupportedSubstitutionError.
+    """
+    out: dict[tuple, Number] = {}
+    for coeff, mono, factors in items:
+        exp = [0] * len(VARIABLES)
+        for name, e in mono.items():
+            exp[_INDEX[name]] += e
+        partial = {tuple(exp): coeff}
+        for u, v, k in factors:
+            if k < 0:
+                raise UnsupportedSubstitutionError(
+                    f"cannot raise {u} - {v or 1} to negative power {k}"
+                )
+            du, dv = _unit_exp(u), _unit_exp(v)
+            # (u - v)^k = sum_i (-1)^i C(k, i) u^(k-i) v^i
+            row = [
+                ((-1) ** i * comb(k, i),
+                 tuple((k - i) * a + i * b for a, b in zip(du, dv)))
+                for i in range(k + 1)
+            ]
+            expanded: dict[tuple, Number] = {}
+            for e1, c1 in partial.items():
+                for c2, e2 in row:
+                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                    expanded[e] = expanded.get(e, 0) + c1 * c2
+            partial = expanded
+        for e, c in partial.items():
+            out[e] = out.get(e, 0) + c
+    return LaurentPoly(out)
 
 
 # -- q-analogues ---------------------------------------------------------------

@@ -13,7 +13,17 @@ from math import comb
 from . import core, ops
 from .core import Complex, RankTable, popcount
 from .errors import InvariantViolationError, MalformedInputError, RationalFunctionError
-from .poly import T, X, Y, LaurentPoly, constant, monomial, poly_sum, zero
+from .poly import (
+    T,
+    X,
+    Y,
+    LaurentPoly,
+    binomial_expansion,
+    constant,
+    monomial,
+    poly_sum,
+    zero,
+)
 
 
 def corank_nullity_counts(table: RankTable) -> dict[tuple[int, int], int]:
@@ -33,9 +43,9 @@ def _expand_basis(counts: dict[tuple[int, int], int]) -> LaurentPoly:
             "negative corank or nullity: the Tutte sum is a genuine rational"
             " function, which is outside Laurent scope"
         )
-    xm1 = X - 1
-    ym1 = Y - 1
-    return poly_sum(c * (xm1 ** a) * (ym1 ** b) for (a, b), c in counts.items())
+    return binomial_expansion(
+        (c, {}, (("x", None, a), ("y", None, b))) for (a, b), c in counts.items()
+    )
 
 
 def tutte(table: RankTable) -> LaurentPoly:

@@ -10,9 +10,17 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import settings
 
 from demimat import codes, core
 from demimat.poly import T, X, Y, one
+
+# Property tests draw the same examples on every run and stay few, so the
+# suite is deterministic and its runtime flat.
+settings.register_profile(
+    "demimat", derandomize=True, max_examples=40, deadline=None, database=None
+)
+settings.load_profile("demimat")
 
 
 def table_from_labels(n: int, labels: dict[str, int]) -> core.RankTable:

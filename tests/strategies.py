@@ -1,0 +1,53 @@
+"""Hypothesis strategies for polynomials and rank tables.
+
+Tables are drawn mask by mask, so a failing example shrinks toward the
+smallest ground set and the lowest ranks that still fail.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from demimat import core
+from demimat.poly import VARIABLES, LaurentPoly
+
+int_coefficients = st.integers(-20, 20)
+fraction_coefficients = st.builds(
+    Fraction, st.integers(-20, 20), st.integers(1, 6)
+)
+
+
+def exponents(low: int = -3, high: int = 3, slots=VARIABLES):
+    """Exponent vectors with every slot in [low, high] and the others 0."""
+    return st.tuples(*(
+        st.integers(low, high) if name in slots else st.just(0) for name in VARIABLES
+    ))
+
+
+def laurent_polys(coefficients=int_coefficients | fraction_coefficients,
+                  exps=None, max_terms: int = 6):
+    """Sparse Laurent polynomials, int and Fraction coefficients mixed."""
+    exps = exponents() if exps is None else exps
+    return st.dictionaries(exps, coefficients, max_size=max_terms).map(LaurentPoly)
+
+
+@st.composite
+def demimatroid_tables(draw, max_n: int = 6):
+    """Demimatroid rank tables: each rank lies in [max rho(X-x), min rho(X-x) + 1]."""
+    n = draw(st.integers(0, max_n))
+    ranks = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        below = [ranks[mask ^ bit] for bit in core.bits_of(mask)]
+        ranks[mask] = draw(st.integers(max(below), min(below) + 1))
+    return core.RankTable.build(n, ranks)
+
+
+@st.composite
+def rank_tables(draw, max_n: int = 5):
+    """Any combinatroid table: ranks free in [-1, n + 1] except rho(empty) = 0."""
+    n = draw(st.integers(0, max_n))
+    rest = draw(st.lists(st.integers(-1, n + 1), min_size=(1 << n) - 1,
+                         max_size=(1 << n) - 1))
+    return core.RankTable.build(n, [0, *rest])

@@ -214,9 +214,14 @@ def test_malformed_input_paths(tmp_path, capsys):
         ({"p": 2, "rows": [1, 0]}, ()),
         ({"n": 2, "ranks": [0, 1, 1, 2]}, ("--field", "Z")),
         (None, ("--field", "Z")),
+        ({"n": 25, "ranks": [0]}, ()),
+        # 18446744073709551629 is the first prime above 2^64
+        ({"p": 18446744073709551629, "rows": [[1]]}, ()),
+        ({"n": 2, "ranks": [0, 1, 1, 2]}, ("--field", "18446744073709551629")),
     ],
     ids=["no-n", "string-rank", "string-vertex", "triple-edge", "flat-rows",
-         "compute-field", "verify-field"],
+         "compute-field", "verify-field", "over-ground-set-cap", "20-digit-p",
+         "20-digit-field"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, payload, extra):
     if payload is None:
@@ -241,15 +246,15 @@ def _count_calls(monkeypatch, module, name, counts):
 
 
 def test_compute_all_runs_each_route_once(monkeypatch, capsys):
-    # vamos: n = 8, eta = 4, so one Betti sweep is 5 Hochster tables and the
-    # P_j family is 9 polynomials.
+    # vamos: n = 8, eta = 4, so one Betti sweep is 5 Hochster tables, and the
+    # P_j family is built once, by one Moebius transform per nullity value.
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, simplicial, "betti_of_elongations", counts)
     _count_calls(monkeypatch, simplicial, "hochster_betti", counts)
-    _count_calls(monkeypatch, hamming, "p_j", counts)
+    _count_calls(monkeypatch, hamming, "pj_family", counts)
     code, out, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
     assert code == 0
-    assert counts == {"betti_of_elongations": 1, "hochster_betti": 5, "p_j": 9}
+    assert counts == {"betti_of_elongations": 1, "hochster_betti": 5, "pj_family": 1}
     results = json.loads(out)["results"]
     assert all(results["hamming"]["routes"].values())
     assert results["betti"]["agrees_with_subset_sum"] is True

@@ -1,10 +1,11 @@
 import random
+import time
 from itertools import product
 
 import pytest
 
-from demimat import codes, core, weights
-from demimat._linalg import rref_mod_p
+from demimat import codes, core, simplicial, weights
+from demimat._linalg import is_prime, rref_mod_p
 from demimat.errors import MalformedInputError, SizeCapError
 
 from conftest import CODE63A_ROWS, CODE63B_ROWS, HAMMING74_ROWS, HAMMING84_ROWS
@@ -17,6 +18,23 @@ def bases_of(table):
         for m in range(table.full + 1)
         if core.popcount(m) == k and table.ranks[m] == k
     }
+
+
+def test_primality_is_exact_and_bounded():
+    assert [p for p in range(-3, 60) if is_prime(p)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+    ]
+    # strong pseudoprimes to the first several prime bases
+    for composite in (3215031751, 2152302898747, 3474749660383, 341550071728321,
+                      3825123056546413051):
+        assert not is_prime(composite)
+    assert is_prime((1 << 64) - 59)
+    start = time.process_time()
+    matrix = codes.PrimeMatrix.build(10000000000000061, [[1]])
+    assert simplicial.FieldSpec.prime(10000000000000061).characteristic == matrix.p
+    assert time.process_time() - start < 0.1
+    with pytest.raises(MalformedInputError, match="2\\^64"):
+        codes.PrimeMatrix.build(18446744073709551629, [[1]])  # the first prime above 2^64
 
 
 def test_prime_matrix_validation():

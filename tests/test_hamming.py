@@ -1,12 +1,15 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from demimat import codes, core, hamming, ops, tutte
+from demimat import cli, codes, core, hamming, ops, tutte
 from demimat.errors import KindError
 from demimat.poly import T, X, Y, monomial, one, q_binomial, zero
 
 import conftest as ref
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_printed_hamming_values(
@@ -221,6 +224,32 @@ def test_generalized_w_oracle_routes(full23, code63b_matrix):
             direct = hamming.generalized_w(table, r)
             assert direct == hamming.generalized_w(table, r, route="tutte")
             assert direct == gaussian_nullity_oracle(table, r)
+
+
+def test_generalized_w_all_computes_w_once(monkeypatch, vamos):
+    calls = []
+    subset_sum = hamming.hamming_subset_sum
+
+    def counted(table):
+        calls.append(table)
+        return subset_sum(table)
+
+    monkeypatch.setattr(hamming, "hamming_subset_sum", counted)
+    family = hamming.generalized_w_all(vamos)
+    assert len(calls) == 1
+    monkeypatch.setattr(hamming, "hamming_subset_sum", subset_sum)
+    assert family == [hamming.generalized_w(vamos, r, route="tutte")
+                      for r in range(vamos.total_nullity + 1)]
+
+
+def test_coefficients_on_fixtures_are_ints():
+    # every fixture loads to a demimatroid table
+    for path in sorted(FIXTURES.glob("*.json")):
+        table = cli.load_input(str(path)).table
+        polys = [hamming.hamming_subset_sum(table), tutte.tutte(table),
+                 hamming.macwilliams(table), *hamming.generalized_w_all(table)]
+        for p in polys:
+            assert all(type(c) is int for c in p.terms().values()), (path.name, str(p))
 
 
 def test_generalized_w_zero_route(full23):

@@ -1,0 +1,216 @@
+"""Differential property tests of the integer-first polynomial core.
+
+``LaurentPoly`` arithmetic is checked against sympy; the closed-form binomial
+expansion against repeated multiplication; and the Moebius-transform P_j
+family against the definitional submask sums of ``p_j``.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from demimat import hamming, tutte
+from demimat.errors import InexactDivisionError, UnsupportedSubstitutionError
+from demimat.poly import VARIABLES, LaurentPoly, X, Y, binomial_expansion, monomial, one
+
+from strategies import (
+    demimatroid_tables,
+    exponents,
+    int_coefficients,
+    laurent_polys,
+    rank_tables,
+)
+
+SYMBOLS = sympy.symbols(VARIABLES)
+
+
+def to_sympy(p: LaurentPoly):
+    total = sympy.Integer(0)
+    for exp, coeff in p.terms().items():
+        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for sym, e in zip(SYMBOLS, exp):
+            term *= sym**e
+        total += term
+    return total
+
+
+def same(p: LaurentPoly, expr) -> bool:
+    return sympy.expand(to_sympy(p) - expr) == 0
+
+
+def assert_settled(p: LaurentPoly):
+    """Integral coefficients are ints; only non-integral ones are Fractions."""
+    for c in p.terms().values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@given(laurent_polys(), laurent_polys())
+def test_add_and_mul_match_sympy(a, b):
+    for result in (a + b, a - b, a * b):
+        assert_settled(result)
+    assert same(a + b, to_sympy(a) + to_sympy(b))
+    assert same(a - b, to_sympy(a) - to_sympy(b))
+    assert same(a * b, to_sympy(a) * to_sympy(b))
+
+
+@given(laurent_polys(max_terms=4), st.integers(0, 4))
+def test_pow_matches_sympy(a, k):
+    assert_settled(a**k)
+    assert same(a**k, to_sympy(a) ** k)
+
+
+@given(exponents(), int_coefficients.filter(bool), st.integers(-3, 0))
+def test_negative_pow_of_monomial_matches_sympy(exp, coeff, k):
+    m = LaurentPoly({exp: coeff})
+    assert_settled(m**k)
+    assert same(m**k, to_sympy(m) ** k)
+
+
+@given(
+    laurent_polys(exps=exponents(0, 3)),
+    laurent_polys(exps=exponents(slots=("t", "q")), max_terms=3),
+    laurent_polys(exps=exponents(slots=("t", "q")), max_terms=3),
+)
+def test_substitute_matches_sympy(a, u, v):
+    x, y = SYMBOLS[:2]
+    result = a.substitute({"x": u, "y": v})
+    assert_settled(result)
+    expected = to_sympy(a).subs({x: to_sympy(u), y: to_sympy(v)}, simultaneous=True)
+    assert same(result, expected)
+
+
+@given(laurent_polys(), exponents(), int_coefficients.filter(bool))
+def test_substitute_monomial_into_negative_exponents(a, exp, coeff):
+    value = LaurentPoly({exp: coeff})
+    t = SYMBOLS[2]
+    assert same(a.substitute({"t": value}), to_sympy(a).subs(t, to_sympy(value)))
+
+
+@st.composite
+def univariate_divisors(draw):
+    """A non-monomial polynomial in one variable with a nonzero constant term."""
+    var = draw(st.sampled_from(VARIABLES))
+    coeffs = draw(st.lists(int_coefficients, min_size=2, max_size=4))
+    coeffs[0] = coeffs[0] or 1
+    coeffs[-1] = coeffs[-1] or -3
+    return LaurentPoly({
+        tuple(k if name == var else 0 for name in VARIABLES): c
+        for k, c in enumerate(coeffs)
+    }), var
+
+
+@given(laurent_polys(), univariate_divisors())
+def test_divide_exact_recovers_the_quotient(b, divisor):
+    d, _ = divisor
+    quotient = (b * d).divide_exact(d)
+    assert_settled(quotient)
+    assert quotient == b
+    assert same(quotient * d, to_sympy(b) * to_sympy(d))
+
+
+@given(laurent_polys(exps=exponents(0, 3)), univariate_divisors())
+def test_divide_exact_matches_sympy_div(a, divisor):
+    d, var = divisor
+    q_expr, r_expr = sympy.div(to_sympy(a), to_sympy(d), SYMBOLS[VARIABLES.index(var)])
+    if sympy.expand(r_expr) == 0:
+        assert same(a.divide_exact(d), q_expr)
+    else:
+        with pytest.raises(InexactDivisionError):
+            a.divide_exact(d)
+
+
+@given(laurent_polys(), exponents(), int_coefficients.filter(bool))
+def test_divide_exact_by_monomial_matches_sympy(a, exp, coeff):
+    d = LaurentPoly({exp: coeff})
+    quotient = a.divide_exact(d)
+    assert_settled(quotient)
+    assert same(quotient, to_sympy(a) / to_sympy(d))
+
+
+def test_division_promotes_only_non_integral_values():
+    half = (2 * X).divide_exact(4)
+    assert half.terms() == {(1, 0, 0, 0): Fraction(1, 2)}
+    assert type((4 * X).divide_exact(2).terms()[(1, 0, 0, 0)]) is int
+    assert type((2 * X).divide_exact(Fraction(2, 3)).terms()[(1, 0, 0, 0)]) is int
+    assert LaurentPoly({(0, 0, 0, 0): Fraction(6, 3)}).terms() == {(0, 0, 0, 0): 2}
+    assert type(LaurentPoly({(0, 0, 0, 0): Fraction(6, 3)}).constant_value()) is int
+
+
+# -- the closed-form binomial expansion ------------------------------------------
+
+OPERANDS = st.sampled_from([None, *VARIABLES])
+
+
+def repeated_product(u, v, k) -> LaurentPoly:
+    base = (one() if u is None else monomial(1, **{u: 1})) - (
+        one() if v is None else monomial(1, **{v: 1})
+    )
+    out = one()
+    for _ in range(k):
+        out = out * base
+    return out
+
+
+@given(
+    st.lists(
+        st.tuples(
+            int_coefficients,
+            st.dictionaries(st.sampled_from(VARIABLES), st.integers(-3, 3)),
+            st.lists(st.tuples(OPERANDS, OPERANDS, st.integers(0, 20)), max_size=2),
+        ),
+        max_size=3,
+    )
+)
+def test_binomial_expansion_matches_repeated_multiplication(items):
+    expected = LaurentPoly()
+    for coeff, mono, factors in items:
+        term = coeff * monomial(1, **mono)
+        for u, v, k in factors:
+            term = term * repeated_product(u, v, k)
+        expected = expected + term
+    got = binomial_expansion(items)
+    assert got == expected
+    assert all(type(c) is int for c in got.terms().values())
+
+
+def test_binomial_expansion_rejects_a_negative_power():
+    with pytest.raises(UnsupportedSubstitutionError):
+        binomial_expansion([(1, {}, (("x", "y", -1),))])
+
+
+@given(demimatroid_tables())
+def test_closed_forms_match_the_power_formulas(table):
+    n, eta, k = table.n, table.total_nullity, table.rank
+    subset = LaurentPoly()
+    for mask in range(table.full + 1):
+        s = mask.bit_count()
+        subset = subset + (X - Y) ** (n - s) * monomial(1, y=s, t=table.nullity(mask))
+    assert hamming.hamming_subset_sum(table) == subset
+    counts = tutte.corank_nullity_counts(table)
+    via_tutte = LaurentPoly()
+    basis = LaurentPoly()
+    for (a, b), c in counts.items():
+        via_tutte = via_tutte + c * (X - Y) ** (eta + a - b) * monomial(1, y=k - a + b, t=b)
+        basis = basis + c * (X - 1) ** a * (Y - 1) ** b
+    assert hamming.hamming_via_tutte(table) == via_tutte
+    assert tutte.tutte(table) == basis
+
+
+# -- the P_j family by the Moebius transform ------------------------------------------
+
+
+@given(demimatroid_tables())
+def test_moebius_pj_family_matches_the_submask_sums(table):
+    family = hamming.pj_family(table)
+    assert family == tuple(hamming.p_j(table, j) for j in range(table.n + 1))
+    assert hamming.assemble_w(family) == hamming.hamming_subset_sum(table)
+
+
+@given(rank_tables())
+def test_moebius_pj_family_on_any_combinatroid(table):
+    assume(table.n > 0)
+    family = hamming.pj_family(table)
+    assert family == tuple(hamming.p_j(table, j) for j in range(table.n + 1))
