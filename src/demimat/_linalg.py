@@ -1,12 +1,18 @@
-"""Exact matrix ranks: fraction-free over the integers, modular over F_p.
+"""Exact matrix ranks over Q and F_p, and the one primality test.
 
-The rank over F_p is the pivot count of ``rref_mod_p``.  ``is_prime`` is the one
+``rank_sparse_columns`` is the homology kernel: every boundary map of
+``simplicial`` is reduced by it, over Q and over F_p alike.  ``rref_mod_p``
+serves ``codes`` (check-matrix rank tables and row spaces); the rank over F_p
+is its pivot count.  ``rank_fraction_free`` (dense Bareiss elimination) has
+no caller left in the package: it is the tests' oracle for the kernel over Q,
+as the pivot count of ``rref_mod_p`` is over F_p.  ``is_prime`` is the one
 primality test behind every field and check-matrix input.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from math import gcd
+from typing import Container, Mapping, Sequence
 
 from .errors import InvariantViolationError, MalformedInputError
 
@@ -102,3 +108,65 @@ def rref_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], 
         pivots.append(col)
         pivot_row += 1
     return mat, pivots
+
+
+def rank_sparse_columns(
+    columns: Mapping[int, Mapping[int, int]], p: int = 0, skip: Container[int] = ()
+) -> list[int]:
+    """Pivot rows of a sparse integer matrix, by lowest-row column reduction.
+
+    ``columns`` maps each column label to its nonzero entries ``{row: value}``
+    and is reduced in its own iteration order; rows are compared as ints and
+    a column's pivot is its largest row.  Columns whose label is in ``skip``
+    are passed over.  ``p`` is 0 for Q or a prime for F_p.  The rank is the
+    number of pivot rows returned; the input is not modified.
+
+    Over F_p every pivot is a unit and stored columns are scaled to a leading
+    1.  Over Q a pivot of +-1 gives an integer column subtraction, any other
+    pivot a reduces by ``a*col - b*piv`` (same rank), and each stored column
+    is divided by the gcd of its entries, so all arithmetic stays in small
+    integers.
+    """
+    reduced: dict[int, dict[int, int]] = {}
+    for label, column in columns.items():
+        if label in skip:
+            continue
+        if p:
+            col = {r: v % p for r, v in column.items() if v % p}
+        else:
+            col = {r: v for r, v in column.items() if v}
+        while col:
+            low = max(col)
+            pivot = reduced.get(low)
+            if pivot is None:
+                if p:
+                    inverse = pow(col[low], -1, p)
+                    if inverse != 1:
+                        col = {r: v * inverse % p for r, v in col.items()}
+                else:
+                    content = gcd(*col.values())
+                    if content != 1:
+                        col = {r: v // content for r, v in col.items()}
+                reduced[low] = col
+                break
+            factor = col[low]
+            if p:
+                for r, v in pivot.items():
+                    value = (col.get(r, 0) - factor * v) % p
+                    if value:
+                        col[r] = value
+                    else:
+                        del col[r]
+                continue
+            lead = pivot[low]
+            if lead == 1 or lead == -1:
+                factor *= lead
+            else:
+                col = {r: lead * v for r, v in col.items()}
+            for r, v in pivot.items():
+                value = col.get(r, 0) - factor * v
+                if value:
+                    col[r] = value
+                else:
+                    del col[r]
+    return list(reduced)

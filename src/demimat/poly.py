@@ -248,25 +248,42 @@ class LaurentPoly:
                 raise KeyError(f"unknown variable {name!r}")
             v = value if isinstance(value, LaurentPoly) else constant(value)
             values[_INDEX[name]] = v
-        out = zero()
-        power_cache: dict[tuple[int, int], LaurentPoly] = {}
-        for exp, coeff in self._terms.items():
-            residual = tuple(0 if i in values else e for i, e in enumerate(exp))
-            term = LaurentPoly({residual: coeff})
-            for i, val in values.items():
-                e = exp[i]
-                if e == 0:
-                    continue
-                key = (i, e)
-                if key not in power_cache:
-                    if e < 0 and not val.is_monomial:
-                        raise UnsupportedSubstitutionError(
-                            f"cannot raise {val} to negative power {e}"
-                        )
-                    power_cache[key] = val ** e
-                term = term * power_cache[key]
-            out = out + term
-        return out
+        out: dict[tuple, Number] = {}
+        if all(v.is_monomial for v in values.values()):
+            # Every value is c * monomial: a pure map of exponents and
+            # coefficients, with no polynomial products.
+            images = {i: next(iter(v._terms.items())) for i, v in values.items()}
+            for exp, coeff in self._terms.items():
+                target = [0 if i in values else e for i, e in enumerate(exp)]
+                for i, (image, c) in images.items():
+                    e = exp[i]
+                    if e:
+                        for k, d in enumerate(image):
+                            target[k] += e * d
+                        if c != 1:
+                            coeff = coeff * (c ** e if e > 0 else Fraction(c) ** e)
+                key = tuple(target)
+                out[key] = out.get(key, 0) + coeff
+        else:
+            power_cache: dict[tuple[int, int], LaurentPoly] = {}
+            for exp, coeff in self._terms.items():
+                residual = tuple(0 if i in values else e for i, e in enumerate(exp))
+                term = _from_terms({residual: coeff})
+                for i, val in values.items():
+                    e = exp[i]
+                    if e == 0:
+                        continue
+                    key = (i, e)
+                    if key not in power_cache:
+                        if e < 0 and not val.is_monomial:
+                            raise UnsupportedSubstitutionError(
+                                f"cannot raise {val} to negative power {e}"
+                            )
+                        power_cache[key] = val ** e
+                    term = term * power_cache[key]
+                for key, c in term._terms.items():
+                    out[key] = out.get(key, 0) + c
+        return _from_terms(_settle({key: c for key, c in out.items() if c}))
 
     def divide_exact(self, divisor: LaurentPoly | Number) -> LaurentPoly:
         """Exact division; raises InexactDivisionError on a nonzero remainder.

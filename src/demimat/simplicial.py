@@ -1,9 +1,13 @@
 """Reduced simplicial homology, Hochster-formula Betti numbers, and the Betti
 route to the Hamming polynomial.
 
-Homology uses exact elimination only: fraction-free integer Gaussian
-elimination for rational coefficients and modular elimination for prime
-fields, so every Betti number is exact.
+Homology uses exact elimination only, so every Betti number is exact.  Each
+boundary map is a set of sparse integer columns built straight from the face
+masks and reduced by ``_linalg.rank_sparse_columns``, one kernel over Q and
+F_p.  The maps are reduced from the top cardinality down with clearing: a
+pivot row of one map names a column of the map below that must reduce to
+zero, so that column is skipped.  A Hochster sweep lists the complex's faces
+once and restricts to each vertex set by filtering that list.
 
 Conventions.  The void complex has no homology at all; the complex whose only
 face is the empty set has one dimension of reduced homology in degree -1.
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import core, hamming, ops
-from ._linalg import is_prime, rank_fraction_free, rref_mod_p
+from ._linalg import is_prime, rank_sparse_columns
 from .core import Complex, RankTable, popcount
 from .errors import (
     InvariantViolationError,
@@ -81,23 +85,53 @@ def _check_homology_cap(n: int) -> None:
         )
 
 
-def _boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
-    """Boundary map from faces ``upper`` (cardinality c) to ``lower`` (c-1).
+def _faces_by_card(cx: Complex) -> list[list[int]]:
+    """Faces of a nonvoid complex by cardinality, ascending by mask in each."""
+    layers: list[list[int]] = [[] for _ in range(cx.dim + 2)]
+    for f in cx.faces():
+        layers[popcount(f)].append(f)
+    return layers
 
-    Entry (row tau, col sigma) is the sign of dropping that vertex of sigma,
-    alternating over the vertices of sigma in increasing order.
+
+def _boundary_columns(layers: list[list[int]]) -> dict[int, dict[int, int]]:
+    """The boundary column of every face: ``{face minus one vertex: sign}``.
+
+    The sign alternates over the vertices of the face in increasing order.
     """
-    index = {f: i for i, f in enumerate(lower)}
-    mat = [[0] * len(upper) for _ in lower]
-    for col, sigma in enumerate(upper):
-        sign = 1
-        rest = sigma
-        while rest:
-            bit = rest & -rest
-            mat[index[sigma ^ bit]][col] = sign
-            sign = -sign
-            rest ^= bit
-    return mat
+    columns: dict[int, dict[int, int]] = {}
+    for layer in layers:
+        for sigma in layer:
+            column: dict[int, int] = {}
+            sign = 1
+            rest = sigma
+            while rest:
+                bit = rest & -rest
+                column[sigma ^ bit] = sign
+                sign = -sign
+                rest ^= bit
+            columns[sigma] = column
+    return columns
+
+
+def _homology_dims(
+    layers: list[list[int]], columns: dict[int, dict[int, int]], p: int
+) -> list[int]:
+    """Reduced homology dimensions of the complex whose faces are ``layers``.
+
+    ``layers[c]`` lists the faces of cardinality c in ascending mask order.
+    The kernel reduces the columns of the map from cardinality c in that
+    order and picks pivots of the map from c+1 by the same order on its
+    rows, which is what lets the pivot rows of one map clear columns of the
+    next.
+    """
+    # ranks[c] = rank of the map from faces of cardinality c to c-1.
+    ranks = [0] * (len(layers) + 1)
+    cleared: set[int] = set()
+    for c in range(len(layers) - 1, 0, -1):
+        pivots = rank_sparse_columns({f: columns[f] for f in layers[c]}, p, cleared)
+        ranks[c] = len(pivots)
+        cleared = set(pivots)
+    return [len(layer) - ranks[c] - ranks[c + 1] for c, layer in enumerate(layers)]
 
 
 def reduced_homology_dims(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> list[int]:
@@ -108,29 +142,8 @@ def reduced_homology_dims(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> list
     if cx.is_void:
         return []
     _check_homology_cap(cx.n)
-    top = cx.dim + 1
-    by_card: list[list[int]] = [[] for _ in range(top + 1)]
-    for f in cx.faces():
-        by_card[popcount(f)].append(f)
-
-    def matrix_rank(lower: list[int], upper: list[int]) -> int:
-        if not lower or not upper:
-            return 0
-        mat = _boundary_matrix(lower, upper)
-        if fieldspec.characteristic == 0:
-            return rank_fraction_free(mat)
-        return len(rref_mod_p(mat, fieldspec.characteristic)[1])
-
-    # boundary_ranks[c] = rank of the map C_(c-1) -> C_(c-2), faces of card c
-    # mapping down; there are top+1 chain groups (cards 0..top).
-    boundary_ranks = [0] * (top + 2)
-    for c in range(1, top + 1):
-        boundary_ranks[c] = matrix_rank(by_card[c - 1], by_card[c])
-
-    dims = []
-    for c in range(top + 1):
-        dims.append(len(by_card[c]) - boundary_ranks[c] - boundary_ranks[c + 1])
-    return dims
+    layers = _faces_by_card(cx)
+    return _homology_dims(layers, _boundary_columns(layers), fieldspec.characteristic)
 
 
 def euler_characteristic(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> int:
@@ -173,13 +186,26 @@ def hochster_betti_multigraded(
 
 
 def hochster_betti(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> BettiTable:
-    """Graded Betti table via the restriction-homology sweep over all sigma."""
+    """Graded Betti table via the restriction-homology sweep over all sigma.
+
+    The faces of ``cx`` are listed once; each restriction filters that list.
+    """
     if cx.is_void:
         return BettiTable.from_dict({})
     _check_homology_cap(cx.n)
+    layers = _faces_by_card(cx)
+    columns = _boundary_columns(layers)
     table: dict[tuple[int, int], int] = {}
     for sigma in range(1 << cx.n):
-        dims = reduced_homology_dims(cx.restrict(sigma), fieldspec)
+        # The restriction to sigma: the faces inside sigma.  Faces are closed
+        # under subsets, so the first empty cardinality ends the list.
+        restricted: list[list[int]] = []
+        for layer in layers:
+            kept = [f for f in layer if not f & ~sigma]
+            if not kept:
+                break
+            restricted.append(kept)
+        dims = _homology_dims(restricted, columns, fieldspec.characteristic)
         j = popcount(sigma)
         for slot, d in enumerate(dims):
             if d:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from demimat import cli, core, hamming, simplicial
+from demimat import _linalg, cli, codes, core, hamming, simplicial
 from demimat.errors import InvariantViolationError
 from demimat.poly import T, X, Y
 
@@ -259,6 +259,29 @@ def test_compute_all_runs_each_route_once(monkeypatch, capsys):
     assert all(results["hamming"]["routes"].values())
     assert results["betti"]["agrees_with_subset_sum"] is True
     assert results["ghwe"]["definition_route_agrees"] is True
+
+
+def test_betti_sweeps_build_no_complex_per_restriction(monkeypatch, capsys):
+    # vamos: 5 elongation complexes, 2^8 restrictions each.  The sweeps list
+    # each complex's faces once and reduce every boundary map with the sparse
+    # kernel, so no restriction is built and no dense Bareiss step runs.
+    counts: dict[str, int] = {}
+    for module in (_linalg, simplicial, codes):
+        if hasattr(module, "rank_fraction_free"):
+            _count_calls(monkeypatch, module, "rank_fraction_free", counts)
+    _count_calls(monkeypatch, simplicial, "elongation_complex", counts)
+    build = core.Complex.build
+
+    def counted_build(n, faces):
+        counts["Complex.build"] = counts.get("Complex.build", 0) + 1
+        return build(n, faces)
+
+    monkeypatch.setattr(core.Complex, "build", staticmethod(counted_build))
+    code, _, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
+    assert code == 0
+    assert counts.get("rank_fraction_free", 0) == 0
+    assert counts["elongation_complex"] == 5
+    assert counts["Complex.build"] <= counts["elongation_complex"]
 
 
 def test_betti_route_disagreement_names_witness(tmp_path, monkeypatch, capsys):

@@ -19,6 +19,7 @@ from demimat.poly import VARIABLES, LaurentPoly, X, Y, binomial_expansion, monom
 from strategies import (
     demimatroid_tables,
     exponents,
+    fraction_coefficients,
     int_coefficients,
     laurent_polys,
     rank_tables,
@@ -87,6 +88,24 @@ def test_substitute_monomial_into_negative_exponents(a, exp, coeff):
     value = LaurentPoly({exp: coeff})
     t = SYMBOLS[2]
     assert same(a.substitute({"t": value}), to_sympy(a).subs(t, to_sympy(value)))
+
+
+nonzero_coefficients = (int_coefficients | fraction_coefficients).filter(bool)
+
+
+@given(laurent_polys(), st.lists(st.tuples(exponents(), nonzero_coefficients),
+                                 min_size=3, max_size=3))
+def test_substitute_monomials_simultaneously(a, images):
+    # Every value a monomial, as in t -> t^j, x -> 1, y -> x^-1: the exponent
+    # map path, with negative exponents in both the polynomial and the values.
+    values = {name: LaurentPoly({exp: c}) for name, (exp, c) in zip("xyt", images)}
+    result = a.substitute(values)
+    assert_settled(result)
+    expected = to_sympy(a).subs(
+        {SYMBOLS[VARIABLES.index(name)]: to_sympy(v) for name, v in values.items()},
+        simultaneous=True,
+    )
+    assert same(result, expected)
 
 
 @st.composite

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from demimat import core, hamming, simplicial
+from demimat._linalg import rank_fraction_free, rref_mod_p
 from demimat.errors import MalformedInputError
 from demimat.poly import monomial, one
 
 import conftest as ref
+from strategies import demimatroid_tables
 
 F2 = simplicial.FieldSpec.prime(2)
 F3 = simplicial.FieldSpec.prime(3)
@@ -141,6 +145,59 @@ def test_betti_tables_projective_plane(projective_plane):
     assert [bt.poly() for bt in char2] == ref.PROJECTIVE_PLANE_BETTI_CHAR2
     assert [bt.poly() for bt in char3] == ref.PROJECTIVE_PLANE_BETTI_CHAR3
     assert char2 != char3
+
+
+def test_projective_plane_torsion_shows_over_f2_only(projective_plane):
+    # The real projective plane has 2-torsion in H_1: over Q its tables are
+    # the F_3 ones, and the F_2 tables differ.
+    rational = [bt.poly() for bt in simplicial.betti_of_elongations(projective_plane, Q)]
+    assert rational == ref.PROJECTIVE_PLANE_BETTI_CHAR3
+    assert rational != ref.PROJECTIVE_PLANE_BETTI_CHAR2
+
+
+def _dense_homology_dims(cx, fieldspec):
+    """Reduced homology from dense boundary matrices and the dense oracles."""
+    layers = [[] for _ in range(cx.dim + 2)]
+    for f in cx.faces():
+        layers[core.popcount(f)].append(f)
+    ranks = [0] * (len(layers) + 1)
+    for c in range(1, len(layers)):
+        lower, upper = layers[c - 1], layers[c]
+        mat = [[0] * len(upper) for _ in lower]
+        for col, face in enumerate(upper):
+            for k, bit in enumerate(core.bits_of(face)):
+                mat[lower.index(face ^ bit)][col] = (-1) ** k
+        p = fieldspec.characteristic
+        ranks[c] = rank_fraction_free(mat) if p == 0 else len(rref_mod_p(mat, p)[1])
+    return [len(layer) - ranks[c] - ranks[c + 1] for c, layer in enumerate(layers)]
+
+
+@st.composite
+def elongation_complexes(draw):
+    table = draw(demimatroid_tables(max_n=6))
+    r = draw(st.integers(0, table.total_nullity))
+    return simplicial.elongation_complex(table, r)
+
+
+@given(elongation_complexes(), st.sampled_from((Q, F2, F3)))
+def test_homology_matches_dense_elimination(cx, fieldspec):
+    for sigma in range(1 << cx.n):
+        sub = cx.restrict(sigma)
+        assert simplicial.reduced_homology_dims(sub, fieldspec) == _dense_homology_dims(
+            sub, fieldspec
+        )
+
+
+@given(elongation_complexes(), st.sampled_from((Q, F2, F3)))
+def test_sweep_matches_per_restriction_homology(cx, fieldspec):
+    table: dict[tuple[int, int], int] = {}
+    for sigma in range(1 << cx.n):
+        j = core.popcount(sigma)
+        dims = simplicial.reduced_homology_dims(cx.restrict(sigma), fieldspec)
+        for slot, d in enumerate(dims):
+            table[(j - slot, j)] = table.get((j - slot, j), 0) + d
+    expected = simplicial.BettiTable.from_dict(table)
+    assert simplicial.hochster_betti(cx, fieldspec) == expected
 
 
 def test_betti_structure_properties(almost_wheel):
