@@ -464,11 +464,7 @@ def cmd_op(args) -> int:
     verb = args.operator
     payload: dict
     if verb in ("dual", "nullity", "supplement"):
-        result = ops.apply_operator(
-            {"dual": ops.DUAL, "nullity": ops.NULLITY, "supplement": ops.SUPPLEMENT}[verb],
-            table,
-        )
-        payload = table_json(result)
+        payload = table_json(ops.apply_operator(verb, table))
     elif verb in ("delete", "contract"):
         if not args.elements:
             raise MalformedInputError(f"{verb} needs --elements")

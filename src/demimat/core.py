@@ -6,13 +6,15 @@ indexed by mask value, so ``ranks[mask]`` is the rank of that subset.
 
 Certified kinds form a chain: every table is a combinatroid (only the
 normalization rank(empty) = 0 is required); adding the unit-step monotone
-axiom gives a demimatroid; adding submodularity gives a matroid.
+axiom gives a demimatroid; adding submodularity gives a matroid.  A table
+stores only ``(n, ranks)``; its kind is derived when first read.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -150,11 +152,13 @@ def _classify(n: int, ranks: Sequence[int]) -> ValidationReport:
 
 @dataclass(frozen=True)
 class RankTable:
-    """A combinatroid as an explicit table over all 2^n subsets."""
+    """A combinatroid as an explicit table over all 2^n subsets.
+
+    ``kind`` is classified on first read and cached, never at build.
+    """
 
     n: int
     ranks: tuple[int, ...]
-    kind: str
 
     @classmethod
     def build(cls, n: int, ranks: Sequence[int]) -> "RankTable":
@@ -166,8 +170,11 @@ class RankTable:
             )
         if values[0] != 0:
             raise MalformedInputError("rank of the empty set must be 0")
-        report = _classify(n, values)
-        return cls(n, values, report.kind)
+        return cls(n, values)
+
+    @cached_property
+    def kind(self) -> str:
+        return _classify(self.n, self.ranks).kind
 
     def rho(self, mask: int) -> int:
         return self.ranks[mask]
@@ -206,28 +213,31 @@ def validate(table: RankTable) -> ValidationReport:
 
 @dataclass(frozen=True)
 class Complex:
-    """A simplicial complex on vertex set {1..n}, stored by facets.
+    """A simplicial complex on vertex set {1..n}, stored as its set of faces.
 
-    ``facets`` is a sorted tuple of pairwise inclusion-incomparable masks.
-    The void complex (no faces at all) is ``facets == ()`` and is distinct
-    from the complex whose only face is the empty set (``facets == (0,)``).
+    ``face_set`` is a frozenset of masks closed under taking subsets.  The
+    void complex (no faces at all) has the empty face set and is distinct
+    from the complex whose only face is the empty set (``face_set == {0}``).
     """
 
     n: int
-    facets: tuple[int, ...]
+    face_set: frozenset[int]
 
     @classmethod
-    def build(cls, n: int, faces: Iterable[int]) -> "Complex":
+    def build(cls, n: int, masks: Iterable[int]) -> "Complex":
+        """The down-closure of ``masks``: every subset of a given mask is a face."""
         _check_cap(n)
         full = full_mask(n)
-        pool = sorted(set(faces), key=popcount, reverse=True)
-        maximal: list[int] = []
-        for f in pool:
+        # Supersets precede subsets in descending order, so a mask under an
+        # earlier one is already a face and only maximal masks expand; masks
+        # past the ground set come first and are rejected before any expands.
+        faces: set[int] = set()
+        for f in sorted(set(masks), reverse=True):
             if f & ~full:
                 raise MalformedInputError(f"face mask {f:#x} outside ground set 1..{n}")
-            if not any(f & ~g == 0 for g in maximal):
-                maximal.append(f)
-        return cls(n, tuple(sorted(maximal)))
+            if f not in faces:
+                faces.update(submasks(f))
+        return cls(n, frozenset(faces))
 
     @classmethod
     def from_facet_lists(cls, n: int, facets: Iterable[Iterable[int]]) -> "Complex":
@@ -235,40 +245,40 @@ class Complex:
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self.face_set
 
     def __contains__(self, mask: int) -> bool:
-        return any(mask & ~f == 0 for f in self.facets)
+        return mask in self.face_set
+
+    @property
+    def facets(self) -> tuple[int, ...]:
+        """The inclusion-maximal faces, ascending by mask value."""
+        full = full_mask(self.n)
+        return tuple(f for f in self.faces() if all(f | b not in self for b in bits_of(full & ~f)))
 
     @property
     def dim(self) -> int:
         """Dimension; the {empty} complex has dimension -1.  Void is an error."""
         if self.is_void:
             raise ValueError("the void complex has no dimension")
-        return max(popcount(f) for f in self.facets) - 1
+        return max(popcount(f) for f in self.face_set) - 1
 
     def faces(self) -> Iterator[int]:
-        """All face masks, deduplicated, ascending by mask value."""
-        seen: set[int] = set()
-        for f in self.facets:
-            for s in submasks(f):
-                seen.add(s)
-        return iter(sorted(seen))
+        """All face masks, ascending by mask value."""
+        return iter(sorted(self.face_set))
 
     def face_counts(self) -> list[int]:
         """Number of faces of each cardinality, index = cardinality."""
         if self.is_void:
             return []
         counts = [0] * (self.dim + 2)
-        for f in self.faces():
+        for f in self.face_set:
             counts[popcount(f)] += 1
         return counts
 
     def restrict(self, sigma: int) -> "Complex":
         """Restriction to the vertices in ``sigma`` (same ambient n)."""
-        if self.is_void:
-            return self
-        return Complex.build(self.n, (f & sigma for f in self.facets))
+        return Complex(self.n, frozenset(f for f in self.face_set if not f & ~sigma))
 
 
 # -- constructions ---------------------------------------------------------------
@@ -420,7 +430,7 @@ def galois_check(cx: Complex, table: RankTable) -> GaloisReport:
         table.n, [min(r, max(table.rank - 1, 0)) for r in table.ranks]
     )
     ind_capped = independence_complex(capped)
-    down_monotone = all(f in ind for f in ind_capped.facets)
+    down_monotone = ind_capped.face_set <= ind.face_set
     items.append(("down_monotone", down_monotone))
 
     return GaloisReport(tuple(items))

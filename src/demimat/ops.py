@@ -96,43 +96,26 @@ def surviving_labels(n: int, removed: int) -> tuple[int, ...]:
     return tuple(e for e in range(1, n + 1) if not removed & (1 << (e - 1)))
 
 
-def _scatter(sub: int, kept_bits: tuple[int, ...]) -> int:
-    mask = 0
-    i = 0
-    while sub:
-        if sub & 1:
-            mask |= kept_bits[i]
-        sub >>= 1
-        i += 1
-    return mask
-
-
 def delete(table: RankTable, removed: int) -> RankTable:
     """Restriction of the rank function to E \\ removed, indices compacted.
 
-    The order-preserving relabeling is recoverable via surviving_labels.
+    The masks disjoint from ``removed``, in ascending order, are exactly the
+    compacted subsets in ascending order, so the minor filters the parent's
+    ranks.  The relabeling is recoverable via surviving_labels.
     """
     if removed & ~table.full:
         raise MalformedInputError("deleted set outside the ground set")
-    kept = surviving_labels(table.n, removed)
-    kept_bits = tuple(1 << (e - 1) for e in kept)
-    m = len(kept)
-    ranks = [table.ranks[_scatter(sub, kept_bits)] for sub in range(1 << m)]
-    return RankTable.build(m, ranks)
+    ranks = [r for mask, r in enumerate(table.ranks) if not mask & removed]
+    return RankTable.build(table.n - popcount(removed), ranks)
 
 
 def contract(table: RankTable, removed: int) -> RankTable:
-    """Contraction: rho_{M/A}(X) = rho(X | A) - rho(A), indices compacted."""
+    """Contraction: rho_{M/A}(X) = rho(X | A) - rho(A), compacted as in ``delete``."""
     if removed & ~table.full:
         raise MalformedInputError("contracted set outside the ground set")
-    kept = surviving_labels(table.n, removed)
-    kept_bits = tuple(1 << (e - 1) for e in kept)
-    m = len(kept)
     base = table.ranks[removed]
-    ranks = [
-        table.ranks[_scatter(sub, kept_bits) | removed] - base for sub in range(1 << m)
-    ]
-    return RankTable.build(m, ranks)
+    ranks = [table.ranks[m | removed] - base for m in range(table.full + 1) if not m & removed]
+    return RankTable.build(table.n - popcount(removed), ranks)
 
 
 # -- lattice ----------------------------------------------------------------

@@ -126,10 +126,6 @@ class LaurentPoly:
         i = _INDEX[var]
         return min((exp[i] for exp in self._terms), default=0)
 
-    def max_exponent(self, var: str) -> int:
-        i = _INDEX[var]
-        return max((exp[i] for exp in self._terms), default=0)
-
     def coefficient(self, **fixed: int) -> LaurentPoly:
         """Collect terms matching the given exponents and strip those slots.
 
@@ -383,10 +379,6 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
-    def term_list(self) -> list[list]:
-        """JSON-friendly term list in canonical order: [[ex, ey, et, eq], "coeff"]."""
-        return [[list(exp), str(coeff)] for exp, coeff in self._sorted_terms()]
-
 
 # -- constructors -------------------------------------------------------------
 
@@ -423,10 +415,12 @@ Q = variable("q")
 
 
 def poly_sum(items) -> LaurentPoly:
-    total = zero()
+    """Sum of polynomials, gathered in one term dict and wrapped once."""
+    out: dict[tuple, Number] = {}
     for item in items:
-        total = total + item
-    return total
+        for exp, coeff in item._terms.items():
+            out[exp] = out.get(exp, 0) + coeff
+    return _from_terms(_settle({exp: c for exp, c in out.items() if c}))
 
 
 def _unit_exp(var: str | None) -> tuple:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import core, hamming, ops
+from . import core, hamming
 from ._linalg import is_prime, rank_sparse_columns
 from .core import Complex, RankTable, popcount
 from .errors import (
@@ -219,8 +219,15 @@ def hochster_betti(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> BettiTable:
 
 
 def elongation_complex(table: RankTable, r: int) -> Complex:
-    """Independence complex of the r-th elongation: subsets of nullity <= r."""
-    return core.independence_complex(ops.elongate(table, r))
+    """Independence complex of the r-th elongation: subsets of nullity <= r,
+    read from ``table``'s nullities without building the elongated table."""
+    table.require_demimatroid("elongation")
+    eta = table.total_nullity
+    if not 0 <= r <= eta:
+        raise MalformedInputError(f"elongation index must be in 0..{eta}, got {r}")
+    return Complex.build(
+        table.n, [m for m, rank in enumerate(table.ranks) if popcount(m) - rank <= r]
+    )
 
 
 def betti_of_elongations(

@@ -126,10 +126,11 @@ def _elongation_laws(m: core.RankTable) -> bool:
         step = ops.elongate(m, 1)
         for _ in range(i - 1):
             step = ops.elongate(step, 1)
-        if step.ranks != ops.elongate(m, i).ranks:
+        elongated = ops.elongate(m, i)
+        if step.ranks != elongated.ranks:
             return False
         for mask in range(m.full + 1):
-            ei = ops.elongate(m, i).nullity(mask)
+            ei = elongated.nullity(mask)
             if (ei == 0) != (m.nullity(mask) <= i):
                 return False
     return all(weights.elongation_distance_check(m, r) for r in range(eta))

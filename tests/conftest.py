@@ -37,6 +37,20 @@ def ranks_from_labels(n: int, labels: dict[str, int]) -> tuple[int, ...]:
     return table_from_labels(n, labels).ranks
 
 
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Ground-set sizes of every ``core._classify`` call made during a test."""
+    calls: list[int] = []
+    original = core._classify
+
+    def counting(n, ranks):
+        calls.append(n)
+        return original(n, ranks)
+
+    monkeypatch.setattr(core, "_classify", counting)
+    return calls
+
+
 # -- small operator-table fixtures --------------------------------------------
 
 # matroid on {1,2,3} with bases {1,2} and {1,3}

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given
 
-from demimat import core
+from demimat import core, ops
 from demimat.errors import KindError, MalformedInputError, SizeCapError
 
 from conftest import (
@@ -18,6 +19,7 @@ from conftest import (
     ranks_from_labels,
     table_from_labels,
 )
+from strategies import demimatroid_tables
 
 
 # -- masks ----------------------------------------------------------------------
@@ -250,3 +252,57 @@ def test_up_down_identity_on_random_complexes():
         table = core.random_demimatroid(5, rng)
         cx = core.independence_complex(table)
         assert core.independence_complex(core.complex_to_demimatroid(cx)) == cx
+
+
+# -- stored data: ranks for tables, face sets for complexes ---------------------------
+
+
+def test_building_tables_never_classifies(classify_calls):
+    t = core.random_demimatroid(5, random.Random(3))
+    u = core.RankTable.build(5, t.ranks)
+    built = [
+        u,
+        ops.dual(t),
+        ops.nullity_operator(t),
+        ops.supplement(t),
+        ops.delete(t, 0b00101),
+        ops.contract(t, 0b00101),
+        ops.join(t, u),
+        ops.meet(t, u),
+    ]
+    assert all(len(b.ranks) == 1 << b.n for b in built)
+    assert classify_calls == []
+
+
+def test_kind_is_classified_once_per_table(classify_calls):
+    table = core.uniform(4, 2)
+    assert table.kind == core.MATROID
+    assert table.kind == core.MATROID
+    assert classify_calls == [4]
+
+
+@given(demimatroid_tables())
+def test_independence_complex_face_set(t):
+    cx = core.independence_complex(t)
+    faces = set(cx.faces())
+    assert faces == {m for m in range(1 << t.n) if t.ranks[m] == core.popcount(m)}
+    assert core.Complex.build(t.n, cx.facets) == cx
+    for f in cx.facets:
+        assert not any(g != f and not f & ~g for g in faces)
+    for m in range(1 << t.n):
+        assert (m in cx) == (m in faces)
+    for sigma in range(1 << t.n):
+        assert set(cx.restrict(sigma).faces()) == {f for f in faces if not f & ~sigma}
+
+
+def test_void_and_empty_face_complexes_stay_distinct():
+    void = core.Complex.build(3, [])
+    empty_only = core.Complex.build(3, [0])
+    assert void != empty_only
+    assert void.is_void and not empty_only.is_void
+    assert list(void.faces()) == [] and list(empty_only.faces()) == [0]
+    assert void.facets == () and empty_only.facets == (0,)
+    assert 0 not in void and 0 in empty_only
+    assert void.restrict(0b111) == void and empty_only.restrict(0b111) == empty_only
+    assert void.face_counts() == [] and empty_only.face_counts() == [1]
+    assert empty_only.dim == -1

@@ -210,3 +210,31 @@ def test_elongation_restriction_compatibility():
                 ops.delete(ops.elongate(table, i), a).ranks
                 == ops.elongate(restricted, i).ranks
             )
+
+
+def _scatter(sub: int, labels: tuple[int, ...]) -> int:
+    """The parent mask that holds ``labels[i]`` exactly when bit i of ``sub`` is set."""
+    mask = 0
+    for i, label in enumerate(labels):
+        if sub >> i & 1:
+            mask |= 1 << (label - 1)
+    return mask
+
+
+def test_minors_match_the_label_definition():
+    rng = random.Random(11)
+    tables = [core.random_demimatroid(5, rng) for _ in range(3)]
+    tables += [
+        core.RankTable.build(5, [0] + [rng.randint(-1, 6) for _ in range(31)])
+        for _ in range(2)
+    ]
+    for t in tables:
+        for removed in range(t.full + 1):
+            labels = ops.surviving_labels(t.n, removed)
+            deleted = ops.delete(t, removed)
+            contracted = ops.contract(t, removed)
+            assert deleted.n == contracted.n == len(labels)
+            for j in range(1 << len(labels)):
+                parent = _scatter(j, labels)
+                assert deleted.ranks[j] == t.ranks[parent]
+                assert contracted.ranks[j] == t.ranks[parent | removed] - t.ranks[removed]

@@ -1,12 +1,13 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demimat import core, hamming, simplicial
+from demimat import cli, core, hamming, ops, simplicial
 from demimat._linalg import rank_fraction_free, rref_mod_p
-from demimat.errors import MalformedInputError
+from demimat.errors import KindError, MalformedInputError
 from demimat.poly import monomial, one
 
 import conftest as ref
@@ -15,6 +16,7 @@ from strategies import demimatroid_tables
 F2 = simplicial.FieldSpec.prime(2)
 F3 = simplicial.FieldSpec.prime(3)
 Q = simplicial.RATIONALS
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_fieldspec():
@@ -244,3 +246,26 @@ def test_homology_cap():
         simplicial.reduced_homology_dims(
             core.Complex.from_facet_lists(17, [[1, 2]]), Q
         )
+
+
+@given(demimatroid_tables())
+def test_elongation_complex_is_the_elongations_independence_complex(t):
+    for r in range(t.total_nullity + 1):
+        assert simplicial.elongation_complex(t, r) == core.independence_complex(
+            ops.elongate(t, r)
+        )
+    for r in (-1, t.total_nullity + 1):
+        with pytest.raises(MalformedInputError):
+            simplicial.elongation_complex(t, r)
+
+
+def test_elongation_complex_needs_a_demimatroid():
+    skipping = core.RankTable.build(2, [0, 1, 1, 3])
+    with pytest.raises(KindError):
+        simplicial.elongation_complex(skipping, 0)
+
+
+def test_betti_of_elongations_classifies_the_table_once(classify_calls):
+    table = cli.load_input(str(FIXTURES / "vamos.json")).table
+    simplicial.betti_of_elongations(table)
+    assert classify_calls == [8]
