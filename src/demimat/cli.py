@@ -2,7 +2,10 @@
 
 Verbs: compute, verify, op, from-code, from-facets, from-graph, from-wei.
 Exit codes: 0 ok, 1 invariant/verification failure, 2 usage or input error
-(an input over a size cap is an input error).
+(an input over a size cap is an input error).  A ``compute`` block whose
+invariant the input's kind does not have (a KindError or
+RationalFunctionError) reports ``{"error": ..., "detail": ...}`` in its own
+place and leaves the exit code alone.
 
 Input files are JSON and are recognized by their keys:
   rank table   {"n": 3, "ranks": [0, 0, 0, 1, 0, 1, 1, 2]}   (mask order)
@@ -36,7 +39,13 @@ from pathlib import Path
 from typing import Callable
 
 from . import codes, core, hamming, ops, simplicial, tutte, verify, weights
-from .errors import DemimatError, KindError, MalformedInputError, SizeCapError
+from .errors import (
+    DemimatError,
+    KindError,
+    MalformedInputError,
+    RationalFunctionError,
+    SizeCapError,
+)
 from .poly import LaurentPoly, monomial, zero
 
 # -- canonical polynomial text ---------------------------------------------------
@@ -396,7 +405,13 @@ def cmd_compute(args) -> int:
         results["kind"] = ctx.table.kind
         results["n"] = ctx.table.n
     for name in requested:
-        results[name] = _entry(name, ctx).block(ctx)
+        block = _entry(name, ctx).block
+        try:
+            results[name] = block(ctx)
+        except (KindError, RationalFunctionError) as exc:
+            # The invariant does not exist for this input; the other blocks
+            # stand.  A route disagreement still fails the whole run.
+            results[name] = {"error": type(exc).__name__, "detail": str(exc)}
     _emit({"manifest": manifest, "results": results}, args.out)
     return 0
 

@@ -6,8 +6,10 @@ boundary map is a set of sparse integer columns built straight from the face
 masks and reduced by ``_linalg.rank_sparse_columns``, one kernel over Q and
 F_p.  The maps are reduced from the top cardinality down with clearing: a
 pivot row of one map names a column of the map below that must reduce to
-zero, so that column is skipped.  A Hochster sweep lists the complex's faces
-once and restricts to each vertex set by filtering that list.
+zero, so that column is skipped.  A Hochster sweep skips every vertex set
+that is a face, lists each other restriction's faces as the submasks of the
+vertex set that lie in the complex, and reduces whichever is smaller: the
+restriction or its Alexander dual.
 
 Conventions.  The void complex has no homology at all; the complex whose only
 face is the empty set has one dimension of reduced homology in degree -1.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from . import core, hamming
 from ._linalg import is_prime, rank_sparse_columns
-from .core import Complex, RankTable, popcount
+from .core import Complex, RankTable, popcount, submasks
 from .errors import (
     InvariantViolationError,
     MalformedInputError,
@@ -85,45 +87,34 @@ def _check_homology_cap(n: int) -> None:
         )
 
 
-def _faces_by_card(cx: Complex) -> list[list[int]]:
-    """Faces of a nonvoid complex by cardinality, ascending by mask in each."""
-    layers: list[list[int]] = [[] for _ in range(cx.dim + 2)]
-    for f in cx.faces():
+class _Columns(dict):
+    """Boundary columns by face mask, each built on first lookup.
+
+    A face's column is ``{face minus one vertex: sign}``, the sign alternating
+    over its vertices in increasing order.
+    """
+
+    def __missing__(self, face: int) -> dict[int, int]:
+        column = self[face] = {}
+        sign, rest = 1, face
+        while rest:
+            bit = rest & -rest
+            column[face ^ bit] = sign
+            sign, rest = -sign, rest ^ bit
+        return column
+
+
+def _homology_dims(faces: list[int], columns: _Columns, p: int) -> list[int]:
+    """Reduced homology dimensions of the nonvoid complex ``faces``.
+
+    ``faces`` is ascending by mask, and so is each cardinality's share.  The
+    kernel reduces the columns of the map from cardinality c in that order
+    and picks pivots of the map from c+1 by the same order on its rows,
+    which is what lets the pivot rows of one map clear columns of the next.
+    """
+    layers: list[list[int]] = [[] for _ in range(max(map(popcount, faces)) + 1)]
+    for f in faces:
         layers[popcount(f)].append(f)
-    return layers
-
-
-def _boundary_columns(layers: list[list[int]]) -> dict[int, dict[int, int]]:
-    """The boundary column of every face: ``{face minus one vertex: sign}``.
-
-    The sign alternates over the vertices of the face in increasing order.
-    """
-    columns: dict[int, dict[int, int]] = {}
-    for layer in layers:
-        for sigma in layer:
-            column: dict[int, int] = {}
-            sign = 1
-            rest = sigma
-            while rest:
-                bit = rest & -rest
-                column[sigma ^ bit] = sign
-                sign = -sign
-                rest ^= bit
-            columns[sigma] = column
-    return columns
-
-
-def _homology_dims(
-    layers: list[list[int]], columns: dict[int, dict[int, int]], p: int
-) -> list[int]:
-    """Reduced homology dimensions of the complex whose faces are ``layers``.
-
-    ``layers[c]`` lists the faces of cardinality c in ascending mask order.
-    The kernel reduces the columns of the map from cardinality c in that
-    order and picks pivots of the map from c+1 by the same order on its
-    rows, which is what lets the pivot rows of one map clear columns of the
-    next.
-    """
     # ranks[c] = rank of the map from faces of cardinality c to c-1.
     ranks = [0] * (len(layers) + 1)
     cleared: set[int] = set()
@@ -142,8 +133,7 @@ def reduced_homology_dims(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> list
     if cx.is_void:
         return []
     _check_homology_cap(cx.n)
-    layers = _faces_by_card(cx)
-    return _homology_dims(layers, _boundary_columns(layers), fieldspec.characteristic)
+    return _homology_dims(list(cx.faces()), _Columns(), fieldspec.characteristic)
 
 
 def euler_characteristic(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> int:
@@ -188,30 +178,38 @@ def hochster_betti_multigraded(
 def hochster_betti(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> BettiTable:
     """Graded Betti table via the restriction-homology sweep over all sigma.
 
-    The faces of ``cx`` are listed once; each restriction filters that list.
+    A nonempty sigma that is a face restricts to a full simplex, with no
+    reduced homology, and is skipped.  Of any other sigma's submasks, those
+    in ``cx`` are the restriction's faces and the rest X give its Alexander
+    dual ``{sigma - X}``; the side with fewer faces is reduced.
     """
     if cx.is_void:
         return BettiTable.from_dict({})
     _check_homology_cap(cx.n)
-    layers = _faces_by_card(cx)
-    columns = _boundary_columns(layers)
+    faces, columns, p = cx.face_set, _Columns(), fieldspec.characteristic
     table: dict[tuple[int, int], int] = {}
     for sigma in range(1 << cx.n):
-        # The restriction to sigma: the faces inside sigma.  Faces are closed
-        # under subsets, so the first empty cardinality ends the list.
-        restricted: list[list[int]] = []
-        for layer in layers:
-            kept = [f for f in layer if not f & ~sigma]
-            if not kept:
-                break
-            restricted.append(kept)
-        dims = _homology_dims(restricted, columns, fieldspec.characteristic)
+        if sigma and sigma in faces:
+            continue
+        # Submasks come in descending order: reversed, ``inside`` ascends,
+        # and taking complements in sigma makes ``outside`` ascend.
+        inside: list[int] = []
+        outside: list[int] = []
+        for sub in submasks(sigma):
+            (inside if sub in faces else outside).append(sub)
+        # Slot s of dims is degree s-1, and degree d of the restriction is
+        # i = j-d-1.  Over any field, degree e of the dual is degree j-e-3 of
+        # the restriction, so i = e+2.  sigma = 0 has a void dual.
         j = popcount(sigma)
-        for slot, d in enumerate(dims):
+        if sigma and len(outside) < len(inside):
+            dims = _homology_dims([sigma ^ x for x in outside], columns, p)
+            entries = [(slot + 1, d) for slot, d in enumerate(dims)]
+        else:
+            dims = _homology_dims(inside[::-1], columns, p)
+            entries = [(j - slot, d) for slot, d in enumerate(dims)]
+        for i, d in entries:
             if d:
-                i = j - (slot - 1) - 1
-                key = (i, j)
-                table[key] = table.get(key, 0) + d
+                table[(i, j)] = table.get((i, j), 0) + d
     return BettiTable.from_dict(table)
 
 

@@ -309,3 +309,66 @@ def test_betti_route_disagreement_names_witness(tmp_path, monkeypatch, capsys):
     error = json.loads(err)
     assert error["error"] == "InvariantViolationError"
     assert f"(r,i,j)=({eta}, 0, 0)" in error["detail"]
+
+
+def test_compute_all_reports_kind_errors_per_block(tmp_path, capsys):
+    # A combinatroid whose Tutte sum is a rational function and which is not
+    # a demimatroid: those blocks record their error, the rest still report.
+    path = tmp_path / "combinatroid.json"
+    path.write_text(json.dumps({"n": 2, "ranks": [0, 1, 2, 1]}))
+    code, out, _ = run_cli(capsys, "compute", "--in", str(path), "--all")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["kind"] == "combinatroid"
+    assert results["tutte"]["error"] == "RationalFunctionError"
+    assert results["charpoly"]["error"] == "KindError"
+    assert results["betti"] == {
+        "error": "KindError",
+        "detail": "elongation Betti tables needs a demimatroid, table certifies combinatroid",
+    }
+    assert results["whitney"] == "x^-1*y^-1 + 1 + x + y"
+
+
+def test_compute_all_still_fails_on_route_disagreement(tmp_path, monkeypatch, capsys):
+    original = simplicial.betti_of_elongations
+
+    def off_by_one(t, fieldspec=simplicial.RATIONALS):
+        tables = original(t, fieldspec)
+        first = tables[0].as_dict()
+        first[(0, 0)] += 1
+        return [simplicial.BettiTable.from_dict(first), *tables[1:]]
+
+    monkeypatch.setattr(simplicial, "betti_of_elongations", off_by_one)
+    code, out, err = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "InvariantViolationError"
+
+
+def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys):
+    # Each sweep visits sigma in ascending order and reduces one side per
+    # sigma: sigma = 0, and every nonempty sigma that is not a face.  A face
+    # restricts to a full simplex and is never reduced; the side reduced has
+    # at most half of sigma's 2^|sigma| submasks.
+    sweeps: list[tuple[core.Complex, list[list[int]]]] = []
+    hochster, homology = simplicial.hochster_betti, simplicial._homology_dims
+
+    def recorded_hochster(cx, fieldspec=simplicial.RATIONALS):
+        sweeps.append((cx, []))
+        return hochster(cx, fieldspec)
+
+    def recorded_homology(faces, *args):
+        sweeps[-1][1].append(list(faces))
+        return homology(faces, *args)
+
+    monkeypatch.setattr(simplicial, "hochster_betti", recorded_hochster)
+    monkeypatch.setattr(simplicial, "_homology_dims", recorded_homology)
+    code, _, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
+    assert code == 0
+    assert len(sweeps) == 5
+    for cx, calls in sweeps:
+        visited = [s for s in range(1 << cx.n) if not s or s not in cx]
+        assert len(calls) == len(visited)
+        for sigma, faces in zip(visited[1:], calls[1:]):
+            assert all(not f & ~sigma for f in faces)
+            assert len(faces) <= 2 ** (core.popcount(sigma) - 1)

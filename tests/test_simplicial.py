@@ -202,6 +202,63 @@ def test_sweep_matches_per_restriction_homology(cx, fieldspec):
     assert simplicial.hochster_betti(cx, fieldspec) == expected
 
 
+def _dual_homology_by_degree(cx, fieldspec):
+    """Homology of ``cx`` by degree, read off its Alexander dual on all n vertices.
+
+    The dual is {V - X : X not in cx}, and over any field degree e of the
+    dual is degree n-e-3 of ``cx``.
+    """
+    full = core.full_mask(cx.n)
+    dual = core.Complex(cx.n, frozenset(full ^ x for x in core.submasks(full) if x not in cx))
+    dims = simplicial.reduced_homology_dims(dual, fieldspec)
+    return {cx.n - 3 - (slot - 1): d for slot, d in enumerate(dims) if d}
+
+
+def _homology_by_degree(cx, fieldspec):
+    dims = simplicial.reduced_homology_dims(cx, fieldspec)
+    return {slot - 1: d for slot, d in enumerate(dims) if d}
+
+
+@st.composite
+def complexes_short_of_the_simplex(draw, max_n=6):
+    """Nonvoid complexes on 1..n that are not the full simplex; vertices
+    that no drawn face covers stay ghosts."""
+    n = draw(st.integers(1, max_n))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 2), max_size=8))
+    return core.Complex.build(n, [0, *masks])
+
+
+@given(complexes_short_of_the_simplex(), st.sampled_from((Q, F2, F3)))
+def test_alexander_duality_reindexes_homology(cx, fieldspec):
+    assert _homology_by_degree(cx, fieldspec) == _dual_homology_by_degree(cx, fieldspec)
+
+
+@pytest.mark.parametrize("fieldspec", (Q, F2, F3), ids=str)
+@pytest.mark.parametrize(
+    "cx, expected",
+    [
+        # {empty} on four vertices: its dual is the boundary of the simplex.
+        (core.Complex.build(4, [0]), {-1: 1}),
+        # The boundary of the triangle: its dual is {empty}.
+        (core.Complex.build(3, [0b011, 0b101, 0b110]), {1: 1}),
+        # An edge and a point with vertices 4 and 5 as ghosts.
+        (core.Complex.build(5, [0b00011, 0b00100]), {0: 1}),
+    ],
+    ids=["empty-face-only", "simplex-boundary", "ghost-vertices"],
+)
+def test_alexander_duality_edge_cases(cx, expected, fieldspec):
+    assert _homology_by_degree(cx, fieldspec) == expected
+    assert _dual_homology_by_degree(cx, fieldspec) == expected
+
+
+def test_alexander_dual_keeps_projective_plane_torsion(projective_plane_complex):
+    # H~_1 and H~_2 of the projective plane are F_2 and vanish over Q and F_3;
+    # the dual side must give the same.
+    assert _dual_homology_by_degree(projective_plane_complex, F2) == {1: 1, 2: 1}
+    assert _dual_homology_by_degree(projective_plane_complex, Q) == {}
+    assert _dual_homology_by_degree(projective_plane_complex, F3) == {}
+
+
 def test_betti_structure_properties(almost_wheel):
     for bt in simplicial.betti_of_elongations(almost_wheel, Q):
         assert bt.get(0, 0) == 1
