@@ -228,7 +228,7 @@ def _wei_block(ctx: Context) -> dict:
         "d": list(profile.d),
         "d_up": list(profile.d_up),
         "wei_duality": weights.check_wei_duality(table),
-        "full": weights.is_full(table) if table.rank else False,
+        "full": weights.is_full(table),
         "uniform": weights.is_uniform_demimatroid(table),
     }
 
@@ -456,6 +456,9 @@ def cmd_verify(args) -> int:
         _emit(payload, args.out)
         return 0 if not problems else 1
 
+    for flag, value in (("--n", args.n), ("--samples", args.samples)):
+        if value < 1:
+            raise MalformedInputError(f"{flag} must be at least 1, got {value}")
     if args.n > core.GROUND_SET_CAP:
         raise MalformedInputError(
             f"--n {args.n} exceeds the ground-set cap {core.GROUND_SET_CAP}"

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from . import ops, weights
+from . import weights
 from ._linalg import is_prime, rref_mod_p
 from .core import RankTable, popcount
 from .errors import MalformedInputError, SizeCapError
@@ -149,14 +149,13 @@ def code_ghw_bruteforce(code: LinearCodeView, r: int) -> int:
 def weight_hierarchy_agreement(matrix: PrimeMatrix) -> bool:
     """The code's brute-force hierarchy matches the parity matroid's.
 
-    The matroid side is the Wei hierarchy of the nullity table of the parity
-    matroid, computed by subset scan; a dimension-0 code agrees vacuously.
+    The matroid side is the parity matroid's generalized Hamming weights,
+    read off its size-rank profile; a dimension-0 code agrees vacuously.
     """
     code = LinearCodeView.from_parity(matrix)
     if code.k == 0:
         return True
-    table = parity_matroid(matrix)
-    matroid_side = weights.wei_hierarchy(ops.nullity_operator(table)).d
+    matroid_side = weights.generalized_hamming_weights(parity_matroid(matrix))
     for r in range(1, code.k + 1):
         if code_ghw_bruteforce(code, r) != matroid_side[r - 1]:
             return False

@@ -13,10 +13,12 @@ stores only ``(n, ranks)``; its kind is derived when first read.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import KindError, MalformedInputError, SizeCapError
 
@@ -150,11 +152,17 @@ def _classify(n: int, ranks: Sequence[int]) -> ValidationReport:
     return ValidationReport(kind, tuple(violations))
 
 
+def _size_rank_profile(n: int, ranks: Sequence[int]) -> Mapping[tuple[int, int], int]:
+    """#{X : |X| = s, rank(X) = r} keyed by (s, r), for any ranks at all."""
+    return MappingProxyType(Counter(zip(map(int.bit_count, range(1 << n)), ranks)))
+
+
 @dataclass(frozen=True)
 class RankTable:
     """A combinatroid as an explicit table over all 2^n subsets.
 
-    ``kind`` is classified on first read and cached, never at build.
+    ``kind`` is classified on first read and cached, never at build; so is
+    ``profile``, the size-rank counts every subset-sum invariant reads.
     """
 
     n: int
@@ -175,6 +183,10 @@ class RankTable:
     @cached_property
     def kind(self) -> str:
         return _classify(self.n, self.ranks).kind
+
+    @cached_property
+    def profile(self) -> Mapping[tuple[int, int], int]:
+        return _size_rank_profile(self.n, self.ranks)
 
     def rho(self, mask: int) -> int:
         return self.ranks[mask]

@@ -38,18 +38,17 @@ from .poly import (
 
 
 def hamming_subset_sum(table: RankTable) -> LaurentPoly:
-    """W as the direct sum of (x-y)^(n-|s|) y^|s| t^(eta(s)) over all subsets.
+    """W as the sum of (x-y)^(n-|X|) y^|X| t^(eta(X)) over all subsets X.
 
-    Negative nullities of a general combinatroid land in negative t powers,
-    which are still Laurent monomials.
+    The term depends only on |X| and rho(X), so each (size, rank) pair of
+    the table's profile is expanded once, times its count.  Negative
+    nullities of a general combinatroid land in negative t powers, which are
+    still Laurent monomials.
     """
     n = table.n
-    counts: dict[tuple[int, int], int] = {}
-    for mask in range(table.full + 1):
-        key = (popcount(mask), table.nullity(mask))
-        counts[key] = counts.get(key, 0) + 1
     return binomial_expansion(
-        (c, {"y": s, "t": e}, (("x", "y", n - s),)) for (s, e), c in counts.items()
+        (c, {"y": s, "t": s - r}, (("x", "y", n - s),))
+        for (s, r), c in table.profile.items()
     )
 
 
@@ -187,16 +186,8 @@ def formal_min_distance(table: RankTable) -> tuple[int, int]:
     table.require_demimatroid("formal minimum distance")
     if table.total_nullity == 0:
         raise KindError("every subset is independent; no formal minimum distance")
-    delta = None
-    c = 0
-    for mask in range(table.full + 1):
-        if table.nullity(mask) == 1:
-            s = popcount(mask)
-            if delta is None or s < delta:
-                delta, c = s, 1
-            elif s == delta:
-                c += 1
-    return delta, c
+    delta = min(s for s, r in table.profile if s - r == 1)
+    return delta, table.profile[delta, delta - 1]
 
 
 def _uniform_a_closed_form(n: int, i: int, delta: int) -> LaurentPoly:

@@ -1,9 +1,9 @@
 """Tutte and Whitney polynomials, characteristic polynomial, f/h-polynomials.
 
 The corank-nullity sum is accumulated in the (x-1, y-1) basis first: the
-exponent pair of a subset A is (rho(E) - rho(A), |A| - rho(A)), so each
-subset costs two table lookups and the binomial expansion happens once per
-distinct exponent pair.
+exponent pair of a subset A is (rho(E) - rho(A), |A| - rho(A)), which depends
+only on |A| and rho(A), so the pairs are read off the table's size-rank
+profile and the binomial expansion happens once per distinct pair.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb
 
 from . import core, ops
-from .core import Complex, RankTable, popcount
+from .core import Complex, RankTable
 from .errors import InvariantViolationError, MalformedInputError, RationalFunctionError
 from .poly import (
     T,
@@ -29,12 +29,7 @@ from .poly import (
 def corank_nullity_counts(table: RankTable) -> dict[tuple[int, int], int]:
     """Multiplicities of the (corank, nullity) exponent pairs over all subsets."""
     k = table.rank
-    counts: dict[tuple[int, int], int] = {}
-    for mask in range(table.full + 1):
-        r = table.ranks[mask]
-        key = (k - r, popcount(mask) - r)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return {(k - r, s - r): c for (s, r), c in table.profile.items()}
 
 
 def _expand_basis(counts: dict[tuple[int, int], int]) -> LaurentPoly:
@@ -98,8 +93,7 @@ def characteristic(table: RankTable) -> LaurentPoly:
     table.require_demimatroid("characteristic polynomial")
     k = table.rank
     direct = poly_sum(
-        (-1) ** popcount(m) * monomial(1, t=k - table.ranks[m])
-        for m in range(table.full + 1)
+        monomial((-1) ** s * c, t=k - r) for (s, r), c in table.profile.items()
     )
     via_tutte = (-1) ** k * tutte(table).substitute({"x": 1 - T, "y": 0})
     if direct != via_tutte:

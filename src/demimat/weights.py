@@ -1,7 +1,8 @@
 """Wei numbers, their dualities, Singleton bounds, and full/uniform tests.
 
-Everything here is computed by exhaustive subset scan so this module can act
-as the oracle layer for the polynomial routes.
+The Wei numbers and the nullity minima are read off the table's size-rank
+profile, the same counts the subset-sum polynomials expand; the fullness
+test checks the closed forms mask by mask.
 """
 
 from __future__ import annotations
@@ -29,18 +30,12 @@ class WeiProfile:
 def wei_hierarchy(table: RankTable) -> WeiProfile:
     table.require_demimatroid("Wei hierarchy")
     k = table.rank
-    lo = [None] * (k + 1)
-    hi = [None] * (k + 1)
-    for mask in range(table.full + 1):
-        r = table.ranks[mask]
-        s = popcount(mask)
-        if lo[r] is None or s < lo[r]:
-            lo[r] = s
-        if hi[r] is None or s > hi[r]:
-            hi[r] = s
-    if any(v is None for v in lo):
+    sizes: list[list[int]] = [[] for _ in range(k + 1)]
+    for s, r in table.profile:
+        sizes[r].append(s)
+    if not all(sizes):
         raise InvariantViolationError("rank image is not the full interval 0..k")
-    return WeiProfile(k, tuple(lo[1:]), tuple(hi))
+    return WeiProfile(k, tuple(min(v) for v in sizes[1:]), tuple(max(v) for v in sizes))
 
 
 def generalized_hamming_weights(table: RankTable) -> tuple[int, ...]:
@@ -50,7 +45,8 @@ def generalized_hamming_weights(table: RankTable) -> tuple[int, ...]:
     is the weight hierarchy of the underlying code.  Note the distinction
     from ``wei_hierarchy``, which stratifies by rank rather than nullity.
     """
-    return wei_hierarchy(ops.nullity_operator(table)).d
+    table.require_demimatroid("generalized Hamming weights")
+    return tuple(min_size_at_nullity(table, r) for r in range(1, table.total_nullity + 1))
 
 
 def check_wei_duality(table: RankTable) -> bool:
@@ -114,10 +110,8 @@ def is_uniform_demimatroid(table: RankTable) -> bool:
 
 
 def min_size_at_nullity(table: RankTable, r: int) -> int:
-    """Smallest |X| with eta(X) = r, by full scan."""
-    sizes = [
-        popcount(m) for m in range(table.full + 1) if table.nullity(m) == r
-    ]
+    """Smallest |X| with eta(X) = r."""
+    sizes = [s for s, rank in table.profile if s - rank == r]
     if not sizes:
         raise MalformedInputError(f"no subset has nullity {r}")
     return min(sizes)
@@ -126,7 +120,7 @@ def min_size_at_nullity(table: RankTable, r: int) -> int:
 def elongation_distance_check(table: RankTable, r: int) -> bool:
     """d_{r+1} of the nullity table equals d_1 of the r-th elongation's nullity.
 
-    Both sides are independent full scans.
+    The two sides read the profiles of two different tables.
     """
     table.require_demimatroid("elongation distance check")
     eta = table.total_nullity

@@ -51,6 +51,20 @@ def classify_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """The rank tuple of every ``core._size_rank_profile`` call made during a test."""
+    calls: list[tuple[int, ...]] = []
+    original = core._size_rank_profile
+
+    def counting(n, ranks):
+        calls.append(ranks)
+        return original(n, ranks)
+
+    monkeypatch.setattr(core, "_size_rank_profile", counting)
+    return calls
+
+
 # -- small operator-table fixtures --------------------------------------------
 
 # matroid on {1,2,3} with bases {1,2} and {1,3}

@@ -165,9 +165,17 @@ def test_verify_battery_small(capsys):
     assert all(v["passes"] == 3 for v in payload["identities"].values())
 
 
-def test_verify_rejects_oversized_n(capsys):
-    code, _, err = run_cli(capsys, "verify", "--n", "99", "--samples", "1")
+@pytest.mark.parametrize("argv", [
+    ("--n", "99", "--samples", "1"),
+    ("--n", "0"),
+    ("--samples", "0"),
+    ("--samples", "-3"),
+], ids=["n-over-cap", "n-zero", "samples-zero", "samples-negative"])
+def test_verify_rejects_bad_run_size(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "malformed-input"
 
 
 def test_verify_fixtures_mode(capsys):
@@ -259,6 +267,17 @@ def test_compute_all_runs_each_route_once(monkeypatch, capsys):
     assert all(results["hamming"]["routes"].values())
     assert results["betti"]["agrees_with_subset_sum"] is True
     assert results["ghwe"]["definition_route_agrees"] is True
+
+
+def test_profile_is_computed_once_per_table(profile_calls, capsys):
+    # vamos: the Tutte, Whitney, characteristic, W, MacWilliams, Wei and
+    # fullness entries all read size-rank profiles, which were 25 separate
+    # 2^n scans.  Only vamos, its dual (built by MacWilliams and again by the
+    # Wei duality) and the nullity table of the uniformity test are scanned.
+    code, _, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
+    assert code == 0
+    assert len({id(ranks) for ranks in profile_calls}) == len(profile_calls)
+    assert len(profile_calls) == 4 and len(set(profile_calls)) == 3
 
 
 def test_betti_sweeps_build_no_complex_per_restriction(monkeypatch, capsys):

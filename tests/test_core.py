@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,7 @@ from conftest import (
     ranks_from_labels,
     table_from_labels,
 )
-from strategies import demimatroid_tables
+from strategies import demimatroid_tables, rank_tables
 
 
 # -- masks ----------------------------------------------------------------------
@@ -279,6 +280,21 @@ def test_kind_is_classified_once_per_table(classify_calls):
     assert table.kind == core.MATROID
     assert table.kind == core.MATROID
     assert classify_calls == [4]
+
+
+@given(rank_tables())
+def test_profile_counts_every_size_rank_pair(table):
+    direct = Counter((core.popcount(m), table.ranks[m]) for m in range(1 << table.n))
+    assert dict(table.profile) == direct
+
+
+def test_profile_is_read_only_and_cached(profile_calls):
+    table = core.RankTable.build(2, [0, 1, 3, -1])
+    assert table.profile == {(0, 0): 1, (1, 1): 1, (1, 3): 1, (2, -1): 1}
+    assert table.profile is table.profile
+    assert profile_calls == [table.ranks]
+    with pytest.raises(TypeError):
+        table.profile[0, 0] = 2
 
 
 @given(demimatroid_tables())

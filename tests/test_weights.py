@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given
 
-from demimat import core, ops, weights
-from demimat.errors import MalformedInputError
+from demimat import core, hamming, ops, weights
+from demimat.errors import KindError, MalformedInputError
 
 from conftest import FULL24_RHO, table_from_labels
+from strategies import demimatroid_tables
 
 
 def profile_of(table):
@@ -181,3 +183,51 @@ def test_wei_sequence_roundtrip_random():
         seq = sorted(rng.sample(range(1, n + 1), k))
         table = core.from_wei_sequence(n, seq)
         assert list(profile_of(table).d) == seq
+
+
+# -- profile-derived minima against per-mask scans -----------------------------------
+
+
+def _check_minima_against_mask_scans(table):
+    masks = range(table.full + 1)
+    by_rank = [[core.popcount(m) for m in masks if table.ranks[m] == r]
+               for r in range(table.rank + 1)]
+    by_nullity = [[core.popcount(m) for m in masks if table.nullity(m) == r]
+                  for r in range(table.total_nullity + 1)]
+
+    profile = weights.wei_hierarchy(table)
+    assert profile.d == tuple(min(sizes) for sizes in by_rank[1:])
+    assert profile.d_up == tuple(max(sizes) for sizes in by_rank)
+    for r, sizes in enumerate(by_nullity):
+        assert weights.min_size_at_nullity(table, r) == min(sizes)
+    with pytest.raises(MalformedInputError):
+        weights.min_size_at_nullity(table, table.total_nullity + 1)
+    assert weights.generalized_hamming_weights(table) == tuple(
+        min(sizes) for sizes in by_nullity[1:]
+    )
+    if table.total_nullity == 0:
+        with pytest.raises(KindError):
+            hamming.formal_min_distance(table)
+    else:
+        delta = min(by_nullity[1])
+        assert hamming.formal_min_distance(table) == (delta, by_nullity[1].count(delta))
+
+
+@given(demimatroid_tables())
+def test_profile_minima_match_mask_scans(table):
+    _check_minima_against_mask_scans(table)
+
+
+def test_profile_minima_match_mask_scans_at_larger_distances(hamming84):
+    # Drawn tables mostly have a loop (delta = 1); uniform tables have
+    # delta = k + 1 and random ones spread between.
+    rng = random.Random(47)
+    tables = [core.uniform(n, k) for n in range(1, 7) for k in range(n + 1)]
+    tables += [core.random_demimatroid(6, rng) for _ in range(20)]
+    for table in [*tables, hamming84]:
+        _check_minima_against_mask_scans(table)
+
+
+def test_generalized_hamming_weights_need_a_demimatroid():
+    with pytest.raises(KindError):
+        weights.generalized_hamming_weights(core.RankTable.build(2, [0, 2, 1, 1]))
