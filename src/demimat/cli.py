@@ -396,7 +396,6 @@ def cmd_compute(args) -> int:
         "construction": loaded.construction,
         "invariants": requested,
         "field": str(fieldspec),
-        "seed": args.seed,
         "out": args.out,
     }
     ctx = Context(loaded, fieldspec)
@@ -527,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--in", dest="input", required=True)
     p_compute.add_argument("--out")
     p_compute.add_argument("--field", default="Q")
-    p_compute.add_argument("--seed", type=int, default=0)
     p_compute.add_argument("--all", action="store_true")
     for flag in INVARIANT_FLAGS:
         p_compute.add_argument(f"--{flag}", action="store_true")

@@ -222,7 +222,7 @@ def _checked_a_coefficients(
     if coeffs[delta] != c * (T - 1):
         raise InvariantViolationError("A_delta does not equal c (t-1)")
     k = table.rank
-    if table.ranks == core.uniform(n, k).ranks:
+    if all(r == min(s, k) for s, r in table.profile):
         for i in range(delta, n + 1):
             if coeffs[i] != _uniform_a_closed_form(n, i, delta):
                 raise InvariantViolationError(f"uniform closed form fails at A_{i}")

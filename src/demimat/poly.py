@@ -104,15 +104,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
-    @property
-    def is_constant(self) -> bool:
-        return not self._terms or set(self._terms) == {_ZERO_EXP}
-
-    def constant_value(self) -> Number:
-        if not self.is_constant:
-            raise ValueError(f"not a constant: {self}")
-        return self._terms.get(_ZERO_EXP, 0)
-
     def variables(self) -> tuple[str, ...]:
         """Names of variables that occur with a nonzero exponent."""
         used = [False] * len(VARIABLES)
@@ -298,54 +289,37 @@ class LaurentPoly:
             raise InexactDivisionError(
                 f"divisor must be a monomial or univariate, got {d}", remainder=None
             )
-        if self.is_zero:
-            return zero()
-        var = dvars[0]
-        vi = _INDEX[var]
-
-        def split(p: LaurentPoly) -> dict[int, LaurentPoly]:
-            by_deg: dict[int, dict[tuple, Number]] = {}
-            for exp, coeff in p._terms.items():
-                rest = tuple(0 if i == vi else e for i, e in enumerate(exp))
-                by_deg.setdefault(exp[vi], {})[rest] = coeff
-            return {k: LaurentPoly(v) for k, v in by_deg.items()}
-
-        shift = self.min_exponent(var) - d.min_exponent(var)
-        num = split(self)
-        den = {k - d.min_exponent(var): c.constant_value() for k, c in split(d).items()}
-        deg_d = max(den)
-        lead = den[deg_d]
-
-        work = {k - self.min_exponent(var): v for k, v in num.items()}
-        quotient: dict[int, LaurentPoly] = {}
-        while work:
-            k = max(work)
-            if k < deg_d:
-                break
-            factor = work.pop(k)
-            if lead != 1:
-                factor = factor * _reciprocal(lead)
-            quotient[k - deg_d] = factor
-            for j, c in den.items():
-                if j == deg_d:
-                    continue
-                pos = k - deg_d + j
-                updated = work.get(pos, zero()) - factor * c
-                if updated.is_zero:
-                    work.pop(pos, None)
-                else:
-                    work[pos] = updated
-        if work:
-            rem = zero()
-            for k, c in work.items():
-                rem = rem + c * monomial(1, **{var: k + self.min_exponent(var)})
+        vi = _INDEX[dvars[0]]
+        den = {exp[vi]: c for exp, c in d._terms.items()}
+        top = max(den)
+        inverse = _reciprocal(den.pop(top))
+        # rows[k] holds the dividend's terms whose exponent of the divisor's
+        # variable is k; rows below ``stop`` can no longer be divided.
+        rows: dict[int, dict[tuple, Number]] = {}
+        for exp, c in self._terms.items():
+            rows.setdefault(exp[vi], {})[exp] = c
+        stop = min(rows, default=0) + top - min(den)
+        quotient: dict[tuple, Number] = {}
+        for k in range(max(rows, default=0), stop - 1, -1):
+            for exp, c in rows.pop(k, {}).items():
+                factor = c * inverse
+                head, tail = exp[:vi], exp[vi + 1:]
+                quotient[head + (k - top,) + tail] = factor
+                for j, cj in den.items():
+                    row = rows.setdefault(k - top + j, {})
+                    key = head + (k - top + j,) + tail
+                    value = row.get(key, 0) - factor * cj
+                    if value:
+                        row[key] = value
+                    else:
+                        row.pop(key, None)
+        remainder = {exp: c for row in rows.values() for exp, c in row.items()}
+        if remainder:
+            rem = _from_terms(_settle(remainder))
             raise InexactDivisionError(
                 f"inexact division by {d}: remainder {rem}", remainder=rem
             )
-        out = zero()
-        for k, c in quotient.items():
-            out = out + c * monomial(1, **{var: k + shift})
-        return out
+        return _from_terms(_settle(quotient))
 
     # -- display --------------------------------------------------------------
 

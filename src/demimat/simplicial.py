@@ -232,6 +232,7 @@ def betti_of_elongations(
     table: RankTable, fieldspec: FieldSpec = RATIONALS
 ) -> list[BettiTable]:
     """Betti tables of the elongation complexes for r = 0 .. eta(E)."""
+    _check_homology_cap(table.n)
     table.require_demimatroid("elongation Betti tables")
     return [
         hochster_betti(elongation_complex(table, r), fieldspec)

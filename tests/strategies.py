@@ -35,12 +35,19 @@ def laurent_polys(coefficients=int_coefficients | fraction_coefficients,
 
 @st.composite
 def demimatroid_tables(draw, max_n: int = 6):
-    """Demimatroid rank tables: each rank lies in [max rho(X-x), min rho(X-x) + 1]."""
+    """Demimatroid rank tables: each rank lies in [max rho(X-x), min rho(X-x) + 1].
+
+    About half the tables are loopless (every singleton has rank 1), so that
+    tables with formal minimum distance above 1 are drawn as often as tables
+    with a loop.
+    """
     n = draw(st.integers(0, max_n))
+    loopless = draw(st.booleans())
     ranks = [0] * (1 << n)
     for mask in range(1, 1 << n):
         below = [ranks[mask ^ bit] for bit in core.bits_of(mask)]
-        ranks[mask] = draw(st.integers(max(below), min(below) + 1))
+        low = 1 if loopless and not mask & (mask - 1) else max(below)
+        ranks[mask] = draw(st.integers(low, min(below) + 1))
     return core.RankTable.build(n, ranks)
 
 

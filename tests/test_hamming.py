@@ -148,6 +148,22 @@ def test_a_coefficients_uniform():
     assert a[4] == 3 - 4 * T + T**2
 
 
+def test_uniform_closed_form_runs_only_on_uniform_tables(monkeypatch, full23):
+    calls = []
+    original = hamming._uniform_a_closed_form
+
+    def counting(n, i, delta):
+        calls.append((n, i, delta))
+        return original(n, i, delta)
+
+    monkeypatch.setattr(hamming, "_uniform_a_closed_form", counting)
+    hamming.a_coefficients(core.uniform(4, 2))
+    assert calls
+    calls.clear()
+    hamming.a_coefficients(full23)
+    assert calls == []
+
+
 def test_a_delta_counts_minimal_supports(hamming84):
     delta, a = hamming.a_coefficients(hamming84)
     assert delta == 4

@@ -121,6 +121,34 @@ def univariate_divisors(draw):
     }), var
 
 
+@st.composite
+def laurent_divisors(draw):
+    """A univariate divisor times var^s, so its lowest power may be negative or positive."""
+    d, var = draw(univariate_divisors())
+    return d * monomial(1, **{var: draw(st.integers(-3, 2))}), var
+
+
+@given(laurent_polys(), laurent_divisors())
+def test_divide_exact_by_a_laurent_divisor_recovers_the_quotient(b, divisor):
+    d, _ = divisor
+    quotient = (b * d).divide_exact(d)
+    assert_settled(quotient)
+    assert quotient == b
+
+
+@given(laurent_polys(), laurent_divisors())
+def test_divide_exact_remainder_leaves_an_exact_division(a, divisor):
+    d, _ = divisor
+    try:
+        a.divide_exact(d)
+    except InexactDivisionError as err:
+        remainder = err.remainder
+        assert_settled(remainder)
+        assert not remainder.is_zero
+        quotient = (a - remainder).divide_exact(d)
+        assert quotient * d + remainder == a
+
+
 @given(laurent_polys(), univariate_divisors())
 def test_divide_exact_recovers_the_quotient(b, divisor):
     d, _ = divisor
@@ -155,7 +183,7 @@ def test_division_promotes_only_non_integral_values():
     assert type((4 * X).divide_exact(2).terms()[(1, 0, 0, 0)]) is int
     assert type((2 * X).divide_exact(Fraction(2, 3)).terms()[(1, 0, 0, 0)]) is int
     assert LaurentPoly({(0, 0, 0, 0): Fraction(6, 3)}).terms() == {(0, 0, 0, 0): 2}
-    assert type(LaurentPoly({(0, 0, 0, 0): Fraction(6, 3)}).constant_value()) is int
+    assert type(LaurentPoly({(0, 0, 0, 0): Fraction(6, 3)}).terms()[(0, 0, 0, 0)]) is int
 
 
 # -- the closed-form binomial expansion ------------------------------------------

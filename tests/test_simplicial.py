@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from demimat import cli, core, hamming, ops, simplicial
 from demimat._linalg import rank_fraction_free, rref_mod_p
-from demimat.errors import KindError, MalformedInputError
+from demimat.errors import KindError, MalformedInputError, SizeCapError
 from demimat.poly import monomial, one
 
 import conftest as ref
@@ -303,6 +303,21 @@ def test_homology_cap():
         simplicial.reduced_homology_dims(
             core.Complex.from_facet_lists(17, [[1, 2]]), Q
         )
+
+
+def test_elongation_betti_checks_the_cap_before_building_a_complex(monkeypatch):
+    built = []
+    original = simplicial.elongation_complex
+
+    def counting(table, r):
+        built.append(r)
+        return original(table, r)
+
+    monkeypatch.setattr(simplicial, "elongation_complex", counting)
+    monkeypatch.setattr(core, "HOMOLOGY_CAP", 3)
+    with pytest.raises(SizeCapError):
+        simplicial.betti_of_elongations(core.uniform(4, 2))
+    assert built == []
 
 
 @given(demimatroid_tables())
