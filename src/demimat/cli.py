@@ -34,7 +34,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -515,8 +515,29 @@ def _cmd_convert(args, expected_key: str, construction: str) -> int:
 # -- entry point ------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit 2, error JSON)."""
+
+    def error(self, message):
+        raise MalformedInputError(f"{self.prog}: {message}")
+
+
+_CONVERTERS = {
+    "from-code": ("check matrix", "parity-matroid"),
+    "from-facets": ("facets", "complex-up"),
+    "from-graph": ("graph", "graph"),
+    "from-wei": ("Wei sequence", "wei-sequence"),
+}
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process.
+
+    It records only the verb in ``command``; ``main`` picks the ``cmd_*``
+    function at call time, so a replaced module attribute is still reached.
+    """
+    parser = _Parser(
         prog="demimat",
         description="Exact invariants of demimatroids and combinatroids.",
     )
@@ -529,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--all", action="store_true")
     for flag in INVARIANT_FLAGS:
         p_compute.add_argument(f"--{flag}", action="store_true")
-    p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run the identity battery or fixture goldens")
     p_verify.add_argument("--seed", type=int, default=1)
@@ -538,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--fixtures", help="directory of golden fixture files")
     p_verify.add_argument("--field", default="Q")
     p_verify.add_argument("--out")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_op = sub.add_parser("op", help="apply an operator, emit the resulting table")
     p_op.add_argument(
@@ -549,27 +568,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_op.add_argument("--elements", type=lambda s: [int(v) for v in s.split(",")])
     p_op.add_argument("--i", type=int)
     p_op.add_argument("--out")
-    p_op.set_defaults(func=cmd_op)
 
-    for name, key, construction in (
-        ("from-code", "check matrix", "parity-matroid"),
-        ("from-facets", "facets", "complex-up"),
-        ("from-graph", "graph", "graph"),
-        ("from-wei", "Wei sequence", "wei-sequence"),
-    ):
+    for name, (key, _) in _CONVERTERS.items():
         p = sub.add_parser(name, help=f"build a rank table from a {key} file")
         p.add_argument("--in", dest="input", required=True)
         p.add_argument("--out")
-        p.set_defaults(func=lambda a, k=key, c=construction: _cmd_convert(a, k, c))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        if args.command in _CONVERTERS:
+            return _cmd_convert(args, *_CONVERTERS[args.command])
+        return {"compute": cmd_compute, "verify": cmd_verify, "op": cmd_op}[args.command](args)
     except (MalformedInputError, SizeCapError) as exc:
         print(json.dumps({"error": "malformed-input", "detail": str(exc)}), file=sys.stderr)
         return 2

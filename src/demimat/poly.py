@@ -10,8 +10,11 @@ Values are immutable by convention: every operation returns a fresh
 polynomial.
 
 ``binomial_expansion`` writes products of powers of binomials such as
-(x-y)^m or (x-1)^a (y-1)^b straight from ``math.comb``, without repeated
-multiplication.
+(x-y)^m or (x-1)^a (y-1)^b straight from cached rows of ``math.comb``
+values, without repeated multiplication or intermediate polynomials.  The
+q-analogue tables ``q_binomial`` and ``angle`` are cached per argument tuple;
+sharing one value between callers is safe because no operation aliases or
+mutates an operand's terms.
 
 Display order is fixed so that printed polynomials are stable golden values:
 terms are sorted by the exponent vector read with x least significant
@@ -22,6 +25,7 @@ print as ``x^-1``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -397,8 +401,16 @@ def poly_sum(items) -> LaurentPoly:
     return _from_terms(_settle({exp: c for exp, c in out.items() if c}))
 
 
-def _unit_exp(var: str | None) -> tuple:
-    return _ZERO_EXP if var is None else _exp_for(var, 1)
+@cache
+def _binomial_row(u: str | None, v: str | None, k: int) -> tuple[tuple[int, tuple], ...]:
+    """(u - v)^k as ((signed C(k, i), exponent-vector delta), ...) for i = 0 .. k."""
+    du = _ZERO_EXP if u is None else _exp_for(u, 1)
+    dv = _ZERO_EXP if v is None else _exp_for(v, 1)
+    # (u - v)^k = sum_i (-1)^i C(k, i) u^(k-i) v^i
+    return tuple(
+        ((-1) ** i * comb(k, i), tuple((k - i) * a + i * b for a, b in zip(du, dv)))
+        for i in range(k + 1)
+    )
 
 
 def binomial_expansion(
@@ -408,37 +420,30 @@ def binomial_expansion(
 
     ``mono`` maps variable names to the exponents of a monomial; each factor
     (u, v, k) is the binomial u - v, with u and v variable names or None for
-    1, raised to k >= 0.  Every power is written term by term from
-    ``math.comb``, so no intermediate polynomial is multiplied.  A negative k
-    has no Laurent expansion and raises UnsupportedSubstitutionError.
+    1, raised to k >= 0.  Every power is written term by term from a cached
+    row of ``math.comb`` values, so no intermediate polynomial is built.  A
+    negative k has no Laurent expansion and raises
+    UnsupportedSubstitutionError.
     """
     out: dict[tuple, Number] = {}
     for coeff, mono, factors in items:
         exp = [0] * len(VARIABLES)
         for name, e in mono.items():
             exp[_INDEX[name]] += e
-        partial = {tuple(exp): coeff}
+        partial = [(tuple(exp), _exact(coeff))]
         for u, v, k in factors:
             if k < 0:
                 raise UnsupportedSubstitutionError(
                     f"cannot raise {u} - {v or 1} to negative power {k}"
                 )
-            du, dv = _unit_exp(u), _unit_exp(v)
-            # (u - v)^k = sum_i (-1)^i C(k, i) u^(k-i) v^i
-            row = [
-                ((-1) ** i * comb(k, i),
-                 tuple((k - i) * a + i * b for a, b in zip(du, dv)))
-                for i in range(k + 1)
+            partial = [
+                ((e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3]), c1 * c2)
+                for e1, c1 in partial
+                for c2, e2 in _binomial_row(u, v, k)
             ]
-            expanded: dict[tuple, Number] = {}
-            for e1, c1 in partial.items():
-                for c2, e2 in row:
-                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                    expanded[e] = expanded.get(e, 0) + c1 * c2
-            partial = expanded
-        for e, c in partial.items():
+        for e, c in partial:
             out[e] = out.get(e, 0) + c
-    return LaurentPoly(out)
+    return _from_terms(_settle({e: c for e, c in out.items() if c}))
 
 
 # -- q-analogues ---------------------------------------------------------------
@@ -463,6 +468,7 @@ def q_bracket_factorial(m: int, var: str = "q") -> LaurentPoly:
     return out
 
 
+@cache
 def q_binomial(m: int, j: int, var: str = "q") -> LaurentPoly:
     """Gaussian binomial coefficient, built by the Pascal-type recurrence."""
     if j < 0 or j > m:
@@ -477,6 +483,7 @@ def q_binomial(m: int, j: int, var: str = "q") -> LaurentPoly:
     return row[j]
 
 
+@cache
 def angle(m: int, var: str = "q") -> LaurentPoly:
     if m < 0:
         raise ValueError("angle bracket needs m >= 0")

@@ -178,6 +178,37 @@ def test_verify_rejects_bad_run_size(capsys, argv):
     assert json.loads(err)["error"] == "malformed-input"
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--in", str(FIXTURES / "uniform_4_2.json"), "--bogus"),
+    ("verify", "--n", "abc"),
+    (),
+], ids=["unknown-flag", "non-integer-n", "missing-verb"])
+def test_usage_errors_exit_2_with_the_error_json(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "malformed-input"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "--help"])
+    assert exc.value.code == 0
+    assert "--all" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_dispatches_at_call_time(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ("compute", "--in", str(FIXTURES / "uniform_4_2.json"), "--tutte")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["results"]["tutte"]
+    seen = []
+    monkeypatch.setattr(cli, "cmd_compute", lambda args: seen.append(args.input) or 0)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == ""
+    assert seen == [str(FIXTURES / "uniform_4_2.json")]
+
+
 def test_verify_fixtures_mode(capsys):
     code, out, _ = run_cli(capsys, "verify", "--fixtures", str(FIXTURES))
     assert code == 0

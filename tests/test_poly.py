@@ -173,3 +173,23 @@ def test_parser_accepts_reference_forms():
     )
     assert cli.parse_polynomial("0").is_zero
     assert cli.parse_polynomial("3/2*x*t^-2") == Fraction(3, 2) * monomial(1, x=1, t=-2)
+
+
+def test_cached_q_analogues_survive_every_operation():
+    # q_binomial and angle hand out one shared value per argument tuple, so
+    # no operation may alias or mutate an operand's terms.
+    a, b = q_binomial(4, 2, var="t"), angle(3, var="t")
+    assert a is q_binomial(4, 2, var="t") and b is angle(3, var="t")
+    fresh_a, fresh_b = a.terms(), b.terms()
+    for x, y in ((a, b), (b, a), (a, a)):
+        results = [
+            x + y, x - y, -x, x * y, x + 1, 2 - x, 3 * x, x ** 0, x ** 1, x ** 3,
+            x.substitute({"t": X + 1}), x.substitute({"t": monomial(2, t=3)}),
+            (x * y).divide_exact(y), x.divide_exact(monomial(3, t=2)), x.divide_exact(1),
+        ]
+        assert all(r._terms is not x._terms and r._terms is not y._terms for r in results)
+        assert results[3].divide_exact(x) == y
+        with pytest.raises(InexactDivisionError):
+            (x + 1).divide_exact(y)
+    assert q_binomial(4, 2, var="t").terms() == fresh_a == a.terms()
+    assert angle(3, var="t").terms() == fresh_b == b.terms()

@@ -223,6 +223,42 @@ def test_binomial_expansion_matches_repeated_multiplication(items):
     assert all(type(c) is int for c in got.terms().values())
 
 
+@st.composite
+def cancelling_items(draw):
+    """binomial_expansion items with int or Fraction coefficients; about half
+    of them are followed by their own negation, so whole terms cancel."""
+    items = []
+    for _ in range(draw(st.integers(0, 3))):
+        item = (
+            draw(int_coefficients | fraction_coefficients),
+            draw(st.dictionaries(st.sampled_from(VARIABLES), st.integers(-3, 3))),
+            draw(st.lists(st.tuples(OPERANDS, OPERANDS, st.integers(0, 12)), max_size=2)),
+        )
+        items.append(item)
+        if draw(st.booleans()):
+            items.append((-item[0], item[1], item[2]))
+    return items
+
+
+@given(cancelling_items())
+def test_binomial_expansion_keeps_the_constructor_guarantees(items):
+    expected = LaurentPoly()
+    for coeff, mono, factors in items:
+        term = coeff * monomial(1, **mono)
+        for u, v, k in factors:
+            term = term * repeated_product(u, v, k)
+        expected = expected + term
+    got = binomial_expansion(items)
+    assert got == expected
+    assert_settled(got)
+    terms = got.terms()
+    assert all(c != 0 for c in terms.values())
+    assert all(
+        type(e) is tuple and len(e) == len(VARIABLES) and all(type(i) is int for i in e)
+        for e in terms
+    )
+
+
 def test_binomial_expansion_rejects_a_negative_power():
     with pytest.raises(UnsupportedSubstitutionError):
         binomial_expansion([(1, {}, (("x", "y", -1),))])
