@@ -89,8 +89,8 @@ def fixtures():
 
 
 def expected_for(payload, keys):
-    ctx = cli.Context(cli.interpret_input(payload), simplicial.RATIONALS)
-    return {key: cli.golden(ctx, key) for key in keys}
+    loaded = cli.interpret_input(payload)
+    return {key: cli.golden(loaded, simplicial.RATIONALS, key) for key in keys}
 
 
 def write(name, payload):

@@ -21,9 +21,9 @@ needs, its ``compute`` report block and its golden value.  ``compute`` runs
 the blocks; ``verify --fixtures`` compares the goldens only; and
 ``scripts/gen_fixtures.py`` writes the goldens through the same loader
 (``interpret_input``), regenerating ``fixtures/`` byte-identically.  Adding an
-invariant means adding one entry.  Entries read the quantities they share (W
-by subset sum, the P_j family, the elongation Betti tables of each field) from
-a per-input ``Context`` that computes each once.
+invariant means adding one entry.  Entries call the library on the loaded
+input and the field; what several share (W, P_j, Tutte, the dual, the Betti
+tables) is memoized on the rank table, so each is computed once per input.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
@@ -180,48 +180,8 @@ def _field_from_flag(flag: str) -> simplicial.FieldSpec:
 # -- the invariant registry ---------------------------------------------------------
 
 
-class Context:
-    """One input's quantities that several invariants share, each computed once."""
-
-    def __init__(self, loaded: LoadedInput, fieldspec: simplicial.FieldSpec):
-        self.table = loaded.table
-        self.cx = loaded.cx
-        self.fieldspec = fieldspec
-        self._betti: dict[simplicial.FieldSpec, list[simplicial.BettiTable]] = {}
-
-    @cached_property
-    def w(self) -> LaurentPoly:
-        """W by the subset sum, the route every other route is compared with."""
-        return hamming.hamming_subset_sum(self.table)
-
-    @cached_property
-    def hamming_data(self) -> hamming.HammingData | None:
-        """W's coefficient family; None when there is no formal minimum distance."""
-        try:
-            return hamming.hamming_data(self.table)
-        except KindError:
-            return None
-
-    @cached_property
-    def pj(self) -> tuple[LaurentPoly, ...]:
-        """The P_j family: hamming_data's own, computed here only when it has none."""
-        data = self.hamming_data
-        return data.pj if data else hamming.pj_family(self.table)
-
-    def betti(self, fieldspec: simplicial.FieldSpec) -> list[simplicial.BettiTable]:
-        """Betti tables of the elongation complexes over ``fieldspec``."""
-        if fieldspec not in self._betti:
-            self._betti[fieldspec] = simplicial.betti_of_elongations(self.table, fieldspec)
-        return self._betti[fieldspec]
-
-    @cached_property
-    def w_betti(self) -> LaurentPoly:
-        """W from the Betti tables over the context's field, checked."""
-        return simplicial.w_from_betti(self.table, self.betti(self.fieldspec))
-
-
-def _wei_block(ctx: Context) -> dict:
-    table = ctx.table
+def _wei_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
+    table = loaded.table
     profile = weights.wei_hierarchy(table)
     return {
         "k": profile.k,
@@ -233,14 +193,18 @@ def _wei_block(ctx: Context) -> dict:
     }
 
 
-def _hamming_block(ctx: Context) -> dict:
-    w = ctx.w
+def _hamming_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
+    table = loaded.table
+    w = hamming.hamming_subset_sum(table)
     routes = {
-        "tutte_route": hamming.hamming_via_tutte(ctx.table) == w,
-        "pj_route": hamming.assemble_w(ctx.pj) == w,
-        "betti_route": ctx.w_betti == w,
+        "tutte_route": hamming.hamming_via_tutte(table) == w,
+        "pj_route": hamming.w_from_pj(table) == w,
+        "betti_route": simplicial.w_via_betti(table, fieldspec) == w,
     }
-    data = ctx.hamming_data
+    try:
+        data = hamming.hamming_data(table)
+    except KindError:  # no formal minimum distance
+        data = None
     return {
         "w": str(w),
         "routes": routes,
@@ -250,33 +214,34 @@ def _hamming_block(ctx: Context) -> dict:
     }
 
 
-def _fpoly_block(ctx: Context) -> dict:
-    face = tutte.f_polynomial(ctx.cx)
-    via_t = tutte.f_polynomial_via_tutte(ctx.cx)
-    via_w = tutte.f_polynomial_via_hamming(ctx.cx)
+def _fpoly_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
+    face = tutte.f_polynomial(loaded.cx)
+    via_t = tutte.f_polynomial_via_tutte(loaded.cx)
+    via_w = tutte.f_polynomial_via_hamming(loaded.cx)
     return {
         "f": str(face),
         "via_tutte": str(via_t),
         "via_hamming": str(via_w),
         "agree": face == via_t == via_w,
-        "h": str(tutte.h_polynomial(ctx.cx)),
+        "h": str(tutte.h_polynomial(loaded.cx)),
     }
 
 
-def _betti_block(ctx: Context) -> dict:
-    w = ctx.w_betti
+def _betti_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
+    table = loaded.table
+    w = simplicial.w_via_betti(table, fieldspec)
     return {
-        "field": str(ctx.fieldspec),
+        "field": str(fieldspec),
         "tables": [
             {
                 "r": r,
                 "poly": str(bt.poly()),
                 "entries": {f"{i},{j}": v for (i, j), v in bt.entries},
             }
-            for r, bt in enumerate(ctx.betti(ctx.fieldspec))
+            for r, bt in enumerate(simplicial.betti_of_elongations(table, fieldspec))
         ],
         "w_via_betti": str(w),
-        "agrees_with_subset_sum": w == ctx.w,
+        "agrees_with_subset_sum": w == hamming.hamming_subset_sum(table),
     }
 
 
@@ -284,18 +249,18 @@ def _enumerators(polys) -> dict:
     return {str(r): str(p) for r, p in enumerate(polys)}
 
 
-def _ghwe_block(ctx: Context) -> dict:
-    table = ctx.table
+def _ghwe_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
+    table = loaded.table
     enumerators = hamming.generalized_w_all(table)
-    definition_route = hamming.generalized_w_all(table, route="tutte")
+    definition_route = hamming.generalized_w_all(table, "tutte")
     return {
         "w_r": _enumerators(enumerators),
         "definition_route_agrees": enumerators == definition_route,
     }
 
 
-def _conjecture_block(ctx: Context) -> dict:
-    verdict = hamming.conjecture_check(ctx.table)
+def _conjecture_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
+    verdict = hamming.conjecture_check(loaded.table)
     return {
         "holds": verdict.holds,
         "residual": None if verdict.residual is None else str(verdict.residual),
@@ -312,19 +277,19 @@ class Invariant:
     """One registry entry.
 
     ``block`` gives the entry's ``compute`` report block; ``golden`` gives the
-    value a fixture's ``expected`` block freezes, over the field it is passed.
-    Either is None where the entry has no such form.
+    value a fixture's ``expected`` block freezes.  Both take the loaded input
+    and the field.  Either is None where the entry has no such form.
     """
 
     needs: str
-    block: Callable[[Context], object] | None
-    golden: Callable[[Context, simplicial.FieldSpec], object] | None
+    block: Callable[[LoadedInput, simplicial.FieldSpec], object] | None
+    golden: Callable[[LoadedInput, simplicial.FieldSpec], object] | None
 
 
 def _polynomial(compute: Callable[[core.RankTable], LaurentPoly]) -> Invariant:
     """An entry whose report block and golden are both str(compute(table))."""
-    return Invariant(TABLE, lambda ctx: str(compute(ctx.table)),
-                     lambda ctx, field: str(compute(ctx.table)))
+    return Invariant(TABLE, lambda loaded, field: str(compute(loaded.table)),
+                     lambda loaded, field: str(compute(loaded.table)))
 
 
 # Library functions are looked up through their module at call time, so that
@@ -332,47 +297,50 @@ def _polynomial(compute: Callable[[core.RankTable], LaurentPoly]) -> Invariant:
 # reaches every call.  Entries with a block are the compute flags, in report
 # order.
 INVARIANTS = {
-    "kind": Invariant(TABLE, None, lambda ctx, field: ctx.table.kind),
+    "kind": Invariant(TABLE, None, lambda loaded, field: loaded.table.kind),
     "tutte": _polynomial(lambda table: tutte.tutte(table)),
     "whitney": _polynomial(lambda table: tutte.whitney_f(table)),
     "charpoly": _polynomial(lambda table: tutte.characteristic(table)),
     "fpoly": Invariant(COMPLEX, _fpoly_block,
-                       lambda ctx, field: str(tutte.f_polynomial(ctx.cx))),
-    "hamming": Invariant(TABLE, _hamming_block, lambda ctx, field: str(ctx.w)),
+                       lambda loaded, field: str(tutte.f_polynomial(loaded.cx))),
+    "hamming": Invariant(TABLE, _hamming_block,
+                         lambda loaded, field: str(hamming.hamming_subset_sum(loaded.table))),
     "macwilliams": _polynomial(lambda table: hamming.macwilliams(table)),
     "ghwe": Invariant(TABLE, _ghwe_block,
-                      lambda ctx, field: _enumerators(hamming.generalized_w_all(ctx.table))),
+                      lambda loaded, field: _enumerators(hamming.generalized_w_all(loaded.table))),
     "conjecture": Invariant(TABLE, _conjecture_block, None),
-    "betti": Invariant(TABLE, _betti_block,
-                       lambda ctx, field: [str(bt.poly()) for bt in ctx.betti(field)]),
+    "betti": Invariant(TABLE, _betti_block, lambda loaded, field: [
+        str(bt.poly()) for bt in simplicial.betti_of_elongations(loaded.table, field)]),
     "wei": Invariant(TABLE, _wei_block, None),
-    "d": Invariant(TABLE, None, lambda ctx, field: list(weights.wei_hierarchy(ctx.table).d)),
+    "d": Invariant(TABLE, None,
+                   lambda loaded, field: list(weights.wei_hierarchy(loaded.table).d)),
 }
 INVARIANT_FLAGS = tuple(name for name, entry in INVARIANTS.items() if entry.block)
 
 
-def _entry(name: str, ctx: Context) -> Invariant:
+def _entry(name: str, loaded: LoadedInput) -> Invariant:
     """The registry entry ``name``, once the input it needs is checked."""
     entry = INVARIANTS[name]
     if entry.needs == TABLE:
-        met = ctx.table is not None
+        met = loaded.table is not None
     else:
-        met = ctx.cx is not None and not ctx.cx.is_void
+        met = loaded.cx is not None and not loaded.cx.is_void
     if not met:
         raise MalformedInputError(f"{name} needs {entry.needs}")
     return entry
 
 
-def golden(ctx: Context, key: str):
+def golden(loaded: LoadedInput, fieldspec: simplicial.FieldSpec, key: str):
     """The value a fixture's ``expected`` block freezes under ``key``.
 
-    ``betti/p`` is the Betti golden over F_p; a bare key uses the context's field.
+    ``betti/p`` is the Betti golden over F_p; a bare key uses ``fieldspec``.
     """
     name, _, field = key.partition("/")
     if name not in INVARIANTS or INVARIANTS[name].golden is None:
         raise MalformedInputError(f"unknown expected key {key!r}")
-    fieldspec = _field_from_flag(field) if field else ctx.fieldspec
-    return _entry(name, ctx).golden(ctx, fieldspec)
+    if field:
+        fieldspec = _field_from_flag(field)
+    return _entry(name, loaded).golden(loaded, fieldspec)
 
 
 # -- compute ------------------------------------------------------------------------
@@ -398,15 +366,14 @@ def cmd_compute(args) -> int:
         "field": str(fieldspec),
         "out": args.out,
     }
-    ctx = Context(loaded, fieldspec)
     results: dict = {}
-    if ctx.table is not None:
-        results["kind"] = ctx.table.kind
-        results["n"] = ctx.table.n
+    if loaded.table is not None:
+        results["kind"] = loaded.table.kind
+        results["n"] = loaded.table.n
     for name in requested:
-        block = _entry(name, ctx).block
+        block = _entry(name, loaded).block
         try:
-            results[name] = block(ctx)
+            results[name] = block(loaded, fieldspec)
         except (KindError, RationalFunctionError) as exc:
             # The invariant does not exist for this input; the other blocks
             # stand.  A route disagreement still fails the whole run.
@@ -420,14 +387,14 @@ def cmd_compute(args) -> int:
 
 def _check_fixture(path: Path, fieldspec) -> list[str]:
     data = _read_json(path)
-    ctx = Context(interpret_input(data), fieldspec)
+    loaded = interpret_input(data)
     expected = data.get("expected", {})
     if not isinstance(expected, dict):
         raise MalformedInputError(f"{path.name}: \"expected\" must be a JSON object")
     problems = []
     for key, want in expected.items():
         try:
-            got = golden(ctx, key)
+            got = golden(loaded, fieldspec, key)
         except MalformedInputError as exc:
             problems.append(f"{path.name}: {exc}")
             continue
@@ -458,10 +425,11 @@ def cmd_verify(args) -> int:
     for flag, value in (("--n", args.n), ("--samples", args.samples)):
         if value < 1:
             raise MalformedInputError(f"{flag} must be at least 1, got {value}")
-    if args.n > core.GROUND_SET_CAP:
-        raise MalformedInputError(
-            f"--n {args.n} exceeds the ground-set cap {core.GROUND_SET_CAP}"
-        )
+    # The battery's Hamming routes include the Betti route, so the homology
+    # cap bounds --n as well.
+    for name, cap in (("ground-set", core.GROUND_SET_CAP), ("homology", core.HOMOLOGY_CAP)):
+        if args.n > cap:
+            raise MalformedInputError(f"--n {args.n} exceeds the {name} cap {cap}")
     report = verify.run_battery(args.seed, args.n, args.samples)
     payload = {"manifest": {"command": "verify", "seed": args.seed, "n": args.n,
                             "samples": args.samples}}

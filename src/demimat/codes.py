@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from . import weights
 from ._linalg import is_prime, rref_mod_p
-from .core import RankTable, popcount
+from .core import RankTable, _check_cap, popcount
 from .errors import MalformedInputError, SizeCapError
 
 SUBSPACE_ENUM_CAP = 1 << 20
@@ -53,6 +53,7 @@ class PrimeMatrix:
 def parity_matroid(matrix: PrimeMatrix) -> RankTable:
     """rho(X) = rank of the columns of the check matrix indexed by X."""
     n = matrix.n_cols
+    _check_cap(n)  # before the 2^n eliminations, not after them
     ranks = [len(rref_mod_p(matrix.columns(m), matrix.p)[1]) for m in range(1 << n)]
     return RankTable.build(n, ranks)
 

@@ -12,13 +12,14 @@ stores only ``(n, ranks)``; its kind is derived when first read.
 
 from __future__ import annotations
 
+import inspect
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import combinations
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import KindError, MalformedInputError, SizeCapError
 
@@ -162,7 +163,8 @@ class RankTable:
     """A combinatroid as an explicit table over all 2^n subsets.
 
     ``kind`` is classified on first read and cached, never at build; so is
-    ``profile``, the size-rank counts every subset-sum invariant reads.
+    ``profile``, the size-rank counts every subset-sum invariant reads.  Other
+    shared derived values are memoized on the table by ``per_table``.
     """
 
     n: int
@@ -213,6 +215,28 @@ class RankTable:
     def require_demimatroid(self, operation: str) -> None:
         if not self.is_demimatroid:
             raise KindError(f"{operation} needs a demimatroid, table certifies {self.kind}")
+
+
+def per_table(fn: Callable) -> Callable:
+    """Memoize ``fn(table, *args)`` in the table's instance dict, as ``kind`` is.
+
+    Tables never change, so each value is computed once per table object.
+    The arguments after the table all have defaults and are passed
+    positionally; one left out is keyed by its default.  Values are
+    immutable; an exception is raised afresh on every call, never stored.
+    """
+    defaults = tuple(p.default for p in inspect.signature(fn).parameters.values())[1:]
+    name = f"{fn.__module__}.{fn.__qualname__}"  # a name, so a table still pickles
+
+    @wraps(fn)
+    def memoized(table: RankTable, *args):
+        memo = table.__dict__.setdefault("_memo", {})
+        key = (name, *args, *defaults[len(args):])
+        if key not in memo:
+            memo[key] = fn(table, *args)
+        return memo[key]
+
+    return memoized
 
 
 def validate(table: RankTable) -> ValidationReport:

@@ -13,7 +13,7 @@ from math import comb
 from typing import Sequence
 
 from . import core, ops, tutte as tutte_mod
-from .core import RankTable, popcount
+from .core import RankTable, per_table, popcount
 from .errors import (
     InexactDivisionError,
     InvariantViolationError,
@@ -29,6 +29,7 @@ from .poly import (
     Y,
     angle,
     binomial_expansion,
+    cross_checked,
     monomial,
     one,
     poly_sum,
@@ -37,6 +38,7 @@ from .poly import (
 )
 
 
+@per_table
 def hamming_subset_sum(table: RankTable) -> LaurentPoly:
     """W as the sum of (x-y)^(n-|X|) y^|X| t^(eta(X)) over all subsets X.
 
@@ -68,10 +70,8 @@ def _w_via_tutte_terms(table: RankTable, t_multiplier: int = 1) -> LaurentPoly:
 
 def hamming_via_tutte(table: RankTable) -> LaurentPoly:
     """W as the cleared Tutte substitution; cross-checked against the subset sum."""
-    w = _w_via_tutte_terms(table)
-    if w != hamming_subset_sum(table):
-        raise InvariantViolationError("Tutte-route W disagrees with the subset sum")
-    return w
+    return cross_checked("W", "Tutte", _w_via_tutte_terms(table),
+                         "subset-sum", hamming_subset_sum(table))
 
 
 # -- coefficient polynomials -----------------------------------------------------
@@ -96,6 +96,7 @@ def p_j(table: RankTable, j: int) -> LaurentPoly:
     )
 
 
+@per_table
 def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
     """(P_0, .., P_n) by one subset Moebius transform per nullity value.
 
@@ -151,10 +152,8 @@ def macwilliams(table: RankTable) -> LaurentPoly:
     """W of the dual via the transform, asserted against the dual's subset sum."""
     table.require_demimatroid("MacWilliams identity")
     transformed = macwilliams_transform(hamming_subset_sum(table), table.total_nullity)
-    direct = hamming_subset_sum(ops.dual(table))
-    if transformed != direct:
-        raise InvariantViolationError("MacWilliams transform disagrees with the dual")
-    return transformed
+    return cross_checked("W of the dual", "MacWilliams", transformed,
+                         "dual subset-sum", hamming_subset_sum(ops.dual(table)))
 
 
 def tutte_from_hamming(table: RankTable) -> LaurentPoly:
@@ -271,7 +270,8 @@ def generalized_w(table: RankTable, r: int, route: str = "subset") -> LaurentPol
     return _combine_t_powers(r, _w_at_t_powers(table, r, route))
 
 
-def generalized_w_all(table: RankTable, route: str = "subset") -> list[LaurentPoly]:
+@per_table
+def generalized_w_all(table: RankTable, route: str = "subset") -> tuple[LaurentPoly, ...]:
     """W^(r) for r = 0 .. eta(E), the range the recovery identity sums over.
 
     Every W^(r) reads the same W(x, y, t^j), computed once per call.
@@ -279,7 +279,7 @@ def generalized_w_all(table: RankTable, route: str = "subset") -> list[LaurentPo
     table.require_demimatroid("generalized enumerator")
     eta = table.total_nullity
     w_at = _w_at_t_powers(table, eta, route)
-    return [_combine_t_powers(r, w_at) for r in range(eta + 1)]
+    return tuple(_combine_t_powers(r, w_at) for r in range(eta + 1))
 
 
 @dataclass(frozen=True)
@@ -337,6 +337,5 @@ def hamming_data(table: RankTable) -> HammingData:
     delta, c = formal_min_distance(table)
     w = hamming_subset_sum(table)
     pj = pj_family(table)
-    if w != assemble_w(pj):
-        raise InvariantViolationError("P_j assembly disagrees with the subset sum")
+    cross_checked("W", "P_j", assemble_w(pj), "subset-sum", w)
     return HammingData(table, w, pj, delta, _checked_a_coefficients(table, w, delta, c), c)

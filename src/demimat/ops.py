@@ -7,7 +7,7 @@ operators compose to the third.
 
 from __future__ import annotations
 
-from .core import RankTable, popcount
+from .core import RankTable, per_table, popcount
 from .errors import InvariantViolationError, MalformedInputError
 
 IDENTITY = "id"
@@ -33,6 +33,7 @@ for (_a, _b), _c in list(GROUP_TABLE.items()):
     GROUP_TABLE[(_b, _a)] = _c
 
 
+@per_table
 def dual(table: RankTable) -> RankTable:
     """rho*(X) = |X| + rho(E\\X) - rho(E)."""
     full = table.full

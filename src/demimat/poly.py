@@ -29,7 +29,7 @@ from functools import cache
 from math import comb
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import InexactDivisionError, UnsupportedSubstitutionError
+from .errors import InexactDivisionError, InvariantViolationError, UnsupportedSubstitutionError
 
 VARIABLES = ("x", "y", "t", "q")
 _INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -399,6 +399,23 @@ def poly_sum(items) -> LaurentPoly:
         for exp, coeff in item._terms.items():
             out[exp] = out.get(exp, 0) + coeff
     return _from_terms(_settle({exp: c for exp, c in out.items() if c}))
+
+
+def cross_checked(invariant: str, left: str, a: LaurentPoly, right: str, b: LaurentPoly
+                  ) -> LaurentPoly:
+    """``a``, once it equals ``b``, the same invariant computed by another route.
+
+    A disagreement raises with its witness: the invariant, the route pair and
+    the first monomial, in display order, whose coefficients differ.
+    """
+    if a == b:
+        return a
+    exp, _ = (a - b)._sorted_terms()[0]
+    term = monomial(1, **dict(zip(VARIABLES, exp)))
+    raise InvariantViolationError(
+        f"{invariant}: the {left} and {right} routes disagree first at {term}"
+        f" ({a._terms.get(exp, 0)} against {b._terms.get(exp, 0)})"
+    )
 
 
 @cache

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import core, hamming
 from ._linalg import is_prime, rank_sparse_columns
-from .core import Complex, RankTable, popcount, submasks
+from .core import Complex, RankTable, per_table, popcount, submasks
 from .errors import (
     InvariantViolationError,
     MalformedInputError,
@@ -228,18 +228,20 @@ def elongation_complex(table: RankTable, r: int) -> Complex:
     )
 
 
+@per_table
 def betti_of_elongations(
     table: RankTable, fieldspec: FieldSpec = RATIONALS
-) -> list[BettiTable]:
+) -> tuple[BettiTable, ...]:
     """Betti tables of the elongation complexes for r = 0 .. eta(E)."""
     _check_homology_cap(table.n)
     table.require_demimatroid("elongation Betti tables")
-    return [
+    return tuple(
         hochster_betti(elongation_complex(table, r), fieldspec)
         for r in range(table.total_nullity + 1)
-    ]
+    )
 
 
+@per_table
 def w_via_betti(table: RankTable, fieldspec: FieldSpec = RATIONALS) -> LaurentPoly:
     """W rebuilt from the alternating Betti sums of the elongation family.
 
@@ -247,11 +249,7 @@ def w_via_betti(table: RankTable, fieldspec: FieldSpec = RATIONALS) -> LaurentPo
     the result is asserted against the subset-sum route, and a disagreement
     reports the offending (r, i, j) contributions.
     """
-    return w_from_betti(table, betti_of_elongations(table, fieldspec))
-
-
-def w_from_betti(table: RankTable, tables: list[BettiTable]) -> LaurentPoly:
-    """W assembled from given elongation Betti tables, checked as ``w_via_betti``."""
+    tables = betti_of_elongations(table, fieldspec)
     slices = [
         _betti_slice(table.n, current, previous)
         for current, previous in zip(tables, [BettiTable(()), *tables])

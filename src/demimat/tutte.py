@@ -11,8 +11,8 @@ from __future__ import annotations
 from math import comb
 
 from . import core, ops
-from .core import Complex, RankTable
-from .errors import InvariantViolationError, MalformedInputError, RationalFunctionError
+from .core import Complex, RankTable, per_table
+from .errors import MalformedInputError, RationalFunctionError
 from .poly import (
     T,
     X,
@@ -20,6 +20,7 @@ from .poly import (
     LaurentPoly,
     binomial_expansion,
     constant,
+    cross_checked,
     monomial,
     poly_sum,
     zero,
@@ -43,6 +44,7 @@ def _expand_basis(counts: dict[tuple[int, int], int]) -> LaurentPoly:
     )
 
 
+@per_table
 def tutte(table: RankTable) -> LaurentPoly:
     return _expand_basis(corank_nullity_counts(table))
 
@@ -96,9 +98,7 @@ def characteristic(table: RankTable) -> LaurentPoly:
         monomial((-1) ** s * c, t=k - r) for (s, r), c in table.profile.items()
     )
     via_tutte = (-1) ** k * tutte(table).substitute({"x": 1 - T, "y": 0})
-    if direct != via_tutte:
-        raise InvariantViolationError("characteristic polynomial routes disagree")
-    return direct
+    return cross_checked("characteristic polynomial", "subset-sum", direct, "Tutte", via_tutte)
 
 
 def tutte_uniform_closed_form(n: int, k: int) -> LaurentPoly:

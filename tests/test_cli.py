@@ -1,9 +1,10 @@
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
-from demimat import _linalg, cli, codes, core, hamming, simplicial
+from demimat import _linalg, cli, codes, core, hamming, ops, simplicial, tutte
 from demimat.errors import InvariantViolationError
 from demimat.poly import T, X, Y
 
@@ -165,13 +166,18 @@ def test_verify_battery_small(capsys):
     assert all(v["passes"] == 3 for v in payload["identities"].values())
 
 
-@pytest.mark.parametrize("argv", [
-    ("--n", "99", "--samples", "1"),
-    ("--n", "0"),
-    ("--samples", "0"),
-    ("--samples", "-3"),
-], ids=["n-over-cap", "n-zero", "samples-zero", "samples-negative"])
-def test_verify_rejects_bad_run_size(capsys, argv):
+@pytest.mark.parametrize("argv, homology_cap", [
+    (("--n", "99", "--samples", "1"), None),
+    (("--n", "0"), None),
+    (("--samples", "0"), None),
+    (("--samples", "-3"), None),
+    # a lowered cap keeps the run small; the battery's Betti route needs it
+    (("--n", "5", "--samples", "1"), 4),
+], ids=["n-over-cap", "n-zero", "samples-zero", "samples-negative",
+        "n-over-homology-cap"])
+def test_verify_rejects_bad_run_size(capsys, monkeypatch, argv, homology_cap):
+    if homology_cap is not None:
+        monkeypatch.setattr(core, "HOMOLOGY_CAP", homology_cap)
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
@@ -257,12 +263,16 @@ def test_malformed_input_paths(tmp_path, capsys):
         # 18446744073709551629 is the first prime above 2^64
         ({"p": 18446744073709551629, "rows": [[1]]}, ()),
         ({"n": 2, "ranks": [0, 1, 1, 2]}, ("--field", "18446744073709551629")),
+        # 2^30 column subsets: the cap must come before the first elimination
+        ({"p": 2, "rows": [[1] * 30]}, ()),
     ],
     ids=["no-n", "string-rank", "string-vertex", "triple-edge", "flat-rows",
          "compute-field", "verify-field", "over-ground-set-cap", "20-digit-p",
-         "20-digit-field"],
+         "20-digit-field", "code-over-ground-set-cap"],
 )
-def test_malformed_input_exits_2(tmp_path, capsys, payload, extra):
+def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, payload, extra):
+    eliminations: dict[str, int] = {}
+    _count_calls(monkeypatch, codes, "rref_mod_p", eliminations)
     if payload is None:
         argv = ["verify", "--fixtures", str(FIXTURES), *extra]
     else:
@@ -272,6 +282,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, payload, extra):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert json.loads(err)["error"] == "malformed-input"
+    assert eliminations == {}
 
 
 def _count_calls(monkeypatch, module, name, counts):
@@ -284,16 +295,35 @@ def _count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
+def _count_computations(monkeypatch, module, name, counts):
+    # Count the values a per-table memoized function computes, not its calls:
+    # a call answered from the table's memo never reaches ``counted``.
+    compute = getattr(module, name).__wrapped__
+
+    @functools.wraps(compute)
+    def counted(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return compute(*args)
+
+    monkeypatch.setattr(module, name, core.per_table(counted))
+
+
 def test_compute_all_runs_each_route_once(monkeypatch, capsys):
     # vamos: n = 8, eta = 4, so one Betti sweep is 5 Hochster tables, and the
     # P_j family is built once, by one Moebius transform per nullity value.
+    # W is computed for vamos and for its dual (MacWilliams), and the W^(r)
+    # family once by each route.
     counts: dict[str, int] = {}
-    _count_calls(monkeypatch, simplicial, "betti_of_elongations", counts)
     _count_calls(monkeypatch, simplicial, "hochster_betti", counts)
-    _count_calls(monkeypatch, hamming, "pj_family", counts)
+    for module, name in ((simplicial, "betti_of_elongations"), (hamming, "pj_family"),
+                         (hamming, "hamming_subset_sum"), (hamming, "generalized_w_all"),
+                         (tutte, "tutte"), (ops, "dual")):
+        _count_computations(monkeypatch, module, name, counts)
     code, out, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
     assert code == 0
-    assert counts == {"betti_of_elongations": 1, "hochster_betti": 5, "pj_family": 1}
+    assert counts == {"betti_of_elongations": 1, "hochster_betti": 5, "pj_family": 1,
+                      "hamming_subset_sum": 2, "generalized_w_all": 2, "tutte": 1,
+                      "dual": 1}
     results = json.loads(out)["results"]
     assert all(results["hamming"]["routes"].values())
     assert results["betti"]["agrees_with_subset_sum"] is True
@@ -303,12 +333,13 @@ def test_compute_all_runs_each_route_once(monkeypatch, capsys):
 def test_profile_is_computed_once_per_table(profile_calls, capsys):
     # vamos: the Tutte, Whitney, characteristic, W, MacWilliams, Wei and
     # fullness entries all read size-rank profiles, which were 25 separate
-    # 2^n scans.  Only vamos, its dual (built by MacWilliams and again by the
-    # Wei duality) and the nullity table of the uniformity test are scanned.
+    # 2^n scans.  Only vamos, its dual (memoized on vamos, so MacWilliams and
+    # the Wei duality share it) and the nullity table of the uniformity test
+    # are scanned, once each.
     code, _, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
     assert code == 0
     assert len({id(ranks) for ranks in profile_calls}) == len(profile_calls)
-    assert len(profile_calls) == 4 and len(set(profile_calls)) == 3
+    assert len(profile_calls) == 3 and len(set(profile_calls)) == 3
 
 
 def test_betti_sweeps_build_no_complex_per_restriction(monkeypatch, capsys):
@@ -345,7 +376,7 @@ def test_betti_route_disagreement_names_witness(tmp_path, monkeypatch, capsys):
         tables = original(t, fieldspec)
         last = tables[-1].as_dict()
         last[(0, 0)] = last.get((0, 0), 0) + 1
-        return tables[:-1] + [simplicial.BettiTable.from_dict(last)]
+        return (*tables[:-1], simplicial.BettiTable.from_dict(last))
 
     monkeypatch.setattr(simplicial, "betti_of_elongations", off_by_one)
     with pytest.raises(InvariantViolationError, match=rf"\(r,i,j\)=\({eta}, 0, 0\)"):

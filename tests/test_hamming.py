@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from demimat import cli, codes, core, hamming, ops, tutte
-from demimat.errors import KindError
+from demimat.errors import InvariantViolationError, KindError
 from demimat.poly import T, X, Y, monomial, one, q_binomial, zero
 
 import conftest as ref
@@ -204,17 +204,17 @@ def gaussian_nullity_oracle(table, r):
 
 def test_generalized_w_printed_code_a(code63a_matrix):
     table = codes.parity_matroid(code63a_matrix)
-    assert hamming.generalized_w_all(table) == ref.code63a_wr()
+    assert hamming.generalized_w_all(table) == tuple(ref.code63a_wr())
 
 
 def test_generalized_w_printed_code_b(code63b_matrix):
     table = codes.parity_matroid(code63b_matrix)
-    assert hamming.generalized_w_all(table) == ref.code63b_wr()
+    assert hamming.generalized_w_all(table) == tuple(ref.code63b_wr())
 
 
 def test_generalized_w_printed_hamming74(hamming74_matrix):
     table = codes.parity_matroid(hamming74_matrix)
-    assert hamming.generalized_w_all(table) == ref.hamming74_wr()
+    assert hamming.generalized_w_all(table) == tuple(ref.hamming74_wr())
 
 
 def test_generalized_w_full23(full23):
@@ -254,8 +254,8 @@ def test_generalized_w_all_computes_w_once(monkeypatch, vamos):
     family = hamming.generalized_w_all(vamos)
     assert len(calls) == 1
     monkeypatch.setattr(hamming, "hamming_subset_sum", subset_sum)
-    assert family == [hamming.generalized_w(vamos, r, route="tutte")
-                      for r in range(vamos.total_nullity + 1)]
+    assert family == tuple(hamming.generalized_w(vamos, r, route="tutte")
+                           for r in range(vamos.total_nullity + 1))
 
 
 def test_coefficients_on_fixtures_are_ints():
@@ -311,3 +311,47 @@ def test_kind_preconditions():
         hamming.generalized_w(bad, 1)
     with pytest.raises(KindError):
         hamming.macwilliams(bad)
+
+
+# -- route disagreements name their witness ---------------------------------------
+# Each test corrupts one route by monkeypatch; the error names the invariant,
+# the route pair and the first differing monomial in display order (q, t, y,
+# then x exponents ascending), with both routes' coefficients.
+
+
+def test_tutte_route_disagreement_names_the_first_monomial(monkeypatch, full23):
+    original = hamming._w_via_tutte_terms
+    extra = monomial(1, y=3, t=4) + monomial(5, x=3, t=4)
+    monkeypatch.setattr(hamming, "_w_via_tutte_terms", lambda table: original(table) + extra)
+    with pytest.raises(InvariantViolationError) as exc:
+        hamming.hamming_via_tutte(full23)
+    assert str(exc.value) == (
+        "W: the Tutte and subset-sum routes disagree first at x^3*t^4 (5 against 0)"
+    )
+
+
+def test_pj_route_disagreement_names_the_first_monomial(monkeypatch, full23):
+    original = hamming.pj_family
+
+    def corrupted(table):
+        *rest, top = original(table)
+        return (*rest, top + monomial(1, t=7))
+
+    monkeypatch.setattr(hamming, "pj_family", corrupted)
+    with pytest.raises(InvariantViolationError) as exc:
+        hamming.hamming_data(full23)
+    assert str(exc.value) == (
+        "W: the P_j and subset-sum routes disagree first at y^3*t^7 (1 against 0)"
+    )
+
+
+def test_macwilliams_disagreement_names_the_first_monomial(monkeypatch, full23):
+    original = hamming.macwilliams_transform
+    monkeypatch.setattr(hamming, "macwilliams_transform",
+                        lambda w, eta: original(w, eta) - monomial(1, x=2, y=1, t=-3))
+    with pytest.raises(InvariantViolationError) as exc:
+        hamming.macwilliams(full23)
+    assert str(exc.value) == (
+        "W of the dual: the MacWilliams and dual subset-sum routes disagree first"
+        " at x^2*y*t^-3 (-1 against 0)"
+    )

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from demimat import core, ops, tutte
-from demimat.errors import MalformedInputError, RationalFunctionError
+from demimat.errors import InvariantViolationError, MalformedInputError, RationalFunctionError
 from demimat.poly import T, X, Y, monomial, one
 
 import conftest as ref
@@ -143,3 +143,16 @@ def test_f_polynomial_routes_random():
         face = tutte.f_polynomial(cx)
         assert face == tutte.f_polynomial_via_tutte(cx)
         assert face == tutte.f_polynomial_via_hamming(cx)
+
+
+def test_characteristic_disagreement_names_the_first_monomial(monkeypatch, full23):
+    # chi = -1 + 3t - 2t^2; an extra x^2 in T adds (1 - t)^2 to the Tutte side,
+    # so the constant term is the first to differ.
+    original = tutte.tutte
+    monkeypatch.setattr(tutte, "tutte", lambda table: original(table) + X**2)
+    with pytest.raises(InvariantViolationError) as exc:
+        tutte.characteristic(full23)
+    assert str(exc.value) == (
+        "characteristic polynomial: the subset-sum and Tutte routes disagree first"
+        " at 1 (-1 against 0)"
+    )
