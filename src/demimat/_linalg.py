@@ -2,10 +2,13 @@
 
 ``rank_sparse_columns`` is the homology kernel: every boundary map of
 ``simplicial`` is reduced by it, over Q and over F_p alike.  ``rref_mod_p``
-serves ``codes`` (check-matrix rank tables and row spaces); the rank over F_p
-is its pivot count.  ``rank_fraction_free`` (dense Bareiss elimination) has
-no caller left in the package: it is the tests' oracle for the kernel over Q,
-as the pivot count of ``rref_mod_p`` is over F_p.  ``is_prime`` is the one
+serves ``codes`` (the rank, null space and row space of a check matrix); the
+rank over F_p is its pivot count.  A parity matroid's rank table is counted,
+not eliminated, so ``rref_mod_p`` per column subset is only the fallback
+above ``codes.SUBSPACE_ENUM_CAP`` and the tests' oracle for that table.
+``rank_fraction_free`` (dense Bareiss elimination) has no caller left in the
+package: it is the tests' oracle for the kernel over Q, as the pivot count
+of ``rref_mod_p`` is over F_p.  ``is_prime`` is the one
 primality test behind every field and check-matrix input.
 """
 

@@ -2,10 +2,12 @@
 
 Verbs: compute, verify, op, from-code, from-facets, from-graph, from-wei.
 Exit codes: 0 ok, 1 invariant/verification failure, 2 usage or input error
-(an input over a size cap is an input error).  A ``compute`` block whose
-invariant the input's kind does not have (a KindError or
-RationalFunctionError) reports ``{"error": ..., "detail": ...}`` in its own
-place and leaves the exit code alone.
+(an input over the ground-set cap is an input error).  A ``compute`` block
+whose invariant the input's kind does not have (a KindError or
+RationalFunctionError), or whose route is over the homology cap (a
+SizeCapError, which the Betti route raises before any work), reports
+``{"error": ..., "detail": ...}`` in its own place and leaves the exit code
+alone; so does the Betti entry of the Hamming block's ``routes``.
 
 Input files are JSON and are recognized by their keys:
   rank table   {"n": 3, "ranks": [0, 0, 0, 1, 0, 1, 1, 2]}   (mask order)
@@ -193,14 +195,21 @@ def _wei_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
     }
 
 
+def _error(exc: Exception) -> dict:
+    return {"error": type(exc).__name__, "detail": str(exc)}
+
+
 def _hamming_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
     table = loaded.table
     w = hamming.hamming_subset_sum(table)
     routes = {
         "tutte_route": hamming.hamming_via_tutte(table) == w,
         "pj_route": hamming.w_from_pj(table) == w,
-        "betti_route": simplicial.w_via_betti(table, fieldspec) == w,
     }
+    try:
+        routes["betti_route"] = simplicial.w_via_betti(table, fieldspec) == w
+    except SizeCapError as exc:  # over the homology cap; the other routes stand
+        routes["betti_route"] = _error(exc)
     try:
         data = hamming.hamming_data(table)
     except KindError:  # no formal minimum distance
@@ -374,10 +383,11 @@ def cmd_compute(args) -> int:
         block = _entry(name, loaded).block
         try:
             results[name] = block(loaded, fieldspec)
-        except (KindError, RationalFunctionError) as exc:
-            # The invariant does not exist for this input; the other blocks
-            # stand.  A route disagreement still fails the whole run.
-            results[name] = {"error": type(exc).__name__, "detail": str(exc)}
+        except (KindError, RationalFunctionError, SizeCapError) as exc:
+            # The invariant does not exist for this input, or is over a cap;
+            # the other blocks stand.  A route disagreement still fails the
+            # whole run.
+            results[name] = _error(exc)
     _emit({"manifest": manifest, "results": results}, args.out)
     return 0
 

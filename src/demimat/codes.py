@@ -2,18 +2,27 @@
 
 Only prime fields are supported; the q of the generalized enumerators is a
 formal variable, so no extension-field arithmetic is ever needed here.
+
+A parity matroid's rank table comes from counting vectors, not from
+eliminations (Greene 1976; Jurrius-Pellikaan 2013).  For the code
+C = ker H, #{c in C : supp(c) ⊆ X} = p^(|X| - rank X); for the row space
+R of H, #{v in R : v vanishes on X} = p^(rank H - rank X).  Whichever of
+the two spaces has fewer vectors is enumerated once, the support masks are
+histogrammed, and one zeta transform gives every count; ``rref_mod_p`` per
+mask is left as the fallback when both spaces exceed ``SUBSPACE_ENUM_CAP``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from . import weights
 from ._linalg import is_prime, rref_mod_p
-from .core import RankTable, _check_cap, popcount
-from .errors import MalformedInputError, SizeCapError
+from .core import RankTable, _check_cap, popcount, subset_transform
+from .errors import InvariantViolationError, MalformedInputError, SizeCapError
 
 SUBSPACE_ENUM_CAP = 1 << 20
 
@@ -51,11 +60,54 @@ class PrimeMatrix:
 
 
 def parity_matroid(matrix: PrimeMatrix) -> RankTable:
-    """rho(X) = rank of the columns of the check matrix indexed by X."""
-    n = matrix.n_cols
-    _check_cap(n)  # before the 2^n eliminations, not after them
-    ranks = [len(rref_mod_p(matrix.columns(m), matrix.p)[1]) for m in range(1 << n)]
+    """rho(X) = rank of the columns of the check matrix indexed by X.
+
+    The counts are read from ker H when p^k <= p^(rank H), else from the row
+    space of H (see the module docstring).  A count that is not a power of p
+    raises ``InvariantViolationError``.
+    """
+    n, p = matrix.n_cols, matrix.p
+    _check_cap(n)  # before any enumeration or elimination
+    rref, pivots = rref_mod_p(matrix.rows, p)
+    rank = len(pivots)
+    if p ** min(rank, n - rank) > SUBSPACE_ENUM_CAP:
+        ranks = [len(rref_mod_p(matrix.columns(m), p)[1]) for m in range(1 << n)]
+        return RankTable.build(n, ranks)
+    if n - rank <= rank:
+        nullities = _log_p(_subspace_counts(nullspace_basis(matrix), n, p), p)
+        ranks = list(map(operator.sub, map(popcount, range(1 << n)), nullities))
+    else:
+        # Vanishing on X means a support inside the complement, full ^ X.
+        coranks = _log_p(_subspace_counts(rref[:rank], n, p), p)
+        ranks = [rank - c for c in reversed(coranks)]
     return RankTable.build(n, ranks)
+
+
+def _subspace_counts(basis: Sequence[Sequence[int]], n: int, p: int) -> list[int]:
+    """#{v in span(basis) : supp(v) ⊆ X} for every mask X.
+
+    The p^len(basis) vectors are listed once and their supports histogrammed;
+    one zeta transform sums the histogram over the subsets of each X.
+    """
+    vectors: list[Sequence[int]] = [[0] * n]
+    for row in basis:
+        vectors = [[(a + c * b) % p for a, b in zip(v, row)] for c in range(p) for v in vectors]
+    bits = [1 << i for i in range(n)]
+    histogram = [0] * (1 << n)
+    for v in vectors:
+        histogram[sum(bit for bit, a in zip(bits, v) if a)] += 1
+    return subset_transform(histogram, operator.add)
+
+
+def _log_p(counts: Sequence[int], p: int) -> list[int]:
+    """The exact base-p logarithm of every count."""
+    logs = {p ** e: e for e in range(len(counts).bit_length())}
+    try:
+        return [logs[c] for c in counts]
+    except KeyError as exc:
+        raise InvariantViolationError(
+            f"a subspace count {exc.args[0]} is not a power of {p}"
+        ) from None
 
 
 def nullspace_basis(matrix: PrimeMatrix) -> list[list[int]]:

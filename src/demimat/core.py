@@ -7,7 +7,14 @@ indexed by mask value, so ``ranks[mask]`` is the rank of that subset.
 Certified kinds form a chain: every table is a combinatroid (only the
 normalization rank(empty) = 0 is required); adding the unit-step monotone
 axiom gives a demimatroid; adding submodularity gives a matroid.  A table
-stores only ``(n, ranks)``; its kind is derived when first read.
+stores only ``(n, ranks)``; its kind is derived when first read, by the
+word-parallel check ``_kind``.  The mask-by-mask ``_classify`` finds the same
+kind and names a witness per violated axiom; it backs ``validate`` and is the
+tests' oracle for ``_kind``.
+
+``subset_transform`` is the one whole-table pass over the subset lattice:
+the zeta transform of the code-side rank tables and the Moebius transform of
+the P_j family.
 """
 
 from __future__ import annotations
@@ -15,11 +22,11 @@ from __future__ import annotations
 import inspect
 import random
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 from itertools import combinations
-from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import KindError, MalformedInputError, SizeCapError
 
@@ -82,6 +89,33 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low
         mask ^= low
+
+
+def _perfect_shuffle(seq):
+    """Interleave the two halves: the top index bit moves to bit 0 and every
+    other bit up by one, so n shuffles of a 2^n table restore mask order."""
+    half = len(seq) // 2
+    out = seq[:]
+    out[0::2] = seq[:half]
+    out[1::2] = seq[half:]
+    return out
+
+
+def subset_transform(values: Sequence, combine: Callable) -> list:
+    """Apply ``v[X] = combine(v[X], v[X - e])`` for each element e in turn.
+
+    With ``operator.add`` this is the zeta transform (the sum over the
+    subsets of X), with ``operator.sub`` the Moebius transform (the
+    alternating sum).  Each element is brought to the top index bit by a
+    perfect shuffle, so its pass is one ``map`` over the upper half of the
+    table: n passes and n shuffles, and no Python loop over the masks.
+    """
+    table = list(values)
+    half = len(table) // 2
+    for _ in range(len(table).bit_length() - 1):
+        table[half:] = map(combine, table[half:], table[:half])
+        table = _perfect_shuffle(table)
+    return table
 
 
 def _check_cap(n: int) -> None:
@@ -153,9 +187,80 @@ def _classify(n: int, ranks: Sequence[int]) -> ValidationReport:
     return ValidationReport(kind, tuple(violations))
 
 
+@cache
+def _byte_ones(length: int) -> int:
+    """0x0101..01 with ``length`` bytes: the step tables whose steps are all 1."""
+    return int.from_bytes(b"\x01" * length, "little")
+
+
+def _zero_one_difference(low, high, ones: int) -> int | None:
+    """``high - low`` read as little-endian integers, if every byte of it is
+    0 or 1; else None.
+
+    Each byte difference lies in (-128, 128), and writing an integer as
+    sum c_i 256^i with every |c_i| < 128 is unique; so the difference has
+    bits only where ``ones`` has (which also rules out a negative one)
+    exactly when every c_i is 0 or 1.
+    """
+    d = int.from_bytes(high, "little") - int.from_bytes(low, "little")
+    return d if d | ones == ones else None
+
+
+def _kind(n: int, ranks: Sequence[int]) -> str:
+    """The kind ``_classify`` finds, by whole-table byte and big-int steps.
+
+    Unit steps force 0 <= rank <= n, so a rank outside that range settles a
+    combinatroid, and otherwise the table fits in a bytearray.  Element e's
+    step table rho(X + e) - rho(X) is the upper half minus the lower half
+    once e sits on the top index bit, where perfect shuffles bring each
+    element in turn.  Given unit steps, submodularity says each 0/1 step
+    table is non-increasing in every other element; that is symmetric in
+    the two elements, so each step table is checked only against the
+    elements that reach the top after its own.
+    """
+    if min(ranks) < 0 or max(ranks) > n:
+        return COMBINATROID
+    table = bytearray(ranks)
+    half, quarter = len(table) // 2, len(table) // 4
+    submodular = True
+    for done in range(n):
+        d = _zero_one_difference(table[:half], table[half:], _byte_ones(half))
+        if d is None:
+            return COMBINATROID
+        if submodular:
+            # The step table is indexed by the n-1 lower bits of ``table``,
+            # and the elements still to come hold its top n-1-done bits; for
+            # the one on its top bit, steps(X) - steps(X + e') is 0 or 1.
+            steps = bytearray(d.to_bytes(half, "little"))
+            for _ in range(n - 1 - done):
+                if _zero_one_difference(steps[quarter:], steps[:quarter],
+                                        _byte_ones(quarter)) is None:
+                    submodular = False
+                    break
+                steps = _perfect_shuffle(steps)
+        table = _perfect_shuffle(table)
+    return MATROID if submodular else DEMIMATROID
+
+
+class _FrozenCounts(Mapping):
+    """A read-only mapping that pickles, unlike ``types.MappingProxyType``."""
+
+    def __init__(self, counts: Mapping):
+        self._counts = dict(counts)
+
+    def __getitem__(self, key):
+        return self._counts[key]
+
+    def __iter__(self):
+        return iter(self._counts)
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+
 def _size_rank_profile(n: int, ranks: Sequence[int]) -> Mapping[tuple[int, int], int]:
     """#{X : |X| = s, rank(X) = r} keyed by (s, r), for any ranks at all."""
-    return MappingProxyType(Counter(zip(map(int.bit_count, range(1 << n)), ranks)))
+    return _FrozenCounts(Counter(zip(map(int.bit_count, range(1 << n)), ranks)))
 
 
 @dataclass(frozen=True)
@@ -173,7 +278,7 @@ class RankTable:
     @classmethod
     def build(cls, n: int, ranks: Sequence[int]) -> "RankTable":
         _check_cap(n)
-        values = tuple(int(r) for r in ranks)
+        values = tuple(map(int, ranks))
         if len(values) != 1 << n:
             raise MalformedInputError(
                 f"rank table needs 2^{n} = {1 << n} entries, got {len(values)}"
@@ -184,7 +289,7 @@ class RankTable:
 
     @cached_property
     def kind(self) -> str:
-        return _classify(self.n, self.ranks).kind
+        return _kind(self.n, self.ranks)
 
     @cached_property
     def profile(self) -> Mapping[tuple[int, int], int]:
@@ -240,7 +345,8 @@ def per_table(fn: Callable) -> Callable:
 
 
 def validate(table: RankTable) -> ValidationReport:
-    """Re-derive the certified kind with a first witness per violated axiom."""
+    """Re-derive the certified kind mask by mask, with a first witness per
+    violated axiom."""
     return _classify(table.n, table.ranks)
 
 

@@ -39,15 +39,16 @@ def ranks_from_labels(n: int, labels: dict[str, int]) -> tuple[int, ...]:
 
 @pytest.fixture
 def classify_calls(monkeypatch):
-    """Ground-set sizes of every ``core._classify`` call made during a test."""
+    """Ground-set sizes of every ``core._kind`` call (the classification
+    ``RankTable.kind`` runs) made during a test."""
     calls: list[int] = []
-    original = core._classify
+    original = core._kind
 
     def counting(n, ranks):
         calls.append(n)
         return original(n, ranks)
 
-    monkeypatch.setattr(core, "_classify", counting)
+    monkeypatch.setattr(core, "_kind", counting)
     return calls
 
 

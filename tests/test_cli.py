@@ -310,7 +310,7 @@ def _count_computations(monkeypatch, module, name, counts):
 
 def test_compute_all_runs_each_route_once(monkeypatch, capsys):
     # vamos: n = 8, eta = 4, so one Betti sweep is 5 Hochster tables, and the
-    # P_j family is built once, by one Moebius transform per nullity value.
+    # P_j family is built once, by one packed Moebius transform.
     # W is computed for vamos and for its dual (MacWilliams), and the W^(r)
     # family once by each route.
     counts: dict[str, int] = {}
@@ -408,6 +408,41 @@ def test_compute_all_reports_kind_errors_per_block(tmp_path, capsys):
         "detail": "elongation Betti tables needs a demimatroid, table certifies combinatroid",
     }
     assert results["whitney"] == "x^-1*y^-1 + 1 + x + y"
+
+
+def test_compute_all_over_the_homology_cap_reports_the_other_blocks(monkeypatch, capsys):
+    # vamos has n = 8: over a homology cap of 4, only the Betti route and the
+    # Betti block record the cap; every homology-free block still reports.
+    monkeypatch.setattr(core, "HOMOLOGY_CAP", 4)
+    code, out, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
+    assert code == 0
+    results = json.loads(out)["results"]
+    over_cap = {
+        "error": "SizeCapError",
+        "detail": "homology on 8 vertices exceeds cap 4"
+                  " (raise demimat.core.HOMOLOGY_CAP to override)",
+    }
+    assert results["betti"] == over_cap
+    assert results["hamming"]["routes"] == {
+        "tutte_route": True, "pj_route": True, "betti_route": over_cap,
+    }
+    assert [name for name, block in results.items()
+            if isinstance(block, dict) and block.get("error")] == ["betti"]
+    assert results["ghwe"]["definition_route_agrees"] is True
+    assert results["conjecture"]["holds"] is True
+    assert results["wei"]["wei_duality"] is True
+
+
+def test_compute_over_the_ground_set_cap_still_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(core, "GROUND_SET_CAP", 4)
+    code, out, err = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "malformed-input",
+        "detail": "ground set of size 8 exceeds cap 4"
+                  " (raise demimat.core.GROUND_SET_CAP to override)",
+    }
 
 
 def test_compute_all_still_fails_on_route_disagreement(tmp_path, monkeypatch, capsys):

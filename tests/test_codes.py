@@ -6,7 +6,7 @@ import pytest
 
 from demimat import codes, core, simplicial, weights
 from demimat._linalg import is_prime, rref_mod_p
-from demimat.errors import MalformedInputError, SizeCapError
+from demimat.errors import InvariantViolationError, MalformedInputError, SizeCapError
 
 from conftest import CODE63A_ROWS, CODE63B_ROWS, HAMMING74_ROWS, HAMMING84_ROWS
 
@@ -67,6 +67,73 @@ def test_parity_matroid_rank_bound(hamming84_matrix):
     table = codes.parity_matroid(hamming84_matrix)
     for mask in range(table.full + 1):
         assert table.ranks[mask] <= min(core.popcount(mask), hamming84_matrix.n_rows)
+
+
+def _rank_table_by_elimination(matrix):
+    # The oracle: one elimination per column subset.
+    return tuple(len(rref_mod_p(matrix.columns(m), matrix.p)[1])
+                 for m in range(1 << matrix.n_cols))
+
+
+def _oracle_cases():
+    rng = random.Random(17)
+    cases = [
+        (2, []),  # no rows and no columns
+        (2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),  # full column rank: k = 0
+        (3, [[0, 0, 0, 0]]),  # a zero row: the whole space is the code
+        (5, [[1, 1, 2, 2, 0], [3, 3, 0, 0, 1]]),  # repeated columns
+        (2, HAMMING84_ROWS),
+    ]
+    for p in (2, 3, 5):
+        for n in range(1, 8):
+            for n_rows in (1, n // 2, n, n + 1):
+                rows = [[rng.randrange(p) for _ in range(n)] for _ in range(max(n_rows, 1))]
+                cases.append((p, rows))
+    return cases
+
+
+def test_parity_matroid_matches_elimination_per_mask(monkeypatch):
+    # Every matrix is counted on the smaller of ker H and the row space, and
+    # both sides occur.
+    spaces = []
+    subspace_counts = codes._subspace_counts
+
+    def spy(basis, n, p):
+        spaces.append(len(basis))
+        return subspace_counts(basis, n, p)
+
+    monkeypatch.setattr(codes, "_subspace_counts", spy)
+    sides = set()
+    for p, rows in _oracle_cases():
+        matrix = codes.PrimeMatrix.build(p, rows)
+        rank, n = matrix.rank(), matrix.n_cols
+        assert codes.parity_matroid(matrix).ranks == _rank_table_by_elimination(matrix)
+        assert spaces.pop() == min(rank, n - rank)
+        sides.add(n - rank <= rank)
+    assert sides == {True, False}
+
+
+def test_parity_matroid_falls_back_to_elimination_above_the_cap(monkeypatch):
+    eliminations = []
+
+    def counted(rows, p):
+        eliminations.append(len(rows))
+        return rref_mod_p(rows, p)
+
+    monkeypatch.setattr(codes, "rref_mod_p", counted)
+    monkeypatch.setattr(codes, "SUBSPACE_ENUM_CAP", 0)
+    for p, rows in _oracle_cases()[:12]:
+        matrix = codes.PrimeMatrix.build(p, rows)
+        eliminations.clear()
+        assert codes.parity_matroid(matrix).ranks == _rank_table_by_elimination(matrix)
+        assert len(eliminations) == 1 + (1 << matrix.n_cols)
+
+
+def test_a_count_off_the_powers_of_p_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setattr(codes, "subset_transform", lambda values, combine: [1] + [3] * (
+        len(values) - 1))
+    with pytest.raises(InvariantViolationError, match="count 3 is not a power of 2"):
+        codes.parity_matroid(codes.PrimeMatrix.build(2, HAMMING84_ROWS))
 
 
 def _random_invertible(rng, size, p):

@@ -1,10 +1,13 @@
+import operator
+import pickle
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from demimat import core, ops
+from demimat import core, hamming, ops
 from demimat.errors import KindError, MalformedInputError, SizeCapError
 
 from conftest import (
@@ -283,6 +286,36 @@ def test_kind_is_classified_once_per_table(classify_calls):
 
 
 @given(rank_tables())
+def test_kind_matches_the_mask_by_mask_classification(table):
+    assert table.kind == core._classify(table.n, table.ranks).kind
+
+
+@given(demimatroid_tables(max_n=7), st.data())
+def test_kind_matches_the_classification_near_demimatroids(table, data):
+    # A rank moved by one mostly stays in [0, n], where the byte-level steps,
+    # not the range check, decide the kind.
+    assert table.kind == core._classify(table.n, table.ranks).kind
+    if table.n:
+        ranks = list(table.ranks)
+        ranks[data.draw(st.integers(1, table.full))] += data.draw(st.sampled_from((-1, 1)))
+        assert core._kind(table.n, ranks) == core._classify(table.n, ranks).kind
+
+
+def test_subset_transform_is_the_subset_sum_and_its_inverse():
+    rng = random.Random(9)
+    for n in range(6):
+        values = [rng.randint(-5, 5) for _ in range(1 << n)]
+        zeta = core.subset_transform(values, operator.add)
+        assert zeta == [sum(values[g] for g in core.submasks(m)) for m in range(1 << n)]
+        moebius = core.subset_transform(values, operator.sub)
+        assert moebius == [
+            sum((-1) ** core.popcount(m ^ g) * values[g] for g in core.submasks(m))
+            for m in range(1 << n)
+        ]
+        assert core.subset_transform(zeta, operator.sub) == values
+
+
+@given(rank_tables())
 def test_profile_counts_every_size_rank_pair(table):
     direct = Counter((core.popcount(m), table.ranks[m]) for m in range(1 << table.n))
     assert dict(table.profile) == direct
@@ -295,6 +328,16 @@ def test_profile_is_read_only_and_cached(profile_calls):
     assert profile_calls == [table.ranks]
     with pytest.raises(TypeError):
         table.profile[0, 0] = 2
+
+
+@given(rank_tables())
+def test_table_pickles_after_its_derived_values_are_read(table):
+    kind, profile, w = table.kind, dict(table.profile), hamming.hamming_subset_sum(table)
+    restored = pickle.loads(pickle.dumps(table))
+    assert restored == table
+    assert restored.kind == kind
+    assert restored.profile == profile == table.profile
+    assert hamming.hamming_subset_sum(restored) == w
 
 
 @given(demimatroid_tables())

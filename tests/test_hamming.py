@@ -2,12 +2,14 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 from demimat import cli, codes, core, hamming, ops, tutte
 from demimat.errors import InvariantViolationError, KindError
 from demimat.poly import T, X, Y, monomial, one, q_binomial, zero
 
 import conftest as ref
+from strategies import demimatroid_tables, rank_tables
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -66,6 +68,23 @@ def test_p_sigma_and_p_j(full23):
     for sigma in range(1, 8):
         assert hamming.p_sigma(free, sigma).is_zero
     assert hamming.w_from_pj(full23) == ref.full23_hamming()
+
+
+@pytest.mark.parametrize("n, ranks", [
+    # nullity |X| mod 2: P_j's coefficients reach C(n, j) 2^(j-1), all signs
+    (8, [core.popcount(m) - core.popcount(m) % 2 for m in range(256)]),
+    # far-apart and negative nullities: digits follow the distinct values
+    (3, [0, 40, -40, 7, 0, 1, 2, 100]),
+])
+def test_pj_family_matches_the_alternating_submask_sums(n, ranks):
+    table = core.RankTable.build(n, ranks)
+    assert hamming.pj_family(table) == tuple(hamming.p_j(table, j) for j in range(n + 1))
+
+
+@given(rank_tables() | demimatroid_tables())
+def test_pj_family_matches_p_j_on_any_table(table):
+    assert hamming.pj_family(table) == tuple(
+        hamming.p_j(table, j) for j in range(table.n + 1))
 
 
 def test_w_collapses_at_t_one(full23, almost_wheel, vamos):
