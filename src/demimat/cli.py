@@ -7,7 +7,15 @@ whose invariant the input's kind does not have (a KindError or
 RationalFunctionError), or whose route is over the homology cap (a
 SizeCapError, which the Betti route raises before any work), reports
 ``{"error": ..., "detail": ...}`` in its own place and leaves the exit code
-alone; so does the Betti entry of the Hamming block's ``routes``.
+alone; so does each entry of the Hamming block's ``routes``, so a
+combinatroid, which has no Betti route, still gets its W.
+
+Routes are never compared here.  Each library function that computes an
+invariant by a second route checks it against the primary route
+(``poly.cross_checked``) and raises on a disagreement, which exits 1 with
+the invariant, the route pair and the first differing monomial.  So every
+route flag in a report is ``true``, or the error of a route the input does
+not have.
 
 Input files are JSON and are recognized by their keys:
   rank table   {"n": 3, "ranks": [0, 0, 0, 1, 0, 1, 1, 2]}   (mask order)
@@ -32,10 +40,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import Callable
@@ -48,45 +54,7 @@ from .errors import (
     RationalFunctionError,
     SizeCapError,
 )
-from .poly import LaurentPoly, monomial, zero
-
-# -- canonical polynomial text ---------------------------------------------------
-
-_FACTOR = re.compile(r"^([xytq])(?:\^(-?\d+))?$")
-_NUMBER = re.compile(r"^\d+(?:/\d+)?$")
-
-
-def parse_polynomial(text: str) -> LaurentPoly:
-    """Parse the canonical text form (round-trips with str())."""
-    s = text.strip()
-    if not s:
-        raise MalformedInputError("empty polynomial text")
-    if s == "0":
-        return zero()
-    sign = 1
-    if s.startswith("-"):
-        sign = -1
-        s = s[1:].lstrip()
-    pieces = re.split(r" ([+-]) ", s)
-    terms = [(sign, pieces[0])]
-    for op, body in zip(pieces[1::2], pieces[2::2]):
-        terms.append((1 if op == "+" else -1, body))
-    total = zero()
-    for sgn, body in terms:
-        coeff = Fraction(sgn)
-        exps = {"x": 0, "y": 0, "t": 0, "q": 0}
-        for factor in body.split("*"):
-            factor = factor.strip()
-            if _NUMBER.match(factor):
-                coeff *= Fraction(factor)
-                continue
-            m = _FACTOR.match(factor)
-            if not m:
-                raise MalformedInputError(f"bad polynomial factor {factor!r}")
-            exps[m.group(1)] += int(m.group(2)) if m.group(2) else 1
-        total = total + monomial(coeff, **exps)
-    return total
-
+from .poly import LaurentPoly
 
 # -- input handling ----------------------------------------------------------------
 
@@ -199,17 +167,32 @@ def _error(exc: Exception) -> dict:
     return {"error": type(exc).__name__, "detail": str(exc)}
 
 
+def _recorded(compute: Callable, *args):
+    """``compute(*args)``, or the error of an invariant or route that this
+    input does not have (a KindError or RationalFunctionError) or that is
+    over the homology cap (a SizeCapError).  A route disagreement still
+    raises and fails the whole run."""
+    try:
+        return compute(*args)
+    except (KindError, RationalFunctionError, SizeCapError) as exc:
+        return _error(exc)
+
+
+def _ran(route: Callable, *args) -> bool:
+    """True once ``route`` returns: a second route raises when it disagrees
+    with the primary one, so returning is agreeing."""
+    route(*args)
+    return True
+
+
 def _hamming_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
     table = loaded.table
     w = hamming.hamming_subset_sum(table)
     routes = {
-        "tutte_route": hamming.hamming_via_tutte(table) == w,
-        "pj_route": hamming.w_from_pj(table) == w,
+        "tutte_route": _recorded(_ran, hamming.hamming_via_tutte, table),
+        "pj_route": _recorded(_ran, hamming.w_from_pj, table),
+        "betti_route": _recorded(_ran, simplicial.w_via_betti, table, fieldspec),
     }
-    try:
-        routes["betti_route"] = simplicial.w_via_betti(table, fieldspec) == w
-    except SizeCapError as exc:  # over the homology cap; the other routes stand
-        routes["betti_route"] = _error(exc)
     try:
         data = hamming.hamming_data(table)
     except KindError:  # no formal minimum distance
@@ -224,14 +207,11 @@ def _hamming_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict
 
 
 def _fpoly_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
-    face = tutte.f_polynomial(loaded.cx)
-    via_t = tutte.f_polynomial_via_tutte(loaded.cx)
-    via_w = tutte.f_polynomial_via_hamming(loaded.cx)
     return {
-        "f": str(face),
-        "via_tutte": str(via_t),
-        "via_hamming": str(via_w),
-        "agree": face == via_t == via_w,
+        "f": str(tutte.f_polynomial(loaded.cx)),
+        "via_tutte": str(tutte.f_polynomial_via_tutte(loaded.cx)),
+        "via_hamming": str(tutte.f_polynomial_via_hamming(loaded.cx)),
+        "agree": True,  # both routes returned, so both equal the face counts
         "h": str(tutte.h_polynomial(loaded.cx)),
     }
 
@@ -250,7 +230,7 @@ def _betti_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
             for r, bt in enumerate(simplicial.betti_of_elongations(table, fieldspec))
         ],
         "w_via_betti": str(w),
-        "agrees_with_subset_sum": w == hamming.hamming_subset_sum(table),
+        "agrees_with_subset_sum": True,  # the Betti route checks itself
     }
 
 
@@ -260,11 +240,9 @@ def _enumerators(polys) -> dict:
 
 def _ghwe_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
     table = loaded.table
-    enumerators = hamming.generalized_w_all(table)
-    definition_route = hamming.generalized_w_all(table, "tutte")
     return {
-        "w_r": _enumerators(enumerators),
-        "definition_route_agrees": enumerators == definition_route,
+        "w_r": _enumerators(hamming.generalized_w_all(table)),
+        "definition_route_agrees": _ran(hamming.generalized_w_all, table, "tutte"),
     }
 
 
@@ -380,14 +358,7 @@ def cmd_compute(args) -> int:
         results["kind"] = loaded.table.kind
         results["n"] = loaded.table.n
     for name in requested:
-        block = _entry(name, loaded).block
-        try:
-            results[name] = block(loaded, fieldspec)
-        except (KindError, RationalFunctionError, SizeCapError) as exc:
-            # The invariant does not exist for this input, or is over a cap;
-            # the other blocks stand.  A route disagreement still fails the
-            # whole run.
-            results[name] = _error(exc)
+        results[name] = _recorded(_entry(name, loaded).block, loaded, fieldspec)
     _emit({"manifest": manifest, "results": results}, args.out)
     return 0
 

@@ -326,9 +326,11 @@ def per_table(fn: Callable) -> Callable:
     """Memoize ``fn(table, *args)`` in the table's instance dict, as ``kind`` is.
 
     Tables never change, so each value is computed once per table object.
-    The arguments after the table all have defaults and are passed
-    positionally; one left out is keyed by its default.  Values are
-    immutable; an exception is raised afresh on every call, never stored.
+    Any other immutable object with an instance dict can carry a memo too: a
+    ``Complex`` carries its demimatroid.  The arguments after the table all
+    have defaults and are passed positionally; one left out is keyed by its
+    default.  Values are immutable; an exception is raised afresh on every
+    call, never stored.
     """
     defaults = tuple(p.default for p in inspect.signature(fn).parameters.values())[1:]
     name = f"{fn.__module__}.{fn.__qualname__}"  # a name, so a table still pickles
@@ -448,18 +450,18 @@ def from_matroid_bases(n: int, bases: Iterable) -> RankTable:
     return RankTable.build(n, ranks)
 
 
+@per_table
 def complex_to_demimatroid(cx: Complex) -> RankTable:
-    """rho(X) = size of the largest face contained in X."""
+    """rho(X) = size of the largest face contained in X.
+
+    One subset-max transform of the face sizes (0 off the complex).  The
+    table is memoized on the complex, so every caller shares it and its
+    memoized values.
+    """
     if cx.is_void:
         raise MalformedInputError("the void complex has no associated demimatroid")
-    size = 1 << cx.n
-    best = [0] * size
-    for mask in range(1, size):
-        b = max(best[mask & ~bit] for bit in bits_of(mask))
-        if b == popcount(mask) - 1 and mask in cx:
-            b += 1
-        best[mask] = b
-    return RankTable.build(cx.n, best)
+    sizes = [popcount(mask) if mask in cx else 0 for mask in range(1 << cx.n)]
+    return RankTable.build(cx.n, subset_transform(sizes, max))
 
 
 def independence_complex(table: RankTable) -> Complex:

@@ -141,9 +141,12 @@ def assemble_w(pj: Sequence[LaurentPoly]) -> LaurentPoly:
     return poly_sum(p * monomial(1, x=n - j, y=j) for j, p in enumerate(pj))
 
 
+@per_table
 def w_from_pj(table: RankTable) -> LaurentPoly:
-    """W assembled from the P_j coefficient polynomials."""
-    return assemble_w(pj_family(table))
+    """W assembled from the P_j coefficient polynomials; cross-checked against
+    the subset sum."""
+    return cross_checked("W", "P_j", assemble_w(pj_family(table)),
+                         "subset-sum", hamming_subset_sum(table))
 
 
 # -- transforms --------------------------------------------------------------------
@@ -163,12 +166,15 @@ def macwilliams(table: RankTable) -> LaurentPoly:
 
 
 def tutte_from_hamming(table: RankTable) -> LaurentPoly:
-    """Recover T(x,y) = (x-1)^(-eta) x^n W(1, 1/x, (x-1)(y-1))."""
+    """Recover T(x,y) = (x-1)^(-eta) x^n W(1, 1/x, (x-1)(y-1)); cross-checked
+    against the corank-nullity expansion."""
     table.require_demimatroid("Tutte recovery")
     w = hamming_subset_sum(table)
     s = w.substitute({"x": 1, "y": monomial(1, x=-1), "t": (X - 1) * (Y - 1)})
     cleared = monomial(1, x=table.n) * s
-    return cleared.divide_exact((X - 1) ** table.total_nullity)
+    recovered = cleared.divide_exact((X - 1) ** table.total_nullity)
+    return cross_checked("Tutte polynomial", "Hamming", recovered,
+                         "corank-nullity", tutte_mod.tutte(table))
 
 
 def hamming_recurrence(table: RankTable, p: int) -> LaurentPoly:
@@ -268,24 +274,34 @@ def generalized_w(table: RankTable, r: int, route: str = "subset") -> LaurentPol
     Alternating q-binomial combination of W(x, y, q^j) divided exactly by the
     angle bracket <r>_q; the division leaving a remainder means the input was
     not a demimatroid (the error carries the remainder).  The q variable is
-    stored in the t slot.
+    stored in the t slot.  The Tutte route is cross-checked against the
+    subset route.
     """
     table.require_demimatroid("generalized enumerator")
     if not 0 <= r <= table.n:
         raise MalformedInputError(f"need 0 <= r <= {table.n}, got {r}")
-    return _combine_t_powers(r, _w_at_t_powers(table, r, route))
+    value = _combine_t_powers(r, _w_at_t_powers(table, r, route))
+    if route == "subset":
+        return value
+    subset = _combine_t_powers(r, _w_at_t_powers(table, r, "subset"))
+    return cross_checked(f"W^({r})", "Tutte", value, "subset-sum", subset)
 
 
 @per_table
 def generalized_w_all(table: RankTable, route: str = "subset") -> tuple[LaurentPoly, ...]:
     """W^(r) for r = 0 .. eta(E), the range the recovery identity sums over.
 
-    Every W^(r) reads the same W(x, y, t^j), computed once per call.
+    Every W^(r) reads the same W(x, y, t^j), computed once per call.  The
+    Tutte route is cross-checked against the subset route, r by r.
     """
     table.require_demimatroid("generalized enumerator")
     eta = table.total_nullity
     w_at = _w_at_t_powers(table, eta, route)
-    return tuple(_combine_t_powers(r, w_at) for r in range(eta + 1))
+    family = tuple(_combine_t_powers(r, w_at) for r in range(eta + 1))
+    if route == "tutte":
+        return tuple(cross_checked(f"W^({r})", "Tutte", mine, "subset-sum", theirs)
+                     for r, (mine, theirs) in enumerate(zip(family, generalized_w_all(table))))
+    return family
 
 
 @dataclass(frozen=True)
@@ -341,7 +357,6 @@ class HammingData:
 def hamming_data(table: RankTable) -> HammingData:
     """W with its coefficient family, checked for internal consistency."""
     delta, c = formal_min_distance(table)
-    w = hamming_subset_sum(table)
-    pj = pj_family(table)
-    cross_checked("W", "P_j", assemble_w(pj), "subset-sum", w)
-    return HammingData(table, w, pj, delta, _checked_a_coefficients(table, w, delta, c), c)
+    w = w_from_pj(table)
+    return HammingData(table, w, pj_family(table), delta,
+                       _checked_a_coefficients(table, w, delta, c), c)

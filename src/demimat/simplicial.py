@@ -11,6 +11,12 @@ that is a face, lists each other restriction's faces as the submasks of the
 vertex set that lie in the complex, and reduces whichever is smaller: the
 restriction or its Alexander dual.
 
+The Betti route to W checks itself against the subset sum through
+``poly.cross_checked``, as every second route does: a disagreement names the
+first monomial of W whose coefficients differ.  W sums the homological
+degree i away (only sum_i (-1)^i beta_{i,j} reaches it), so no Betti entry
+(r, i, j) can be named from W.
+
 Conventions.  The void complex has no homology at all; the complex whose only
 face is the empty set has one dimension of reduced homology in degree -1.
 Restrictions to a vertex set with no surviving vertices are that latter
@@ -30,7 +36,7 @@ from .errors import (
     MalformedInputError,
     SizeCapError,
 )
-from .poly import LaurentPoly, monomial, poly_sum
+from .poly import LaurentPoly, cross_checked, monomial, poly_sum, zero
 
 
 @dataclass(frozen=True)
@@ -245,43 +251,17 @@ def betti_of_elongations(
 def w_via_betti(table: RankTable, fieldspec: FieldSpec = RATIONALS) -> LaurentPoly:
     """W rebuilt from the alternating Betti sums of the elongation family.
 
-    The r-th coefficient is x^n (B_r - B_{r-1})(-1, y/x) with B_{-1} = 0;
-    the result is asserted against the subset-sum route, and a disagreement
-    reports the offending (r, i, j) contributions.
+    The t^r coefficient is x^n (B_r - B_{r-1})(-1, y/x), where B_r is the
+    r-th Betti table as the sum of beta_{i,j} x^i y^j and B_{-1} = 0.  The
+    result is cross-checked against the subset-sum route.
     """
-    tables = betti_of_elongations(table, fieldspec)
-    slices = [
-        _betti_slice(table.n, current, previous)
-        for current, previous in zip(tables, [BettiTable(()), *tables])
+    n = table.n
+    sums = [
+        poly_sum(monomial((-1) ** i * v, x=n - j, y=j) for (i, j), v in bt.entries)
+        for bt in betti_of_elongations(table, fieldspec)
     ]
-    total = poly_sum(got * monomial(1, t=r) for r, (_, got) in enumerate(slices))
-    direct = hamming.hamming_subset_sum(table)
-    if total != direct:
-        offending = _first_route_disagreement(slices, direct)
-        raise InvariantViolationError(
-            f"Betti route disagrees with the subset sum at (r,i,j)={offending}"
-        )
-    return total
-
-
-def _betti_slice(n: int, current: BettiTable, previous: BettiTable):
-    """The entries of B_r - B_{r-1} and the t^r coefficient of W they give."""
-    diff: dict[tuple[int, int], int] = dict(current.entries)
-    for key, v in previous.entries:
-        diff[key] = diff.get(key, 0) - v
-    got = poly_sum(
-        v * (-1) ** i * monomial(1, x=n - j, y=j) for (i, j), v in diff.items() if v
+    total = poly_sum(
+        (current - previous) * monomial(1, t=r)
+        for r, (current, previous) in enumerate(zip(sums, [zero(), *sums]))
     )
-    return diff, got
-
-
-def _first_route_disagreement(slices, direct):
-    # Only reached on failure; locate the first elongation index whose
-    # coefficient slice of the difference polynomial is nonzero.
-    for r, (diff, got) in enumerate(slices):
-        if got != direct.coefficient(t=r):
-            for (i, j), v in sorted(diff.items()):
-                if v:
-                    return (r, i, j)
-            return (r, None, None)
-    return (None, None, None)
+    return cross_checked("W", "Betti", total, "subset-sum", hamming.hamming_subset_sum(table))

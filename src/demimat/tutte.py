@@ -116,11 +116,13 @@ def tutte_uniform_closed_form(n: int, k: int) -> LaurentPoly:
 # -- face polynomials -----------------------------------------------------------
 
 
+@per_table
 def f_polynomial(cx: Complex) -> LaurentPoly:
     """Face-count polynomial in t: sum of c_i t^(d+1-i), c_i faces of size i.
 
     The leading term t^(d+1) is the empty-face count c_0 = 1; the constant
-    term counts the largest faces.
+    term counts the largest faces.  Memoized on the complex: both other
+    routes check against it.
     """
     if cx.is_void:
         raise MalformedInputError("the void complex has no f-polynomial")
@@ -130,9 +132,10 @@ def f_polynomial(cx: Complex) -> LaurentPoly:
 
 
 def f_polynomial_via_tutte(cx: Complex) -> LaurentPoly:
-    """The same polynomial as T(t+1, 1) of the associated demimatroid."""
-    table = core.complex_to_demimatroid(cx)
-    return tutte(table).substitute({"x": T + 1, "y": 1})
+    """The same polynomial as T(t+1, 1) of the associated demimatroid;
+    cross-checked against the face counts."""
+    via_tutte = tutte(core.complex_to_demimatroid(cx)).substitute({"x": T + 1, "y": 1})
+    return cross_checked("f-polynomial", "Tutte", via_tutte, "face-count", f_polynomial(cx))
 
 
 def f_polynomial_via_hamming(cx: Complex) -> LaurentPoly:
@@ -141,7 +144,8 @@ def f_polynomial_via_hamming(cx: Complex) -> LaurentPoly:
         (u+1)^n u^(-eta) W(1, (u+1)^(-1), 0)
 
     realized by collecting W's coefficients and clearing (u+1) powers, so no
-    genuine rational function ever appears.
+    genuine rational function ever appears.  Cross-checked against the face
+    counts.
     """
     from . import hamming  # local import; hamming depends on this module
 
@@ -154,7 +158,8 @@ def f_polynomial_via_hamming(cx: Complex) -> LaurentPoly:
         c = w0.coefficient(x=n - j, y=j)
         if not c.is_zero:
             total = total + c * (T + 1) ** (n - j)
-    return total.divide_exact(monomial(1, t=eta))
+    return cross_checked("f-polynomial", "Hamming", total.divide_exact(monomial(1, t=eta)),
+                         "face-count", f_polynomial(cx))
 
 
 def h_polynomial(cx: Complex) -> LaurentPoly:

@@ -1,16 +1,17 @@
 """Wei numbers, their dualities, Singleton bounds, and full/uniform tests.
 
 The Wei numbers and the nullity minima are read off the table's size-rank
-profile, the same counts the subset-sum polynomials expand; the fullness
-test checks the closed forms mask by mask.
+profile, the same counts the subset-sum polynomials expand; so are the
+closed forms the fullness test checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from . import ops
-from .core import RankTable, popcount
+from .core import RankTable
 from .errors import InvariantViolationError, MalformedInputError
 
 
@@ -67,16 +68,14 @@ def check_wei_duality(table: RankTable) -> bool:
     return lower and upper
 
 
-def _full_closed_form(n: int, k: int, mask_size: int) -> int:
-    return 0 if mask_size <= n - k else mask_size - (n - k)
-
-
 def is_full(table: RankTable) -> bool:
     """True when the first Wei number meets the Singleton bound n - k + 1.
 
     A trivial (rank-0) table is reported not full.  A positive answer is
     cross-checked against the closed forms a full table and its dual, nullity
-    and supplement must take; a mismatch would be a bug.
+    and supplement must take; a mismatch would be a bug.  Each is checked on
+    the size-rank profile: the C(n, s) subsets of size s all fall under the
+    one key (s, f(s)) exactly when each has rank f(s).
     """
     table.require_demimatroid("fullness test")
     n, k = table.n, table.rank
@@ -86,21 +85,18 @@ def is_full(table: RankTable) -> bool:
     if profile.d[0] != n - k + 1:
         return False
 
-    for mask in range(table.full + 1):
-        s = popcount(mask)
-        if table.ranks[mask] != _full_closed_form(n, k, s):
-            raise InvariantViolationError("full table deviates from its closed form")
-    star = ops.dual(table)
-    circ = ops.nullity_operator(table)
-    supp = ops.supplement(table)
-    for mask in range(table.full + 1):
-        s = popcount(mask)
-        if star.ranks[mask] != _full_closed_form(n, n - k, s):
-            raise InvariantViolationError("dual of a full table deviates from closed form")
-        if circ.ranks[mask] != min(s, n - k):
-            raise InvariantViolationError("nullity of a full table is not uniform")
-        if supp.ranks[mask] != min(s, k):
-            raise InvariantViolationError("supplement of a full table is not uniform")
+    checks = (
+        (table, lambda s: max(0, s - (n - k)), "full table deviates from its closed form"),
+        (ops.dual(table), lambda s: max(0, s - k),
+         "dual of a full table deviates from closed form"),
+        (ops.nullity_operator(table), lambda s: min(s, n - k),
+         "nullity of a full table is not uniform"),
+        (ops.supplement(table), lambda s: min(s, k),
+         "supplement of a full table is not uniform"),
+    )
+    for derived, rank_at_size, message in checks:
+        if derived.profile != {(s, rank_at_size(s)): comb(n, s) for s in range(n + 1)}:
+            raise InvariantViolationError(message)
     return True
 
 

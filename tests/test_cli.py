@@ -26,9 +26,7 @@ def test_compute_all_on_rank_table(tmp_path, capsys):
     assert payload["manifest"]["construction"] == "rank-table"
     results = payload["results"]
     assert results["kind"] == "demimatroid"
-    assert cli.parse_polynomial(results["tutte"]) == (
-        X - 2 * X**2 + Y - 3 * X * Y + 3 * X**2 * Y
-    )
+    assert results["tutte"] == str(X - 2 * X**2 + Y - 3 * X * Y + 3 * X**2 * Y)
     assert results["hamming"]["routes"] == {
         "tutte_route": True,
         "pj_route": True,
@@ -54,7 +52,7 @@ def test_compute_complex_input(capsys):
     )
     assert code == 0
     results = json.loads(out)["results"]
-    assert cli.parse_polynomial(results["fpoly"]["f"]) == T**3 + 5 * T**2 + 6 * T + 2
+    assert results["fpoly"]["f"] == str(T**3 + 5 * T**2 + 6 * T + 2)
     assert results["fpoly"]["agree"] is True
 
 
@@ -367,9 +365,9 @@ def test_betti_sweeps_build_no_complex_per_restriction(monkeypatch, capsys):
 
 def test_betti_route_disagreement_names_witness(tmp_path, monkeypatch, capsys):
     # Put one extra beta_{0,0} into the last elongation's table: only the top
-    # t-slice of the Betti route changes, and (0, 0) is its first key.
+    # t-slice of the Betti route changes, by x^n t^eta.  W sums the degree i
+    # away, so the witness is that monomial, not a Betti entry.
     table = core.from_wei_sequence(3, [2, 3])
-    eta = table.total_nullity
     original = simplicial.betti_of_elongations
 
     def off_by_one(t, fieldspec=simplicial.RATIONALS):
@@ -379,17 +377,17 @@ def test_betti_route_disagreement_names_witness(tmp_path, monkeypatch, capsys):
         return (*tables[:-1], simplicial.BettiTable.from_dict(last))
 
     monkeypatch.setattr(simplicial, "betti_of_elongations", off_by_one)
-    with pytest.raises(InvariantViolationError, match=rf"\(r,i,j\)=\({eta}, 0, 0\)"):
+    message = "W: the Betti and subset-sum routes disagree first at x^3*t (1 against 0)"
+    with pytest.raises(InvariantViolationError) as exc:
         simplicial.w_via_betti(table)
+    assert str(exc.value) == message
 
     path = tmp_path / "table.json"
     path.write_text(json.dumps({"n": 3, "ranks": list(table.ranks)}))
     code, out, err = run_cli(capsys, "compute", "--in", str(path), "--hamming")
     assert code == 1
     assert out == ""
-    error = json.loads(err)
-    assert error["error"] == "InvariantViolationError"
-    assert f"(r,i,j)=({eta}, 0, 0)" in error["detail"]
+    assert json.loads(err) == {"error": "InvariantViolationError", "detail": message}
 
 
 def test_compute_all_reports_kind_errors_per_block(tmp_path, capsys):
@@ -408,6 +406,45 @@ def test_compute_all_reports_kind_errors_per_block(tmp_path, capsys):
         "detail": "elongation Betti tables needs a demimatroid, table certifies combinatroid",
     }
     assert results["whitney"] == "x^-1*y^-1 + 1 + x + y"
+
+
+def test_compute_hamming_reports_w_for_a_combinatroid(tmp_path, capsys):
+    # A combinatroid has no Betti route; the other routes still check W, and
+    # only the Betti entry records the KindError.
+    path = tmp_path / "combinatroid.json"
+    path.write_text(json.dumps({"n": 2, "ranks": [0, 1, 2, 1]}))
+    code, out, _ = run_cli(capsys, "compute", "--in", str(path), "--hamming")
+    assert code == 0
+    block = json.loads(out)["results"]["hamming"]
+    assert block == {
+        "w": "x*y*t^-1 - y^2*t^-1 + x^2 - x*y + y^2*t",
+        "routes": {
+            "tutte_route": True,
+            "pj_route": True,
+            "betti_route": {
+                "error": "KindError",
+                "detail": "elongation Betti tables needs a demimatroid,"
+                          " table certifies combinatroid",
+            },
+        },
+        "delta": None,
+        "c": None,
+        "a": {},
+    }
+
+
+def test_compute_all_on_a_complex_shares_one_table(monkeypatch, capsys):
+    # The loader and both f-polynomial routes read the one demimatroid
+    # memoized on the complex, so its Tutte polynomial and W are computed
+    # once; the second W is the dual's, for MacWilliams.
+    counts: dict[str, int] = {}
+    for module, name in ((core, "complex_to_demimatroid"), (tutte, "tutte"),
+                         (hamming, "hamming_subset_sum")):
+        _count_computations(monkeypatch, module, name, counts)
+    path = FIXTURES / "chain_complex_n5.json"
+    code, _, _ = run_cli(capsys, "compute", "--in", str(path), "--all")
+    assert code == 0
+    assert counts == {"complex_to_demimatroid": 1, "tutte": 1, "hamming_subset_sum": 2}
 
 
 def test_compute_all_over_the_homology_cap_reports_the_other_blocks(monkeypatch, capsys):

@@ -126,6 +126,24 @@ def test_complex_to_demimatroid_degenerate():
         core.complex_to_demimatroid(core.Complex.build(3, []))
 
 
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=1).map(
+        lambda masks: core.Complex.build(n, masks))))
+def test_complex_to_demimatroid_is_the_largest_face_in_each_subset(cx):
+    faces = list(cx.faces())
+    expected = tuple(max(core.popcount(f) for f in faces if not f & ~mask)
+                     for mask in range(1 << cx.n))
+    assert core.complex_to_demimatroid(cx).ranks == expected
+
+
+def test_complex_to_demimatroid_is_memoized_on_the_complex():
+    cx = core.Complex.from_facet_lists(5, CHAIN_FACETS)
+    table = core.complex_to_demimatroid(cx)
+    assert core.complex_to_demimatroid(cx) is table
+    twin = core.Complex.from_facet_lists(5, CHAIN_FACETS)
+    assert core.complex_to_demimatroid(twin) is not table
+
+
 def test_independence_complex_examples(full23):
     assert core.independence_complex(full23) == core.Complex.build(3, [0])
     assert core.independence_complex(core.uniform(4, 2)) == core.Complex.build(

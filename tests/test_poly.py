@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from demimat import cli
 from demimat.errors import InexactDivisionError, UnsupportedSubstitutionError
 from demimat.poly import (
     LaurentPoly,
@@ -158,21 +157,6 @@ def test_canonical_order_matches_reference_string():
 def test_string_negative_exponents_and_fractions():
     assert str(monomial(1, x=-1)) == "x^-1"
     assert str(Fraction(-1, 2) * X + T) == "-1/2*x + t"
-
-
-def test_parser_roundtrip_random():
-    rng = random.Random(23)
-    for _ in range(80):
-        p = random_poly(rng)
-        assert cli.parse_polynomial(str(p)) == p
-
-
-def test_parser_accepts_reference_forms():
-    assert cli.parse_polynomial("x - 2*x^2 + y - 3*x*y + 3*x^2*y") == (
-        X - 2 * X**2 + Y - 3 * X * Y + 3 * X**2 * Y
-    )
-    assert cli.parse_polynomial("0").is_zero
-    assert cli.parse_polynomial("3/2*x*t^-2") == Fraction(3, 2) * monomial(1, x=1, t=-2)
 
 
 def test_cached_q_analogues_survive_every_operation():

@@ -1,0 +1,153 @@
+"""Every second route checks itself against its primary route.
+
+Each case corrupts one route by monkeypatching and expects the library
+function that computes it to raise the ``poly.cross_checked`` witness: the
+invariant, the route pair and the first differing monomial.  Where
+``compute`` reaches the route, the run exits 1 with that error and prints no
+report.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from demimat import cli, core, hamming, simplicial, tutte
+from demimat.errors import InvariantViolationError
+from demimat.poly import T, X, Y, monomial
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+ETA_ONE = core.from_wei_sequence(3, [2, 3])  # n = 3, eta = 1
+FREE = core.uniform(3, 3)  # eta = 0: no formal minimum distance
+CHAIN = FIXTURES / "chain_complex_n5.json"
+
+
+def _w_plus_x_to_the_n(original):
+    def corrupted(table, t_multiplier=1):
+        return original(table, t_multiplier) + monomial(1, x=table.n)
+    return corrupted
+
+
+def _w_at_t_plus_a_multiple_of_t_minus_1(original):
+    # Only W(x, y, t) changes, by (t - 1) x^n, so the division by <1>_t = t - 1
+    # stays exact and W^(1) moves by x^n.
+    def corrupted(table, t_multiplier=1):
+        w = original(table, t_multiplier)
+        return w + (T - 1) * monomial(1, x=table.n) if t_multiplier == 1 else w
+    return corrupted
+
+
+def _top_p_plus_t7(original):
+    def corrupted(table):
+        *rest, top = original(table)
+        return (*rest, top + monomial(1, t=7))
+    return corrupted
+
+
+def _extra_beta_00(original):
+    def corrupted(table, fieldspec=simplicial.RATIONALS):
+        *rest, last = original(table, fieldspec)
+        entries = last.as_dict()
+        entries[(0, 0)] = entries.get((0, 0), 0) + 1
+        return (*rest, simplicial.BettiTable.from_dict(entries))
+    return corrupted
+
+
+def _w_plus_one_after_recovery(original):
+    # (x - y)^eta y^(n - eta) adds exactly 1 to the Tutte polynomial and the
+    # f-polynomial recovered from W, so both clearing divisions stay exact.
+    def corrupted(table):
+        eta = table.total_nullity
+        return original(table) + (X - Y) ** eta * Y ** (table.n - eta)
+    return corrupted
+
+
+def _plus_one(original):
+    return lambda table: original(table) + 1
+
+
+# (module, name, corruption, input, route, compute flag or None, message)
+CASES = [
+    pytest.param(
+        hamming, "_w_via_tutte_terms", _w_plus_x_to_the_n, ETA_ONE,
+        lambda loaded: hamming.hamming_via_tutte(loaded.table), "--hamming",
+        "W: the Tutte and subset-sum routes disagree first at x^3 (2 against 1)",
+        id="W by Tutte"),
+    pytest.param(
+        hamming, "pj_family", _top_p_plus_t7, ETA_ONE,
+        lambda loaded: hamming.w_from_pj(loaded.table), "--hamming",
+        "W: the P_j and subset-sum routes disagree first at y^3*t^7 (1 against 0)",
+        id="W by P_j"),
+    pytest.param(
+        hamming, "pj_family", _top_p_plus_t7, FREE,
+        lambda loaded: hamming.w_from_pj(loaded.table), "--hamming",
+        "W: the P_j and subset-sum routes disagree first at y^3*t^7 (1 against 0)",
+        id="W by P_j, eta = 0"),
+    pytest.param(
+        simplicial, "betti_of_elongations", _extra_beta_00, ETA_ONE,
+        lambda loaded: simplicial.w_via_betti(loaded.table), "--betti",
+        "W: the Betti and subset-sum routes disagree first at x^3*t (1 against 0)",
+        id="W by Betti"),
+    pytest.param(
+        hamming, "macwilliams_transform",
+        lambda original: lambda w, eta: original(w, eta) - monomial(1, x=2, y=1, t=-3),
+        ETA_ONE, lambda loaded: hamming.macwilliams(loaded.table), "--macwilliams",
+        "W of the dual: the MacWilliams and dual subset-sum routes disagree first"
+        " at x^2*y*t^-3 (-1 against 0)",
+        id="MacWilliams"),
+    pytest.param(
+        tutte, "tutte", _plus_one, ETA_ONE,
+        lambda loaded: tutte.characteristic(loaded.table), "--charpoly",
+        "characteristic polynomial: the subset-sum and Tutte routes disagree first"
+        " at 1 (-1 against 0)",
+        id="characteristic"),
+    pytest.param(
+        hamming, "_w_via_tutte_terms", _w_at_t_plus_a_multiple_of_t_minus_1, ETA_ONE,
+        lambda loaded: hamming.generalized_w_all(loaded.table, "tutte"), "--ghwe",
+        "W^(1): the Tutte and subset-sum routes disagree first at x^3 (1 against 0)",
+        id="W^(r) family by definition"),
+    pytest.param(
+        hamming, "_w_via_tutte_terms", _w_at_t_plus_a_multiple_of_t_minus_1, ETA_ONE,
+        lambda loaded: hamming.generalized_w(loaded.table, 1, route="tutte"), None,
+        "W^(1): the Tutte and subset-sum routes disagree first at x^3 (1 against 0)",
+        id="W^(1) by definition"),
+    pytest.param(
+        tutte, "tutte", _plus_one, CHAIN,
+        lambda loaded: tutte.f_polynomial_via_tutte(loaded.cx), "--fpoly",
+        "f-polynomial: the Tutte and face-count routes disagree first at 1 (3 against 2)",
+        id="f by Tutte"),
+    pytest.param(
+        hamming, "hamming_subset_sum", _w_plus_one_after_recovery, CHAIN,
+        lambda loaded: tutte.f_polynomial_via_hamming(loaded.cx), "--fpoly",
+        "f-polynomial: the Hamming and face-count routes disagree first at 1 (3 against 2)",
+        id="f by Hamming"),
+    pytest.param(
+        hamming, "hamming_subset_sum", _w_plus_one_after_recovery, ETA_ONE,
+        lambda loaded: hamming.tutte_from_hamming(loaded.table), None,
+        "Tutte polynomial: the Hamming and corank-nullity routes disagree first"
+        " at 1 (1 against 0)",
+        id="Tutte by Hamming"),
+]
+
+
+@pytest.mark.parametrize("module, name, corruption, source, route, flag, message", CASES)
+def test_a_corrupted_second_route_raises_its_witness(
+    tmp_path, monkeypatch, capsys, module, name, corruption, source, route, flag, message
+):
+    path = source
+    if isinstance(source, core.RankTable):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"n": source.n, "ranks": list(source.ranks)}))
+    monkeypatch.setattr(module, name, corruption(getattr(module, name)))
+    with pytest.raises(InvariantViolationError) as exc:
+        route(cli.load_input(str(path)))
+    assert str(exc.value) == message
+    if flag is None:
+        return
+    code = cli.main(["compute", "--in", str(path), flag])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": "InvariantViolationError", "detail": message}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from demimat import core, hamming, ops, weights
-from demimat.errors import KindError, MalformedInputError
+from demimat.errors import InvariantViolationError, KindError, MalformedInputError
 
 from conftest import FULL24_RHO, table_from_labels
 from strategies import demimatroid_tables
@@ -88,6 +88,29 @@ def test_full_closed_under_dual():
             assert weights.is_full(table)
             if k < n:  # the dual of the k = n case is trivial, hence not full
                 assert weights.is_full(ops.dual(table))
+
+
+@pytest.mark.parametrize("operator, message", [
+    ("dual", "dual of a full table deviates from closed form"),
+    ("nullity_operator", "nullity of a full table is not uniform"),
+    ("supplement", "supplement of a full table is not uniform"),
+])
+def test_is_full_names_a_derived_table_off_its_closed_form(monkeypatch, operator, message):
+    # A full table of rank 2 on 4 elements; one derived table gets one rank
+    # moved, so its size-rank profile leaves the closed form.
+    table = core.from_wei_sequence(4, [3, 4])
+    assert weights.is_full(table)
+    original = getattr(ops, operator)
+
+    def corrupted(t):
+        ranks = list(original(t).ranks)
+        ranks[-1] += 1
+        return core.RankTable.build(t.n, ranks)
+
+    monkeypatch.setattr(ops, operator, corrupted)
+    with pytest.raises(InvariantViolationError) as exc:
+        weights.is_full(table)
+    assert str(exc.value) == message
 
 
 def test_uniform_is_uniform(full23):
