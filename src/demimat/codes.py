@@ -75,7 +75,7 @@ def parity_matroid(matrix: PrimeMatrix) -> RankTable:
         return RankTable.build(n, ranks)
     if n - rank <= rank:
         nullities = _log_p(_subspace_counts(nullspace_basis(matrix), n, p), p)
-        ranks = list(map(operator.sub, map(popcount, range(1 << n)), nullities))
+        ranks = list(map(operator.sub, map(int.bit_count, range(1 << n)), nullities))
     else:
         # Vanishing on X means a support inside the complement, full ^ X.
         coranks = _log_p(_subspace_counts(rref[:rank], n, p), p)

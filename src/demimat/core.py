@@ -25,7 +25,8 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property, wraps
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import KindError, MalformedInputError, SizeCapError
@@ -106,15 +107,25 @@ def subset_transform(values: Sequence, combine: Callable) -> list:
 
     With ``operator.add`` this is the zeta transform (the sum over the
     subsets of X), with ``operator.sub`` the Moebius transform (the
-    alternating sum).  Each element is brought to the top index bit by a
-    perfect shuffle, so its pass is one ``map`` over the upper half of the
-    table: n passes and n shuffles, and no Python loop over the masks.
+    alternating sum).  The pass for bit b pairs the masks with bit b set
+    with those without, in blocks of 2^b: it runs over the 2^b residues
+    mod 2^(b+1) as strided slices when blocks are short, and over the
+    blocks as plain slices when they are long, so each of the n passes is
+    at most 2^(n/2) slice assignments and no Python loop over the masks.
     """
     table = list(values)
-    half = len(table) // 2
-    for _ in range(len(table).bit_length() - 1):
-        table[half:] = map(combine, table[half:], table[:half])
-        table = _perfect_shuffle(table)
+    size = len(table)
+    for b in range(size.bit_length() - 1):
+        low = 1 << b
+        step = low << 1
+        if low * low < size:
+            for r in range(low):
+                top = slice(r + low, size, step)
+                table[top] = map(combine, table[top], table[r:size:step])
+        else:
+            for start in range(0, size, step):
+                top = slice(start + low, start + step)
+                table[top] = map(combine, table[top], table[start:start + low])
     return table
 
 
@@ -259,8 +270,14 @@ class _FrozenCounts(Mapping):
 
 
 def _size_rank_profile(n: int, ranks: Sequence[int]) -> Mapping[tuple[int, int], int]:
-    """#{X : |X| = s, rank(X) = r} keyed by (s, r), for any ranks at all."""
-    return _FrozenCounts(Counter(zip(map(int.bit_count, range(1 << n)), ranks)))
+    """#{X : |X| = s, rank(X) = r} keyed by (s, r), for any ranks at all.
+
+    Each pair is counted as the one int r * (n + 1) + s, which hashes faster
+    than a tuple; ``divmod`` by n + 1 gives back (r, s), negative r included.
+    """
+    base = n + 1
+    keys = map(add, map(mul, ranks, repeat(base)), map(int.bit_count, range(1 << n)))
+    return _FrozenCounts({divmod(key, base)[::-1]: c for key, c in Counter(keys).items()})
 
 
 @dataclass(frozen=True)

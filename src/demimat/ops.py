@@ -7,6 +7,8 @@ operators compose to the third.
 
 from __future__ import annotations
 
+from operator import sub
+
 from .core import RankTable, per_table, popcount
 from .errors import InvariantViolationError, MalformedInputError
 
@@ -33,27 +35,30 @@ for (_a, _b), _c in list(GROUP_TABLE.items()):
     GROUP_TABLE[(_b, _a)] = _c
 
 
+def _sizes(table: RankTable):
+    """|X| for every mask X, in mask order."""
+    return map(int.bit_count, range(table.full + 1))
+
+
+# The builders read rho(E\X) from the reversed ranks: E\X is the mask
+# full - X, so the complements' ranks in mask order are the ranks reversed.
 @per_table
 def dual(table: RankTable) -> RankTable:
     """rho*(X) = |X| + rho(E\\X) - rho(E)."""
-    full = table.full
     k = table.rank
-    ranks = [popcount(m) + table.ranks[full & ~m] - k for m in range(full + 1)]
+    ranks = [s + r - k for s, r in zip(_sizes(table), table.ranks[::-1])]
     return RankTable.build(table.n, ranks)
 
 
 def nullity_operator(table: RankTable) -> RankTable:
     """rho°(X) = |X| - rho(X)."""
-    ranks = [popcount(m) - table.ranks[m] for m in range(table.full + 1)]
-    return RankTable.build(table.n, ranks)
+    return RankTable.build(table.n, list(map(sub, _sizes(table), table.ranks)))
 
 
 def supplement(table: RankTable) -> RankTable:
     """rho&(X) = rho(E) - rho(E\\X)."""
-    full = table.full
     k = table.rank
-    ranks = [k - table.ranks[full & ~m] for m in range(full + 1)]
-    return RankTable.build(table.n, ranks)
+    return RankTable.build(table.n, [k - r for r in table.ranks[::-1]])
 
 
 _APPLY = {

@@ -9,6 +9,14 @@ is not +-1.  All arithmetic is exact; there is no floating point anywhere.
 Values are immutable by convention: every operation returns a fresh
 polynomial.
 
+``substitute`` maps exponents directly when every value is a monomial.
+Otherwise it expands each distinct image once per call: the terms are
+grouped by their exponents in the substituted slots, each value's powers are
+built incrementally (``value^e = value^(e-1) * value``) up to the largest
+exponent used, and each group's image is multiplied by its terms straight
+into one term dict (``_substitution``).  Scalar products are one map over
+the coefficients.
+
 ``binomial_expansion`` writes products of powers of binomials such as
 (x-y)^m or (x-1)^a (y-1)^b straight from cached rows of ``math.comb``
 values, without repeated multiplication or intermediate polynomials.  The
@@ -29,6 +37,7 @@ from functools import cache
 from math import comb
 from typing import Iterable, Mapping, Sequence, Union
 
+from ._substitution import _expand_images
 from .errors import InexactDivisionError, InvariantViolationError, UnsupportedSubstitutionError
 
 VARIABLES = ("x", "y", "t", "q")
@@ -175,6 +184,11 @@ class LaurentPoly:
         return o + (-self)
 
     def __mul__(self, other) -> LaurentPoly:
+        if isinstance(other, (int, Fraction)):
+            c = _exact(other)
+            if not c:
+                return _from_terms({})
+            return _from_terms(_settle({exp: c * v for exp, v in self._terms.items()}))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -231,7 +245,12 @@ class LaurentPoly:
 
         A variable occurring with a negative exponent may only receive a
         nonzero monomial value (the inverse stays a Laurent monomial); any
-        other assignment raises UnsupportedSubstitutionError.
+        other assignment raises UnsupportedSubstitutionError.  When some
+        value is not a monomial, the terms are grouped by their exponents in
+        the substituted slots, each value's powers are built incrementally
+        up to the largest exponent used, and each group's image (the product
+        of those powers) is formed once and multiplied by the group's terms
+        straight into the result (``_substitution._expand_images``).
         """
         values: dict[int, LaurentPoly] = {}
         for name, value in assignments.items():
@@ -256,24 +275,7 @@ class LaurentPoly:
                 key = tuple(target)
                 out[key] = out.get(key, 0) + coeff
         else:
-            power_cache: dict[tuple[int, int], LaurentPoly] = {}
-            for exp, coeff in self._terms.items():
-                residual = tuple(0 if i in values else e for i, e in enumerate(exp))
-                term = _from_terms({residual: coeff})
-                for i, val in values.items():
-                    e = exp[i]
-                    if e == 0:
-                        continue
-                    key = (i, e)
-                    if key not in power_cache:
-                        if e < 0 and not val.is_monomial:
-                            raise UnsupportedSubstitutionError(
-                                f"cannot raise {val} to negative power {e}"
-                            )
-                        power_cache[key] = val ** e
-                    term = term * power_cache[key]
-                for key, c in term._terms.items():
-                    out[key] = out.get(key, 0) + c
+            out = _expand_images(self._terms, values)
         return _from_terms(_settle({key: c for key, c in out.items() if c}))
 
     def divide_exact(self, divisor: LaurentPoly | Number) -> LaurentPoly:
@@ -366,11 +368,12 @@ def zero() -> LaurentPoly:
 
 
 def one() -> LaurentPoly:
-    return LaurentPoly({_ZERO_EXP: 1})
+    return _from_terms({_ZERO_EXP: 1})
 
 
 def constant(value: Number) -> LaurentPoly:
-    return LaurentPoly({_ZERO_EXP: value})
+    c = _exact(value)
+    return _from_terms({_ZERO_EXP: c} if c else {})
 
 
 def variable(name: str) -> LaurentPoly:
@@ -382,8 +385,11 @@ def variable(name: str) -> LaurentPoly:
 def monomial(coeff: Number, **exps: int) -> LaurentPoly:
     exp = [0] * len(VARIABLES)
     for name, e in exps.items():
+        if not isinstance(e, int):
+            raise ValueError(f"bad exponent {e!r} for {name}")
         exp[_INDEX[name]] = e
-    return LaurentPoly({tuple(exp): coeff})
+    c = _exact(coeff)
+    return _from_terms({tuple(exp): c} if c else {})
 
 
 X = variable("x")
@@ -392,13 +398,19 @@ T = variable("t")
 Q = variable("q")
 
 
+def term_sum(items: Iterable[tuple[tuple, Number]]) -> LaurentPoly:
+    """Sum of coeff * x^a y^b t^c q^d over pairs ((a, b, c, d), coeff) of an
+    exponent vector and an int or Fraction, gathered in one term dict and
+    wrapped once; zero sums are dropped."""
+    out: dict[tuple, Number] = {}
+    for exp, coeff in items:
+        out[exp] = out.get(exp, 0) + coeff
+    return _from_terms(_settle({exp: c for exp, c in out.items() if c}))
+
+
 def poly_sum(items) -> LaurentPoly:
     """Sum of polynomials, gathered in one term dict and wrapped once."""
-    out: dict[tuple, Number] = {}
-    for item in items:
-        for exp, coeff in item._terms.items():
-            out[exp] = out.get(exp, 0) + coeff
-    return _from_terms(_settle({exp: c for exp, c in out.items() if c}))
+    return term_sum(term for item in items for term in item._terms.items())
 
 
 def cross_checked(invariant: str, left: str, a: LaurentPoly, right: str, b: LaurentPoly

@@ -36,7 +36,7 @@ from .errors import (
     MalformedInputError,
     SizeCapError,
 )
-from .poly import LaurentPoly, cross_checked, monomial, poly_sum, zero
+from .poly import LaurentPoly, cross_checked, monomial, poly_sum, term_sum, zero
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class BettiTable:
         return dict(self.entries).get((i, j), 0)
 
     def poly(self) -> LaurentPoly:
-        return poly_sum(v * monomial(1, x=i, y=j) for (i, j), v in self.entries)
+        return term_sum(((i, j, 0, 0), v) for (i, j), v in self.entries)
 
 
 def _check_homology_cap(n: int) -> None:
@@ -257,7 +257,7 @@ def w_via_betti(table: RankTable, fieldspec: FieldSpec = RATIONALS) -> LaurentPo
     """
     n = table.n
     sums = [
-        poly_sum(monomial((-1) ** i * v, x=n - j, y=j) for (i, j), v in bt.entries)
+        term_sum(((n - j, j, 0, 0), (-1) ** i * v) for (i, j), v in bt.entries)
         for bt in betti_of_elongations(table, fieldspec)
     ]
     total = poly_sum(

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from demimat import core, ops
 from demimat.errors import MalformedInputError
@@ -19,6 +20,7 @@ from conftest import (
     ranks_from_labels,
     table_from_labels,
 )
+from strategies import rank_tables
 
 
 def test_operator_rows_two_basis(two_basis):
@@ -46,6 +48,18 @@ def test_operator_rows_full24():
     assert ops.dual(table).ranks == table.ranks
     assert ops.nullity_operator(table).ranks == core.uniform(4, 2).ranks
     assert ops.supplement(table).ranks == core.uniform(4, 2).ranks
+
+
+@given(rank_tables(max_n=6))
+def test_operators_match_their_mask_by_mask_definitions(table):
+    # The builders read sizes from int.bit_count and complements from the
+    # reversed ranks; the oracle takes each mask's popcount and E minus X.
+    full, k, rho = table.full, table.rank, table.ranks
+    masks = range(full + 1)
+    assert ops.dual(table).ranks == tuple(
+        core.popcount(m) + rho[full & ~m] - k for m in masks)
+    assert ops.nullity_operator(table).ranks == tuple(core.popcount(m) - rho[m] for m in masks)
+    assert ops.supplement(table).ranks == tuple(k - rho[full & ~m] for m in masks)
 
 
 def test_free_table_operators():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from demimat import hamming
 from demimat.errors import InexactDivisionError, UnsupportedSubstitutionError
 from demimat.poly import (
     LaurentPoly,
@@ -79,6 +80,56 @@ def test_substitute_negative_exponent_needs_monomial():
     assert p.substitute({"x": 2 * T}) == Fraction(1, 2) * monomial(1, t=-1) + Y
     with pytest.raises(UnsupportedSubstitutionError):
         p.substitute({"x": T + 1})
+
+
+def test_scalar_multiplication():
+    p = 3 * X**2 * Y - Fraction(1, 2) * T + 5
+    assert (p * 0).is_zero and (0 * p).is_zero and (p * Fraction(0)).is_zero
+    assert p * 1 == p == 1 * p
+    assert p * -1 == -p == -1 * p
+    doubled = p * Fraction(4, 2)
+    assert doubled == p + p == Fraction(4, 2) * p
+    assert doubled.terms() == {(2, 1, 0, 0): 6, (0, 0, 1, 0): -1, (0, 0, 0, 0): 10}
+    assert all(type(c) is int for c in doubled.terms().values())
+    assert (p * Fraction(2, 3)).terms()[(0, 0, 1, 0)] == Fraction(-1, 3)
+
+
+def test_single_term_constructors():
+    assert monomial(0, x=1).is_zero and constant(0).is_zero and constant(Fraction(0, 3)).is_zero
+    assert monomial(Fraction(6, 3), x=-2, q=1).terms() == {(-2, 0, 0, 1): 2}
+    assert type(constant(Fraction(6, 3)).terms()[(0, 0, 0, 0)]) is int
+    assert one().terms() == {(0, 0, 0, 0): 1}
+    with pytest.raises(ValueError):
+        monomial(1, x=1.0)
+    with pytest.raises(KeyError):
+        monomial(1, z=1)
+    with pytest.raises(TypeError):
+        constant(0.5)
+
+
+def test_substitute_expands_each_image_once(hamming84, monkeypatch):
+    # Powers of each value are built incrementally and each distinct (x, y)
+    # exponent pair of W gets one image product: at most #pairs + 2n products.
+    w = hamming.hamming_subset_sum(hamming84)
+    values = {"x": X + (T - 1) * Y, "y": X - Y}
+    pairs = {exp[:2] for exp in w.terms()}
+    bound = len(pairs) + 2 * hamming84.n
+    assert bound == 5 + 16
+    products = 0
+    multiply = LaurentPoly.__mul__
+
+    def counting(self, other):
+        nonlocal products
+        products += isinstance(other, LaurentPoly)
+        return multiply(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    result = w.substitute(values)
+    assert products <= bound
+    monkeypatch.undo()
+    assert result == sum(
+        (c * values["x"] ** e[0] * values["y"] ** e[1] * monomial(1, t=e[2])
+         for e, c in w.terms().items()), zero())
 
 
 def test_coefficient_extraction():
@@ -169,6 +220,8 @@ def test_cached_q_analogues_survive_every_operation():
         results = [
             x + y, x - y, -x, x * y, x + 1, 2 - x, 3 * x, x ** 0, x ** 1, x ** 3,
             x.substitute({"t": X + 1}), x.substitute({"t": monomial(2, t=3)}),
+            x * 1, 1 * x, x * -1, x * Fraction(4, 2), x * 0,
+            T.substitute({"t": x}), (T * X + 1).substitute({"t": x, "x": y}),
             (x * y).divide_exact(y), x.divide_exact(monomial(3, t=2)), x.divide_exact(1),
         ]
         assert all(r._terms is not x._terms and r._terms is not y._terms for r in results)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from demimat import hamming, tutte
 from demimat.errors import InexactDivisionError, UnsupportedSubstitutionError
-from demimat.poly import VARIABLES, LaurentPoly, X, Y, binomial_expansion, monomial, one
+from demimat.poly import VARIABLES, LaurentPoly, T, X, Y, binomial_expansion, monomial, one
 
 from strategies import (
     demimatroid_tables,
@@ -106,6 +106,74 @@ def test_substitute_monomials_simultaneously(a, images):
         simultaneous=True,
     )
     assert same(result, expected)
+
+
+def reference_substitute(a: LaurentPoly, values: dict) -> LaurentPoly:
+    """Term by term: each term's residual monomial times its values' powers."""
+    total = LaurentPoly()
+    for exp, coeff in a.terms().items():
+        term = LaurentPoly({tuple(0 if name in values else e
+                                  for name, e in zip(VARIABLES, exp)): coeff})
+        for name, value in values.items():
+            term = term * value ** exp[VARIABLES.index(name)]
+        total = total + term
+    return total
+
+
+def matches_sympy(a: LaurentPoly, values: dict, result: LaurentPoly) -> bool:
+    return same(result, to_sympy(a).subs(
+        {SYMBOLS[VARIABLES.index(name)]: to_sympy(v) for name, v in values.items()},
+        simultaneous=True,
+    ))
+
+
+# x and y at exponents 0..3, t and q at -3..3
+xy_polys = laurent_polys(exps=st.tuples(*(st.integers(0, 3),) * 2, *(st.integers(-3, 3),) * 2))
+
+
+@given(xy_polys)
+def test_substitute_values_in_the_substituted_variables(a):
+    # The MacWilliams substitution: each value contains x and y themselves.
+    values = {"x": X + (T - 1) * Y, "y": X - Y}
+    result = a.substitute(values)
+    assert_settled(result)
+    assert matches_sympy(a, values, result)
+    assert result == reference_substitute(a, values)
+
+
+@given(laurent_polys(exps=st.tuples(*(st.integers(-3, 3),) * 2, st.integers(0, 3),
+                                    st.integers(-3, 3))))
+def test_substitute_mixed_monomial_and_polynomial_values(a):
+    # The Tutte recovery W(1, 1/x, (x-1)(y-1)): x and y may sit at negative
+    # exponents because their values are monomials; t may not.
+    values = {"x": one(), "y": monomial(1, x=-1), "t": (X - 1) * (Y - 1)}
+    result = a.substitute(values)
+    assert_settled(result)
+    assert matches_sympy(a, values, result)
+    assert result == reference_substitute(a, values)
+
+
+@given(laurent_polys(exps=st.tuples(*(st.integers(0, 3),) * 2, st.integers(-3, 3),
+                                    st.integers(0, 3))),
+       fraction_coefficients, laurent_polys(exps=exponents(0, 2), max_terms=3))
+def test_substitute_zero_constant_and_fraction_values(a, c, u):
+    # c may be 0; u may be zero, a constant, a monomial or a polynomial.
+    values = {"x": LaurentPoly(), "y": LaurentPoly({(0, 0, 0, 0): c}), "q": u}
+    result = a.substitute(values)
+    assert_settled(result)
+    assert result == reference_substitute(a, values)
+    assert matches_sympy(a, values, result)
+    assert a.substitute({"x": 0, "y": c, "q": u}) == result
+
+
+@given(laurent_polys(exps=exponents(-3, -1, slots=("x",)), max_terms=3).filter(bool),
+       laurent_polys(exps=exponents(0, 2), max_terms=3).filter(lambda v: not v.is_monomial),
+       laurent_polys(exps=exponents(0, 2), max_terms=3))
+def test_substitute_polynomial_at_a_negative_exponent_raises(a, value, other):
+    # Only a monomial is invertible; the zero value is not a monomial.
+    for values in ({"x": value}, {"x": value, "y": other}, {"y": other, "x": value}):
+        with pytest.raises(UnsupportedSubstitutionError):
+            a.substitute(values)
 
 
 @st.composite
