@@ -3,9 +3,10 @@
 
 Prints JSON with the CPU time of ``simplicial.w_via_betti`` (over Q) on
 ``core.random_demimatroid(n, random.Random(seed))`` for n = 10, 12 and 14
-and on ``core.uniform(12, 6)``, keeping the inputs with n <= --max-n.  Each
-call checks its W against the subset sum, so a wrong Betti table raises and
-the script exits nonzero.
+and on ``core.uniform(n, n // 2)`` for n = 12, 14 and 16, keeping the
+inputs with n <= --max-n (default 14, so ``uniform(16,8)`` runs only with
+``--max-n 16``).  Each call checks its W against the subset sum, so a wrong
+Betti table raises and the script exits nonzero.
 
     python scripts/probe_betti.py --max-n 12
 """
@@ -25,6 +26,8 @@ INPUTS = (
     ("random n=12 seed=1", 12, lambda: core.random_demimatroid(12, random.Random(1))),
     ("uniform(12,6)", 12, lambda: core.uniform(12, 6)),
     ("random n=14 seed=1", 14, lambda: core.random_demimatroid(14, random.Random(1))),
+    ("uniform(14,7)", 14, lambda: core.uniform(14, 7)),
+    ("uniform(16,8)", 16, lambda: core.uniform(16, 8)),
 )
 
 

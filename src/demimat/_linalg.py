@@ -1,7 +1,11 @@
 """Exact matrix ranks over Q and F_p, and the one primality test.
 
-``rank_sparse_columns`` is the homology kernel: every boundary map of
-``simplicial`` is reduced by it, over Q and over F_p alike.  ``rref_mod_p``
+Two kernels reduce the boundary maps of ``simplicial``, both by columns onto
+their highest row and with the same clearing.  ``rank_bit_columns`` works
+over F_2 on columns stored as int bitsets, so a column step is one XOR; it
+is exact over F_2 and, where ``simplicial`` can certify the result, stands
+in for Q.  ``rank_sparse_columns`` works on sparse integer columns over Q
+and F_p: it is the kernel for odd p and the fallback over Q.  ``rref_mod_p``
 serves ``codes`` (the rank, null space and row space of a check matrix); the
 rank over F_p is its pivot count.  A parity matroid's rank table is counted,
 not eliminated, so ``rref_mod_p`` per column subset is only the fallback
@@ -172,4 +176,27 @@ def rank_sparse_columns(
                     col[r] = value
                 else:
                     del col[r]
+    return list(reduced)
+
+
+def rank_bit_columns(columns: Mapping[int, int], skip: Container[int] = ()) -> list[int]:
+    """Pivot rows over F_2 of columns stored as ints, bit r set for a 1 in row r.
+
+    ``columns`` maps each column label to its bitset and is reduced in its
+    own iteration order: while a column's highest set bit is the pivot of a
+    stored column, the two are XORed.  Columns whose label is in ``skip``
+    are passed over.  At p = 2, ``rank_sparse_columns`` returns the same
+    pivot rows.
+    """
+    reduced: dict[int, int] = {}
+    for label, col in columns.items():
+        if label in skip:
+            continue
+        while col:
+            low = col.bit_length() - 1
+            pivot = reduced.get(low)
+            if pivot is None:
+                reduced[low] = col
+                break
+            col ^= pivot
     return list(reduced)

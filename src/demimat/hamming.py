@@ -35,6 +35,7 @@ from .poly import (
     one,
     poly_sum,
     q_binomial,
+    term_sum,
     zero,
 )
 
@@ -115,14 +116,15 @@ def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
     definitional route.
     """
     n = table.n
-    nullities = [popcount(mask) - r for mask, r in enumerate(table.ranks)]
+    sizes = list(map(int.bit_count, range(1 << n)))
+    nullities = list(map(operator.sub, sizes, table.ranks))
     exponents = sorted(set(nullities))
     width = 2 * n + 2
     digit = {e: 1 << (width * i) for i, e in enumerate(exponents)}
-    transformed = core.subset_transform([digit[e] for e in nullities], operator.sub)
+    transformed = core.subset_transform(list(map(digit.__getitem__, nullities)), operator.sub)
     totals = [0] * (n + 1)
-    for mask, value in enumerate(transformed):
-        totals[popcount(mask)] += value
+    for size, value in zip(sizes, transformed):
+        totals[size] += value
     low, sign = (1 << width) - 1, 1 << (width - 1)
     family = []
     for total in totals:
@@ -243,23 +245,8 @@ def _checked_a_coefficients(
 # -- generalized enumerators -----------------------------------------------------------
 
 
-def _w_at_t_powers(table: RankTable, top: int, route: str) -> list[LaurentPoly]:
-    """W(x, y, t^j) for j = 0 .. top.
-
-    The subset route computes W once and substitutes t -> t^j; the Tutte
-    route expands its terms afresh for each j, so it stays an independent
-    oracle.
-    """
-    if route == "subset":
-        w = hamming_subset_sum(table)
-        return [w if j == 1 else w.substitute({"t": monomial(1, t=j)})
-                for j in range(top + 1)]
-    if route == "tutte":
-        return [_w_via_tutte_terms(table, t_multiplier=j) for j in range(top + 1)]
-    raise MalformedInputError(f"unknown route {route!r}")
-
-
 def _combine_t_powers(r: int, w_at: Sequence[LaurentPoly]) -> LaurentPoly:
+    """The definition of W^(r) from W(x, y, t^j) for j = 0 .. r."""
     total = zero()
     for j in range(r + 1):
         sign = (-1) ** (r - j)
@@ -268,22 +255,29 @@ def _combine_t_powers(r: int, w_at: Sequence[LaurentPoly]) -> LaurentPoly:
     return total.divide_exact(angle(r, var="t"))
 
 
+def _check_route(route: str) -> None:
+    if route not in ("subset", "tutte"):
+        raise MalformedInputError(f"unknown route {route!r}")
+
+
 def generalized_w(table: RankTable, r: int, route: str = "subset") -> LaurentPoly:
     """r-th generalized Hamming weight enumerator.
 
-    Alternating q-binomial combination of W(x, y, q^j) divided exactly by the
-    angle bracket <r>_q; the division leaving a remainder means the input was
-    not a demimatroid (the error carries the remainder).  The q variable is
-    stored in the t slot.  The Tutte route is cross-checked against the
-    subset route.
+    The subset route reads it off ``generalized_w_all`` (zero above
+    eta(E)).  The Tutte route is the definition: the alternating q-binomial
+    combination of W(x, y, q^j), expanded afresh for each j, divided exactly
+    by the angle bracket <r>_q, and cross-checked against the subset route.
+    The q variable is stored in the t slot.
     """
     table.require_demimatroid("generalized enumerator")
     if not 0 <= r <= table.n:
         raise MalformedInputError(f"need 0 <= r <= {table.n}, got {r}")
-    value = _combine_t_powers(r, _w_at_t_powers(table, r, route))
+    _check_route(route)
+    family = generalized_w_all(table)
+    subset = family[r] if r < len(family) else zero()
     if route == "subset":
-        return value
-    subset = _combine_t_powers(r, _w_at_t_powers(table, r, "subset"))
+        return subset
+    value = _combine_t_powers(r, [_w_via_tutte_terms(table, j) for j in range(r + 1)])
     return cross_checked(f"W^({r})", "Tutte", value, "subset-sum", subset)
 
 
@@ -291,17 +285,32 @@ def generalized_w(table: RankTable, r: int, route: str = "subset") -> LaurentPol
 def generalized_w_all(table: RankTable, route: str = "subset") -> tuple[LaurentPoly, ...]:
     """W^(r) for r = 0 .. eta(E), the range the recovery identity sums over.
 
-    Every W^(r) reads the same W(x, y, t^j), computed once per call.  The
-    Tutte route is cross-checked against the subset route, r by r.
+    The subset route is W^(r) = sum_{e >= r} [e, r]_q W_e(x, y), where W_e
+    is the t^e coefficient of W: the definition's j-sum, taken on
+    W_e q^(je), is W_e prod_{i<r} (q^e - q^i), and that product over <r>_q
+    is [e, r]_q (zero for e < r).  So one W gives the family, with no
+    substitution and no division.  The Tutte route expands W(x, y, t^j)
+    once per j, combines by the definition and is cross-checked against the
+    subset route, r by r.
     """
     table.require_demimatroid("generalized enumerator")
+    _check_route(route)
     eta = table.total_nullity
-    w_at = _w_at_t_powers(table, eta, route)
-    family = tuple(_combine_t_powers(r, w_at) for r in range(eta + 1))
     if route == "tutte":
-        return tuple(cross_checked(f"W^({r})", "Tutte", mine, "subset-sum", theirs)
-                     for r, (mine, theirs) in enumerate(zip(family, generalized_w_all(table))))
-    return family
+        w_at = [_w_via_tutte_terms(table, j) for j in range(eta + 1)]
+        return tuple(cross_checked(f"W^({r})", "Tutte", _combine_t_powers(r, w_at),
+                                   "subset-sum", theirs)
+                     for r, theirs in enumerate(generalized_w_all(table)))
+    slices: dict[int, dict[tuple[int, int], int]] = {}
+    for (a, b, e, _), c in hamming_subset_sum(table).terms().items():
+        slices.setdefault(e, {})[a, b] = c
+    return tuple(
+        term_sum(((a, b, k, 0), c * d)
+                 for e, w_e in slices.items() if e >= r
+                 for (_, _, k, _), d in q_binomial(e, r, var="t").terms().items()
+                 for (a, b), c in w_e.items())
+        for r in range(eta + 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,25 @@
 route to the Hamming polynomial.
 
 Homology uses exact elimination only, so every Betti number is exact.  Each
-boundary map is a set of sparse integer columns built straight from the face
-masks and reduced by ``_linalg.rank_sparse_columns``, one kernel over Q and
-F_p.  The maps are reduced from the top cardinality down with clearing: a
-pivot row of one map names a column of the map below that must reduce to
-zero, so that column is skipped.  A Hochster sweep skips every vertex set
-that is a face, lists each other restriction's faces as the submasks of the
-vertex set that lie in the complex, and reduces whichever is smaller: the
-restriction or its Alexander dual.
+boundary map is a set of columns built straight from the face masks and
+reduced from the top cardinality down with clearing: a pivot row of one map
+names a column of the map below that must reduce to zero, so that column is
+skipped.  Over F_2 and Q the columns are first reduced as bitsets by
+``_linalg.rank_bit_columns``, rows numbered by their position among the
+masks of their cardinality.  The F_2 rank of an integer map is at most its
+rank over Q, and both fields give the same Euler characteristic, so F_2
+homology in degrees of one parity only is also the homology over Q
+(universal coefficients).  A complex with F_2 homology in degrees of both
+parities (torsion may hide there, as in the projective plane) falls back to
+``_linalg.rank_sparse_columns`` over Q on signed columns; odd p always uses
+that kernel.
+
+Betti tables come from one walk per filtration Delta_0 < Delta_1 < ..., each
+mask entering at its level: its nullity for the elongation family, 0 or 1
+for the faces and non-faces of a single complex.  The walk visits each
+vertex set sigma once, lists its submasks and their levels once, and for
+every r below sigma's level reduces whichever is smaller: the restriction of
+Delta_r to sigma or its Alexander dual.  One column cache serves the walk.
 
 The Betti route to W checks itself against the subset sum through
 ``poly.cross_checked``, as every second route does: a disagreement names the
@@ -27,9 +38,12 @@ not faces) come out right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
+from itertools import groupby
+from operator import sub
 
 from . import core, hamming
-from ._linalg import is_prime, rank_sparse_columns
+from ._linalg import is_prime, rank_bit_columns, rank_sparse_columns
 from .core import Complex, RankTable, per_table, popcount, submasks
 from .errors import (
     InvariantViolationError,
@@ -93,12 +107,28 @@ def _check_homology_cap(n: int) -> None:
         )
 
 
+@cache
+def _positions(n: int) -> tuple[int, ...]:
+    """Each mask's position among the masks of its cardinality, in mask order."""
+    seen = [0] * (n + 1)
+    positions = []
+    for c in map(int.bit_count, range(1 << n)):
+        positions.append(seen[c])
+        seen[c] += 1
+    return tuple(positions)
+
+
 class _Columns(dict):
     """Boundary columns by face mask, each built on first lookup.
 
     A face's column is ``{face minus one vertex: sign}``, the sign alternating
-    over its vertices in increasing order.
+    over its vertices in increasing order.  ``bits`` holds the columns over
+    F_2.
     """
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.bits = _BitColumns(_positions(n))
 
     def __missing__(self, face: int) -> dict[int, int]:
         column = self[face] = {}
@@ -110,25 +140,58 @@ class _Columns(dict):
         return column
 
 
+class _BitColumns(dict):
+    """F_2 columns by face mask: the face's position among the masks of its
+    cardinality, and the int with the bit of each ``face minus v`` set.
+
+    Numbering rows by position keeps a column within C(n, |face| - 1) bits;
+    the positions label the columns too, so clearing still matches pivot
+    rows of one map to columns of the next.
+    """
+
+    def __init__(self, positions: tuple[int, ...]):
+        super().__init__()
+        self.positions = positions
+
+    def __missing__(self, face: int) -> tuple[int, int]:
+        positions = self.positions
+        column, rest = 0, face
+        while rest:
+            bit = rest & -rest
+            column |= 1 << positions[face ^ bit]
+            rest ^= bit
+        entry = self[face] = (positions[face], column)
+        return entry
+
+
+def _dims(matrices: list[dict], rank) -> list[int]:
+    # ranks[c] = rank of the map from faces of cardinality c to c-1.
+    ranks = [0] * (len(matrices) + 1)
+    pivots: list[int] = []
+    for c in range(len(matrices) - 1, 0, -1):
+        pivots = rank(matrices[c], skip=set(pivots))
+        ranks[c] = len(pivots)
+    return [len(matrix) - ranks[c] - ranks[c + 1] for c, matrix in enumerate(matrices)]
+
+
 def _homology_dims(faces: list[int], columns: _Columns, p: int) -> list[int]:
     """Reduced homology dimensions of the nonvoid complex ``faces``.
 
-    ``faces`` is ascending by mask, and so is each cardinality's share.  The
-    kernel reduces the columns of the map from cardinality c in that order
-    and picks pivots of the map from c+1 by the same order on its rows,
-    which is what lets the pivot rows of one map clear columns of the next.
+    Over F_2 the bitset kernel is exact.  Over Q its dimensions stand when
+    their nonzero degrees share one parity; otherwise the signed columns
+    are reduced over Q.  With no face above the vertices, the homology is
+    read off the vertex count.
     """
-    layers: list[list[int]] = [[] for _ in range(max(map(popcount, faces)) + 1)]
-    for f in faces:
-        layers[popcount(f)].append(f)
-    # ranks[c] = rank of the map from faces of cardinality c to c-1.
-    ranks = [0] * (len(layers) + 1)
-    cleared: set[int] = set()
-    for c in range(len(layers) - 1, 0, -1):
-        pivots = rank_sparse_columns({f: columns[f] for f in layers[c]}, p, cleared)
-        ranks[c] = len(pivots)
-        cleared = set(pivots)
-    return [len(layer) - ranks[c] - ranks[c + 1] for c, layer in enumerate(layers)]
+    layers = [list(layer) for _, layer in groupby(sorted(faces, key=int.bit_count), int.bit_count)]
+    if len(layers) < 3:
+        return [0, len(layers[1]) - 1] if len(layers) == 2 else [1]
+    if p in (0, 2):
+        bits = columns.bits
+        dims = _dims([dict(map(bits.__getitem__, layer)) for layer in layers], rank_bit_columns)
+        if p or len({slot % 2 for slot, d in enumerate(dims) if d}) < 2:
+            return dims
+    return _dims([dict(zip(layer, map(columns.__getitem__, layer))) for layer in layers],
+                 partial(rank_sparse_columns, p=p))
 
 
 def reduced_homology_dims(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> list[int]:
@@ -139,7 +202,7 @@ def reduced_homology_dims(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> list
     if cx.is_void:
         return []
     _check_homology_cap(cx.n)
-    return _homology_dims(list(cx.faces()), _Columns(), fieldspec.characteristic)
+    return _homology_dims(list(cx.faces()), _Columns(cx.n), fieldspec.characteristic)
 
 
 def euler_characteristic(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> int:
@@ -181,42 +244,51 @@ def hochster_betti_multigraded(
     return 0
 
 
-def hochster_betti(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> BettiTable:
-    """Graded Betti table via the restriction-homology sweep over all sigma.
+def _betti_walk(n: int, levels: list[int], top: int, p: int) -> tuple[BettiTable, ...]:
+    """Betti tables of Delta_0 .. Delta_(top-1), where mask X is a face of
+    Delta_r when ``levels[X] <= r``; levels lie in 0..top and do not fall
+    along inclusion.
 
-    A nonempty sigma that is a face restricts to a full simplex, with no
-    reduced homology, and is skipped.  Of any other sigma's submasks, those
-    in ``cx`` are the restriction's faces and the rest X give its Alexander
-    dual ``{sigma - X}``; the side with fewer faces is reduced.
+    Below sigma's own level r, the submasks of level <= r are the faces of
+    the restriction to sigma, and the others X give its Alexander dual
+    ``{sigma - X}``.  From sigma's level up the restriction is a full
+    simplex, with no reduced homology, so sigma = 0 gives only
+    beta_{0,0} = 1 to each table.
     """
+    tables: list[dict[tuple[int, int], int]] = [{(0, 0): 1} for _ in range(top)]
+    columns = _Columns(n)
+    for sigma in range(1, 1 << n):
+        level = levels[sigma]
+        if level <= 0:
+            continue
+        j = popcount(sigma)
+        subs = list(submasks(sigma))
+        marks = list(map(levels.__getitem__, subs))
+        for r in range(level):
+            faces = [x for x, m in zip(subs, marks) if m <= r]
+            dual = 2 * len(faces) > len(subs)
+            if dual:
+                faces = [sigma ^ x for x, m in zip(subs, marks) if m > r]
+            # Slot s of dims is degree s-1, and degree d of the restriction
+            # is i = j-d-1.  Over any field, degree e of the dual is degree
+            # j-e-3 of the restriction, so i = e+2.
+            table = tables[r]
+            for slot, d in enumerate(_homology_dims(faces, columns, p)):
+                if d:
+                    i = slot + 1 if dual else j - slot
+                    table[i, j] = table.get((i, j), 0) + d
+    return tuple(map(BettiTable.from_dict, tables))
+
+
+def hochster_betti(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> BettiTable:
+    """Graded Betti table of ``cx`` by Hochster's formula: the walk of the
+    one-step filtration, faces at level 0 and non-faces at level 1."""
     if cx.is_void:
         return BettiTable.from_dict({})
     _check_homology_cap(cx.n)
-    faces, columns, p = cx.face_set, _Columns(), fieldspec.characteristic
-    table: dict[tuple[int, int], int] = {}
-    for sigma in range(1 << cx.n):
-        if sigma and sigma in faces:
-            continue
-        # Submasks come in descending order: reversed, ``inside`` ascends,
-        # and taking complements in sigma makes ``outside`` ascend.
-        inside: list[int] = []
-        outside: list[int] = []
-        for sub in submasks(sigma):
-            (inside if sub in faces else outside).append(sub)
-        # Slot s of dims is degree s-1, and degree d of the restriction is
-        # i = j-d-1.  Over any field, degree e of the dual is degree j-e-3 of
-        # the restriction, so i = e+2.  sigma = 0 has a void dual.
-        j = popcount(sigma)
-        if sigma and len(outside) < len(inside):
-            dims = _homology_dims([sigma ^ x for x in outside], columns, p)
-            entries = [(slot + 1, d) for slot, d in enumerate(dims)]
-        else:
-            dims = _homology_dims(inside[::-1], columns, p)
-            entries = [(j - slot, d) for slot, d in enumerate(dims)]
-        for i, d in entries:
-            if d:
-                table[(i, j)] = table.get((i, j), 0) + d
-    return BettiTable.from_dict(table)
+    faces = cx.face_set
+    levels = [0 if mask in faces else 1 for mask in range(1 << cx.n)]
+    return _betti_walk(cx.n, levels, 1, fieldspec.characteristic)[0]
 
 
 # -- the Betti route to W ------------------------------------------------------------
@@ -238,13 +310,12 @@ def elongation_complex(table: RankTable, r: int) -> Complex:
 def betti_of_elongations(
     table: RankTable, fieldspec: FieldSpec = RATIONALS
 ) -> tuple[BettiTable, ...]:
-    """Betti tables of the elongation complexes for r = 0 .. eta(E)."""
+    """Betti tables of the elongation complexes for r = 0 .. eta(E), from one
+    walk in which each subset enters at its nullity; no complex is built."""
     _check_homology_cap(table.n)
     table.require_demimatroid("elongation Betti tables")
-    return tuple(
-        hochster_betti(elongation_complex(table, r), fieldspec)
-        for r in range(table.total_nullity + 1)
-    )
+    nullities = list(map(sub, map(int.bit_count, range(1 << table.n)), table.ranks))
+    return _betti_walk(table.n, nullities, table.total_nullity + 1, fieldspec.characteristic)
 
 
 @per_table

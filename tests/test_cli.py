@@ -307,19 +307,21 @@ def _count_computations(monkeypatch, module, name, counts):
 
 
 def test_compute_all_runs_each_route_once(monkeypatch, capsys):
-    # vamos: n = 8, eta = 4, so one Betti sweep is 5 Hochster tables, and the
-    # P_j family is built once, by one packed Moebius transform.
+    # vamos: n = 8, eta = 4, so the five elongation Betti tables come from
+    # one filtration walk and no per-complex Hochster sweep; the P_j family
+    # is built once, by one packed Moebius transform.
     # W is computed for vamos and for its dual (MacWilliams), and the W^(r)
     # family once by each route.
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, simplicial, "hochster_betti", counts)
+    _count_calls(monkeypatch, simplicial, "_betti_walk", counts)
     for module, name in ((simplicial, "betti_of_elongations"), (hamming, "pj_family"),
                          (hamming, "hamming_subset_sum"), (hamming, "generalized_w_all"),
                          (tutte, "tutte"), (ops, "dual")):
         _count_computations(monkeypatch, module, name, counts)
     code, out, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
     assert code == 0
-    assert counts == {"betti_of_elongations": 1, "hochster_betti": 5, "pj_family": 1,
+    assert counts == {"betti_of_elongations": 1, "_betti_walk": 1, "pj_family": 1,
                       "hamming_subset_sum": 2, "generalized_w_all": 2, "tutte": 1,
                       "dual": 1}
     results = json.loads(out)["results"]
@@ -341,14 +343,17 @@ def test_profile_is_computed_once_per_table(profile_calls, capsys):
 
 
 def test_betti_sweeps_build_no_complex_per_restriction(monkeypatch, capsys):
-    # vamos: 5 elongation complexes, 2^8 restrictions each.  The sweeps list
-    # each complex's faces once and reduce every boundary map with the sparse
-    # kernel, so no restriction is built and no dense Bareiss step runs.
+    # vamos: the walk reads the five elongation complexes off the nullities,
+    # so no complex is built at all.  A matroid's restrictions have F_2
+    # homology in degrees of one parity (its elongations are shellable), so
+    # the F_2 kernel certifies every rank over Q: no column is reduced over
+    # Q, and no dense Bareiss step runs.
     counts: dict[str, int] = {}
     for module in (_linalg, simplicial, codes):
         if hasattr(module, "rank_fraction_free"):
             _count_calls(monkeypatch, module, "rank_fraction_free", counts)
-    _count_calls(monkeypatch, simplicial, "elongation_complex", counts)
+    for name in ("elongation_complex", "rank_sparse_columns", "rank_bit_columns"):
+        _count_calls(monkeypatch, simplicial, name, counts)
     build = core.Complex.build
 
     def counted_build(n, faces):
@@ -359,8 +364,10 @@ def test_betti_sweeps_build_no_complex_per_restriction(monkeypatch, capsys):
     code, _, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
     assert code == 0
     assert counts.get("rank_fraction_free", 0) == 0
-    assert counts["elongation_complex"] == 5
-    assert counts["Complex.build"] <= counts["elongation_complex"]
+    assert counts.get("elongation_complex", 0) == 0
+    assert counts.get("Complex.build", 0) == 0
+    assert counts.get("rank_sparse_columns", 0) == 0
+    assert counts["rank_bit_columns"] > 0
 
 
 def test_betti_route_disagreement_names_witness(tmp_path, monkeypatch, capsys):
@@ -499,29 +506,25 @@ def test_compute_all_still_fails_on_route_disagreement(tmp_path, monkeypatch, ca
 
 
 def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys):
-    # Each sweep visits sigma in ascending order and reduces one side per
-    # sigma: sigma = 0, and every nonempty sigma that is not a face.  A face
-    # restricts to a full simplex and is never reduced; the side reduced has
-    # at most half of sigma's 2^|sigma| submasks.
-    sweeps: list[tuple[core.Complex, list[list[int]]]] = []
-    hochster, homology = simplicial.hochster_betti, simplicial._homology_dims
-
-    def recorded_hochster(cx, fieldspec=simplicial.RATIONALS):
-        sweeps.append((cx, []))
-        return hochster(cx, fieldspec)
+    # The one walk visits sigma in ascending order and reduces one side for
+    # each r below sigma's nullity, where sigma is a non-face of the r-th
+    # elongation complex.  A face restricts to a full simplex and is never
+    # reduced; the side reduced has at most half of sigma's 2^|sigma|
+    # submasks, all inside sigma.
+    table = cli.load_input(str(FIXTURES / "vamos.json")).table
+    calls: list[list[int]] = []
+    homology = simplicial._homology_dims
 
     def recorded_homology(faces, *args):
-        sweeps[-1][1].append(list(faces))
+        calls.append(list(faces))
         return homology(faces, *args)
 
-    monkeypatch.setattr(simplicial, "hochster_betti", recorded_hochster)
     monkeypatch.setattr(simplicial, "_homology_dims", recorded_homology)
     code, _, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
     assert code == 0
-    assert len(sweeps) == 5
-    for cx, calls in sweeps:
-        visited = [s for s in range(1 << cx.n) if not s or s not in cx]
-        assert len(calls) == len(visited)
-        for sigma, faces in zip(visited[1:], calls[1:]):
-            assert all(not f & ~sigma for f in faces)
-            assert len(faces) <= 2 ** (core.popcount(sigma) - 1)
+    visited = [(sigma, r) for sigma in range(1 << table.n) for r in range(table.nullity(sigma))]
+    assert len(calls) == len(visited) == 145
+    for (sigma, r), faces in zip(visited, calls):
+        assert sigma not in simplicial.elongation_complex(table, r)
+        assert all(not f & ~sigma for f in faces)
+        assert len(faces) <= 2 ** (core.popcount(sigma) - 1)

@@ -261,6 +261,25 @@ def test_generalized_w_oracle_routes(full23, code63b_matrix):
             assert direct == gaussian_nullity_oracle(table, r)
 
 
+def _family_by_substitution(table, top):
+    """W^(0) .. W^(top) by the definition on the subset sum: W(x, y, t^j) by
+    substituting t -> t^j, combined with q-binomials and divided by <r>_t."""
+    w = hamming.hamming_subset_sum(table)
+    w_at = [w.substitute({"t": monomial(1, t=j)}) for j in range(top + 1)]
+    return [hamming._combine_t_powers(r, w_at) for r in range(top + 1)]
+
+
+def test_t_grading_family_matches_the_substituted_definition():
+    rng = random.Random(89)
+    tables = [cli.load_input(str(path)).table for path in sorted(FIXTURES.glob("*.json"))]
+    tables += [core.random_demimatroid(rng.randint(0, 6), rng) for _ in range(20)]
+    for table in tables:
+        top = min(table.total_nullity + 1, table.n)
+        expected = _family_by_substitution(table, top)
+        assert hamming.generalized_w_all(table) == tuple(expected[:table.total_nullity + 1])
+        assert [hamming.generalized_w(table, r) for r in range(top + 1)] == expected
+
+
 def test_generalized_w_all_computes_w_once(monkeypatch, vamos):
     calls = []
     subset_sum = hamming.hamming_subset_sum

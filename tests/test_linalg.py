@@ -1,4 +1,5 @@
-"""The sparse column-reduction kernel against the dense elimination oracles.
+"""The sparse column-reduction kernel against the dense elimination oracles,
+and the bitset F_2 kernel against the sparse one.
 
 ``rank_fraction_free`` (Bareiss) is the oracle over Q and the pivot count of
 ``rref_mod_p`` the oracle over F_p.  Entries run over -3..3, so the kernel's
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demimat._linalg import rank_fraction_free, rank_sparse_columns, rref_mod_p
+from demimat._linalg import rank_bit_columns, rank_fraction_free, rank_sparse_columns, rref_mod_p
 
 PRIMES = (2, 3, 5, 65537)
 
@@ -74,3 +75,35 @@ def test_skipped_columns_are_not_reduced():
     columns = {0: {0: 1}, 1: {1: 1}, 2: {0: 1, 1: 1}}
     assert sorted(rank_sparse_columns(columns, 0)) == [0, 1]
     assert rank_sparse_columns(columns, 0, skip={0, 1}) == [1]
+
+
+@st.composite
+def column_sets(draw):
+    """Columns with entries in -3..3 under distinct labels, and a set of
+    labels to pass over (empty about half the time)."""
+    n_rows = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(0, 30), unique=True, max_size=10))
+    columns = {label: draw(st.dictionaries(st.integers(0, n_rows - 1), st.integers(-3, 3),
+                                           max_size=n_rows))
+               for label in labels}
+    skip = draw(st.sets(st.sampled_from(labels))) if labels and draw(st.booleans()) else set()
+    return columns, skip
+
+
+@given(column_sets())
+def test_bit_kernel_matches_the_sparse_kernel_over_f2(case):
+    columns, skip = case
+    bits = {label: sum(1 << r for r, v in col.items() if v % 2) for label, col in columns.items()}
+    for cleared in (set(), skip):
+        expected = rank_sparse_columns(columns, 2, cleared)
+        # Both reduce the same columns in the same order onto their highest
+        # row, so the pivot rows agree, not only their number.
+        assert sorted(rank_bit_columns(bits, cleared)) == sorted(expected)
+
+
+def test_bit_kernel_edge_cases():
+    assert rank_bit_columns({}) == []
+    assert rank_bit_columns({0: 0, 1: 0}) == []
+    # boundary of the triangle over F_2: columns 0b011, 0b101, 0b110 have rank 2
+    assert sorted(rank_bit_columns({3: 0b011, 5: 0b101, 6: 0b110})) == [1, 2]
+    assert rank_bit_columns({3: 0b011, 5: 0b101, 6: 0b110}, skip={3, 5}) == [2]
