@@ -146,7 +146,7 @@ def lattice_bottom(n: int) -> RankTable:
 
 
 def lattice_top(n: int) -> RankTable:
-    return RankTable.build(n, [popcount(m) for m in range(1 << n)])
+    return RankTable.build(n, list(map(int.bit_count, range(1 << n))))
 
 
 # -- elongations --------------------------------------------------------------
@@ -158,9 +158,7 @@ def elongate(table: RankTable, i: int) -> RankTable:
     eta = table.total_nullity
     if not 0 <= i <= eta:
         raise MalformedInputError(f"elongation index must be in 0..{eta}, got {i}")
-    ranks = [
-        min(popcount(m), table.ranks[m] + i) for m in range(table.full + 1)
-    ]
+    ranks = [min(s, r + i) for s, r in zip(_sizes(table), table.ranks)]
     return RankTable.build(table.n, ranks)
 
 

@@ -18,9 +18,15 @@ that kernel.
 Betti tables come from one walk per filtration Delta_0 < Delta_1 < ..., each
 mask entering at its level: its nullity for the elongation family, 0 or 1
 for the faces and non-faces of a single complex.  The walk visits each
-vertex set sigma once, lists its submasks and their levels once, and for
-every r below sigma's level reduces whichever is smaller: the restriction of
-Delta_r to sigma or its Alexander dual.  One column cache serves the walk.
+vertex set sigma once and, for every r below sigma's level, reduces
+whichever is smaller: the restriction of Delta_r to sigma or its Alexander
+dual.  One zeta transform over Kronecker-packed level indicators counts
+every sigma's submasks at each level, so both sides' sizes are prefix sums
+and the side is chosen before anything is listed.  A side with no face
+above its vertices is answered from the vertex count alone; any other side
+is grown in cardinality layers, each member from the member without its
+highest element, so a restriction costs O(|sigma| * |side|), not
+2^|sigma|.  One column cache serves the walk.
 
 The Betti route to W checks itself against the subset sum through
 ``poly.cross_checked``, as every second route does: a disagreement names the
@@ -39,12 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import groupby
-from operator import sub
+from operator import add, sub
 
 from . import core, hamming
 from ._linalg import is_prime, rank_bit_columns, rank_sparse_columns
-from .core import Complex, RankTable, per_table, popcount, submasks
+from .core import Complex, RankTable, per_table, popcount
 from .errors import (
     InvariantViolationError,
     MalformedInputError,
@@ -174,15 +179,15 @@ def _dims(matrices: list[dict], rank) -> list[int]:
     return [len(matrix) - ranks[c] - ranks[c + 1] for c, matrix in enumerate(matrices)]
 
 
-def _homology_dims(faces: list[int], columns: _Columns, p: int) -> list[int]:
-    """Reduced homology dimensions of the nonvoid complex ``faces``.
+def _homology_dims(layers: list[list[int]], columns: _Columns, p: int) -> list[int]:
+    """Reduced homology dimensions of the nonvoid complex whose faces of
+    cardinality c are ``layers[c]``, each layer nonempty.
 
     Over F_2 the bitset kernel is exact.  Over Q its dimensions stand when
     their nonzero degrees share one parity; otherwise the signed columns
     are reduced over Q.  With no face above the vertices, the homology is
     read off the vertex count.
     """
-    layers = [list(layer) for _, layer in groupby(sorted(faces, key=int.bit_count), int.bit_count)]
     if len(layers) < 3:
         return [0, len(layers[1]) - 1] if len(layers) == 2 else [1]
     if p in (0, 2):
@@ -202,7 +207,10 @@ def reduced_homology_dims(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> list
     if cx.is_void:
         return []
     _check_homology_cap(cx.n)
-    return _homology_dims(list(cx.faces()), _Columns(cx.n), fieldspec.characteristic)
+    layers: list[list[int]] = [[] for _ in range(cx.dim + 2)]
+    for face in cx.faces():
+        layers[face.bit_count()].append(face)
+    return _homology_dims(layers, _Columns(cx.n), fieldspec.characteristic)
 
 
 def euler_characteristic(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> int:
@@ -244,39 +252,93 @@ def hochster_betti_multigraded(
     return 0
 
 
-def _betti_walk(n: int, levels: list[int], top: int, p: int) -> tuple[BettiTable, ...]:
-    """Betti tables of Delta_0 .. Delta_(top-1), where mask X is a face of
-    Delta_r when ``levels[X] <= r``; levels lie in 0..top and do not fall
-    along inclusion.
+def _level_counts(n: int, levels: list[int]) -> list[int]:
+    """Each mask's submasks counted by level, as one packed int per mask.
 
-    Below sigma's own level r, the submasks of level <= r are the faces of
-    the restriction to sigma, and the others X give its Alexander dual
-    ``{sigma - X}``.  From sigma's level up the restriction is a full
-    simplex, with no reduced homology, so sigma = 0 gives only
-    beta_{0,0} = 1 to each table.
+    Digit k of entry sigma, n + 1 bits wide, is the number of submasks X of
+    sigma with ``levels[X] == k``.  One zeta transform sums the packed
+    indicators ``2^((n + 1) levels[X])``; a count is at most 2^n, so no
+    digit carries into the next.
     """
-    tables: list[dict[tuple[int, int], int]] = [{(0, 0): 1} for _ in range(top)]
-    columns = _Columns(n)
+    width = n + 1
+    return core.subset_transform([1 << width * level for level in levels], add)
+
+
+def _restrictions(n: int, levels: list[int]):
+    """Yield ``(sigma, r, dual, layers)`` for each sigma > 0, ascending, and
+    each r below sigma's level.
+
+    ``layers[c]`` lists the members of cardinality c of the smaller side:
+    the faces of the restriction ``{X subset of sigma : levels[X] <= r}``,
+    or, when more than half of the 2^|sigma| submasks are faces (``dual``),
+    its Alexander dual ``{sigma - X : levels[X] > r}``.  The side sizes are
+    prefix sums of the packed level counts, so the side is chosen before
+    any member is listed.  Its vertices come from |sigma| lookups, of the
+    singletons or, on the dual side, of sigma minus one element; when they
+    and the empty set fill the side, nothing more is listed.  Otherwise the
+    side grows layer by layer, each member from the member without its
+    highest element, which is in the side because both sides are
+    down-closed, until the count is reached.
+    """
+    width = n + 1
+    digit = (1 << width) - 1
+    counts = _level_counts(n, levels)
     for sigma in range(1, 1 << n):
         level = levels[sigma]
         if level <= 0:
             continue
-        j = popcount(sigma)
-        subs = list(submasks(sigma))
-        marks = list(map(levels.__getitem__, subs))
+        bits = [1 << e for e in range(sigma.bit_length()) if sigma >> e & 1]
+        half = 1 << (len(bits) - 1)
+        packed, faces = counts[sigma], 0
         for r in range(level):
-            faces = [x for x, m in zip(subs, marks) if m <= r]
-            dual = 2 * len(faces) > len(subs)
+            faces += packed >> width * r & digit
+            dual = faces > half
             if dual:
-                faces = [sigma ^ x for x, m in zip(subs, marks) if m > r]
-            # Slot s of dims is degree s-1, and degree d of the restriction
-            # is i = j-d-1.  Over any field, degree e of the dual is degree
-            # j-e-3 of the restriction, so i = e+2.
-            table = tables[r]
-            for slot, d in enumerate(_homology_dims(faces, columns, p)):
-                if d:
-                    i = slot + 1 if dual else j - slot
-                    table[i, j] = table.get((i, j), 0) + d
+                size = 2 * half - faces
+                layer = [b for b in bits if levels[sigma ^ b] > r]
+            else:
+                size = faces
+                layer = [b for b in bits if levels[b] <= r]
+            layers = [[0], layer] if layer else [[0]]
+            found = 1 + len(layer)
+            while layer and found < size:
+                if dual:
+                    layer = [m | b for m in layer for b in bits
+                             if b > m and levels[sigma ^ m ^ b] > r]
+                else:
+                    layer = [m | b for m in layer for b in bits if b > m and levels[m | b] <= r]
+                layers.append(layer)
+                found += len(layer)
+            yield sigma, r, dual, layers
+
+
+def _betti_walk(n: int, levels: list[int], top: int, p: int) -> tuple[BettiTable, ...]:
+    """Betti tables of Delta_0 .. Delta_(top-1), where mask X is a face of
+    Delta_r when ``levels[X] <= r``; levels lie in 0..top, the empty set's
+    is 0, and they do not fall along inclusion.
+
+    Below sigma's own level r, the submasks of level <= r are the faces of
+    the restriction to sigma, and the others X give its Alexander dual
+    ``{sigma - X}``.  ``_restrictions`` picks the smaller of the two from
+    one packed count of every sigma's submasks by level, and lists it in
+    cardinality layers.  A side with no face above its vertices is two
+    layers long, so its homology is read off its vertex count without the
+    kernels.  From
+    sigma's level up the restriction is a full simplex, with no reduced
+    homology, so sigma = 0 gives only beta_{0,0} = 1 to each table.
+    """
+    tables: list[dict[tuple[int, int], int]] = [{(0, 0): 1} for _ in range(top)]
+    columns = _Columns(n)
+    for sigma, r, dual, layers in _restrictions(n, levels):
+        j = sigma.bit_count()
+        # Slot s of dims is degree s-1, and degree d of the restriction is
+        # i = j-d-1.  Over any field, degree e of the dual is degree j-e-3
+        # of the restriction, so i = e+2.
+        table = tables[r]
+        for slot, d in enumerate(_homology_dims(layers, columns, p)):
+            if d:
+                i = slot + 1 if dual else j - slot
+                table[i, j] = table.get((i, j), 0) + d
     return tuple(map(BettiTable.from_dict, tables))
 
 

@@ -103,11 +103,7 @@ def _wei_bounds(m: core.RankTable) -> bool:
     upper = all(k + d <= n + r for r, d in enumerate(profile.d_up))
     star = ops.dual(m)
     for r in range(m.total_nullity + 1):
-        drop = max(
-            core.popcount(mask)
-            for mask in range(m.full + 1)
-            if star.rank - star.ranks[mask] == r
-        )
+        drop = max(s for s, rk in star.profile if star.rank - rk == r)
         if weights.min_size_at_nullity(m, r) + drop != m.n:
             return False
     return lower and upper

@@ -506,25 +506,52 @@ def test_compute_all_still_fails_on_route_disagreement(tmp_path, monkeypatch, ca
 
 
 def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys):
-    # The one walk visits sigma in ascending order and reduces one side for
-    # each r below sigma's nullity, where sigma is a non-face of the r-th
-    # elongation complex.  A face restricts to a full simplex and is never
-    # reduced; the side reduced has at most half of sigma's 2^|sigma|
-    # submasks, all inside sigma.
+    # The one walk visits sigma in ascending order and, for each r below
+    # sigma's nullity, where sigma is a non-face of the r-th elongation
+    # complex, lists the smaller of the restriction and its Alexander dual.
+    # A face restricts to a full simplex and is never visited.  A side with
+    # no face above its vertices is read off its vertex count, with no
+    # kernel run; every other side is reduced, with at most half of sigma's
+    # 2^|sigma| submasks, all inside sigma.
     table = cli.load_input(str(FIXTURES / "vamos.json")).table
-    calls: list[list[int]] = []
-    homology = simplicial._homology_dims
+    listed: list[tuple[int, int, list[list[int]]]] = []
+    homology_calls: list[tuple[list[list[int]], bool]] = []
+    kernel_runs: list[int] = []
+    restrictions, homology, dims = (
+        simplicial._restrictions, simplicial._homology_dims, simplicial._dims)
 
-    def recorded_homology(faces, *args):
-        calls.append(list(faces))
-        return homology(faces, *args)
+    def recorded_restrictions(*args):
+        for sigma, r, dual, layers in restrictions(*args):
+            listed.append((sigma, r, layers))
+            yield sigma, r, dual, layers
 
+    def recorded_homology(layers, *args):
+        runs = len(kernel_runs)
+        result = homology(layers, *args)
+        homology_calls.append((layers, len(kernel_runs) > runs))
+        return result
+
+    def recorded_dims(*args):
+        kernel_runs.append(1)
+        return dims(*args)
+
+    monkeypatch.setattr(simplicial, "_restrictions", recorded_restrictions)
     monkeypatch.setattr(simplicial, "_homology_dims", recorded_homology)
+    monkeypatch.setattr(simplicial, "_dims", recorded_dims)
     code, _, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
     assert code == 0
     visited = [(sigma, r) for sigma in range(1 << table.n) for r in range(table.nullity(sigma))]
-    assert len(calls) == len(visited) == 145
-    for (sigma, r), faces in zip(visited, calls):
+    assert [(sigma, r) for sigma, r, _ in listed] == visited
+    assert len(visited) == 145
+    assert [layers for layers, _ in homology_calls] == [layers for _, _, layers in listed]
+    for (sigma, r, layers), (_, reduced) in zip(listed, homology_calls):
         assert sigma not in simplicial.elongation_complex(table, r)
-        assert all(not f & ~sigma for f in faces)
-        assert len(faces) <= 2 ** (core.popcount(sigma) - 1)
+        faces = [x for x in core.submasks(sigma) if table.nullity(x) <= r]
+        if 2 * len(faces) > 2 ** core.popcount(sigma):
+            faces = [sigma ^ x for x in core.submasks(sigma) if table.nullity(x) > r]
+        assert reduced == (max(map(core.popcount, faces)) > 1)
+        if reduced:
+            assert all(not f & ~sigma for layer in layers for f in layer)
+            assert sum(map(len, layers)) <= 2 ** (core.popcount(sigma) - 1)
+    reduced_count = sum(reduced for _, reduced in homology_calls)
+    assert (reduced_count, len(visited) - reduced_count) == (34, 111)

@@ -357,6 +357,33 @@ def _sparse_kernel_dims(cx, p):
     return [len(layer) - ranks[c] - ranks[c + 1] for c, layer in enumerate(layers)]
 
 
+@given(demimatroid_tables(max_n=7))
+def test_walk_lists_the_smaller_side_from_packed_level_counts(table):
+    # Each (sigma, r) lists, layer by cardinality layer, exactly the side
+    # that a scan of all 2^|sigma| submasks picks: the restriction, or its
+    # Alexander dual when more than half the submasks are faces.
+    n, eta = table.n, table.total_nullity
+    nullities = [table.nullity(x) for x in range(1 << n)]
+    digit = (1 << (n + 1)) - 1
+    for sigma, packed in enumerate(simplicial._level_counts(n, nullities)):
+        direct = [0] * (eta + 1)
+        for x in core.submasks(sigma):
+            direct[nullities[x]] += 1
+        assert [packed >> (n + 1) * k & digit for k in range(eta + 1)] == direct
+        assert packed >> (n + 1) * (eta + 1) == 0
+    listed = list(simplicial._restrictions(n, nullities))
+    assert [(sigma, r) for sigma, r, _, _ in listed] == [
+        (sigma, r) for sigma in range(1, 1 << n) for r in range(nullities[sigma])
+    ]
+    for sigma, r, dual, layers in listed:
+        faces = [x for x in core.submasks(sigma) if nullities[x] <= r]
+        assert dual == (2 * len(faces) > 2 ** core.popcount(sigma))
+        side = [sigma ^ x for x in core.submasks(sigma) if nullities[x] > r] if dual else faces
+        assert all(layers)
+        assert all(core.popcount(f) == c for c, layer in enumerate(layers) for f in layer)
+        assert sorted(f for layer in layers for f in layer) == sorted(side)
+
+
 def _assert_walk_matches_the_per_sigma_oracle(table, fieldspec):
     walked = simplicial.betti_of_elongations(table, fieldspec)
     assert len(walked) == table.total_nullity + 1
