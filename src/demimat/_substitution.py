@@ -45,18 +45,18 @@ def _expand_images(terms: dict, values: dict) -> dict:
     out: dict = {}
     for key, exps in groups.items():
         image = None
-        drop = [0, 0, 0, 0]
+        drop = [0, 0, 0]
         for k, e in enumerate(key):
             if e:
                 image = powers[k][e] if image is None else image * powers[k][e]
                 drop[slots[k]] = e
-        images = (((0, 0, 0, 0), 1),) if image is None else image._terms.items()
+        images = (((0, 0, 0), 1),) if image is None else image._terms.items()
         # A term's residual exponent is its own less the key.
-        d0, d1, d2, d3 = drop
+        d0, d1, d2 = drop
         for exp in exps:
             c = terms[exp]
-            r0, r1, r2, r3 = exp[0] - d0, exp[1] - d1, exp[2] - d2, exp[3] - d3
+            r0, r1, r2 = exp[0] - d0, exp[1] - d1, exp[2] - d2
             for e, v in images:
-                target = (r0 + e[0], r1 + e[1], r2 + e[2], r3 + e[3])
+                target = (r0 + e[0], r1 + e[1], r2 + e[2])
                 out[target] = out.get(target, 0) + c * v
     return out

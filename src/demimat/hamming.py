@@ -250,9 +250,9 @@ def _combine_t_powers(r: int, w_at: Sequence[LaurentPoly]) -> LaurentPoly:
     total = zero()
     for j in range(r + 1):
         sign = (-1) ** (r - j)
-        prefactor = q_binomial(r, j, var="t") * monomial(sign, t=comb(r - j, 2))
+        prefactor = q_binomial(r, j) * monomial(sign, t=comb(r - j, 2))
         total = total + prefactor * w_at[j]
-    return total.divide_exact(angle(r, var="t"))
+    return total.divide_exact(angle(r))
 
 
 def _check_route(route: str) -> None:
@@ -302,12 +302,12 @@ def generalized_w_all(table: RankTable, route: str = "subset") -> tuple[LaurentP
                                    "subset-sum", theirs)
                      for r, theirs in enumerate(generalized_w_all(table)))
     slices: dict[int, dict[tuple[int, int], int]] = {}
-    for (a, b, e, _), c in hamming_subset_sum(table).terms().items():
+    for (a, b, e), c in hamming_subset_sum(table).terms().items():
         slices.setdefault(e, {})[a, b] = c
     return tuple(
-        term_sum(((a, b, k, 0), c * d)
+        term_sum(((a, b, k), c * d)
                  for e, w_e in slices.items() if e >= r
-                 for (_, _, k, _), d in q_binomial(e, r, var="t").terms().items()
+                 for (_, _, k), d in q_binomial(e, r).terms().items()
                  for (a, b), c in w_e.items())
         for r in range(eta + 1)
     )

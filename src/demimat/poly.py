@@ -1,4 +1,4 @@
-"""Exact sparse Laurent polynomials in the fixed variable set {x, y, t, q}.
+"""Exact sparse Laurent polynomials in the fixed variable set {x, y, t}.
 
 Terms map an exponent vector (signed integers, one slot per variable) to a
 nonzero rational coefficient.  A coefficient is stored as a plain ``int``
@@ -26,7 +26,7 @@ mutates an operand's terms.
 
 Display order is fixed so that printed polynomials are stable golden values:
 terms are sorted by the exponent vector read with x least significant
-(compare q, then t, then y, then x exponents, ascending).  Negative exponents
+(compare t, then y, then x exponents, ascending).  Negative exponents
 print as ``x^-1``.
 """
 
@@ -40,9 +40,9 @@ from typing import Iterable, Mapping, Sequence, Union
 from ._substitution import _expand_images
 from .errors import InexactDivisionError, InvariantViolationError, UnsupportedSubstitutionError
 
-VARIABLES = ("x", "y", "t", "q")
+VARIABLES = ("x", "y", "t")
 _INDEX = {name: i for i, name in enumerate(VARIABLES)}
-_ZERO_EXP = (0, 0, 0, 0)
+_ZERO_EXP = (0, 0, 0)
 
 Number = Union[int, Fraction]
 
@@ -195,7 +195,7 @@ class LaurentPoly:
         out: dict[tuple, Number] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in o._terms.items():
-                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
                 c = out.get(exp, 0) + c1 * c2
                 if c:
                     out[exp] = c
@@ -330,7 +330,7 @@ class LaurentPoly:
     # -- display --------------------------------------------------------------
 
     def _sorted_terms(self) -> list[tuple[tuple, Number]]:
-        # x is least significant: compare (q, t, y, x) exponents ascending.
+        # x is least significant: compare (t, y, x) exponents ascending.
         return sorted(self._terms.items(), key=lambda kv: tuple(reversed(kv[0])))
 
     def __str__(self) -> str:
@@ -395,11 +395,10 @@ def monomial(coeff: Number, **exps: int) -> LaurentPoly:
 X = variable("x")
 Y = variable("y")
 T = variable("t")
-Q = variable("q")
 
 
 def term_sum(items: Iterable[tuple[tuple, Number]]) -> LaurentPoly:
-    """Sum of coeff * x^a y^b t^c q^d over pairs ((a, b, c, d), coeff) of an
+    """Sum of coeff * x^a y^b t^c over pairs ((a, b, c), coeff) of an
     exponent vector and an int or Fraction, gathered in one term dict and
     wrapped once; zero sums are dropped."""
     out: dict[tuple, Number] = {}
@@ -466,7 +465,7 @@ def binomial_expansion(
                     f"cannot raise {u} - {v or 1} to negative power {k}"
                 )
             partial = [
-                ((e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3]), c1 * c2)
+                ((e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2]), c1 * c2)
                 for e1, c1 in partial
                 for c2, e2 in _binomial_row(u, v, k)
             ]
@@ -477,28 +476,29 @@ def binomial_expansion(
 
 # -- q-analogues ---------------------------------------------------------------
 #
-# [m]_q = 1 + q + ... + q^(m-1);  [m]_q! = [1]_q ... [m]_q;
-# the q-binomial satisfies [m,j]_q = [m-1,j]_q + q^(m-j) [m-1,j-1]_q;
+# q is stored in the t slot: [m]_q = 1 + q + ... + q^(m-1);
+# [m]_q! = [1]_q ... [m]_q; the q-binomial satisfies
+# [m,j]_q = [m-1,j]_q + q^(m-j) [m-1,j-1]_q;
 # <m>_q = (q^m - 1)(q^m - q) ... (q^m - q^(m-1)), with <0>_q = 1.
 
 
-def q_bracket(m: int, var: str = "q") -> LaurentPoly:
+def q_bracket(m: int) -> LaurentPoly:
     if m < 0:
         raise ValueError("q-bracket needs m >= 0")
-    return LaurentPoly({_exp_for(var, i): 1 for i in range(m)})
+    return LaurentPoly({(0, 0, i): 1 for i in range(m)})
 
 
-def q_bracket_factorial(m: int, var: str = "q") -> LaurentPoly:
+def q_bracket_factorial(m: int) -> LaurentPoly:
     if m < 0:
         raise ValueError("q-factorial needs m >= 0")
     out = one()
     for i in range(1, m + 1):
-        out = out * q_bracket(i, var)
+        out = out * q_bracket(i)
     return out
 
 
 @cache
-def q_binomial(m: int, j: int, var: str = "q") -> LaurentPoly:
+def q_binomial(m: int, j: int) -> LaurentPoly:
     """Gaussian binomial coefficient, built by the Pascal-type recurrence."""
     if j < 0 or j > m:
         raise ValueError(f"q-binomial needs 0 <= j <= m, got ({m}, {j})")
@@ -506,20 +506,20 @@ def q_binomial(m: int, j: int, var: str = "q") -> LaurentPoly:
     for mm in range(1, m + 1):
         new = [one()]
         for jj in range(1, mm):
-            new.append(row[jj] + monomial(1, **{var: mm - jj}) * row[jj - 1])
+            new.append(row[jj] + monomial(1, t=mm - jj) * row[jj - 1])
         new.append(one())
         row = new
     return row[j]
 
 
 @cache
-def angle(m: int, var: str = "q") -> LaurentPoly:
+def angle(m: int) -> LaurentPoly:
     if m < 0:
         raise ValueError("angle bracket needs m >= 0")
     out = one()
-    qm = monomial(1, **{var: m})
+    qm = monomial(1, t=m)
     for i in range(m):
-        out = out * (qm - monomial(1, **{var: i}))
+        out = out * (qm - monomial(1, t=i))
     return out
 
 

@@ -101,7 +101,7 @@ class BettiTable:
         return dict(self.entries).get((i, j), 0)
 
     def poly(self) -> LaurentPoly:
-        return term_sum(((i, j, 0, 0), v) for (i, j), v in self.entries)
+        return term_sum(((i, j, 0), v) for (i, j), v in self.entries)
 
 
 def _check_homology_cap(n: int) -> None:
@@ -390,7 +390,7 @@ def w_via_betti(table: RankTable, fieldspec: FieldSpec = RATIONALS) -> LaurentPo
     """
     n = table.n
     sums = [
-        term_sum(((n - j, j, 0, 0), (-1) ** i * v) for (i, j), v in bt.entries)
+        term_sum(((n - j, j, 0), (-1) ** i * v) for (i, j), v in bt.entries)
         for bt in betti_of_elongations(table, fieldspec)
     ]
     total = poly_sum(

@@ -81,7 +81,7 @@ def whitney_f(table: RankTable) -> LaurentPoly:
     Negative exponents are honest Laurent monomials here, so any combinatroid
     is accepted.
     """
-    return term_sum(((a, b, 0, 0), c) for (a, b), c in corank_nullity_counts(table).items())
+    return term_sum(((a, b, 0), c) for (a, b), c in corank_nullity_counts(table).items())
 
 
 def characteristic(table: RankTable) -> LaurentPoly:
@@ -92,7 +92,7 @@ def characteristic(table: RankTable) -> LaurentPoly:
     """
     table.require_demimatroid("characteristic polynomial")
     k = table.rank
-    direct = term_sum(((0, 0, k - r, 0), (-1) ** s * c) for (s, r), c in table.profile.items())
+    direct = term_sum(((0, 0, k - r), (-1) ** s * c) for (s, r), c in table.profile.items())
     via_tutte = (-1) ** k * tutte(table).substitute({"x": 1 - T, "y": 0})
     return cross_checked("characteristic polynomial", "subset-sum", direct, "Tutte", via_tutte)
 
@@ -124,7 +124,7 @@ def f_polynomial(cx: Complex) -> LaurentPoly:
         raise MalformedInputError("the void complex has no f-polynomial")
     counts = cx.face_counts()
     top = cx.dim + 1
-    return term_sum(((0, 0, top - i, 0), c) for i, c in enumerate(counts))
+    return term_sum(((0, 0, top - i), c) for i, c in enumerate(counts))
 
 
 def f_polynomial_via_tutte(cx: Complex) -> LaurentPoly:

@@ -58,3 +58,23 @@ def rank_tables(draw, max_n: int = 5):
     rest = draw(st.lists(st.integers(-1, n + 1), min_size=(1 << n) - 1,
                          max_size=(1 << n) - 1))
     return core.RankTable.build(n, [0, *rest])
+
+
+def all_demimatroids(n: int):
+    """Every demimatroid table on n elements, depth first in mask order.
+
+    The ranks are assigned as ``demimatroid_tables`` draws them, each in
+    [max rho(X-x), min rho(X-x) + 1], but every choice is taken in turn.
+    """
+    ranks = [0] * (1 << n)
+
+    def extend(mask: int):
+        if mask == 1 << n:
+            yield core.RankTable.build(n, ranks)
+            return
+        below = [ranks[mask ^ bit] for bit in core.bits_of(mask)]
+        for r in range(max(below), min(below) + 2):
+            ranks[mask] = r
+            yield from extend(mask + 1)
+
+    yield from extend(1)

@@ -72,8 +72,8 @@ def test_negative_pow_of_monomial_matches_sympy(exp, coeff, k):
 
 @given(
     laurent_polys(exps=exponents(0, 3)),
-    laurent_polys(exps=exponents(slots=("t", "q")), max_terms=3),
-    laurent_polys(exps=exponents(slots=("t", "q")), max_terms=3),
+    laurent_polys(exps=exponents(slots=("t",)), max_terms=3),
+    laurent_polys(exps=exponents(slots=("t",)), max_terms=3),
 )
 def test_substitute_matches_sympy(a, u, v):
     x, y = SYMBOLS[:2]
@@ -127,8 +127,8 @@ def matches_sympy(a: LaurentPoly, values: dict, result: LaurentPoly) -> bool:
     ))
 
 
-# x and y at exponents 0..3, t and q at -3..3
-xy_polys = laurent_polys(exps=st.tuples(*(st.integers(0, 3),) * 2, *(st.integers(-3, 3),) * 2))
+# x and y at exponents 0..3, t at -3..3
+xy_polys = laurent_polys(exps=st.tuples(*(st.integers(0, 3),) * 2, st.integers(-3, 3)))
 
 
 @given(xy_polys)
@@ -141,8 +141,7 @@ def test_substitute_values_in_the_substituted_variables(a):
     assert result == reference_substitute(a, values)
 
 
-@given(laurent_polys(exps=st.tuples(*(st.integers(-3, 3),) * 2, st.integers(0, 3),
-                                    st.integers(-3, 3))))
+@given(laurent_polys(exps=st.tuples(*(st.integers(-3, 3),) * 2, st.integers(0, 3))))
 def test_substitute_mixed_monomial_and_polynomial_values(a):
     # The Tutte recovery W(1, 1/x, (x-1)(y-1)): x and y may sit at negative
     # exponents because their values are monomials; t may not.
@@ -153,17 +152,16 @@ def test_substitute_mixed_monomial_and_polynomial_values(a):
     assert result == reference_substitute(a, values)
 
 
-@given(laurent_polys(exps=st.tuples(*(st.integers(0, 3),) * 2, st.integers(-3, 3),
-                                    st.integers(0, 3))),
+@given(laurent_polys(exps=exponents(0, 3)),
        fraction_coefficients, laurent_polys(exps=exponents(0, 2), max_terms=3))
 def test_substitute_zero_constant_and_fraction_values(a, c, u):
     # c may be 0; u may be zero, a constant, a monomial or a polynomial.
-    values = {"x": LaurentPoly(), "y": LaurentPoly({(0, 0, 0, 0): c}), "q": u}
+    values = {"x": LaurentPoly(), "y": LaurentPoly({(0, 0, 0): c}), "t": u}
     result = a.substitute(values)
     assert_settled(result)
     assert result == reference_substitute(a, values)
     assert matches_sympy(a, values, result)
-    assert a.substitute({"x": 0, "y": c, "q": u}) == result
+    assert a.substitute({"x": 0, "y": c, "t": u}) == result
 
 
 @given(laurent_polys(exps=exponents(-3, -1, slots=("x",)), max_terms=3).filter(bool),
@@ -247,11 +245,11 @@ def test_divide_exact_by_monomial_matches_sympy(a, exp, coeff):
 
 def test_division_promotes_only_non_integral_values():
     half = (2 * X).divide_exact(4)
-    assert half.terms() == {(1, 0, 0, 0): Fraction(1, 2)}
-    assert type((4 * X).divide_exact(2).terms()[(1, 0, 0, 0)]) is int
-    assert type((2 * X).divide_exact(Fraction(2, 3)).terms()[(1, 0, 0, 0)]) is int
-    assert LaurentPoly({(0, 0, 0, 0): Fraction(6, 3)}).terms() == {(0, 0, 0, 0): 2}
-    assert type(LaurentPoly({(0, 0, 0, 0): Fraction(6, 3)}).terms()[(0, 0, 0, 0)]) is int
+    assert half.terms() == {(1, 0, 0): Fraction(1, 2)}
+    assert type((4 * X).divide_exact(2).terms()[(1, 0, 0)]) is int
+    assert type((2 * X).divide_exact(Fraction(2, 3)).terms()[(1, 0, 0)]) is int
+    assert LaurentPoly({(0, 0, 0): Fraction(6, 3)}).terms() == {(0, 0, 0): 2}
+    assert type(LaurentPoly({(0, 0, 0): Fraction(6, 3)}).terms()[(0, 0, 0)]) is int
 
 
 # -- the closed-form binomial expansion ------------------------------------------

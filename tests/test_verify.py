@@ -1,4 +1,25 @@
-from demimat import verify
+import dataclasses
+import inspect
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given
+
+from demimat import core, hamming, ops, tutte, verify, weights
+from demimat.core import RankTable
+from demimat.poly import X
+
+from strategies import all_demimatroids, demimatroid_tables
+
+NAMES = (
+    "operator_group", "rank_complement", "supplement_routes", "minor_duality",
+    "lattice_laws", "wei_duality", "wei_bounds", "wei_sequence_roundtrip",
+    "elongation_laws", "tutte_identities", "hamming_routes", "macwilliams",
+    "coefficient_structure",
+)
 
 
 def test_battery_all_identities_pass():
@@ -12,3 +33,118 @@ def test_battery_all_identities_pass():
     payload = report.as_dict()
     assert payload["ok"] is True
     assert set(payload["identities"]) == set(verify.IDENTITIES)
+
+
+def test_the_registry_holds_plain_predicates_in_a_fixed_order():
+    assert tuple(verify.IDENTITIES) == NAMES
+    for check in verify.IDENTITIES.values():
+        assert check.__name__ != "<lambda>"
+        assert len(inspect.signature(check).parameters) == 1
+
+
+@pytest.mark.parametrize("name", NAMES)
+@given(table=demimatroid_tables(max_n=5))
+def test_identity_holds(name, table):
+    assert verify.IDENTITIES[name](table) is True
+
+
+def test_the_battery_runs_on_the_empty_ground_set():
+    assert verify.run_battery(seed=1, n=0, samples=3).ok
+
+
+# -- the exhaustive walk ------------------------------------------------------------
+
+
+def test_the_walk_lists_every_small_demimatroid_once():
+    # Matroid counts are OEIS A058673, the labelled matroids on n elements.
+    for n, (total, matroids) in enumerate([(1, 1), (2, 2), (6, 5), (38, 16), (990, 68)]):
+        tables = list(all_demimatroids(n))
+        assert len({table.ranks for table in tables}) == len(tables) == total
+        assert all(table.is_demimatroid for table in tables)
+        assert sum(table.kind == core.MATROID for table in tables) == matroids
+
+
+def test_every_identity_holds_on_every_demimatroid_up_to_n4():
+    failures = []
+    for n in range(5):
+        for table in all_demimatroids(n):
+            for name, check in verify.IDENTITIES.items():
+                try:
+                    verdict = check(table)
+                except Exception as exc:  # name the witness, keep walking
+                    verdict = exc
+                if verdict is not True:
+                    failures.append((name, table.ranks, verdict))
+    assert not failures
+
+
+# -- planted faults -------------------------------------------------------------------
+
+
+def _off_by_x(fn):
+    return lambda *args, **kwargs: fn(*args, **kwargs) + X
+
+
+# For each identity, one library function it uses and a fault in it:
+# (module, attribute, original -> faulty replacement).  Each faulty table
+# still has rho(empty) = 0, so the identity fails, not the table builder.
+FAULTS = {
+    "operator_group": (ops, "apply_operator",  # the nullity tag applies the supplement
+                       lambda f: lambda tag, t: f(
+                           ops.SUPPLEMENT if tag == ops.NULLITY else tag, t)),
+    "rank_complement": (ops, "dual", lambda f: ops.supplement),
+    "supplement_routes": (ops, "supplement", lambda f: ops.dual),
+    "minor_duality": (ops, "contract", lambda f: ops.delete),
+    "lattice_laws": (ops, "meet", lambda f: ops.join),
+    "wei_duality": (weights, "wei_hierarchy",  # each lower number one too large
+                    lambda f: lambda t: dataclasses.replace(
+                        f(t), d=tuple(v + 1 for v in f(t).d))),
+    "wei_bounds": (weights, "min_size_at_nullity", lambda f: lambda t, r: f(t, r) + 1),
+    "wei_sequence_roundtrip": (core, "from_wei_sequence", lambda f: lambda n, d: f(n, d[1:])),
+    "elongation_laws": (ops, "elongate",  # one step too far, within range
+                        lambda f: lambda t, i: f(t, min(i + 1, t.total_nullity))),
+    "tutte_identities": (tutte, "whitney_f", _off_by_x),
+    "hamming_routes": (hamming, "hamming_subset_sum", _off_by_x),
+    "macwilliams": (hamming, "macwilliams_transform", _off_by_x),
+    "coefficient_structure": (hamming, "q_binomial", _off_by_x),
+}
+
+# Rank 2 and nullity 3, and not a matroid, so no fault above is masked.
+TARGET = core.random_demimatroid(5, random.Random(2)).ranks
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_planted_fault_makes_the_identity_fail(name, monkeypatch):
+    check = verify.IDENTITIES[name]
+    assert check(RankTable.build(5, TARGET))
+    module, attribute, fault = FAULTS[name]
+    monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
+    try:  # a fresh table, so no memoized value hides the fault
+        verdict = check(RankTable.build(5, TARGET))
+    except Exception:
+        verdict = False
+    assert verdict is False
+
+
+def test_a_witness_alone_reproduces_its_failure(monkeypatch):
+    # A fault that only some partners meet: contracting three or more
+    # elements deletes them instead.
+    contract = ops.contract
+    monkeypatch.setattr(ops, "contract", lambda t, a: (
+        ops.delete(t, a) if core.popcount(a) >= 3 else contract(t, a)))
+    result = verify.run_battery(seed=1, n=5, samples=20).identities["minor_duality"]
+    assert result.passes and result.failures
+    for witness in result.failures:
+        assert verify.IDENTITIES["minor_duality"](RankTable.build(5, witness["ranks"])) is False
+
+
+def test_partners_are_the_same_in_every_process():
+    # ``hash`` of a str follows PYTHONHASHSEED; a partner seed must not.
+    code = ("from demimat import core, verify; "
+            "print(verify._partners(core.uniform(4, 2)).random())")
+    drawn = {
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2")
+    }
+    assert len(drawn) == 1
