@@ -2,10 +2,11 @@
 
 Verbs: compute, verify, op, from-code, from-facets, from-graph, from-wei.
 Exit codes: 0 ok, 1 invariant/verification failure, 2 usage or input error
-(an input over the ground-set cap is an input error).  A ``compute`` block
-whose invariant the input's kind does not have (a KindError or
-RationalFunctionError), or whose route is over the homology cap (a
-SizeCapError, which the Betti route raises before any work), reports
+(an input over the ground-set cap is an input error), 141 (128 + SIGPIPE)
+when the reader closes stdout before the report is written, with nothing on
+stderr.  A ``compute`` block whose invariant the input's kind does not have
+(a KindError or RationalFunctionError), or whose route is over the homology
+cap (a SizeCapError, which the Betti route raises before any work), reports
 ``{"error": ..., "detail": ...}`` in its own place and leaves the exit code
 alone; so does each entry of the Hamming block's ``routes``, so a
 combinatroid, which has no Betti route, still gets its W.
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -134,7 +136,7 @@ def _emit(payload: dict, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed pipe raises here, inside ``main``
 
 
 def _field_from_flag(flag: str) -> simplicial.FieldSpec:
@@ -541,6 +543,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

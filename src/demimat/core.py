@@ -253,20 +253,18 @@ def _kind(n: int, ranks: Sequence[int]) -> str:
     return MATROID if submodular else DEMIMATROID
 
 
-class _FrozenCounts(Mapping):
-    """A read-only mapping that pickles, unlike ``types.MappingProxyType``."""
+class _FrozenCounts(dict):
+    """A read-only dict: reads run at C speed, every mutator raises
+    TypeError, and it pickles, unlike ``types.MappingProxyType``."""
 
-    def __init__(self, counts: Mapping):
-        self._counts = dict(counts)
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a size-rank profile is read-only")
 
-    def __getitem__(self, key):
-        return self._counts[key]
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
-    def __iter__(self):
-        return iter(self._counts)
-
-    def __len__(self) -> int:
-        return len(self._counts)
+    def __reduce__(self):
+        return _FrozenCounts, (dict(self),)
 
 
 def _size_rank_profile(n: int, ranks: Sequence[int]) -> Mapping[tuple[int, int], int]:

@@ -3,7 +3,9 @@ the coefficient polynomials P_j and A_j, and the generalized q-enumerators.
 
 W is homogeneous of degree n in (x, y); the t slot doubles as the q of the
 generalized enumerators, so a single variable stores both and the caller
-chooses how to print it.
+chooses how to print it.  MacWilliams, the Tutte recovery and the
+definition route of the W^(r) are changes of variables written in closed
+form, one pass over W's terms into one term dict.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .poly import (
     binomial_expansion,
     cross_checked,
     monomial,
-    one,
     poly_sum,
     q_binomial,
     term_sum,
@@ -155,8 +156,22 @@ def w_from_pj(table: RankTable) -> LaurentPoly:
 
 
 def macwilliams_transform(w: LaurentPoly, eta: int) -> LaurentPoly:
-    """t^(-eta) W(x + (t-1) y, x - y, t)."""
-    return w.substitute({"x": X + (T - 1) * Y, "y": X - Y}) * monomial(1, t=-eta)
+    """t^(-eta) W(x + (t-1) y, x - y, t), expanded in closed form.
+
+    Since x + (t-1) y = (x - y) + ty, a term x^a y^b t^e maps to
+    sum_i C(a, i) y^i t^(e+i-eta) (x-y)^(a+b-i).  The terms are gathered by
+    (i, t exponent, (x-y) exponent) first, so each power of (x - y) is
+    written once per group from its binomial row.  A negative power of x or
+    y has no Laurent image and raises UnsupportedSubstitutionError.
+    """
+    groups: dict[tuple[int, int, int], int] = {}
+    for (a, b, e), c in tutte_mod.expandable_terms(w, x="x + (t-1)y", y="x - y").items():
+        for i in range(a + 1):
+            key = (i, e + i - eta, a + b - i)
+            groups[key] = groups.get(key, 0) + c * comb(a, i)
+    return binomial_expansion(
+        (c, {"y": i, "t": e}, (("x", "y", k),)) for (i, e, k), c in groups.items()
+    )
 
 
 def macwilliams(table: RankTable) -> LaurentPoly:
@@ -169,11 +184,19 @@ def macwilliams(table: RankTable) -> LaurentPoly:
 
 def tutte_from_hamming(table: RankTable) -> LaurentPoly:
     """Recover T(x,y) = (x-1)^(-eta) x^n W(1, 1/x, (x-1)(y-1)); cross-checked
-    against the corank-nullity expansion."""
+    against the corank-nullity expansion.
+
+    x^n times the image of a term x^a y^b t^e is x^(n-b) (x-1)^e (y-1)^e,
+    written from binomial rows; the sum is then divided exactly by
+    (x-1)^eta.  A negative t power has no Laurent image and raises
+    UnsupportedSubstitutionError.
+    """
     table.require_demimatroid("Tutte recovery")
-    w = hamming_subset_sum(table)
-    s = w.substitute({"x": 1, "y": monomial(1, x=-1), "t": (X - 1) * (Y - 1)})
-    cleared = monomial(1, x=table.n) * s
+    n = table.n
+    cleared = binomial_expansion(
+        (c, {"x": n - b}, (("x", None, e), ("y", None, e)))
+        for (_, b, e), c in hamming_subset_sum(table).terms().items()
+    )
     recovered = cleared.divide_exact((X - 1) ** table.total_nullity)
     return cross_checked("Tutte polynomial", "Hamming", recovered,
                          "corank-nullity", tutte_mod.tutte(table))
@@ -225,9 +248,14 @@ def a_coefficients(table: RankTable) -> tuple[int, dict[int, LaurentPoly]]:
 def _checked_a_coefficients(
     table: RankTable, w: LaurentPoly, delta: int, c: int
 ) -> dict[int, LaurentPoly]:
+    # A_j is the t polynomial multiplying x^(n-j) y^j: group W's terms by
+    # their (x, y) exponents once.
     n = table.n
-    coeffs = {j: w.coefficient(x=n - j, y=j) for j in range(1, n + 1)}
-    if w.coefficient(x=n, y=0) != 1:
+    groups: dict[tuple[int, int], list] = {}
+    for (a, b, e), coeff in w.terms().items():
+        groups.setdefault((a, b), []).append(((0, 0, e), coeff))
+    coeffs = {j: term_sum(groups.get((n - j, j), ())) for j in range(1, n + 1)}
+    if term_sum(groups.get((n, 0), ())) != 1:
         raise InvariantViolationError("leading coefficient of W is not x^n")
     for j in range(1, delta):
         if not coeffs[j].is_zero:
@@ -246,13 +274,19 @@ def _checked_a_coefficients(
 
 
 def _combine_t_powers(r: int, w_at: Sequence[LaurentPoly]) -> LaurentPoly:
-    """The definition of W^(r) from W(x, y, t^j) for j = 0 .. r."""
-    total = zero()
-    for j in range(r + 1):
-        sign = (-1) ** (r - j)
-        prefactor = q_binomial(r, j) * monomial(sign, t=comb(r - j, 2))
-        total = total + prefactor * w_at[j]
-    return total.divide_exact(angle(r))
+    """The definition of W^(r) from W(x, y, t^j) for j = 0 .. r:
+
+        sum_j (-1)^(r-j) t^C(r-j, 2) [r, j]_t W(x, y, t^j), over <r>_t.
+
+    The numerator is one term sum over j, the q-binomial's terms and the
+    terms of W(x, y, t^j); the division by <r>_t is exact.
+    """
+    return term_sum(
+        ((a, b, e + k + comb(r - j, 2)), (-1) ** (r - j) * d * c)
+        for j in range(r + 1)
+        for (_, _, k), d in q_binomial(r, j).terms().items()
+        for (a, b, e), c in w_at[j].terms().items()
+    ).divide_exact(angle(r))
 
 
 def _check_route(route: str) -> None:
@@ -325,20 +359,23 @@ def conjecture_check(table: RankTable) -> ConjectureReport:
 
         T(x,y) =? x^n (x-1)^(k-n) * sum_r prod_{j<r}((x-1)(y-1) - q^j) W^(r)(1, 1/x, q)
 
-    Returns the equality flag with the residual (rhs - T); inputs on which
-    the Laurent clearing fails are reported, not raised.
+    The sum is evaluated in Horner form: with u = (x-1)(y-1) and
+    E_r = W^(r)(1, 1/x, q), it is E_0 + (u - 1)(E_1 + (u - q)(E_2 + ...)),
+    so each E_r meets one product instead of a growing one.  Returns the
+    equality flag with the residual (rhs - T); inputs on which the Laurent
+    clearing fails are reported, not raised.
     """
     table.require_demimatroid("conjecture check")
     n = table.n
     k = table.rank
     try:
         expected = tutte_mod.tutte(table)
+        u = (X - 1) * (Y - 1)
         rhs = zero()
-        prod = one()
-        for r, wr in enumerate(generalized_w_all(table)):
-            evaluated = wr.substitute({"x": 1, "y": monomial(1, x=-1)})
-            rhs = rhs + prod * evaluated
-            prod = prod * ((X - 1) * (Y - 1) - monomial(1, t=r))
+        family = generalized_w_all(table)
+        for r in reversed(range(len(family))):
+            evaluated = family[r].substitute({"x": 1, "y": monomial(1, x=-1)})
+            rhs = evaluated + (u - monomial(1, t=r)) * rhs
         rhs = (monomial(1, x=n) * rhs).divide_exact((X - 1) ** (n - k))
     except (
         InexactDivisionError,

@@ -131,14 +131,14 @@ def join(a: RankTable, b: RankTable) -> RankTable:
     """Pointwise maximum; demimatroids are closed under join."""
     if a.n != b.n:
         raise MalformedInputError("join needs tables on the same ground set")
-    return RankTable.build(a.n, [max(x, y) for x, y in zip(a.ranks, b.ranks)])
+    return RankTable.build(a.n, map(max, a.ranks, b.ranks))
 
 
 def meet(a: RankTable, b: RankTable) -> RankTable:
     """Pointwise minimum; demimatroids are closed under meet."""
     if a.n != b.n:
         raise MalformedInputError("meet needs tables on the same ground set")
-    return RankTable.build(a.n, [min(x, y) for x, y in zip(a.ranks, b.ranks)])
+    return RankTable.build(a.n, map(min, a.ranks, b.ranks))
 
 
 def lattice_bottom(n: int) -> RankTable:

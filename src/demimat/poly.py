@@ -20,7 +20,15 @@ the coefficients.
 ``binomial_expansion`` writes products of powers of binomials such as
 (x-y)^m or (x-1)^a (y-1)^b straight from cached rows of ``math.comb``
 values, without repeated multiplication or intermediate polynomials.  The
-q-analogue tables ``q_binomial`` and ``angle`` are cached per argument tuple;
+changes of variables in ``hamming`` and ``tutte`` (MacWilliams, the Tutte
+recovery, the Tutte side of the characteristic polynomial, f and h, the
+definition route of the W^(r) and the recovery sum) are closed forms built
+on it and on ``term_sum``: one pass over the source terms into one term
+dict, with no call to ``substitute``.  ``substitute`` stays the general
+tool, the tests' oracle for those closed forms, and the one expansion left
+where a closed form would restate its own check (the battery's
+f(x-1, y-1) == T, whose right side is built from the same binomial rows).
+The q-analogue tables ``q_binomial`` and ``angle`` are cached per argument tuple;
 sharing one value between callers is safe because no operation aliases or
 mutates an operand's terms.
 

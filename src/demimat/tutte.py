@@ -3,7 +3,9 @@
 The corank-nullity sum is accumulated in the (x-1, y-1) basis first: the
 exponent pair of a subset A is (rho(E) - rho(A), |A| - rho(A)), which depends
 only on |A| and rho(A), so the pairs are read off the table's size-rank
-profile and the binomial expansion happens once per distinct pair.
+profile and the binomial expansion happens once per distinct pair.  The
+evaluations T(1-t, 0) and T(t+1, 1) and h(t) = f(t-1) are written in closed
+form, from binomial rows or one term sum, not by ``LaurentPoly.substitute``.
 """
 
 from __future__ import annotations
@@ -12,19 +14,34 @@ from math import comb
 
 from . import core, ops
 from .core import Complex, RankTable, per_table
-from .errors import MalformedInputError, RationalFunctionError
+from .errors import MalformedInputError, RationalFunctionError, UnsupportedSubstitutionError
 from .poly import (
-    T,
     X,
     Y,
     LaurentPoly,
     binomial_expansion,
     constant,
     cross_checked,
-    monomial,
     term_sum,
-    zero,
 )
+
+
+def expandable_terms(p: LaurentPoly, **images: str) -> dict:
+    """``p``'s terms, once no variable named in ``images`` has a negative
+    exponent.
+
+    A closed-form change of variables writes each such variable's image, a
+    polynomial that is not a monomial, as a binomial power; a negative power
+    of it has no Laurent expansion and raises UnsupportedSubstitutionError,
+    as ``LaurentPoly.substitute`` would.
+    """
+    for name, image in images.items():
+        low = p.min_exponent(name)
+        if low < 0:
+            raise UnsupportedSubstitutionError(
+                f"cannot expand {image} to the negative power {low} of {name}"
+            )
+    return p.terms()
 
 
 def corank_nullity_counts(table: RankTable) -> dict[tuple[int, int], int]:
@@ -88,12 +105,16 @@ def characteristic(table: RankTable) -> LaurentPoly:
     """Characteristic polynomial, computed two ways and cross-checked.
 
     Subset sum of (-1)^|X| t^(rho(E)-rho(X)) against the Tutte evaluation
-    (-1)^rho(E) T(1-t, 0).
+    (-1)^rho(E) T(1-t, 0): the terms x^a with no y become (1-t)^a, written
+    from binomial rows, and the others vanish.
     """
     table.require_demimatroid("characteristic polynomial")
     k = table.rank
     direct = term_sum(((0, 0, k - r), (-1) ** s * c) for (s, r), c in table.profile.items())
-    via_tutte = (-1) ** k * tutte(table).substitute({"x": 1 - T, "y": 0})
+    terms = expandable_terms(tutte(table), x="1 - t", y="0")
+    via_tutte = binomial_expansion(
+        ((-1) ** k * c, {"t": e}, ((None, "t", a),)) for (a, b, e), c in terms.items() if not b
+    )
     return cross_checked("characteristic polynomial", "subset-sum", direct, "Tutte", via_tutte)
 
 
@@ -129,8 +150,15 @@ def f_polynomial(cx: Complex) -> LaurentPoly:
 
 def f_polynomial_via_tutte(cx: Complex) -> LaurentPoly:
     """The same polynomial as T(t+1, 1) of the associated demimatroid;
-    cross-checked against the face counts."""
-    via_tutte = tutte(core.complex_to_demimatroid(cx)).substitute({"x": T + 1, "y": 1})
+    cross-checked against the face counts.
+
+    A Tutte term x^a y^b becomes (t+1)^a = sum_i C(a, i) t^i, gathered in
+    one term sum.
+    """
+    terms = expandable_terms(tutte(core.complex_to_demimatroid(cx)), x="t + 1")
+    via_tutte = term_sum(
+        ((0, 0, e + i), c * comb(a, i)) for (a, _, e), c in terms.items() for i in range(a + 1)
+    )
     return cross_checked("f-polynomial", "Tutte", via_tutte, "face-count", f_polynomial(cx))
 
 
@@ -139,25 +167,27 @@ def f_polynomial_via_hamming(cx: Complex) -> LaurentPoly:
 
         (u+1)^n u^(-eta) W(1, (u+1)^(-1), 0)
 
-    realized by collecting W's coefficients and clearing (u+1) powers, so no
-    genuine rational function ever appears.  Cross-checked against the face
-    counts.
+    realized on W's t^0 terms, so no genuine rational function ever appears:
+    with W homogeneous of degree n, a term x^a y^(n-a) becomes
+    sum_i C(a, i) t^(i-eta), gathered in one term sum.  A negative t power
+    has no value at t = 0 and raises UnsupportedSubstitutionError.
+    Cross-checked against the face counts.
     """
     from . import hamming  # local import; hamming depends on this module
 
     table = core.complex_to_demimatroid(cx)
-    n = table.n
     eta = table.total_nullity
-    w0 = hamming.hamming_subset_sum(table).substitute({"t": 0})
-    total = zero()
-    for j in range(n + 1):
-        c = w0.coefficient(x=n - j, y=j)
-        if not c.is_zero:
-            total = total + c * (T + 1) ** (n - j)
-    return cross_checked("f-polynomial", "Hamming", total.divide_exact(monomial(1, t=eta)),
-                         "face-count", f_polynomial(cx))
+    terms = expandable_terms(hamming.hamming_subset_sum(table), t="0")
+    total = term_sum(
+        ((0, 0, i - eta), c * comb(a, i))
+        for (a, _, e), c in terms.items() if not e for i in range(a + 1)
+    )
+    return cross_checked("f-polynomial", "Hamming", total, "face-count", f_polynomial(cx))
 
 
 def h_polynomial(cx: Complex) -> LaurentPoly:
-    """h(t) = f(t-1)."""
-    return f_polynomial(cx).substitute({"t": T - 1})
+    """h(t) = f(t-1), each term c t^e written as the binomial row c (t-1)^e."""
+    return binomial_expansion(
+        (c, {"x": a, "y": b}, (("t", None, e),))
+        for (a, b, e), c in f_polynomial(cx).terms().items()
+    )

@@ -1,5 +1,8 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from demimat.errors import InvariantViolationError
 from demimat.poly import T, X, Y
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -555,3 +559,18 @@ def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys
             assert sum(map(len, layers)) <= 2 ** (core.popcount(sigma) - 1)
     reduced_count = sum(reduced for _, reduced in homology_calls)
     assert (reduced_count, len(visited) - reduced_count) == (34, 111)
+
+
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    # The pipe's read end closes before the battery writes its report, as
+    # ``demimat verify ... | head -c 1`` does once head has its byte.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "demimat", "verify", "--seed", "2", "--n", "7", "--samples", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""

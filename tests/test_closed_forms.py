@@ -1,0 +1,195 @@
+"""Closed-form changes of variables against the generic expressions they replace.
+
+MacWilliams, the Tutte recovery, the Tutte side of the characteristic
+polynomial, both f-polynomial routes, h, the definition route of the W^(r),
+the A_j and the recovery sum are each written straight from binomial rows
+or one term sum.  Each oracle below is the earlier generic expression, built
+with ``LaurentPoly.substitute`` or with chains of ``*`` and ``+``, and must
+give the same polynomial on every fixture and on hypothesis tables.  The
+guard tests pin where the generic expansion still runs.
+"""
+
+from math import comb
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from demimat import cli, core, hamming, poly, tutte
+from demimat.errors import (
+    InexactDivisionError,
+    RationalFunctionError,
+    UnsupportedSubstitutionError,
+)
+from demimat.poly import T, X, Y, angle, monomial, one, q_binomial, zero
+from strategies import demimatroid_tables, exponents, laurent_polys
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_PATHS = sorted(FIXTURES.glob("*.json"))
+
+
+# -- the generic expressions, as the routes computed them before -----------------
+
+
+def macwilliams_by_substitution(w, eta):
+    return w.substitute({"x": X + (T - 1) * Y, "y": X - Y}) * monomial(1, t=-eta)
+
+
+def tutte_from_hamming_by_substitution(table):
+    w = hamming.hamming_subset_sum(table)
+    s = w.substitute({"x": 1, "y": monomial(1, x=-1), "t": (X - 1) * (Y - 1)})
+    cleared = monomial(1, x=table.n) * s
+    return cleared.divide_exact((X - 1) ** table.total_nullity)
+
+
+def characteristic_by_substitution(table):
+    k = table.rank
+    return (-1) ** k * tutte.tutte(table).substitute({"x": 1 - T, "y": 0})
+
+
+def f_via_tutte_by_substitution(cx):
+    return tutte.tutte(core.complex_to_demimatroid(cx)).substitute({"x": T + 1, "y": 1})
+
+
+def f_via_hamming_by_substitution(cx):
+    table = core.complex_to_demimatroid(cx)
+    n = table.n
+    eta = table.total_nullity
+    w0 = hamming.hamming_subset_sum(table).substitute({"t": 0})
+    total = zero()
+    for j in range(n + 1):
+        c = w0.coefficient(x=n - j, y=j)
+        if not c.is_zero:
+            total = total + c * (T + 1) ** (n - j)
+    return total.divide_exact(monomial(1, t=eta))
+
+
+def h_by_substitution(cx):
+    return tutte.f_polynomial(cx).substitute({"t": T - 1})
+
+
+def combine_t_powers_by_products(r, w_at):
+    total = zero()
+    for j in range(r + 1):
+        sign = (-1) ** (r - j)
+        prefactor = q_binomial(r, j) * monomial(sign, t=comb(r - j, 2))
+        total = total + prefactor * w_at[j]
+    return total.divide_exact(angle(r))
+
+
+def a_coefficients_by_coefficient(table, w):
+    n = table.n
+    return {j: w.coefficient(x=n - j, y=j) for j in range(1, n + 1)}
+
+
+def recovery_sum_by_products(table):
+    n = table.n
+    k = table.rank
+    rhs = zero()
+    prod = one()
+    for r, wr in enumerate(hamming.generalized_w_all(table)):
+        evaluated = wr.substitute({"x": 1, "y": monomial(1, x=-1)})
+        rhs = rhs + prod * evaluated
+        prod = prod * ((X - 1) * (Y - 1) - monomial(1, t=r))
+    return (monomial(1, x=n) * rhs).divide_exact((X - 1) ** (n - k))
+
+
+# -- one check per route, run on fixtures and on hypothesis tables ------------------
+
+
+def check_table_routes(table):
+    """Every table route equals its oracle on a demimatroid ``table``."""
+    w = hamming.hamming_subset_sum(table)
+    eta = table.total_nullity
+    assert hamming.macwilliams_transform(w, eta) == macwilliams_by_substitution(w, eta)
+    assert hamming.tutte_from_hamming(table) == tutte_from_hamming_by_substitution(table)
+    assert tutte.characteristic(table) == characteristic_by_substitution(table)
+    w_at = [hamming._w_via_tutte_terms(table, j) for j in range(eta + 1)]
+    for r in range(eta + 1):
+        assert (hamming._combine_t_powers(r, w_at)
+                == combine_t_powers_by_products(r, w_at)), r
+    if eta:
+        _, a = hamming.a_coefficients(table)
+        assert a == a_coefficients_by_coefficient(table, w)
+    try:
+        expected = recovery_sum_by_products(table)
+    except (InexactDivisionError, UnsupportedSubstitutionError, RationalFunctionError):
+        assert hamming.conjecture_check(table).error is not None
+    else:
+        verdict = hamming.conjecture_check(table)
+        assert verdict.error is None
+        assert verdict.residual == expected - tutte.tutte(table)
+
+
+def check_complex_routes(cx):
+    """The f- and h-routes equal their oracles on the complex ``cx``."""
+    assert tutte.f_polynomial_via_tutte(cx) == f_via_tutte_by_substitution(cx)
+    assert tutte.f_polynomial_via_hamming(cx) == f_via_hamming_by_substitution(cx)
+    assert tutte.h_polynomial(cx) == h_by_substitution(cx)
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda path: path.stem)
+def test_closed_forms_match_the_generic_expressions_on_fixtures(path):
+    loaded = cli.load_input(str(path))
+    check_table_routes(loaded.table)
+    check_complex_routes(loaded.cx or core.independence_complex(loaded.table))
+
+
+@given(demimatroid_tables(max_n=6))
+def test_closed_forms_match_the_generic_expressions_on_demimatroids(table):
+    check_table_routes(table)
+    check_complex_routes(core.independence_complex(table))
+
+
+@given(laurent_polys(exps=exponents(-2, 4)), st.integers(-3, 3))
+def test_macwilliams_matches_substitution_on_laurent_polys(w, eta):
+    try:
+        expected = macwilliams_by_substitution(w, eta)
+    except UnsupportedSubstitutionError:
+        with pytest.raises(UnsupportedSubstitutionError):
+            hamming.macwilliams_transform(w, eta)
+    else:
+        assert hamming.macwilliams_transform(w, eta) == expected
+
+
+def test_a_negative_power_of_a_substituted_binomial_raises():
+    with pytest.raises(UnsupportedSubstitutionError):
+        hamming.macwilliams_transform(monomial(1, x=3, y=-1), 0)
+    with pytest.raises(UnsupportedSubstitutionError):
+        hamming.macwilliams_transform(monomial(1, x=-1, y=3), 0)
+    w = monomial(1, x=2, y=1)
+    assert hamming.macwilliams_transform(w * monomial(1, t=-2), 1) == (
+        macwilliams_by_substitution(w, 1) * monomial(1, t=-2))
+
+
+# -- where the generic expansion still runs -----------------------------------------
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """How many times ``LaurentPoly.substitute`` expands non-monomial images."""
+    calls = []
+    original = poly._expand_images
+
+    def counting(terms, values):
+        calls.append(values)
+        return original(terms, values)
+
+    monkeypatch.setattr(poly, "_expand_images", counting)
+    return calls
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda path: path.stem)
+def test_compute_all_never_expands_a_generic_substitution(path, expansions, capsys):
+    assert cli.main(["compute", "--in", str(path), "--all"]) == 0
+    capsys.readouterr()
+    assert expansions == []
+
+
+def test_the_battery_expands_one_generic_substitution_per_sample(expansions, capsys):
+    # The Whitney identity f(x-1, y-1) == T stays generic: its right side is
+    # built from the same binomial rows a closed form would use.
+    assert cli.main(["verify", "--seed", "1", "--n", "5", "--samples", "7"]) == 0
+    capsys.readouterr()
+    assert len(expansions) == 7
