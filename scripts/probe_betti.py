@@ -2,10 +2,11 @@
 """Time the Betti route to W on inputs larger than the fixtures.
 
 Prints JSON with the CPU time of ``simplicial.w_via_betti`` (over Q) on
-``core.random_demimatroid(n, random.Random(seed))`` for n = 10, 12 and 14
-and on ``core.uniform(n, n // 2)`` for n = 12, 14 and 16, keeping the
-inputs with n <= --max-n (default 14, so ``uniform(16,8)`` runs only with
-``--max-n 16``).  Each call checks its W against the subset sum, so a wrong
+``core.random_demimatroid(n, random.Random(seed))`` for n = 10, 12, 14, 15
+and 16 and on ``core.uniform(n, n // 2)`` for n = 12, 14 and 16, keeping
+the inputs with n <= --max-n (default 14, so random n = 15 and 16 and
+``uniform(16,8)`` run only with ``--max-n 16``; the two random ones take
+minutes).  Each call checks its W against the subset sum, so a wrong
 Betti table raises and the script exits nonzero.
 
     python scripts/probe_betti.py --max-n 12
@@ -27,7 +28,9 @@ INPUTS = (
     ("uniform(12,6)", 12, lambda: core.uniform(12, 6)),
     ("random n=14 seed=1", 14, lambda: core.random_demimatroid(14, random.Random(1))),
     ("uniform(14,7)", 14, lambda: core.uniform(14, 7)),
+    ("random n=15 seed=1", 15, lambda: core.random_demimatroid(15, random.Random(1))),
     ("uniform(16,8)", 16, lambda: core.uniform(16, 8)),
+    ("random n=16 seed=1", 16, lambda: core.random_demimatroid(16, random.Random(1))),
 )
 
 

@@ -342,10 +342,11 @@ def per_table(fn: Callable) -> Callable:
 
     Tables never change, so each value is computed once per table object.
     Any other immutable object with an instance dict can carry a memo too: a
-    ``Complex`` carries its demimatroid.  The arguments after the table all
-    have defaults and are passed positionally; one left out is keyed by its
-    default.  Values are immutable; an exception is raised afresh on every
-    call, never stored.
+    ``Complex`` carries its demimatroid.  The arguments after the table are
+    passed positionally, and the key is their tuple; a trailing argument
+    that has a default and is left out is keyed by that default, so both
+    spellings share one entry.  Values are immutable; an exception is raised
+    afresh on every call, never stored.
     """
     defaults = tuple(p.default for p in inspect.signature(fn).parameters.values())[1:]
     name = f"{fn.__module__}.{fn.__qualname__}"  # a name, so a table still pickles

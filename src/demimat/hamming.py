@@ -5,13 +5,15 @@ W is homogeneous of degree n in (x, y); the t slot doubles as the q of the
 generalized enumerators, so a single variable stores both and the caller
 chooses how to print it.  MacWilliams, the Tutte recovery and the
 definition route of the W^(r) are changes of variables written in closed
-form, one pass over W's terms into one term dict.
+form, one pass over W's terms into one term dict; the deletion-contraction
+recurrence is one pass over the profiles of both minors.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from typing import Sequence
 
@@ -41,6 +43,16 @@ from .poly import (
 )
 
 
+def _subset_sum_items(table: RankTable, dy: int = 0, dt: int = 0, dk: int = 0):
+    """``binomial_expansion`` items of y^dy t^dt (x-y)^dk W(table), one per
+    (size, rank) pair of the profile."""
+    n = table.n
+    return (
+        (c, {"y": s + dy, "t": s - r + dt}, (("x", "y", n - s + dk),))
+        for (s, r), c in table.profile.items()
+    )
+
+
 @per_table
 def hamming_subset_sum(table: RankTable) -> LaurentPoly:
     """W as the sum of (x-y)^(n-|X|) y^|X| t^(eta(X)) over all subsets X.
@@ -50,11 +62,7 @@ def hamming_subset_sum(table: RankTable) -> LaurentPoly:
     nullities of a general combinatroid land in negative t powers, which are
     still Laurent monomials.
     """
-    n = table.n
-    return binomial_expansion(
-        (c, {"y": s, "t": s - r}, (("x", "y", n - s),))
-        for (s, r), c in table.profile.items()
-    )
+    return binomial_expansion(_subset_sum_items(table))
 
 
 def _w_via_tutte_terms(table: RankTable, t_multiplier: int = 1) -> LaurentPoly:
@@ -203,15 +211,12 @@ def tutte_from_hamming(table: RankTable) -> LaurentPoly:
 
 
 def hamming_recurrence(table: RankTable, p: int) -> LaurentPoly:
-    """(x-y) W(M\\p) + t^(1-rho(p)) y W(M/p)."""
-    if not 1 <= p <= table.n:
-        raise MalformedInputError(f"element {p} outside ground set 1..{table.n}")
-    bit = 1 << (p - 1)
-    left = (X - Y) * hamming_subset_sum(ops.delete(table, bit))
-    right = monomial(1, t=1 - table.ranks[bit], y=1) * hamming_subset_sum(
-        ops.contract(table, bit)
-    )
-    return left + right
+    """(x-y) W(M\\p) + t^(1-rho(p)) y W(M/p), written in closed form: one
+    binomial expansion over both minors' profiles, the deletion's (x-y)
+    powers raised by one and the contraction's y and t powers shifted."""
+    deleted, contracted, _, nu = tutte_mod.deletion_contraction(table, p)
+    return binomial_expansion(chain(_subset_sum_items(deleted, dk=1),
+                                    _subset_sum_items(contracted, dy=1, dt=nu)))
 
 
 # -- formal minimum distance and A-coefficients ---------------------------------------

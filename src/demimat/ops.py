@@ -3,6 +3,11 @@
 The identity, dual, nullity and supplement operators form a Klein four-group
 acting on tables over a fixed ground set; any two of the non-identity
 operators compose to the third.
+
+Every builder here that derives one table from another (the operators,
+minors and elongations) is memoized on its source table (``per_table``), so
+the identities that meet the same image or minor share it, together with
+its own memoized values.
 """
 
 from __future__ import annotations
@@ -50,22 +55,26 @@ def dual(table: RankTable) -> RankTable:
     return RankTable.build(table.n, ranks)
 
 
+@per_table
 def nullity_operator(table: RankTable) -> RankTable:
     """rho°(X) = |X| - rho(X)."""
     return RankTable.build(table.n, list(map(sub, _sizes(table), table.ranks)))
 
 
+@per_table
 def supplement(table: RankTable) -> RankTable:
     """rho&(X) = rho(E) - rho(E\\X)."""
     k = table.rank
     return RankTable.build(table.n, [k - r for r in table.ranks[::-1]])
 
 
+# Each operator is looked up by name when applied, so a replaced builder is
+# the one every caller sees.
 _APPLY = {
     IDENTITY: lambda t: t,
-    DUAL: dual,
-    NULLITY: nullity_operator,
-    SUPPLEMENT: supplement,
+    DUAL: lambda t: dual(t),
+    NULLITY: lambda t: nullity_operator(t),
+    SUPPLEMENT: lambda t: supplement(t),
 }
 
 
@@ -102,6 +111,7 @@ def surviving_labels(n: int, removed: int) -> tuple[int, ...]:
     return tuple(e for e in range(1, n + 1) if not removed & (1 << (e - 1)))
 
 
+@per_table
 def delete(table: RankTable, removed: int) -> RankTable:
     """Restriction of the rank function to E \\ removed, indices compacted.
 
@@ -115,6 +125,7 @@ def delete(table: RankTable, removed: int) -> RankTable:
     return RankTable.build(table.n - popcount(removed), ranks)
 
 
+@per_table
 def contract(table: RankTable, removed: int) -> RankTable:
     """Contraction: rho_{M/A}(X) = rho(X | A) - rho(A), compacted as in ``delete``."""
     if removed & ~table.full:
@@ -152,6 +163,7 @@ def lattice_top(n: int) -> RankTable:
 # -- elongations --------------------------------------------------------------
 
 
+@per_table
 def elongate(table: RankTable, i: int) -> RankTable:
     """i-th elongation: rank raised by i, capped at cardinality."""
     table.require_demimatroid("elongation")

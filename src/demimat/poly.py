@@ -18,16 +18,22 @@ into one term dict (``_substitution``).  Scalar products are one map over
 the coefficients.
 
 ``binomial_expansion`` writes products of powers of binomials such as
-(x-y)^m or (x-1)^a (y-1)^b straight from cached rows of ``math.comb``
-values, without repeated multiplication or intermediate polynomials.  The
-changes of variables in ``hamming`` and ``tutte`` (MacWilliams, the Tutte
-recovery, the Tutte side of the characteristic polynomial, f and h, the
-definition route of the W^(r) and the recovery sum) are closed forms built
-on it and on ``term_sum``: one pass over the source terms into one term
-dict, with no call to ``substitute``.  ``substitute`` stays the general
-tool, the tests' oracle for those closed forms, and the one expansion left
-where a closed form would restate its own check (the battery's
-f(x-1, y-1) == T, whose right side is built from the same binomial rows).
+(x-y)^m or (x-1)^a (y-1)^b through a packed, staged kernel
+(``_binomial``): each exponent vector is one int with a fixed slot offset
+for negative exponents, each power is a cached row of ``math.comb`` values
+over packed deltas, the factors are expanded last-first with equal
+(monomial, remaining factors) keys merged between stages, and the packed
+ints are decoded once at the end.  An exponent that would leave its slot
+raises OverflowError before any term is written.  The changes of variables
+in ``hamming`` and ``tutte`` (MacWilliams, the Tutte recovery, the Tutte
+side of the characteristic polynomial, f and h, the definition route of the
+W^(r) and the recovery sum) and the deletion-contraction recurrences for T,
+W and the Whitney function are closed forms built on it and on
+``term_sum``: one pass over the source terms into one term dict, with no
+call to ``substitute``.  ``substitute`` stays the general tool, the tests'
+oracle for those closed forms, and the one expansion left where a closed
+form would restate its own check (the battery's f(x-1, y-1) == T, whose
+right side is built from the same binomial rows).
 The q-analogue tables ``q_binomial`` and ``angle`` are cached per argument tuple;
 sharing one value between callers is safe because no operation aliases or
 mutates an operand's terms.
@@ -42,9 +48,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb
 from typing import Iterable, Mapping, Sequence, Union
 
+from ._binomial import _expand
 from ._substitution import _expand_images
 from .errors import InexactDivisionError, InvariantViolationError, UnsupportedSubstitutionError
 
@@ -437,18 +443,6 @@ def cross_checked(invariant: str, left: str, a: LaurentPoly, right: str, b: Laur
     )
 
 
-@cache
-def _binomial_row(u: str | None, v: str | None, k: int) -> tuple[tuple[int, tuple], ...]:
-    """(u - v)^k as ((signed C(k, i), exponent-vector delta), ...) for i = 0 .. k."""
-    du = _ZERO_EXP if u is None else _exp_for(u, 1)
-    dv = _ZERO_EXP if v is None else _exp_for(v, 1)
-    # (u - v)^k = sum_i (-1)^i C(k, i) u^(k-i) v^i
-    return tuple(
-        ((-1) ** i * comb(k, i), tuple((k - i) * a + i * b for a, b in zip(du, dv)))
-        for i in range(k + 1)
-    )
-
-
 def binomial_expansion(
     items: Iterable[tuple[Number, Mapping[str, int], Sequence[tuple[str, str | None, int]]]],
 ) -> LaurentPoly:
@@ -456,30 +450,14 @@ def binomial_expansion(
 
     ``mono`` maps variable names to the exponents of a monomial; each factor
     (u, v, k) is the binomial u - v, with u and v variable names or None for
-    1, raised to k >= 0.  Every power is written term by term from a cached
-    row of ``math.comb`` values, so no intermediate polynomial is built.  A
-    negative k has no Laurent expansion and raises
-    UnsupportedSubstitutionError.
+    1, raised to k >= 0.  The packed, staged kernel (``_binomial``) writes
+    every power from a cached row of ``math.comb`` values, expands the
+    factors last-first and merges equal partial terms between stages, so no
+    intermediate polynomial is built.  A negative k has no Laurent expansion
+    and raises UnsupportedSubstitutionError; an exponent outside the packed
+    slot range raises OverflowError.
     """
-    out: dict[tuple, Number] = {}
-    for coeff, mono, factors in items:
-        exp = [0] * len(VARIABLES)
-        for name, e in mono.items():
-            exp[_INDEX[name]] += e
-        partial = [(tuple(exp), _exact(coeff))]
-        for u, v, k in factors:
-            if k < 0:
-                raise UnsupportedSubstitutionError(
-                    f"cannot raise {u} - {v or 1} to negative power {k}"
-                )
-            partial = [
-                ((e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2]), c1 * c2)
-                for e1, c1 in partial
-                for c2, e2 in _binomial_row(u, v, k)
-            ]
-        for e, c in partial:
-            out[e] = out.get(e, 0) + c
-    return _from_terms(_settle({e: c for e, c in out.items() if c}))
+    return _from_terms(_settle(_expand(items, _exact)))
 
 
 # -- q-analogues ---------------------------------------------------------------
@@ -529,9 +507,3 @@ def angle(m: int) -> LaurentPoly:
     for i in range(m):
         out = out * (qm - monomial(1, t=i))
     return out
-
-
-def _exp_for(var: str, e: int) -> tuple:
-    exp = [0] * len(VARIABLES)
-    exp[_INDEX[var]] = e
-    return tuple(exp)

@@ -6,10 +6,14 @@ only on |A| and rho(A), so the pairs are read off the table's size-rank
 profile and the binomial expansion happens once per distinct pair.  The
 evaluations T(1-t, 0) and T(t+1, 1) and h(t) = f(t-1) are written in closed
 form, from binomial rows or one term sum, not by ``LaurentPoly.substitute``.
+So are the deletion-contraction recurrences for T and the Whitney function:
+each is one pass over the pairs of both minors, whose exponents are shifted
+by the recurrence's powers, with no polynomial product.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
 
 from . import core, ops
@@ -50,20 +54,21 @@ def corank_nullity_counts(table: RankTable) -> dict[tuple[int, int], int]:
     return {(k - r, s - r): c for (s, r), c in table.profile.items()}
 
 
-def _expand_basis(counts: dict[tuple[int, int], int]) -> LaurentPoly:
+def _basis_items(table: RankTable, co: int = 0, nu: int = 0):
+    """``binomial_expansion`` items of (x-1)^co (y-1)^nu T(table): one
+    (x-1)^(a+co) (y-1)^(b+nu) per (corank, nullity) pair (a, b)."""
+    counts = corank_nullity_counts(table)
     if any(a < 0 or b < 0 for a, b in counts):
         raise RationalFunctionError(
             "negative corank or nullity: the Tutte sum is a genuine rational"
             " function, which is outside Laurent scope"
         )
-    return binomial_expansion(
-        (c, {}, (("x", None, a), ("y", None, b))) for (a, b), c in counts.items()
-    )
+    return ((c, {}, (("x", None, a + co), ("y", None, b + nu))) for (a, b), c in counts.items())
 
 
 @per_table
 def tutte(table: RankTable) -> LaurentPoly:
-    return _expand_basis(corank_nullity_counts(table))
+    return binomial_expansion(_basis_items(table))
 
 
 def tutte_dual_check(table: RankTable) -> bool:
@@ -72,24 +77,32 @@ def tutte_dual_check(table: RankTable) -> bool:
     return tutte(ops.dual(table)) == swapped
 
 
+def deletion_contraction(table: RankTable, p: int) -> tuple[RankTable, RankTable, int, int]:
+    """(M\\p, M/p, eta*(p), 1 - rho(p)) for the element p, with
+    eta*(p) = rho(E) - rho(E\\p): the minors and exponents of the recurrences
+    for T, the Whitney function and W.  The minors are memoized on the table,
+    so the recurrences share them with their profiles."""
+    if not 1 <= p <= table.n:
+        raise MalformedInputError(f"element {p} outside ground set 1..{table.n}")
+    bit = 1 << (p - 1)
+    co = table.rank - table.ranks[table.full & ~bit]
+    return ops.delete(table, bit), ops.contract(table, bit), co, 1 - table.ranks[bit]
+
+
 def tutte_recurrence(table: RankTable, p: int) -> LaurentPoly:
     """Deletion-contraction at element p:
 
         (x-1)^(eta*(p)) T(M\\p) + (y-1)^(1 - rho(p)) T(M/p)
 
-    with eta*(p) = rho(E) - rho(E\\p).  Exponents outside 0..1 only happen
-    for non-demimatroid tables and leave Laurent scope.
+    written in closed form, as one binomial expansion over both minors'
+    (corank, nullity) pairs, the shifts added to their exponents.  Exponents
+    outside 0..1 only happen for non-demimatroid tables and leave Laurent
+    scope.
     """
-    if not 1 <= p <= table.n:
-        raise MalformedInputError(f"element {p} outside ground set 1..{table.n}")
-    bit = 1 << (p - 1)
-    co = table.rank - table.ranks[table.full & ~bit]
-    nu = 1 - table.ranks[bit]
+    deleted, contracted, co, nu = deletion_contraction(table, p)
     if co < 0 or nu < 0:
         raise RationalFunctionError("recurrence exponents are negative on this table")
-    left = ((X - 1) ** co) * tutte(ops.delete(table, bit))
-    right = ((Y - 1) ** nu) * tutte(ops.contract(table, bit))
-    return left + right
+    return binomial_expansion(chain(_basis_items(deleted, co=co), _basis_items(contracted, nu=nu)))
 
 
 def whitney_f(table: RankTable) -> LaurentPoly:
@@ -99,6 +112,16 @@ def whitney_f(table: RankTable) -> LaurentPoly:
     is accepted.
     """
     return term_sum(((a, b, 0), c) for (a, b), c in corank_nullity_counts(table).items())
+
+
+def whitney_recurrence(table: RankTable, p: int) -> LaurentPoly:
+    """x^(eta*(p)) f(M\\p) + y^(1 - rho(p)) f(M/p), as one term sum over both
+    minors' (corank, nullity) pairs; any exponent is a Laurent monomial."""
+    deleted, contracted, co, nu = deletion_contraction(table, p)
+    return term_sum(chain(
+        (((a + co, b, 0), c) for (a, b), c in corank_nullity_counts(deleted).items()),
+        (((a, b + nu, 0), c) for (a, b), c in corank_nullity_counts(contracted).items()),
+    ))
 
 
 def characteristic(table: RankTable) -> LaurentPoly:

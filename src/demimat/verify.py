@@ -131,16 +131,16 @@ def _elongation_laws(m: core.RankTable) -> bool:
     eta = m.total_nullity
     if ops.elongate(m, eta).ranks != ops.lattice_top(m.n).ranks:
         return False
+    sizes = list(map(int.bit_count, range(m.full + 1)))
     step = m
     for i in range(1, eta + 1):
         step = ops.elongate(step, 1)
         elongated = ops.elongate(m, i)
         if step.ranks != elongated.ranks:
             return False
-        for mask in range(m.full + 1):
-            ei = elongated.nullity(mask)
-            if (ei == 0) != (m.nullity(mask) <= i):
-                return False
+        # The i-th elongation is independent exactly where eta(X) <= i.
+        if any((s - e == 0) != (s - r <= i) for s, r, e in zip(sizes, m.ranks, elongated.ranks)):
+            return False
     return all(weights.elongation_distance_check(m, r) for r in range(eta))
 
 
@@ -155,15 +155,8 @@ def _tutte_identities(m: core.RankTable) -> bool:
         return False
     if tutte.whitney_f(ops.dual(m)) != f.substitute({"x": Y, "y": X}):
         return False
-    for p in range(1, m.n + 1):
-        bit = 1 << (p - 1)
-        co = m.rank - m.ranks[m.full & ~bit]
-        nu = 1 - m.ranks[bit]
-        rec = monomial(1, x=co) * tutte.whitney_f(ops.delete(m, bit)) + monomial(
-            1, y=nu
-        ) * tutte.whitney_f(ops.contract(m, bit))
-        if rec != f:
-            return False
+    if any(tutte.whitney_recurrence(m, p) != f for p in range(1, m.n + 1)):
+        return False
     tutte.characteristic(m)  # internally cross-checked
     return True
 

@@ -1,0 +1,87 @@
+"""The packed, staged kernel behind ``binomial_expansion``: exact at the edges
+of its exponent slots, and raising, never wrapping, one step beyond them."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from demimat._binomial import OFFSET
+from demimat.errors import UnsupportedSubstitutionError
+from demimat.poly import VARIABLES, LaurentPoly, binomial_expansion, monomial
+
+from strategies import int_coefficients
+from test_poly_properties import OPERANDS, repeated_product
+
+LOW, HIGH = -OFFSET, OFFSET - 1  # the exponent range of one slot
+
+
+def expected_sum(items) -> LaurentPoly:
+    total = LaurentPoly()
+    for coeff, mono, factors in items:
+        term = coeff * monomial(1, **mono)
+        for u, v, k in factors:
+            term = term * repeated_product(u, v, k)
+        total = total + term
+    return total
+
+
+@st.composite
+def edge_items(draw):
+    """Items whose exponents, monomial and factors together, reach the slot
+    edges: each monomial exponent is drawn near the lowest value its slot
+    allows, near the highest one its factors leave room for, or near 0."""
+    items = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = draw(st.lists(st.tuples(OPERANDS, OPERANDS, st.integers(0, 4)), max_size=2))
+        mono = {}
+        for name in VARIABLES:
+            reach = sum(k for u, v, k in factors if name in (u, v))
+            top = HIGH - reach
+            mono[name] = draw(st.integers(LOW, LOW + 3) | st.integers(top - 3, top)
+                              | st.integers(-3, 3))
+        items.append((draw(int_coefficients), mono, factors))
+    return items
+
+
+@given(edge_items())
+def test_binomial_expansion_is_exact_at_the_slot_edges(items):
+    assert binomial_expansion(items) == expected_sum(items)
+
+
+@pytest.mark.parametrize("items", [
+    [(1, {"x": HIGH}, ())],
+    [(1, {"x": LOW}, ())],
+    [(3, {"t": LOW, "y": HIGH - 2}, (("y", None, 2),))],
+    [(1, {"x": HIGH - 1}, (("x", "y", 1),))],
+    [(1, {"y": HIGH}, (("x", None, 1),))],  # the factor never reaches y
+])
+def test_binomial_expansion_keeps_the_last_exponent_in_range(items):
+    assert binomial_expansion(items) == expected_sum(items)
+
+
+@pytest.mark.parametrize("items", [
+    [(1, {"x": HIGH + 1}, ())],
+    [(1, {"x": LOW - 1}, ())],
+    [(3, {"t": LOW, "y": HIGH - 1}, (("y", None, 2),))],
+    [(1, {"x": HIGH}, (("x", "y", 1),))],
+    [(1, {"y": HIGH}, (("x", "y", 1),))],
+    [(1, {}, ()), (1, {"t": HIGH + 1}, ())],  # an earlier item does not help
+])
+def test_binomial_expansion_raises_at_the_first_exponent_out_of_range(items):
+    with pytest.raises(OverflowError):
+        binomial_expansion(items)
+
+
+def test_a_negative_power_still_raises_before_the_range_check():
+    with pytest.raises(UnsupportedSubstitutionError):
+        binomial_expansion([(1, {"x": HIGH + 1}, (("x", "y", -1),))])
+
+
+def test_items_that_meet_in_a_stage_add_up_exactly():
+    # After the (y-1) stage the first item's terms land in the group of
+    # (x-1)^2, where the other two items start: y (x-1)^2 - (x-1)^2 is one
+    # more (x-1)^2 (y-1).
+    items = [(1, {}, (("x", None, 2), ("y", None, 1))),
+             (1, {"y": 1}, (("x", None, 2),)),
+             (-1, {}, (("x", None, 2),))]
+    assert binomial_expansion(items) == expected_sum(items) == 2 * expected_sum(items[:1])

@@ -52,3 +52,23 @@ def test_negative_nullity_lands_in_laurent_t():
     assert w.min_exponent("t") < 0
     with pytest.raises(RationalFunctionError):
         tutte.tutte(table)
+
+
+def test_deletion_contraction_on_z_valued_tables():
+    # The Whitney and Hamming recurrences are Laurent on any table; the Tutte
+    # one refuses a negative shift or a minor whose sum is rational.
+    rng = random.Random(9)
+    for _ in range(40):
+        table = random_combinatroid(rng, rng.randint(1, 5))
+        f, w = tutte.whitney_f(table), hamming.hamming_subset_sum(table)
+        for p in range(1, table.n + 1):
+            assert tutte.whitney_recurrence(table, p) == f
+            assert hamming.hamming_recurrence(table, p) == w
+            try:
+                recurred = tutte.tutte_recurrence(table, p)
+            except RationalFunctionError:
+                continue
+            assert recurred == f.substitute({"x": X - 1, "y": Y - 1})
+    rank_two_point = core.RankTable.build(2, [0, 2, 1, 2])
+    with pytest.raises(RationalFunctionError):
+        tutte.tutte_recurrence(rank_two_point, 1)

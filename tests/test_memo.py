@@ -64,3 +64,34 @@ def test_a_kind_error_is_raised_again_on_every_call(table):
         with pytest.raises(KindError):
             memoized(table)
     assert len(runs) == 2
+
+
+@given(demimatroid_tables())
+def test_operator_images_minors_and_elongations_are_memoized(table):
+    twin = core.RankTable(table.n, table.ranks)
+    removed = table.full & 0b101
+    for fn, args in [(ops.nullity_operator, ()), (ops.supplement, ()),
+                     (ops.delete, (removed,)), (ops.contract, (removed,)),
+                     (ops.elongate, (table.total_nullity,))]:
+        value = fn(table, *args)
+        assert fn(table, *args) is value
+        other = fn(twin, *args)
+        assert other == value
+        assert other is not value
+    assert ops.delete(table, removed) is not ops.contract(table, removed)
+    assert ops.delete(table, removed) is ops.delete(table, removed)
+
+
+def test_every_operator_image_is_built_once_per_table(monkeypatch):
+    table = core.RankTable(4, core.uniform(4, 2).ranks)
+    builds = []
+    build = core.RankTable.build.__func__
+    monkeypatch.setattr(core.RankTable, "build", classmethod(
+        lambda cls, n, ranks: builds.append(n) or build(cls, n, ranks)))
+    for a in ops.OPERATORS:
+        for b in ops.OPERATORS:
+            ops.compose_check(a, b, table)
+    # Three images of the table and three of each image, nine of them new.
+    assert len(builds) == 3 + 9
+    ops.compose_check(ops.DUAL, ops.NULLITY, table)
+    assert len(builds) == 12

@@ -148,3 +148,39 @@ def test_partners_are_the_same_in_every_process():
         for seed in ("1", "2")
     }
     assert len(drawn) == 1
+
+
+# -- faults in the builders the identities share ------------------------------------
+
+# Minors, operator images and elongations are memoized on their source table,
+# inside the builder: a replaced builder is called afresh, so neither a fresh
+# table nor one that already derived its values hides the fault.
+SHARED_FAULTS = {
+    "delete": lambda f: lambda t, a: ops.contract(t, a),
+    "contract": lambda f: lambda t, a: ops.delete(t, a),
+    "supplement": lambda f: lambda t: ops.dual(t),
+    "nullity_operator": lambda f: lambda t: f(ops.dual(t)),
+}
+
+
+def _verdict(check, table) -> bool:
+    try:
+        return check(table)
+    except Exception:
+        return False
+
+
+@pytest.mark.parametrize("builder, name", [
+    ("delete", "tutte_identities"), ("delete", "hamming_routes"),
+    ("contract", "tutte_identities"), ("contract", "hamming_routes"),
+    ("supplement", "operator_group"), ("supplement", "supplement_routes"),
+    ("nullity_operator", "operator_group"), ("nullity_operator", "supplement_routes"),
+])
+def test_a_fault_in_a_shared_builder_still_fails_the_identity(builder, name, monkeypatch):
+    check = verify.IDENTITIES[name]
+    derived = RankTable.build(5, TARGET)
+    for other in verify.IDENTITIES.values():  # memoize every true value on it
+        assert other(derived)
+    monkeypatch.setattr(ops, builder, SHARED_FAULTS[builder](getattr(ops, builder)))
+    assert _verdict(check, RankTable.build(5, TARGET)) is False
+    assert _verdict(check, derived) is False
