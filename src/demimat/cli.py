@@ -73,7 +73,10 @@ def _read_json(path) -> object:
         return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise MalformedInputError(f"no such input file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, an unreadable file
+        raise MalformedInputError(f"cannot read {path}: {exc}") from exc
+    # Bad JSON, bytes that are not UTF-8, too deep a nesting, too long an integer.
+    except (ValueError, RecursionError) as exc:
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
 
 

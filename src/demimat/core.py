@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property, wraps
 from itertools import combinations, repeat
-from operator import add, mul
+from operator import add, mul, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import KindError, MalformedInputError, SizeCapError
@@ -603,20 +603,32 @@ def random_demimatroid(n: int, rng: random.Random) -> RankTable:
     """Rejection-free uniform-step sampler over valid demimatroid tables.
 
     Ranks are assigned in ascending mask order (every proper subset precedes
-    its supersets); the feasible interval
-    [max rho(X\\x), min rho(X\\x) + 1] is never empty because removing two
-    different elements changes the rank by at most one in each step.
+    its supersets), each by one ``rng.randint`` over the feasible interval
+    [max rho(X\\x), min rho(X\\x) + 1], which is never empty because
+    removing two different elements changes the rank by at most one in each
+    step.  ``seen[X]`` gathers the ranks of X's lower neighbours as bits, so
+    the interval is its highest bit and its lowest bit plus one.  The bits
+    arrive a block at a time: once the last mask of an aligned block of 2^b
+    masks with bit b clear is assigned, their ranks go in one slice to the
+    block with bit b set, their upper neighbours across bit b.
     """
     _check_cap(n)
-    ranks = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        lo = 0
-        hi = popcount(mask)
-        for bit in bits_of(mask):
-            r = ranks[mask ^ bit]
-            lo = max(lo, r)
-            hi = min(hi, r + 1)
-        ranks[mask] = rng.randint(lo, hi)
+    size = 1 << n
+    ranks = [0] * size
+    seen = [0] * size
+    bit_of = (1).__lshift__
+    for mask in range(size):
+        if mask:
+            s = seen[mask]
+            ranks[mask] = rng.randint(s.bit_length() - 1, (s & -s).bit_length())
+        step = (mask + 1) & ~mask  # the lowest bit clear in mask
+        top = slice(mask + 1, mask + 1 + step)
+        if top.stop > size:
+            continue
+        if step == 1:
+            seen[mask + 1] |= 1 << ranks[mask]
+        else:
+            seen[top] = map(or_, seen[top], map(bit_of, ranks[mask + 1 - step:mask + 1]))
     return RankTable.build(n, ranks)
 
 

@@ -5,15 +5,19 @@ W is homogeneous of degree n in (x, y); the t slot doubles as the q of the
 generalized enumerators, so a single variable stores both and the caller
 chooses how to print it.  MacWilliams, the Tutte recovery and the
 definition route of the W^(r) are changes of variables written in closed
-form, one pass over W's terms into one term dict; the deletion-contraction
-recurrence is one pass over the profiles of both minors.
+form, one pass over W's terms into one term dict.  The deletion-contraction
+recurrence is stated on coordinates in the basis (x-y)^a y^b t^e:
+``recurrence_coordinates`` merges both minors' profiles, shifted by the
+recurrence's powers, and the identity battery compares them with the
+table's own ``subset_sum_coordinates``, which is not weaker than comparing
+polynomials, because the expansion is a function of the coordinates;
+``hamming_recurrence`` expands them and stays as API and as a test oracle.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from math import comb
 from typing import Sequence
 
@@ -43,14 +47,17 @@ from .poly import (
 )
 
 
-def _subset_sum_items(table: RankTable, dy: int = 0, dt: int = 0, dk: int = 0):
-    """``binomial_expansion`` items of y^dy t^dt (x-y)^dk W(table), one per
-    (size, rank) pair of the profile."""
+def subset_sum_coordinates(table: RankTable) -> dict[tuple[int, int, int], int]:
+    """W's coordinates in the basis (x-y)^a y^b t^e: the count of each
+    (n - |X|, |X|, eta(X)), one per (size, rank) pair of the profile."""
     n = table.n
-    return (
-        (c, {"y": s + dy, "t": s - r + dt}, (("x", "y", n - s + dk),))
-        for (s, r), c in table.profile.items()
-    )
+    return {(n - s, s, s - r): c for (s, r), c in table.profile.items()}
+
+
+def _basis_items(coordinates: dict[tuple[int, int, int], int]):
+    """``binomial_expansion`` items of the sum of c (x-y)^a y^b t^e over the
+    coordinates (a, b, e) -> c."""
+    return ((c, {"y": b, "t": e}, (("x", "y", a),)) for (a, b, e), c in coordinates.items())
 
 
 @per_table
@@ -62,7 +69,7 @@ def hamming_subset_sum(table: RankTable) -> LaurentPoly:
     nullities of a general combinatroid land in negative t powers, which are
     still Laurent monomials.
     """
-    return binomial_expansion(_subset_sum_items(table))
+    return binomial_expansion(_basis_items(subset_sum_coordinates(table)))
 
 
 def _w_via_tutte_terms(table: RankTable, t_multiplier: int = 1) -> LaurentPoly:
@@ -210,13 +217,30 @@ def tutte_from_hamming(table: RankTable) -> LaurentPoly:
                          "corank-nullity", tutte_mod.tutte(table))
 
 
-def hamming_recurrence(table: RankTable, p: int) -> LaurentPoly:
-    """(x-y) W(M\\p) + t^(1-rho(p)) y W(M/p), written in closed form: one
-    binomial expansion over both minors' profiles, the deletion's (x-y)
-    powers raised by one and the contraction's y and t powers shifted."""
+def recurrence_coordinates(table: RankTable, p: int) -> dict[tuple[int, int, int], int]:
+    """The (x-y, y, t) coordinates of the deletion-contraction side
+
+        (x-y) W(M\\p) + t^(1-rho(p)) y W(M/p)
+
+    at element p: both minors' ``subset_sum_coordinates`` merged, the
+    deletion's (x-y) exponents raised by one and the contraction's y
+    exponents by one and t exponents by 1 - rho(p).  The recurrence
+    W(M) = that side holds exactly when these equal the table's own
+    coordinates, since the basis (x-y)^a y^b t^e is linearly independent;
+    any t exponent is a Laurent monomial, so any table is accepted.
+    """
     deleted, contracted, _, nu = tutte_mod.deletion_contraction(table, p)
-    return binomial_expansion(chain(_subset_sum_items(deleted, dk=1),
-                                    _subset_sum_items(contracted, dy=1, dt=nu)))
+    coordinates = {(a + 1, b, e): c for (a, b, e), c in subset_sum_coordinates(deleted).items()}
+    for (a, b, e), c in subset_sum_coordinates(contracted).items():
+        key = a, b + 1, e + nu
+        coordinates[key] = coordinates.get(key, 0) + c
+    return coordinates
+
+
+def hamming_recurrence(table: RankTable, p: int) -> LaurentPoly:
+    """The deletion-contraction side at element p as a polynomial: the
+    expansion of ``recurrence_coordinates``."""
+    return binomial_expansion(_basis_items(recurrence_coordinates(table, p)))
 
 
 # -- formal minimum distance and A-coefficients ---------------------------------------

@@ -6,14 +6,18 @@ only on |A| and rho(A), so the pairs are read off the table's size-rank
 profile and the binomial expansion happens once per distinct pair.  The
 evaluations T(1-t, 0) and T(t+1, 1) and h(t) = f(t-1) are written in closed
 form, from binomial rows or one term sum, not by ``LaurentPoly.substitute``.
-So are the deletion-contraction recurrences for T and the Whitney function:
-each is one pass over the pairs of both minors, whose exponents are shifted
-by the recurrence's powers, with no polynomial product.
+The deletion-contraction recurrences for T and the Whitney function are one
+statement about coordinates: ``recurrence_counts`` merges both minors'
+(corank, nullity) pairs, shifted by the recurrence's powers, and those are
+the (x-1, y-1) coordinates of the T side and the monomials of the f side.
+The identity battery compares them with the table's own pairs, which is not
+weaker than comparing polynomials, because the expansion is a function of
+the coordinates; ``tutte_recurrence`` and ``whitney_recurrence`` expand them
+and stay as API and as test oracles.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import comb
 
 from . import core, ops
@@ -54,21 +58,24 @@ def corank_nullity_counts(table: RankTable) -> dict[tuple[int, int], int]:
     return {(k - r, s - r): c for (s, r), c in table.profile.items()}
 
 
-def _basis_items(table: RankTable, co: int = 0, nu: int = 0):
-    """``binomial_expansion`` items of (x-1)^co (y-1)^nu T(table): one
-    (x-1)^(a+co) (y-1)^(b+nu) per (corank, nullity) pair (a, b)."""
-    counts = corank_nullity_counts(table)
+def _require_polynomial(counts: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     if any(a < 0 or b < 0 for a, b in counts):
         raise RationalFunctionError(
             "negative corank or nullity: the Tutte sum is a genuine rational"
             " function, which is outside Laurent scope"
         )
-    return ((c, {}, (("x", None, a + co), ("y", None, b + nu))) for (a, b), c in counts.items())
+    return counts
+
+
+def _basis_items(counts: dict[tuple[int, int], int]):
+    """``binomial_expansion`` items of the sum of c (x-1)^a (y-1)^b over the
+    coordinates (a, b) -> c."""
+    return ((c, {}, (("x", None, a), ("y", None, b))) for (a, b), c in counts.items())
 
 
 @per_table
 def tutte(table: RankTable) -> LaurentPoly:
-    return binomial_expansion(_basis_items(table))
+    return binomial_expansion(_basis_items(_require_polynomial(corank_nullity_counts(table))))
 
 
 def tutte_dual_check(table: RankTable) -> bool:
@@ -89,20 +96,38 @@ def deletion_contraction(table: RankTable, p: int) -> tuple[RankTable, RankTable
     return ops.delete(table, bit), ops.contract(table, bit), co, 1 - table.ranks[bit]
 
 
-def tutte_recurrence(table: RankTable, p: int) -> LaurentPoly:
-    """Deletion-contraction at element p:
+def _shifted_counts(deleted: dict, contracted: dict, co: int, nu: int) -> dict:
+    """The minors' (corank, nullity) counts merged, the deletion's coranks
+    raised by co and the contraction's nullities by nu."""
+    counts = {(a + co, b): c for (a, b), c in deleted.items()}
+    for (a, b), c in contracted.items():
+        counts[a, b + nu] = counts.get((a, b + nu), 0) + c
+    return counts
+
+
+def recurrence_counts(table: RankTable, p: int) -> dict[tuple[int, int], int]:
+    """The (x-1, y-1) coordinates of the deletion-contraction side
 
         (x-1)^(eta*(p)) T(M\\p) + (y-1)^(1 - rho(p)) T(M/p)
 
-    written in closed form, as one binomial expansion over both minors'
-    (corank, nullity) pairs, the shifts added to their exponents.  Exponents
-    outside 0..1 only happen for non-demimatroid tables and leave Laurent
-    scope.
+    at element p: both minors' (corank, nullity) counts, shifted by the
+    recurrence's powers and merged.  The recurrence T(M) = that side holds exactly when these
+    equal ``corank_nullity_counts(table)``, since the basis
+    (x-1)^a (y-1)^b is linearly independent.  A negative shift, or a minor
+    with a negative corank or nullity, leaves Laurent scope and raises
+    RationalFunctionError; that only happens for non-demimatroid tables.
     """
     deleted, contracted, co, nu = deletion_contraction(table, p)
     if co < 0 or nu < 0:
         raise RationalFunctionError("recurrence exponents are negative on this table")
-    return binomial_expansion(chain(_basis_items(deleted, co=co), _basis_items(contracted, nu=nu)))
+    return _shifted_counts(_require_polynomial(corank_nullity_counts(deleted)),
+                           _require_polynomial(corank_nullity_counts(contracted)), co, nu)
+
+
+def tutte_recurrence(table: RankTable, p: int) -> LaurentPoly:
+    """The deletion-contraction side at element p as a polynomial: the
+    expansion of ``recurrence_counts``."""
+    return binomial_expansion(_basis_items(recurrence_counts(table, p)))
 
 
 def whitney_f(table: RankTable) -> LaurentPoly:
@@ -115,13 +140,13 @@ def whitney_f(table: RankTable) -> LaurentPoly:
 
 
 def whitney_recurrence(table: RankTable, p: int) -> LaurentPoly:
-    """x^(eta*(p)) f(M\\p) + y^(1 - rho(p)) f(M/p), as one term sum over both
-    minors' (corank, nullity) pairs; any exponent is a Laurent monomial."""
+    """x^(eta*(p)) f(M\\p) + y^(1 - rho(p)) f(M/p): its monomials are the
+    coordinates of ``recurrence_counts``, taken without that function's
+    scope check, since any exponent is a Laurent monomial."""
     deleted, contracted, co, nu = deletion_contraction(table, p)
-    return term_sum(chain(
-        (((a + co, b, 0), c) for (a, b), c in corank_nullity_counts(deleted).items()),
-        (((a, b + nu, 0), c) for (a, b), c in corank_nullity_counts(contracted).items()),
-    ))
+    counts = _shifted_counts(corank_nullity_counts(deleted), corank_nullity_counts(contracted),
+                             co, nu)
+    return term_sum(((a, b, 0), c) for (a, b), c in counts.items())
 
 
 def characteristic(table: RankTable) -> LaurentPoly:

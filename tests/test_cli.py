@@ -1,3 +1,4 @@
+import errno
 import functools
 import json
 import os
@@ -13,6 +14,7 @@ from demimat.poly import T, X, Y
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +170,15 @@ def test_verify_battery_small(capsys):
     assert all(v["passes"] == 3 for v in payload["identities"].values())
 
 
+@pytest.mark.parametrize("seed, n", [(1, 5), (2, 7)])
+def test_the_battery_report_matches_its_golden_bytes(capsys, seed, n):
+    # The reports pin the sampler's draws and every verdict of the battery.
+    code, out, err = run_cli(capsys, "verify", "--seed", str(seed), "--n", str(n),
+                             "--samples", "20")
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"battery_seed{seed}_n{n}.json").read_bytes()
+
+
 @pytest.mark.parametrize("argv, homology_cap", [
     (("--n", "99", "--samples", "1"), None),
     (("--n", "0"), None),
@@ -285,6 +296,46 @@ def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, payload, extra):
     assert code == 2
     assert json.loads(err)["error"] == "malformed-input"
     assert eliminations == {}
+
+
+def _input_file(tmp_path, content: bytes) -> list[str]:
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    return ["compute", "--in", str(path), "--all"]
+
+
+def _unreadable_file(tmp_path, monkeypatch) -> list[str]:
+    argv = _input_file(tmp_path, b"{}")
+    path = Path(argv[2])
+    path.chmod(0)
+    if os.access(path, os.R_OK):  # a superuser reads it anyway: refuse as the OS would
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+    return argv
+
+
+def _fixture_directory(tmp_path, monkeypatch) -> list[str]:
+    (tmp_path / "looks_like_a_fixture.json").mkdir()
+    return ["verify", "--fixtures", str(tmp_path)]
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp_path, _: ["compute", "--in", str(FIXTURES), "--all"],
+    lambda tmp_path, _: _input_file(tmp_path, b"\xff\xfe{}"),
+    lambda tmp_path, _: _input_file(tmp_path, b"[" * 100000),
+    lambda tmp_path, _: _input_file(tmp_path, b'{"n": ' + b"7" * 5000 + b"}"),
+    _unreadable_file,
+    _fixture_directory,
+], ids=["directory", "not-utf8", "deep-nesting", "long-integer", "unreadable",
+        "fixture-directory"])
+def test_unreadable_input_exits_2_without_a_traceback(tmp_path, monkeypatch, capsys, make_argv):
+    code, out, err = run_cli(capsys, *make_argv(tmp_path, monkeypatch))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "malformed-input"
 
 
 def _count_calls(monkeypatch, module, name, counts):

@@ -268,6 +268,41 @@ def test_random_demimatroid_always_valid():
                     assert step in (0, 1)
 
 
+class _RecordingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def randint(self, a, b):
+        self.draws.append((a, b))
+        return super().randint(a, b)
+
+
+def _mask_by_mask_demimatroid(n: int, rng: random.Random) -> list[int]:
+    """The sampler as one loop over the lower neighbours of each mask: the
+    reference for ``core.random_demimatroid``."""
+    ranks = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        lo = 0
+        hi = core.popcount(mask)
+        for bit in core.bits_of(mask):
+            r = ranks[mask ^ bit]
+            lo = max(lo, r)
+            hi = min(hi, r + 1)
+        ranks[mask] = rng.randint(lo, hi)
+    return ranks
+
+
+def test_random_demimatroid_makes_the_reference_loops_draws():
+    # Same randint calls in the same order, so every seeded sample stays.
+    for n in range(9):
+        for seed in range(40):
+            fast, slow = _RecordingRandom(seed), _RecordingRandom(seed)
+            assert list(core.random_demimatroid(n, fast).ranks) == _mask_by_mask_demimatroid(n, slow)
+            assert fast.draws == slow.draws
+            assert fast.random() == slow.random()
+
+
 def test_up_down_identity_on_random_complexes():
     rng = random.Random(9)
     for _ in range(30):
