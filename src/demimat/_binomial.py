@@ -19,8 +19,9 @@ The packed keys are decoded once, at the end.
 
 Packing never wraps silently: an item whose monomial exponent in a slot lies
 below ``-OFFSET``, or whose exponent plus reach in a slot reaches
-``OFFSET``, raises ``OverflowError`` before any of its terms is written; so
-does a factor tuple that alone reaches ``OFFSET`` in some slot.
+``OFFSET``, raises ``ExponentRangeError`` (a ``SizeCapError`` and an
+``OverflowError``) before any of its terms is written; so does a factor
+tuple that alone reaches ``OFFSET`` in some slot.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from functools import cache
 from math import comb
 
-from .errors import UnsupportedSubstitutionError
+from .errors import ExponentRangeError, UnsupportedSubstitutionError
 
 # One slot per variable, in the order of ``poly.VARIABLES``.
 WIDTH = 20
@@ -61,7 +62,9 @@ def _limits(factors: tuple) -> dict[str, int]:
         for name in {u, v} - {None}:
             reach[name] += k
     if max(reach.values()) >= OFFSET:
-        raise OverflowError(f"factors {factors} leave the exponent range of {WIDTH}-bit slots")
+        raise ExponentRangeError(
+            f"factors {factors} leave the exponent range of {WIDTH}-bit slots"
+        )
     return {name: OFFSET - 1 - r for name, r in reach.items()}
 
 
@@ -82,7 +85,7 @@ def _expand(items, exact) -> dict:
         key = _BASE
         for name, e in mono.items():
             if not low <= e <= limit[name]:
-                raise OverflowError(
+                raise ExponentRangeError(
                     f"exponent {e} of {name} leaves the range of {WIDTH}-bit slots"
                     f" with factors {factors}"
                 )

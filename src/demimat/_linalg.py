@@ -6,10 +6,11 @@ over F_2 on columns stored as int bitsets, so a column step is one XOR; it
 is exact over F_2 and, where ``simplicial`` can certify the result, stands
 in for Q.  ``rank_sparse_columns`` works on sparse integer columns over Q
 and F_p: it is the kernel for odd p and the fallback over Q.  ``rref_mod_p``
-serves ``codes`` (the rank, null space and row space of a check matrix); the
-rank over F_p is its pivot count.  A parity matroid's rank table is counted,
-not eliminated, so ``rref_mod_p`` per column subset is only the fallback
-above ``codes.SUBSPACE_ENUM_CAP`` and the tests' oracle for that table.
+serves ``codes``: one elimination per check matrix gives its rank, null space
+and row space; the rank over F_p is its pivot count.  A parity matroid's rank
+table is counted, not eliminated, unless the space to count has more than
+8 * 2^n vectors (or more than ``codes.SUBSPACE_ENUM_CAP``); then
+``rref_mod_p`` runs per column subset, as in the tests' oracle for that table.
 ``rank_fraction_free`` (dense Bareiss elimination) has no caller left in the
 package: it is the tests' oracle for the kernel over Q, as the pivot count
 of ``rref_mod_p`` is over F_p.  ``is_prime`` is the one

@@ -2,11 +2,14 @@
 
 Verbs: compute, verify, op, from-code, from-facets, from-graph, from-wei.
 Exit codes: 0 ok, 1 invariant/verification failure, 2 usage or input error
-(an input over the ground-set cap is an input error), 141 (128 + SIGPIPE)
-when the reader closes stdout before the report is written, with nothing on
-stderr.  A ``compute`` block whose invariant the input's kind does not have
-(a KindError or RationalFunctionError), or whose route is over the homology
-cap (a SizeCapError, which the Betti route raises before any work), reports
+(an input over the ground-set cap, a golden whose exponents leave the
+polynomial kernel's range, and an ``--out`` path that cannot be written are
+input errors), 141 (128 + SIGPIPE) when the reader closes stdout before the
+report is written, with nothing on stderr.  A ``compute`` block whose
+invariant the input's kind does not have (a KindError or
+RationalFunctionError), or whose route is over a size cap (a SizeCapError:
+the homology cap, which the Betti route checks before any work, or the
+exponent range, an ExponentRangeError), reports
 ``{"error": ..., "detail": ...}`` in its own place and leaves the exit code
 alone; so does each entry of the Hamming block's ``routes``, so a
 combinatroid, which has no Betti route, still gets its W.
@@ -137,7 +140,10 @@ def table_json(table: core.RankTable) -> dict:
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=False)
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as exc:  # a directory, a missing parent, no permission
+            raise MalformedInputError(f"cannot write {out}: {exc}") from exc
     else:
         print(text, flush=True)  # a closed pipe raises here, inside ``main``
 
@@ -175,7 +181,7 @@ def _error(exc: Exception) -> dict:
 def _recorded(compute: Callable, *args):
     """``compute(*args)``, or the error of an invariant or route that this
     input does not have (a KindError or RationalFunctionError) or that is
-    over the homology cap (a SizeCapError).  A route disagreement still
+    over a size cap (a SizeCapError).  A route disagreement still
     raises and fails the whole run."""
     try:
         return compute(*args)

@@ -3,25 +3,31 @@
 Only prime fields are supported; the q of the generalized enumerators is a
 formal variable, so no extension-field arithmetic is ever needed here.
 
-A parity matroid's rank table comes from counting vectors, not from
-eliminations (Greene 1976; Jurrius-Pellikaan 2013).  For the code
-C = ker H, #{c in C : supp(c) ⊆ X} = p^(|X| - rank X); for the row space
-R of H, #{v in R : v vanishes on X} = p^(rank H - rank X).  Whichever of
-the two spaces has fewer vectors is enumerated once, the support masks are
-histogrammed, and one zeta transform gives every count; ``rref_mod_p`` per
-mask is left as the fallback when both spaces exceed ``SUBSPACE_ENUM_CAP``.
+A check matrix H is eliminated once (``PrimeMatrix.echelon``): its rank, the
+generator of C = ker H and the parity matroid all read that RREF.  The rank
+table is counted, not eliminated (Greene 1976; Jurrius-Pellikaan 2013):
+#{c in C : supp(c) ⊆ X} = p^(|X| - rank X), and for the row space R of H,
+#{v in R : v vanishes on X} = p^(rank H - rank X).  The smaller space, of
+p^m vectors, has its supports listed once (``_span_supports``), histogrammed
+and zeta-transformed.  Above p^m = 8 * 2^n, where listing costs more than
+eliminating every column subset, or above the memory bound
+``SUBSPACE_ENUM_CAP``, ``rref_mod_p`` runs per mask on the RREF's rows.  The
+listing of C also gives every subcode's support: the OR of the listed
+supports of its RREF basis (``subcode_support_sizes``).
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import weights
 from ._linalg import is_prime, rref_mod_p
-from .core import RankTable, _check_cap, popcount, subset_transform
+from .core import RankTable, _check_cap, subset_transform
 from .errors import InvariantViolationError, MalformedInputError, SizeCapError
 
 SUBSPACE_ENUM_CAP = 1 << 20
@@ -51,27 +57,34 @@ class PrimeMatrix:
     def n_cols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
+    @cached_property
+    def echelon(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The reduced row echelon form and pivot columns, eliminated once."""
+        rref, pivots = rref_mod_p(self.rows, self.p)
+        return tuple(map(tuple, rref)), tuple(pivots)
+
     def columns(self, mask: int) -> list[list[int]]:
         idx = [i for i in range(self.n_cols) if mask & (1 << i)]
         return [[row[i] for i in idx] for row in self.rows]
 
     def rank(self) -> int:
-        return len(rref_mod_p(self.rows, self.p)[1])
+        return len(self.echelon[1])
 
 
 def parity_matroid(matrix: PrimeMatrix) -> RankTable:
     """rho(X) = rank of the columns of the check matrix indexed by X.
 
-    The counts are read from ker H when p^k <= p^(rank H), else from the row
-    space of H (see the module docstring).  A count that is not a power of p
-    raises ``InvariantViolationError``.
+    Counted on the smaller of ker H and the row space of H, or eliminated per
+    mask (see the module docstring); a count off the powers of p raises
+    ``InvariantViolationError``.
     """
     n, p = matrix.n_cols, matrix.p
     _check_cap(n)  # before any enumeration or elimination
-    rref, pivots = rref_mod_p(matrix.rows, p)
+    rref, pivots = matrix.echelon
     rank = len(pivots)
-    if p ** min(rank, n - rank) > SUBSPACE_ENUM_CAP:
-        ranks = [len(rref_mod_p(matrix.columns(m), p)[1]) for m in range(1 << n)]
+    if p ** min(rank, n - rank) > min(SUBSPACE_ENUM_CAP, 8 << n):
+        reduced = PrimeMatrix(p, rref[:rank])  # the same column ranks, in rank rows
+        ranks = [len(rref_mod_p(reduced.columns(m), p)[1]) for m in range(1 << n)]
         return RankTable.build(n, ranks)
     if n - rank <= rank:
         nullities = _log_p(_subspace_counts(nullspace_basis(matrix), n, p), p)
@@ -83,19 +96,27 @@ def parity_matroid(matrix: PrimeMatrix) -> RankTable:
     return RankTable.build(n, ranks)
 
 
-def _subspace_counts(basis: Sequence[Sequence[int]], n: int, p: int) -> list[int]:
-    """#{v in span(basis) : supp(v) ⊆ X} for every mask X.
+@lru_cache(maxsize=1)
+def _span_supports(basis: tuple[tuple[int, ...], ...], n: int, p: int) -> tuple[int, ...]:
+    """The support mask of every vector of span(basis), at the index that
+    reads its coefficient vector in base p (row 0 the lowest digit).
 
-    The p^len(basis) vectors are listed once and their supports histogrammed;
-    one zeta transform sums the histogram over the subsets of each X.
+    The last listing (at most ``SUBSPACE_ENUM_CAP`` ints) is kept, so a
+    parity matroid and every r of its code's subcode count share one.
     """
     vectors: list[Sequence[int]] = [[0] * n]
     for row in basis:
         vectors = [[(a + c * b) % p for a, b in zip(v, row)] for c in range(p) for v in vectors]
     bits = [1 << i for i in range(n)]
+    return tuple(sum(bit for bit, a in zip(bits, v) if a) for v in vectors)
+
+
+def _subspace_counts(basis: Sequence[Sequence[int]], n: int, p: int) -> list[int]:
+    """#{v in span(basis) : supp(v) ⊆ X} for every mask X: the listed
+    supports histogrammed, then one zeta transform over the subsets of X."""
     histogram = [0] * (1 << n)
-    for v in vectors:
-        histogram[sum(bit for bit, a in zip(bits, v) if a)] += 1
+    for support in _span_supports(tuple(map(tuple, basis)), n, p):
+        histogram[support] += 1
     return subset_transform(histogram, operator.add)
 
 
@@ -114,7 +135,7 @@ def nullspace_basis(matrix: PrimeMatrix) -> list[list[int]]:
     """A basis of the right null space over F_p (rows of a generator matrix)."""
     p = matrix.p
     n = matrix.n_cols
-    rref, pivots = rref_mod_p(matrix.rows, p)
+    rref, pivots = matrix.echelon
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for f in free:
@@ -137,66 +158,48 @@ class LinearCodeView:
 
     @classmethod
     def from_parity(cls, matrix: PrimeMatrix) -> "LinearCodeView":
-        gen = nullspace_basis(matrix)
-        return cls(
-            matrix.p,
-            matrix.n_cols,
-            matrix.n_cols - matrix.rank(),
-            tuple(tuple(row) for row in gen),
-        )
+        gen = tuple(map(tuple, nullspace_basis(matrix)))
+        return cls(matrix.p, matrix.n_cols, len(gen), gen)
 
 
-def _rref_representatives(k: int, r: int, p: int):
-    """All r x k reduced-row-echelon matrices of rank r over F_p.
-
-    Each r-dimensional subspace of F_p^k has exactly one such basis, so the
-    enumeration is duplicate-free.
+def _rref_representatives(k: int, r: int, p: int) -> Iterator[tuple[int, ...]]:
+    """All r x k reduced-row-echelon matrices of rank r over F_p, as their rows
+    read in base p (column 0 the lowest digit): one per r-dimensional subspace
+    of F_p^k.  A row is 1 at its pivot, 0 before it and at the other pivots.
     """
     for pivots in combinations(range(k), r):
-        pivot_set = set(pivots)
-        free_cells = [
-            (i, j)
-            for i in range(r)
-            for j in range(pivots[i] + 1, k)
-            if j not in pivot_set
-        ]
-        for values in product(range(p), repeat=len(free_cells)):
-            mat = [[0] * k for _ in range(r)]
-            for i, col in enumerate(pivots):
-                mat[i][col] = 1
-            for (i, j), v in zip(free_cells, values):
-                mat[i][j] = v
-            yield mat
+        rows = []
+        for pivot in pivots:
+            values = [p ** pivot]
+            for j in range(pivot + 1, k):
+                if j not in pivots:
+                    values = [v + c * p ** j for c in range(p) for v in values]
+            rows.append(values)
+        yield from product(*rows)
+
+
+def subcode_support_sizes(code: LinearCodeView, r: int) -> dict[int, int]:
+    """{w: A_w^(r)}: the number of r-dimensional subcodes with support size w.
+
+    Each subcode's support is the OR of its RREF rows' listed supports.
+    """
+    if not 0 <= r <= code.k:
+        raise MalformedInputError(f"need 0 <= r <= {code.k}, got {r}")
+    if (size := code.p ** code.k) > SUBSPACE_ENUM_CAP:
+        raise SizeCapError(f"p^k = {size} exceeds the enumeration cap {SUBSPACE_ENUM_CAP}")
+    supports = _span_supports(code.generator, code.n, code.p).__getitem__
+    return dict(Counter(
+        reduce(operator.or_, map(supports, rows), 0).bit_count()
+        for rows in _rref_representatives(code.k, r, code.p)
+    ))
 
 
 def code_ghw_bruteforce(code: LinearCodeView, r: int) -> int:
-    """r-th generalized Hamming weight by enumerating all r-dim subspaces.
-
-    The support of a subspace is the union of the supports of any basis of
-    it, so each subspace costs one r x n matrix product.
-    """
+    """r-th generalized Hamming weight: the least support size of an
+    r-dimensional subcode."""
     if not 1 <= r <= code.k:
         raise MalformedInputError(f"need 1 <= r <= {code.k}, got {r}")
-    if code.p ** code.k > SUBSPACE_ENUM_CAP:
-        raise SizeCapError(
-            f"p^k = {code.p ** code.k} exceeds the enumeration cap {SUBSPACE_ENUM_CAP}"
-        )
-    p = code.p
-    best = code.n + 1
-    for coeffs in _rref_representatives(code.k, r, p):
-        support = 0
-        for row in coeffs:
-            word = [0] * code.n
-            for c, gen_row in zip(row, code.generator):
-                if c:
-                    word = [(w + c * g) % p for w, g in zip(word, gen_row)]
-            for pos, w in enumerate(word):
-                if w:
-                    support |= 1 << pos
-        weight = popcount(support)
-        if weight < best:
-            best = weight
-    return best
+    return min(subcode_support_sizes(code, r))
 
 
 def weight_hierarchy_agreement(matrix: PrimeMatrix) -> bool:
@@ -206,10 +209,5 @@ def weight_hierarchy_agreement(matrix: PrimeMatrix) -> bool:
     read off its size-rank profile; a dimension-0 code agrees vacuously.
     """
     code = LinearCodeView.from_parity(matrix)
-    if code.k == 0:
-        return True
     matroid_side = weights.generalized_hamming_weights(parity_matroid(matrix))
-    for r in range(1, code.k + 1):
-        if code_ghw_bruteforce(code, r) != matroid_side[r - 1]:
-            return False
-    return True
+    return all(code_ghw_bruteforce(code, r) == matroid_side[r - 1] for r in range(1, code.k + 1))

@@ -13,6 +13,10 @@ class SizeCapError(DemimatError):
     """Ground set exceeds the configured cap for the requested operation."""
 
 
+class ExponentRangeError(SizeCapError, OverflowError):
+    """A polynomial exponent leaves the range of the packed kernel's slots."""
+
+
 class KindError(DemimatError):
     """An operation's precondition on the certified kind is not met."""
 

@@ -100,15 +100,17 @@ def _lattice_laws(m: core.RankTable) -> bool:
     partners = _partners(m)
     b = core.random_demimatroid(m.n, partners)
     c = core.random_demimatroid(m.n, partners)
+    # Each table that several laws share is built once.
+    join_mb, meet_mb = ops.join(m, b), ops.meet(m, b)
+    join_bc, meet_bc = ops.join(b, c), ops.meet(b, c)
     checks = [
-        ops.join(m, b).ranks == ops.join(b, m).ranks,
-        ops.meet(m, b).ranks == ops.meet(b, m).ranks,
-        ops.join(m, ops.join(b, c)).ranks == ops.join(ops.join(m, b), c).ranks,
-        ops.meet(m, ops.meet(b, c)).ranks == ops.meet(ops.meet(m, b), c).ranks,
-        ops.join(m, ops.meet(m, b)).ranks == m.ranks,
-        ops.meet(m, ops.join(m, b)).ranks == m.ranks,
-        ops.meet(m, ops.join(b, c)).ranks
-        == ops.join(ops.meet(m, b), ops.meet(m, c)).ranks,
+        join_mb.ranks == ops.join(b, m).ranks,
+        meet_mb.ranks == ops.meet(b, m).ranks,
+        ops.join(m, join_bc).ranks == ops.join(join_mb, c).ranks,
+        ops.meet(m, meet_bc).ranks == ops.meet(meet_mb, c).ranks,
+        ops.join(m, meet_mb).ranks == m.ranks,
+        ops.meet(m, join_mb).ranks == m.ranks,
+        ops.meet(m, join_bc).ranks == ops.join(meet_mb, ops.meet(m, c)).ranks,
         ops.join(m, ops.lattice_bottom(m.n)).ranks == m.ranks,
         ops.meet(m, ops.lattice_top(m.n)).ranks == m.ranks,
     ]

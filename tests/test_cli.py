@@ -625,3 +625,38 @@ def test_a_closed_pipe_exits_141_without_a_traceback():
     proc.stderr.close()
     assert proc.wait() == 141
     assert err == b""
+
+
+HUGE_RANK = {"n": 1, "ranks": [0, 1000000]}  # W's t exponent leaves its 20-bit slot
+
+
+def test_a_rank_far_outside_the_ground_set_is_recorded_in_compute(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_RANK))
+    code, out, _ = run_cli(capsys, "compute", "--in", str(path), "--all")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["hamming"]["error"] == "ExponentRangeError"
+    assert "error" in results["tutte"]
+
+
+def test_a_golden_out_of_exponent_range_exits_2(tmp_path, capsys):
+    (tmp_path / "huge.json").write_text(json.dumps({**HUGE_RANK, "expected": {"hamming": "x"}}))
+    code, out, err = run_cli(capsys, "verify", "--fixtures", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "malformed-input"
+
+
+@pytest.mark.parametrize("verb", [
+    ["compute", "--in", str(FIXTURES / "uniform_4_2.json"), "--tutte"],
+    ["verify", "--seed", "1", "--n", "3", "--samples", "1"],
+    ["op", "dual", "--in", str(FIXTURES / "uniform_4_2.json")],
+], ids=["compute", "verify", "op"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_an_unwritable_out_path_exits_2(tmp_path, capsys, verb, target):
+    out_path = tmp_path if target == "directory" else tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, *verb, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "malformed-input"
