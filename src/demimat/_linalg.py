@@ -19,8 +19,8 @@ primality test behind every field and check-matrix input.
 
 from __future__ import annotations
 
+from collections.abc import Container, Mapping, Sequence
 from math import gcd
-from typing import Container, Mapping, Sequence
 
 from .errors import InvariantViolationError, MalformedInputError
 

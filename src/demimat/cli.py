@@ -38,6 +38,12 @@ the blocks; ``verify --fixtures`` compares the goldens only; and
 invariant means adding one entry.  Entries call the library on the loaded
 input and the field; what several share (W, P_j, Tutte, the dual, the Betti
 tables) is memoized on the rank table, so each is computed once per input.
+
+Each call starts a fresh interpreter, so importing this module loads only
+what every verb needs.  ``demimat.verify`` (the identity battery) is
+imported by the battery branch of ``cmd_verify`` alone; ``run_battery`` is
+still looked up through the module at call time, so replacing it on
+``demimat.verify`` reaches the CLI.
 """
 
 from __future__ import annotations
@@ -46,12 +52,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cache
 from pathlib import Path
-from typing import Callable
 
-from . import codes, core, hamming, ops, simplicial, tutte, verify, weights
+from . import codes, core, hamming, ops, simplicial, tutte, weights
+from ._records import record
 from .errors import (
     DemimatError,
     KindError,
@@ -64,11 +70,11 @@ from .poly import LaurentPoly
 # -- input handling ----------------------------------------------------------------
 
 
-@dataclass
-class LoadedInput:
-    construction: str
-    table: core.RankTable | None
-    cx: core.Complex | None = None
+class LoadedInput(record("LoadedInput", "construction table cx", defaults=(None,))):
+    """The construction an input names, its ``RankTable`` (None for a void
+    complex) and, for a complex input, its ``Complex``."""
+
+    __slots__ = ()
 
 
 def _read_json(path) -> object:
@@ -270,18 +276,16 @@ TABLE = "a rank-table-backed input"
 COMPLEX = "a nonvoid complex input"
 
 
-@dataclass(frozen=True)
-class Invariant:
+class Invariant(record("Invariant", "needs block golden")):
     """One registry entry.
 
+    ``needs`` names the input the entry needs (``TABLE`` or ``COMPLEX``).
     ``block`` gives the entry's ``compute`` report block; ``golden`` gives the
     value a fixture's ``expected`` block freezes.  Both take the loaded input
     and the field.  Either is None where the entry has no such form.
     """
 
-    needs: str
-    block: Callable[[LoadedInput, simplicial.FieldSpec], object] | None
-    golden: Callable[[LoadedInput, simplicial.FieldSpec], object] | None
+    __slots__ = ()
 
 
 def _polynomial(compute: Callable[[core.RankTable], LaurentPoly]) -> Invariant:
@@ -422,6 +426,8 @@ def cmd_verify(args) -> int:
     for name, cap in (("ground-set", core.GROUND_SET_CAP), ("homology", core.HOMOLOGY_CAP)):
         if args.n > cap:
             raise MalformedInputError(f"--n {args.n} exceeds the {name} cap {cap}")
+    from . import verify  # only the battery needs it
+
     report = verify.run_battery(args.seed, args.n, args.samples)
     payload = {"manifest": {"command": "verify", "seed": args.seed, "n": args.n,
                             "samples": args.samples}}

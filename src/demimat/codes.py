@@ -20,25 +20,25 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
 
 from . import weights
 from ._linalg import is_prime, rref_mod_p
+from ._records import Frozen, record
 from .core import RankTable, _check_cap, subset_transform
 from .errors import InvariantViolationError, MalformedInputError, SizeCapError
 
 SUBSPACE_ENUM_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class PrimeMatrix:
+class PrimeMatrix(Frozen):
     """A matrix over F_p with entries reduced mod p."""
 
-    p: int
-    rows: tuple[tuple[int, ...], ...]
+    def __init__(self, p: int, rows: tuple[tuple[int, ...], ...]):
+        fields = self.__dict__
+        fields["p"], fields["rows"] = p, rows
 
     @classmethod
     def build(cls, p: int, rows: Iterable[Sequence[int]]) -> "PrimeMatrix":
@@ -147,14 +147,10 @@ def nullspace_basis(matrix: PrimeMatrix) -> list[list[int]]:
     return basis
 
 
-@dataclass(frozen=True)
-class LinearCodeView:
+class LinearCodeView(record("LinearCodeView", "p n k generator")):
     """An [n, k] code over F_p presented by a generator matrix."""
 
-    p: int
-    n: int
-    k: int
-    generator: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @classmethod
     def from_parity(cls, matrix: PrimeMatrix) -> "LinearCodeView":

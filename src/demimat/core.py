@@ -19,16 +19,14 @@ the P_j family.
 
 from __future__ import annotations
 
-import inspect
 import random
 from collections import Counter
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cache, cached_property, wraps
 from itertools import combinations, repeat
 from operator import add, mul, or_
-from typing import Callable, Iterable, Iterator, Sequence
 
+from ._records import Frozen, record
 from .errors import KindError, MalformedInputError, SizeCapError
 
 # Caps keep the 2^n tables and the Hochster sweeps desk-sized; assign new
@@ -142,16 +140,16 @@ def _check_cap(n: int) -> None:
 # -- rank tables and validation -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    axiom: str
-    witnesses: tuple[int, ...]  # subset masks exhibiting the failure
+class Violation(record("Violation", "axiom witnesses")):
+    """A violated axiom and the subset masks that exhibit the failure."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    kind: str
-    violations: tuple[Violation, ...]
+class ValidationReport(record("ValidationReport", "kind violations")):
+    """The certified kind and one ``Violation`` per violated axiom."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -159,7 +157,6 @@ class ValidationReport:
 
 
 def _classify(n: int, ranks: Sequence[int]) -> ValidationReport:
-    violations: list[Violation] = []
     full = full_mask(n)
 
     unit_step = None
@@ -172,8 +169,6 @@ def _classify(n: int, ranks: Sequence[int]) -> ValidationReport:
                 break
         if unit_step:
             break
-    if unit_step:
-        violations.append(unit_step)
 
     submodular = None
     for mask in range(full + 1):
@@ -186,16 +181,9 @@ def _classify(n: int, ranks: Sequence[int]) -> ValidationReport:
                 break
         if submodular:
             break
-    if submodular:
-        violations.append(submodular)
 
-    if unit_step:
-        kind = COMBINATROID
-    elif submodular:
-        kind = DEMIMATROID
-    else:
-        kind = MATROID
-    return ValidationReport(kind, tuple(violations))
+    kind = COMBINATROID if unit_step else DEMIMATROID if submodular else MATROID
+    return ValidationReport(kind, tuple(v for v in (unit_step, submodular) if v))
 
 
 @cache
@@ -278,8 +266,7 @@ def _size_rank_profile(n: int, ranks: Sequence[int]) -> Mapping[tuple[int, int],
     return _FrozenCounts({divmod(key, base)[::-1]: c for key, c in Counter(keys).items()})
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(Frozen):
     """A combinatroid as an explicit table over all 2^n subsets.
 
     ``kind`` is classified on first read and cached, never at build; so is
@@ -287,8 +274,9 @@ class RankTable:
     shared derived values are memoized on the table by ``per_table``.
     """
 
-    n: int
-    ranks: tuple[int, ...]
+    def __init__(self, n: int, ranks: tuple[int, ...]):
+        fields = self.__dict__
+        fields["n"], fields["ranks"] = n, ranks
 
     @classmethod
     def build(cls, n: int, ranks: Sequence[int]) -> "RankTable":
@@ -337,6 +325,9 @@ class RankTable:
             raise KindError(f"{operation} needs a demimatroid, table certifies {self.kind}")
 
 
+_REQUIRED = object()  # keys a left-out argument that has no default
+
+
 def per_table(fn: Callable) -> Callable:
     """Memoize ``fn(table, *args)`` in the table's instance dict, as ``kind`` is.
 
@@ -345,10 +336,14 @@ def per_table(fn: Callable) -> Callable:
     ``Complex`` carries its demimatroid.  The arguments after the table are
     passed positionally, and the key is their tuple; a trailing argument
     that has a default and is left out is keyed by that default, so both
-    spellings share one entry.  Values are immutable; an exception is raised
-    afresh on every call, never stored.
+    spellings share one entry.  The defaults are ``fn.__defaults__``, which
+    belong to the last of the ``fn.__code__.co_argcount`` positional
+    parameters; one without a default is keyed by a private sentinel, not by
+    None, so an explicit None keys an entry of its own.  Values are
+    immutable; an exception is raised afresh on every call, never stored.
     """
-    defaults = tuple(p.default for p in inspect.signature(fn).parameters.values())[1:]
+    defaults = fn.__defaults__ or ()
+    defaults = (_REQUIRED,) * (fn.__code__.co_argcount - 1 - len(defaults)) + defaults
     name = f"{fn.__module__}.{fn.__qualname__}"  # a name, so a table still pickles
 
     @wraps(fn)
@@ -371,8 +366,7 @@ def validate(table: RankTable) -> ValidationReport:
 # -- simplicial complexes --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Complex:
+class Complex(Frozen):
     """A simplicial complex on vertex set {1..n}, stored as its set of faces.
 
     ``face_set`` is a frozenset of masks closed under taking subsets.  The
@@ -380,8 +374,9 @@ class Complex:
     from the complex whose only face is the empty set (``face_set == {0}``).
     """
 
-    n: int
-    face_set: frozenset[int]
+    def __init__(self, n: int, face_set: frozenset[int]):
+        fields = self.__dict__
+        fields["n"], fields["face_set"] = n, face_set
 
     @classmethod
     def build(cls, n: int, masks: Iterable[int]) -> "Complex":
@@ -543,9 +538,10 @@ def from_wei_sequence(n: int, d: Sequence[int]) -> RankTable:
 # -- Galois connection check -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaloisReport:
-    items: tuple[tuple[str, bool], ...]
+class GaloisReport(record("GaloisReport", "items")):
+    """The ``(check name, passed)`` pairs of ``galois_check``, in order."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -563,12 +559,10 @@ def galois_check(cx: Complex, table: RankTable) -> GaloisReport:
     items: list[tuple[str, bool]] = []
 
     up = complex_to_demimatroid(cx) if not cx.is_void else None
-    if up is None:
-        items.append(("up_down_identity", False))
-    else:
-        items.append(("up_down_identity", independence_complex(up) == cx))
+    items.append(("up_down_identity", up is not None and independence_complex(up) == cx))
 
-    down_up = complex_to_demimatroid(independence_complex(table))
+    ind = independence_complex(table)
+    down_up = complex_to_demimatroid(ind)
     items.append(
         ("down_up_below", all(a <= b for a, b in zip(down_up.ranks, table.ranks)))
     )
@@ -585,13 +579,10 @@ def galois_check(cx: Complex, table: RankTable) -> GaloisReport:
     items.append(("up_monotone", up_monotone))
 
     # Restrictions of the independence complex must come from tables below.
-    ind = independence_complex(table)
     capped = RankTable.build(
         table.n, [min(r, max(table.rank - 1, 0)) for r in table.ranks]
     )
-    ind_capped = independence_complex(capped)
-    down_monotone = ind_capped.face_set <= ind.face_set
-    items.append(("down_monotone", down_monotone))
+    items.append(("down_monotone", independence_complex(capped).face_set <= ind.face_set))
 
     return GaloisReport(tuple(items))
 

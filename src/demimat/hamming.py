@@ -17,11 +17,11 @@ polynomials, because the expansion is a function of the coordinates;
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import comb
-from typing import Sequence
 
 from . import core, ops, tutte as tutte_mod
+from ._records import record
 from .core import RankTable, per_table, popcount
 from .errors import (
     InexactDivisionError,
@@ -376,11 +376,11 @@ def generalized_w_all(table: RankTable, route: str = "subset") -> tuple[LaurentP
     )
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    holds: bool
-    residual: LaurentPoly | None
-    error: str | None = None
+class ConjectureReport(record("ConjectureReport", "holds residual error", defaults=(None,))):
+    """The verdict, the residual polynomial (None where it could not be
+    formed) and the message of the error that stopped it."""
+
+    __slots__ = ()
 
 
 def conjecture_check(table: RankTable) -> ConjectureReport:
@@ -419,14 +419,11 @@ def conjecture_check(table: RankTable) -> ConjectureReport:
 # -- assembled view ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HammingData:
-    table: RankTable
-    w: LaurentPoly
-    pj: tuple[LaurentPoly, ...]
-    delta: int
-    a: dict[int, LaurentPoly]
-    c: int
+class HammingData(record("HammingData", "table w pj delta a c")):
+    """W, the P_j family, ``(delta, c)`` from ``formal_min_distance`` and the
+    A_j coefficients as a dict by j."""
+
+    __slots__ = ()
 
 
 def hamming_data(table: RankTable) -> HammingData:

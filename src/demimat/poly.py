@@ -46,9 +46,9 @@ print as ``x^-1``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Mapping, Sequence, Union
 
 from ._binomial import _expand
 from ._substitution import _expand_images
@@ -58,7 +58,7 @@ VARIABLES = ("x", "y", "t")
 _INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _ZERO_EXP = (0, 0, 0)
 
-Number = Union[int, Fraction]
+Number = int | Fraction
 
 
 def _exact(value) -> Number:

@@ -43,12 +43,12 @@ not faces) come out right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from operator import add, sub
 
 from . import core, hamming
 from ._linalg import is_prime, rank_bit_columns, rank_sparse_columns
+from ._records import record
 from .core import Complex, RankTable, per_table, popcount
 from .errors import (
     InvariantViolationError,
@@ -58,16 +58,16 @@ from .errors import (
 from .poly import LaurentPoly, cross_checked, monomial, poly_sum, term_sum, zero
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(record("FieldSpec", "characteristic")):
     """Either the rationals (characteristic 0) or a prime field F_p."""
 
-    characteristic: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = self.characteristic
-        if p != 0 and not is_prime(p):
-            raise MalformedInputError(f"characteristic must be 0 or prime, got {p}")
+    def __new__(cls, characteristic: int):
+        if characteristic != 0 and not is_prime(characteristic):
+            raise MalformedInputError(
+                f"characteristic must be 0 or prime, got {characteristic}")
+        return super().__new__(cls, characteristic)
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
@@ -84,11 +84,11 @@ class FieldSpec:
 RATIONALS = FieldSpec.rationals()
 
 
-@dataclass(frozen=True)
-class BettiTable:
-    """Graded Betti numbers as a map (homological degree i, internal degree j)."""
+class BettiTable(record("BettiTable", "entries")):
+    """Graded Betti numbers as a map (homological degree i, internal degree j):
+    ``entries`` holds the nonzero ``((i, j), beta)`` pairs, sorted."""
 
-    entries: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, data: dict[tuple[int, int], int]) -> "BettiTable":

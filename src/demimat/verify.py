@@ -22,29 +22,29 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
 
 from . import core, hamming, ops, simplicial, tutte, weights
+from ._records import Plain
 from .poly import X, Y, monomial
 
 
-@dataclass
-class IdentityResult:
-    passes: int = 0
-    failures: list = field(default_factory=list)
+class IdentityResult(Plain):
+    def __init__(self, passes: int = 0, failures: list | None = None):
+        self.passes = passes
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass
-class BatteryReport:
-    seed: int
-    n: int
-    samples: int
-    identities: dict[str, IdentityResult] = field(default_factory=dict)
-    conjecture_census: dict[str, int] = field(default_factory=dict)
+class BatteryReport(Plain):
+    def __init__(self, seed: int, n: int, samples: int,
+                 identities: dict[str, IdentityResult] | None = None,
+                 conjecture_census: dict[str, int] | None = None):
+        self.seed, self.n, self.samples = seed, n, samples
+        self.identities = {} if identities is None else identities
+        self.conjecture_census = {} if conjecture_census is None else conjecture_census
 
     @property
     def ok(self) -> bool:

@@ -7,25 +7,22 @@ closed forms the fullness test checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from . import ops
+from ._records import record
 from .core import RankTable
 from .errors import InvariantViolationError, MalformedInputError
 
 
-@dataclass(frozen=True)
-class WeiProfile:
+class WeiProfile(record("WeiProfile", "k d d_up")):
     """Lower and upper Wei numbers of a demimatroid of rank k.
 
     ``d[r-1]`` is the smallest size of a subset of rank r (1 <= r <= k);
     ``d_up[r]`` is the largest size of a subset of rank r (0 <= r <= k).
     """
 
-    k: int
-    d: tuple[int, ...]
-    d_up: tuple[int, ...]
+    __slots__ = ()
 
 
 def wei_hierarchy(table: RankTable) -> WeiProfile:

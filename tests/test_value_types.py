@@ -1,0 +1,131 @@
+"""Value semantics of the package's record and table types.
+
+Each is built by position or by keyword, with its defaults; equal and hashed
+by value, and only equal to its own type (never to a plain tuple or to an
+object with the same attributes); shown as ``Name(field=...)``; read-only
+where it is a value; and it pickles, after derived values have been read
+too.  ``IdentityResult`` and ``BatteryReport`` are the battery's mutable
+tallies: unhashable, assignable, and each gets its own default containers.
+"""
+
+import pickle
+from types import SimpleNamespace
+
+import pytest
+
+from demimat import cli, codes, core, hamming, ops, simplicial, verify, weights
+from demimat.errors import MalformedInputError
+from demimat.poly import X
+
+TABLE = core.uniform(3, 1)
+COMPLEX = core.Complex.build(3, [0b011, 0b100])
+
+# (type, its fields in order with one value each, mutable)
+CASES = [
+    (core.Violation, {"axiom": "R2", "witnesses": (3, 0)}, False),
+    (core.ValidationReport, {"kind": "matroid", "violations": ()}, False),
+    (core.RankTable, {"n": 3, "ranks": TABLE.ranks}, False),
+    (core.Complex, {"n": 3, "face_set": COMPLEX.face_set}, False),
+    (core.GaloisReport, {"items": (("up_down_identity", True),)}, False),
+    (codes.PrimeMatrix, {"p": 2, "rows": ((1, 0, 1), (0, 1, 1))}, False),
+    (codes.LinearCodeView, {"p": 2, "n": 3, "k": 1, "generator": ((1, 1, 1),)}, False),
+    (hamming.ConjectureReport, {"holds": False, "residual": X, "error": "no"}, False),
+    (hamming.HammingData,
+     {"table": TABLE, "w": X, "pj": (X,), "delta": 2, "a": (), "c": 3}, False),
+    (simplicial.FieldSpec, {"characteristic": 3}, False),
+    (simplicial.BettiTable, {"entries": (((0, 0), 1), ((1, 2), 3))}, False),
+    (weights.WeiProfile, {"k": 1, "d": (1,), "d_up": (0, 3)}, False),
+    (cli.LoadedInput, {"construction": "complex-up", "table": TABLE, "cx": COMPLEX}, False),
+    (cli.Invariant, {"needs": cli.TABLE, "block": None, "golden": None}, False),
+    (verify.IdentityResult, {"passes": 2, "failures": [{"ranks": [0, 1]}]}, True),
+    (verify.BatteryReport, {"seed": 1, "n": 3, "samples": 2,
+                            "identities": {"a": verify.IdentityResult(1)},
+                            "conjecture_census": {"holds": 2}}, True),
+]
+
+
+@pytest.mark.parametrize("cls, fields, mutable", CASES, ids=[case[0].__name__ for case in CASES])
+def test_value_semantics(cls, fields, mutable):
+    by_position = cls(*fields.values())
+    by_keyword = cls(**fields)
+    for name, value in fields.items():
+        assert getattr(by_position, name) == value
+    assert by_position == by_keyword and not by_position != by_keyword
+    if cls is not simplicial.FieldSpec:  # which checks its one field
+        assert by_position != cls(**{**fields, next(iter(fields)): object()})
+    # Another type with the same values is not equal, either way round.
+    for other in (tuple(fields.values()), SimpleNamespace(**fields)):
+        assert by_position != other and other != by_position
+        assert not by_position == other
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(by_position) == f"{cls.__name__}({shown})"
+    assert pickle.loads(pickle.dumps(by_position)) == by_position
+    first = next(iter(fields))
+    if mutable:
+        with pytest.raises(TypeError):
+            hash(by_position)
+        setattr(by_position, first, fields[first])
+    else:
+        assert hash(by_position) == hash(by_keyword)
+        assert {by_position, by_keyword} == {by_keyword}
+        with pytest.raises(AttributeError):
+            setattr(by_position, first, fields[first])
+
+
+def test_defaults():
+    assert hamming.ConjectureReport(True, None).error is None
+    assert cli.LoadedInput("graph", TABLE).cx is None
+    assert verify.IdentityResult() == verify.IdentityResult(0, [])
+    assert verify.BatteryReport(1, 3, 2) == verify.BatteryReport(1, 3, 2, {}, {})
+
+
+def test_each_tally_gets_its_own_default_containers():
+    a, b = verify.IdentityResult(), verify.IdentityResult()
+    a.failures.append({"ranks": [0]})
+    assert b.failures == []
+    c, d = verify.BatteryReport(1, 3, 2), verify.BatteryReport(1, 3, 2)
+    c.identities["x"] = a
+    c.conjecture_census["holds"] = 1
+    assert d.identities == {} and d.conjecture_census == {}
+
+
+def test_a_field_spec_validates_its_characteristic():
+    for build in (lambda: simplicial.FieldSpec(4), lambda: simplicial.FieldSpec.prime(4),
+                  lambda: simplicial.FieldSpec(characteristic=-2)):
+        with pytest.raises(MalformedInputError):
+            build()
+    assert simplicial.FieldSpec(0) == simplicial.RATIONALS
+    assert simplicial.FieldSpec(2) != simplicial.FieldSpec(3)
+
+
+def test_tables_pickle_with_their_derived_values():
+    table = core.uniform(4, 2)
+    values = (table.kind, table.profile, ops.dual(table), hamming.hamming_subset_sum(table))
+    back = pickle.loads(pickle.dumps(table))
+    assert back == table
+    assert (back.kind, back.profile, ops.dual(back), hamming.hamming_subset_sum(back)) == values
+    demimatroid = core.complex_to_demimatroid(COMPLEX)
+    assert core.complex_to_demimatroid(pickle.loads(pickle.dumps(COMPLEX))) == demimatroid
+    matrix = codes.PrimeMatrix.build(2, [[1, 0, 1], [0, 1, 1]])
+    echelon = matrix.echelon
+    back = pickle.loads(pickle.dumps(matrix))
+    assert back == matrix and back.echelon == echelon
+
+
+def test_a_memoized_function_without_its_required_argument_raises_every_time():
+    calls = []
+
+    @core.per_table
+    def probe(table, r):
+        calls.append(r)
+        return r
+
+    table = core.uniform(3, 1)
+    # An explicit None is an argument like any other: it keys its own entry,
+    # which a call that leaves the argument out never reads.
+    assert probe(table, None) is None
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            probe(table)
+    assert probe(table, None) is None
+    assert calls == [None]

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import os
 import random
@@ -97,8 +96,7 @@ FAULTS = {
     "minor_duality": (ops, "contract", lambda f: ops.delete),
     "lattice_laws": (ops, "meet", lambda f: ops.join),
     "wei_duality": (weights, "wei_hierarchy",  # each lower number one too large
-                    lambda f: lambda t: dataclasses.replace(
-                        f(t), d=tuple(v + 1 for v in f(t).d))),
+                    lambda f: lambda t: f(t)._replace(d=tuple(v + 1 for v in f(t).d))),
     "wei_bounds": (weights, "min_size_at_nullity", lambda f: lambda t, r: f(t, r) + 1),
     "wei_sequence_roundtrip": (core, "from_wei_sequence", lambda f: lambda n, d: f(n, d[1:])),
     "elongation_laws": (ops, "elongate",  # one step too far, within range
