@@ -2,10 +2,10 @@
 """Regenerate the golden fixture files under fixtures/.
 
 Inputs are written from first principles (facet lists, check matrices, rank
-tables).  Each payload is then loaded through ``cli.interpret_input``, the
+tables).  Each payload is then loaded through ``inputs.interpret_input``, the
 loader `demimat verify --fixtures fixtures` uses, and its expected block holds
-the registry's goldens for the listed keys, so verify catches regressions
-byte-exactly and a rerun reproduces fixtures/ byte for byte.  The
+the goldens ``registry.golden`` gives for the listed keys, so verify catches
+regressions byte-exactly and a rerun reproduces fixtures/ byte for byte.  The
 worked-example values themselves are asserted against independent oracles in
 tests/.
 
@@ -18,7 +18,7 @@ import json
 from itertools import combinations
 from pathlib import Path
 
-from demimat import cli, core, simplicial
+from demimat import core, inputs, registry, simplicial
 
 ROOT = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -89,8 +89,8 @@ def fixtures():
 
 
 def expected_for(payload, keys):
-    loaded = cli.interpret_input(payload)
-    return {key: cli.golden(loaded, simplicial.RATIONALS, key) for key in keys}
+    loaded = inputs.interpret_input(payload)
+    return {key: registry.golden(loaded, simplicial.RATIONALS, key) for key in keys}
 
 
 def write(name, payload):

@@ -11,15 +11,17 @@ from .core import (
     RankTable,
     ValidationReport,
     complex_to_demimatroid,
+    independence_complex,
+    level_complex,
+    sharp_demimatroid,
+    validate,
+)
+from .constructions import (
     from_matroid_bases,
     from_wei_sequence,
     graph_demimatroid,
-    independence_complex,
-    level_complex,
     random_demimatroid,
-    sharp_demimatroid,
     uniform,
-    validate,
 )
 from .ops import (
     contract,

@@ -27,7 +27,7 @@ from itertools import combinations, product
 from . import weights
 from ._linalg import is_prime, rref_mod_p
 from ._records import Frozen, record
-from .core import RankTable, _check_cap, subset_transform
+from .core import RankTable, check_cap, subset_transform
 from .errors import InvariantViolationError, MalformedInputError, SizeCapError
 
 SUBSPACE_ENUM_CAP = 1 << 20
@@ -79,7 +79,7 @@ def parity_matroid(matrix: PrimeMatrix) -> RankTable:
     ``InvariantViolationError``.
     """
     n, p = matrix.n_cols, matrix.p
-    _check_cap(n)  # before any enumeration or elimination
+    check_cap(n)  # before any enumeration or elimination
     rref, pivots = matrix.echelon
     rank = len(pivots)
     if p ** min(rank, n - rank) > min(SUBSPACE_ENUM_CAP, 8 << n):

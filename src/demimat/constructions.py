@@ -1,0 +1,176 @@
+"""Named constructions of rank tables, the Galois check, and the sampler.
+
+Each constructor builds a ``core.RankTable`` from a description (a size and
+rank, a basis family, a graph, a Wei sequence) and checks the ground-set cap
+before the 2^n table is built.  ``random_demimatroid`` and ``random_subset``
+draw the battery's samples from a ``random.Random``; ``random`` is named only
+in their annotations and never imported, so loading the CLI does not load it.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable, Sequence
+from operator import or_
+
+from ._records import record
+from .core import (
+    Complex,
+    RankTable,
+    check_cap,
+    complex_to_demimatroid,
+    independence_complex,
+    mask_of,
+    popcount,
+)
+from .errors import MalformedInputError
+
+# -- constructions ---------------------------------------------------------------
+
+
+def uniform(n: int, k: int) -> RankTable:
+    """rho(X) = min(|X|, k); certifies as a matroid."""
+    if not 0 <= k <= n:
+        raise MalformedInputError(f"uniform needs 0 <= k <= n, got k={k}, n={n}")
+    check_cap(n)
+    return RankTable.build(n, [min(popcount(m), k) for m in range(1 << n)])
+
+
+def from_matroid_bases(n: int, bases: Iterable) -> RankTable:
+    """Rank table from a family of claimed bases: rho(X) = max |X & B|.
+
+    The basis-exchange axiom is not verified here; validation downgrades the
+    kind if the family is not a legitimate basis family.
+    """
+    masks = [b if isinstance(b, int) else mask_of(b, n) for b in bases]
+    if not masks:
+        raise MalformedInputError("need at least one basis")
+    check_cap(n)
+    ranks = [max(popcount(m & b) for b in masks) for m in range(1 << n)]
+    return RankTable.build(n, ranks)
+
+
+def graph_demimatroid(n: int, edges: Iterable[tuple[int, int]]) -> RankTable:
+    """rho = 0 on the empty set, 1 on independent vertex sets, 2 otherwise.
+
+    The defining trichotomy assumes a graph with no isolated vertices; it is
+    applied verbatim regardless, so isolated vertices simply stay independent.
+    """
+    check_cap(n)
+    edge_masks = []
+    for a, b in edges:
+        if a == b:
+            raise MalformedInputError(f"self-loop at vertex {a}")
+        edge_masks.append(mask_of((a, b), n))
+    ranks = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        ranks[m] = 2 if any(e & ~m == 0 for e in edge_masks) else 1
+    return RankTable.build(n, ranks)
+
+
+def from_wei_sequence(n: int, d: Sequence[int]) -> RankTable:
+    """Demimatroid with the prescribed strictly increasing Wei numbers.
+
+    rho(X) counts how many of the prescribed sizes are <= |X|, which realizes
+    exactly the requested hierarchy.
+    """
+    check_cap(n)
+    ds = list(d)
+    if any(not 1 <= v <= n for v in ds) or any(a >= b for a, b in zip(ds, ds[1:])):
+        raise MalformedInputError(
+            f"need a strictly increasing sequence within 1..{n}, got {ds}"
+        )
+    ranks = [sum(1 for v in ds if v <= popcount(m)) for m in range(1 << n)]
+    return RankTable.build(n, ranks)
+
+
+# -- Galois connection check -------------------------------------------------------
+
+
+class GaloisReport(record("GaloisReport", "items")):
+    """The ``(check name, passed)`` pairs of ``galois_check``, in order."""
+
+    __slots__ = ()
+
+    @property
+    def ok(self) -> bool:
+        return all(passed for _, passed in self.items)
+
+    def as_dict(self) -> dict[str, bool]:
+        return dict(self.items)
+
+
+def galois_check(cx: Complex, table: RankTable) -> GaloisReport:
+    """Itemized checks of the complex/demimatroid adjunction on shared n."""
+    if cx.n != table.n:
+        raise MalformedInputError("complex and table must share the ground set")
+    table.require_demimatroid("galois check")
+    items: list[tuple[str, bool]] = []
+
+    up = complex_to_demimatroid(cx) if not cx.is_void else None
+    items.append(("up_down_identity", up is not None and independence_complex(up) == cx))
+
+    ind = independence_complex(table)
+    down_up = complex_to_demimatroid(ind)
+    items.append(
+        ("down_up_below", all(a <= b for a, b in zip(down_up.ranks, table.ranks)))
+    )
+
+    # Monotone samples: single-facet subcomplexes must map below the whole.
+    up_monotone = True
+    if up is not None:
+        for f in cx.facets:
+            sub = Complex.build(cx.n, [f])
+            sub_up = complex_to_demimatroid(sub)
+            if not all(a <= b for a, b in zip(sub_up.ranks, up.ranks)):
+                up_monotone = False
+                break
+    items.append(("up_monotone", up_monotone))
+
+    # Restrictions of the independence complex must come from tables below.
+    capped = RankTable.build(
+        table.n, [min(r, max(table.rank - 1, 0)) for r in table.ranks]
+    )
+    items.append(("down_monotone", independence_complex(capped).face_set <= ind.face_set))
+
+    return GaloisReport(tuple(items))
+
+
+# -- random generation --------------------------------------------------------------
+
+
+def random_demimatroid(n: int, rng: random.Random) -> RankTable:
+    """Rejection-free uniform-step sampler over valid demimatroid tables.
+
+    Ranks are assigned in ascending mask order (every proper subset precedes
+    its supersets), each by one ``rng.randint`` over the feasible interval
+    [max rho(X\\x), min rho(X\\x) + 1], which is never empty because
+    removing two different elements changes the rank by at most one in each
+    step.  ``seen[X]`` gathers the ranks of X's lower neighbours as bits, so
+    the interval is its highest bit and its lowest bit plus one.  The bits
+    arrive a block at a time: once the last mask of an aligned block of 2^b
+    masks with bit b clear is assigned, their ranks go in one slice to the
+    block with bit b set, their upper neighbours across bit b.
+    """
+    check_cap(n)
+    size = 1 << n
+    ranks = [0] * size
+    seen = [0] * size
+    bit_of = (1).__lshift__
+    for mask in range(size):
+        if mask:
+            s = seen[mask]
+            ranks[mask] = rng.randint(s.bit_length() - 1, (s & -s).bit_length())
+        step = (mask + 1) & ~mask  # the lowest bit clear in mask
+        top = slice(mask + 1, mask + 1 + step)
+        if top.stop > size:
+            continue
+        if step == 1:
+            seen[mask + 1] |= 1 << ranks[mask]
+        else:
+            seen[top] = map(or_, seen[top], map(bit_of, ranks[mask + 1 - step:mask + 1]))
+    return RankTable.build(n, ranks)
+
+
+def random_subset(n: int, rng: random.Random) -> int:
+    return rng.randrange(1 << n)
+

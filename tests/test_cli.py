@@ -329,8 +329,12 @@ def _fixture_directory(tmp_path, monkeypatch) -> list[str]:
     lambda tmp_path, _: _input_file(tmp_path, b'{"n": ' + b"7" * 5000 + b"}"),
     _unreadable_file,
     _fixture_directory,
+    lambda tmp_path, _: ["verify", "--fixtures", str(tmp_path / "missing")],
+    lambda tmp_path, _: ["verify", "--fixtures", str(tmp_path)],
+    lambda tmp_path, _: ["verify", "--fixtures", str(FIXTURES / "uniform_4_2.json")],
 ], ids=["directory", "not-utf8", "deep-nesting", "long-integer", "unreadable",
-        "fixture-directory"])
+        "fixture-directory", "missing-fixture-directory", "empty-fixture-directory",
+        "fixture-file-for-directory"])
 def test_unreadable_input_exits_2_without_a_traceback(tmp_path, monkeypatch, capsys, make_argv):
     code, out, err = run_cli(capsys, *make_argv(tmp_path, monkeypatch))
     assert code == 2

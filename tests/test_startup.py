@@ -3,8 +3,8 @@
 Every CLI call starts a new interpreter, so what importing the CLI pulls in
 is paid on each call.  Under ``python -S`` (no site packages, which may
 import ``typing`` themselves), importing ``demimat.cli`` loads neither
-``dataclasses``, ``inspect`` nor ``typing``, and no verb but the battery
-loads ``demimat.verify``.
+``dataclasses``, ``inspect``, ``typing``, ``random`` nor ``pathlib``, and no
+verb but the battery loads ``demimat.verify``.
 """
 
 import json
@@ -18,7 +18,7 @@ import demimat
 
 SRC = Path(demimat.__file__).resolve().parent.parent
 RANK_TABLE = Path(__file__).resolve().parent.parent / "fixtures" / "uniform_4_2.json"
-NOT_AT_IMPORT = ("dataclasses", "inspect", "typing", "demimat.verify")
+NOT_AT_IMPORT = ("dataclasses", "inspect", "typing", "demimat.verify", "random", "pathlib")
 
 CHILD = """
 import io, json, sys

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from demimat import cli, codes, core, hamming, ops, simplicial, verify, weights
+from demimat import codes, core, hamming, inputs, ops, registry, simplicial, verify, weights
 from demimat.errors import MalformedInputError
 from demimat.poly import X
 
@@ -35,8 +35,8 @@ CASES = [
     (simplicial.FieldSpec, {"characteristic": 3}, False),
     (simplicial.BettiTable, {"entries": (((0, 0), 1), ((1, 2), 3))}, False),
     (weights.WeiProfile, {"k": 1, "d": (1,), "d_up": (0, 3)}, False),
-    (cli.LoadedInput, {"construction": "complex-up", "table": TABLE, "cx": COMPLEX}, False),
-    (cli.Invariant, {"needs": cli.TABLE, "block": None, "golden": None}, False),
+    (inputs.LoadedInput, {"construction": "complex-up", "table": TABLE, "cx": COMPLEX}, False),
+    (registry.Invariant, {"needs": registry.TABLE, "block": None, "golden": None}, False),
     (verify.IdentityResult, {"passes": 2, "failures": [{"ranks": [0, 1]}]}, True),
     (verify.BatteryReport, {"seed": 1, "n": 3, "samples": 2,
                             "identities": {"a": verify.IdentityResult(1)},
@@ -74,7 +74,7 @@ def test_value_semantics(cls, fields, mutable):
 
 def test_defaults():
     assert hamming.ConjectureReport(True, None).error is None
-    assert cli.LoadedInput("graph", TABLE).cx is None
+    assert inputs.LoadedInput("graph", TABLE).cx is None
     assert verify.IdentityResult() == verify.IdentityResult(0, [])
     assert verify.BatteryReport(1, 3, 2) == verify.BatteryReport(1, 3, 2, {}, {})
 
