@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb
+from operator import index
 
 from .errors import ExponentRangeError, UnsupportedSubstitutionError
 
@@ -68,10 +69,10 @@ def _limits(factors: tuple) -> dict[str, int]:
     return {name: OFFSET - 1 - r for name, r in reach.items()}
 
 
-def _expand(items, exact) -> dict:
+def _expand(items) -> dict:
     """The expansion of ``items`` as a tuple-keyed term dict without zeros.
 
-    ``exact`` turns an item's coefficient into an int or Fraction, or raises.
+    An item's coefficient must be an int; anything else raises TypeError.
     """
     low, shift = -OFFSET, _SHIFT
     groups: dict[tuple, dict[int, object]] = {}
@@ -90,7 +91,7 @@ def _expand(items, exact) -> dict:
                     f" with factors {factors}"
                 )
             key += e << shift[name]
-        terms[key] = terms.get(key, 0) + (coeff if type(coeff) is int else exact(coeff))
+        terms[key] = terms.get(key, 0) + (coeff if type(coeff) is int else index(coeff))
     for length in range(max(map(len, groups), default=0), 0, -1):
         for factors in [f for f in groups if len(f) == length]:
             terms = groups.pop(factors)

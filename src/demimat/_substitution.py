@@ -36,7 +36,8 @@ def _powers(value, used: set[int]) -> dict:
 
 
 def _expand_images(terms: dict, values: dict) -> dict:
-    """``terms`` with slot i replaced by ``values[i]``, as an unsettled term dict."""
+    """``terms`` with slot i replaced by ``values[i]``, as a term dict that may
+    hold zero sums."""
     slots = tuple(values)
     groups: dict[tuple, list[tuple]] = {}
     for exp in terms:

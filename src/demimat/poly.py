@@ -1,11 +1,13 @@
-"""Exact sparse Laurent polynomials in the fixed variable set {x, y, t}.
+"""Exact sparse Laurent polynomials over Z in the fixed variable set {x, y, t}.
 
 Terms map an exponent vector (signed integers, one slot per variable) to a
-nonzero rational coefficient.  A coefficient is stored as a plain ``int``
-whenever it is integral and as a ``Fraction`` only when it is not; the only
-operations that can make one are a ``Fraction`` input, ``monomial_inverse`` of
-a non-unit coefficient and a ``divide_exact`` step whose leading coefficient
-is not +-1.  All arithmetic is exact; there is no floating point anywhere.
+nonzero ``int`` coefficient, since every invariant here counts subsets; any
+other coefficient raises TypeError.  The only units are +-1 times a
+monomial: ``monomial_inverse``, a negative power and a substitution into a
+negative exponent take nothing else (UnsupportedSubstitutionError).
+``divide_exact`` is exact over Z: a quotient coefficient that is not an
+integer raises InexactDivisionError, which a divisor led by +-1, as every
+divisor in the package is, never does.  There is no floating point anywhere.
 Values are immutable by convention: every operation returns a fresh
 polynomial.
 
@@ -47,8 +49,8 @@ print as ``x^-1``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 from functools import cache
+from operator import index
 
 from ._binomial import _expand
 from ._substitution import _expand_images
@@ -58,61 +60,46 @@ VARIABLES = ("x", "y", "t")
 _INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _ZERO_EXP = (0, 0, 0)
 
-Number = int | Fraction
 
-
-def _exact(value) -> Number:
-    """``value`` as an int when integral, else as a Fraction."""
-    if type(value) is int:
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
-        return int(value)
-    raise TypeError(f"expected an exact integer or Fraction, got {type(value).__name__}")
-
-
-def _settle(terms: dict) -> dict:
-    """Turn integral Fraction coefficients of ``terms`` into ints, in place."""
-    for exp, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
-            terms[exp] = c.numerator
-    return terms
-
-
-def _reciprocal(c: Number) -> Number:
-    return c if c == 1 or c == -1 else _exact(1 / Fraction(c))
+def _quotient(c: int, lead: int, divisor) -> int:
+    """``c / lead`` when it is an integer; otherwise InexactDivisionError."""
+    q, r = divmod(c, lead)
+    if r:
+        raise InexactDivisionError(
+            f"inexact division by {divisor}: {c}/{lead} is not an integer", remainder=None
+        )
+    return q
 
 
 def _from_terms(terms: dict) -> LaurentPoly:
-    """Wrap an already clean term dict (nonzero, settled) without copying it."""
+    """Wrap an already clean term dict (nonzero int coefficients) without copying it."""
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = terms
     return p
 
 
 class LaurentPoly:
-    """A sparse multivariate Laurent polynomial over the rationals."""
+    """A sparse multivariate Laurent polynomial over the integers."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple, Number] | None = None):
-        clean: dict[tuple, Number] = {}
+    def __init__(self, terms: Mapping[tuple, int] | None = None):
+        clean: dict[tuple, int] = {}
         if terms:
             for exp, coeff in terms.items():
                 e = tuple(exp)
                 if len(e) != len(VARIABLES) or not all(isinstance(k, int) for k in e):
                     raise ValueError(f"bad exponent vector {exp!r}")
-                c = clean.get(e, 0) + _exact(coeff)
+                c = clean.get(e, 0) + index(coeff)
                 if c:
                     clean[e] = c
                 else:
                     clean.pop(e, None)
-        self._terms = _settle(clean)
+        self._terms = clean
 
     # -- inspection ---------------------------------------------------------
 
-    def terms(self) -> dict[tuple, Number]:
+    def terms(self) -> dict[tuple, int]:
         return dict(self._terms)
 
     def __bool__(self) -> bool:
@@ -121,11 +108,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def is_integral(self) -> bool:
-        """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self._terms.values())
 
     @property
     def is_monomial(self) -> bool:
@@ -151,7 +133,7 @@ class LaurentPoly:
         variables multiplying x^2*y.
         """
         idx = {_INDEX[v]: e for v, e in fixed.items()}
-        out: dict[tuple, Number] = {}
+        out: dict[tuple, int] = {}
         for exp, coeff in self._terms.items():
             if all(exp[i] == e for i, e in idx.items()):
                 rest = tuple(0 if i in idx else e for i, e in enumerate(exp))
@@ -163,8 +145,8 @@ class LaurentPoly:
     def _coerce(self, other) -> LaurentPoly | None:
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly({_ZERO_EXP: other})
+        if isinstance(other, int):
+            return constant(other)
         return None
 
     def __add__(self, other) -> LaurentPoly:
@@ -175,7 +157,7 @@ class LaurentPoly:
         for exp, coeff in o._terms.items():
             c = out.get(exp, 0) + coeff
             if c:
-                out[exp] = c if type(c) is int or c.denominator != 1 else c.numerator
+                out[exp] = c
             else:
                 out.pop(exp, None)
         return _from_terms(out)
@@ -198,15 +180,14 @@ class LaurentPoly:
         return o + (-self)
 
     def __mul__(self, other) -> LaurentPoly:
-        if isinstance(other, (int, Fraction)):
-            c = _exact(other)
-            if not c:
+        if isinstance(other, int):
+            if not other:
                 return _from_terms({})
-            return _from_terms(_settle({exp: c * v for exp, v in self._terms.items()}))
+            return _from_terms({exp: other * v for exp, v in self._terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple, Number] = {}
+        out: dict[tuple, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in o._terms.items():
                 exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
@@ -215,7 +196,7 @@ class LaurentPoly:
                     out[exp] = c
                 else:
                     out.pop(exp, None)
-        return _from_terms(_settle(out))
+        return _from_terms(out)
 
     __rmul__ = __mul__
 
@@ -235,13 +216,13 @@ class LaurentPoly:
         return result
 
     def monomial_inverse(self) -> LaurentPoly:
-        """Inverse of a single-term polynomial; anything else has no Laurent inverse."""
-        if not self.is_monomial:
+        """Inverse of a unit, +-1 times a monomial; nothing else is invertible."""
+        if not self.is_monomial or abs(next(iter(self._terms.values()))) != 1:
             raise UnsupportedSubstitutionError(
-                f"only monomials are invertible in the Laurent ring: {self}"
+                f"only +-1 times a monomial is invertible in the Laurent ring: {self}"
             )
         (exp, coeff), = self._terms.items()
-        return LaurentPoly({tuple(-e for e in exp): _reciprocal(coeff)})
+        return _from_terms({tuple(-e for e in exp): coeff})
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -254,12 +235,12 @@ class LaurentPoly:
 
     # -- substitution and division ------------------------------------------
 
-    def substitute(self, assignments: Mapping[str, LaurentPoly | Number]) -> LaurentPoly:
-        """Simultaneously replace variables by polynomials or rationals.
+    def substitute(self, assignments: Mapping[str, LaurentPoly | int]) -> LaurentPoly:
+        """Simultaneously replace variables by polynomials or integers.
 
         A variable occurring with a negative exponent may only receive a
-        nonzero monomial value (the inverse stays a Laurent monomial); any
-        other assignment raises UnsupportedSubstitutionError.  When some
+        unit, +-1 times a monomial (its inverse stays a Laurent monomial);
+        any other assignment raises UnsupportedSubstitutionError.  When some
         value is not a monomial, the terms are grouped by their exponents in
         the substituted slots, each value's powers are built incrementally
         up to the largest exponent used, and each group's image (the product
@@ -272,7 +253,7 @@ class LaurentPoly:
                 raise KeyError(f"unknown variable {name!r}")
             v = value if isinstance(value, LaurentPoly) else constant(value)
             values[_INDEX[name]] = v
-        out: dict[tuple, Number] = {}
+        out: dict[tuple, int] = {}
         if all(v.is_monomial for v in values.values()):
             # Every value is c * monomial: a pure map of exponents and
             # coefficients, with no polynomial products.
@@ -285,25 +266,35 @@ class LaurentPoly:
                         for k, d in enumerate(image):
                             target[k] += e * d
                         if c != 1:
-                            coeff = coeff * (c ** e if e > 0 else Fraction(c) ** e)
+                            if e < 0 and c != -1:
+                                raise UnsupportedSubstitutionError(
+                                    f"{values[i]} is not a unit, so it cannot take"
+                                    f" the negative exponent {e}"
+                                )
+                            coeff = coeff * c ** abs(e)
                 key = tuple(target)
                 out[key] = out.get(key, 0) + coeff
         else:
             out = _expand_images(self._terms, values)
-        return _from_terms(_settle({key: c for key, c in out.items() if c}))
+        return _from_terms({key: c for key, c in out.items() if c})
 
-    def divide_exact(self, divisor: LaurentPoly | Number) -> LaurentPoly:
-        """Exact division; raises InexactDivisionError on a nonzero remainder.
+    def divide_exact(self, divisor: LaurentPoly | int) -> LaurentPoly:
+        """Exact division over Z; raises InexactDivisionError on a nonzero
+        remainder or on a quotient coefficient that is not an integer (then
+        with ``remainder=None``).
 
-        The divisor must be a nonzero monomial, a rational constant, or a
+        The divisor must be a nonzero monomial, an integer constant, or a
         polynomial in a single variable (the cases the identities in this
-        package need).
+        package need).  A divisor whose leading coefficient is +-1 never
+        meets a non-integral quotient coefficient.
         """
         d = divisor if isinstance(divisor, LaurentPoly) else constant(divisor)
         if d.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if d.is_monomial:
-            return self * d.monomial_inverse()
+            (exp, lead), = d._terms.items()
+            shifted = self * _from_terms({tuple(-e for e in exp): 1})
+            return _from_terms({e: _quotient(c, lead, d) for e, c in shifted._terms.items()})
         dvars = d.variables()
         if len(dvars) != 1:
             raise InexactDivisionError(
@@ -312,17 +303,17 @@ class LaurentPoly:
         vi = _INDEX[dvars[0]]
         den = {exp[vi]: c for exp, c in d._terms.items()}
         top = max(den)
-        inverse = _reciprocal(den.pop(top))
+        lead = den.pop(top)
         # rows[k] holds the dividend's terms whose exponent of the divisor's
         # variable is k; rows below ``stop`` can no longer be divided.
-        rows: dict[int, dict[tuple, Number]] = {}
+        rows: dict[int, dict[tuple, int]] = {}
         for exp, c in self._terms.items():
             rows.setdefault(exp[vi], {})[exp] = c
         stop = min(rows, default=0) + top - min(den)
-        quotient: dict[tuple, Number] = {}
+        quotient: dict[tuple, int] = {}
         for k in range(max(rows, default=0), stop - 1, -1):
             for exp, c in rows.pop(k, {}).items():
-                factor = c * inverse
+                factor = _quotient(c, lead, d)
                 head, tail = exp[:vi], exp[vi + 1:]
                 quotient[head + (k - top,) + tail] = factor
                 for j, cj in den.items():
@@ -335,15 +326,15 @@ class LaurentPoly:
                         row.pop(key, None)
         remainder = {exp: c for row in rows.values() for exp, c in row.items()}
         if remainder:
-            rem = _from_terms(_settle(remainder))
+            rem = _from_terms(remainder)
             raise InexactDivisionError(
                 f"inexact division by {d}: remainder {rem}", remainder=rem
             )
-        return _from_terms(_settle(quotient))
+        return _from_terms(quotient)
 
     # -- display --------------------------------------------------------------
 
-    def _sorted_terms(self) -> list[tuple[tuple, Number]]:
+    def _sorted_terms(self) -> list[tuple[tuple, int]]:
         # x is least significant: compare (t, y, x) exponents ascending.
         return sorted(self._terms.items(), key=lambda kv: tuple(reversed(kv[0])))
 
@@ -385,8 +376,8 @@ def one() -> LaurentPoly:
     return _from_terms({_ZERO_EXP: 1})
 
 
-def constant(value: Number) -> LaurentPoly:
-    c = _exact(value)
+def constant(value: int) -> LaurentPoly:
+    c = index(value)
     return _from_terms({_ZERO_EXP: c} if c else {})
 
 
@@ -396,13 +387,13 @@ def variable(name: str) -> LaurentPoly:
     return LaurentPoly({tuple(exp): 1})
 
 
-def monomial(coeff: Number, **exps: int) -> LaurentPoly:
+def monomial(coeff: int, **exps: int) -> LaurentPoly:
     exp = [0] * len(VARIABLES)
     for name, e in exps.items():
         if not isinstance(e, int):
             raise ValueError(f"bad exponent {e!r} for {name}")
         exp[_INDEX[name]] = e
-    c = _exact(coeff)
+    c = index(coeff)
     return _from_terms({tuple(exp): c} if c else {})
 
 
@@ -411,14 +402,14 @@ Y = variable("y")
 T = variable("t")
 
 
-def term_sum(items: Iterable[tuple[tuple, Number]]) -> LaurentPoly:
+def term_sum(items: Iterable[tuple[tuple, int]]) -> LaurentPoly:
     """Sum of coeff * x^a y^b t^c over pairs ((a, b, c), coeff) of an
-    exponent vector and an int or Fraction, gathered in one term dict and
-    wrapped once; zero sums are dropped."""
-    out: dict[tuple, Number] = {}
+    exponent vector and an int, gathered in one term dict and wrapped once;
+    zero sums are dropped."""
+    out: dict[tuple, int] = {}
     for exp, coeff in items:
         out[exp] = out.get(exp, 0) + coeff
-    return _from_terms(_settle({exp: c for exp, c in out.items() if c}))
+    return _from_terms({exp: c for exp, c in out.items() if c})
 
 
 def poly_sum(items) -> LaurentPoly:
@@ -444,7 +435,7 @@ def cross_checked(invariant: str, left: str, a: LaurentPoly, right: str, b: Laur
 
 
 def binomial_expansion(
-    items: Iterable[tuple[Number, Mapping[str, int], Sequence[tuple[str, str | None, int]]]],
+    items: Iterable[tuple[int, Mapping[str, int], Sequence[tuple[str, str | None, int]]]],
 ) -> LaurentPoly:
     """Sum of c * mono * prod (u - v)^k over items (c, mono, factors), expanded.
 
@@ -453,11 +444,12 @@ def binomial_expansion(
     1, raised to k >= 0.  The packed, staged kernel (``_binomial``) writes
     every power from a cached row of ``math.comb`` values, expands the
     factors last-first and merges equal partial terms between stages, so no
-    intermediate polynomial is built.  A negative k has no Laurent expansion
-    and raises UnsupportedSubstitutionError; an exponent outside the packed
-    slot range raises OverflowError.
+    intermediate polynomial is built.  A coefficient that is not an int
+    raises TypeError; a negative k has no Laurent expansion and raises
+    UnsupportedSubstitutionError; an exponent outside the packed slot range
+    raises OverflowError.
     """
-    return _from_terms(_settle(_expand(items, _exact)))
+    return _from_terms(_expand(items))
 
 
 # -- q-analogues ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import builtins
 import errno
 import functools
 import json
@@ -306,14 +307,17 @@ def _input_file(tmp_path, content: bytes) -> list[str]:
 
 def _unreadable_file(tmp_path, monkeypatch) -> list[str]:
     argv = _input_file(tmp_path, b"{}")
-    path = Path(argv[2])
-    path.chmod(0)
+    path = argv[2]
+    os.chmod(path, 0)
     if os.access(path, os.R_OK):  # a superuser reads it anyway: refuse as the OS would
+        real_open = builtins.open
 
-        def refuse(self, *args, **kwargs):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+        def refuse(file, *args, **kwargs):
+            if str(file) == path:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_open(file, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", refuse)
+        monkeypatch.setattr(builtins, "open", refuse)
     return argv
 
 
@@ -322,24 +326,28 @@ def _fixture_directory(tmp_path, monkeypatch) -> list[str]:
     return ["verify", "--fixtures", str(tmp_path)]
 
 
-@pytest.mark.parametrize("make_argv", [
-    lambda tmp_path, _: ["compute", "--in", str(FIXTURES), "--all"],
-    lambda tmp_path, _: _input_file(tmp_path, b"\xff\xfe{}"),
-    lambda tmp_path, _: _input_file(tmp_path, b"[" * 100000),
-    lambda tmp_path, _: _input_file(tmp_path, b'{"n": ' + b"7" * 5000 + b"}"),
-    _unreadable_file,
-    _fixture_directory,
-    lambda tmp_path, _: ["verify", "--fixtures", str(tmp_path / "missing")],
-    lambda tmp_path, _: ["verify", "--fixtures", str(tmp_path)],
-    lambda tmp_path, _: ["verify", "--fixtures", str(FIXTURES / "uniform_4_2.json")],
+@pytest.mark.parametrize("make_argv, detail", [
+    (lambda tmp_path, _: ["compute", "--in", str(FIXTURES), "--all"], "cannot read"),
+    (lambda tmp_path, _: _input_file(tmp_path, b"\xff\xfe{}"), "invalid JSON"),
+    (lambda tmp_path, _: _input_file(tmp_path, b"[" * 100000), "invalid JSON"),
+    (lambda tmp_path, _: _input_file(tmp_path, b'{"n": ' + b"7" * 5000 + b"}"), "invalid JSON"),
+    (_unreadable_file, "cannot read"),
+    (_fixture_directory, "cannot read"),
+    (lambda tmp_path, _: ["verify", "--fixtures", str(tmp_path / "missing")], "no fixture files"),
+    (lambda tmp_path, _: ["verify", "--fixtures", str(tmp_path)], "no fixture files"),
+    (lambda tmp_path, _: ["verify", "--fixtures", str(FIXTURES / "uniform_4_2.json")],
+     "no fixture files"),
 ], ids=["directory", "not-utf8", "deep-nesting", "long-integer", "unreadable",
         "fixture-directory", "missing-fixture-directory", "empty-fixture-directory",
         "fixture-file-for-directory"])
-def test_unreadable_input_exits_2_without_a_traceback(tmp_path, monkeypatch, capsys, make_argv):
+def test_unreadable_input_exits_2_without_a_traceback(tmp_path, monkeypatch, capsys, make_argv,
+                                                      detail):
     code, out, err = run_cli(capsys, *make_argv(tmp_path, monkeypatch))
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"] == "malformed-input"
+    report = json.loads(err)
+    assert report["error"] == "malformed-input"
+    assert report["detail"].startswith(detail)
 
 
 def _count_calls(monkeypatch, module, name, counts):

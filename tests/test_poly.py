@@ -38,8 +38,10 @@ def test_basic_identities():
 def test_zero_and_constants():
     assert zero().is_zero
     assert str(zero()) == "0"
-    assert constant(Fraction(1, 2)) + constant(Fraction(1, 2)) == 1
+    assert constant(3) + constant(-2) == 1
     assert (X - X).is_zero
+    with pytest.raises(TypeError):
+        constant(Fraction(1, 2))
 
 
 def test_ring_laws_random():
@@ -55,15 +57,25 @@ def test_ring_laws_random():
         assert a * one() == a
 
 
-def test_is_integral_flag():
-    assert (X + 2 * Y).is_integral
-    assert not (Fraction(1, 2) * X).is_integral
+def test_every_coefficient_is_an_int():
+    assert all(type(c) is int for c in (X + 2 * Y).terms().values())
+    for value in (Fraction(1, 2), Fraction(4, 2), 0.5):
+        with pytest.raises(TypeError):
+            LaurentPoly({(1, 0, 0): value})
+        with pytest.raises(TypeError):
+            value * X
 
 
 def test_power_and_monomial_inverse():
     assert (X + 1) ** 0 == one()
     assert (X * Y).monomial_inverse() == monomial(1, x=-1, y=-1)
-    assert monomial(2, x=3) ** -2 == monomial(Fraction(1, 4), x=-6)
+    assert monomial(-1, x=3) ** -2 == monomial(1, x=-6)
+    assert monomial(-1, x=3, t=-1) ** -1 == monomial(-1, x=-3, t=1)
+    # the only units are +-1 times a monomial
+    with pytest.raises(UnsupportedSubstitutionError):
+        monomial(2, x=3) ** -2
+    with pytest.raises(UnsupportedSubstitutionError):
+        monomial(2, x=3).monomial_inverse()
     with pytest.raises(UnsupportedSubstitutionError):
         (X + Y).monomial_inverse()
 
@@ -76,27 +88,37 @@ def test_substitute_simultaneous_swap():
 
 def test_substitute_negative_exponent_needs_monomial():
     p = monomial(1, x=-1) + Y
-    assert p.substitute({"x": 2 * T}) == Fraction(1, 2) * monomial(1, t=-1) + Y
+    assert p.substitute({"x": -T}) == -monomial(1, t=-1) + Y
+    with pytest.raises(UnsupportedSubstitutionError):
+        p.substitute({"x": 2 * T})
     with pytest.raises(UnsupportedSubstitutionError):
         p.substitute({"x": T + 1})
 
 
 def test_scalar_multiplication():
-    p = 3 * X**2 * Y - Fraction(1, 2) * T + 5
-    assert (p * 0).is_zero and (0 * p).is_zero and (p * Fraction(0)).is_zero
+    p = 3 * X**2 * Y - T + 5
+    assert (p * 0).is_zero and (0 * p).is_zero
     assert p * 1 == p == 1 * p
     assert p * -1 == -p == -1 * p
-    doubled = p * Fraction(4, 2)
-    assert doubled == p + p == Fraction(4, 2) * p
-    assert doubled.terms() == {(2, 1, 0): 6, (0, 0, 1): -1, (0, 0, 0): 10}
+    doubled = p * 2
+    assert doubled == p + p == 2 * p
+    assert doubled.terms() == {(2, 1, 0): 6, (0, 0, 1): -2, (0, 0, 0): 10}
     assert all(type(c) is int for c in doubled.terms().values())
-    assert (p * Fraction(2, 3)).terms()[(0, 0, 1)] == Fraction(-1, 3)
+    for scalar in (Fraction(0), Fraction(4, 2), Fraction(2, 3)):
+        with pytest.raises(TypeError):
+            p * scalar
+        with pytest.raises(TypeError):
+            scalar * p
 
 
 def test_single_term_constructors():
-    assert monomial(0, x=1).is_zero and constant(0).is_zero and constant(Fraction(0, 3)).is_zero
-    assert monomial(Fraction(6, 3), x=-2, t=1).terms() == {(-2, 0, 1): 2}
-    assert type(constant(Fraction(6, 3)).terms()[(0, 0, 0)]) is int
+    assert monomial(0, x=1).is_zero and constant(0).is_zero
+    assert monomial(2, x=-2, t=1).terms() == {(-2, 0, 1): 2}
+    assert type(constant(2).terms()[(0, 0, 0)]) is int
+    with pytest.raises(TypeError):
+        constant(Fraction(0, 3))
+    with pytest.raises(TypeError):
+        monomial(Fraction(6, 3), x=-2, t=1)
     assert one().terms() == {(0, 0, 0): 1}
     with pytest.raises(ValueError):
         monomial(1, x=1.0)
@@ -206,7 +228,10 @@ def test_canonical_order_matches_reference_string():
 
 def test_string_negative_exponents_and_fractions():
     assert str(monomial(1, x=-1)) == "x^-1"
-    assert str(Fraction(-1, 2) * X + T) == "-1/2*x + t"
+    assert str(-2 * X + T) == "-2*x + t"
+    # a rational coefficient never reaches the display: it is refused
+    with pytest.raises(TypeError):
+        Fraction(-1, 2) * X
 
 
 def test_cached_q_analogues_survive_every_operation():
@@ -219,9 +244,9 @@ def test_cached_q_analogues_survive_every_operation():
         results = [
             x + y, x - y, -x, x * y, x + 1, 2 - x, 3 * x, x ** 0, x ** 1, x ** 3,
             x.substitute({"t": X + 1}), x.substitute({"t": monomial(2, t=3)}),
-            x * 1, 1 * x, x * -1, x * Fraction(4, 2), x * 0,
+            x * 1, 1 * x, x * -1, x * 2, x * 0,
             T.substitute({"t": x}), (T * X + 1).substitute({"t": x, "x": y}),
-            (x * y).divide_exact(y), x.divide_exact(monomial(3, t=2)), x.divide_exact(1),
+            (x * y).divide_exact(y), x.divide_exact(monomial(-1, t=2)), x.divide_exact(1),
         ]
         assert all(r._terms is not x._terms and r._terms is not y._terms for r in results)
         assert results[3].divide_exact(x) == y

@@ -2,9 +2,10 @@
 
 Every CLI call starts a new interpreter, so what importing the CLI pulls in
 is paid on each call.  Under ``python -S`` (no site packages, which may
-import ``typing`` themselves), importing ``demimat.cli`` loads neither
-``dataclasses``, ``inspect``, ``typing``, ``random`` nor ``pathlib``, and no
-verb but the battery loads ``demimat.verify``.
+import ``typing`` themselves), importing ``demimat.cli`` loads none of
+``dataclasses``, ``inspect``, ``typing``, ``random``, ``pathlib``,
+``fractions``, ``decimal`` or ``numbers``, and no verb but the battery loads
+``demimat.verify``.
 """
 
 import json
@@ -18,7 +19,8 @@ import demimat
 
 SRC = Path(demimat.__file__).resolve().parent.parent
 RANK_TABLE = Path(__file__).resolve().parent.parent / "fixtures" / "uniform_4_2.json"
-NOT_AT_IMPORT = ("dataclasses", "inspect", "typing", "demimat.verify", "random", "pathlib")
+NOT_AT_IMPORT = ("dataclasses", "inspect", "typing", "demimat.verify", "random", "pathlib",
+                 "fractions", "decimal", "numbers")
 
 CHILD = """
 import io, json, sys
