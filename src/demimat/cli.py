@@ -30,7 +30,7 @@ from functools import cache
 from . import core, ops
 from .errors import DemimatError, MalformedInputError, SizeCapError
 from .inputs import LoadedInput, field_from_flag, interpret_input, read_json
-from .registry import INVARIANT_FLAGS, INVARIANTS, TABLE, entry_for, golden, recorded
+from .registry import INVARIANT_FLAGS, entry_for, golden, has_input, recorded
 
 # -- input and output ----------------------------------------------------------------
 
@@ -63,10 +63,9 @@ def cmd_compute(args) -> int:
     fieldspec = field_from_flag(args.field)
     requested = [f for f in INVARIANT_FLAGS if getattr(args, f)]
     if args.all:
-        requested = [
-            f for f in INVARIANT_FLAGS
-            if INVARIANTS[f].needs == TABLE or loaded.cx is not None
-        ]
+        requested = [f for f in INVARIANT_FLAGS if has_input(f, loaded)]
+        if not requested:  # only a void complex has neither a table nor faces
+            raise MalformedInputError("the void complex has no invariant to compute")
     if not requested:
         raise MalformedInputError("no invariants requested; pass --all or flags")
 

@@ -3,17 +3,27 @@ the coefficient polynomials P_j and A_j, and the generalized q-enumerators.
 
 W is homogeneous of degree n in (x, y); the t slot doubles as the q of the
 generalized enumerators, so a single variable stores both and the caller
-chooses how to print it.  MacWilliams, the Tutte recovery and the
-definition route of the W^(r) are changes of variables written in closed
-form, one pass over W's terms into one term dict.  The deletion-contraction
-recurrence is stated on coordinates in the basis (x-y)^a y^b t^e:
-``recurrence_coordinates`` merges both minors' profiles, shifted by the
-recurrence's powers, and the identity battery compares them with the
-table's own ``subset_sum_coordinates``, which is not weaker than comparing
-polynomials, because the expansion is a function of the coordinates;
-``hamming_recurrence`` expands them and stays as API and as a test oracle.
-"""
+chooses how to print it.  The definition route of the W^(r) is a change of
+variables written in closed form, one pass over W's terms into one term
+dict.  Four checks are decided on coordinates in a linearly independent
+basis, which is not weaker than comparing polynomials, because the
+expansion is a function of the coordinates:
 
+- the deletion-contraction recurrence: ``recurrence_coordinates`` merges
+  both minors' profiles in the basis (x-y)^a y^b t^e, shifted by the
+  recurrence's powers, and the battery compares them with the table's own
+  ``subset_sum_coordinates``;
+- MacWilliams: ``macwilliams_coordinates`` against the dual's
+  ``subset_sum_coordinates``;
+- the Tutte recovery and the recovery identity of ``conjecture_check``: sums
+  on (x-1, y-1, t) coordinates, where dividing by a power of x - 1 is an
+  exponent shift, against the corank-nullity counts.
+
+A route expands both sides only when they disagree, so that
+``cross_checked`` names the first differing monomial.  ``hamming_recurrence``
+and ``macwilliams_transform`` expand the coordinates and stay as API and as
+test oracles.
+"""
 from __future__ import annotations
 
 import operator
@@ -28,14 +38,10 @@ from .errors import (
     InvariantViolationError,
     KindError,
     MalformedInputError,
-    RationalFunctionError,
-    UnsupportedSubstitutionError,
 )
 from .poly import (
     LaurentPoly,
     T,
-    X,
-    Y,
     angle,
     binomial_expansion,
     cross_checked,
@@ -170,51 +176,98 @@ def w_from_pj(table: RankTable) -> LaurentPoly:
 # -- transforms --------------------------------------------------------------------
 
 
-def macwilliams_transform(w: LaurentPoly, eta: int) -> LaurentPoly:
-    """t^(-eta) W(x + (t-1) y, x - y, t), expanded in closed form.
+def macwilliams_coordinates(w: LaurentPoly, eta: int) -> dict[tuple[int, int, int], int]:
+    """The coordinates of t^(-eta) W(x + (t-1) y, x - y, t) in the basis
+    (x-y)^a y^b t^e, without zeros.
 
     Since x + (t-1) y = (x - y) + ty, a term x^a y^b t^e maps to
-    sum_i C(a, i) y^i t^(e+i-eta) (x-y)^(a+b-i).  The terms are gathered by
-    (i, t exponent, (x-y) exponent) first, so each power of (x - y) is
-    written once per group from its binomial row.  A negative power of x or
+    sum_i C(a, i) (x-y)^(a+b-i) y^i t^(e+i-eta).  A negative power of x or
     y has no Laurent image and raises UnsupportedSubstitutionError.
     """
-    groups: dict[tuple[int, int, int], int] = {}
+    coordinates: dict[tuple[int, int, int], int] = {}
     for (a, b, e), c in tutte_mod.expandable_terms(w, x="x + (t-1)y", y="x - y").items():
         for i in range(a + 1):
-            key = (i, e + i - eta, a + b - i)
-            groups[key] = groups.get(key, 0) + c * comb(a, i)
-    return binomial_expansion(
-        (c, {"y": i, "t": e}, (("x", "y", k),)) for (i, e, k), c in groups.items()
-    )
+            key = (a + b - i, i, e + i - eta)
+            coordinates[key] = coordinates.get(key, 0) + c * comb(a, i)
+    return {key: c for key, c in coordinates.items() if c}
+
+
+def macwilliams_transform(w: LaurentPoly, eta: int) -> LaurentPoly:
+    """t^(-eta) W(x + (t-1) y, x - y, t): the expansion of
+    ``macwilliams_coordinates``."""
+    return binomial_expansion(_basis_items(macwilliams_coordinates(w, eta)))
 
 
 def macwilliams(table: RankTable) -> LaurentPoly:
-    """W of the dual via the transform, asserted against the dual's subset sum."""
+    """W of the dual: its subset sum, once the MacWilliams transform of W has
+    the same coordinates.  On a disagreement both sides are expanded and
+    ``cross_checked`` names the first differing monomial."""
     table.require_demimatroid("MacWilliams identity")
-    transformed = macwilliams_transform(hamming_subset_sum(table), table.total_nullity)
-    return cross_checked("W of the dual", "MacWilliams", transformed,
-                         "dual subset-sum", hamming_subset_sum(ops.dual(table)))
+    dual = ops.dual(table)
+    coordinates = macwilliams_coordinates(hamming_subset_sum(table), table.total_nullity)
+    if coordinates != subset_sum_coordinates(dual):
+        transformed = binomial_expansion(_basis_items(coordinates))
+        cross_checked("W of the dual", "MacWilliams", transformed,
+                      "dual subset-sum", hamming_subset_sum(dual))
+    return hamming_subset_sum(dual)
+
+
+def _tutte_basis_items(coordinates: dict[tuple[int, int, int], int]):
+    """``binomial_expansion`` items of the sum of c (x-1)^a (y-1)^b t^e over
+    the coordinates (a, b, e) -> c."""
+    return ((c, {"t": e}, (("x", None, a), ("y", None, b)))
+            for (a, b, e), c in coordinates.items())
+
+
+def _at_one_over_x(terms: dict, n: int):
+    """x^n w(1, 1/x, t) in the basis (x-1)^i t^e, for the ``terms`` of w: a
+    term x^a y^b t^e becomes x^(n-b) t^e = sum_i C(n-b, i) (x-1)^i t^e,
+    yielded as ((i, e), c) pairs.  A term with b > n leaves a negative power
+    of x, which no power of x - 1 clears: InexactDivisionError."""
+    for (_, b, e), c in terms.items():
+        if b > n:
+            raise InexactDivisionError(f"x^{n - b} is not a polynomial in x - 1")
+        for i in range(n - b + 1):
+            yield (i, e), c * comb(n - b, i)
+
+
+def _divided(coordinates: dict[tuple[int, int, int], int], power: int) -> dict:
+    """The (x-1, y-1, t) coordinates divided by (x-1)^power: a shift of the
+    first exponent, without zeros.  A nonzero coordinate below (x-1)^power is
+    the remainder of the division and raises InexactDivisionError."""
+    low = {key: c for key, c in coordinates.items() if key[0] < power and c}
+    if low:
+        remainder = binomial_expansion(_tutte_basis_items(low))
+        raise InexactDivisionError(f"inexact division by (x-1)^{power}: remainder {remainder}",
+                                   remainder=remainder)
+    return {(a - power, b, e): c for (a, b, e), c in coordinates.items() if c}
 
 
 def tutte_from_hamming(table: RankTable) -> LaurentPoly:
-    """Recover T(x,y) = (x-1)^(-eta) x^n W(1, 1/x, (x-1)(y-1)); cross-checked
-    against the corank-nullity expansion.
+    """T(x,y) = (x-1)^(-eta) x^n W(1, 1/x, (x-1)(y-1)), decided on the
+    (x-1, y-1) coordinates and returned as ``tutte.tutte``.
 
-    x^n times the image of a term x^a y^b t^e is x^(n-b) (x-1)^e (y-1)^e,
-    written from binomial rows; the sum is then divided exactly by
-    (x-1)^eta.  A negative t power has no Laurent image and raises
+    A term c x^a y^b t^e of W goes to sum_i c C(n-b, i) (x-1)^(i+e-eta)
+    (y-1)^e, so the division by (x-1)^eta is an exponent shift; a nonzero
+    coordinate below (x-1)^eta raises InexactDivisionError.  The result must
+    equal the corank-nullity counts; on a disagreement both sides are
+    expanded and ``cross_checked`` names the first differing monomial.  A
+    negative t power has no Laurent image and raises
     UnsupportedSubstitutionError.
     """
     table.require_demimatroid("Tutte recovery")
-    n = table.n
-    cleared = binomial_expansion(
-        (c, {"x": n - b}, (("x", None, e), ("y", None, e)))
-        for (_, b, e), c in hamming_subset_sum(table).terms().items()
-    )
-    recovered = cleared.divide_exact((X - 1) ** table.total_nullity)
-    return cross_checked("Tutte polynomial", "Hamming", recovered,
-                         "corank-nullity", tutte_mod.tutte(table))
+    terms = tutte_mod.expandable_terms(hamming_subset_sum(table), t="(x-1)(y-1)")
+    cleared: dict[tuple[int, int, int], int] = {}
+    for (i, e), c in _at_one_over_x(terms, table.n):
+        key = (i + e, e, 0)
+        cleared[key] = cleared.get(key, 0) + c
+    recovered = _divided(cleared, table.total_nullity)
+    counts = tutte_mod.corank_nullity_counts(table)
+    if recovered != {(a, b, 0): c for (a, b), c in counts.items()}:
+        expanded = binomial_expansion(_tutte_basis_items(recovered))
+        cross_checked("Tutte polynomial", "Hamming", expanded,
+                      "corank-nullity", tutte_mod.tutte(table))
+    return tutte_mod.tutte(table)
 
 
 def recurrence_coordinates(table: RankTable, p: int) -> dict[tuple[int, int, int], int]:
@@ -388,32 +441,39 @@ def conjecture_check(table: RankTable) -> ConjectureReport:
 
         T(x,y) =? x^n (x-1)^(k-n) * sum_r prod_{j<r}((x-1)(y-1) - q^j) W^(r)(1, 1/x, q)
 
-    The sum is evaluated in Horner form: with u = (x-1)(y-1) and
-    E_r = W^(r)(1, 1/x, q), it is E_0 + (u - 1)(E_1 + (u - q)(E_2 + ...)),
-    so each E_r meets one product instead of a growing one.  Returns the
-    equality flag with the residual (rhs - T); inputs on which the Laurent
-    clearing fails are reported, not raised.
+    The right side is summed on its coordinates in the basis
+    (x-1)^a (y-1)^b q^e, in Horner form: with u = (x-1)(y-1) and
+    E_r = x^n W^(r)(1, 1/x, q) = sum C(n-b, i) (x-1)^i q^e over W^(r)'s
+    terms, it is E_0 + (u - 1)(E_1 + (u - q)(E_2 + ...)), and multiplying by
+    u - q^r adds two shifted copies.  Dividing by (x-1)^(n-k) shifts the
+    first exponent.  The identity holds when the result equals the
+    corank-nullity counts; the residual (rhs - T) is the expansion of the
+    coordinate difference.  A nonzero coordinate below (x-1)^(n-k) is
+    reported as the clearing error, not raised.
     """
     table.require_demimatroid("conjecture check")
     n = table.n
     k = table.rank
+    rhs: dict[tuple[int, int, int], int] = {}
+    family = generalized_w_all(table)
     try:
-        expected = tutte_mod.tutte(table)
-        u = (X - 1) * (Y - 1)
-        rhs = zero()
-        family = generalized_w_all(table)
         for r in reversed(range(len(family))):
-            evaluated = family[r].substitute({"x": 1, "y": monomial(1, x=-1)})
-            rhs = evaluated + (u - monomial(1, t=r)) * rhs
-        rhs = (monomial(1, x=n) * rhs).divide_exact((X - 1) ** (n - k))
-    except (
-        InexactDivisionError,
-        UnsupportedSubstitutionError,
-        RationalFunctionError,
-    ) as exc:
+            shifted = {(a + 1, b + 1, e): c for (a, b, e), c in rhs.items()}
+            for (a, b, e), c in rhs.items():  # times u - q^r
+                key = a, b, e + r
+                shifted[key] = shifted.get(key, 0) - c
+            for (i, e), c in _at_one_over_x(family[r].terms(), n):  # plus E_r
+                shifted[i, 0, e] = shifted.get((i, 0, e), 0) + c
+            rhs = shifted
+        difference = _divided(rhs, n - k)
+    except InexactDivisionError as exc:
         return ConjectureReport(False, None, error=str(exc))
-    residual = rhs - expected
-    return ConjectureReport(residual.is_zero, residual)
+    for (a, b), c in tutte_mod.corank_nullity_counts(table).items():
+        key = a, b, 0
+        difference[key] = difference.get(key, 0) - c
+    difference = {key: c for key, c in difference.items() if c}
+    residual = binomial_expansion(_tutte_basis_items(difference))
+    return ConjectureReport(not difference, residual)
 
 
 # -- assembled view ----------------------------------------------------------------

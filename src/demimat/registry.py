@@ -190,14 +190,18 @@ INVARIANTS = {
 INVARIANT_FLAGS = tuple(name for name, entry in INVARIANTS.items() if entry.block)
 
 
+def has_input(name: str, loaded: LoadedInput) -> bool:
+    """Whether ``loaded`` is the input the entry ``name`` needs: a rank table
+    (a void complex has none) or a nonvoid complex."""
+    if INVARIANTS[name].needs == TABLE:
+        return loaded.table is not None
+    return loaded.cx is not None and not loaded.cx.is_void
+
+
 def entry_for(name: str, loaded: LoadedInput) -> Invariant:
     """The registry entry ``name``, once the input it needs is checked."""
     entry = INVARIANTS[name]
-    if entry.needs == TABLE:
-        met = loaded.table is not None
-    else:
-        met = loaded.cx is not None and not loaded.cx.is_void
-    if not met:
+    if not has_input(name, loaded):
         raise MalformedInputError(f"{name} needs {entry.needs}")
     return entry
 

@@ -13,7 +13,9 @@ the (x-1, y-1) coordinates of the T side and the monomials of the f side.
 The identity battery compares them with the table's own pairs, which is not
 weaker than comparing polynomials, because the expansion is a function of
 the coordinates; ``tutte_recurrence`` and ``whitney_recurrence`` expand them
-and stay as API and as test oracles.
+and stay as API and as test oracles.  The duality swap is one such
+comparison too: the dual's (corank, nullity) counts against the table's,
+each pair swapped, which decides T's duality and f's at once.
 """
 
 from __future__ import annotations
@@ -79,9 +81,12 @@ def tutte(table: RankTable) -> LaurentPoly:
 
 
 def tutte_dual_check(table: RankTable) -> bool:
-    """Dualizing the table swaps the variables of the Tutte polynomial."""
-    swapped = tutte(table).substitute({"x": Y, "y": X})
-    return tutte(ops.dual(table)) == swapped
+    """Dualizing the table swaps the variables of the Tutte polynomial and of
+    the Whitney function: the dual's (corank, nullity) counts are the
+    table's, each pair swapped.  Those counts are T's (x-1, y-1) coordinates
+    and f's monomials, so this one comparison is both dualities."""
+    swapped = {(b, a): c for (a, b), c in corank_nullity_counts(table).items()}
+    return corank_nullity_counts(ops.dual(table)) == swapped
 
 
 def deletion_contraction(table: RankTable, p: int) -> tuple[RankTable, RankTable, int, int]:

@@ -8,14 +8,19 @@ partners (a subset, two more demimatroids) draws them from a generator seeded
 by the table's own ranks, so a failure records a witness (the offending
 ranks) that reproduces it alone, without the battery's seed.
 
-The deletion-contraction recurrences are decided on basis coordinates, not
-on expanded polynomials: for each element, the coordinates of the
-recurrence's side (``tutte.recurrence_counts``, which T and the Whitney
-function share, and ``hamming.recurrence_coordinates``) are compared with
-the table's own.  The expansion is a function of the coordinates, so equal
-coordinates give equal polynomials, and a polynomial comparison could only
-miss a difference the coordinates show.  Every other identity, the duality
-checks included, still compares polynomials.
+Several identities are decided on basis coordinates, not on expanded
+polynomials.  For each element, the coordinates of the deletion-contraction
+side (``tutte.recurrence_counts``, which T and the Whitney function share,
+and ``hamming.recurrence_coordinates``) are compared with the table's own.
+The T/f duality swap compares the dual's corank-nullity counts with the
+table's, swapped; the MacWilliams involution compares
+``hamming.macwilliams_coordinates`` of the dual's W with the table's
+subset-sum coordinates; and MacWilliams, the Tutte recovery and the
+recovery identity decide their own routes on coordinates.  The expansion is
+a function of the coordinates, so equal coordinates give equal
+polynomials, and a polynomial comparison could only miss a difference the
+coordinates show.  The other identities, f(x-1, y-1) == T and W(x, y, 1) ==
+x^n among them, still compare polynomials.
 """
 
 from __future__ import annotations
@@ -158,16 +163,13 @@ def _elongation_laws(m: core.RankTable) -> bool:
 def _tutte_identities(m: core.RankTable) -> bool:
     t = tutte.tutte(m)
     # The recurrences for T and f are one comparison: their sides share the
-    # coordinates ``recurrence_counts`` gives.
+    # coordinates ``recurrence_counts`` gives; so are the two dualities.
     own = tutte.corank_nullity_counts(m)
     if any(tutte.recurrence_counts(m, p) != own for p in range(1, m.n + 1)):
         return False
     if not tutte.tutte_dual_check(m):
         return False
-    f = tutte.whitney_f(m)
-    if f.substitute({"x": X - 1, "y": Y - 1}) != t:
-        return False
-    if tutte.whitney_f(ops.dual(m)) != f.substitute({"x": Y, "y": X}):
+    if tutte.whitney_f(m).substitute({"x": X - 1, "y": Y - 1}) != t:
         return False
     tutte.characteristic(m)  # internally cross-checked
     return True
@@ -188,8 +190,8 @@ def _hamming_routes(m: core.RankTable) -> bool:
 def _macwilliams_pair(m: core.RankTable) -> bool:
     star = hamming.macwilliams(m)  # checked against the dual's subset sum
     # The transform is an involution: applied to the dual, it gives W back.
-    back = hamming.macwilliams_transform(star, ops.dual(m).total_nullity)
-    if back != hamming.hamming_subset_sum(m):
+    back = hamming.macwilliams_coordinates(star, ops.dual(m).total_nullity)
+    if back != hamming.subset_sum_coordinates(m):
         return False
     hamming.tutte_from_hamming(m)  # checked against the Tutte polynomial
     return True

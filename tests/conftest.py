@@ -37,6 +37,18 @@ def ranks_from_labels(n: int, labels: dict[str, int]) -> tuple[int, ...]:
     return table_from_labels(n, labels).ranks
 
 
+def minus_x2_y_t_minus_3(coordinates_of):
+    """A fault for ``hamming.macwilliams_coordinates``: the transform minus
+    x^2 y t^-3, subtracted as that monomial's coordinates
+    ((x-y) + y)^2 y t^-3 in the basis (x-y)^a y^b t^e."""
+    def corrupted(w, eta):
+        coordinates = dict(coordinates_of(w, eta))
+        for key, c in {(2, 1, -3): 1, (1, 2, -3): 2, (0, 3, -3): 1}.items():
+            coordinates[key] = coordinates.get(key, 0) - c
+        return coordinates
+    return corrupted
+
+
 @pytest.fixture
 def classify_calls(monkeypatch):
     """Ground-set sizes of every ``core._kind`` call (the classification

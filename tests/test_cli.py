@@ -180,6 +180,19 @@ def test_the_battery_report_matches_its_golden_bytes(capsys, seed, n):
     assert out.encode() == (GOLDEN / f"battery_seed{seed}_n{n}.json").read_bytes()
 
 
+@pytest.mark.parametrize("field", ["Q", "2"])
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda path: path.stem)
+def test_the_compute_all_report_matches_its_golden_bytes(capsys, monkeypatch, path, field):
+    # Every block of the report, not only the keys a fixture's ``expected``
+    # freezes: the MacWilliams and conjecture blocks, Wei, Whitney and the
+    # route flags too.  The manifest names the input as given, relative here.
+    monkeypatch.chdir(FIXTURES.parent)
+    code, out, err = run_cli(capsys, "compute", "--in", f"fixtures/{path.name}", "--all",
+                             "--field", field)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"compute_all_{field}" / path.name).read_bytes()
+
+
 @pytest.mark.parametrize("argv, homology_cap", [
     (("--n", "99", "--samples", "1"), None),
     (("--n", "0"), None),
@@ -279,10 +292,12 @@ def test_malformed_input_paths(tmp_path, capsys):
         ({"n": 2, "ranks": [0, 1, 1, 2]}, ("--field", "18446744073709551629")),
         # 2^30 column subsets: the cap must come before the first elimination
         ({"p": 2, "rows": [[1] * 30]}, ()),
+        # no facets: neither a rank table nor a face to count
+        ({"n": 2, "facets": []}, ()),
     ],
     ids=["no-n", "string-rank", "string-vertex", "triple-edge", "flat-rows",
          "compute-field", "verify-field", "over-ground-set-cap", "20-digit-p",
-         "20-digit-field", "code-over-ground-set-cap"],
+         "20-digit-field", "code-over-ground-set-cap", "void-complex"],
 )
 def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, payload, extra):
     eliminations: dict[str, int] = {}
@@ -296,6 +311,8 @@ def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, payload, extra):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert json.loads(err)["error"] == "malformed-input"
+    if payload == {"n": 2, "facets": []}:
+        assert json.loads(err)["detail"] == "the void complex has no invariant to compute"
     assert eliminations == {}
 
 

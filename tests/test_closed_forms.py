@@ -1,12 +1,14 @@
 """Closed-form changes of variables against the generic expressions they replace.
 
-MacWilliams, the Tutte recovery, the Tutte side of the characteristic
-polynomial, both f-polynomial routes, h, the definition route of the W^(r),
-the A_j and the recovery sum are each written straight from binomial rows
-or one term sum.  Each oracle below is the earlier generic expression, built
-with ``LaurentPoly.substitute`` or with chains of ``*`` and ``+``, and must
-give the same polynomial on every fixture and on hypothesis tables.  The
-guard tests pin where the generic expansion still runs.
+The Tutte side of the characteristic polynomial, both f-polynomial routes,
+h, the definition route of the W^(r) and the A_j are each written straight
+from binomial rows or one term sum; MacWilliams, the Tutte recovery and the
+recovery sum are computed on basis coordinates.  Each oracle below is the
+earlier generic expression, built with ``LaurentPoly.substitute`` or with
+chains of ``*`` and ``+``, and must give the same polynomial on every
+fixture and on hypothesis tables.  The recovery sum is also fed a corrupted
+family, so that a sum that ignored its input would fail.  The guard tests
+pin where the generic expansion still runs.
 """
 
 from math import comb
@@ -140,6 +142,41 @@ def test_closed_forms_match_the_generic_expressions_on_fixtures(path):
 def test_closed_forms_match_the_generic_expressions_on_demimatroids(table):
     check_table_routes(table)
     check_complex_routes(core.independence_complex(table))
+
+
+def _top_w_r_plus(extra):
+    """A ``generalized_w_all`` fault: the top W^(r) plus ``extra(n, k)``."""
+    def corrupt(original):
+        def corrupted(table, route="subset"):
+            *rest, top = original(table, route)
+            return (*rest, top + extra(table.n, table.rank))
+        return corrupted
+    return corrupt
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda path: path.stem)
+def test_the_recovery_sum_reads_the_family_it_is_given(path, monkeypatch):
+    # (x-y)^(n-k) y^k becomes (x-1)^(n-k) under x^n W(1, 1/x, q), so the sum
+    # still clears and the residual is the top product; y^n becomes 1, which
+    # (x-1)^(n-k) does not divide once k < n.
+    table = cli.load_input(str(path)).table
+    clears = _top_w_r_plus(lambda n, k: (X - Y) ** (n - k) * Y ** k)
+    monkeypatch.setattr(hamming, "generalized_w_all", clears(hamming.generalized_w_all))
+    verdict = hamming.conjecture_check(table)
+    assert verdict.holds is False and verdict.error is None
+    assert verdict.residual == recovery_sum_by_products(table) - tutte.tutte(table)
+    monkeypatch.undo()
+    stuck = _top_w_r_plus(lambda n, k: monomial(1, y=n))
+    monkeypatch.setattr(hamming, "generalized_w_all", stuck(hamming.generalized_w_all))
+    verdict = hamming.conjecture_check(table)
+    if table.rank == table.n:
+        assert verdict.holds is False and verdict.error is None
+        assert verdict.residual == recovery_sum_by_products(table) - tutte.tutte(table)
+    else:
+        with pytest.raises(InexactDivisionError):
+            recovery_sum_by_products(table)
+        assert (verdict.holds, verdict.residual) == (False, None)
+        assert verdict.error.startswith(f"inexact division by (x-1)^{table.n - table.rank}")
 
 
 @given(laurent_polys(exps=exponents(-2, 4)), st.integers(-3, 3))

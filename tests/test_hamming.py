@@ -380,9 +380,8 @@ def test_pj_route_disagreement_names_the_first_monomial(monkeypatch, full23):
 
 
 def test_macwilliams_disagreement_names_the_first_monomial(monkeypatch, full23):
-    original = hamming.macwilliams_transform
-    monkeypatch.setattr(hamming, "macwilliams_transform",
-                        lambda w, eta: original(w, eta) - monomial(1, x=2, y=1, t=-3))
+    monkeypatch.setattr(hamming, "macwilliams_coordinates",
+                        ref.minus_x2_y_t_minus_3(hamming.macwilliams_coordinates))
     with pytest.raises(InvariantViolationError) as exc:
         hamming.macwilliams(full23)
     assert str(exc.value) == (

@@ -16,6 +16,8 @@ from demimat import cli, core, hamming, simplicial, tutte
 from demimat.errors import InvariantViolationError
 from demimat.poly import T, X, Y, monomial
 
+from conftest import minus_x2_y_t_minus_3
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -91,9 +93,8 @@ CASES = [
         "W: the Betti and subset-sum routes disagree first at x^3*t (1 against 0)",
         id="W by Betti"),
     pytest.param(
-        hamming, "macwilliams_transform",
-        lambda original: lambda w, eta: original(w, eta) - monomial(1, x=2, y=1, t=-3),
-        ETA_ONE, lambda loaded: hamming.macwilliams(loaded.table), "--macwilliams",
+        hamming, "macwilliams_coordinates", minus_x2_y_t_minus_3, ETA_ONE,
+        lambda loaded: hamming.macwilliams(loaded.table), "--macwilliams",
         "W of the dual: the MacWilliams and dual subset-sum routes disagree first"
         " at x^2*y*t^-3 (-1 against 0)",
         id="MacWilliams"),

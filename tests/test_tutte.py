@@ -70,6 +70,15 @@ def test_dual_check(two_basis):
         assert at_one == tutte.tutte(ops.dual(table)).substitute({"x": 1, "y": 1})
 
 
+def test_the_dual_check_reads_the_dual(monkeypatch):
+    # The supplement is not the dual: its (corank, nullity) counts are not the
+    # table's swapped, so the coordinate comparison must see the difference.
+    table = core.random_demimatroid(5, random.Random(2))
+    assert tutte.tutte_dual_check(table)
+    monkeypatch.setattr(ops, "dual", ops.supplement)
+    assert tutte.tutte_dual_check(core.RankTable.build(5, table.ranks)) is False
+
+
 def test_combinatroid_rational_rejected():
     bad = core.RankTable.build(2, [0, 2, 2, 2])  # rank jumps by two
     with pytest.raises(RationalFunctionError):

@@ -11,6 +11,7 @@ from demimat import core, hamming, ops, tutte, verify, weights
 from demimat.core import RankTable
 from demimat.poly import X
 
+from conftest import minus_x2_y_t_minus_3
 from strategies import all_demimatroids, demimatroid_tables
 
 NAMES = (
@@ -103,7 +104,7 @@ FAULTS = {
                         lambda f: lambda t, i: f(t, min(i + 1, t.total_nullity))),
     "tutte_identities": (tutte, "whitney_f", _off_by_x),
     "hamming_routes": (hamming, "hamming_subset_sum", _off_by_x),
-    "macwilliams": (hamming, "macwilliams_transform", _off_by_x),
+    "macwilliams": (hamming, "macwilliams_coordinates", minus_x2_y_t_minus_3),
     "coefficient_structure": (hamming, "q_binomial", _off_by_x),
 }
 
