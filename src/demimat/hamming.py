@@ -3,11 +3,17 @@ the coefficient polynomials P_j and A_j, and the generalized q-enumerators.
 
 W is homogeneous of degree n in (x, y); the t slot doubles as the q of the
 generalized enumerators, so a single variable stores both and the caller
-chooses how to print it.  The definition route of the W^(r) is a change of
-variables written in closed form, one pass over W's terms into one term
-dict.  Four checks are decided on coordinates in a linearly independent
-basis, which is not weaker than comparing polynomials, because the
-expansion is a function of the coordinates:
+chooses how to print it.  Each quantity has one implementation.  The
+Tutte-route expansion W(x, y, t^j) is memoized per table and per j, and
+shared by ``hamming_via_tutte`` (j = 1) and by the definition route of the
+W^(r), ``generalized_w(table, r, "tutte")`` (j = 0 .. r); both are changes
+of variables written in closed form, one pass over a polynomial's terms
+into one term dict.  ``generalized_w_all`` is the subset route of the whole
+family, and ``a_coefficients`` the one source of the A_j.
+
+Four checks are decided on coordinates in a linearly independent basis,
+which is not weaker than comparing polynomials, because the expansion is a
+function of the coordinates:
 
 - the deletion-contraction recurrence: ``recurrence_coordinates`` merges
   both minors' profiles in the basis (x-y)^a y^b t^e, shifted by the
@@ -78,12 +84,13 @@ def hamming_subset_sum(table: RankTable) -> LaurentPoly:
     return binomial_expansion(_basis_items(subset_sum_coordinates(table)))
 
 
-def _w_via_tutte_terms(table: RankTable, t_multiplier: int = 1) -> LaurentPoly:
-    # Each (x-1,y-1)-basis Tutte term (corank a, nullity b) contributes
-    # (x-y)^(eta(E)+a-b) y^(rho(E)-a+b) t^(b * multiplier); the exponent
-    # bookkeeping stays in integers, so clearing the substitution
-    # denominators never builds a fraction.  The (x-y) exponent is n-|A|, so
-    # it is never negative.
+@per_table
+def _w_via_tutte_terms(table: RankTable, t_multiplier: int) -> LaurentPoly:
+    # W(x, y, t^j) for j = t_multiplier.  Each (x-1,y-1)-basis Tutte term
+    # (corank a, nullity b) contributes (x-y)^(eta(E)+a-b) y^(rho(E)-a+b)
+    # t^(b * multiplier); the exponent bookkeeping stays in integers, so
+    # clearing the substitution denominators never builds a fraction.  The
+    # (x-y) exponent is n-|A|, so it is never negative.
     eta = table.total_nullity
     k = table.rank
     return binomial_expansion(
@@ -94,7 +101,7 @@ def _w_via_tutte_terms(table: RankTable, t_multiplier: int = 1) -> LaurentPoly:
 
 def hamming_via_tutte(table: RankTable) -> LaurentPoly:
     """W as the cleared Tutte substitution; cross-checked against the subset sum."""
-    return cross_checked("W", "Tutte", _w_via_tutte_terms(table),
+    return cross_checked("W", "Tutte", _w_via_tutte_terms(table, 1),
                          "subset-sum", hamming_subset_sum(table))
 
 
@@ -317,24 +324,18 @@ def _uniform_a_closed_form(n: int, i: int, delta: int) -> LaurentPoly:
 
 
 def a_coefficients(table: RankTable) -> tuple[int, dict[int, LaurentPoly]]:
-    """delta and the weight coefficients A_j read off W.
+    """delta and the weight coefficients A_j read off W, as a dict by j.
 
     Verifies the structure the level sets force: A_j = 0 below delta and
     A_delta = c (t-1); when the table is uniform the closed form for every
     A_i is cross-checked as well.
     """
     delta, c = formal_min_distance(table)
-    return delta, _checked_a_coefficients(table, hamming_subset_sum(table), delta, c)
-
-
-def _checked_a_coefficients(
-    table: RankTable, w: LaurentPoly, delta: int, c: int
-) -> dict[int, LaurentPoly]:
     # A_j is the t polynomial multiplying x^(n-j) y^j: group W's terms by
     # their (x, y) exponents once.
     n = table.n
     groups: dict[tuple[int, int], list] = {}
-    for (a, b, e), coeff in w.terms().items():
+    for (a, b, e), coeff in hamming_subset_sum(table).terms().items():
         groups.setdefault((a, b), []).append(((0, 0, e), coeff))
     coeffs = {j: term_sum(groups.get((n - j, j), ())) for j in range(1, n + 1)}
     if term_sum(groups.get((n, 0), ())) != 1:
@@ -349,7 +350,7 @@ def _checked_a_coefficients(
         for i in range(delta, n + 1):
             if coeffs[i] != _uniform_a_closed_form(n, i, delta):
                 raise InvariantViolationError(f"uniform closed form fails at A_{i}")
-    return coeffs
+    return delta, coeffs
 
 
 # -- generalized enumerators -----------------------------------------------------------
@@ -371,24 +372,21 @@ def _combine_t_powers(r: int, w_at: Sequence[LaurentPoly]) -> LaurentPoly:
     ).divide_exact(angle(r))
 
 
-def _check_route(route: str) -> None:
-    if route not in ("subset", "tutte"):
-        raise MalformedInputError(f"unknown route {route!r}")
-
-
 def generalized_w(table: RankTable, r: int, route: str = "subset") -> LaurentPoly:
     """r-th generalized Hamming weight enumerator.
 
     The subset route reads it off ``generalized_w_all`` (zero above
     eta(E)).  The Tutte route is the definition: the alternating q-binomial
-    combination of W(x, y, q^j), expanded afresh for each j, divided exactly
-    by the angle bracket <r>_q, and cross-checked against the subset route.
-    The q variable is stored in the t slot.
+    combination of W(x, y, q^j) for j = 0 .. r, divided exactly by the angle
+    bracket <r>_q, and cross-checked against the subset route.  Each
+    W(x, y, q^j) is expanded once per table and shared by every r.  The q
+    variable is stored in the t slot.
     """
     table.require_demimatroid("generalized enumerator")
     if not 0 <= r <= table.n:
         raise MalformedInputError(f"need 0 <= r <= {table.n}, got {r}")
-    _check_route(route)
+    if route not in ("subset", "tutte"):
+        raise MalformedInputError(f"unknown route {route!r}")
     family = generalized_w_all(table)
     subset = family[r] if r < len(family) else zero()
     if route == "subset":
@@ -398,25 +396,17 @@ def generalized_w(table: RankTable, r: int, route: str = "subset") -> LaurentPol
 
 
 @per_table
-def generalized_w_all(table: RankTable, route: str = "subset") -> tuple[LaurentPoly, ...]:
+def generalized_w_all(table: RankTable) -> tuple[LaurentPoly, ...]:
     """W^(r) for r = 0 .. eta(E), the range the recovery identity sums over.
 
-    The subset route is W^(r) = sum_{e >= r} [e, r]_q W_e(x, y), where W_e
-    is the t^e coefficient of W: the definition's j-sum, taken on
-    W_e q^(je), is W_e prod_{i<r} (q^e - q^i), and that product over <r>_q
-    is [e, r]_q (zero for e < r).  So one W gives the family, with no
-    substitution and no division.  The Tutte route expands W(x, y, t^j)
-    once per j, combines by the definition and is cross-checked against the
-    subset route, r by r.
+    W^(r) = sum_{e >= r} [e, r]_q W_e(x, y), where W_e is the t^e
+    coefficient of W: the definition's j-sum, taken on W_e q^(je), is
+    W_e prod_{i<r} (q^e - q^i), and that product over <r>_q is [e, r]_q
+    (zero for e < r).  So one W gives the family, with no substitution and
+    no division.  ``generalized_w(table, r, "tutte")`` is the definition
+    route that checks it.
     """
     table.require_demimatroid("generalized enumerator")
-    _check_route(route)
-    eta = table.total_nullity
-    if route == "tutte":
-        w_at = [_w_via_tutte_terms(table, j) for j in range(eta + 1)]
-        return tuple(cross_checked(f"W^({r})", "Tutte", _combine_t_powers(r, w_at),
-                                   "subset-sum", theirs)
-                     for r, theirs in enumerate(generalized_w_all(table)))
     slices: dict[int, dict[tuple[int, int], int]] = {}
     for (a, b, e), c in hamming_subset_sum(table).terms().items():
         slices.setdefault(e, {})[a, b] = c
@@ -425,7 +415,7 @@ def generalized_w_all(table: RankTable, route: str = "subset") -> tuple[LaurentP
                  for e, w_e in slices.items() if e >= r
                  for (_, _, k), d in q_binomial(e, r).terms().items()
                  for (a, b), c in w_e.items())
-        for r in range(eta + 1)
+        for r in range(table.total_nullity + 1)
     )
 
 
@@ -474,21 +464,3 @@ def conjecture_check(table: RankTable) -> ConjectureReport:
     difference = {key: c for key, c in difference.items() if c}
     residual = binomial_expansion(_tutte_basis_items(difference))
     return ConjectureReport(not difference, residual)
-
-
-# -- assembled view ----------------------------------------------------------------
-
-
-class HammingData(record("HammingData", "table w pj delta a c")):
-    """W, the P_j family, ``(delta, c)`` from ``formal_min_distance`` and the
-    A_j coefficients as a dict by j."""
-
-    __slots__ = ()
-
-
-def hamming_data(table: RankTable) -> HammingData:
-    """W with its coefficient family, checked for internal consistency."""
-    delta, c = formal_min_distance(table)
-    w = w_from_pj(table)
-    return HammingData(table, w, pj_family(table), delta,
-                       _checked_a_coefficients(table, w, delta, c), c)

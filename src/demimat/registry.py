@@ -6,9 +6,9 @@ the blocks; ``verify --fixtures`` compares the goldens only; and
 ``scripts/gen_fixtures.py`` writes the goldens through the same loader
 (``inputs.interpret_input``), regenerating ``fixtures/`` byte-identically.
 Adding an invariant means adding one entry.  Entries call the library on the
-loaded input and the field; what several share (W, P_j, Tutte, the dual, the
-Betti tables) is memoized on the rank table, so each is computed once per
-input.
+loaded input and the field; what several share (W, P_j, Tutte, the dual,
+each W(x, y, t^j) of the Tutte route, the W^(r) family, the Betti tables) is
+memoized on the rank table, so each is computed once per input.
 
 A ``compute`` block whose invariant the input's kind does not have (a
 KindError or RationalFunctionError), or whose route is over a size cap (a
@@ -19,11 +19,12 @@ alone; so does each entry of the Hamming block's ``routes``, so a
 combinatroid, which has no Betti route, still gets its W.
 
 Routes are never compared here.  Each library function that computes an
-invariant by a second route checks it against the primary route
-(``poly.cross_checked``) and raises on a disagreement, which exits 1 with
-the invariant, the route pair and the first differing monomial.  So every
-route flag in a report is ``true``, or the error of a route the input does
-not have.
+invariant by a second route (the GHWE block runs the definition route of
+each W^(r), ``hamming.generalized_w(table, r, "tutte")``) checks it against
+the primary route (``poly.cross_checked``) and raises on a disagreement,
+which exits 1 with the invariant, the route pair and the first differing
+monomial.  So every route flag in a report is ``true``, or the error of a
+route the input does not have.
 """
 
 from __future__ import annotations
@@ -81,15 +82,18 @@ def _hamming_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict
         "betti_route": recorded(_ran, simplicial.w_via_betti, table, fieldspec),
     }
     try:
-        data = hamming.hamming_data(table)
+        delta, c = hamming.formal_min_distance(table)
     except KindError:  # no formal minimum distance
-        data = None
+        delta = c = None
+        a = {}
+    else:
+        a = hamming.a_coefficients(table)[1]
     return {
         "w": str(w),
         "routes": routes,
-        "delta": data.delta if data else None,
-        "c": data.c if data else None,
-        "a": {str(j): str(p) for j, p in sorted(data.a.items())} if data else {},
+        "delta": delta,
+        "c": c,
+        "a": {str(j): str(p) for j, p in sorted(a.items())},
     }
 
 
@@ -127,9 +131,11 @@ def _enumerators(polys) -> dict:
 
 def _ghwe_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
     table = loaded.table
+    family = hamming.generalized_w_all(table)
     return {
-        "w_r": _enumerators(hamming.generalized_w_all(table)),
-        "definition_route_agrees": _ran(hamming.generalized_w_all, table, "tutte"),
+        "w_r": _enumerators(family),
+        "definition_route_agrees": all(_ran(hamming.generalized_w, table, r, "tutte")
+                                       for r in range(len(family))),
     }
 
 

@@ -244,6 +244,8 @@ def hochster_betti_multigraded(
     cx: Complex, sigma: int, i: int, fieldspec: FieldSpec = RATIONALS
 ) -> int:
     """beta_{i, sigma}: reduced homology of the restriction in degree |sigma|-i-1."""
+    if sigma & ~core.full_mask(cx.n):
+        raise MalformedInputError("sigma outside the ground set")
     dims = reduced_homology_dims(cx.restrict(sigma), fieldspec)
     degree = popcount(sigma) - i - 1
     slot = degree + 1

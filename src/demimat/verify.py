@@ -200,7 +200,7 @@ def _macwilliams_pair(m: core.RankTable) -> bool:
 def _coefficient_structure(m: core.RankTable) -> bool:
     if m.total_nullity == 0:
         return True
-    hamming.hamming_data(m)  # raises if the A_j structure is off
+    hamming.a_coefficients(m)  # raises if the A_j structure is off
     if hamming.generalized_w(m, 0) != monomial(1, x=m.n):
         return False
     hamming.generalized_w(m, 1, route="tutte")  # checked against the subset route

@@ -180,7 +180,7 @@ def test_the_battery_report_matches_its_golden_bytes(capsys, seed, n):
     assert out.encode() == (GOLDEN / f"battery_seed{seed}_n{n}.json").read_bytes()
 
 
-@pytest.mark.parametrize("field", ["Q", "2"])
+@pytest.mark.parametrize("field", ["Q", "2", "3"])
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda path: path.stem)
 def test_the_compute_all_report_matches_its_golden_bytes(capsys, monkeypatch, path, field):
     # Every block of the report, not only the keys a fixture's ``expected``
@@ -394,20 +394,22 @@ def test_compute_all_runs_each_route_once(monkeypatch, capsys):
     # vamos: n = 8, eta = 4, so the five elongation Betti tables come from
     # one filtration walk and no per-complex Hochster sweep; the P_j family
     # is built once, by one packed Moebius transform.
-    # W is computed for vamos and for its dual (MacWilliams), and the W^(r)
-    # family once by each route.
+    # W is computed for vamos and for its dual (MacWilliams), the W^(r)
+    # family once, and the Tutte-route W(x, y, t^j) once for each
+    # j = 0 .. eta, shared by the Tutte route of W (j = 1) and the
+    # definition route of every W^(r).
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, simplicial, "hochster_betti", counts)
     _count_calls(monkeypatch, simplicial, "_betti_walk", counts)
     for module, name in ((simplicial, "betti_of_elongations"), (hamming, "pj_family"),
                          (hamming, "hamming_subset_sum"), (hamming, "generalized_w_all"),
-                         (tutte, "tutte"), (ops, "dual")):
+                         (hamming, "_w_via_tutte_terms"), (tutte, "tutte"), (ops, "dual")):
         _count_computations(monkeypatch, module, name, counts)
     code, out, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
     assert code == 0
     assert counts == {"betti_of_elongations": 1, "_betti_walk": 1, "pj_family": 1,
-                      "hamming_subset_sum": 2, "generalized_w_all": 2, "tutte": 1,
-                      "dual": 1}
+                      "hamming_subset_sum": 2, "generalized_w_all": 1,
+                      "_w_via_tutte_terms": 5, "tutte": 1, "dual": 1}
     results = json.loads(out)["results"]
     assert all(results["hamming"]["routes"].values())
     assert results["betti"]["agrees_with_subset_sum"] is True

@@ -147,8 +147,8 @@ def test_closed_forms_match_the_generic_expressions_on_demimatroids(table):
 def _top_w_r_plus(extra):
     """A ``generalized_w_all`` fault: the top W^(r) plus ``extra(n, k)``."""
     def corrupt(original):
-        def corrupted(table, route="subset"):
-            *rest, top = original(table, route)
+        def corrupted(table):
+            *rest, top = original(table)
             return (*rest, top + extra(table.n, table.rank))
         return corrupted
     return corrupt

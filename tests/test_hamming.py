@@ -195,11 +195,11 @@ def test_a_delta_counts_minimal_supports(hamming84):
 
 
 def test_hamming_data_structure(full23):
-    data = hamming.hamming_data(full23)
-    assert data.delta == 1 and data.c == 3
-    assert data.w == ref.full23_hamming()
-    assert data.pj[0] == one()
-    assert len(data.pj) == 4
+    assert hamming.formal_min_distance(full23) == (1, 3)
+    assert hamming.w_from_pj(full23) == ref.full23_hamming()
+    pj = hamming.pj_family(full23)
+    assert pj[0] == one()
+    assert len(pj) == 4
 
 
 # -- generalized enumerators -------------------------------------------------------
@@ -356,7 +356,7 @@ def test_kind_preconditions():
 def test_tutte_route_disagreement_names_the_first_monomial(monkeypatch, full23):
     original = hamming._w_via_tutte_terms
     extra = monomial(1, y=3, t=4) + monomial(5, x=3, t=4)
-    monkeypatch.setattr(hamming, "_w_via_tutte_terms", lambda table: original(table) + extra)
+    monkeypatch.setattr(hamming, "_w_via_tutte_terms", lambda table, j: original(table, j) + extra)
     with pytest.raises(InvariantViolationError) as exc:
         hamming.hamming_via_tutte(full23)
     assert str(exc.value) == (
@@ -373,7 +373,7 @@ def test_pj_route_disagreement_names_the_first_monomial(monkeypatch, full23):
 
     monkeypatch.setattr(hamming, "pj_family", corrupted)
     with pytest.raises(InvariantViolationError) as exc:
-        hamming.hamming_data(full23)
+        hamming.w_from_pj(full23)
     assert str(exc.value) == (
         "W: the P_j and subset-sum routes disagree first at y^3*t^7 (1 against 0)"
     )

@@ -211,6 +211,17 @@ def test_elongation_laws_random():
                 assert elongated.nullity(mask) == ops.elongation_nullity(table, i, mask)
 
 
+def test_elongation_nullity_rejects_what_elongate_rejects():
+    table = core.from_wei_sequence(4, [2, 4])  # eta = 2
+    for i in range(table.total_nullity + 1):
+        elongated = ops.elongate(table, i)
+        for mask in range(table.full + 1):
+            assert ops.elongation_nullity(table, i, mask) == elongated.nullity(mask)
+    for i, mask in ((-1, 0b0011), (3, 0b0011), (0, 16), (0, -1)):
+        with pytest.raises(MalformedInputError):
+            ops.elongation_nullity(table, i, mask)
+
+
 def test_elongation_restriction_compatibility():
     rng = random.Random(41)
     for _ in range(20):

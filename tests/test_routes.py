@@ -106,7 +106,8 @@ CASES = [
         id="characteristic"),
     pytest.param(
         hamming, "_w_via_tutte_terms", _w_at_t_plus_a_multiple_of_t_minus_1, ETA_ONE,
-        lambda loaded: hamming.generalized_w_all(loaded.table, "tutte"), "--ghwe",
+        lambda loaded: [hamming.generalized_w(loaded.table, r, "tutte")
+                        for r in range(loaded.table.total_nullity + 1)], "--ghwe",
         "W^(1): the Tutte and subset-sum routes disagree first at x^3 (1 against 0)",
         id="W^(r) family by definition"),
     pytest.param(

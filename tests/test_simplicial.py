@@ -126,6 +126,13 @@ def test_multigraded_sums_to_graded(almost_wheel_ind_complex):
         assert total == value
 
 
+@pytest.mark.parametrize("sigma, i", [(0b1111, 3), (-1, 0)])
+def test_multigraded_rejects_a_vertex_set_outside_the_ground_set(sigma, i):
+    cx = core.Complex.from_facet_lists(3, [[1, 2], [3]])
+    with pytest.raises(MalformedInputError):
+        simplicial.hochster_betti_multigraded(cx, sigma, i, Q)
+
+
 def test_betti_tables_almost_wheel(almost_wheel):
     tables = simplicial.betti_of_elongations(almost_wheel, Q)
     assert [bt.poly() for bt in tables] == ref.ALMOST_WHEEL_BETTI

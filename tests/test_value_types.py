@@ -30,8 +30,6 @@ CASES = [
     (codes.PrimeMatrix, {"p": 2, "rows": ((1, 0, 1), (0, 1, 1))}, False),
     (codes.LinearCodeView, {"p": 2, "n": 3, "k": 1, "generator": ((1, 1, 1),)}, False),
     (hamming.ConjectureReport, {"holds": False, "residual": X, "error": "no"}, False),
-    (hamming.HammingData,
-     {"table": TABLE, "w": X, "pj": (X,), "delta": 2, "a": (), "c": 3}, False),
     (simplicial.FieldSpec, {"characteristic": 3}, False),
     (simplicial.BettiTable, {"entries": (((0, 0), 1), ((1, 2), 3))}, False),
     (weights.WeiProfile, {"k": 1, "d": (1,), "d_up": (0, 3)}, False),
