@@ -11,10 +11,12 @@ of variables written in closed form, one pass over a polynomial's terms
 into one term dict.  ``generalized_w_all`` is the subset route of the whole
 family, and ``a_coefficients`` the one source of the A_j.
 
-Four checks are decided on coordinates in a linearly independent basis,
+Five checks are decided on coordinates in a linearly independent basis,
 which is not weaker than comparing polynomials, because the expansion is a
 function of the coordinates:
 
+- the P_j route: each P_j's terms t^e, moved to x^(n-j) y^j t^e, against
+  the subset sum's terms (the Betti route does the same with its sums);
 - the deletion-contraction recurrence: ``recurrence_coordinates`` merges
   both minors' profiles in the basis (x-y)^a y^b t^e, shifted by the
   recurrence's powers, and the battery compares them with the table's own
@@ -161,23 +163,22 @@ def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
         for e in exponents:
             coeff = ((total & low) ^ sign) - sign  # the low digit, signed
             total = (total - coeff) >> width
-            terms.append(monomial(coeff, t=e))
-        family.append(poly_sum(terms))
+            terms.append(((0, 0, e), coeff))
+        family.append(term_sum(terms))
     return tuple(family)
-
-
-def assemble_w(pj: Sequence[LaurentPoly]) -> LaurentPoly:
-    """sum_j P_j x^(n-j) y^j for a given family (P_0, .., P_n)."""
-    n = len(pj) - 1
-    return poly_sum(p * monomial(1, x=n - j, y=j) for j, p in enumerate(pj))
 
 
 @per_table
 def w_from_pj(table: RankTable) -> LaurentPoly:
-    """W assembled from the P_j coefficient polynomials; cross-checked against
-    the subset sum."""
-    return cross_checked("W", "P_j", assemble_w(pj_family(table)),
-                         "subset-sum", hamming_subset_sum(table))
+    """W as sum_j P_j x^(n-j) y^j: the subset sum, once each P_j's terms t^e,
+    moved to x^(n-j) y^j t^e, are its terms."""
+    n = table.n
+    terms = {(n - j, j, e): c for j, p in enumerate(pj_family(table))
+             for (_, _, e), c in p.terms().items()}
+    w = hamming_subset_sum(table)
+    if terms != w.terms():
+        cross_checked("W", "P_j", term_sum(terms.items()), "subset-sum", w)
+    return w
 
 
 # -- transforms --------------------------------------------------------------------

@@ -29,17 +29,12 @@ ints are decoded once at the end.  An exponent that would leave its slot
 raises OverflowError before any term is written.  The changes of variables
 in ``hamming`` and ``tutte`` (the Tutte side of the characteristic
 polynomial, f and h, the definition route of the W^(r)), the MacWilliams
-transform and the deletion-contraction recurrences for T, W and the Whitney
-function are closed forms built on it and on ``term_sum``: one pass over
-the source terms into one term dict, with no call to ``substitute``.
-MacWilliams, the Tutte recovery, the T/f duality swap and the recovery
-identity are decided on basis coordinates and call it only to expand a
-disagreement's two sides or the recovery identity's residual.
-``substitute`` stays the general tool and the tests' oracle for all of
-these; in the identity battery it runs only on monomial values
-(W(x, y, 1) == x^n) and in the one expansion left where a closed form would
-restate its own check (f(x-1, y-1) == T, whose right side is built from the
-same binomial rows).
+transform, the recurrences for T, W and the Whitney function and the
+battery's f(x-1, y-1) == T are closed forms built on it and on
+``term_sum``: one pass over the source terms into one term dict.  Routes
+decided on basis coordinates call it only to expand a disagreement's two
+sides or the recovery identity's residual.  No library route and no
+battery identity calls ``substitute``; it stays as the tests' oracle.
 The q-analogue tables ``q_binomial`` and ``angle`` are cached per argument tuple;
 sharing one value between callers is safe because no operation aliases or
 mutates an operand's terms.

@@ -28,11 +28,11 @@ is grown in cardinality layers, each member from the member without its
 highest element, so a restriction costs O(|sigma| * |side|), not
 2^|sigma|.  One column cache serves the walk.
 
-The Betti route to W checks itself against the subset sum through
-``poly.cross_checked``, as every second route does: a disagreement names the
-first monomial of W whose coefficients differ.  W sums the homological
-degree i away (only sum_i (-1)^i beta_{i,j} reaches it), so no Betti entry
-(r, i, j) can be named from W.
+The Betti route to W compares its alternating Betti sums with the subset
+sum's terms and expands both only on a disagreement, whose witness
+``poly.cross_checked`` names: the first monomial of W whose coefficients
+differ.  W sums the homological degree i away (only sum_i (-1)^i beta_{i,j}
+reaches it), so no Betti entry (r, i, j) can be named from W.
 
 Conventions.  The void complex has no homology at all; the complex whose only
 face is the empty set has one dimension of reduced homology in degree -1.
@@ -55,7 +55,7 @@ from .errors import (
     MalformedInputError,
     SizeCapError,
 )
-from .poly import LaurentPoly, cross_checked, monomial, poly_sum, term_sum, zero
+from .poly import LaurentPoly, cross_checked, term_sum
 
 
 class FieldSpec(record("FieldSpec", "characteristic")):
@@ -384,19 +384,22 @@ def betti_of_elongations(
 
 @per_table
 def w_via_betti(table: RankTable, fieldspec: FieldSpec = RATIONALS) -> LaurentPoly:
-    """W rebuilt from the alternating Betti sums of the elongation family.
+    """W rebuilt from the alternating Betti sums of the elongation family: the
+    subset sum, once the two have the same terms.
 
     The t^r coefficient is x^n (B_r - B_{r-1})(-1, y/x), where B_r is the
-    r-th Betti table as the sum of beta_{i,j} x^i y^j and B_{-1} = 0.  The
-    result is cross-checked against the subset-sum route.
-    """
-    n = table.n
-    sums = [
-        term_sum(((n - j, j, 0), (-1) ** i * v) for (i, j), v in bt.entries)
-        for bt in betti_of_elongations(table, fieldspec)
-    ]
-    total = poly_sum(
-        (current - previous) * monomial(1, t=r)
-        for r, (current, previous) in enumerate(zip(sums, [zero(), *sums]))
-    )
-    return cross_checked("W", "Betti", total, "subset-sum", hamming.hamming_subset_sum(table))
+    r-th Betti table as the sum of beta_{i,j} x^i y^j and B_{-1} = 0: entry
+    (i, j) = v of table r adds (-1)^i v at x^(n-j) y^j t^r and, below the
+    top table, subtracts it at t^(r+1)."""
+    n, tables = table.n, betti_of_elongations(table, fieldspec)
+    terms: dict[tuple[int, int, int], int] = {}
+    for r, bt in enumerate(tables):
+        for (i, j), v in bt.entries:
+            signed = -v if i & 1 else v
+            terms[n - j, j, r] = terms.get((n - j, j, r), 0) + signed
+            if r + 1 < len(tables):
+                terms[n - j, j, r + 1] = terms.get((n - j, j, r + 1), 0) - signed
+    w = hamming.hamming_subset_sum(table)
+    if {key: c for key, c in terms.items() if c} != w.terms():
+        cross_checked("W", "Betti", term_sum(terms.items()), "subset-sum", w)
+    return w

@@ -15,12 +15,11 @@ and ``hamming.recurrence_coordinates``) are compared with the table's own.
 The T/f duality swap compares the dual's corank-nullity counts with the
 table's, swapped; the MacWilliams involution compares
 ``hamming.macwilliams_coordinates`` of the dual's W with the table's
-subset-sum coordinates; and MacWilliams, the Tutte recovery and the
-recovery identity decide their own routes on coordinates.  The expansion is
-a function of the coordinates, so equal coordinates give equal
-polynomials, and a polynomial comparison could only miss a difference the
-coordinates show.  The other identities, f(x-1, y-1) == T and W(x, y, 1) ==
-x^n among them, still compare polynomials.
+subset-sum coordinates; and the P_j and Betti routes, MacWilliams, the
+Tutte recovery and the recovery identity decide their own routes on
+coordinates, and f(x-1, y-1) == T and W(x, y, 1) == x^n read term dicts:
+no identity calls ``LaurentPoly.substitute``.  Equal coordinates give equal
+polynomials, and a polynomial comparison could only miss what they show.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import zlib
 
 from . import core, hamming, ops, simplicial, tutte, weights
 from ._records import Plain
-from .poly import X, Y, monomial
+from .poly import binomial_expansion, monomial, term_sum
 
 
 class IdentityResult(Plain):
@@ -169,7 +168,9 @@ def _tutte_identities(m: core.RankTable) -> bool:
         return False
     if not tutte.tutte_dual_check(m):
         return False
-    if tutte.whitney_f(m).substitute({"x": X - 1, "y": Y - 1}) != t:
+    f = tutte.whitney_f(m).terms()  # f(x-1, y-1) == T: x^a y^b is (x-1)^a (y-1)^b
+    if binomial_expansion((c, {}, (("x", None, a), ("y", None, b)))
+                          for (a, b, _), c in f.items()) != t:
         return False
     tutte.characteristic(m)  # internally cross-checked
     return True
@@ -180,8 +181,8 @@ def _hamming_routes(m: core.RankTable) -> bool:
     hamming.hamming_via_tutte(m)
     hamming.w_from_pj(m)
     simplicial.w_via_betti(m)
-    w = hamming.hamming_subset_sum(m)
-    if w.substitute({"t": 1}) != monomial(1, x=m.n):
+    w = hamming.hamming_subset_sum(m).terms()  # W(x, y, 1) == x^n: sum over t per (x, y)
+    if term_sum(((a, b, 0), c) for (a, b, _), c in w.items()) != monomial(1, x=m.n):
         return False
     own = hamming.subset_sum_coordinates(m)
     return all(hamming.recurrence_coordinates(m, p) == own for p in range(1, m.n + 1))

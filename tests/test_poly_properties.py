@@ -392,14 +392,33 @@ def test_closed_forms_match_the_power_formulas(table):
     assert tutte.tutte(table) == basis
 
 
+@given(demimatroid_tables())
+def test_the_batterys_closed_forms_against_substitute(table):
+    # The battery decides f(x-1, y-1) == T and W(x, y, 1) == x^n on term
+    # dicts; ``substitute`` stays the oracle for both identities.
+    assert tutte.whitney_f(table).substitute({"x": X - 1, "y": Y - 1}) == tutte.tutte(table)
+    w = hamming.hamming_subset_sum(table)
+    assert w.substitute({"t": 1}) == monomial(1, x=table.n)
+
+
 # -- the P_j family by the Moebius transform ------------------------------------------
+
+
+def assemble_w(pj) -> LaurentPoly:
+    """sum_j P_j x^(n-j) y^j for a family (P_0, .., P_n), by products and sums."""
+    n = len(pj) - 1
+    total = LaurentPoly()
+    for j, p in enumerate(pj):
+        total = total + p * monomial(1, x=n - j, y=j)
+    return total
 
 
 @given(demimatroid_tables())
 def test_moebius_pj_family_matches_the_submask_sums(table):
     family = hamming.pj_family(table)
     assert family == tuple(hamming.p_j(table, j) for j in range(table.n + 1))
-    assert hamming.assemble_w(family) == hamming.hamming_subset_sum(table)
+    assert assemble_w(family) == hamming.hamming_subset_sum(table)
+    assert hamming.w_from_pj(table) == assemble_w(family)
 
 
 @given(rank_tables())

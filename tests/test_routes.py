@@ -57,6 +57,16 @@ def _extra_beta_00(original):
     return corrupted
 
 
+def _extra_beta_12_below_the_top(original):
+    # Below the top table an entry reaches two powers of t, with opposite signs.
+    def corrupted(table, fieldspec=simplicial.RATIONALS):
+        first, *rest = original(table, fieldspec)
+        entries = first.as_dict()
+        entries[(1, 2)] = entries.get((1, 2), 0) + 3
+        return (simplicial.BettiTable.from_dict(entries), *rest)
+    return corrupted
+
+
 def _w_plus_one_after_recovery(original):
     # (x - y)^eta y^(n - eta) adds exactly 1 to the Tutte polynomial and the
     # f-polynomial recovered from W, so both clearing divisions stay exact.
@@ -153,3 +163,31 @@ def test_a_corrupted_second_route_raises_its_witness(
     assert code == 1
     assert out.out == ""
     assert json.loads(out.err) == {"error": "InvariantViolationError", "detail": message}
+
+
+# The P_j and Betti routes compare term dicts and expand both sides only on a
+# disagreement, which must still name the witness that comparing the expanded
+# polynomials names, here on a fixture with eta = 4.
+@pytest.mark.parametrize("module, name, corruption, route, message", [
+    pytest.param(
+        hamming, "pj_family", _top_p_plus_t7, lambda table: hamming.w_from_pj(table),
+        "W: the P_j and subset-sum routes disagree first at y^8*t^7 (1 against 0)",
+        id="P_j"),
+    pytest.param(
+        simplicial, "betti_of_elongations", _extra_beta_00,
+        lambda table: simplicial.w_via_betti(table),
+        "W: the Betti and subset-sum routes disagree first at x^8*t^4 (1 against 0)",
+        id="Betti, top table"),
+    pytest.param(
+        simplicial, "betti_of_elongations", _extra_beta_12_below_the_top,
+        lambda table: simplicial.w_via_betti(table),
+        "W: the Betti and subset-sum routes disagree first at x^6*y^2 (-3 against 0)",
+        id="Betti, first table"),
+])
+def test_a_route_decided_on_terms_keeps_its_witness_on_a_fixture(
+    monkeypatch, module, name, corruption, route, message
+):
+    monkeypatch.setattr(module, name, corruption(getattr(module, name)))
+    with pytest.raises(InvariantViolationError) as exc:
+        route(cli.load_input(str(FIXTURES / "vamos.json")).table)
+    assert str(exc.value) == message

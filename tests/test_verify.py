@@ -8,9 +8,9 @@ import sys
 import pytest
 from hypothesis import given
 
-from demimat import core, hamming, ops, tutte, verify, weights
+from demimat import core, hamming, ops, poly, simplicial, tutte, verify, weights
 from demimat.core import RankTable
-from demimat.poly import X
+from demimat.poly import LaurentPoly, X
 
 from conftest import minus_x2_y_t_minus_3
 from strategies import all_demimatroids, demimatroid_tables
@@ -68,6 +68,41 @@ def test_a_battery_sample_expands_each_tutte_route_w_once(monkeypatch):
     report = verify.run_battery(seed=1, n=5, samples=1)
     assert report.ok and report.identities["coefficient_structure"].passes == 1
     assert sorted(multipliers) == [0, 1]
+
+
+def _counting(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_a_battery_sample_calls_no_substitute(monkeypatch):
+    calls = []
+    _counting(monkeypatch, LaurentPoly, "substitute", calls)
+    report = verify.run_battery(seed=1, n=5, samples=1)
+    assert report.ok and all(r.passes == 1 for r in report.identities.values())
+    assert calls == []
+
+
+def test_the_pj_and_betti_routes_build_no_polynomial_when_they_agree(monkeypatch):
+    # No sum of polynomials and no product, as assembling W from the P_j or
+    # from the Betti sums would need; the subset-sum W is the value.
+    calls = []
+    for module in (poly, hamming, simplicial):
+        if hasattr(module, "poly_sum"):
+            _counting(monkeypatch, module, "poly_sum", calls)
+    _counting(monkeypatch, LaurentPoly, "__mul__", calls)
+    table = RankTable.build(5, TARGET)
+    w = hamming.hamming_subset_sum(table)
+    assert hamming.w_from_pj(table) is w
+    assert simplicial.w_via_betti(table) is w
+    assert calls == []
+    assert not hasattr(hamming, "assemble_w")
 
 
 # -- the exhaustive walk ------------------------------------------------------------
