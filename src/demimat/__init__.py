@@ -34,7 +34,7 @@ from .ops import (
     supplement,
 )
 from .poly import LaurentPoly
-from .weights import WeiProfile, check_wei_duality, wei_hierarchy
+from .weights import WeiProfile, check_wei_duality, generalized_hamming_weights, wei_hierarchy
 
 __all__ = [
     "Complex",
@@ -50,6 +50,7 @@ __all__ = [
     "elongate",
     "from_matroid_bases",
     "from_wei_sequence",
+    "generalized_hamming_weights",
     "graph_demimatroid",
     "independence_complex",
     "join",

@@ -11,10 +11,8 @@ and row space; the rank over F_p is its pivot count.  A parity matroid's rank
 table is counted, not eliminated, unless the space to count has more than
 8 * 2^n vectors (or more than ``codes.SUBSPACE_ENUM_CAP``); then
 ``rref_mod_p`` runs per column subset, as in the tests' oracle for that table.
-``rank_fraction_free`` (dense Bareiss elimination) has no caller left in the
-package: it is the tests' oracle for the kernel over Q, as the pivot count
-of ``rref_mod_p`` is over F_p.  ``is_prime`` is the one
-primality test behind every field and check-matrix input.
+``is_prime`` is the one primality test behind every field and check-matrix
+input.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Container, Mapping, Sequence
 from math import gcd
 
-from .errors import InvariantViolationError, MalformedInputError
+from .errors import MalformedInputError
 
 # Miller-Rabin with the first twelve primes as bases decides primality
 # exactly for every p < 2^64 (Sorenson and Webster, 2015).
@@ -54,42 +52,6 @@ def is_prime(p: int) -> bool:
         else:
             return False
     return True
-
-
-def rank_fraction_free(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals via one-step Bareiss elimination.
-
-    All intermediate entries stay integers; the divisions are exact.
-    """
-    mat = [list(map(int, row)) for row in rows]
-    if not mat or not mat[0]:
-        return 0
-    n_rows, n_cols = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    pivot_row = 0
-    for col in range(n_cols):
-        sel = next((r for r in range(pivot_row, n_rows) if mat[r][col]), None)
-        if sel is None:
-            continue
-        mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-        piv = mat[pivot_row][col]
-        for r in range(pivot_row + 1, n_rows):
-            f = mat[r][col]
-            row_r = mat[r]
-            row_p = mat[pivot_row]
-            for c in range(col, n_cols):
-                numerator = row_r[c] * piv - f * row_p[c]
-                q, remainder = divmod(numerator, prev)
-                if remainder:
-                    raise InvariantViolationError("fraction-free elimination went inexact")
-                row_r[c] = q
-        prev = piv
-        pivot_row += 1
-        rank += 1
-        if pivot_row == n_rows:
-            break
-    return rank
 
 
 def rref_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:

@@ -24,7 +24,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
 
-from . import weights
 from ._linalg import is_prime, rref_mod_p
 from ._records import Frozen, record
 from .core import RankTable, check_cap, subset_transform
@@ -48,10 +47,6 @@ class PrimeMatrix(Frozen):
         if reduced and any(len(r) != len(reduced[0]) for r in reduced):
             raise MalformedInputError("rows must have equal length")
         return cls(p, reduced)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
 
     @property
     def n_cols(self) -> int:
@@ -196,14 +191,3 @@ def code_ghw_bruteforce(code: LinearCodeView, r: int) -> int:
     if not 1 <= r <= code.k:
         raise MalformedInputError(f"need 1 <= r <= {code.k}, got {r}")
     return min(subcode_support_sizes(code, r))
-
-
-def weight_hierarchy_agreement(matrix: PrimeMatrix) -> bool:
-    """The code's brute-force hierarchy matches the parity matroid's.
-
-    The matroid side is the parity matroid's generalized Hamming weights,
-    read off its size-rank profile; a dimension-0 code agrees vacuously.
-    """
-    code = LinearCodeView.from_parity(matrix)
-    matroid_side = weights.generalized_hamming_weights(parity_matroid(matrix))
-    return all(code_ghw_bruteforce(code, r) == matroid_side[r - 1] for r in range(1, code.k + 1))

@@ -297,9 +297,6 @@ class RankTable(Frozen):
     def profile(self) -> Mapping[tuple[int, int], int]:
         return _size_rank_profile(self.n, self.ranks)
 
-    def rho(self, mask: int) -> int:
-        return self.ranks[mask]
-
     def nullity(self, mask: int) -> int:
         return popcount(mask) - self.ranks[mask]
 
@@ -429,10 +426,6 @@ class Complex(Frozen):
         for f in self.face_set:
             counts[popcount(f)] += 1
         return counts
-
-    def restrict(self, sigma: int) -> "Complex":
-        """Restriction to the vertices in ``sigma`` (same ambient n)."""
-        return Complex(self.n, frozenset(f for f in self.face_set if not f & ~sigma))
 
 
 # -- complexes and their demimatroids -----------------------------------------

@@ -26,7 +26,15 @@ class RationalFunctionError(DemimatError):
 
 
 class UnsupportedSubstitutionError(DemimatError):
-    """Substitution would create a non-monomial denominator."""
+    """A change of variables would need the inverse of a non-unit.
+
+    Raised by a negative power of a polynomial that is not +-1 times a
+    monomial, by ``binomial_expansion`` at a negative binomial power, and by
+    ``tutte.expandable_terms``, the guard of every closed-form change of
+    variables (MacWilliams, the Tutte recovery, the characteristic
+    polynomial, both f routes), when a variable it expands to a polynomial
+    sits at a negative exponent.
+    """
 
 
 class InexactDivisionError(DemimatError):

@@ -28,9 +28,8 @@ function of the coordinates:
   exponent shift, against the corank-nullity counts.
 
 A route expands both sides only when they disagree, so that
-``cross_checked`` names the first differing monomial.  ``hamming_recurrence``
-and ``macwilliams_transform`` expand the coordinates and stay as API and as
-test oracles.
+``cross_checked`` names the first differing monomial; the tests expand the
+MacWilliams and recurrence coordinates as their oracles.
 """
 from __future__ import annotations
 
@@ -200,12 +199,6 @@ def macwilliams_coordinates(w: LaurentPoly, eta: int) -> dict[tuple[int, int, in
     return {key: c for key, c in coordinates.items() if c}
 
 
-def macwilliams_transform(w: LaurentPoly, eta: int) -> LaurentPoly:
-    """t^(-eta) W(x + (t-1) y, x - y, t): the expansion of
-    ``macwilliams_coordinates``."""
-    return binomial_expansion(_basis_items(macwilliams_coordinates(w, eta)))
-
-
 def macwilliams(table: RankTable) -> LaurentPoly:
     """W of the dual: its subset sum, once the MacWilliams transform of W has
     the same coordinates.  On a disagreement both sides are expanded and
@@ -296,12 +289,6 @@ def recurrence_coordinates(table: RankTable, p: int) -> dict[tuple[int, int, int
         key = a, b + 1, e + nu
         coordinates[key] = coordinates.get(key, 0) + c
     return coordinates
-
-
-def hamming_recurrence(table: RankTable, p: int) -> LaurentPoly:
-    """The deletion-contraction side at element p as a polynomial: the
-    expansion of ``recurrence_coordinates``."""
-    return binomial_expansion(_basis_items(recurrence_coordinates(table, p)))
 
 
 # -- formal minimum distance and A-coefficients ---------------------------------------

@@ -163,24 +163,12 @@ def lattice_top(n: int) -> RankTable:
 # -- elongations --------------------------------------------------------------
 
 
-def _check_elongation_index(table: RankTable, i: int) -> None:
+@per_table
+def elongate(table: RankTable, i: int) -> RankTable:
+    """i-th elongation: rank raised by i, capped at cardinality."""
     table.require_demimatroid("elongation")
     eta = table.total_nullity
     if not 0 <= i <= eta:
         raise MalformedInputError(f"elongation index must be in 0..{eta}, got {i}")
-
-
-@per_table
-def elongate(table: RankTable, i: int) -> RankTable:
-    """i-th elongation: rank raised by i, capped at cardinality."""
-    _check_elongation_index(table, i)
     ranks = [min(s, r + i) for s, r in zip(_sizes(table), table.ranks)]
     return RankTable.build(table.n, ranks)
-
-
-def elongation_nullity(table: RankTable, i: int, mask: int) -> int:
-    """Nullity of the i-th elongation at ``mask``: max(0, eta(mask) - i)."""
-    _check_elongation_index(table, i)
-    if mask & ~table.full:
-        raise MalformedInputError("mask outside the ground set")
-    return max(0, table.nullity(mask) - i)

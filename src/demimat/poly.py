@@ -3,21 +3,13 @@
 Terms map an exponent vector (signed integers, one slot per variable) to a
 nonzero ``int`` coefficient, since every invariant here counts subsets; any
 other coefficient raises TypeError.  The only units are +-1 times a
-monomial: ``monomial_inverse``, a negative power and a substitution into a
-negative exponent take nothing else (UnsupportedSubstitutionError).
+monomial: ``monomial_inverse`` and a negative power take nothing else
+(UnsupportedSubstitutionError).
 ``divide_exact`` is exact over Z: a quotient coefficient that is not an
 integer raises InexactDivisionError, which a divisor led by +-1, as every
 divisor in the package is, never does.  There is no floating point anywhere.
 Values are immutable by convention: every operation returns a fresh
-polynomial.
-
-``substitute`` maps exponents directly when every value is a monomial.
-Otherwise it expands each distinct image once per call: the terms are
-grouped by their exponents in the substituted slots, each value's powers are
-built incrementally (``value^e = value^(e-1) * value``) up to the largest
-exponent used, and each group's image is multiplied by its terms straight
-into one term dict (``_substitution``).  Scalar products are one map over
-the coefficients.
+polynomial.  Scalar products are one map over the coefficients.
 
 ``binomial_expansion`` writes products of powers of binomials such as
 (x-y)^m or (x-1)^a (y-1)^b through a packed, staged kernel
@@ -28,13 +20,12 @@ over packed deltas, the factors are expanded last-first with equal
 ints are decoded once at the end.  An exponent that would leave its slot
 raises OverflowError before any term is written.  The changes of variables
 in ``hamming`` and ``tutte`` (the Tutte side of the characteristic
-polynomial, f and h, the definition route of the W^(r)), the MacWilliams
-transform, the recurrences for T, W and the Whitney function and the
-battery's f(x-1, y-1) == T are closed forms built on it and on
-``term_sum``: one pass over the source terms into one term dict.  Routes
-decided on basis coordinates call it only to expand a disagreement's two
-sides or the recovery identity's residual.  No library route and no
-battery identity calls ``substitute``; it stays as the tests' oracle.
+polynomial, f and h, the definition route of the W^(r)) and the battery's
+f(x-1, y-1) == T are closed forms built on it and on ``term_sum``: one pass
+over the source terms into one term dict.  Routes decided on basis
+coordinates call it only to expand a disagreement's two sides or the
+recovery identity's residual.  There is no generic substitution; the tests
+keep a term-by-term one as the oracle of every closed form.
 The q-analogue tables ``q_binomial`` and ``angle`` are cached per argument tuple;
 sharing one value between callers is safe because no operation aliases or
 mutates an operand's terms.
@@ -52,7 +43,6 @@ from functools import cache
 from operator import index
 
 from ._binomial import _expand
-from ._substitution import _expand_images
 from .errors import InexactDivisionError, InvariantViolationError, UnsupportedSubstitutionError
 
 VARIABLES = ("x", "y", "t")
@@ -232,50 +222,7 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    # -- substitution and division ------------------------------------------
-
-    def substitute(self, assignments: Mapping[str, LaurentPoly | int]) -> LaurentPoly:
-        """Simultaneously replace variables by polynomials or integers.
-
-        A variable occurring with a negative exponent may only receive a
-        unit, +-1 times a monomial (its inverse stays a Laurent monomial);
-        any other assignment raises UnsupportedSubstitutionError.  When some
-        value is not a monomial, the terms are grouped by their exponents in
-        the substituted slots, each value's powers are built incrementally
-        up to the largest exponent used, and each group's image (the product
-        of those powers) is formed once and multiplied by the group's terms
-        straight into the result (``_substitution._expand_images``).
-        """
-        values: dict[int, LaurentPoly] = {}
-        for name, value in assignments.items():
-            if name not in _INDEX:
-                raise KeyError(f"unknown variable {name!r}")
-            v = value if isinstance(value, LaurentPoly) else constant(value)
-            values[_INDEX[name]] = v
-        out: dict[tuple, int] = {}
-        if all(v.is_monomial for v in values.values()):
-            # Every value is c * monomial: a pure map of exponents and
-            # coefficients, with no polynomial products.
-            images = {i: next(iter(v._terms.items())) for i, v in values.items()}
-            for exp, coeff in self._terms.items():
-                target = [0 if i in values else e for i, e in enumerate(exp)]
-                for i, (image, c) in images.items():
-                    e = exp[i]
-                    if e:
-                        for k, d in enumerate(image):
-                            target[k] += e * d
-                        if c != 1:
-                            if e < 0 and c != -1:
-                                raise UnsupportedSubstitutionError(
-                                    f"{values[i]} is not a unit, so it cannot take"
-                                    f" the negative exponent {e}"
-                                )
-                            coeff = coeff * c ** abs(e)
-                key = tuple(target)
-                out[key] = out.get(key, 0) + coeff
-        else:
-            out = _expand_images(self._terms, values)
-        return _from_terms({key: c for key, c in out.items() if c})
+    # -- division -----------------------------------------------------------
 
     def divide_exact(self, divisor: LaurentPoly | int) -> LaurentPoly:
         """Exact division over Z; raises InexactDivisionError on a nonzero
@@ -453,25 +400,9 @@ def binomial_expansion(
 
 # -- q-analogues ---------------------------------------------------------------
 #
-# q is stored in the t slot: [m]_q = 1 + q + ... + q^(m-1);
-# [m]_q! = [1]_q ... [m]_q; the q-binomial satisfies
+# q is stored in the t slot.  The q-binomial satisfies
 # [m,j]_q = [m-1,j]_q + q^(m-j) [m-1,j-1]_q;
 # <m>_q = (q^m - 1)(q^m - q) ... (q^m - q^(m-1)), with <0>_q = 1.
-
-
-def q_bracket(m: int) -> LaurentPoly:
-    if m < 0:
-        raise ValueError("q-bracket needs m >= 0")
-    return LaurentPoly({(0, 0, i): 1 for i in range(m)})
-
-
-def q_bracket_factorial(m: int) -> LaurentPoly:
-    if m < 0:
-        raise ValueError("q-factorial needs m >= 0")
-    out = one()
-    for i in range(1, m + 1):
-        out = out * q_bracket(i)
-    return out
 
 
 @cache

@@ -1,5 +1,5 @@
-"""Reduced simplicial homology, Hochster-formula Betti numbers, and the Betti
-route to the Hamming polynomial.
+"""Hochster-formula Betti numbers of the elongation family by exact reduced
+homology, and the Betti route to the Hamming polynomial.
 
 Homology uses exact elimination only, so every Betti number is exact.  Each
 boundary map is a set of columns built straight from the face masks and
@@ -15,14 +15,15 @@ parities (torsion may hide there, as in the projective plane) falls back to
 ``_linalg.rank_sparse_columns`` over Q on signed columns; odd p always uses
 that kernel.
 
-Betti tables come from one walk per filtration Delta_0 < Delta_1 < ..., each
-mask entering at its level: its nullity for the elongation family, 0 or 1
-for the faces and non-faces of a single complex.  The walk visits each
-vertex set sigma once and, for every r below sigma's level, reduces
-whichever is smaller: the restriction of Delta_r to sigma or its Alexander
-dual.  One zeta transform over Kronecker-packed level indicators counts
-every sigma's submasks at each level, so both sides' sizes are prefix sums
-and the side is chosen before anything is listed.  A side with no face
+The Betti tables come from one walk over the filtration Delta_0 < Delta_1 <
+... of the elongation complexes, each mask entering at its level, its
+nullity.  A single complex's table is the r = 0 table of its demimatroid,
+``betti_of_elongations(core.complex_to_demimatroid(cx))[0]``.  The walk
+visits each vertex set sigma once and, for every r below sigma's level,
+reduces whichever is smaller: the restriction of Delta_r to sigma or its
+Alexander dual.  One zeta transform over Kronecker-packed level indicators
+counts every sigma's submasks at each level, so both sides' sizes are prefix
+sums and the side is chosen before anything is listed.  A side with no face
 above its vertices is answered from the vertex count alone; any other side
 is grown in cardinality layers, each member from the member without its
 highest element, so a restriction costs O(|sigma| * |side|), not
@@ -34,11 +35,10 @@ sum's terms and expands both only on a disagreement, whose witness
 differ.  W sums the homological degree i away (only sum_i (-1)^i beta_{i,j}
 reaches it), so no Betti entry (r, i, j) can be named from W.
 
-Conventions.  The void complex has no homology at all; the complex whose only
-face is the empty set has one dimension of reduced homology in degree -1.
-Restrictions to a vertex set with no surviving vertices are that latter
-complex, which is what makes degree-one ideal generators (vertices that are
-not faces) come out right.
+Conventions.  A restriction to a vertex set with no surviving vertices is
+the complex whose only face is the empty set, with one dimension of reduced
+homology in degree -1; that is what makes degree-one ideal generators
+(vertices that are not faces) come out right.
 """
 
 from __future__ import annotations
@@ -49,12 +49,8 @@ from operator import add, sub
 from . import core, hamming
 from ._linalg import is_prime, rank_bit_columns, rank_sparse_columns
 from ._records import record
-from .core import Complex, RankTable, per_table, popcount
-from .errors import (
-    InvariantViolationError,
-    MalformedInputError,
-    SizeCapError,
-)
+from .core import RankTable, per_table
+from .errors import MalformedInputError, SizeCapError
 from .poly import LaurentPoly, cross_checked, term_sum
 
 
@@ -199,61 +195,6 @@ def _homology_dims(layers: list[list[int]], columns: _Columns, p: int) -> list[i
                  partial(rank_sparse_columns, p=p))
 
 
-def reduced_homology_dims(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> list[int]:
-    """Dimensions of the reduced homology groups; index 0 holds degree -1.
-
-    The void complex returns the empty list.
-    """
-    if cx.is_void:
-        return []
-    _check_homology_cap(cx.n)
-    layers: list[list[int]] = [[] for _ in range(cx.dim + 2)]
-    for face in cx.faces():
-        layers[face.bit_count()].append(face)
-    return _homology_dims(layers, _Columns(cx.n), fieldspec.characteristic)
-
-
-def euler_characteristic(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> int:
-    """Reduced Euler characteristic, by homology and by face counts, compared."""
-    if cx.is_void:
-        raise MalformedInputError("the void complex has no Euler characteristic")
-    homological = sum(
-        (1 if (c - 1) % 2 == 0 else -1) * d
-        for c, d in enumerate(reduced_homology_dims(cx, fieldspec))
-    )
-    by_faces = sum(1 if (popcount(f) - 1) % 2 == 0 else -1 for f in cx.faces())
-    if homological != by_faces:
-        raise InvariantViolationError("Euler characteristic routes disagree")
-    return homological
-
-
-def stanley_reisner_generators(cx: Complex) -> tuple[int, ...]:
-    """Masks of the inclusion-minimal non-faces."""
-    if cx.is_void:
-        raise MalformedInputError("the void complex has no Stanley-Reisner ideal")
-    out = []
-    for mask in range(1, (1 << cx.n)):
-        if mask in cx:
-            continue
-        if all((mask ^ bit) in cx for bit in core.bits_of(mask)):
-            out.append(mask)
-    return tuple(out)
-
-
-def hochster_betti_multigraded(
-    cx: Complex, sigma: int, i: int, fieldspec: FieldSpec = RATIONALS
-) -> int:
-    """beta_{i, sigma}: reduced homology of the restriction in degree |sigma|-i-1."""
-    if sigma & ~core.full_mask(cx.n):
-        raise MalformedInputError("sigma outside the ground set")
-    dims = reduced_homology_dims(cx.restrict(sigma), fieldspec)
-    degree = popcount(sigma) - i - 1
-    slot = degree + 1
-    if 0 <= slot < len(dims):
-        return dims[slot]
-    return 0
-
-
 def _level_counts(n: int, levels: list[int]) -> list[int]:
     """Each mask's submasks counted by level, as one packed int per mask.
 
@@ -344,30 +285,7 @@ def _betti_walk(n: int, levels: list[int], top: int, p: int) -> tuple[BettiTable
     return tuple(map(BettiTable.from_dict, tables))
 
 
-def hochster_betti(cx: Complex, fieldspec: FieldSpec = RATIONALS) -> BettiTable:
-    """Graded Betti table of ``cx`` by Hochster's formula: the walk of the
-    one-step filtration, faces at level 0 and non-faces at level 1."""
-    if cx.is_void:
-        return BettiTable.from_dict({})
-    _check_homology_cap(cx.n)
-    faces = cx.face_set
-    levels = [0 if mask in faces else 1 for mask in range(1 << cx.n)]
-    return _betti_walk(cx.n, levels, 1, fieldspec.characteristic)[0]
-
-
 # -- the Betti route to W ------------------------------------------------------------
-
-
-def elongation_complex(table: RankTable, r: int) -> Complex:
-    """Independence complex of the r-th elongation: subsets of nullity <= r,
-    read from ``table``'s nullities without building the elongated table."""
-    table.require_demimatroid("elongation")
-    eta = table.total_nullity
-    if not 0 <= r <= eta:
-        raise MalformedInputError(f"elongation index must be in 0..{eta}, got {r}")
-    return Complex.build(
-        table.n, [m for m, rank in enumerate(table.ranks) if popcount(m) - rank <= r]
-    )
 
 
 @per_table

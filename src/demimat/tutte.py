@@ -5,17 +5,16 @@ exponent pair of a subset A is (rho(E) - rho(A), |A| - rho(A)), which depends
 only on |A| and rho(A), so the pairs are read off the table's size-rank
 profile and the binomial expansion happens once per distinct pair.  The
 evaluations T(1-t, 0) and T(t+1, 1) and h(t) = f(t-1) are written in closed
-form, from binomial rows or one term sum, not by ``LaurentPoly.substitute``.
-The deletion-contraction recurrences for T and the Whitney function are one
-statement about coordinates: ``recurrence_counts`` merges both minors'
-(corank, nullity) pairs, shifted by the recurrence's powers, and those are
-the (x-1, y-1) coordinates of the T side and the monomials of the f side.
-The identity battery compares them with the table's own pairs, which is not
-weaker than comparing polynomials, because the expansion is a function of
-the coordinates; ``tutte_recurrence`` and ``whitney_recurrence`` expand them
-and stay as API and as test oracles.  The duality swap is one such
-comparison too: the dual's (corank, nullity) counts against the table's,
-each pair swapped, which decides T's duality and f's at once.
+form, from binomial rows or one term sum.  The deletion-contraction
+recurrences for T and the Whitney function are one statement about
+coordinates: ``recurrence_counts`` merges both minors' (corank, nullity)
+pairs, shifted by the recurrence's powers, and those are the (x-1, y-1)
+coordinates of the T side and the monomials of the f side.  The identity
+battery compares them with the table's own pairs, which is not weaker than
+comparing polynomials, because the expansion is a function of the
+coordinates; the tests expand them as their oracles.  The duality swap is
+one such comparison too: the dual's (corank, nullity) counts against the
+table's, each pair swapped, which decides T's duality and f's at once.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ def expandable_terms(p: LaurentPoly, **images: str) -> dict:
 
     A closed-form change of variables writes each such variable's image, a
     polynomial that is not a monomial, as a binomial power; a negative power
-    of it has no Laurent expansion and raises UnsupportedSubstitutionError,
-    as ``LaurentPoly.substitute`` would.
+    of it has no Laurent expansion and raises UnsupportedSubstitutionError.
     """
     for name, image in images.items():
         low = p.min_exponent(name)
@@ -129,12 +127,6 @@ def recurrence_counts(table: RankTable, p: int) -> dict[tuple[int, int], int]:
                            _require_polynomial(corank_nullity_counts(contracted)), co, nu)
 
 
-def tutte_recurrence(table: RankTable, p: int) -> LaurentPoly:
-    """The deletion-contraction side at element p as a polynomial: the
-    expansion of ``recurrence_counts``."""
-    return binomial_expansion(_basis_items(recurrence_counts(table, p)))
-
-
 def whitney_f(table: RankTable) -> LaurentPoly:
     """Whitney generating function: sum of x^(eta*(E\\A)) y^(eta(A)).
 
@@ -142,16 +134,6 @@ def whitney_f(table: RankTable) -> LaurentPoly:
     is accepted.
     """
     return term_sum(((a, b, 0), c) for (a, b), c in corank_nullity_counts(table).items())
-
-
-def whitney_recurrence(table: RankTable, p: int) -> LaurentPoly:
-    """x^(eta*(p)) f(M\\p) + y^(1 - rho(p)) f(M/p): its monomials are the
-    coordinates of ``recurrence_counts``, taken without that function's
-    scope check, since any exponent is a Laurent monomial."""
-    deleted, contracted, co, nu = deletion_contraction(table, p)
-    counts = _shifted_counts(corank_nullity_counts(deleted), corank_nullity_counts(contracted),
-                             co, nu)
-    return term_sum(((a, b, 0), c) for (a, b), c in counts.items())
 
 
 def characteristic(table: RankTable) -> LaurentPoly:

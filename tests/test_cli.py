@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from demimat import _linalg, cli, codes, core, hamming, ops, simplicial, tutte
+from demimat import cli, codes, core, hamming, ops, simplicial, tutte
 from demimat.errors import InvariantViolationError
 from demimat.poly import T, X, Y
 
@@ -392,14 +392,13 @@ def _count_computations(monkeypatch, module, name, counts):
 
 def test_compute_all_runs_each_route_once(monkeypatch, capsys):
     # vamos: n = 8, eta = 4, so the five elongation Betti tables come from
-    # one filtration walk and no per-complex Hochster sweep; the P_j family
+    # one filtration walk; the P_j family
     # is built once, by one packed Moebius transform.
     # W is computed for vamos and for its dual (MacWilliams), the W^(r)
     # family once, and the Tutte-route W(x, y, t^j) once for each
     # j = 0 .. eta, shared by the Tutte route of W (j = 1) and the
     # definition route of every W^(r).
     counts: dict[str, int] = {}
-    _count_calls(monkeypatch, simplicial, "hochster_betti", counts)
     _count_calls(monkeypatch, simplicial, "_betti_walk", counts)
     for module, name in ((simplicial, "betti_of_elongations"), (hamming, "pj_family"),
                          (hamming, "hamming_subset_sum"), (hamming, "generalized_w_all"),
@@ -432,13 +431,9 @@ def test_betti_sweeps_build_no_complex_per_restriction(monkeypatch, capsys):
     # vamos: the walk reads the five elongation complexes off the nullities,
     # so no complex is built at all.  A matroid's restrictions have F_2
     # homology in degrees of one parity (its elongations are shellable), so
-    # the F_2 kernel certifies every rank over Q: no column is reduced over
-    # Q, and no dense Bareiss step runs.
+    # the F_2 kernel certifies every rank over Q: no column is reduced over Q.
     counts: dict[str, int] = {}
-    for module in (_linalg, simplicial, codes):
-        if hasattr(module, "rank_fraction_free"):
-            _count_calls(monkeypatch, module, "rank_fraction_free", counts)
-    for name in ("elongation_complex", "rank_sparse_columns", "rank_bit_columns"):
+    for name in ("rank_sparse_columns", "rank_bit_columns"):
         _count_calls(monkeypatch, simplicial, name, counts)
     build = core.Complex.build
 
@@ -449,8 +444,6 @@ def test_betti_sweeps_build_no_complex_per_restriction(monkeypatch, capsys):
     monkeypatch.setattr(core.Complex, "build", staticmethod(counted_build))
     code, _, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
     assert code == 0
-    assert counts.get("rank_fraction_free", 0) == 0
-    assert counts.get("elongation_complex", 0) == 0
     assert counts.get("Complex.build", 0) == 0
     assert counts.get("rank_sparse_columns", 0) == 0
     assert counts["rank_bit_columns"] > 0
@@ -600,6 +593,8 @@ def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys
     # kernel run; every other side is reduced, with at most half of sigma's
     # 2^|sigma| submasks, all inside sigma.
     table = cli.load_input(str(FIXTURES / "vamos.json")).table
+    elongation_complexes = [core.independence_complex(ops.elongate(table, r))
+                            for r in range(table.total_nullity + 1)]
     listed: list[tuple[int, int, list[list[int]]]] = []
     homology_calls: list[tuple[list[list[int]], bool]] = []
     kernel_runs: list[int] = []
@@ -631,7 +626,7 @@ def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys
     assert len(visited) == 145
     assert [layers for layers, _ in homology_calls] == [layers for _, _, layers in listed]
     for (sigma, r, layers), (_, reduced) in zip(listed, homology_calls):
-        assert sigma not in simplicial.elongation_complex(table, r)
+        assert sigma not in elongation_complexes[r]
         faces = [x for x in core.submasks(sigma) if table.nullity(x) <= r]
         if 2 * len(faces) > 2 ** core.popcount(sigma):
             faces = [sigma ^ x for x in core.submasks(sigma) if table.nullity(x) > r]

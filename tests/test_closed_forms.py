@@ -4,12 +4,11 @@ The Tutte side of the characteristic polynomial, both f-polynomial routes,
 h, the definition route of the W^(r) and the A_j are each written straight
 from binomial rows or one term sum; MacWilliams, the Tutte recovery and the
 recovery sum are computed on basis coordinates.  Each oracle below is the
-earlier generic expression, built with ``LaurentPoly.substitute`` or with
-chains of ``*`` and ``+``, and must give the same polynomial on every
-fixture and on hypothesis tables.  The recovery sum is also fed a corrupted
-family, so that a sum that ignored its input would fail.  The guard tests
-pin that neither ``compute --all`` nor the battery expands a generic
-substitution.
+earlier generic expression, built with the term-by-term ``substitute``
+of ``oracles`` or with chains of ``*`` and ``+``, and must give the same
+polynomial on every fixture and on hypothesis tables.  The recovery sum is
+also fed a corrupted family, so that a sum that ignored its input would
+fail.
 """
 
 from math import comb
@@ -19,13 +18,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demimat import cli, core, hamming, poly, tutte
+from demimat import cli, core, hamming, tutte
 from demimat.errors import (
     InexactDivisionError,
     RationalFunctionError,
     UnsupportedSubstitutionError,
 )
 from demimat.poly import T, X, Y, angle, monomial, one, q_binomial, zero
+
+from oracles import macwilliams_transform, substitute
 from strategies import demimatroid_tables, exponents, laurent_polys
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -36,30 +37,30 @@ FIXTURE_PATHS = sorted(FIXTURES.glob("*.json"))
 
 
 def macwilliams_by_substitution(w, eta):
-    return w.substitute({"x": X + (T - 1) * Y, "y": X - Y}) * monomial(1, t=-eta)
+    return substitute(w, {"x": X + (T - 1) * Y, "y": X - Y}) * monomial(1, t=-eta)
 
 
 def tutte_from_hamming_by_substitution(table):
     w = hamming.hamming_subset_sum(table)
-    s = w.substitute({"x": 1, "y": monomial(1, x=-1), "t": (X - 1) * (Y - 1)})
+    s = substitute(w, {"x": 1, "y": monomial(1, x=-1), "t": (X - 1) * (Y - 1)})
     cleared = monomial(1, x=table.n) * s
     return cleared.divide_exact((X - 1) ** table.total_nullity)
 
 
 def characteristic_by_substitution(table):
     k = table.rank
-    return (-1) ** k * tutte.tutte(table).substitute({"x": 1 - T, "y": 0})
+    return (-1) ** k * substitute(tutte.tutte(table), {"x": 1 - T, "y": 0})
 
 
 def f_via_tutte_by_substitution(cx):
-    return tutte.tutte(core.complex_to_demimatroid(cx)).substitute({"x": T + 1, "y": 1})
+    return substitute(tutte.tutte(core.complex_to_demimatroid(cx)), {"x": T + 1, "y": 1})
 
 
 def f_via_hamming_by_substitution(cx):
     table = core.complex_to_demimatroid(cx)
     n = table.n
     eta = table.total_nullity
-    w0 = hamming.hamming_subset_sum(table).substitute({"t": 0})
+    w0 = substitute(hamming.hamming_subset_sum(table), {"t": 0})
     total = zero()
     for j in range(n + 1):
         c = w0.coefficient(x=n - j, y=j)
@@ -69,7 +70,7 @@ def f_via_hamming_by_substitution(cx):
 
 
 def h_by_substitution(cx):
-    return tutte.f_polynomial(cx).substitute({"t": T - 1})
+    return substitute(tutte.f_polynomial(cx), {"t": T - 1})
 
 
 def combine_t_powers_by_products(r, w_at):
@@ -92,7 +93,7 @@ def recovery_sum_by_products(table):
     rhs = zero()
     prod = one()
     for r, wr in enumerate(hamming.generalized_w_all(table)):
-        evaluated = wr.substitute({"x": 1, "y": monomial(1, x=-1)})
+        evaluated = substitute(wr, {"x": 1, "y": monomial(1, x=-1)})
         rhs = rhs + prod * evaluated
         prod = prod * ((X - 1) * (Y - 1) - monomial(1, t=r))
     return (monomial(1, x=n) * rhs).divide_exact((X - 1) ** (n - k))
@@ -105,7 +106,7 @@ def check_table_routes(table):
     """Every table route equals its oracle on a demimatroid ``table``."""
     w = hamming.hamming_subset_sum(table)
     eta = table.total_nullity
-    assert hamming.macwilliams_transform(w, eta) == macwilliams_by_substitution(w, eta)
+    assert macwilliams_transform(w, eta) == macwilliams_by_substitution(w, eta)
     assert hamming.tutte_from_hamming(table) == tutte_from_hamming_by_substitution(table)
     assert tutte.characteristic(table) == characteristic_by_substitution(table)
     w_at = [hamming._w_via_tutte_terms(table, j) for j in range(eta + 1)]
@@ -186,47 +187,16 @@ def test_macwilliams_matches_substitution_on_laurent_polys(w, eta):
         expected = macwilliams_by_substitution(w, eta)
     except UnsupportedSubstitutionError:
         with pytest.raises(UnsupportedSubstitutionError):
-            hamming.macwilliams_transform(w, eta)
+            macwilliams_transform(w, eta)
     else:
-        assert hamming.macwilliams_transform(w, eta) == expected
+        assert macwilliams_transform(w, eta) == expected
 
 
 def test_a_negative_power_of_a_substituted_binomial_raises():
     with pytest.raises(UnsupportedSubstitutionError):
-        hamming.macwilliams_transform(monomial(1, x=3, y=-1), 0)
+        macwilliams_transform(monomial(1, x=3, y=-1), 0)
     with pytest.raises(UnsupportedSubstitutionError):
-        hamming.macwilliams_transform(monomial(1, x=-1, y=3), 0)
+        macwilliams_transform(monomial(1, x=-1, y=3), 0)
     w = monomial(1, x=2, y=1)
-    assert hamming.macwilliams_transform(w * monomial(1, t=-2), 1) == (
+    assert macwilliams_transform(w * monomial(1, t=-2), 1) == (
         macwilliams_by_substitution(w, 1) * monomial(1, t=-2))
-
-
-# -- where the generic expansion runs ----------------------------------------------
-
-
-@pytest.fixture
-def expansions(monkeypatch):
-    """How many times ``LaurentPoly.substitute`` expands non-monomial images."""
-    calls = []
-    original = poly._expand_images
-
-    def counting(terms, values):
-        calls.append(values)
-        return original(terms, values)
-
-    monkeypatch.setattr(poly, "_expand_images", counting)
-    return calls
-
-
-@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda path: path.stem)
-def test_compute_all_never_expands_a_generic_substitution(path, expansions, capsys):
-    assert cli.main(["compute", "--in", str(path), "--all"]) == 0
-    capsys.readouterr()
-    assert expansions == []
-
-
-def test_the_battery_never_expands_a_generic_substitution(expansions, capsys):
-    # The Whitney identity f(x-1, y-1) == T is written from binomial rows too.
-    assert cli.main(["verify", "--seed", "1", "--n", "5", "--samples", "7"]) == 0
-    capsys.readouterr()
-    assert expansions == []

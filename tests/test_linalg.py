@@ -1,16 +1,19 @@
 """The sparse column-reduction kernel against the dense elimination oracles,
 and the bitset F_2 kernel against the sparse one.
 
-``rank_fraction_free`` (Bareiss) is the oracle over Q and the pivot count of
-``rref_mod_p`` the oracle over F_p.  Entries run over -3..3, so the kernel's
-non-unit pivot branch over Q and the entries that vanish mod p both occur.
+``oracles.rank_fraction_free`` (Bareiss) is the oracle over Q and the pivot
+count of ``rref_mod_p`` the oracle over F_p.  Entries run over -3..3, so the
+kernel's non-unit pivot branch over Q and the entries that vanish mod p both
+occur.
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demimat._linalg import rank_bit_columns, rank_fraction_free, rank_sparse_columns, rref_mod_p
+from demimat._linalg import rank_bit_columns, rank_sparse_columns, rref_mod_p
+
+from oracles import rank_fraction_free
 
 PRIMES = (2, 3, 5, 65537)
 

@@ -1,8 +1,9 @@
 """Differential property tests of the integer-first polynomial core.
 
-``LaurentPoly`` arithmetic is checked against sympy; the closed-form binomial
-expansion against repeated multiplication; and the Moebius-transform P_j
-family against the definitional submask sums of ``p_j``.
+``LaurentPoly`` arithmetic and the tests' term-by-term ``substitute`` are
+checked against sympy; the closed-form binomial expansion against repeated
+multiplication; and the Moebius-transform P_j family against the
+definitional submask sums of ``p_j``.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from demimat import hamming, tutte
 from demimat.errors import InexactDivisionError, UnsupportedSubstitutionError
 from demimat.poly import VARIABLES, LaurentPoly, T, X, Y, binomial_expansion, monomial, one
 
+from oracles import substitute
 from strategies import demimatroid_tables, exponents, int_coefficients, laurent_polys, rank_tables
 
 SYMBOLS = sympy.symbols(VARIABLES)
@@ -84,7 +86,7 @@ def test_negative_pow_of_a_non_unit_monomial_raises(exp, coeff, k):
 )
 def test_substitute_matches_sympy(a, u, v):
     x, y = SYMBOLS[:2]
-    result = a.substitute({"x": u, "y": v})
+    result = substitute(a, {"x": u, "y": v})
     assert_int_coefficients(result)
     expected = to_sympy(a).subs({x: to_sympy(u), y: to_sympy(v)}, simultaneous=True)
     assert same(result, expected)
@@ -97,9 +99,9 @@ def test_substitute_monomial_into_negative_exponents(a, exp, coeff):
     t = SYMBOLS[2]
     if a.min_exponent("t") < 0 and not is_unit(coeff):
         with pytest.raises(UnsupportedSubstitutionError):
-            a.substitute({"t": value})
+            substitute(a, {"t": value})
     else:
-        assert same(a.substitute({"t": value}), to_sympy(a).subs(t, to_sympy(value)))
+        assert same(substitute(a, {"t": value}), to_sympy(a).subs(t, to_sympy(value)))
 
 
 @given(laurent_polys(), st.lists(st.tuples(exponents(), nonzero_coefficients),
@@ -111,27 +113,15 @@ def test_substitute_monomials_simultaneously(a, images):
     if any(a.min_exponent(name) < 0 and not is_unit(c)
            for name, (_, c) in zip("xyt", images)):
         with pytest.raises(UnsupportedSubstitutionError):
-            a.substitute(values)
+            substitute(a, values)
         return
-    result = a.substitute(values)
+    result = substitute(a, values)
     assert_int_coefficients(result)
     expected = to_sympy(a).subs(
         {SYMBOLS[VARIABLES.index(name)]: to_sympy(v) for name, v in values.items()},
         simultaneous=True,
     )
     assert same(result, expected)
-
-
-def reference_substitute(a: LaurentPoly, values: dict) -> LaurentPoly:
-    """Term by term: each term's residual monomial times its values' powers."""
-    total = LaurentPoly()
-    for exp, coeff in a.terms().items():
-        term = LaurentPoly({tuple(0 if name in values else e
-                                  for name, e in zip(VARIABLES, exp)): coeff})
-        for name, value in values.items():
-            term = term * value ** exp[VARIABLES.index(name)]
-        total = total + term
-    return total
 
 
 def matches_sympy(a: LaurentPoly, values: dict, result: LaurentPoly) -> bool:
@@ -149,10 +139,9 @@ xy_polys = laurent_polys(exps=st.tuples(*(st.integers(0, 3),) * 2, st.integers(-
 def test_substitute_values_in_the_substituted_variables(a):
     # The MacWilliams substitution: each value contains x and y themselves.
     values = {"x": X + (T - 1) * Y, "y": X - Y}
-    result = a.substitute(values)
+    result = substitute(a, values)
     assert_int_coefficients(result)
     assert matches_sympy(a, values, result)
-    assert result == reference_substitute(a, values)
 
 
 @given(laurent_polys(exps=st.tuples(*(st.integers(-3, 3),) * 2, st.integers(0, 3))))
@@ -160,10 +149,9 @@ def test_substitute_mixed_monomial_and_polynomial_values(a):
     # The Tutte recovery W(1, 1/x, (x-1)(y-1)): x and y may sit at negative
     # exponents because their values are monomials; t may not.
     values = {"x": one(), "y": monomial(1, x=-1), "t": (X - 1) * (Y - 1)}
-    result = a.substitute(values)
+    result = substitute(a, values)
     assert_int_coefficients(result)
     assert matches_sympy(a, values, result)
-    assert result == reference_substitute(a, values)
 
 
 @given(laurent_polys(exps=exponents(0, 3)),
@@ -172,13 +160,12 @@ def test_substitute_zero_constant_and_fraction_values(a, c, u):
     # c may be 0; u may be zero, a constant, a monomial or a polynomial.  A
     # rational value is refused like a rational coefficient, integral or not.
     values = {"x": LaurentPoly(), "y": LaurentPoly({(0, 0, 0): c}), "t": u}
-    result = a.substitute(values)
+    result = substitute(a, values)
     assert_int_coefficients(result)
-    assert result == reference_substitute(a, values)
     assert matches_sympy(a, values, result)
-    assert a.substitute({"x": 0, "y": c, "t": u}) == result
+    assert substitute(a, {"x": 0, "y": c, "t": u}) == result
     with pytest.raises(TypeError):
-        a.substitute({"y": Fraction(c, 3)})
+        substitute(a, {"y": Fraction(c, 3)})
 
 
 @given(laurent_polys(exps=exponents(-3, -1, slots=("x",)), max_terms=3).filter(bool),
@@ -188,7 +175,7 @@ def test_substitute_polynomial_at_a_negative_exponent_raises(a, value, other):
     # Only a monomial is invertible; the zero value is not a monomial.
     for values in ({"x": value}, {"x": value, "y": other}, {"y": other, "x": value}):
         with pytest.raises(UnsupportedSubstitutionError):
-            a.substitute(values)
+            substitute(a, values)
 
 
 @st.composite
@@ -396,9 +383,9 @@ def test_closed_forms_match_the_power_formulas(table):
 def test_the_batterys_closed_forms_against_substitute(table):
     # The battery decides f(x-1, y-1) == T and W(x, y, 1) == x^n on term
     # dicts; ``substitute`` stays the oracle for both identities.
-    assert tutte.whitney_f(table).substitute({"x": X - 1, "y": Y - 1}) == tutte.tutte(table)
+    assert substitute(tutte.whitney_f(table), {"x": X - 1, "y": Y - 1}) == tutte.tutte(table)
     w = hamming.hamming_subset_sum(table)
-    assert w.substitute({"t": 1}) == monomial(1, x=table.n)
+    assert substitute(w, {"t": 1}) == monomial(1, x=table.n)
 
 
 # -- the P_j family by the Moebius transform ------------------------------------------

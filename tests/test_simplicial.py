@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -6,17 +7,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from demimat import cli, core, hamming, ops, simplicial
-from demimat._linalg import rank_fraction_free, rank_sparse_columns, rref_mod_p
+from demimat._linalg import rank_sparse_columns, rref_mod_p
 from demimat.errors import KindError, MalformedInputError, SizeCapError
 from demimat.poly import monomial, one
 
 import conftest as ref
+from oracles import (hochster_betti_multigraded, minimal_non_faces, rank_fraction_free,
+                     reduced_homology_dims, restriction)
 from strategies import demimatroid_tables
 
 F2 = simplicial.FieldSpec.prime(2)
 F3 = simplicial.FieldSpec.prime(3)
 Q = simplicial.RATIONALS
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def hochster_betti(cx, fieldspec):
+    """The Betti table of ``cx``: the r = 0 one of its demimatroid's elongations."""
+    return simplicial.betti_of_elongations(core.complex_to_demimatroid(cx), fieldspec)[0]
+
+
+def elongation_complex(table, r):
+    """The independence complex of the r-th elongation."""
+    return core.independence_complex(ops.elongate(table, r))
 
 
 def test_fieldspec():
@@ -28,37 +41,45 @@ def test_fieldspec():
 
 def test_homology_conventions():
     void = core.Complex.build(3, [])
-    assert simplicial.reduced_homology_dims(void) == []
+    assert reduced_homology_dims(void) == []
     empty_only = core.Complex.build(3, [0])
-    assert simplicial.reduced_homology_dims(empty_only) == [1]
+    assert reduced_homology_dims(empty_only) == [1]
 
 
 def test_homology_triangle_boundary():
     tri = core.Complex.from_facet_lists(3, [[1, 2], [1, 3], [2, 3]])
     for spec in (Q, F2, F3):
-        assert simplicial.reduced_homology_dims(tri, spec) == [0, 0, 1]
+        assert reduced_homology_dims(tri, spec) == [0, 0, 1]
 
 
 def test_homology_two_points():
     two = core.Complex.from_facet_lists(2, [[1], [2]])
-    assert simplicial.reduced_homology_dims(two) == [0, 1]
+    assert reduced_homology_dims(two) == [0, 1]
 
 
 def test_homology_projective_plane(projective_plane_complex):
-    assert simplicial.reduced_homology_dims(projective_plane_complex, F2) == [0, 0, 1, 1]
-    assert simplicial.reduced_homology_dims(projective_plane_complex, F3) == [0, 0, 0, 0]
-    assert simplicial.reduced_homology_dims(projective_plane_complex, Q) == [0, 0, 0, 0]
+    assert reduced_homology_dims(projective_plane_complex, F2) == [0, 0, 1, 1]
+    assert reduced_homology_dims(projective_plane_complex, F3) == [0, 0, 0, 0]
+    assert reduced_homology_dims(projective_plane_complex, Q) == [0, 0, 0, 0]
+
+
+def euler_characteristics(cx, fieldspec=Q):
+    """The reduced Euler characteristic of a nonvoid complex by homology and by faces."""
+    homological = sum((-1) ** (slot - 1) * d
+                      for slot, d in enumerate(reduced_homology_dims(cx, fieldspec)))
+    by_faces = sum((-1) ** (core.popcount(f) - 1) for f in cx.faces())
+    return homological, by_faces
 
 
 def test_euler_characteristic():
     tri = core.Complex.from_facet_lists(3, [[1, 2], [1, 3], [2, 3]])
-    assert simplicial.euler_characteristic(tri) == -1
-    assert simplicial.euler_characteristic(core.Complex.build(2, [0])) == -1
+    assert euler_characteristics(tri) == (-1, -1)
+    assert euler_characteristics(core.Complex.build(2, [0])) == (-1, -1)
     # face counts of the triangulated surface: -1 + 6 - 15 + 10 = 0
     pp = core.Complex.from_facet_lists(6, ref.PROJECTIVE_PLANE_FACETS)
     assert pp.face_counts() == [1, 6, 15, 10]
-    assert simplicial.euler_characteristic(pp, F2) == 0
-    assert simplicial.euler_characteristic(pp, F3) == 0
+    assert euler_characteristics(pp, F2) == (0, 0)
+    assert euler_characteristics(pp, F3) == (0, 0)
 
 
 def test_euler_random_restrictions():
@@ -68,58 +89,63 @@ def test_euler_random_restrictions():
         table = core.random_demimatroid(5, rng)
         cx = core.independence_complex(table)
         sigma = core.random_subset(5, rng)
-        sub = cx.restrict(sigma)
+        sub = restriction(cx, sigma)
         if not sub.is_void:
-            simplicial.euler_characteristic(sub, rng.choice((Q, F2, F3)))
+            homological, by_faces = euler_characteristics(sub, rng.choice((Q, F2, F3)))
+            assert homological == by_faces
             checked += 1
 
 
+def assert_generators_are_the_first_betti_row(cx, gens):
+    # beta_{1,j} counts the minimal generators of degree j.
+    first_row = {j: v for (i, j), v in hochster_betti(cx, Q).entries if i == 1}
+    assert Counter(map(core.popcount, gens)) == first_row
+
+
 def test_stanley_reisner_generators(almost_wheel_complex, almost_wheel_ind_complex):
-    circuits = {
-        core.elements_of(m)
-        for m in simplicial.stanley_reisner_generators(almost_wheel_complex)
-    }
+    circuits = {core.elements_of(m) for m in minimal_non_faces(almost_wheel_complex)}
     assert circuits == {
         (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 6),
         (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6),
     }
-    edges = {
-        core.elements_of(m)
-        for m in simplicial.stanley_reisner_generators(almost_wheel_ind_complex)
-    }
+    edges = {core.elements_of(m) for m in minimal_non_faces(almost_wheel_ind_complex)}
     assert edges == {tuple(sorted(e)) for e in ref.ALMOST_WHEEL_EDGES}
     full = core.Complex.from_facet_lists(3, [[1, 2, 3]])
-    assert simplicial.stanley_reisner_generators(full) == ()
+    assert minimal_non_faces(full) == ()
+    for cx in (almost_wheel_complex, almost_wheel_ind_complex, full):
+        assert_generators_are_the_first_betti_row(cx, minimal_non_faces(cx))
 
 
 def test_missing_vertices_are_degree_one_generators(full23):
     cx = core.independence_complex(full23)  # just the empty face, on 3 vertices
-    gens = simplicial.stanley_reisner_generators(cx)
+    gens = minimal_non_faces(cx)
     assert gens == (0b001, 0b010, 0b100)
-    table = simplicial.hochster_betti(cx, Q)
+    assert_generators_are_the_first_betti_row(cx, gens)
+    table = hochster_betti(cx, Q)
     assert table.get(1, 1) == 3
     assert table.get(0, 0) == 1
 
 
 def test_hochster_monomial_ideal_example():
     path = core.Complex.from_facet_lists(5, ref.PATH_IND_FACETS)
-    gens = {core.elements_of(m) for m in simplicial.stanley_reisner_generators(path)}
+    gens = {core.elements_of(m) for m in minimal_non_faces(path)}
     assert gens == {(1, 2), (2, 3), (3, 4), (4, 5)}
+    assert_generators_are_the_first_betti_row(path, minimal_non_faces(path))
     for spec in (Q, F2, F3):
-        assert simplicial.hochster_betti(path, spec).poly() == ref.PATH_IND_BETTI_R0
+        assert hochster_betti(path, spec).poly() == ref.PATH_IND_BETTI_R0
 
 
 def test_hochster_full_simplex():
     full = core.Complex.from_facet_lists(4, [[1, 2, 3, 4]])
-    assert simplicial.hochster_betti(full, Q).poly() == one()
+    assert hochster_betti(full, Q).poly() == one()
 
 
 def test_multigraded_sums_to_graded(almost_wheel_ind_complex):
     cx = almost_wheel_ind_complex
-    graded = simplicial.hochster_betti(cx, Q)
+    graded = hochster_betti(cx, Q)
     for (i, j), value in graded.entries:
         total = sum(
-            simplicial.hochster_betti_multigraded(cx, sigma, i, Q)
+            hochster_betti_multigraded(cx, sigma, i, Q)
             for sigma in range(1 << cx.n)
             if core.popcount(sigma) == j
         )
@@ -130,7 +156,7 @@ def test_multigraded_sums_to_graded(almost_wheel_ind_complex):
 def test_multigraded_rejects_a_vertex_set_outside_the_ground_set(sigma, i):
     cx = core.Complex.from_facet_lists(3, [[1, 2], [3]])
     with pytest.raises(MalformedInputError):
-        simplicial.hochster_betti_multigraded(cx, sigma, i, Q)
+        hochster_betti_multigraded(cx, sigma, i, Q)
 
 
 def test_betti_tables_almost_wheel(almost_wheel):
@@ -185,14 +211,14 @@ def _dense_homology_dims(cx, fieldspec):
 def elongation_complexes(draw):
     table = draw(demimatroid_tables(max_n=6))
     r = draw(st.integers(0, table.total_nullity))
-    return simplicial.elongation_complex(table, r)
+    return elongation_complex(table, r)
 
 
 @given(elongation_complexes(), st.sampled_from((Q, F2, F3)))
 def test_homology_matches_dense_elimination(cx, fieldspec):
     for sigma in range(1 << cx.n):
-        sub = cx.restrict(sigma)
-        assert simplicial.reduced_homology_dims(sub, fieldspec) == _dense_homology_dims(
+        sub = restriction(cx, sigma)
+        assert reduced_homology_dims(sub, fieldspec) == _dense_homology_dims(
             sub, fieldspec
         )
 
@@ -202,11 +228,11 @@ def test_sweep_matches_per_restriction_homology(cx, fieldspec):
     table: dict[tuple[int, int], int] = {}
     for sigma in range(1 << cx.n):
         j = core.popcount(sigma)
-        dims = simplicial.reduced_homology_dims(cx.restrict(sigma), fieldspec)
+        dims = reduced_homology_dims(restriction(cx, sigma), fieldspec)
         for slot, d in enumerate(dims):
             table[(j - slot, j)] = table.get((j - slot, j), 0) + d
     expected = simplicial.BettiTable.from_dict(table)
-    assert simplicial.hochster_betti(cx, fieldspec) == expected
+    assert hochster_betti(cx, fieldspec) == expected
 
 
 def _dual_homology_by_degree(cx, fieldspec):
@@ -217,12 +243,12 @@ def _dual_homology_by_degree(cx, fieldspec):
     """
     full = core.full_mask(cx.n)
     dual = core.Complex(cx.n, frozenset(full ^ x for x in core.submasks(full) if x not in cx))
-    dims = simplicial.reduced_homology_dims(dual, fieldspec)
+    dims = reduced_homology_dims(dual, fieldspec)
     return {cx.n - 3 - (slot - 1): d for slot, d in enumerate(dims) if d}
 
 
 def _homology_by_degree(cx, fieldspec):
-    dims = simplicial.reduced_homology_dims(cx, fieldspec)
+    dims = reduced_homology_dims(cx, fieldspec)
     return {slot - 1: d for slot, d in enumerate(dims) if d}
 
 
@@ -296,7 +322,7 @@ def test_w_via_betti_random():
 def test_w_at_zero_is_first_betti_slice(almost_wheel):
     # W(x, y, 0) = x^n B_M(-1, y/x): matching coefficients of the r = 0 term
     w0 = hamming.hamming_subset_sum(almost_wheel).coefficient(t=0)
-    b0 = simplicial.hochster_betti(core.independence_complex(almost_wheel), Q)
+    b0 = hochster_betti(core.independence_complex(almost_wheel), Q)
     n = almost_wheel.n
     rebuilt = sum(
         (v * (-1) ** i * monomial(1, x=n - j, y=j) for (i, j), v in b0.entries),
@@ -307,20 +333,20 @@ def test_w_at_zero_is_first_betti_slice(almost_wheel):
 
 def test_homology_cap():
     with pytest.raises(Exception):
-        simplicial.reduced_homology_dims(
+        reduced_homology_dims(
             core.Complex.from_facet_lists(17, [[1, 2]]), Q
         )
 
 
 def test_elongation_betti_checks_the_cap_before_building_a_complex(monkeypatch):
     built = []
-    original = simplicial.elongation_complex
+    build = core.Complex.build
 
-    def counting(table, r):
-        built.append(r)
-        return original(table, r)
+    def counting(n, faces):
+        built.append(n)
+        return build(n, faces)
 
-    monkeypatch.setattr(simplicial, "elongation_complex", counting)
+    monkeypatch.setattr(core.Complex, "build", staticmethod(counting))
     monkeypatch.setattr(core, "HOMOLOGY_CAP", 3)
     with pytest.raises(SizeCapError):
         simplicial.betti_of_elongations(core.uniform(4, 2))
@@ -329,19 +355,19 @@ def test_elongation_betti_checks_the_cap_before_building_a_complex(monkeypatch):
 
 @given(demimatroid_tables())
 def test_elongation_complex_is_the_elongations_independence_complex(t):
+    # Its faces are the subsets of nullity at most r, read off the table.
     for r in range(t.total_nullity + 1):
-        assert simplicial.elongation_complex(t, r) == core.independence_complex(
-            ops.elongate(t, r)
-        )
+        assert elongation_complex(t, r).face_set == {
+            m for m in range(1 << t.n) if t.nullity(m) <= r}
     for r in (-1, t.total_nullity + 1):
         with pytest.raises(MalformedInputError):
-            simplicial.elongation_complex(t, r)
+            elongation_complex(t, r)
 
 
 def test_elongation_complex_needs_a_demimatroid():
     skipping = core.RankTable.build(2, [0, 1, 1, 3])
     with pytest.raises(KindError):
-        simplicial.elongation_complex(skipping, 0)
+        elongation_complex(skipping, 0)
 
 
 def test_betti_of_elongations_classifies_the_table_once(classify_calls):
@@ -395,11 +421,11 @@ def _assert_walk_matches_the_per_sigma_oracle(table, fieldspec):
     walked = simplicial.betti_of_elongations(table, fieldspec)
     assert len(walked) == table.total_nullity + 1
     for r, betti in enumerate(walked):
-        cx = simplicial.elongation_complex(table, r)
+        cx = elongation_complex(table, r)
         expected: dict[tuple[int, int], int] = {}
         for sigma in range(1 << table.n):
             j = core.popcount(sigma)
-            dims = _sparse_kernel_dims(cx.restrict(sigma), fieldspec.characteristic)
+            dims = _sparse_kernel_dims(restriction(cx, sigma), fieldspec.characteristic)
             for slot, d in enumerate(dims):
                 expected[(j - slot, j)] = expected.get((j - slot, j), 0) + d
         assert betti == simplicial.BettiTable.from_dict(expected)
