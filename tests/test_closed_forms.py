@@ -8,7 +8,8 @@ earlier generic expression, built with the term-by-term ``substitute``
 of ``oracles`` or with chains of ``*`` and ``+``, and must give the same
 polynomial on every fixture and on hypothesis tables.  The recovery sum is
 also fed a corrupted family, so that a sum that ignored its input would
-fail.
+fail.  The guard tests pin that neither ``compute --all`` nor the battery
+expands a generic substitution.
 """
 
 from math import comb
@@ -24,7 +25,7 @@ from demimat.errors import (
     RationalFunctionError,
     UnsupportedSubstitutionError,
 )
-from demimat.poly import T, X, Y, angle, monomial, one, q_binomial, zero
+from demimat.poly import LaurentPoly, T, X, Y, angle, monomial, one, q_binomial, zero
 
 from oracles import macwilliams_transform, substitute
 from strategies import demimatroid_tables, exponents, laurent_polys
@@ -200,3 +201,45 @@ def test_a_negative_power_of_a_substituted_binomial_raises():
     w = monomial(1, x=2, y=1)
     assert macwilliams_transform(w * monomial(1, t=-2), 1) == (
         macwilliams_by_substitution(w, 1) * monomial(1, t=-2))
+
+
+# -- where the generic expansion runs ----------------------------------------------
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """The powers of non-monomial polynomials taken during a test: the step a
+    generic substitution takes for each image of a variable, and one the
+    binomial-row and coordinate routes never take."""
+    calls = []
+    power = LaurentPoly.__pow__
+
+    def counting(self, k):
+        if not self.is_monomial:
+            calls.append((str(self), k))
+        return power(self, k)
+
+    monkeypatch.setattr(LaurentPoly, "__pow__", counting)
+    return calls
+
+
+def test_the_expansion_guard_sees_a_term_by_term_substitution(expansions):
+    # Each term raises each image to its exponent, so a guarded path that
+    # substituted this way would fail the tests below.
+    macwilliams_by_substitution(X**3 * Y + X * Y**2, 0)
+    assert sorted(expansions) == [
+        ("x - y", 1), ("x - y", 2), ("x - y + y*t", 1), ("x - y + y*t", 3)]
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda path: path.stem)
+def test_compute_all_never_expands_a_generic_substitution(path, expansions, capsys):
+    assert cli.main(["compute", "--in", str(path), "--all"]) == 0
+    capsys.readouterr()
+    assert expansions == []
+
+
+def test_the_battery_never_expands_a_generic_substitution(expansions, capsys):
+    # The Whitney identity f(x-1, y-1) == T is written from binomial rows too.
+    assert cli.main(["verify", "--seed", "1", "--n", "5", "--samples", "7"]) == 0
+    capsys.readouterr()
+    assert expansions == []

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from demimat import hamming
 from demimat.errors import InexactDivisionError, UnsupportedSubstitutionError
 from demimat.poly import (
     LaurentPoly,
@@ -10,6 +11,7 @@ from demimat.poly import (
     X,
     Y,
     angle,
+    binomial_expansion,
     constant,
     monomial,
     one,
@@ -125,6 +127,32 @@ def test_single_term_constructors():
         monomial(1, z=1)
     with pytest.raises(TypeError):
         constant(0.5)
+
+
+def test_substitute_expands_each_image_once(hamming84, monkeypatch):
+    # The library substitutes x + (t-1) y and x - y into W on basis
+    # coordinates and writes every power from binomial rows: fewer image
+    # products than one per distinct (x, y) exponent pair plus 2n.
+    w = hamming.hamming_subset_sum(hamming84)
+    values = {"x": X + (T - 1) * Y, "y": X - Y}
+    pairs = {exp[:2] for exp in w.terms()}
+    bound = len(pairs) + 2 * hamming84.n
+    assert bound == 5 + 16
+    products = 0
+    multiply = LaurentPoly.__mul__
+
+    def counting(self, other):
+        nonlocal products
+        products += isinstance(other, LaurentPoly)
+        return multiply(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    result = binomial_expansion(hamming._basis_items(hamming.macwilliams_coordinates(w, 0)))
+    assert products <= bound
+    monkeypatch.undo()
+    assert result == sum(
+        (c * values["x"] ** e[0] * values["y"] ** e[1] * monomial(1, t=e[2])
+         for e, c in w.terms().items()), zero())
 
 
 def test_coefficient_extraction():

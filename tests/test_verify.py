@@ -81,6 +81,16 @@ def _counting(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, counted)
 
 
+def test_a_battery_sample_calls_no_substitute(monkeypatch):
+    # A substitution of polynomial images raises each image to a power; no
+    # identity takes any power of a polynomial.
+    calls = []
+    _counting(monkeypatch, LaurentPoly, "__pow__", calls)
+    report = verify.run_battery(seed=1, n=5, samples=1)
+    assert report.ok and all(r.passes == 1 for r in report.identities.values())
+    assert calls == []
+
+
 def test_the_pj_and_betti_routes_build_no_polynomial_when_they_agree(monkeypatch):
     # No sum of polynomials and no product, as assembling W from the P_j or
     # from the Betti sums would need; the subset-sum W is the value.
