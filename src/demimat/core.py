@@ -298,6 +298,8 @@ class RankTable(Frozen):
         return _size_rank_profile(self.n, self.ranks)
 
     def nullity(self, mask: int) -> int:
+        if not 0 <= mask < len(self.ranks):
+            raise MalformedInputError("mask outside the ground set")
         return popcount(mask) - self.ranks[mask]
 
     @property

@@ -4,12 +4,13 @@ the coefficient polynomials P_j and A_j, and the generalized q-enumerators.
 W is homogeneous of degree n in (x, y); the t slot doubles as the q of the
 generalized enumerators, so a single variable stores both and the caller
 chooses how to print it.  Each quantity has one implementation.  The
-Tutte-route expansion W(x, y, t^j) is memoized per table and per j, and
-shared by ``hamming_via_tutte`` (j = 1) and by the definition route of the
-W^(r), ``generalized_w(table, r, "tutte")`` (j = 0 .. r); both are changes
-of variables written in closed form, one pass over a polynomial's terms
-into one term dict.  ``generalized_w_all`` is the subset route of the whole
-family, and ``a_coefficients`` the one source of the A_j.
+Tutte route's W(x, y, t) is expanded once per table, memoized, and shared
+by ``hamming_via_tutte`` and by the definition route of the W^(r),
+``generalized_w(table, r, "tutte")``.  The definition is Z[x, y]-linear in
+W, so that route applies it to each monomial t^e; its image of t^e depends
+only on (r, e) and is cached per (r, e), beside ``q_binomial`` and
+``angle``.  ``generalized_w_all`` is the subset route of the whole family,
+and ``a_coefficients`` the one source of the A_j.
 
 Five checks are decided on coordinates in a linearly independent basis,
 which is not weaker than comparing polynomials, because the expansion is a
@@ -34,7 +35,7 @@ MacWilliams and recurrence coordinates as their oracles.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from functools import cache
 from math import comb
 
 from . import core, ops, tutte as tutte_mod
@@ -86,23 +87,24 @@ def hamming_subset_sum(table: RankTable) -> LaurentPoly:
 
 
 @per_table
-def _w_via_tutte_terms(table: RankTable, t_multiplier: int) -> LaurentPoly:
-    # W(x, y, t^j) for j = t_multiplier.  Each (x-1,y-1)-basis Tutte term
-    # (corank a, nullity b) contributes (x-y)^(eta(E)+a-b) y^(rho(E)-a+b)
-    # t^(b * multiplier); the exponent bookkeeping stays in integers, so
-    # clearing the substitution denominators never builds a fraction.  The
-    # (x-y) exponent is n-|A|, so it is never negative.
+def _w_via_tutte_terms(table: RankTable) -> LaurentPoly:
+    # W(x, y, t), expanded once per table for the Tutte route of W and the
+    # definition route of every W^(r).  Each (x-1,y-1)-basis Tutte term
+    # (corank a, nullity b) contributes (x-y)^(eta(E)+a-b) y^(rho(E)-a+b) t^b;
+    # the exponent bookkeeping stays in integers, so clearing the
+    # substitution denominators never builds a fraction.  The (x-y) exponent
+    # is n-|A|, so it is never negative.
     eta = table.total_nullity
     k = table.rank
     return binomial_expansion(
-        (c, {"y": k - a + b, "t": b * t_multiplier}, (("x", "y", eta + a - b),))
+        (c, {"y": k - a + b, "t": b}, (("x", "y", eta + a - b),))
         for (a, b), c in tutte_mod.corank_nullity_counts(table).items()
     )
 
 
 def hamming_via_tutte(table: RankTable) -> LaurentPoly:
     """W as the cleared Tutte substitution; cross-checked against the subset sum."""
-    return cross_checked("W", "Tutte", _w_via_tutte_terms(table, 1),
+    return cross_checked("W", "Tutte", _w_via_tutte_terms(table),
                          "subset-sum", hamming_subset_sum(table))
 
 
@@ -344,19 +346,29 @@ def a_coefficients(table: RankTable) -> tuple[int, dict[int, LaurentPoly]]:
 # -- generalized enumerators -----------------------------------------------------------
 
 
-def _combine_t_powers(r: int, w_at: Sequence[LaurentPoly]) -> LaurentPoly:
-    """The definition of W^(r) from W(x, y, t^j) for j = 0 .. r:
+def _t_slices(w: LaurentPoly) -> dict[int, dict[tuple[int, int], int]]:
+    """W's terms by their t exponent: e -> {(a, b): c} for the terms c x^a y^b t^e."""
+    slices: dict[int, dict[tuple[int, int], int]] = {}
+    for (a, b, e), c in w.terms().items():
+        slices.setdefault(e, {})[a, b] = c
+    return slices
 
-        sum_j (-1)^(r-j) t^C(r-j, 2) [r, j]_t W(x, y, t^j), over <r>_t.
 
-    The numerator is one term sum over j, the q-binomial's terms and the
-    terms of W(x, y, t^j); the division by <r>_t is exact.
+@cache
+def _definition_at_t_power(r: int, e: int) -> LaurentPoly:
+    """The definition of W^(r) applied to the monomial t^e:
+
+        sum_j (-1)^(r-j) t^C(r-j, 2) [r, j]_t t^(j e), over <r>_t,
+
+    one term sum over j and the q-binomial's terms, divided exactly by
+    <r>_t.  It depends only on (r, e), so it is cached like ``q_binomial``
+    and ``angle``; both are at most the ground-set cap, which bounds the
+    cache at 21 x 21 values.
     """
     return term_sum(
-        ((a, b, e + k + comb(r - j, 2)), (-1) ** (r - j) * d * c)
+        ((0, 0, k + comb(r - j, 2) + j * e), (-1) ** (r - j) * d)
         for j in range(r + 1)
         for (_, _, k), d in q_binomial(r, j).terms().items()
-        for (a, b, e), c in w_at[j].terms().items()
     ).divide_exact(angle(r))
 
 
@@ -366,9 +378,11 @@ def generalized_w(table: RankTable, r: int, route: str = "subset") -> LaurentPol
     The subset route reads it off ``generalized_w_all`` (zero above
     eta(E)).  The Tutte route is the definition: the alternating q-binomial
     combination of W(x, y, q^j) for j = 0 .. r, divided exactly by the angle
-    bracket <r>_q, and cross-checked against the subset route.  Each
-    W(x, y, q^j) is expanded once per table and shared by every r.  The q
-    variable is stored in the t slot.
+    bracket <r>_q, and cross-checked against the subset route.  The
+    definition is Z[x, y]-linear in W, so it is applied to each slice
+    W_e(x, y) q^e of the Tutte route's W(x, y, q), which is expanded once per
+    table; the image of q^e is cached per (r, e).  The q variable is stored
+    in the t slot.
     """
     table.require_demimatroid("generalized enumerator")
     if not 0 <= r <= table.n:
@@ -379,7 +393,10 @@ def generalized_w(table: RankTable, r: int, route: str = "subset") -> LaurentPol
     subset = family[r] if r < len(family) else zero()
     if route == "subset":
         return subset
-    value = _combine_t_powers(r, [_w_via_tutte_terms(table, j) for j in range(r + 1)])
+    value = term_sum(((a, b, k), c * d)
+                     for e, w_e in _t_slices(_w_via_tutte_terms(table)).items()
+                     for (_, _, k), d in _definition_at_t_power(r, e).terms().items()
+                     for (a, b), c in w_e.items())
     return cross_checked(f"W^({r})", "Tutte", value, "subset-sum", subset)
 
 
@@ -395,9 +412,7 @@ def generalized_w_all(table: RankTable) -> tuple[LaurentPoly, ...]:
     route that checks it.
     """
     table.require_demimatroid("generalized enumerator")
-    slices: dict[int, dict[tuple[int, int], int]] = {}
-    for (a, b, e), c in hamming_subset_sum(table).terms().items():
-        slices.setdefault(e, {})[a, b] = c
+    slices = _t_slices(hamming_subset_sum(table))
     return tuple(
         term_sum(((a, b, k), c * d)
                  for e, w_e in slices.items() if e >= r

@@ -26,9 +26,10 @@ over the source terms into one term dict.  Routes decided on basis
 coordinates call it only to expand a disagreement's two sides or the
 recovery identity's residual.  There is no generic substitution; the tests
 keep a term-by-term one as the oracle of every closed form.
-The q-analogue tables ``q_binomial`` and ``angle`` are cached per argument tuple;
-sharing one value between callers is safe because no operation aliases or
-mutates an operand's terms.
+The q-analogue tables ``q_binomial`` and ``angle`` are cached per argument
+tuple, and so is ``hamming``'s image of each t^e under the definition of the
+W^(r), per (r, e); sharing one value between callers is safe because no
+operation aliases or mutates an operand's terms.
 
 Display order is fixed so that printed polynomials are stable golden values:
 terms are sorted by the exponent vector read with x least significant

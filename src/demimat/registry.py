@@ -7,8 +7,9 @@ the blocks; ``verify --fixtures`` compares the goldens only; and
 (``inputs.interpret_input``), regenerating ``fixtures/`` byte-identically.
 Adding an invariant means adding one entry.  Entries call the library on the
 loaded input and the field; what several share (W, P_j, Tutte, the dual,
-each W(x, y, t^j) of the Tutte route, the W^(r) family, the Betti tables) is
-memoized on the rank table, so each is computed once per input.
+the W(x, y, t) of the Tutte route, the W^(r) family, the Betti tables) is
+memoized on the rank table, so each is computed once per input; the
+definition route's image of each t^e is cached per (r, e) in the process.
 
 A ``compute`` block whose invariant the input's kind does not have (a
 KindError or RationalFunctionError), or whose route is over a size cap (a

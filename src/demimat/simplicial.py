@@ -93,9 +93,6 @@ class BettiTable(record("BettiTable", "entries")):
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.entries)
 
-    def get(self, i: int, j: int) -> int:
-        return dict(self.entries).get((i, j), 0)
-
     def poly(self) -> LaurentPoly:
         return term_sum(((i, j, 0), v) for (i, j), v in self.entries)
 

@@ -5,15 +5,28 @@ library computes on coordinates or in one walk: the term-by-term
 ``substitute`` behind every closed form (itself checked against sympy),
 homology of one complex and the per-sigma Hochster formula behind the Betti
 walk, dense Bareiss elimination behind the sparse kernel, the expansions of
-the coordinates the routes and the battery decide on, and the
-Stanley-Reisner generators.
+the coordinates the routes and the battery decide on, the whole-polynomial
+definition of the W^(r), and the Stanley-Reisner generators.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from math import comb
+
 from demimat import core, hamming, simplicial, tutte
 from demimat.errors import InvariantViolationError, MalformedInputError
-from demimat.poly import VARIABLES, LaurentPoly, binomial_expansion, constant, term_sum, zero
+from demimat.poly import (
+    VARIABLES,
+    LaurentPoly,
+    angle,
+    binomial_expansion,
+    constant,
+    monomial,
+    q_binomial,
+    term_sum,
+    zero,
+)
 
 
 def substitute(p: LaurentPoly, assignments: dict) -> LaurentPoly:
@@ -132,3 +145,27 @@ def whitney_recurrence(table: core.RankTable, p: int) -> LaurentPoly:
     counts = tutte._shifted_counts(tutte.corank_nullity_counts(deleted),
                                    tutte.corank_nullity_counts(contracted), co, nu)
     return term_sum(((a, b, 0), c) for (a, b), c in counts.items())
+
+
+def combine_t_powers(r: int, w_at: Sequence[LaurentPoly]) -> LaurentPoly:
+    """The definition of W^(r) from W(x, y, t^j) for j = 0 .. r:
+
+        sum_j (-1)^(r-j) t^C(r-j, 2) [r, j]_t W(x, y, t^j), over <r>_t.
+
+    The numerator is one term sum over j, the q-binomial's terms and the
+    terms of W(x, y, t^j); the division by <r>_t is exact.
+    """
+    return term_sum(
+        ((a, b, e + k + comb(r - j, 2)), (-1) ** (r - j) * d * c)
+        for j in range(r + 1)
+        for (_, _, k), d in q_binomial(r, j).terms().items()
+        for (a, b, e), c in w_at[j].terms().items()
+    ).divide_exact(angle(r))
+
+
+def generalized_w_by_definition(table: core.RankTable, r: int) -> LaurentPoly:
+    """W^(r) by the definition on the whole polynomial: the Tutte route's
+    W(x, y, t) at t -> t^j for j = 0 .. r, by ``substitute``, combined by
+    ``combine_t_powers``."""
+    w = hamming._w_via_tutte_terms(table)
+    return combine_t_powers(r, [substitute(w, {"t": monomial(1, t=j)}) for j in range(r + 1)])

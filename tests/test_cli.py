@@ -395,9 +395,8 @@ def test_compute_all_runs_each_route_once(monkeypatch, capsys):
     # one filtration walk; the P_j family
     # is built once, by one packed Moebius transform.
     # W is computed for vamos and for its dual (MacWilliams), the W^(r)
-    # family once, and the Tutte-route W(x, y, t^j) once for each
-    # j = 0 .. eta, shared by the Tutte route of W (j = 1) and the
-    # definition route of every W^(r).
+    # family once, and the Tutte-route W(x, y, t) once, shared by the Tutte
+    # route of W and the definition route of every W^(r).
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, simplicial, "_betti_walk", counts)
     for module, name in ((simplicial, "betti_of_elongations"), (hamming, "pj_family"),
@@ -408,7 +407,7 @@ def test_compute_all_runs_each_route_once(monkeypatch, capsys):
     assert code == 0
     assert counts == {"betti_of_elongations": 1, "_betti_walk": 1, "pj_family": 1,
                       "hamming_subset_sum": 2, "generalized_w_all": 1,
-                      "_w_via_tutte_terms": 5, "tutte": 1, "dual": 1}
+                      "_w_via_tutte_terms": 1, "tutte": 1, "dual": 1}
     results = json.loads(out)["results"]
     assert all(results["hamming"]["routes"].values())
     assert results["betti"]["agrees_with_subset_sum"] is True

@@ -12,7 +12,6 @@ fail.  The guard tests pin that neither ``compute --all`` nor the battery
 expands a generic substitution.
 """
 
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -22,12 +21,13 @@ from hypothesis import strategies as st
 from demimat import cli, core, hamming, tutte
 from demimat.errors import (
     InexactDivisionError,
+    InvariantViolationError,
     RationalFunctionError,
     UnsupportedSubstitutionError,
 )
-from demimat.poly import LaurentPoly, T, X, Y, angle, monomial, one, q_binomial, zero
+from demimat.poly import LaurentPoly, T, X, Y, monomial, one, zero
 
-from oracles import macwilliams_transform, substitute
+from oracles import generalized_w_by_definition, macwilliams_transform, substitute
 from strategies import demimatroid_tables, exponents, laurent_polys
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -74,15 +74,6 @@ def h_by_substitution(cx):
     return substitute(tutte.f_polynomial(cx), {"t": T - 1})
 
 
-def combine_t_powers_by_products(r, w_at):
-    total = zero()
-    for j in range(r + 1):
-        sign = (-1) ** (r - j)
-        prefactor = q_binomial(r, j) * monomial(sign, t=comb(r - j, 2))
-        total = total + prefactor * w_at[j]
-    return total.divide_exact(angle(r))
-
-
 def a_coefficients_by_coefficient(table, w):
     n = table.n
     return {j: w.coefficient(x=n - j, y=j) for j in range(1, n + 1)}
@@ -110,10 +101,8 @@ def check_table_routes(table):
     assert macwilliams_transform(w, eta) == macwilliams_by_substitution(w, eta)
     assert hamming.tutte_from_hamming(table) == tutte_from_hamming_by_substitution(table)
     assert tutte.characteristic(table) == characteristic_by_substitution(table)
-    w_at = [hamming._w_via_tutte_terms(table, j) for j in range(eta + 1)]
     for r in range(eta + 1):
-        assert (hamming._combine_t_powers(r, w_at)
-                == combine_t_powers_by_products(r, w_at)), r
+        assert hamming.generalized_w(table, r, "tutte") == generalized_w_by_definition(table, r), r
     if eta:
         _, a = hamming.a_coefficients(table)
         assert a == a_coefficients_by_coefficient(table, w)
@@ -180,6 +169,20 @@ def test_the_recovery_sum_reads_the_family_it_is_given(path, monkeypatch):
             recovery_sum_by_products(table)
         assert (verdict.holds, verdict.residual) == (False, None)
         assert verdict.error.startswith(f"inexact division by (x-1)^{table.n - table.rank}")
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda path: path.stem)
+def test_the_definition_route_checks_the_family_it_is_given(path, monkeypatch):
+    # The top W^(r), r = eta, gains y^n, which only the subset route carries.
+    table = cli.load_input(str(path)).table
+    n, eta = table.n, table.total_nullity
+    c = hamming.generalized_w_all(table)[eta].terms().get((0, n, 0), 0)
+    stuck = _top_w_r_plus(lambda n, k: monomial(1, y=n))
+    monkeypatch.setattr(hamming, "generalized_w_all", stuck(hamming.generalized_w_all))
+    with pytest.raises(InvariantViolationError) as exc:
+        hamming.generalized_w(table, eta, "tutte")
+    assert str(exc.value) == (f"W^({eta}): the Tutte and subset-sum routes disagree first"
+                              f" at {monomial(1, y=n)} ({c} against {c + 1})")
 
 
 @given(laurent_polys(exps=exponents(-2, 4)), st.integers(-3, 3))

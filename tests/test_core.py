@@ -77,6 +77,14 @@ def test_validate_malformed():
         core.RankTable.build(21, [0] * (1 << 21))
 
 
+def test_nullity_rejects_a_mask_outside_the_ground_set():
+    table = core.uniform(3, 1)
+    assert table.nullity(table.full) == 2
+    for mask in (-1, 1 << table.n):
+        with pytest.raises(MalformedInputError):
+            table.nullity(mask)
+
+
 # -- constructions -------------------------------------------------------------------
 
 

@@ -9,7 +9,13 @@ from demimat.errors import InvariantViolationError, KindError
 from demimat.poly import T, X, Y, monomial, one, q_binomial, zero
 
 import conftest as ref
-from oracles import hamming_recurrence, macwilliams_transform, substitute
+from oracles import (
+    combine_t_powers,
+    generalized_w_by_definition,
+    hamming_recurrence,
+    macwilliams_transform,
+    substitute,
+)
 from strategies import demimatroid_tables, rank_tables
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -256,6 +262,7 @@ def test_generalized_w_oracle_routes(full23, code63b_matrix):
         for r in range(min(table.n, table.total_nullity + 1) + 1):
             direct = hamming.generalized_w(table, r)
             assert direct == hamming.generalized_w(table, r, route="tutte")
+            assert direct == generalized_w_by_definition(table, r)
             assert direct == gaussian_nullity_oracle(table, r)
 
 
@@ -264,7 +271,7 @@ def _family_by_substitution(table, top):
     substituting t -> t^j, combined with q-binomials and divided by <r>_t."""
     w = hamming.hamming_subset_sum(table)
     w_at = [substitute(w, {"t": monomial(1, t=j)}) for j in range(top + 1)]
-    return [hamming._combine_t_powers(r, w_at) for r in range(top + 1)]
+    return [combine_t_powers(r, w_at) for r in range(top + 1)]
 
 
 def test_t_grading_family_matches_the_substituted_definition():
@@ -276,6 +283,15 @@ def test_t_grading_family_matches_the_substituted_definition():
         expected = _family_by_substitution(table, top)
         assert hamming.generalized_w_all(table) == tuple(expected[:table.total_nullity + 1])
         assert [hamming.generalized_w(table, r) for r in range(top + 1)] == expected
+
+
+def test_the_definition_on_t_powers_is_the_q_binomial():
+    # The q-binomial theorem: the definition of W^(r) sends t^e to [e, r]_t,
+    # which is zero for e < r.
+    for e in range(core.GROUND_SET_CAP + 1):
+        for r in range(core.GROUND_SET_CAP + 1):
+            expected = q_binomial(e, r) if r <= e else zero()
+            assert hamming._definition_at_t_power(r, e) == expected, (r, e)
 
 
 def test_generalized_w_all_computes_w_once(monkeypatch, vamos):
@@ -357,7 +373,7 @@ def test_kind_preconditions():
 def test_tutte_route_disagreement_names_the_first_monomial(monkeypatch, full23):
     original = hamming._w_via_tutte_terms
     extra = monomial(1, y=3, t=4) + monomial(5, x=3, t=4)
-    monkeypatch.setattr(hamming, "_w_via_tutte_terms", lambda table, j: original(table, j) + extra)
+    monkeypatch.setattr(hamming, "_w_via_tutte_terms", lambda table: original(table) + extra)
     with pytest.raises(InvariantViolationError) as exc:
         hamming.hamming_via_tutte(full23)
     assert str(exc.value) == (

@@ -26,8 +26,7 @@ MEMOIZED = [
     (ops.elongate, (0,)),
     (tutte.tutte, ()),
     (hamming.hamming_subset_sum, ()),
-    (hamming._w_via_tutte_terms, (1,)),
-    (hamming._w_via_tutte_terms, (2,)),
+    (hamming._w_via_tutte_terms, ()),
     (hamming.pj_family, ()),
     (hamming.w_from_pj, ()),
     (hamming.generalized_w_all, ()),

@@ -27,17 +27,17 @@ CHAIN = FIXTURES / "chain_complex_n5.json"
 
 
 def _w_plus_x_to_the_n(original):
-    def corrupted(table, t_multiplier=1):
-        return original(table, t_multiplier) + monomial(1, x=table.n)
+    def corrupted(table):
+        return original(table) + monomial(1, x=table.n)
     return corrupted
 
 
 def _w_at_t_plus_a_multiple_of_t_minus_1(original):
-    # Only W(x, y, t) changes, by (t - 1) x^n, so the division by <1>_t = t - 1
-    # stays exact and W^(1) moves by x^n.
-    def corrupted(table, t_multiplier=1):
-        w = original(table, t_multiplier)
-        return w + (T - 1) * monomial(1, x=table.n) if t_multiplier == 1 else w
+    # W(x, y, t) changes by (t - 1) x^n, which the definition sends to 0 for
+    # r = 0 and to x^n for r = 1, since [0, 1]_t = 0 and [1, 1]_t = 1; so
+    # W^(0) stays and W^(1) moves by x^n.
+    def corrupted(table):
+        return original(table) + (T - 1) * monomial(1, x=table.n)
     return corrupted
 
 
