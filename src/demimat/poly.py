@@ -12,13 +12,15 @@ Values are immutable by convention: every operation returns a fresh
 polynomial.  Scalar products are one map over the coefficients.
 
 ``binomial_expansion`` writes products of powers of binomials such as
-(x-y)^m or (x-1)^a (y-1)^b through a packed, staged kernel
-(``_binomial``): each exponent vector is one int with a fixed slot offset
-for negative exponents, each power is a cached row of ``math.comb`` values
-over packed deltas, the factors are expanded last-first with equal
-(monomial, remaining factors) keys merged between stages, and the packed
-ints are decoded once at the end.  An exponent that would leave its slot
-raises OverflowError before any term is written.  The changes of variables
+(x-y)^m or (x-1)^a (y-1)^b through a packed kernel (``_binomial``): each
+exponent vector is one int with a fixed slot offset for negative exponents,
+each factor tuple's whole product is cached once per process as pairs of a
+packed delta and a coefficient, built from cached rows of ``math.comb``
+values, every item is written with one loop over its product, and the
+packed ints are decoded once at the end.  An exponent that would leave its
+slot, or a product of more than (GROUND_SET_CAP + 1)^2 terms, raises
+OverflowError before any term is written or any product is cached.  The
+changes of variables
 in ``hamming`` and ``tutte`` (the Tutte side of the characteristic
 polynomial, f and h, the definition route of the W^(r)) and the battery's
 f(x-1, y-1) == T are closed forms built on it and on ``term_sum``: one pass
@@ -29,12 +31,14 @@ keep a term-by-term one as the oracle of every closed form.
 The q-analogue tables ``q_binomial`` and ``angle`` are cached per argument
 tuple, and so is ``hamming``'s image of each t^e under the definition of the
 W^(r), per (r, e); sharing one value between callers is safe because no
-operation aliases or mutates an operand's terms.
+operation aliases or mutates an operand's terms.  The binomial products are
+cached as tuples, so no expansion shares state with the cache.
 
 Display order is fixed so that printed polynomials are stable golden values:
 terms are sorted by the exponent vector read with x least significant
 (compare t, then y, then x exponents, ascending).  Negative exponents
-print as ``x^-1``.
+print as ``x^-1``.  Each exponent vector's ``x^a*y^b*t^e`` text is cached
+once per process; the coefficient and its sign are written per term.
 """
 
 from __future__ import annotations
@@ -59,6 +63,13 @@ def _quotient(c: int, lead: int, divisor) -> int:
             f"inexact division by {divisor}: {c}/{lead} is not an integer", remainder=None
         )
     return q
+
+
+@cache
+def _monomial_text(exp: tuple) -> str:
+    """The monomial of an exponent vector as ``x^a*y^b*t^e`` text, with
+    exponent 1 left out and 1 as the empty string; cached per vector."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(VARIABLES, exp) if e)
 
 
 def _from_terms(terms: dict) -> LaurentPoly:
@@ -283,25 +294,21 @@ class LaurentPoly:
 
     def _sorted_terms(self) -> list[tuple[tuple, int]]:
         # x is least significant: compare (t, y, x) exponents ascending.
-        return sorted(self._terms.items(), key=lambda kv: tuple(reversed(kv[0])))
+        return sorted(self._terms.items(), key=lambda kv: kv[0][::-1])
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts: list[str] = []
         for exp, coeff in self._sorted_terms():
-            factors = []
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                factors.append(VARIABLES[i] if e == 1 else f"{VARIABLES[i]}^{e}")
+            text = _monomial_text(exp)
             mag = abs(coeff)
-            if not factors:
+            if not text:
                 body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = text
             else:
-                body = "*".join([str(mag)] + factors)
+                body = f"{mag}*{text}"
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
@@ -388,13 +395,13 @@ def binomial_expansion(
 
     ``mono`` maps variable names to the exponents of a monomial; each factor
     (u, v, k) is the binomial u - v, with u and v variable names or None for
-    1, raised to k >= 0.  The packed, staged kernel (``_binomial``) writes
-    every power from a cached row of ``math.comb`` values, expands the
-    factors last-first and merges equal partial terms between stages, so no
+    1, raised to k >= 0.  The packed kernel (``_binomial``) writes each
+    item with one loop over its factor tuple's cached product, so no
     intermediate polynomial is built.  A coefficient that is not an int
     raises TypeError; a negative k has no Laurent expansion and raises
-    UnsupportedSubstitutionError; an exponent outside the packed slot range
-    raises OverflowError.
+    UnsupportedSubstitutionError; an exponent outside the packed slot range,
+    or a factor tuple with more than (GROUND_SET_CAP + 1)^2 terms as
+    written, prod (k + 1), raises OverflowError (``ExponentRangeError``).
     """
     return _from_terms(_expand(items))
 

@@ -1,11 +1,15 @@
 """Hochster-formula Betti numbers of the elongation family by exact reduced
 homology, and the Betti route to the Hamming polynomial.
 
-Homology uses exact elimination only, so every Betti number is exact.  Each
-boundary map is a set of columns built straight from the face masks and
-reduced from the top cardinality down with clearing: a pivot row of one map
-names a column of the map below that must reduce to zero, so that column is
-skipped.  Over F_2 and Q the columns are first reduced as bitsets by
+Homology is exact, so every Betti number is exact.  The map from edges to
+vertices is the boundary map of a graph, whose homology is free over Z (H_0
+is Z^components, H_1 the cycle space), so over every field its rank is
+V - (connected components); a bitmask search counts the components, and a
+side with no face above its edges runs no elimination.  Each boundary map
+from cardinality 3 up is a set of columns built straight from the face masks
+and reduced from the top cardinality down with clearing: a pivot row of one
+map names a column of the map below that must reduce to zero, so that
+column is skipped.  Over F_2 and Q the columns are first reduced as bitsets by
 ``_linalg.rank_bit_columns``, rows numbered by their position among the
 masks of their cardinality.  The F_2 rank of an integer map is at most its
 rank over Q, and both fields give the same Euler characteristic, so F_2
@@ -24,10 +28,11 @@ reduces whichever is smaller: the restriction of Delta_r to sigma or its
 Alexander dual.  One zeta transform over Kronecker-packed level indicators
 counts every sigma's submasks at each level, so both sides' sizes are prefix
 sums and the side is chosen before anything is listed.  A side with no face
-above its vertices is answered from the vertex count alone; any other side
-is grown in cardinality layers, each member from the member without its
-highest element, so a restriction costs O(|sigma| * |side|), not
-2^|sigma|.  One column cache serves the walk.
+above its vertices is answered from the vertex count alone, one with none
+above its edges from its components; any other side is grown in
+cardinality layers, each member from the member without its highest
+element, so a restriction costs O(|sigma| * |side|), not 2^|sigma|.  One
+column cache serves the walk.
 
 The Betti route to W compares its alternating Betti sums with the subset
 sum's terms and expands both only on a disagreement, whose witness
@@ -162,34 +167,66 @@ class _BitColumns(dict):
         return entry
 
 
-def _dims(matrices: list[dict], rank) -> list[int]:
-    # ranks[c] = rank of the map from faces of cardinality c to c-1.
-    ranks = [0] * (len(matrices) + 1)
+def _components(vertices: list[int], edges: list[int]) -> int:
+    """The number of connected components of the graph whose vertices are
+    the one-bit masks ``vertices`` and whose edges are the two-bit masks
+    ``edges``.
+
+    Each vertex maps to the mask of its component; an edge between two
+    components merges them, and the scan stops once one component is left,
+    so a dense graph is settled after about V of its edges.
+    """
+    component = {v: v for v in vertices}
+    count = len(vertices)
+    for edge in edges:
+        if count == 1:
+            break
+        low = edge & -edge
+        a, b = component[low], component[edge ^ low]
+        if a != b:
+            merged = rest = a | b
+            while rest:
+                bit = rest & -rest
+                component[bit] = merged
+                rest ^= bit
+            count -= 1
+    return count
+
+
+def _dims(layers: list[list[int]], edge_rank: int, rank, column) -> list[int]:
+    # ranks[c] = rank of the map from faces of cardinality c to c-1: 1 from
+    # the vertices, ``edge_rank`` from the edges, and from cardinality 3 up
+    # the pivots of ``rank`` on the columns ``column`` gives, with clearing.
+    ranks = [0, 1, edge_rank] + [0] * (len(layers) - 2)
     pivots: list[int] = []
-    for c in range(len(matrices) - 1, 0, -1):
-        pivots = rank(matrices[c], skip=set(pivots))
+    for c in range(len(layers) - 1, 2, -1):
+        pivots = rank(dict(map(column, layers[c])), skip=set(pivots))
         ranks[c] = len(pivots)
-    return [len(matrix) - ranks[c] - ranks[c + 1] for c, matrix in enumerate(matrices)]
+    return [len(layer) - ranks[c] - ranks[c + 1] for c, layer in enumerate(layers)]
 
 
 def _homology_dims(layers: list[list[int]], columns: _Columns, p: int) -> list[int]:
     """Reduced homology dimensions of the nonvoid complex whose faces of
     cardinality c are ``layers[c]``, each layer nonempty.
 
-    Over F_2 the bitset kernel is exact.  Over Q its dimensions stand when
-    their nonzero degrees share one parity; otherwise the signed columns
-    are reduced over Q.  With no face above the vertices, the homology is
-    read off the vertex count.
+    The map from edges to vertices has rank V - (connected components)
+    over every field, so a side with no face above its edges (a graph)
+    runs no kernel.  Above the edges, the bitset kernel is exact over
+    F_2; over Q its dimensions stand when their nonzero degrees share one
+    parity, and otherwise the signed columns are reduced over Q.
     """
     if len(layers) < 3:
         return [0, len(layers[1]) - 1] if len(layers) == 2 else [1]
+    vertices, edges = layers[1], layers[2]
+    edge_rank = len(vertices) - _components(vertices, edges)
+    if len(layers) == 3:
+        return [0, len(vertices) - 1 - edge_rank, len(edges) - edge_rank]
     if p in (0, 2):
-        bits = columns.bits
-        dims = _dims([dict(map(bits.__getitem__, layer)) for layer in layers], rank_bit_columns)
+        dims = _dims(layers, edge_rank, rank_bit_columns, columns.bits.__getitem__)
         if p or len({slot % 2 for slot, d in enumerate(dims) if d}) < 2:
             return dims
-    return _dims([dict(zip(layer, map(columns.__getitem__, layer))) for layer in layers],
-                 partial(rank_sparse_columns, p=p))
+    return _dims(layers, edge_rank, partial(rank_sparse_columns, p=p),
+                 lambda face: (face, columns[face]))
 
 
 def _level_counts(n: int, levels: list[int]) -> list[int]:
@@ -261,11 +298,11 @@ def _betti_walk(n: int, levels: list[int], top: int, p: int) -> tuple[BettiTable
     the restriction to sigma, and the others X give its Alexander dual
     ``{sigma - X}``.  ``_restrictions`` picks the smaller of the two from
     one packed count of every sigma's submasks by level, and lists it in
-    cardinality layers.  A side with no face above its vertices is two
-    layers long, so its homology is read off its vertex count without the
-    kernels.  From
-    sigma's level up the restriction is a full simplex, with no reduced
-    homology, so sigma = 0 gives only beta_{0,0} = 1 to each table.
+    cardinality layers.  A side with no face above its edges is at most
+    three layers long, so its homology is read off its vertex count and
+    components without the kernels.  From sigma's level up the restriction
+    is a full simplex, with no reduced homology, so sigma = 0 gives only
+    beta_{0,0} = 1 to each table.
     """
     tables: list[dict[tuple[int, int], int]] = [{(0, 0): 1} for _ in range(top)]
     columns = _Columns(n)

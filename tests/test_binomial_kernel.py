@@ -1,12 +1,14 @@
-"""The packed, staged kernel behind ``binomial_expansion``: exact at the edges
-of its exponent slots, and raising, never wrapping, one step beyond them."""
+"""The packed kernel behind ``binomial_expansion``: exact at the edges of its
+exponent slots, raising, never wrapping, one step beyond them, and bounded in
+the terms of each cached product before it is built."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demimat._binomial import OFFSET
-from demimat.errors import UnsupportedSubstitutionError
+from demimat import core
+from demimat._binomial import _MASK, OFFSET, WIDTH, _limits, _product
+from demimat.errors import ExponentRangeError, UnsupportedSubstitutionError
 from demimat.poly import VARIABLES, LaurentPoly, binomial_expansion, monomial
 
 from strategies import int_coefficients
@@ -77,11 +79,52 @@ def test_a_negative_power_still_raises_before_the_range_check():
         binomial_expansion([(1, {"x": HIGH + 1}, (("x", "y", -1),))])
 
 
-def test_items_that_meet_in_a_stage_add_up_exactly():
-    # After the (y-1) stage the first item's terms land in the group of
-    # (x-1)^2, where the other two items start: y (x-1)^2 - (x-1)^2 is one
-    # more (x-1)^2 (y-1).
+def test_items_that_share_a_product_add_up_exactly():
+    # y (x-1)^2 - (x-1)^2 is one more (x-1)^2 (y-1).
     items = [(1, {}, (("x", None, 2), ("y", None, 1))),
              (1, {"y": 1}, (("x", None, 2),)),
              (-1, {}, (("x", None, 2),))]
     assert binomial_expansion(items) == expected_sum(items) == 2 * expected_sum(items[:1])
+
+
+def _unpacked(product) -> LaurentPoly:
+    return LaurentPoly({(d & _MASK, d >> WIDTH & _MASK, d >> 2 * WIDTH): c for d, c in product})
+
+
+@given(st.lists(st.tuples(OPERANDS, OPERANDS, st.integers(0, 6)), max_size=3))
+def test_a_cached_product_is_the_product_of_its_factors(factors):
+    factors = tuple(factors)
+    product = _product(factors)
+    assert type(product) is tuple and all(type(pair) is tuple for pair in product)
+    assert all(c for _, c in product) and len({d for d, _ in product}) == len(product)
+    assert _unpacked(product) == expected_sum([(1, {}, factors)])
+
+
+def test_no_expansion_shares_state_with_the_cached_products():
+    factors = (("x", None, 3), ("y", "t", 2))
+    items = [(2, {"x": 1}, factors), (-1, {"t": -1}, factors)]
+    first = binomial_expansion(items)
+    cached = _product(factors)
+    assert cached is _product(factors)
+    snapshot = list(cached)
+    first._terms.clear()  # a result is a fresh dict, not a view of the cache
+    second = binomial_expansion(items)
+    assert second._terms is not first._terms
+    assert second == expected_sum(items)
+    assert list(_product(factors)) == snapshot
+
+
+def test_the_term_bound_is_the_squared_ground_set_cap_at_call_time(monkeypatch):
+    bound = (core.GROUND_SET_CAP + 1) ** 2
+    at_bound = (("x", None, core.GROUND_SET_CAP), ("y", None, core.GROUND_SET_CAP))
+    assert len(_product(at_bound)) == bound
+    above = (("x", None, core.GROUND_SET_CAP + 1), ("y", None, core.GROUND_SET_CAP))
+    before = _product.cache_info().currsize
+    for call in (_limits, _product):
+        with pytest.raises(ExponentRangeError, match=f"expand to {bound + 21} terms, above {bound}"):
+            call(above)
+    with pytest.raises(ExponentRangeError):
+        binomial_expansion([(1, {}, above)])
+    assert _product.cache_info().currsize == before  # nothing was built or kept
+    monkeypatch.setattr(core, "GROUND_SET_CAP", core.GROUND_SET_CAP + 1)
+    assert len(_product(above)) == bound + 21

@@ -588,9 +588,9 @@ def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys
     # sigma's nullity, where sigma is a non-face of the r-th elongation
     # complex, lists the smaller of the restriction and its Alexander dual.
     # A face restricts to a full simplex and is never visited.  A side with
-    # no face above its vertices is read off its vertex count, with no
-    # kernel run; every other side is reduced, with at most half of sigma's
-    # 2^|sigma| submasks, all inside sigma.
+    # no face above its edges (a graph) is read off its vertex count and
+    # connected components, with no kernel run; every other side is reduced,
+    # with at most half of sigma's 2^|sigma| submasks, all inside sigma.
     table = cli.load_input(str(FIXTURES / "vamos.json")).table
     elongation_complexes = [core.independence_complex(ops.elongate(table, r))
                             for r in range(table.total_nullity + 1)]
@@ -629,12 +629,12 @@ def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys
         faces = [x for x in core.submasks(sigma) if table.nullity(x) <= r]
         if 2 * len(faces) > 2 ** core.popcount(sigma):
             faces = [sigma ^ x for x in core.submasks(sigma) if table.nullity(x) > r]
-        assert reduced == (max(map(core.popcount, faces)) > 1)
+        assert reduced == (max(map(core.popcount, faces)) > 2)
         if reduced:
             assert all(not f & ~sigma for layer in layers for f in layer)
             assert sum(map(len, layers)) <= 2 ** (core.popcount(sigma) - 1)
     reduced_count = sum(reduced for _, reduced in homology_calls)
-    assert (reduced_count, len(visited) - reduced_count) == (34, 111)
+    assert (reduced_count, len(visited) - reduced_count) == (9, 136)
 
 
 def test_a_closed_pipe_exits_141_without_a_traceback():
@@ -663,6 +663,16 @@ def test_a_rank_far_outside_the_ground_set_is_recorded_in_compute(tmp_path, caps
     results = json.loads(out)["results"]
     assert results["hamming"]["error"] == "ExponentRangeError"
     assert "error" in results["tutte"]
+
+
+def test_a_tutte_product_above_the_term_bound_is_recorded_in_compute(tmp_path, capsys):
+    # Corank 602 and nullity 601 stay inside the exponent slots, but
+    # (x-1)^602 (y-1)^601 has more terms than any demimatroid's product.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 2, "ranks": [0, -600, 0, 2]}))
+    code, out, _ = run_cli(capsys, "compute", "--in", str(path), "--all")
+    assert code == 0
+    assert json.loads(out)["results"]["tutte"]["error"] == "ExponentRangeError"
 
 
 def test_a_golden_out_of_exponent_range_exits_2(tmp_path, capsys):

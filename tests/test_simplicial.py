@@ -235,6 +235,34 @@ def test_sweep_matches_per_restriction_homology(cx, fieldspec):
     assert hochster_betti(cx, fieldspec) == expected
 
 
+@st.composite
+def low_dimensional_complexes(draw):
+    """Complexes with faces of cardinality at most 2 or 3 (3 or 4 layers):
+    graphs, often disconnected or edgeless, and the same with triangles."""
+    n = draw(st.integers(1, 7))
+    top = draw(st.sampled_from((2, 3)))
+    masks = [m for m in range(1, 1 << n) if m.bit_count() <= top]
+    return core.Complex.build(n, [0, *draw(st.lists(st.sampled_from(masks), max_size=10))])
+
+
+@given(low_dimensional_complexes(), st.sampled_from((Q, F2, F3)))
+def test_the_edge_map_rank_from_components_matches_dense_elimination(cx, fieldspec):
+    assert reduced_homology_dims(cx, fieldspec) == _dense_homology_dims(cx, fieldspec)
+
+
+@pytest.mark.parametrize("fieldspec", (Q, F2, F3), ids=str)
+@pytest.mark.parametrize("masks, dims", [
+    ([0b0001, 0b0100, 0b1000], [0, 2]),  # three points, no edge
+    ([0b0011, 0b1100], [0, 1, 0]),  # two disjoint edges
+    ([0b00011, 0b00110, 0b00101, 0b11000], [0, 1, 1]),  # a triangle's boundary and an edge
+    ([0b00111, 0b11000], [0, 1, 0, 0]),  # a filled triangle and an edge
+    ([0b001011, 0b010110, 0b100101], [0, 0, 1, 0]),  # three triangles round a hole
+], ids=["edgeless", "two-edges", "cycle-and-edge", "triangle-and-edge", "triangle-ring"])
+def test_graph_sides_are_read_off_their_components(masks, dims, fieldspec):
+    cx = core.Complex.build(6, [0, *masks])
+    assert reduced_homology_dims(cx, fieldspec) == dims == _dense_homology_dims(cx, fieldspec)
+
+
 def _dual_homology_by_degree(cx, fieldspec):
     """Homology of ``cx`` by degree, read off its Alexander dual on all n vertices.
 
