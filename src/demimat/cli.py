@@ -17,6 +17,12 @@ what every verb needs.  ``demimat.verify`` (the identity battery) is
 imported by the battery branch of ``cmd_verify`` alone; ``run_battery`` is
 still looked up through the module at call time, so replacing it on
 ``demimat.verify`` reaches the CLI.
+
+Reports are written by ``_write_json``, not ``json.dumps(indent=2)``:
+CPython's C encoder ignores ``indent``, so an indented dump runs the
+pure-Python encoder.  The writer spells a report byte for byte as that dump
+does, for the types reports hold, with the C string escaper.  The one-line
+error JSON on stderr keeps ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import core, ops
 from .errors import DemimatError, MalformedInputError, SizeCapError
@@ -43,8 +50,43 @@ def table_json(table: core.RankTable) -> dict:
     return {"n": table.n, "ranks": list(table.ranks), "kind": table.kind}
 
 
+def _write_json(value, indent: str, parts: list[str]) -> None:
+    """Append ``value`` to ``parts`` as ``json.dumps(value, indent=2)`` spells
+    it, ``indent`` being the current line's indentation.  Only the types a
+    report holds are written: dicts with str keys, lists, str, int, bool and
+    None; any other value raises TypeError."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        head = "{\n" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {type(key).__name__}")
+            parts += (head, encode_basestring_ascii(key), ": ")
+            _write_json(item, inner, parts)
+            head = ",\n" + inner
+        parts.append("\n" + indent + "}" if value else "{}")
+    elif isinstance(value, list):
+        inner = indent + "  "
+        head = "[\n" + inner
+        for item in value:
+            parts.append(head)
+            _write_json(item, inner, parts)
+            head = ",\n" + inner
+        parts.append("\n" + indent + "]" if value else "[]")
+    else:
+        raise TypeError(f"a report cannot hold {type(value).__name__}")
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=False)
+    parts: list[str] = []
+    _write_json(payload, "", parts)
+    text = "".join(parts)
     if out:
         try:
             with open(out, "w") as sink:

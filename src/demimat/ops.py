@@ -8,6 +8,14 @@ Every builder here that derives one table from another (the operators,
 minors and elongations) is memoized on its source table (``per_table``), so
 the identities that meet the same image or minor share it, together with
 its own memoized values.
+
+The derived tables (operators, minors, join, meet and elongations) are made
+with the bare ``RankTable`` constructor, not ``RankTable.build``: every check
+``build`` makes already holds by construction.  Their n is at most the
+source's, each writes one int per mask of its ground set from the source's
+int ranks, and each writes 0 at the empty set (rho(E) - rho(E), rho(A) -
+rho(A), min(0, i) and the like), on combinatroid sources too.  ``build``
+stays for the tables that come from outside, the lattice's ends included.
 """
 
 from __future__ import annotations
@@ -51,21 +59,20 @@ def _sizes(table: RankTable):
 def dual(table: RankTable) -> RankTable:
     """rho*(X) = |X| + rho(E\\X) - rho(E)."""
     k = table.rank
-    ranks = [s + r - k for s, r in zip(_sizes(table), table.ranks[::-1])]
-    return RankTable.build(table.n, ranks)
+    return RankTable(table.n, tuple([s + r - k for s, r in zip(_sizes(table), table.ranks[::-1])]))
 
 
 @per_table
 def nullity_operator(table: RankTable) -> RankTable:
     """rho°(X) = |X| - rho(X)."""
-    return RankTable.build(table.n, list(map(sub, _sizes(table), table.ranks)))
+    return RankTable(table.n, tuple(map(sub, _sizes(table), table.ranks)))
 
 
 @per_table
 def supplement(table: RankTable) -> RankTable:
     """rho&(X) = rho(E) - rho(E\\X)."""
     k = table.rank
-    return RankTable.build(table.n, [k - r for r in table.ranks[::-1]])
+    return RankTable(table.n, tuple([k - r for r in table.ranks[::-1]]))
 
 
 # Each operator is looked up by name when applied, so a replaced builder is
@@ -121,8 +128,8 @@ def delete(table: RankTable, removed: int) -> RankTable:
     """
     if removed & ~table.full:
         raise MalformedInputError("deleted set outside the ground set")
-    ranks = [r for mask, r in enumerate(table.ranks) if not mask & removed]
-    return RankTable.build(table.n - popcount(removed), ranks)
+    ranks = tuple([r for mask, r in enumerate(table.ranks) if not mask & removed])
+    return RankTable(table.n - popcount(removed), ranks)
 
 
 @per_table
@@ -131,8 +138,9 @@ def contract(table: RankTable, removed: int) -> RankTable:
     if removed & ~table.full:
         raise MalformedInputError("contracted set outside the ground set")
     base = table.ranks[removed]
-    ranks = [table.ranks[m | removed] - base for m in range(table.full + 1) if not m & removed]
-    return RankTable.build(table.n - popcount(removed), ranks)
+    ranks = tuple([table.ranks[m | removed] - base
+                   for m in range(table.full + 1) if not m & removed])
+    return RankTable(table.n - popcount(removed), ranks)
 
 
 # -- lattice ----------------------------------------------------------------
@@ -142,14 +150,14 @@ def join(a: RankTable, b: RankTable) -> RankTable:
     """Pointwise maximum; demimatroids are closed under join."""
     if a.n != b.n:
         raise MalformedInputError("join needs tables on the same ground set")
-    return RankTable.build(a.n, map(max, a.ranks, b.ranks))
+    return RankTable(a.n, tuple(map(max, a.ranks, b.ranks)))
 
 
 def meet(a: RankTable, b: RankTable) -> RankTable:
     """Pointwise minimum; demimatroids are closed under meet."""
     if a.n != b.n:
         raise MalformedInputError("meet needs tables on the same ground set")
-    return RankTable.build(a.n, map(min, a.ranks, b.ranks))
+    return RankTable(a.n, tuple(map(min, a.ranks, b.ranks)))
 
 
 def lattice_bottom(n: int) -> RankTable:
@@ -170,5 +178,4 @@ def elongate(table: RankTable, i: int) -> RankTable:
     eta = table.total_nullity
     if not 0 <= i <= eta:
         raise MalformedInputError(f"elongation index must be in 0..{eta}, got {i}")
-    ranks = [min(s, r + i) for s, r in zip(_sizes(table), table.ranks)]
-    return RankTable.build(table.n, ranks)
+    return RankTable(table.n, tuple([min(s, r + i) for s, r in zip(_sizes(table), table.ranks)]))

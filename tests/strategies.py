@@ -46,9 +46,10 @@ def demimatroid_tables(draw, max_n: int = 6):
 
 
 @st.composite
-def rank_tables(draw, max_n: int = 5):
-    """Any combinatroid table: ranks free in [-1, n + 1] except rho(empty) = 0."""
-    n = draw(st.integers(0, max_n))
+def rank_tables(draw, max_n: int = 5, n: int | None = None):
+    """Any combinatroid table: ranks free in [-1, n + 1] except rho(empty) = 0.
+    The ground set has ``n`` elements when given, else at most ``max_n``."""
+    n = draw(st.integers(0, max_n)) if n is None else n
     rest = draw(st.lists(st.integers(-1, n + 1), min_size=(1 << n) - 1,
                          max_size=(1 << n) - 1))
     return core.RankTable.build(n, [0, *rest])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from demimat import core, ops
 from demimat.errors import MalformedInputError
@@ -20,7 +21,7 @@ from conftest import (
     ranks_from_labels,
     table_from_labels,
 )
-from strategies import rank_tables
+from strategies import demimatroid_tables, rank_tables
 
 
 def test_operator_rows_two_basis(two_basis):
@@ -263,3 +264,46 @@ def test_minors_match_the_label_definition():
                 parent = _scatter(j, labels)
                 assert deleted.ranks[j] == t.ranks[parent]
                 assert contracted.ranks[j] == t.ranks[parent | removed] - t.ranks[removed]
+
+
+def _derived_tables(table, other):
+    """Every ops builder's image of ``table``, under every legal argument;
+    ``other`` is the second table of the join and the meet."""
+    yield from (ops.dual(table), ops.nullity_operator(table), ops.supplement(table),
+                ops.join(table, other), ops.meet(table, other))
+    for removed in range(table.full + 1):
+        yield ops.delete(table, removed)
+        yield ops.contract(table, removed)
+    if table.is_demimatroid:
+        for i in range(table.total_nullity + 1):
+            yield ops.elongate(table, i)
+
+
+def _assert_build_would_make(derived):
+    ranks = derived.ranks
+    assert type(ranks) is tuple and len(ranks) == 1 << derived.n
+    assert all(type(r) is int for r in ranks)
+    assert ranks[0] == 0
+    assert core.RankTable.build(derived.n, ranks) == derived
+
+
+@given(st.data())
+def test_derived_tables_are_the_tables_build_would_make(data):
+    # The builders skip ``build``, so each image must already pass its
+    # checks, combinatroid sources (negative ranks, ranks above n) included.
+    table = data.draw(st.one_of(rank_tables(), demimatroid_tables(max_n=5)))
+    other = data.draw(rank_tables(n=table.n))
+    for derived in _derived_tables(table, other):
+        _assert_build_would_make(derived)
+
+
+@pytest.mark.parametrize("planted", [
+    lambda table: core.RankTable(table.n, list(table.ranks)),
+    lambda table: core.RankTable(table.n, (1, *table.ranks[1:])),
+], ids=["list", "nonzero-empty-set"])
+def test_a_planted_builder_fails_the_derived_table_check(monkeypatch, planted):
+    monkeypatch.setattr(ops, "supplement", planted)
+    table = core.uniform(3, 2)
+    with pytest.raises(AssertionError):
+        for derived in _derived_tables(table, table):
+            _assert_build_would_make(derived)

@@ -418,6 +418,16 @@ def _sparse_kernel_dims(cx, p):
     return [len(layer) - ranks[c] - ranks[c + 1] for c, layer in enumerate(layers)]
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_the_cached_bit_lists_are_each_masks_bits(n):
+    bit_lists = simplicial._bit_lists(n)
+    assert type(bit_lists) is tuple and len(bit_lists) == 1 << n
+    for mask, bits in enumerate(bit_lists):
+        assert type(bits) is tuple
+        assert bits == tuple(core.bits_of(mask))
+    assert simplicial._bit_lists(n) is bit_lists
+
+
 @given(demimatroid_tables(max_n=7))
 def test_walk_lists_the_smaller_side_from_packed_level_counts(table):
     # Each (sigma, r) lists, layer by cardinality layer, exactly the side
