@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Time the whole-table layers on inputs larger than the fixtures.
 
-Prints JSON with the CPU time of ``RankTable.kind``, ``hamming.pj_family``,
-``weights.check_wei_duality`` and ``weights.is_uniform_demimatroid`` on
-``core.uniform(n, n // 2)`` for n = 12, 16, 18 and 20 and on a seeded random
-demimatroid at n = 12, and of ``codes.parity_matroid`` on seeded binary
-[12,6] and ternary [10,5] codes, the binary Hamming [15,11] code and a
-seeded binary [20,10] code, keeping the inputs with n <= --max-n.  Each
-input with n <= 12 is checked against the oracle routes: the mask-by-mask
-classification of the table and of its dual, P_j by alternating submask
-sums, the uniformity test's known answer (true on the uniform tables, false
-on the random one), and the rank table by one elimination per mask.  A
-wrong answer is listed under ``failures`` and the script exits 1.
+Prints JSON with the CPU time of ``RankTable.kind``, ``RankTable.profile``
+(the size-rank counts, timed alone on their first read),
+``hamming.pj_family``, ``weights.check_wei_duality`` and
+``weights.is_uniform_demimatroid`` on ``core.uniform(n, n // 2)`` for n = 12,
+16, 18 and 20 and on a demimatroid drawn by ``core.random_demimatroid`` at
+n = 12, and of ``codes.parity_matroid`` on seeded binary [12,6] and ternary
+[10,5] codes, the binary Hamming [15,11] code and a seeded binary [20,10]
+code, keeping the inputs with n <= --max-n.  Each input with n <= 12 is
+checked against the oracle routes: the mask-by-mask classification of the
+table and of its dual, the profile against a mask-by-mask count, P_j by
+alternating submask sums, the uniformity test's known answer (true on the
+uniform tables, false on the random one), and the rank table by one
+elimination per mask.  A wrong answer is listed under ``failures`` and the
+script exits 1.
 
     python scripts/probe_tables.py --max-n 12
 """
@@ -22,6 +25,7 @@ import argparse
 import json
 import random
 import time
+from collections import Counter
 
 from demimat import codes, core, hamming, ops, weights
 from demimat._linalg import rref_mod_p
@@ -61,6 +65,7 @@ def _timed(call):
 def probe_table(label: str, n: int, build, uniform: bool, failures: list[str]) -> dict:
     table = build()
     kind, kind_s = _timed(lambda: table.kind)
+    profile, profile_s = _timed(lambda: table.profile)
     family, pj_s = _timed(lambda: hamming.pj_family(table))
     duality, duality_s = _timed(lambda: weights.check_wei_duality(table))
     is_uniform, uniform_s = _timed(lambda: weights.is_uniform_demimatroid(table))
@@ -70,14 +75,16 @@ def probe_table(label: str, n: int, build, uniform: bool, failures: list[str]) -
             failures.append(f"{label}: kind differs from the mask-by-mask classification")
         if dual.kind != core._classify(n, dual.ranks).kind:
             failures.append(f"{label}: the dual's kind differs from its classification")
+        if profile != Counter((m.bit_count(), table.ranks[m]) for m in range(1 << n)):
+            failures.append(f"{label}: profile differs from the mask-by-mask count")
         if family != tuple(hamming.p_j(table, j) for j in range(n + 1)):
             failures.append(f"{label}: P_j family differs from the submask sums")
         if duality is not True:
             failures.append(f"{label}: Wei duality fails on a demimatroid")
         if is_uniform is not uniform:
             failures.append(f"{label}: the uniformity test answers {is_uniform}")
-    return {"input": label, "n": n, "kind": kind, "kind_s": kind_s, "pj_family_s": pj_s,
-            "check_wei_duality_s": duality_s, "is_uniform_s": uniform_s,
+    return {"input": label, "n": n, "kind": kind, "kind_s": kind_s, "profile_s": profile_s,
+            "pj_family_s": pj_s, "check_wei_duality_s": duality_s, "is_uniform_s": uniform_s,
             "checked": n <= ORACLE_MAX_N}
 
 

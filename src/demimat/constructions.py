@@ -2,9 +2,12 @@
 
 Each constructor builds a ``core.RankTable`` from a description (a size and
 rank, a basis family, a graph, a Wei sequence) and checks the ground-set cap
-before the 2^n table is built.  ``random_demimatroid`` and ``random_subset``
-draw the battery's samples from a ``random.Random``; ``random`` is named only
-in their annotations and never imported, so loading the CLI does not load it.
+before the 2^n table is built.  Per-mask work is read from the mask sizes
+``core`` caches per n or from one whole-table pass: a Wei sequence's rank is
+counted once per size, and a graph's edges are spread to their supersets by
+one OR-zeta transform.  ``random_demimatroid`` and ``random_subset`` draw the
+battery's samples from a ``random.Random``; ``random`` is named only in their
+annotations and never imported, so loading the CLI does not load it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from .core import (
     complex_to_demimatroid,
     independence_complex,
     mask_of,
+    mask_sizes,
     popcount,
+    subset_transform,
 )
 from .errors import MalformedInputError
 
@@ -54,16 +59,17 @@ def graph_demimatroid(n: int, edges: Iterable[tuple[int, int]]) -> RankTable:
 
     The defining trichotomy assumes a graph with no isolated vertices; it is
     applied verbatim regardless, so isolated vertices simply stay independent.
+    Whether X contains an edge is one OR-zeta transform of the edge
+    indicator, 1 at each edge's mask, so repeated edges count once.
     """
     check_cap(n)
-    edge_masks = []
+    has_edge = [0] * (1 << n)
     for a, b in edges:
         if a == b:
             raise MalformedInputError(f"self-loop at vertex {a}")
-        edge_masks.append(mask_of((a, b), n))
-    ranks = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        ranks[m] = 2 if any(e & ~m == 0 for e in edge_masks) else 1
+        has_edge[mask_of((a, b), n)] = 1
+    ranks = [1 + contains for contains in subset_transform(has_edge, or_)]
+    ranks[0] = 0
     return RankTable.build(n, ranks)
 
 
@@ -71,7 +77,7 @@ def from_wei_sequence(n: int, d: Sequence[int]) -> RankTable:
     """Demimatroid with the prescribed strictly increasing Wei numbers.
 
     rho(X) counts how many of the prescribed sizes are <= |X|, which realizes
-    exactly the requested hierarchy.
+    exactly the requested hierarchy; that count is taken once per size.
     """
     check_cap(n)
     ds = list(d)
@@ -79,8 +85,8 @@ def from_wei_sequence(n: int, d: Sequence[int]) -> RankTable:
         raise MalformedInputError(
             f"need a strictly increasing sequence within 1..{n}, got {ds}"
         )
-    ranks = [sum(1 for v in ds if v <= popcount(m)) for m in range(1 << n)]
-    return RankTable.build(n, ranks)
+    at_size = [sum(1 for v in ds if v <= s) for s in range(n + 1)]
+    return RankTable.build(n, list(map(at_size.__getitem__, mask_sizes(n))))
 
 
 # -- Galois connection check -------------------------------------------------------
@@ -142,32 +148,34 @@ def random_demimatroid(n: int, rng: random.Random) -> RankTable:
     """Rejection-free uniform-step sampler over valid demimatroid tables.
 
     Ranks are assigned in ascending mask order (every proper subset precedes
-    its supersets), each by one ``rng.randint`` over the feasible interval
+    its supersets), each drawn uniformly from the feasible interval
     [max rho(X\\x), min rho(X\\x) + 1], which is never empty because
     removing two different elements changes the rank by at most one in each
-    step.  ``seen[X]`` gathers the ranks of X's lower neighbours as bits, so
-    the interval is its highest bit and its lowest bit plus one.  The bits
-    arrive a block at a time: once the last mask of an aligned block of 2^b
-    masks with bit b clear is assigned, their ranks go in one slice to the
-    block with bit b set, their upper neighbours across bit b.
+    step.  The draw is the low end plus ``rng.randrange(width)``: that is the
+    one ``_randbelow(width)`` call ``randint`` makes, so the ranks and the
+    generator's state are those of ``randint``, at less cost per call (and
+    less than ``choice(range(...))``, which makes the same call).
+    ``seen[X]`` gathers the ranks of X's lower neighbours as bits, so the
+    interval is its highest bit and its lowest bit plus one; each rank, once
+    drawn, is ORed into the ``seen`` of every upper neighbour.
     """
     check_cap(n)
     size = 1 << n
+    full = size - 1
     ranks = [0] * size
     seen = [0] * size
-    bit_of = (1).__lshift__
-    for mask in range(size):
-        if mask:
-            s = seen[mask]
-            ranks[mask] = rng.randint(s.bit_length() - 1, (s & -s).bit_length())
-        step = (mask + 1) & ~mask  # the lowest bit clear in mask
-        top = slice(mask + 1, mask + 1 + step)
-        if top.stop > size:
-            continue
-        if step == 1:
-            seen[mask + 1] |= 1 << ranks[mask]
-        else:
-            seen[top] = map(or_, seen[top], map(bit_of, ranks[mask + 1 - step:mask + 1]))
+    for i in range(n):
+        seen[1 << i] = 1  # rank 0 of the empty set
+    for mask in range(1, size):
+        s = seen[mask]
+        low = s.bit_length() - 1
+        rank = ranks[mask] = low + rng.randrange((s & -s).bit_length() + 1 - low)
+        bit = 1 << rank
+        rest = full ^ mask
+        while rest:
+            up = rest & -rest
+            seen[mask | up] |= bit
+            rest ^= up
     return RankTable.build(n, ranks)
 
 

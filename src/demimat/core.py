@@ -13,13 +13,20 @@ kind and names a witness per violated axiom; it backs ``validate`` and is the
 tests' oracle for ``_kind``.
 
 ``subset_transform`` is the one whole-table pass over the subset lattice:
-the zeta transform of the code-side rank tables and the Moebius transform of
-the P_j family.
+the zeta transform of the code-side rank tables, the Moebius transform of
+the P_j family and the OR-zeta of a graph's edges.
+
+A table's ``profile`` counts its subsets by (size, rank) in one C-level
+counting pass over packed int keys.  Two values behind it are cached per
+ground-set size n, never per table contents: ``mask_sizes(n)``, the size of
+every mask, and the decode of each packed key with its rank in 0..n.
+``per_table`` memoizes a derived value in the table's own instance dict, so
+a repeated call costs one dict lookup.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import _count_elements
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cache, cached_property, wraps
 from itertools import combinations, repeat
@@ -242,10 +249,11 @@ def _kind(n: int, ranks: Sequence[int]) -> str:
 
 class _FrozenCounts(dict):
     """A read-only dict: reads run at C speed, every mutator raises
-    TypeError, and it pickles, unlike ``types.MappingProxyType``."""
+    TypeError, and it pickles, unlike ``types.MappingProxyType``.  It holds
+    a table's profile and the coordinate views read off it."""
 
     def _read_only(self, *args, **kwargs):
-        raise TypeError("a size-rank profile is read-only")
+        raise TypeError("a rank table's derived counts are read-only")
 
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
@@ -254,15 +262,38 @@ class _FrozenCounts(dict):
         return _FrozenCounts, (dict(self),)
 
 
+@cache
+def mask_sizes(n: int) -> bytes:
+    """|X| for every mask X of the ground set, in mask order, one byte each.
+
+    The masks with element i + 1 follow those without it, one larger each,
+    so n doublings by ``bytes.translate`` build it: a megabyte at n = 20.
+    """
+    sizes, plus_one = b"\x00", bytes(range(1, 256)) + b"\x00"
+    for _ in range(n):
+        sizes += sizes.translate(plus_one)
+    return sizes
+
+
+@cache
+def _profile_keys(n: int) -> dict[int, tuple[int, int]]:
+    """(s, r) by its packed key r * (n + 1) + s, for 0 <= s, r <= n."""
+    base = n + 1
+    return {r * base + s: (s, r) for r in range(base) for s in range(base)}
+
+
 def _size_rank_profile(n: int, ranks: Sequence[int]) -> Mapping[tuple[int, int], int]:
     """#{X : |X| = s, rank(X) = r} keyed by (s, r), for any ranks at all.
 
     Each pair is counted as the one int r * (n + 1) + s, which hashes faster
-    than a tuple; ``divmod`` by n + 1 gives back (r, s), negative r included.
+    than a tuple, in one C-level pass; a key with its rank in 0..n is decoded
+    by the per-n table, any other by ``divmod``, negative ranks included.
     """
     base = n + 1
-    keys = map(add, map(mul, ranks, repeat(base)), map(int.bit_count, range(1 << n)))
-    return _FrozenCounts({divmod(key, base)[::-1]: c for key, c in Counter(keys).items()})
+    packed: dict[int, int] = {}
+    _count_elements(packed, map(add, map(mul, ranks, repeat(base)), mask_sizes(n)))
+    decode = _profile_keys(n).get
+    return _FrozenCounts({decode(key) or divmod(key, base)[::-1]: c for key, c in packed.items()})
 
 
 class RankTable(Frozen):
@@ -332,25 +363,31 @@ def per_table(fn: Callable) -> Callable:
     Tables never change, so each value is computed once per table object.
     Any other immutable object with an instance dict can carry a memo too: a
     ``Complex`` carries its demimatroid.  The arguments after the table are
-    passed positionally, and the key is their tuple; a trailing argument
-    that has a default and is left out is keyed by that default, so both
-    spellings share one entry.  The defaults are ``fn.__defaults__``, which
-    belong to the last of the ``fn.__code__.co_argcount`` positional
-    parameters; one without a default is keyed by a private sentinel, not by
-    None, so an explicit None keys an entry of its own.  Values are
-    immutable; an exception is raised afresh on every call, never stored.
+    passed positionally, and the key is the tuple of the function's name and
+    them; a trailing argument that has a default and is left out is keyed by
+    that default, so both spellings share one entry.  The defaults are
+    ``fn.__defaults__``, which belong to the last of the
+    ``fn.__code__.co_argcount`` positional parameters; one without a default
+    is keyed by a private sentinel, not by None, so an explicit None keys an
+    entry of its own.  The key of a call with no arguments is built once.
+    The tuple keys share the instance dict with the fields, so a hit is one
+    dict lookup.  Values are immutable; an exception is raised afresh on
+    every call, never stored.
     """
     defaults = fn.__defaults__ or ()
     defaults = (_REQUIRED,) * (fn.__code__.co_argcount - 1 - len(defaults)) + defaults
     name = f"{fn.__module__}.{fn.__qualname__}"  # a name, so a table still pickles
+    bare = (name, *defaults)
 
     @wraps(fn)
     def memoized(table: RankTable, *args):
-        memo = table.__dict__.setdefault("_memo", {})
-        key = (name, *args, *defaults[len(args):])
-        if key not in memo:
-            memo[key] = fn(table, *args)
-        return memo[key]
+        key = (name, *args, *defaults[len(args):]) if args else bare
+        try:
+            return table.__dict__[key]
+        except KeyError:
+            pass  # computed outside the handler, so its errors chain to nothing
+        value = table.__dict__[key] = fn(table, *args)
+        return value
 
     return memoized
 

@@ -12,6 +12,10 @@ only on (r, e) and is cached per (r, e), beside ``q_binomial`` and
 ``angle``.  ``generalized_w_all`` is the subset route of the whole family,
 and ``a_coefficients`` the one source of the A_j.
 
+W's coordinates in the basis (x-y)^a y^b t^e, ``subset_sum_coordinates``,
+are a read-only view computed once per table from that table's own profile;
+a derived table (the dual, a minor) reads its own.
+
 Five checks are decided on coordinates in a linearly independent basis,
 which is not weaker than comparing polynomials, because the expansion is a
 function of the coordinates:
@@ -61,11 +65,13 @@ from .poly import (
 )
 
 
+@per_table
 def subset_sum_coordinates(table: RankTable) -> dict[tuple[int, int, int], int]:
     """W's coordinates in the basis (x-y)^a y^b t^e: the count of each
-    (n - |X|, |X|, eta(X)), one per (size, rank) pair of the profile."""
+    (n - |X|, |X|, eta(X)), one per (size, rank) pair of the profile;
+    read-only, read once per table off its own profile."""
     n = table.n
-    return {(n - s, s, s - r): c for (s, r), c in table.profile.items()}
+    return core._FrozenCounts({(n - s, s, s - r): c for (s, r), c in table.profile.items()})
 
 
 def _basis_items(coordinates: dict[tuple[int, int, int], int]):
@@ -148,7 +154,7 @@ def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
     definitional route.
     """
     n = table.n
-    sizes = list(map(int.bit_count, range(1 << n)))
+    sizes = core.mask_sizes(n)
     nullities = list(map(operator.sub, sizes, table.ranks))
     exponents = sorted(set(nullities))
     width = 2 * n + 2

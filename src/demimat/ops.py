@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from operator import sub
 
-from .core import RankTable, per_table, popcount
+from .core import RankTable, mask_sizes, per_table, popcount
 from .errors import InvariantViolationError, MalformedInputError
 
 IDENTITY = "id"
@@ -48,24 +48,19 @@ for (_a, _b), _c in list(GROUP_TABLE.items()):
     GROUP_TABLE[(_b, _a)] = _c
 
 
-def _sizes(table: RankTable):
-    """|X| for every mask X, in mask order."""
-    return map(int.bit_count, range(table.full + 1))
-
-
 # The builders read rho(E\X) from the reversed ranks: E\X is the mask
 # full - X, so the complements' ranks in mask order are the ranks reversed.
 @per_table
 def dual(table: RankTable) -> RankTable:
     """rho*(X) = |X| + rho(E\\X) - rho(E)."""
-    k = table.rank
-    return RankTable(table.n, tuple([s + r - k for s, r in zip(_sizes(table), table.ranks[::-1])]))
+    n, k = table.n, table.rank
+    return RankTable(n, tuple([s + r - k for s, r in zip(mask_sizes(n), table.ranks[::-1])]))
 
 
 @per_table
 def nullity_operator(table: RankTable) -> RankTable:
     """rho°(X) = |X| - rho(X)."""
-    return RankTable(table.n, tuple(map(sub, _sizes(table), table.ranks)))
+    return RankTable(table.n, tuple(map(sub, mask_sizes(table.n), table.ranks)))
 
 
 @per_table
@@ -165,7 +160,7 @@ def lattice_bottom(n: int) -> RankTable:
 
 
 def lattice_top(n: int) -> RankTable:
-    return RankTable.build(n, list(map(int.bit_count, range(1 << n))))
+    return RankTable.build(n, mask_sizes(n))
 
 
 # -- elongations --------------------------------------------------------------
@@ -178,4 +173,5 @@ def elongate(table: RankTable, i: int) -> RankTable:
     eta = table.total_nullity
     if not 0 <= i <= eta:
         raise MalformedInputError(f"elongation index must be in 0..{eta}, got {i}")
-    return RankTable(table.n, tuple([min(s, r + i) for s, r in zip(_sizes(table), table.ranks)]))
+    n = table.n
+    return RankTable(n, tuple([min(s, r + i) for s, r in zip(mask_sizes(n), table.ranks)]))

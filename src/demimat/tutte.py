@@ -3,9 +3,11 @@
 The corank-nullity sum is accumulated in the (x-1, y-1) basis first: the
 exponent pair of a subset A is (rho(E) - rho(A), |A| - rho(A)), which depends
 only on |A| and rho(A), so the pairs are read off the table's size-rank
-profile and the binomial expansion happens once per distinct pair.  The
-evaluations T(1-t, 0) and T(t+1, 1) and h(t) = f(t-1) are written in closed
-form, from binomial rows or one term sum.  The deletion-contraction
+profile and the binomial expansion happens once per distinct pair.  Those
+counts, ``corank_nullity_counts``, are a read-only view computed once per
+table from that table's own profile.  The evaluations T(1-t, 0) and
+T(t+1, 1) and h(t) = f(t-1) are written in closed form, from binomial rows
+or one term sum.  The deletion-contraction
 recurrences for T and the Whitney function are one statement about
 coordinates: ``recurrence_counts`` merges both minors' (corank, nullity)
 pairs, shifted by the recurrence's powers, and those are the (x-1, y-1)
@@ -22,7 +24,7 @@ from __future__ import annotations
 from math import comb
 
 from . import core, ops
-from .core import Complex, RankTable, per_table
+from .core import Complex, RankTable, _FrozenCounts, per_table
 from .errors import MalformedInputError, RationalFunctionError, UnsupportedSubstitutionError
 from .poly import (
     X,
@@ -52,10 +54,12 @@ def expandable_terms(p: LaurentPoly, **images: str) -> dict:
     return p.terms()
 
 
+@per_table
 def corank_nullity_counts(table: RankTable) -> dict[tuple[int, int], int]:
-    """Multiplicities of the (corank, nullity) exponent pairs over all subsets."""
+    """Multiplicities of the (corank, nullity) exponent pairs over all
+    subsets; read-only, read once per table off its profile."""
     k = table.rank
-    return {(k - r, s - r): c for (s, r), c in table.profile.items()}
+    return _FrozenCounts({(k - r, s - r): c for (s, r), c in table.profile.items()})
 
 
 def _require_polynomial(counts: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:

@@ -146,7 +146,7 @@ def _elongation_laws(m: core.RankTable) -> bool:
     eta = m.total_nullity
     if ops.elongate(m, eta).ranks != ops.lattice_top(m.n).ranks:
         return False
-    sizes = list(map(int.bit_count, range(m.full + 1)))
+    sizes = core.mask_sizes(m.n)
     step = m
     for i in range(1, eta + 1):
         step = ops.elongate(step, 1)

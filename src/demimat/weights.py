@@ -2,7 +2,9 @@
 
 The Wei numbers and the nullity minima are read off the table's size-rank
 profile, the same counts the subset-sum polynomials expand; so are the
-closed forms the fullness test checks.
+closed forms the fullness test checks.  ``wei_hierarchy`` and the least size
+per nullity behind ``min_size_at_nullity`` are computed once per table, each
+from that table's own profile, and are read-only.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from math import comb
 
 from . import ops
 from ._records import record
-from .core import RankTable
+from .core import RankTable, _FrozenCounts, per_table
 from .errors import InvariantViolationError, MalformedInputError
 
 
@@ -25,6 +27,7 @@ class WeiProfile(record("WeiProfile", "k d d_up")):
     __slots__ = ()
 
 
+@per_table
 def wei_hierarchy(table: RankTable) -> WeiProfile:
     table.require_demimatroid("Wei hierarchy")
     k = table.rank
@@ -102,12 +105,23 @@ def is_uniform_demimatroid(table: RankTable) -> bool:
     return is_full(ops.nullity_operator(table))
 
 
+@per_table
+def _least_size_by_nullity(table: RankTable) -> dict[int, int]:
+    """The smallest |X| with eta(X) = e, keyed by every nullity e the table
+    takes; read-only."""
+    least: dict[int, int] = {}
+    for s, r in table.profile:
+        if s < least.get(s - r, s + 1):
+            least[s - r] = s
+    return _FrozenCounts(least)
+
+
 def min_size_at_nullity(table: RankTable, r: int) -> int:
     """Smallest |X| with eta(X) = r."""
-    sizes = [s for s, rank in table.profile if s - rank == r]
-    if not sizes:
+    least = _least_size_by_nullity(table)
+    if r not in least:
         raise MalformedInputError(f"no subset has nullity {r}")
-    return min(sizes)
+    return least[r]
 
 
 def elongation_distance_check(table: RankTable, r: int) -> bool:

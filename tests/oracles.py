@@ -6,15 +6,21 @@ library computes on coordinates or in one walk: the term-by-term
 homology of one complex and the per-sigma Hochster formula behind the Betti
 walk, dense Bareiss elimination behind the sparse kernel, the expansions of
 the coordinates the routes and the battery decide on, the whole-polynomial
-definition of the W^(r), and the Stanley-Reisner generators.
+definition of the W^(r), and the Stanley-Reisner generators.  The plain
+definitions behind the memoized table views are here too: the size-rank
+profile counted mask by mask and the coordinate views re-read from it on
+every call, the graph trichotomy tested edge by edge, and the sampler that
+draws each rank by ``randint``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from math import comb
+from operator import or_
 
-from demimat import core, hamming, simplicial, tutte
+from demimat import core, hamming, simplicial, tutte, weights
 from demimat.errors import InvariantViolationError, MalformedInputError
 from demimat.poly import (
     VARIABLES,
@@ -169,3 +175,84 @@ def generalized_w_by_definition(table: core.RankTable, r: int) -> LaurentPoly:
     ``combine_t_powers``."""
     w = hamming._w_via_tutte_terms(table)
     return combine_t_powers(r, [substitute(w, {"t": monomial(1, t=j)}) for j in range(r + 1)])
+
+
+# -- the table views, re-derived on every call -----------------------------------------
+
+
+def size_rank_profile(table: core.RankTable) -> Counter:
+    """#{X : |X| = s, rank(X) = r} by (s, r), counted mask by mask."""
+    return Counter((mask.bit_count(), table.ranks[mask]) for mask in range(1 << table.n))
+
+
+def corank_nullity_counts(table: core.RankTable) -> dict[tuple[int, int], int]:
+    """The (corank, nullity) counts, re-read from the mask-by-mask profile."""
+    k = table.rank
+    return {(k - r, s - r): c for (s, r), c in size_rank_profile(table).items()}
+
+
+def subset_sum_coordinates(table: core.RankTable) -> dict[tuple[int, int, int], int]:
+    """W's (x-y, y, t) coordinates, re-read from the mask-by-mask profile."""
+    n = table.n
+    return {(n - s, s, s - r): c for (s, r), c in size_rank_profile(table).items()}
+
+
+def wei_hierarchy(table: core.RankTable) -> weights.WeiProfile:
+    """The Wei numbers, re-read from the mask-by-mask profile."""
+    table.require_demimatroid("Wei hierarchy")
+    k = table.rank
+    sizes: list[list[int]] = [[] for _ in range(k + 1)]
+    for s, r in size_rank_profile(table):
+        sizes[r].append(s)
+    if not all(sizes):
+        raise InvariantViolationError("rank image is not the full interval 0..k")
+    return weights.WeiProfile(k, tuple(min(v) for v in sizes[1:]), tuple(max(v) for v in sizes))
+
+
+def min_size_at_nullity(table: core.RankTable, r: int) -> int:
+    """The least size with nullity r, re-read from the mask-by-mask profile."""
+    sizes = [s for s, rank in size_rank_profile(table) if s - rank == r]
+    if not sizes:
+        raise MalformedInputError(f"no subset has nullity {r}")
+    return min(sizes)
+
+
+# -- constructions, as they were first written -------------------------------------------
+
+
+def graph_demimatroid(n: int, edges) -> core.RankTable:
+    """rho = 0 on the empty set, 2 on a set that contains an edge, 1 on any
+    other: each mask tested against every edge."""
+    core.check_cap(n)
+    edge_masks = []
+    for a, b in edges:
+        if a == b:
+            raise MalformedInputError(f"self-loop at vertex {a}")
+        edge_masks.append(core.mask_of((a, b), n))
+    ranks = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        ranks[m] = 2 if any(e & ~m == 0 for e in edge_masks) else 1
+    return core.RankTable.build(n, ranks)
+
+
+def random_demimatroid_by_randint(n: int, rng) -> list[int]:
+    """The seeded sampler's ranks with every rank drawn by
+    ``rng.randint(low, high)`` over its feasible interval, lower neighbours
+    gathered a block at a time as in ``core.random_demimatroid``."""
+    size = 1 << n
+    ranks = [0] * size
+    seen = [0] * size
+    bit_of = (1).__lshift__
+    for mask in range(size):
+        if mask:
+            s = seen[mask]
+            ranks[mask] = rng.randint(s.bit_length() - 1, (s & -s).bit_length())
+        step = (mask + 1) & ~mask
+        top = slice(mask + 1, mask + 1 + step)
+        if top.stop > size:
+            continue
+        if step == 1:
+            seen[mask + 1] |= 1 << ranks[mask]
+        else:
+            seen[top] = map(or_, seen[top], map(bit_of, ranks[mask + 1 - step:mask + 1]))
+    return ranks

@@ -285,6 +285,7 @@ def test_malformed_input_paths(tmp_path, capsys):
         ({"n": 1, "ranks": ["a", 1]}, ()),
         ({"n": 2, "facets": [[1, "x"]]}, ()),
         ({"n": 3, "edges": [[1, 2, 3]]}, ()),
+        ({"n": 3, "edges": [[1, 2], [2, 2]]}, ()),
         ({"p": 2, "rows": [1, 0]}, ()),
         ({"n": 2, "ranks": [0, 1, 1, 2]}, ("--field", "Z")),
         (None, ("--field", "Z")),
@@ -297,7 +298,7 @@ def test_malformed_input_paths(tmp_path, capsys):
         # no facets: neither a rank table nor a face to count
         ({"n": 2, "facets": []}, ()),
     ],
-    ids=["no-n", "string-rank", "string-vertex", "triple-edge", "flat-rows",
+    ids=["no-n", "string-rank", "string-vertex", "triple-edge", "self-loop", "flat-rows",
          "compute-field", "verify-field", "over-ground-set-cap", "20-digit-p",
          "20-digit-field", "code-over-ground-set-cap", "void-complex"],
 )

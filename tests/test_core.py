@@ -1,13 +1,17 @@
+import __future__
+import inspect
 import operator
 import pickle
 import random
+import textwrap
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demimat import core, hamming, ops
+import oracles
+from demimat import constructions, core, hamming, ops
 from demimat.errors import KindError, MalformedInputError, SizeCapError
 
 from conftest import (
@@ -201,6 +205,25 @@ def test_graph_demimatroid():
         core.graph_demimatroid(2, [(1, 1)])
 
 
+@st.composite
+def graphs(draw, max_n: int = 8):
+    """A vertex count and an edge list with repeats, both orientations and,
+    as often as not, isolated vertices."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return n, []
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=2 * n))
+    repeated = draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    return n, edges + [(b, a) for a, b in repeated]
+
+
+@given(graphs())
+def test_the_graph_table_is_the_edge_by_edge_trichotomy(graph):
+    n, edges = graph
+    assert core.graph_demimatroid(n, edges) == oracles.graph_demimatroid(n, edges)
+
+
 def test_graph_demimatroid_operator_closed_forms():
     # dual/nullity/supplement of a graph table stratify by vertex covers
     from demimat import ops
@@ -277,13 +300,17 @@ def test_random_demimatroid_always_valid():
 
 
 class _RecordingRandom(random.Random):
+    """Records the width of each draw's interval, whether the draw is
+    ``randint(a, b)`` (which calls ``randrange(a, b + 1)``) or
+    ``a + randrange(b + 1 - a)``."""
+
     def __init__(self, seed):
         super().__init__(seed)
         self.draws = []
 
-    def randint(self, a, b):
-        self.draws.append((a, b))
-        return super().randint(a, b)
+    def randrange(self, start, stop=None):
+        self.draws.append(start if stop is None else stop - start)
+        return super().randrange(start, stop)
 
 
 def _mask_by_mask_demimatroid(n: int, rng: random.Random) -> list[int]:
@@ -302,13 +329,40 @@ def _mask_by_mask_demimatroid(n: int, rng: random.Random) -> list[int]:
 
 
 def test_random_demimatroid_makes_the_reference_loops_draws():
-    # Same randint calls in the same order, so every seeded sample stays.
+    # Draws of the same widths in the same order that give the same ranks
+    # from the same generator states are draws over the same intervals, so
+    # every seeded sample stays.
     for n in range(9):
         for seed in range(40):
             fast, slow = _RecordingRandom(seed), _RecordingRandom(seed)
             assert list(core.random_demimatroid(n, fast).ranks) == _mask_by_mask_demimatroid(n, slow)
             assert fast.draws == slow.draws
             assert fast.random() == slow.random()
+
+
+def _assert_draws_match_randint(sampler):
+    for n in range(9):
+        for seed in range(200):
+            fast, slow = random.Random(seed), random.Random(seed)
+            assert list(sampler(n, fast).ranks) == oracles.random_demimatroid_by_randint(n, slow)
+            assert fast.getstate() == slow.getstate()
+
+
+def test_the_sampler_draws_what_randint_draws():
+    # Same ranks and the same generator state after every table, so the
+    # seeded battery's samples and partners stay.
+    _assert_draws_match_randint(core.random_demimatroid)
+
+
+def test_a_sampler_drawing_from_range_lo_hi_fails_the_randint_check():
+    # The planted fault leaves the top of each feasible interval out.
+    source = textwrap.dedent(inspect.getsource(constructions.random_demimatroid))
+    planted = source.replace("+ 1 - low)", "- low)")
+    assert planted != source
+    namespace = dict(vars(constructions))
+    exec(compile(planted, "<planted>", "exec", __future__.annotations.compiler_flag), namespace)
+    with pytest.raises((AssertionError, ValueError)):
+        _assert_draws_match_randint(namespace["random_demimatroid"])
 
 
 def test_up_down_identity_on_random_complexes():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 
 import demimat
-from demimat import core, hamming, ops, simplicial, tutte
+from demimat import core, hamming, ops, simplicial, tutte, weights
 from demimat.errors import KindError
 from strategies import demimatroid_tables, rank_tables
 
@@ -24,7 +24,9 @@ MEMOIZED = [
     (ops.delete, (0,)),
     (ops.contract, (0,)),
     (ops.elongate, (0,)),
+    (tutte.corank_nullity_counts, ()),
     (tutte.tutte, ()),
+    (hamming.subset_sum_coordinates, ()),
     (hamming.hamming_subset_sum, ()),
     (hamming._w_via_tutte_terms, ()),
     (hamming.pj_family, ()),
@@ -34,6 +36,8 @@ MEMOIZED = [
     (simplicial.betti_of_elongations, (F2,)),
     (simplicial.w_via_betti, ()),
     (simplicial.w_via_betti, (F2,)),
+    (weights.wei_hierarchy, ()),
+    (weights._least_size_by_nullity, ()),
 ]
 
 
