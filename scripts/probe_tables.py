@@ -2,19 +2,22 @@
 """Time the whole-table layers on inputs larger than the fixtures.
 
 Prints JSON with the CPU time of ``RankTable.kind``, ``RankTable.profile``
-(the size-rank counts, timed alone on their first read),
-``hamming.pj_family``, ``weights.check_wei_duality`` and
+(the size-rank counts, timed alone on their first read), each table builder
+of ``ops`` (``dual``, ``nullity_operator``, ``supplement``, ``join`` and
+``meet`` with the dual, ``elongate`` by 1, or by 0 when the nullity is 0,
+and ``delete`` and ``contract`` of element 1, each built afresh past its
+per-table memo), ``hamming.pj_family``, ``weights.check_wei_duality`` and
 ``weights.is_uniform_demimatroid`` on ``core.uniform(n, n // 2)`` for n = 12,
 16, 18 and 20 and on a demimatroid drawn by ``core.random_demimatroid`` at
 n = 12, and of ``codes.parity_matroid`` on seeded binary [12,6] and ternary
 [10,5] codes, the binary Hamming [15,11] code and a seeded binary [20,10]
 code, keeping the inputs with n <= --max-n.  Each input with n <= 12 is
 checked against the oracle routes: the mask-by-mask classification of the
-table and of its dual, the profile against a mask-by-mask count, P_j by
-alternating submask sums, the uniformity test's known answer (true on the
-uniform tables, false on the random one), and the rank table by one
-elimination per mask.  A wrong answer is listed under ``failures`` and the
-script exits 1.
+table and of its dual, each builder's table against its definition written
+mask by mask, the profile against a mask-by-mask count, P_j by alternating
+submask sums, the uniformity test's known answer (true on the uniform
+tables, false on the random one), and the rank table by one elimination per
+mask.  A wrong answer is listed under ``failures`` and the script exits 1.
 
     python scripts/probe_tables.py --max-n 12
 """
@@ -59,13 +62,41 @@ CODES = (
 def _timed(call):
     start = time.process_time()
     value = call()
-    return value, round(time.process_time() - start, 3)
+    return value, round(time.process_time() - start, 5)
+
+
+def _builders(table: core.RankTable):
+    """(name, call, mask-by-mask ranks) for each table builder; the memoized
+    builders are called through ``__wrapped__``, so each call builds."""
+    full, ranks, k = table.full, table.ranks, table.rank
+    partner, i = ops.dual(table), min(1, table.total_nullity)
+    return (
+        ("dual", lambda: ops.dual.__wrapped__(table),
+         lambda: [x.bit_count() + ranks[full ^ x] - k for x in range(full + 1)]),
+        ("nullity_operator", lambda: ops.nullity_operator.__wrapped__(table),
+         lambda: [x.bit_count() - r for x, r in enumerate(ranks)]),
+        ("supplement", lambda: ops.supplement.__wrapped__(table),
+         lambda: [k - ranks[full ^ x] for x in range(full + 1)]),
+        ("join", lambda: ops.join(table, partner), lambda: list(map(max, ranks, partner.ranks))),
+        ("meet", lambda: ops.meet(table, partner), lambda: list(map(min, ranks, partner.ranks))),
+        ("elongate", lambda: ops.elongate.__wrapped__(table, i),
+         lambda: [min(x.bit_count(), r + i) for x, r in enumerate(ranks)]),
+        ("delete", lambda: ops.delete.__wrapped__(table, 1),
+         lambda: [ranks[x] for x in range(0, full + 1, 2)]),
+        ("contract", lambda: ops.contract.__wrapped__(table, 1),
+         lambda: [ranks[x | 1] - ranks[1] for x in range(0, full + 1, 2)]),
+    )
 
 
 def probe_table(label: str, n: int, build, uniform: bool, failures: list[str]) -> dict:
     table = build()
     kind, kind_s = _timed(lambda: table.kind)
     profile, profile_s = _timed(lambda: table.profile)
+    builders_s = {}
+    for name, call, definition in _builders(table):
+        built, builders_s[name] = _timed(call)
+        if n <= ORACLE_MAX_N and list(built.ranks) != definition():
+            failures.append(f"{label}: {name} differs from its mask-by-mask definition")
     family, pj_s = _timed(lambda: hamming.pj_family(table))
     duality, duality_s = _timed(lambda: weights.check_wei_duality(table))
     is_uniform, uniform_s = _timed(lambda: weights.is_uniform_demimatroid(table))
@@ -84,8 +115,8 @@ def probe_table(label: str, n: int, build, uniform: bool, failures: list[str]) -
         if is_uniform is not uniform:
             failures.append(f"{label}: the uniformity test answers {is_uniform}")
     return {"input": label, "n": n, "kind": kind, "kind_s": kind_s, "profile_s": profile_s,
-            "pj_family_s": pj_s, "check_wei_duality_s": duality_s, "is_uniform_s": uniform_s,
-            "checked": n <= ORACLE_MAX_N}
+            "builders_s": builders_s, "pj_family_s": pj_s, "check_wei_duality_s": duality_s,
+            "is_uniform_s": uniform_s, "checked": n <= ORACLE_MAX_N}
 
 
 def probe_code(label: str, p: int, rows, failures: list[str]) -> dict:

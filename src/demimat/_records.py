@@ -12,8 +12,9 @@ compiles and inspects several methods per class.  Three shapes:
 - ``Plain`` is the base of a mutable value whose fields are plain instance
   attributes; like a mutable dataclass, it is unhashable.
 - ``Frozen`` is a read-only, hashable ``Plain``, for values whose fields
-  hot loops read and into whose instance dict ``cached_property`` and
-  ``core.per_table`` write derived values.  Since assignment raises, a
+  hot loops read and into whose instance dict derived values are written
+  (``cached_property``, ``core``'s lazily derived table values and
+  ``core.per_table``).  Since assignment raises, a
   subclass's ``__init__`` stores its fields straight into ``self.__dict__``.
 
 The fields of a ``Plain`` are the parameters of its class's ``__init__``.

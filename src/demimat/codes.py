@@ -26,7 +26,7 @@ from itertools import combinations, product
 
 from ._linalg import is_prime, rref_mod_p
 from ._records import Frozen, record
-from .core import RankTable, check_cap, subset_transform
+from .core import RankTable, check_cap, mask_sizes, subset_transform
 from .errors import InvariantViolationError, MalformedInputError, SizeCapError
 
 SUBSPACE_ENUM_CAP = 1 << 20
@@ -83,7 +83,7 @@ def parity_matroid(matrix: PrimeMatrix) -> RankTable:
         return RankTable.build(n, ranks)
     if n - rank <= rank:
         nullities = _log_p(_subspace_counts(nullspace_basis(matrix), n, p), p)
-        ranks = list(map(operator.sub, map(int.bit_count, range(1 << n)), nullities))
+        ranks = list(map(operator.sub, mask_sizes(n), nullities))
     else:
         # Vanishing on X means a support inside the complement, full ^ X.
         coranks = _log_p(_subspace_counts(rref[:rank], n, p), p)

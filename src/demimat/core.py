@@ -8,18 +8,25 @@ Certified kinds form a chain: every table is a combinatroid (only the
 normalization rank(empty) = 0 is required); adding the unit-step monotone
 axiom gives a demimatroid; adding submodularity gives a matroid.  A table
 stores only ``(n, ranks)``; its kind is derived when first read, by the
-word-parallel check ``_kind``.  The mask-by-mask ``_classify`` finds the same
-kind and names a witness per violated axiom; it backs ``validate`` and is the
+big-int check ``_kind``.  The mask-by-mask ``_classify`` finds the same kind
+and names a witness per violated axiom; it backs ``validate`` and is the
 tests' oracle for ``_kind``.
+
+A table whose ranks all lie in 0..127 (a demimatroid's lie in 0..n) has a
+byte view, ``RankTable.view``: the ranks as one ``bytes``, made on first
+read, or handed over by the ``ops`` builder that made the table.  ``_kind``
+and the ``ops`` builders run on it in whole-table byte and big-int steps; a
+table without one is a combinatroid, and the builders take their list path.
 
 ``subset_transform`` is the one whole-table pass over the subset lattice:
 the zeta transform of the code-side rank tables, the Moebius transform of
 the P_j family and the OR-zeta of a graph's edges.
 
 A table's ``profile`` counts its subsets by (size, rank) in one C-level
-counting pass over packed int keys.  Two values behind it are cached per
-ground-set size n, never per table contents: ``mask_sizes(n)``, the size of
-every mask, and the decode of each packed key with its rank in 0..n.
+counting pass over packed int keys.  Three values are cached per ground-set
+size n, never per table contents, each O(2^n) bytes: ``mask_sizes(n)``, the
+size of every mask; ``byte_operands(n)``, those sizes and a 0x01 per mask as
+ints; and the decode of each packed profile key with its rank in 0..n.
 ``per_table`` memoizes a derived value in the table's own instance dict, so
 a repeated call costs one dict lookup.
 """
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 from collections import _count_elements
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from functools import cache, cached_property, wraps
+from functools import cache, wraps
 from itertools import combinations, repeat
 from operator import add, mul
 
@@ -94,16 +101,6 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low
         mask ^= low
-
-
-def _perfect_shuffle(seq):
-    """Interleave the two halves: the top index bit moves to bit 0 and every
-    other bit up by one, so n shuffles of a 2^n table restore mask order."""
-    half = len(seq) // 2
-    out = seq[:]
-    out[0::2] = seq[:half]
-    out[1::2] = seq[half:]
-    return out
 
 
 def subset_transform(values: Sequence, combine: Callable) -> list:
@@ -192,59 +189,52 @@ def _classify(n: int, ranks: Sequence[int]) -> ValidationReport:
     return ValidationReport(kind, tuple(v for v in (unit_step, submodular) if v))
 
 
-@cache
-def _byte_ones(length: int) -> int:
-    """0x0101..01 with ``length`` bytes: the step tables whose steps are all 1."""
-    return int.from_bytes(b"\x01" * length, "little")
+def _byte_view(ranks: Sequence[int]) -> bytes | None:
+    """The ranks as one byte per mask, or None if any lies outside 0..127."""
+    try:
+        view = bytes(ranks)
+    except ValueError:  # a rank outside 0..255
+        return None
+    return view if view.isascii() else None
 
 
-def _zero_one_difference(low, high, ones: int) -> int | None:
-    """``high - low`` read as little-endian integers, if every byte of it is
-    0 or 1; else None.
+def _kind(n: int, view: bytes | None) -> str:
+    """The kind ``_classify`` finds, by whole-table big-int steps on the view.
 
-    Each byte difference lies in (-128, 128), and writing an integer as
-    sum c_i 256^i with every |c_i| < 128 is unique; so the difference has
-    bits only where ``ones`` has (which also rules out a negative one)
-    exactly when every c_i is 0 or 1.
+    Unit steps force 0 <= rank <= n, so a table without a byte view is a
+    combinatroid.  Otherwise the ranks are one int T, rank(X) in byte X.  The
+    masks M_e of the bytes X without element e come top element first, each
+    by two shifts of the one above.  (T >> 8*2^e & M_e) - (T & M_e) is the
+    step table rho(X + e) - rho(X) on M_e; every byte difference lies in
+    (-128, 128), and writing an int as sum c_X 256^X with every |c_X| < 128
+    is unique, so every step is 0 or 1 exactly when the difference has bits
+    only where 0x0101..01 has.  Given unit steps, submodularity says each
+    0/1 step table is non-increasing in every other element f: shifted down
+    by f's stride and masked to M_f, it lies inside itself.  That is
+    symmetric in e and f, so each step table is checked against the
+    elements above it, whose masks are kept for the call only.
     """
-    d = int.from_bytes(high, "little") - int.from_bytes(low, "little")
-    return d if d | ones == ones else None
-
-
-def _kind(n: int, ranks: Sequence[int]) -> str:
-    """The kind ``_classify`` finds, by whole-table byte and big-int steps.
-
-    Unit steps force 0 <= rank <= n, so a rank outside that range settles a
-    combinatroid, and otherwise the table fits in a bytearray.  Element e's
-    step table rho(X + e) - rho(X) is the upper half minus the lower half
-    once e sits on the top index bit, where perfect shuffles bring each
-    element in turn.  Given unit steps, submodularity says each 0/1 step
-    table is non-increasing in every other element; that is symmetric in
-    the two elements, so each step table is checked only against the
-    elements that reach the top after its own.
-    """
-    if min(ranks) < 0 or max(ranks) > n:
+    if view is None:
         return COMBINATROID
-    table = bytearray(ranks)
-    half, quarter = len(table) // 2, len(table) // 4
-    submodular = True
-    for done in range(n):
-        d = _zero_one_difference(table[:half], table[half:], _byte_ones(half))
-        if d is None:
+    table, ones = int.from_bytes(view, "little"), byte_operands(n)[1]
+    mask = (1 << (4 << n)) - 1  # the lower half: the masks without element n
+    above: list[tuple[int, int]] | None = []  # (shift, mask) per element above e
+    for e in reversed(range(n)):
+        shift = 8 << e
+        if e < n - 1:
+            low = mask & (mask >> shift)
+            mask = low | (low << 2 * shift)
+        steps = (table >> shift & mask) - (table & mask)
+        if steps | ones != ones:
             return COMBINATROID
-        if submodular:
-            # The step table is indexed by the n-1 lower bits of ``table``,
-            # and the elements still to come hold its top n-1-done bits; for
-            # the one on its top bit, steps(X) - steps(X + e') is 0 or 1.
-            steps = bytearray(d.to_bytes(half, "little"))
-            for _ in range(n - 1 - done):
-                if _zero_one_difference(steps[quarter:], steps[:quarter],
-                                        _byte_ones(quarter)) is None:
-                    submodular = False
+        if above is not None:
+            for up, up_mask in above:
+                if steps >> up & up_mask | steps != steps:
+                    above = None
                     break
-                steps = _perfect_shuffle(steps)
-        table = _perfect_shuffle(table)
-    return MATROID if submodular else DEMIMATROID
+            else:
+                above.append((shift, mask))
+    return DEMIMATROID if above is None else MATROID
 
 
 class _FrozenCounts(dict):
@@ -276,6 +266,13 @@ def mask_sizes(n: int) -> bytes:
 
 
 @cache
+def byte_operands(n: int) -> tuple[int, int]:
+    """``mask_sizes(n)`` and a 0x01 byte per mask, each as a little-endian
+    int: the operands the byte-view kernels add, subtract and guard with."""
+    return int.from_bytes(mask_sizes(n), "little"), int.from_bytes(b"\x01" * (1 << n), "little")
+
+
+@cache
 def _profile_keys(n: int) -> dict[int, tuple[int, int]]:
     """(s, r) by its packed key r * (n + 1) + s, for 0 <= s, r <= n."""
     base = n + 1
@@ -296,12 +293,29 @@ def _size_rank_profile(n: int, ranks: Sequence[int]) -> Mapping[tuple[int, int],
     return _FrozenCounts({decode(key) or divmod(key, base)[::-1]: c for key, c in packed.items()})
 
 
+class _lazy:
+    """A value computed from its object on first read and stored in the
+    object's instance dict, which later reads find first: a lock-free
+    ``functools.cached_property``, since a non-data descriptor yields to the
+    instance dict.  Assignment still raises on a ``Frozen`` object."""
+
+    def __init__(self, fn: Callable):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class RankTable(Frozen):
     """A combinatroid as an explicit table over all 2^n subsets.
 
-    ``kind`` is classified on first read and cached, never at build; so is
-    ``profile``, the size-rank counts every subset-sum invariant reads.  Other
-    shared derived values are memoized on the table by ``per_table``.
+    ``kind`` is classified on first read and cached, never at build; so are
+    ``profile``, the size-rank counts every subset-sum invariant reads, and
+    ``view``, the ranks as bytes that the table kernels read.  Other shared
+    derived values are memoized on the table by ``per_table``.
     """
 
     def __init__(self, n: int, ranks: tuple[int, ...]):
@@ -320,11 +334,25 @@ class RankTable(Frozen):
             raise MalformedInputError("rank of the empty set must be 0")
         return cls(n, values)
 
-    @cached_property
-    def kind(self) -> str:
-        return _kind(self.n, self.ranks)
+    @classmethod
+    def from_view(cls, n: int, view: bytes) -> "RankTable":
+        """The table whose byte view is ``view``: a builder's output, which
+        needs no check."""
+        table = cls(n, tuple(view))
+        table.__dict__["view"] = view
+        return table
 
-    @cached_property
+    @_lazy
+    def view(self) -> bytes | None:
+        """The ranks, one byte per mask, if all lie in 0..127 (a
+        demimatroid's do); else None, and the kernels take the list path."""
+        return _byte_view(self.ranks)
+
+    @_lazy
+    def kind(self) -> str:
+        return _kind(self.n, self.view)
+
+    @_lazy
     def profile(self) -> Mapping[tuple[int, int], int]:
         return _size_rank_profile(self.n, self.ranks)
 

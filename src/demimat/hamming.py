@@ -151,11 +151,12 @@ def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
     value, so the digits of the summed ints decode exactly as balanced
     (signed) base-2^(2n+2) digits.  That is n * 2^(n-1) big-int subtractions,
     against the 3^n submask terms of ``p_j``, which stays as the
-    definitional route.
+    definitional route.  The nullities are ``ops.nullity_bytes`` when the
+    table has a byte view and no negative nullity, one byte per mask.
     """
     n = table.n
     sizes = core.mask_sizes(n)
-    nullities = list(map(operator.sub, sizes, table.ranks))
+    nullities = ops.nullity_bytes(table) or list(map(operator.sub, sizes, table.ranks))
     exponents = sorted(set(nullities))
     width = 2 * n + 2
     digit = {e: 1 << (width * i) for i, e in enumerate(exponents)}

@@ -10,19 +10,27 @@ the identities that meet the same image or minor share it, together with
 its own memoized values.
 
 The derived tables (operators, minors, join, meet and elongations) are made
-with the bare ``RankTable`` constructor, not ``RankTable.build``: every check
-``build`` makes already holds by construction.  Their n is at most the
-source's, each writes one int per mask of its ground set from the source's
-int ranks, and each writes 0 at the empty set (rho(E) - rho(E), rho(A) -
-rho(A), min(0, i) and the like), on combinatroid sources too.  ``build``
-stays for the tables that come from outside, the lattice's ends included.
+without ``RankTable.build``: every check ``build`` makes already holds by
+construction.  Their n is at most the source's, and each writes 0 at the
+empty set (rho(E) - rho(E), rho(A) - rho(A), min(0, i) and the like), on
+combinatroid sources too.  ``build`` stays for the tables that come from
+outside, the lattice's ends included.
+
+Each builder works on the source's byte view (``RankTable.view``, one byte
+per mask, ranks in 0..127) in whole-table byte and big-int steps: a sum of
+two packed tables whose bytes stay below 256, a subtraction with a guard bit
+0x80 in every byte, so no byte borrows from the next, a ``bytes.translate``
+that adds a constant, or block slices for the minors.  Its output view is
+the new table's view and ``tuple(view)`` its ranks.  A source without a view,
+or an output with a value outside 0..127 (only a combinatroid's can), takes
+the mask-by-mask list path instead; both give the same ranks.
 """
 
 from __future__ import annotations
 
 from operator import sub
 
-from .core import RankTable, mask_sizes, per_table, popcount
+from .core import RankTable, byte_operands, mask_sizes, per_table, popcount
 from .errors import InvariantViolationError, MalformedInputError
 
 IDENTITY = "id"
@@ -48,26 +56,76 @@ for (_a, _b), _c in list(GROUP_TABLE.items()):
     GROUP_TABLE[(_b, _a)] = _c
 
 
+# ``_SHIFTED[128 - k:384 - k]`` translates v to v - k and
+# ``_REFLECTED[127 - k:383 - k]`` translates v to k - v, for 0 <= k <= 127;
+# each gives 0xFF where the result leaves 0..127.
+_SHIFTED = b"\xff" * 128 + bytes(range(128)) + b"\xff" * 256
+_REFLECTED = bytes(range(127, -1, -1)) + b"\xff" * 256
+
+
+def _guard_select(n: int, x: int, y: int, larger: bool) -> bytes:
+    """The bytewise maximum (``larger``) or minimum of two packed tables
+    with every byte in 0..127.  (x | 0x80..) - y keeps a byte's guard bit
+    exactly where x >= y, and no byte borrows; the guard bit minus its
+    shift is 0x7F there, which selects x or y by XOR."""
+    guards = byte_operands(n)[1] << 7
+    keep = ((x | guards) - y) & guards
+    pick = (x ^ y) & (keep - (keep >> 7))
+    return (y ^ pick if larger else x ^ pick).to_bytes(1 << n, "little")
+
+
+def _int(table: RankTable) -> int:
+    """The table's byte view as one little-endian int."""
+    return int.from_bytes(table.view, "little")
+
+
 # The builders read rho(E\X) from the reversed ranks: E\X is the mask
-# full - X, so the complements' ranks in mask order are the ranks reversed.
+# full - X, so the complements' ranks in mask order are the ranks reversed
+# (the view read big-endian).
 @per_table
 def dual(table: RankTable) -> RankTable:
-    """rho*(X) = |X| + rho(E\\X) - rho(E)."""
-    n, k = table.n, table.rank
+    """rho*(X) = |X| + rho(E\\X) - rho(E).  On the view: one add of the
+    packed sizes and reversed ranks, whose bytes stay below n + 128, then
+    one translate by -rho(E)."""
+    n, k, view = table.n, table.rank, table.view
+    if view is not None:
+        sums = byte_operands(n)[0] + int.from_bytes(view, "big")
+        out = sums.to_bytes(len(view), "little").translate(_SHIFTED[128 - k:384 - k])
+        if 255 not in out:
+            return RankTable.from_view(n, out)
     return RankTable(n, tuple([s + r - k for s, r in zip(mask_sizes(n), table.ranks[::-1])]))
+
+
+def nullity_bytes(table: RankTable) -> bytes | None:
+    """|X| - rho(X) per mask as bytes, if the table has a view and no rank
+    exceeds its set's size: (sizes | 0x80..) - ranks keeps every guard
+    bit exactly then."""
+    if table.view is None:
+        return None
+    sizes, ones = byte_operands(table.n)
+    guards = ones << 7
+    diff = (sizes | guards) - _int(table)
+    return (diff ^ guards).to_bytes(1 << table.n, "little") if diff & guards == guards else None
 
 
 @per_table
 def nullity_operator(table: RankTable) -> RankTable:
     """rho°(X) = |X| - rho(X)."""
-    return RankTable(table.n, tuple(map(sub, mask_sizes(table.n), table.ranks)))
+    view = nullity_bytes(table)
+    if view is None:
+        return RankTable(table.n, tuple(map(sub, mask_sizes(table.n), table.ranks)))
+    return RankTable.from_view(table.n, view)
 
 
 @per_table
 def supplement(table: RankTable) -> RankTable:
-    """rho&(X) = rho(E) - rho(E\\X)."""
-    k = table.rank
-    return RankTable(table.n, tuple([k - r for r in table.ranks[::-1]]))
+    """rho&(X) = rho(E) - rho(E\\X): on the view, reversed and translated."""
+    n, k, view = table.n, table.rank, table.view
+    if view is not None:
+        out = view[::-1].translate(_REFLECTED[127 - k:383 - k])
+        if 255 not in out:
+            return RankTable.from_view(n, out)
+    return RankTable(n, tuple([k - r for r in table.ranks[::-1]]))
 
 
 # Each operator is looked up by name when applied, so a replaced builder is
@@ -113,29 +171,62 @@ def surviving_labels(n: int, removed: int) -> tuple[int, ...]:
     return tuple(e for e in range(1, n + 1) if not removed & (1 << (e - 1)))
 
 
+def _half(view: bytes, low: int, upper: bool) -> bytes:
+    """The bytes in the lower (or upper) half of every block of 2 * low:
+    the masks without (or with) the element of stride ``low``, compacted.
+    Short blocks are gathered by one strided slice per residue, long ones
+    by one slice per block, so at most sqrt(len(view)) slices."""
+    step, start, size = 2 * low, low if upper else 0, len(view)
+    if low == 1:
+        return view[start::2]
+    if low * low < size:
+        out = bytearray(size // 2)
+        for r in range(low):
+            out[r::low] = view[start + r::step]
+        return bytes(out)
+    return b"".join([view[i:i + low] for i in range(start, size, step)])
+
+
+def _minor_view(view: bytes, removed: int, upper: bool) -> bytes:
+    """``_half`` for each element of ``removed``, the highest first, so
+    the lower elements keep their strides."""
+    while removed:
+        top = 1 << removed.bit_length() - 1
+        view = _half(view, top, upper)
+        removed ^= top
+    return view
+
+
 @per_table
 def delete(table: RankTable, removed: int) -> RankTable:
     """Restriction of the rank function to E \\ removed, indices compacted.
 
     The masks disjoint from ``removed``, in ascending order, are exactly the
     compacted subsets in ascending order, so the minor filters the parent's
-    ranks.  The relabeling is recoverable via surviving_labels.
+    ranks: block slices of the view.  The relabeling is recoverable via
+    surviving_labels.
     """
     if removed & ~table.full:
         raise MalformedInputError("deleted set outside the ground set")
-    ranks = tuple([r for mask, r in enumerate(table.ranks) if not mask & removed])
-    return RankTable(table.n - popcount(removed), ranks)
+    n = table.n - popcount(removed)
+    if table.view is not None:
+        return RankTable.from_view(n, _minor_view(table.view, removed, False))
+    return RankTable(n, tuple([r for mask, r in enumerate(table.ranks) if not mask & removed]))
 
 
 @per_table
 def contract(table: RankTable, removed: int) -> RankTable:
-    """Contraction: rho_{M/A}(X) = rho(X | A) - rho(A), compacted as in ``delete``."""
+    """Contraction: rho_{M/A}(X) = rho(X | A) - rho(A), compacted as in
+    ``delete``: the masks that contain A, translated by -rho(A)."""
     if removed & ~table.full:
         raise MalformedInputError("contracted set outside the ground set")
-    base = table.ranks[removed]
-    ranks = tuple([table.ranks[m | removed] - base
-                   for m in range(table.full + 1) if not m & removed])
-    return RankTable(table.n - popcount(removed), ranks)
+    n, base = table.n - popcount(removed), table.ranks[removed]
+    if table.view is not None:
+        out = _minor_view(table.view, removed, True).translate(_SHIFTED[128 - base:384 - base])
+        if 255 not in out:
+            return RankTable.from_view(n, out)
+    return RankTable(n, tuple([table.ranks[m | removed] - base
+                               for m in range(table.full + 1) if not m & removed]))
 
 
 # -- lattice ----------------------------------------------------------------
@@ -145,14 +236,18 @@ def join(a: RankTable, b: RankTable) -> RankTable:
     """Pointwise maximum; demimatroids are closed under join."""
     if a.n != b.n:
         raise MalformedInputError("join needs tables on the same ground set")
-    return RankTable(a.n, tuple(map(max, a.ranks, b.ranks)))
+    if a.view is None or b.view is None:
+        return RankTable(a.n, tuple(map(max, a.ranks, b.ranks)))
+    return RankTable.from_view(a.n, _guard_select(a.n, _int(a), _int(b), True))
 
 
 def meet(a: RankTable, b: RankTable) -> RankTable:
     """Pointwise minimum; demimatroids are closed under meet."""
     if a.n != b.n:
         raise MalformedInputError("meet needs tables on the same ground set")
-    return RankTable(a.n, tuple(map(min, a.ranks, b.ranks)))
+    if a.view is None or b.view is None:
+        return RankTable(a.n, tuple(map(min, a.ranks, b.ranks)))
+    return RankTable.from_view(a.n, _guard_select(a.n, _int(a), _int(b), False))
 
 
 def lattice_bottom(n: int) -> RankTable:
@@ -168,10 +263,13 @@ def lattice_top(n: int) -> RankTable:
 
 @per_table
 def elongate(table: RankTable, i: int) -> RankTable:
-    """i-th elongation: rank raised by i, capped at cardinality."""
+    """i-th elongation: rank raised by i, capped at cardinality.  A
+    demimatroid has a view, and every rank plus i is at most 2n < 128, so
+    this is the guard-bit minimum of the sizes and the ranks plus i."""
     table.require_demimatroid("elongation")
     eta = table.total_nullity
     if not 0 <= i <= eta:
         raise MalformedInputError(f"elongation index must be in 0..{eta}, got {i}")
     n = table.n
-    return RankTable(n, tuple([min(s, r + i) for s, r in zip(mask_sizes(n), table.ranks)]))
+    sizes, ones = byte_operands(n)
+    return RankTable.from_view(n, _guard_select(n, sizes, _int(table) + i * ones, False))

@@ -354,7 +354,7 @@ def betti_of_elongations(
     walk in which each subset enters at its nullity; no complex is built."""
     _check_homology_cap(table.n)
     table.require_demimatroid("elongation Betti tables")
-    nullities = list(map(sub, map(int.bit_count, range(1 << table.n)), table.ranks))
+    nullities = list(map(sub, core.mask_sizes(table.n), table.ranks))
     return _betti_walk(table.n, nullities, table.total_nullity + 1, fieldspec.characteristic)
 
 

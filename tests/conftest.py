@@ -52,13 +52,13 @@ def minus_x2_y_t_minus_3(coordinates_of):
 @pytest.fixture
 def classify_calls(monkeypatch):
     """Ground-set sizes of every ``core._kind`` call (the classification
-    ``RankTable.kind`` runs) made during a test."""
+    ``RankTable.kind`` runs on the table's byte view) made during a test."""
     calls: list[int] = []
     original = core._kind
 
-    def counting(n, ranks):
+    def counting(n, view):
         calls.append(n)
-        return original(n, ranks)
+        return original(n, view)
 
     monkeypatch.setattr(core, "_kind", counting)
     return calls

@@ -10,7 +10,9 @@ definition of the W^(r), and the Stanley-Reisner generators.  The plain
 definitions behind the memoized table views are here too: the size-rank
 profile counted mask by mask and the coordinate views re-read from it on
 every call, the graph trichotomy tested edge by edge, and the sampler that
-draws each rank by ``randint``.
+draws each rank by ``randint``.  So are the definitions of the table
+builders of ``ops``, which run on byte views: each derived table's ranks
+written mask by mask.
 """
 
 from __future__ import annotations
@@ -215,6 +217,58 @@ def min_size_at_nullity(table: core.RankTable, r: int) -> int:
     if not sizes:
         raise MalformedInputError(f"no subset has nullity {r}")
     return min(sizes)
+
+
+# -- the table builders, mask by mask ------------------------------------------------
+
+
+def dual(table: core.RankTable) -> tuple[int, ...]:
+    """rho*(X) = |X| + rho(E\\X) - rho(E)."""
+    full, ranks = table.full, table.ranks
+    return tuple(x.bit_count() + ranks[full ^ x] - table.rank for x in range(full + 1))
+
+
+def nullity_operator(table: core.RankTable) -> tuple[int, ...]:
+    """rho°(X) = |X| - rho(X)."""
+    return tuple(x.bit_count() - r for x, r in enumerate(table.ranks))
+
+
+def supplement(table: core.RankTable) -> tuple[int, ...]:
+    """rho&(X) = rho(E) - rho(E\\X)."""
+    full, ranks = table.full, table.ranks
+    return tuple(table.rank - ranks[full ^ x] for x in range(full + 1))
+
+
+def _compacted(n: int, removed: int) -> list[int]:
+    """The masks of E disjoint from ``removed``, by their compacted index:
+    the surviving elements, in order, take the bits 0, 1, ..."""
+    kept = [e for e in range(n) if not removed >> e & 1]
+    return [sum(1 << e for i, e in enumerate(kept) if y >> i & 1)
+            for y in range(1 << len(kept))]
+
+
+def delete(table: core.RankTable, removed: int) -> tuple[int, ...]:
+    """rho restricted to E \\ removed, relabelled."""
+    return tuple(table.ranks[x] for x in _compacted(table.n, removed))
+
+
+def contract(table: core.RankTable, removed: int) -> tuple[int, ...]:
+    """rho(X | A) - rho(A) on E \\ A, relabelled."""
+    base = table.ranks[removed]
+    return tuple(table.ranks[x | removed] - base for x in _compacted(table.n, removed))
+
+
+def join(a: core.RankTable, b: core.RankTable) -> tuple[int, ...]:
+    return tuple(max(a.ranks[x], b.ranks[x]) for x in range(a.full + 1))
+
+
+def meet(a: core.RankTable, b: core.RankTable) -> tuple[int, ...]:
+    return tuple(min(a.ranks[x], b.ranks[x]) for x in range(a.full + 1))
+
+
+def elongate(table: core.RankTable, i: int) -> tuple[int, ...]:
+    """min(|X|, rho(X) + i)."""
+    return tuple(min(x.bit_count(), r + i) for x, r in enumerate(table.ranks))
 
 
 # -- constructions, as they were first written -------------------------------------------

@@ -5,6 +5,7 @@ import pickle
 import random
 import textwrap
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -405,15 +406,41 @@ def test_kind_matches_the_mask_by_mask_classification(table):
     assert table.kind == core._classify(table.n, table.ranks).kind
 
 
-@given(demimatroid_tables(max_n=7), st.data())
+@given(demimatroid_tables(max_n=9), st.data())
 def test_kind_matches_the_classification_near_demimatroids(table, data):
     # A rank moved by one mostly stays in [0, n], where the byte-level steps,
-    # not the range check, decide the kind.
+    # not the view's range, decide the kind.
     assert table.kind == core._classify(table.n, table.ranks).kind
     if table.n:
         ranks = list(table.ranks)
         ranks[data.draw(st.integers(1, table.full))] += data.draw(st.sampled_from((-1, 1)))
-        assert core._kind(table.n, ranks) == core._classify(table.n, ranks).kind
+        kind = core._kind(table.n, core._byte_view(ranks))
+        assert kind == core._classify(table.n, ranks).kind
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_kind_finds_submodularity_failing_at_any_one_element_pair(n):
+    # rho(X) = 1 once X holds both a and b: unit steps hold, and only the
+    # pair {a, b} breaks submodularity, so each pair's check is needed.
+    for a, b in combinations(range(n), 2):
+        pair = 1 << a | 1 << b
+        view = bytes(int(mask & pair == pair) for mask in range(1 << n))
+        assert core._classify(n, view).kind == core.DEMIMATROID
+        assert core._kind(n, view) == core.DEMIMATROID
+
+
+def test_derived_values_are_stored_on_first_read(classify_calls, profile_calls):
+    table = ops.dual(core.uniform(5, 2))
+    assert "kind" not in vars(table) and "profile" not in vars(table)
+    assert table.kind == table.kind == core.MATROID
+    assert table.profile is table.profile
+    assert classify_calls == [5] and profile_calls == [table.ranks]
+    assert vars(table)["kind"] == core.MATROID and vars(table)["view"] == bytes(table.ranks)
+    with pytest.raises(AttributeError):
+        table.kind = core.COMBINATROID
+    with pytest.raises(AttributeError):
+        del table.profile
+    assert table.kind == core.MATROID and classify_calls == [5]
 
 
 def test_subset_transform_is_the_subset_sum_and_its_inverse():
