@@ -17,7 +17,9 @@ table and of its dual, each builder's table against its definition written
 mask by mask, the profile against a mask-by-mask count, P_j by alternating
 submask sums, the uniformity test's known answer (true on the uniform
 tables, false on the random one), and the rank table by one elimination per
-mask.  A wrong answer is listed under ``failures`` and the script exits 1.
+mask.  A wrong answer, or a layer call or oracle check that raises (named
+with its input, its layer and the exception), is listed under ``failures``;
+the JSON is still printed, and the script exits 1.
 
     python scripts/probe_tables.py --max-n 12
 """
@@ -65,11 +67,33 @@ def _timed(call):
     return value, round(time.process_time() - start, 5)
 
 
+class _Probe:
+    """Runs one input's layer calls and oracle checks, listing each wrong
+    answer and each exception under ``failures`` instead of raising."""
+
+    def __init__(self, label: str, failures: list[str]):
+        self.label, self.failures = label, failures
+
+    def run(self, layer: str, call):
+        """``_timed(call)``, or (None, None) once the exception it raised is listed."""
+        try:
+            return _timed(call)
+        except Exception as exc:  # listed with the wrong answers; the probe goes on
+            self.failures.append(f"{self.label}: {layer} raised {type(exc).__name__}: {exc}")
+            return None, None
+
+    def check(self, layer: str, wrong, message: str) -> None:
+        """List ``message`` when ``wrong()`` holds, or the exception it raised."""
+        if self.run(f"the {layer} check", wrong)[0]:
+            self.failures.append(f"{self.label}: {message}")
+
+
 def _builders(table: core.RankTable):
     """(name, call, mask-by-mask ranks) for each table builder; the memoized
-    builders are called through ``__wrapped__``, so each call builds."""
+    builders are called through ``__wrapped__``, so each call builds.  The
+    join and meet partner is the table's memoized dual."""
     full, ranks, k = table.full, table.ranks, table.rank
-    partner, i = ops.dual(table), min(1, table.total_nullity)
+    i = min(1, table.total_nullity)
     return (
         ("dual", lambda: ops.dual.__wrapped__(table),
          lambda: [x.bit_count() + ranks[full ^ x] - k for x in range(full + 1)]),
@@ -77,8 +101,10 @@ def _builders(table: core.RankTable):
          lambda: [x.bit_count() - r for x, r in enumerate(ranks)]),
         ("supplement", lambda: ops.supplement.__wrapped__(table),
          lambda: [k - ranks[full ^ x] for x in range(full + 1)]),
-        ("join", lambda: ops.join(table, partner), lambda: list(map(max, ranks, partner.ranks))),
-        ("meet", lambda: ops.meet(table, partner), lambda: list(map(min, ranks, partner.ranks))),
+        ("join", lambda: ops.join(table, ops.dual(table)),
+         lambda: list(map(max, ranks, ops.dual(table).ranks))),
+        ("meet", lambda: ops.meet(table, ops.dual(table)),
+         lambda: list(map(min, ranks, ops.dual(table).ranks))),
         ("elongate", lambda: ops.elongate.__wrapped__(table, i),
          lambda: [min(x.bit_count(), r + i) for x, r in enumerate(ranks)]),
         ("delete", lambda: ops.delete.__wrapped__(table, 1),
@@ -89,46 +115,64 @@ def _builders(table: core.RankTable):
 
 
 def probe_table(label: str, n: int, build, uniform: bool, failures: list[str]) -> dict:
-    table = build()
-    kind, kind_s = _timed(lambda: table.kind)
-    profile, profile_s = _timed(lambda: table.profile)
+    """One table's timings; a layer that raised has time None and no check."""
+    probe, checked = _Probe(label, failures), n <= ORACLE_MAX_N
+    table, _ = probe.run("build", build)
+    if table is None:
+        return {"input": label, "n": n, "checked": False}
+    kind, kind_s = probe.run("kind", lambda: table.kind)
+    profile, profile_s = probe.run("profile", lambda: table.profile)
     builders_s = {}
     for name, call, definition in _builders(table):
-        built, builders_s[name] = _timed(call)
-        if n <= ORACLE_MAX_N and list(built.ranks) != definition():
-            failures.append(f"{label}: {name} differs from its mask-by-mask definition")
-    family, pj_s = _timed(lambda: hamming.pj_family(table))
-    duality, duality_s = _timed(lambda: weights.check_wei_duality(table))
-    is_uniform, uniform_s = _timed(lambda: weights.is_uniform_demimatroid(table))
-    if n <= ORACLE_MAX_N:
-        dual = ops.dual(table)
-        if kind != core._classify(n, table.ranks).kind:
-            failures.append(f"{label}: kind differs from the mask-by-mask classification")
-        if dual.kind != core._classify(n, dual.ranks).kind:
-            failures.append(f"{label}: the dual's kind differs from its classification")
-        if profile != Counter((m.bit_count(), table.ranks[m]) for m in range(1 << n)):
-            failures.append(f"{label}: profile differs from the mask-by-mask count")
-        if family != tuple(hamming.p_j(table, j) for j in range(n + 1)):
-            failures.append(f"{label}: P_j family differs from the submask sums")
-        if duality is not True:
-            failures.append(f"{label}: Wei duality fails on a demimatroid")
-        if is_uniform is not uniform:
-            failures.append(f"{label}: the uniformity test answers {is_uniform}")
+        built, builders_s[name] = probe.run(name, call)
+        if checked and built is not None:
+            probe.check(name, lambda: list(built.ranks) != definition(),
+                        f"{name} differs from its mask-by-mask definition")
+    family, pj_s = probe.run("pj_family", lambda: hamming.pj_family(table))
+    duality, duality_s = probe.run("check_wei_duality", lambda: weights.check_wei_duality(table))
+    is_uniform, uniform_s = probe.run("is_uniform_demimatroid",
+                                      lambda: weights.is_uniform_demimatroid(table))
+    if checked:
+        checks = (
+            ("kind", kind, lambda: kind != core._classify(n, table.ranks).kind,
+             "kind differs from the mask-by-mask classification"),
+            ("dual kind", table,
+             lambda: ops.dual(table).kind != core._classify(n, ops.dual(table).ranks).kind,
+             "the dual's kind differs from its classification"),
+            ("profile", profile,
+             lambda: profile != Counter((m.bit_count(), table.ranks[m]) for m in range(1 << n)),
+             "profile differs from the mask-by-mask count"),
+            ("pj_family", family,
+             lambda: family != tuple(hamming.p_j(table, j) for j in range(n + 1)),
+             "P_j family differs from the submask sums"),
+            ("check_wei_duality", duality, lambda: duality is not True,
+             "Wei duality fails on a demimatroid"),
+            ("is_uniform_demimatroid", is_uniform, lambda: is_uniform is not uniform,
+             f"the uniformity test answers {is_uniform}"),
+        )
+        for layer, value, wrong, message in checks:
+            if value is not None:
+                probe.check(layer, wrong, message)
     return {"input": label, "n": n, "kind": kind, "kind_s": kind_s, "profile_s": profile_s,
             "builders_s": builders_s, "pj_family_s": pj_s, "check_wei_duality_s": duality_s,
-            "is_uniform_s": uniform_s, "checked": n <= ORACLE_MAX_N}
+            "is_uniform_s": uniform_s, "checked": checked}
 
 
 def probe_code(label: str, p: int, rows, failures: list[str]) -> dict:
-    matrix = codes.PrimeMatrix.build(p, rows)
+    probe = _Probe(label, failures)
+    matrix, _ = probe.run("PrimeMatrix.build", lambda: codes.PrimeMatrix.build(p, rows))
+    if matrix is None:
+        return {"input": label, "p": p, "checked": False}
     n = matrix.n_cols
-    table, build_s = _timed(lambda: codes.parity_matroid(matrix))
-    if n <= ORACLE_MAX_N:
-        by_elimination = tuple(len(rref_mod_p(matrix.columns(m), p)[1]) for m in range(1 << n))
-        if table.ranks != by_elimination:
-            failures.append(f"{label}: rank table differs from elimination per mask")
-    return {"input": label, "p": p, "n": n, "k": table.total_nullity,
-            "parity_matroid_s": build_s, "checked": n <= ORACLE_MAX_N}
+    table, build_s = probe.run("parity_matroid", lambda: codes.parity_matroid(matrix))
+    checked = n <= ORACLE_MAX_N and table is not None
+    if checked:
+        probe.check("parity_matroid", lambda: table.ranks != tuple(
+            len(rref_mod_p(matrix.columns(m), p)[1]) for m in range(1 << n)),
+            "rank table differs from elimination per mask")
+    return {"input": label, "p": p, "n": n,
+            "k": None if table is None else table.total_nullity,
+            "parity_matroid_s": build_s, "checked": checked}
 
 
 def main(argv=None) -> int:

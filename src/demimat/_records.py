@@ -4,20 +4,18 @@ Each behaves as the matching dataclass would: built by position or
 keyword, equal by value only to its own type, and shown as
 ``Name(field=...)``.  Creating a class costs one ``namedtuple`` call (which
 compiles a one-line ``__new__``) at most, where ``dataclasses`` writes,
-compiles and inspects several methods per class.  Three shapes:
+compiles and inspects several methods per class.  Two shapes:
 
 - ``record(name, fields)`` is a ``namedtuple`` base for small read-only
   records, hashed by value.  A subclass declares ``__slots__ = ()`` and may
   validate in ``__new__``.
-- ``Plain`` is the base of a mutable value whose fields are plain instance
-  attributes; like a mutable dataclass, it is unhashable.
-- ``Frozen`` is a read-only, hashable ``Plain``, for values whose fields
-  hot loops read and into whose instance dict derived values are written
-  (``cached_property``, ``core``'s lazily derived table values and
-  ``core.per_table``).  Since assignment raises, a
+- ``Frozen`` is the base of a read-only, hashable value whose fields are
+  plain instance attributes, which hot loops read, and into whose instance
+  dict derived values are written (``cached_property``, ``core``'s lazily
+  derived table values and ``core.per_table``).  Since assignment raises, a
   subclass's ``__init__`` stores its fields straight into ``self.__dict__``.
 
-The fields of a ``Plain`` are the parameters of its class's ``__init__``.
+The fields of a ``Frozen`` are the parameters of its class's ``__init__``.
 """
 
 from collections import namedtuple
@@ -38,8 +36,8 @@ def record(typename: str, field_names: str, defaults=None) -> type:
     return base
 
 
-class Plain:
-    """Equality and repr by the fields of a mutable value."""
+class Frozen:
+    """Equality, hash and repr by the fields of a read-only value."""
 
     __slots__ = ()
 
@@ -57,12 +55,6 @@ class Plain:
     def __repr__(self):
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
-
-
-class Frozen(Plain):
-    """A read-only ``Plain``, hashed by its fields."""
-
-    __slots__ = ()
 
     def __hash__(self):
         return hash(self._values())

@@ -187,9 +187,9 @@ def cmd_verify(args) -> int:
     report = verify.run_battery(args.seed, args.n, args.samples)
     payload = {"manifest": {"command": "verify", "seed": args.seed, "n": args.n,
                             "samples": args.samples}}
-    payload.update(report.as_dict())
+    payload.update(report)
     _emit(payload, args.out)
-    return 0 if report.ok else 1
+    return 0 if report["ok"] else 1
 
 
 # -- operators and converters ----------------------------------------------------------

@@ -101,9 +101,6 @@ class GaloisReport(record("GaloisReport", "items")):
     def ok(self) -> bool:
         return all(passed for _, passed in self.items)
 
-    def as_dict(self) -> dict[str, bool]:
-        return dict(self.items)
-
 
 def galois_check(cx: Complex, table: RankTable) -> GaloisReport:
     """Itemized checks of the complex/demimatroid adjunction on shared n."""

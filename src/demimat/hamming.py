@@ -3,23 +3,26 @@ the coefficient polynomials P_j and A_j, and the generalized q-enumerators.
 
 W is homogeneous of degree n in (x, y); the t slot doubles as the q of the
 generalized enumerators, so a single variable stores both and the caller
-chooses how to print it.  Each quantity has one implementation.  The
-Tutte route's W(x, y, t) is expanded once per table, memoized, and shared
-by ``hamming_via_tutte`` and by the definition route of the W^(r),
-``generalized_w(table, r, "tutte")``.  The definition is Z[x, y]-linear in
-W, so that route applies it to each monomial t^e; its image of t^e depends
-only on (r, e) and is cached per (r, e), beside ``q_binomial`` and
-``angle``.  ``generalized_w_all`` is the subset route of the whole family,
-and ``a_coefficients`` the one source of the A_j.
+chooses how to print it.  Each quantity has one implementation, and W is
+expanded once per table, by the subset sum.  The definition route of the
+W^(r), ``generalized_w(table, r, "tutte")``, reads the W that
+``hamming_via_tutte`` returns, so it checks the Tutte relabelling before it
+uses W.  The definition is Z[x, y]-linear in W, so that route applies it to
+each monomial t^e; its image of t^e depends only on (r, e) and is cached
+per (r, e), beside ``q_binomial`` and ``angle``.  ``generalized_w_all`` is
+the subset route of the whole family, and ``a_coefficients`` the one source
+of the A_j.
 
 W's coordinates in the basis (x-y)^a y^b t^e, ``subset_sum_coordinates``,
 are a read-only view computed once per table from that table's own profile;
 a derived table (the dual, a minor) reads its own.
 
-Five checks are decided on coordinates in a linearly independent basis,
+These checks are decided on coordinates in a linearly independent basis,
 which is not weaker than comparing polynomials, because the expansion is a
 function of the coordinates:
 
+- the Tutte route: the corank-nullity counts, relabelled, against the
+  subset sum's coordinates;
 - the P_j route: each P_j's terms t^e, moved to x^(n-j) y^j t^e, against
   the subset sum's terms (the Betti route does the same with its sums);
 - the deletion-contraction recurrence: ``recurrence_coordinates`` merges
@@ -32,9 +35,10 @@ function of the coordinates:
   on (x-1, y-1, t) coordinates, where dividing by a power of x - 1 is an
   exponent shift, against the corank-nullity counts.
 
-A route expands both sides only when they disagree, so that
-``cross_checked`` names the first differing monomial; the tests expand the
-MacWilliams and recurrence coordinates as their oracles.
+The routes among them decide through ``poly.cross_checked_coordinates``,
+which expands both sides only when they disagree, so that ``cross_checked``
+names the first differing monomial; the tests expand the MacWilliams and
+recurrence coordinates as their oracles.
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ import operator
 from functools import cache
 from math import comb
 
-from . import core, ops, tutte as tutte_mod
+from . import core, ops, tutte as tutte_mod, weights
 from ._records import record
 from .core import RankTable, per_table, popcount
 from .errors import (
@@ -55,12 +59,14 @@ from .poly import (
     LaurentPoly,
     T,
     angle,
-    binomial_expansion,
     cross_checked,
+    cross_checked_coordinates,
     monomial,
     poly_sum,
     q_binomial,
     term_sum,
+    tutte_basis,
+    w_basis,
     zero,
 )
 
@@ -74,12 +80,6 @@ def subset_sum_coordinates(table: RankTable) -> dict[tuple[int, int, int], int]:
     return core._FrozenCounts({(n - s, s, s - r): c for (s, r), c in table.profile.items()})
 
 
-def _basis_items(coordinates: dict[tuple[int, int, int], int]):
-    """``binomial_expansion`` items of the sum of c (x-y)^a y^b t^e over the
-    coordinates (a, b, e) -> c."""
-    return ((c, {"y": b, "t": e}, (("x", "y", a),)) for (a, b, e), c in coordinates.items())
-
-
 @per_table
 def hamming_subset_sum(table: RankTable) -> LaurentPoly:
     """W as the sum of (x-y)^(n-|X|) y^|X| t^(eta(X)) over all subsets X.
@@ -89,29 +89,25 @@ def hamming_subset_sum(table: RankTable) -> LaurentPoly:
     nullities of a general combinatroid land in negative t powers, which are
     still Laurent monomials.
     """
-    return binomial_expansion(_basis_items(subset_sum_coordinates(table)))
-
-
-@per_table
-def _w_via_tutte_terms(table: RankTable) -> LaurentPoly:
-    # W(x, y, t), expanded once per table for the Tutte route of W and the
-    # definition route of every W^(r).  Each (x-1,y-1)-basis Tutte term
-    # (corank a, nullity b) contributes (x-y)^(eta(E)+a-b) y^(rho(E)-a+b) t^b;
-    # the exponent bookkeeping stays in integers, so clearing the
-    # substitution denominators never builds a fraction.  The (x-y) exponent
-    # is n-|A|, so it is never negative.
-    eta = table.total_nullity
-    k = table.rank
-    return binomial_expansion(
-        (c, {"y": k - a + b, "t": b}, (("x", "y", eta + a - b),))
-        for (a, b), c in tutte_mod.corank_nullity_counts(table).items()
-    )
+    return w_basis(subset_sum_coordinates(table))
 
 
 def hamming_via_tutte(table: RankTable) -> LaurentPoly:
-    """W as the cleared Tutte substitution; cross-checked against the subset sum."""
-    return cross_checked("W", "Tutte", _w_via_tutte_terms(table),
-                         "subset-sum", hamming_subset_sum(table))
+    """W as the cleared Tutte substitution: the subset sum, once the Tutte
+    terms, relabelled, are its coordinates.
+
+    The (x-1, y-1) Tutte term of corank a and nullity b contributes
+    (x-y)^(eta(E)+a-b) y^(rho(E)-a+b) t^b, so its count is the subset-sum
+    coordinate (eta(E)+a-b, rho(E)-a+b, b) = (n-|A|, |A|, eta(A)).  Both W's
+    would be the same expansion of these coordinates, so comparing them
+    checks exactly the relabelling.
+    """
+    eta, k = table.total_nullity, table.rank
+    relabelled = {(eta + a - b, k - a + b, b): c
+                  for (a, b), c in tutte_mod.corank_nullity_counts(table).items()}
+    cross_checked_coordinates("W", "Tutte", relabelled,
+                              "subset-sum", subset_sum_coordinates(table), w_basis)
+    return hamming_subset_sum(table)
 
 
 # -- coefficient polynomials -----------------------------------------------------
@@ -184,8 +180,7 @@ def w_from_pj(table: RankTable) -> LaurentPoly:
     terms = {(n - j, j, e): c for j, p in enumerate(pj_family(table))
              for (_, _, e), c in p.terms().items()}
     w = hamming_subset_sum(table)
-    if terms != w.terms():
-        cross_checked("W", "P_j", term_sum(terms.items()), "subset-sum", w)
+    cross_checked_coordinates("W", "P_j", terms, "subset-sum", w.terms(), LaurentPoly)
     return w
 
 
@@ -210,23 +205,13 @@ def macwilliams_coordinates(w: LaurentPoly, eta: int) -> dict[tuple[int, int, in
 
 def macwilliams(table: RankTable) -> LaurentPoly:
     """W of the dual: its subset sum, once the MacWilliams transform of W has
-    the same coordinates.  On a disagreement both sides are expanded and
-    ``cross_checked`` names the first differing monomial."""
+    the same coordinates."""
     table.require_demimatroid("MacWilliams identity")
     dual = ops.dual(table)
     coordinates = macwilliams_coordinates(hamming_subset_sum(table), table.total_nullity)
-    if coordinates != subset_sum_coordinates(dual):
-        transformed = binomial_expansion(_basis_items(coordinates))
-        cross_checked("W of the dual", "MacWilliams", transformed,
-                      "dual subset-sum", hamming_subset_sum(dual))
+    cross_checked_coordinates("W of the dual", "MacWilliams", coordinates,
+                              "dual subset-sum", subset_sum_coordinates(dual), w_basis)
     return hamming_subset_sum(dual)
-
-
-def _tutte_basis_items(coordinates: dict[tuple[int, int, int], int]):
-    """``binomial_expansion`` items of the sum of c (x-1)^a (y-1)^b t^e over
-    the coordinates (a, b, e) -> c."""
-    return ((c, {"t": e}, (("x", None, a), ("y", None, b)))
-            for (a, b, e), c in coordinates.items())
 
 
 def _at_one_over_x(terms: dict, n: int):
@@ -247,7 +232,7 @@ def _divided(coordinates: dict[tuple[int, int, int], int], power: int) -> dict:
     the remainder of the division and raises InexactDivisionError."""
     low = {key: c for key, c in coordinates.items() if key[0] < power and c}
     if low:
-        remainder = binomial_expansion(_tutte_basis_items(low))
+        remainder = tutte_basis(low)
         raise InexactDivisionError(f"inexact division by (x-1)^{power}: remainder {remainder}",
                                    remainder=remainder)
     return {(a - power, b, e): c for (a, b, e), c in coordinates.items() if c}
@@ -260,10 +245,8 @@ def tutte_from_hamming(table: RankTable) -> LaurentPoly:
     A term c x^a y^b t^e of W goes to sum_i c C(n-b, i) (x-1)^(i+e-eta)
     (y-1)^e, so the division by (x-1)^eta is an exponent shift; a nonzero
     coordinate below (x-1)^eta raises InexactDivisionError.  The result must
-    equal the corank-nullity counts; on a disagreement both sides are
-    expanded and ``cross_checked`` names the first differing monomial.  A
-    negative t power has no Laurent image and raises
-    UnsupportedSubstitutionError.
+    equal the corank-nullity counts.  A negative t power has no Laurent
+    image and raises UnsupportedSubstitutionError.
     """
     table.require_demimatroid("Tutte recovery")
     terms = tutte_mod.expandable_terms(hamming_subset_sum(table), t="(x-1)(y-1)")
@@ -272,11 +255,9 @@ def tutte_from_hamming(table: RankTable) -> LaurentPoly:
         key = (i + e, e, 0)
         cleared[key] = cleared.get(key, 0) + c
     recovered = _divided(cleared, table.total_nullity)
-    counts = tutte_mod.corank_nullity_counts(table)
-    if recovered != {(a, b, 0): c for (a, b), c in counts.items()}:
-        expanded = binomial_expansion(_tutte_basis_items(recovered))
-        cross_checked("Tutte polynomial", "Hamming", expanded,
-                      "corank-nullity", tutte_mod.tutte(table))
+    counts = {(a, b, 0): c for (a, b), c in tutte_mod.corank_nullity_counts(table).items()}
+    cross_checked_coordinates("Tutte polynomial", "Hamming", recovered,
+                              "corank-nullity", counts, tutte_basis)
     return tutte_mod.tutte(table)
 
 
@@ -308,7 +289,7 @@ def formal_min_distance(table: RankTable) -> tuple[int, int]:
     table.require_demimatroid("formal minimum distance")
     if table.total_nullity == 0:
         raise KindError("every subset is independent; no formal minimum distance")
-    delta = min(s for s, r in table.profile if s - r == 1)
+    delta = weights.min_size_at_nullity(table, 1)
     return delta, table.profile[delta, delta - 1]
 
 
@@ -387,9 +368,9 @@ def generalized_w(table: RankTable, r: int, route: str = "subset") -> LaurentPol
     combination of W(x, y, q^j) for j = 0 .. r, divided exactly by the angle
     bracket <r>_q, and cross-checked against the subset route.  The
     definition is Z[x, y]-linear in W, so it is applied to each slice
-    W_e(x, y) q^e of the Tutte route's W(x, y, q), which is expanded once per
-    table; the image of q^e is cached per (r, e).  The q variable is stored
-    in the t slot.
+    W_e(x, y) q^e of the W(x, y, q) that ``hamming_via_tutte`` returns; the
+    image of q^e is cached per (r, e).  The q variable is stored in the t
+    slot.
     """
     table.require_demimatroid("generalized enumerator")
     if not 0 <= r <= table.n:
@@ -401,7 +382,7 @@ def generalized_w(table: RankTable, r: int, route: str = "subset") -> LaurentPol
     if route == "subset":
         return subset
     value = term_sum(((a, b, k), c * d)
-                     for e, w_e in _t_slices(_w_via_tutte_terms(table)).items()
+                     for e, w_e in _t_slices(hamming_via_tutte(table)).items()
                      for (_, _, k), d in _definition_at_t_power(r, e).terms().items()
                      for (a, b), c in w_e.items())
     return cross_checked(f"W^({r})", "Tutte", value, "subset-sum", subset)
@@ -472,5 +453,5 @@ def conjecture_check(table: RankTable) -> ConjectureReport:
         key = a, b, 0
         difference[key] = difference.get(key, 0) - c
     difference = {key: c for key, c in difference.items() if c}
-    residual = binomial_expansion(_tutte_basis_items(difference))
+    residual = tutte_basis(difference)
     return ConjectureReport(not difference, residual)

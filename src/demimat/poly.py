@@ -19,15 +19,18 @@ packed delta and a coefficient, built from cached rows of ``math.comb``
 values, every item is written with one loop over its product, and the
 packed ints are decoded once at the end.  An exponent that would leave its
 slot, or a product of more than (GROUND_SET_CAP + 1)^2 terms, raises
-OverflowError before any term is written or any product is cached.  The
-changes of variables
-in ``hamming`` and ``tutte`` (the Tutte side of the characteristic
-polynomial, f and h, the definition route of the W^(r)) and the battery's
-f(x-1, y-1) == T are closed forms built on it and on ``term_sum``: one pass
-over the source terms into one term dict.  Routes decided on basis
-coordinates call it only to expand a disagreement's two sides or the
-recovery identity's residual.  There is no generic substitution; the tests
-keep a term-by-term one as the oracle of every closed form.
+OverflowError before any term is written or any product is cached.  Each
+basis that coordinates are kept in has one writer on it: ``w_basis``,
+(x-y)^a y^b t^e, and ``tutte_basis``, (x-1)^a (y-1)^b t^e.  The changes of
+variables in ``hamming`` and ``tutte`` (the Tutte side of the
+characteristic polynomial, f and h, the definition route of the W^(r)) and
+the battery's f(x-1, y-1) == T are closed forms built on them and on
+``term_sum``: one pass over the source terms into one term dict.  A route
+decided on basis coordinates compares them in
+``cross_checked_coordinates``, which expands both sides only on a
+disagreement, for ``cross_checked`` to name its witness.  There is no
+generic substitution; the tests keep a term-by-term one as the oracle of
+every closed form.
 The q-analogue tables ``q_binomial`` and ``angle`` are cached per argument
 tuple, and so is ``hamming``'s image of each t^e under the definition of the
 W^(r), per (r, e); sharing one value between callers is safe because no
@@ -43,7 +46,7 @@ once per process; the coefficient and its sign are written per term.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cache
 from operator import index
 
@@ -388,6 +391,20 @@ def cross_checked(invariant: str, left: str, a: LaurentPoly, right: str, b: Laur
     )
 
 
+def cross_checked_coordinates(invariant: str, left: str, a: Mapping, right: str, b: Mapping,
+                              basis: Callable[[Mapping], LaurentPoly]) -> None:
+    """Return once ``a`` and ``b``, the same invariant's coordinates by two
+    routes in one linearly independent ``basis``, without zeros, are equal.
+
+    Equal coordinates expand to equal polynomials, and different ones to
+    different polynomials, so this decides what comparing the expansions
+    would.  Only a disagreement expands both sides, and ``cross_checked``
+    raises with its witness, the first differing monomial.
+    """
+    if a != b:
+        cross_checked(invariant, left, basis(a), right, basis(b))
+
+
 def binomial_expansion(
     items: Iterable[tuple[int, Mapping[str, int], Sequence[tuple[str, str | None, int]]]],
 ) -> LaurentPoly:
@@ -404,6 +421,21 @@ def binomial_expansion(
     written, prod (k + 1), raises OverflowError (``ExponentRangeError``).
     """
     return _from_terms(_expand(items))
+
+
+def w_basis(coordinates: Mapping[tuple[int, int, int], int]) -> LaurentPoly:
+    """The sum of c (x-y)^a y^b t^e over the coordinates (a, b, e) -> c: the
+    basis of W's subset sum."""
+    return binomial_expansion((c, {"y": b, "t": e}, (("x", "y", a),))
+                              for (a, b, e), c in coordinates.items())
+
+
+def tutte_basis(coordinates: Mapping[tuple[int, int, int], int]) -> LaurentPoly:
+    """The sum of c (x-1)^a (y-1)^b t^e over the coordinates (a, b, e) -> c:
+    the basis of the corank-nullity sum, with t the q of the recovery
+    identity."""
+    return binomial_expansion((c, {"t": e}, (("x", None, a), ("y", None, b)))
+                              for (a, b, e), c in coordinates.items())
 
 
 # -- q-analogues ---------------------------------------------------------------

@@ -38,9 +38,8 @@ cached per n beside the row positions (about 7.3 MB at n = 16, built in
 0.02 s).  One column cache serves the walk.
 
 The Betti route to W compares its alternating Betti sums with the subset
-sum's terms and expands both only on a disagreement, whose witness
-``poly.cross_checked`` names: the first monomial of W whose coefficients
-differ.  W sums the homological degree i away (only sum_i (-1)^i beta_{i,j}
+sum's terms through ``poly.cross_checked_coordinates``, whose witness is
+the first monomial of W whose coefficients differ.  W sums the homological degree i away (only sum_i (-1)^i beta_{i,j}
 reaches it), so no Betti entry (r, i, j) can be named from W.
 
 Conventions.  A restriction to a vertex set with no surviving vertices is
@@ -59,7 +58,7 @@ from ._linalg import is_prime, rank_bit_columns, rank_sparse_columns
 from ._records import record
 from .core import RankTable, per_table
 from .errors import MalformedInputError, SizeCapError
-from .poly import LaurentPoly, cross_checked, term_sum
+from .poly import LaurentPoly, cross_checked_coordinates, term_sum
 
 
 class FieldSpec(record("FieldSpec", "characteristic")):
@@ -98,9 +97,6 @@ class BettiTable(record("BettiTable", "entries")):
     def from_dict(cls, data: dict[tuple[int, int], int]) -> "BettiTable":
         return cls(tuple(sorted((k, v) for k, v in data.items() if v)))
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.entries)
-
     def poly(self) -> LaurentPoly:
         return term_sum(((i, j, 0), v) for (i, j), v in self.entries)
 
@@ -118,7 +114,7 @@ def _positions(n: int) -> tuple[int, ...]:
     """Each mask's position among the masks of its cardinality, in mask order."""
     seen = [0] * (n + 1)
     positions = []
-    for c in map(int.bit_count, range(1 << n)):
+    for c in core.mask_sizes(n):
         positions.append(seen[c])
         seen[c] += 1
     return tuple(positions)
@@ -376,6 +372,6 @@ def w_via_betti(table: RankTable, fieldspec: FieldSpec = RATIONALS) -> LaurentPo
             if r + 1 < len(tables):
                 terms[n - j, j, r + 1] = terms.get((n - j, j, r + 1), 0) - signed
     w = hamming.hamming_subset_sum(table)
-    if {key: c for key, c in terms.items() if c} != w.terms():
-        cross_checked("W", "Betti", term_sum(terms.items()), "subset-sum", w)
+    cross_checked_coordinates("W", "Betti", {key: c for key, c in terms.items() if c},
+                              "subset-sum", w.terms(), LaurentPoly)
     return w

@@ -34,6 +34,7 @@ from .poly import (
     constant,
     cross_checked,
     term_sum,
+    tutte_basis,
 )
 
 
@@ -71,15 +72,10 @@ def _require_polynomial(counts: dict[tuple[int, int], int]) -> dict[tuple[int, i
     return counts
 
 
-def _basis_items(counts: dict[tuple[int, int], int]):
-    """``binomial_expansion`` items of the sum of c (x-1)^a (y-1)^b over the
-    coordinates (a, b) -> c."""
-    return ((c, {}, (("x", None, a), ("y", None, b))) for (a, b), c in counts.items())
-
-
 @per_table
 def tutte(table: RankTable) -> LaurentPoly:
-    return binomial_expansion(_basis_items(_require_polynomial(corank_nullity_counts(table))))
+    counts = _require_polynomial(corank_nullity_counts(table))
+    return tutte_basis({(a, b, 0): c for (a, b), c in counts.items()})
 
 
 def tutte_dual_check(table: RankTable) -> bool:

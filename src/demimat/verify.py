@@ -15,8 +15,8 @@ and ``hamming.recurrence_coordinates``) are compared with the table's own.
 The T/f duality swap compares the dual's corank-nullity counts with the
 table's, swapped; the MacWilliams involution compares
 ``hamming.macwilliams_coordinates`` of the dual's W with the table's
-subset-sum coordinates; and the P_j and Betti routes, MacWilliams, the
-Tutte recovery and the recovery identity decide their own routes on
+subset-sum coordinates; and the Tutte, P_j and Betti routes, MacWilliams,
+the Tutte recovery and the recovery identity decide their own routes on
 coordinates, and f(x-1, y-1) == T and W(x, y, 1) == x^n read term dicts:
 no identity calls ``LaurentPoly.substitute``.  Equal coordinates give equal
 polynomials, and a polynomial comparison could only miss what they show.
@@ -28,44 +28,7 @@ import random
 import zlib
 
 from . import core, hamming, ops, simplicial, tutte, weights
-from ._records import Plain
-from .poly import binomial_expansion, monomial, term_sum
-
-
-class IdentityResult(Plain):
-    def __init__(self, passes: int = 0, failures: list | None = None):
-        self.passes = passes
-        self.failures = [] if failures is None else failures
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-class BatteryReport(Plain):
-    def __init__(self, seed: int, n: int, samples: int,
-                 identities: dict[str, IdentityResult] | None = None,
-                 conjecture_census: dict[str, int] | None = None):
-        self.seed, self.n, self.samples = seed, n, samples
-        self.identities = {} if identities is None else identities
-        self.conjecture_census = {} if conjecture_census is None else conjecture_census
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.identities.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "samples": self.samples,
-            "ok": self.ok,
-            "identities": {
-                name: {"passes": r.passes, "failures": r.failures}
-                for name, r in sorted(self.identities.items())
-            },
-            "conjecture_census": dict(self.conjecture_census),
-        }
+from .poly import monomial, term_sum, tutte_basis
 
 
 def _partners(m: core.RankTable) -> random.Random:
@@ -168,9 +131,8 @@ def _tutte_identities(m: core.RankTable) -> bool:
         return False
     if not tutte.tutte_dual_check(m):
         return False
-    f = tutte.whitney_f(m).terms()  # f(x-1, y-1) == T: x^a y^b is (x-1)^a (y-1)^b
-    if binomial_expansion((c, {}, (("x", None, a), ("y", None, b)))
-                          for (a, b, _), c in f.items()) != t:
+    # f(x-1, y-1) == T: f's monomials x^a y^b are T's coordinates (a, b, 0).
+    if tutte_basis(tutte.whitney_f(m).terms()) != t:
         return False
     tutte.characteristic(m)  # internally cross-checked
     return True
@@ -225,25 +187,27 @@ IDENTITIES = {
 }
 
 
-def run_battery(seed: int, n: int, samples: int) -> BatteryReport:
+def run_battery(seed: int, n: int, samples: int) -> dict:
+    """The battery's report, as ``verify`` prints it after its manifest:
+    seed, n, samples, ok, each identity's passes and failures (by name) and
+    the recovery identity's census.  Each sample ends with its
+    ``conjecture_check``."""
     rng = random.Random(seed)
-    report = BatteryReport(seed=seed, n=n, samples=samples)
-    report.identities = {name: IdentityResult() for name in IDENTITIES}
+    identities = {name: {"passes": 0, "failures": []} for name in sorted(IDENTITIES)}
     census = {"holds": 0, "fails": 0, "unsupported": 0}
     for _ in range(samples):
         m = core.random_demimatroid(n, rng)
         for name, check in IDENTITIES.items():
-            result = report.identities[name]
+            result = identities[name]
             try:
                 passed = check(m)
             except Exception as exc:  # count the witness, keep the run going
-                passed = False
-                result.failures.append({"ranks": list(m.ranks), "error": str(exc)})
+                result["failures"].append({"ranks": list(m.ranks), "error": str(exc)})
                 continue
             if passed:
-                result.passes += 1
+                result["passes"] += 1
             else:
-                result.failures.append({"ranks": list(m.ranks)})
+                result["failures"].append({"ranks": list(m.ranks)})
         verdict = hamming.conjecture_check(m)
         if verdict.error:
             census["unsupported"] += 1
@@ -251,5 +215,6 @@ def run_battery(seed: int, n: int, samples: int) -> BatteryReport:
             census["holds"] += 1
         else:
             census["fails"] += 1
-    report.conjecture_census = census
-    return report
+    ok = not any(result["failures"] for result in identities.values())
+    return {"seed": seed, "n": n, "samples": samples, "ok": ok,
+            "identities": identities, "conjecture_census": census}

@@ -8,6 +8,7 @@ Polynomial oracles are built from expressions in the exported variables.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import settings
@@ -47,6 +48,24 @@ def minus_x2_y_t_minus_3(coordinates_of):
             coordinates[key] = coordinates.get(key, 0) - c
         return coordinates
     return corrupted
+
+
+def counts_plus(extra):
+    """A fault for ``tutte.corank_nullity_counts`` that moves the Tutte
+    route's W by ``extra(table)``, a polynomial of degree n in (x, y): its
+    term x^a y^b t^e is sum_i C(a, i) (x-y)^(a-i) y^(b+i) t^e, and the route
+    relabels the count of corank a - i - eta(E) + e and nullity e to the
+    coordinate (a-i, b+i, e)."""
+    def fault(counts_of):
+        def corrupted(table):
+            counts = dict(counts_of(table))
+            for (a, _, e), c in extra(table).terms().items():
+                for i in range(a + 1):
+                    key = a - i - table.total_nullity + e, e
+                    counts[key] = counts.get(key, 0) + c * comb(a, i)
+            return counts
+        return corrupted
+    return fault
 
 
 @pytest.fixture

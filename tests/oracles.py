@@ -28,11 +28,12 @@ from demimat.poly import (
     VARIABLES,
     LaurentPoly,
     angle,
-    binomial_expansion,
     constant,
     monomial,
     q_binomial,
     term_sum,
+    tutte_basis,
+    w_basis,
     zero,
 )
 
@@ -130,19 +131,19 @@ def rank_fraction_free(rows) -> int:
 def macwilliams_transform(w: LaurentPoly, eta: int) -> LaurentPoly:
     """t^(-eta) W(x + (t-1) y, x - y, t): the expansion of
     ``hamming.macwilliams_coordinates``."""
-    return binomial_expansion(hamming._basis_items(hamming.macwilliams_coordinates(w, eta)))
+    return w_basis(hamming.macwilliams_coordinates(w, eta))
 
 
 def hamming_recurrence(table: core.RankTable, p: int) -> LaurentPoly:
     """The deletion-contraction side of W at element p as a polynomial: the
     expansion of ``hamming.recurrence_coordinates``."""
-    return binomial_expansion(hamming._basis_items(hamming.recurrence_coordinates(table, p)))
+    return w_basis(hamming.recurrence_coordinates(table, p))
 
 
 def tutte_recurrence(table: core.RankTable, p: int) -> LaurentPoly:
     """The deletion-contraction side of T at element p as a polynomial: the
     expansion of ``tutte.recurrence_counts``."""
-    return binomial_expansion(tutte._basis_items(tutte.recurrence_counts(table, p)))
+    return tutte_basis({(a, b, 0): c for (a, b), c in tutte.recurrence_counts(table, p).items()})
 
 
 def whitney_recurrence(table: core.RankTable, p: int) -> LaurentPoly:
@@ -175,7 +176,7 @@ def generalized_w_by_definition(table: core.RankTable, r: int) -> LaurentPoly:
     """W^(r) by the definition on the whole polynomial: the Tutte route's
     W(x, y, t) at t -> t^j for j = 0 .. r, by ``substitute``, combined by
     ``combine_t_powers``."""
-    w = hamming._w_via_tutte_terms(table)
+    w = hamming.hamming_via_tutte(table)
     return combine_t_powers(r, [substitute(w, {"t": monomial(1, t=j)}) for j in range(r + 1)])
 
 

@@ -397,20 +397,22 @@ def test_compute_all_runs_each_route_once(monkeypatch, capsys):
     # vamos: n = 8, eta = 4, so the five elongation Betti tables come from
     # one filtration walk; the P_j family
     # is built once, by one packed Moebius transform.
-    # W is computed for vamos and for its dual (MacWilliams), the W^(r)
-    # family once, and the Tutte-route W(x, y, t) once, shared by the Tutte
-    # route of W and the definition route of every W^(r).
+    # W is computed for vamos and for its dual (MacWilliams), and the W^(r)
+    # family once.  W is expanded once per table, by the subset sum: the
+    # Tutte route and the definition route of every W^(r) read that W, and
+    # the MacWilliams and Tutte recoveries compare coordinates.
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, simplicial, "_betti_walk", counts)
+    _count_calls(monkeypatch, hamming, "w_basis", counts)
     for module, name in ((simplicial, "betti_of_elongations"), (hamming, "pj_family"),
                          (hamming, "hamming_subset_sum"), (hamming, "generalized_w_all"),
-                         (hamming, "_w_via_tutte_terms"), (tutte, "tutte"), (ops, "dual")):
+                         (tutte, "tutte"), (ops, "dual")):
         _count_computations(monkeypatch, module, name, counts)
     code, out, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
     assert code == 0
     assert counts == {"betti_of_elongations": 1, "_betti_walk": 1, "pj_family": 1,
-                      "hamming_subset_sum": 2, "generalized_w_all": 1,
-                      "_w_via_tutte_terms": 1, "tutte": 1, "dual": 1}
+                      "hamming_subset_sum": 2, "w_basis": 2, "generalized_w_all": 1,
+                      "tutte": 1, "dual": 1}
     results = json.loads(out)["results"]
     assert all(results["hamming"]["routes"].values())
     assert results["betti"]["agrees_with_subset_sum"] is True
@@ -460,7 +462,7 @@ def test_betti_route_disagreement_names_witness(tmp_path, monkeypatch, capsys):
 
     def off_by_one(t, fieldspec=simplicial.RATIONALS):
         tables = original(t, fieldspec)
-        last = tables[-1].as_dict()
+        last = dict(tables[-1].entries)
         last[(0, 0)] = last.get((0, 0), 0) + 1
         return (*tables[:-1], simplicial.BettiTable.from_dict(last))
 
@@ -575,7 +577,7 @@ def test_compute_all_still_fails_on_route_disagreement(tmp_path, monkeypatch, ca
 
     def off_by_one(t, fieldspec=simplicial.RATIONALS):
         tables = original(t, fieldspec)
-        first = tables[0].as_dict()
+        first = dict(tables[0].entries)
         first[(0, 0)] += 1
         return [simplicial.BettiTable.from_dict(first), *tables[1:]]
 

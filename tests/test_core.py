@@ -274,7 +274,7 @@ def test_galois_check(full23):
     assert core.galois_check(cx, up).ok
 
     report = core.galois_check(core.independence_complex(full23), full23)
-    assert report.as_dict()["down_up_below"]
+    assert dict(report.items)["down_up_below"]
     # the adjunction is strict here: the independence complex is just {empty}
     down_up = core.complex_to_demimatroid(core.independence_complex(full23))
     assert down_up.ranks == (0,) * 8

@@ -371,9 +371,9 @@ def test_kind_preconditions():
 
 
 def test_tutte_route_disagreement_names_the_first_monomial(monkeypatch, full23):
-    original = hamming._w_via_tutte_terms
     extra = monomial(1, y=3, t=4) + monomial(5, x=3, t=4)
-    monkeypatch.setattr(hamming, "_w_via_tutte_terms", lambda table: original(table) + extra)
+    fault = ref.counts_plus(lambda table: extra)
+    monkeypatch.setattr(tutte, "corank_nullity_counts", fault(tutte.corank_nullity_counts))
     with pytest.raises(InvariantViolationError) as exc:
         hamming.hamming_via_tutte(full23)
     assert str(exc.value) == (

@@ -28,7 +28,6 @@ MEMOIZED = [
     (tutte.tutte, ()),
     (hamming.subset_sum_coordinates, ()),
     (hamming.hamming_subset_sum, ()),
-    (hamming._w_via_tutte_terms, ()),
     (hamming.pj_family, ()),
     (hamming.w_from_pj, ()),
     (hamming.generalized_w_all, ()),

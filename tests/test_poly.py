@@ -11,11 +11,11 @@ from demimat.poly import (
     X,
     Y,
     angle,
-    binomial_expansion,
     constant,
     monomial,
     one,
     q_binomial,
+    w_basis,
     zero,
 )
 
@@ -147,7 +147,7 @@ def test_substitute_expands_each_image_once(hamming84, monkeypatch):
         return multiply(self, other)
 
     monkeypatch.setattr(LaurentPoly, "__mul__", counting)
-    result = binomial_expansion(hamming._basis_items(hamming.macwilliams_coordinates(w, 0)))
+    result = w_basis(hamming.macwilliams_coordinates(w, 0))
     assert products <= bound
     monkeypatch.undo()
     assert result == sum(

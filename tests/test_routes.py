@@ -16,20 +16,21 @@ from demimat import cli, core, hamming, simplicial, tutte
 from demimat.errors import InvariantViolationError
 from demimat.poly import T, X, Y, monomial
 
-from conftest import minus_x2_y_t_minus_3
+from conftest import counts_plus, minus_x2_y_t_minus_3
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 ETA_ONE = core.from_wei_sequence(3, [2, 3])  # n = 3, eta = 1
 FREE = core.uniform(3, 3)  # eta = 0: no formal minimum distance
+# eta = 2 >= rho(E) = 1, so every swapped (x-y) exponent eta + b - a is >= 0.
+RANK_ONE = core.uniform(3, 1)
 CHAIN = FIXTURES / "chain_complex_n5.json"
 
 
-def _w_plus_x_to_the_n(original):
-    def corrupted(table):
-        return original(table) + monomial(1, x=table.n)
-    return corrupted
+def _swapped_counts(original):
+    # The Tutte relabelling with the corank and the nullity exchanged.
+    return lambda table: {(b, a): c for (a, b), c in original(table).items()}
 
 
 def _w_at_t_plus_a_multiple_of_t_minus_1(original):
@@ -51,7 +52,7 @@ def _top_p_plus_t7(original):
 def _extra_beta_00(original):
     def corrupted(table, fieldspec=simplicial.RATIONALS):
         *rest, last = original(table, fieldspec)
-        entries = last.as_dict()
+        entries = dict(last.entries)
         entries[(0, 0)] = entries.get((0, 0), 0) + 1
         return (*rest, simplicial.BettiTable.from_dict(entries))
     return corrupted
@@ -61,7 +62,7 @@ def _extra_beta_12_below_the_top(original):
     # Below the top table an entry reaches two powers of t, with opposite signs.
     def corrupted(table, fieldspec=simplicial.RATIONALS):
         first, *rest = original(table, fieldspec)
-        entries = first.as_dict()
+        entries = dict(first.entries)
         entries[(1, 2)] = entries.get((1, 2), 0) + 3
         return (simplicial.BettiTable.from_dict(entries), *rest)
     return corrupted
@@ -83,10 +84,15 @@ def _plus_one(original):
 # (module, name, corruption, input, route, compute flag or None, message)
 CASES = [
     pytest.param(
-        hamming, "_w_via_tutte_terms", _w_plus_x_to_the_n, ETA_ONE,
-        lambda loaded: hamming.hamming_via_tutte(loaded.table), "--hamming",
+        tutte, "corank_nullity_counts", counts_plus(lambda table: monomial(1, x=table.n)),
+        ETA_ONE, lambda loaded: hamming.hamming_via_tutte(loaded.table), "--hamming",
         "W: the Tutte and subset-sum routes disagree first at x^3 (2 against 1)",
         id="W by Tutte"),
+    pytest.param(
+        tutte, "corank_nullity_counts", _swapped_counts, RANK_ONE,
+        lambda loaded: hamming.hamming_via_tutte(loaded.table), "--hamming",
+        "W: the Tutte and subset-sum routes disagree first at x^4*y^-1 (1 against 0)",
+        id="W by Tutte, corank and nullity swapped"),
     pytest.param(
         hamming, "pj_family", _top_p_plus_t7, ETA_ONE,
         lambda loaded: hamming.w_from_pj(loaded.table), "--hamming",
@@ -115,13 +121,18 @@ CASES = [
         " at 1 (-1 against 0)",
         id="characteristic"),
     pytest.param(
-        hamming, "_w_via_tutte_terms", _w_at_t_plus_a_multiple_of_t_minus_1, ETA_ONE,
+        tutte, "corank_nullity_counts", counts_plus(lambda table: monomial(1, x=table.n)),
+        ETA_ONE, lambda loaded: hamming.generalized_w(loaded.table, 1, route="tutte"), "--ghwe",
+        "W: the Tutte and subset-sum routes disagree first at x^3 (2 against 1)",
+        id="W^(r) by definition reads the checked Tutte route"),
+    pytest.param(
+        hamming, "hamming_via_tutte", _w_at_t_plus_a_multiple_of_t_minus_1, ETA_ONE,
         lambda loaded: [hamming.generalized_w(loaded.table, r, "tutte")
                         for r in range(loaded.table.total_nullity + 1)], "--ghwe",
         "W^(1): the Tutte and subset-sum routes disagree first at x^3 (1 against 0)",
         id="W^(r) family by definition"),
     pytest.param(
-        hamming, "_w_via_tutte_terms", _w_at_t_plus_a_multiple_of_t_minus_1, ETA_ONE,
+        hamming, "hamming_via_tutte", _w_at_t_plus_a_multiple_of_t_minus_1, ETA_ONE,
         lambda loaded: hamming.generalized_w(loaded.table, 1, route="tutte"), None,
         "W^(1): the Tutte and subset-sum routes disagree first at x^3 (1 against 0)",
         id="W^(1) by definition"),

@@ -497,7 +497,7 @@ def test_projective_plane_rational_tables_take_the_q_fallback(projective_plane, 
 
     monkeypatch.setattr(simplicial, "rank_sparse_columns", counted)
     tables = simplicial.betti_of_elongations(projective_plane, Q)
-    assert [bt.as_dict() for bt in tables] == [
+    assert [dict(bt.entries) for bt in tables] == [
         {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6},
         {(0, 0): 1, (1, 5): 6, (2, 6): 5},
         {(0, 0): 1, (1, 6): 1},

@@ -2,10 +2,8 @@
 
 Each is built by position or by keyword, with its defaults; equal and hashed
 by value, and only equal to its own type (never to a plain tuple or to an
-object with the same attributes); shown as ``Name(field=...)``; read-only
-where it is a value; and it pickles, after derived values have been read
-too.  ``IdentityResult`` and ``BatteryReport`` are the battery's mutable
-tallies: unhashable, assignable, and each gets its own default containers.
+object with the same attributes); shown as ``Name(field=...)``; read-only;
+and it pickles, after derived values have been read too.
 """
 
 import pickle
@@ -13,37 +11,33 @@ from types import SimpleNamespace
 
 import pytest
 
-from demimat import codes, core, hamming, inputs, ops, registry, simplicial, verify, weights
+from demimat import codes, core, hamming, inputs, ops, registry, simplicial, weights
 from demimat.errors import MalformedInputError
 from demimat.poly import X
 
 TABLE = core.uniform(3, 1)
 COMPLEX = core.Complex.build(3, [0b011, 0b100])
 
-# (type, its fields in order with one value each, mutable)
+# (type, its fields in order with one value each)
 CASES = [
-    (core.Violation, {"axiom": "R2", "witnesses": (3, 0)}, False),
-    (core.ValidationReport, {"kind": "matroid", "violations": ()}, False),
-    (core.RankTable, {"n": 3, "ranks": TABLE.ranks}, False),
-    (core.Complex, {"n": 3, "face_set": COMPLEX.face_set}, False),
-    (core.GaloisReport, {"items": (("up_down_identity", True),)}, False),
-    (codes.PrimeMatrix, {"p": 2, "rows": ((1, 0, 1), (0, 1, 1))}, False),
-    (codes.LinearCodeView, {"p": 2, "n": 3, "k": 1, "generator": ((1, 1, 1),)}, False),
-    (hamming.ConjectureReport, {"holds": False, "residual": X, "error": "no"}, False),
-    (simplicial.FieldSpec, {"characteristic": 3}, False),
-    (simplicial.BettiTable, {"entries": (((0, 0), 1), ((1, 2), 3))}, False),
-    (weights.WeiProfile, {"k": 1, "d": (1,), "d_up": (0, 3)}, False),
-    (inputs.LoadedInput, {"construction": "complex-up", "table": TABLE, "cx": COMPLEX}, False),
-    (registry.Invariant, {"needs": registry.TABLE, "block": None, "golden": None}, False),
-    (verify.IdentityResult, {"passes": 2, "failures": [{"ranks": [0, 1]}]}, True),
-    (verify.BatteryReport, {"seed": 1, "n": 3, "samples": 2,
-                            "identities": {"a": verify.IdentityResult(1)},
-                            "conjecture_census": {"holds": 2}}, True),
+    (core.Violation, {"axiom": "R2", "witnesses": (3, 0)}),
+    (core.ValidationReport, {"kind": "matroid", "violations": ()}),
+    (core.RankTable, {"n": 3, "ranks": TABLE.ranks}),
+    (core.Complex, {"n": 3, "face_set": COMPLEX.face_set}),
+    (core.GaloisReport, {"items": (("up_down_identity", True),)}),
+    (codes.PrimeMatrix, {"p": 2, "rows": ((1, 0, 1), (0, 1, 1))}),
+    (codes.LinearCodeView, {"p": 2, "n": 3, "k": 1, "generator": ((1, 1, 1),)}),
+    (hamming.ConjectureReport, {"holds": False, "residual": X, "error": "no"}),
+    (simplicial.FieldSpec, {"characteristic": 3}),
+    (simplicial.BettiTable, {"entries": (((0, 0), 1), ((1, 2), 3))}),
+    (weights.WeiProfile, {"k": 1, "d": (1,), "d_up": (0, 3)}),
+    (inputs.LoadedInput, {"construction": "complex-up", "table": TABLE, "cx": COMPLEX}),
+    (registry.Invariant, {"needs": registry.TABLE, "block": None, "golden": None}),
 ]
 
 
-@pytest.mark.parametrize("cls, fields, mutable", CASES, ids=[case[0].__name__ for case in CASES])
-def test_value_semantics(cls, fields, mutable):
+@pytest.mark.parametrize("cls, fields", CASES, ids=[case[0].__name__ for case in CASES])
+def test_value_semantics(cls, fields):
     by_position = cls(*fields.values())
     by_keyword = cls(**fields)
     for name, value in fields.items():
@@ -59,32 +53,15 @@ def test_value_semantics(cls, fields, mutable):
     assert repr(by_position) == f"{cls.__name__}({shown})"
     assert pickle.loads(pickle.dumps(by_position)) == by_position
     first = next(iter(fields))
-    if mutable:
-        with pytest.raises(TypeError):
-            hash(by_position)
+    assert hash(by_position) == hash(by_keyword)
+    assert {by_position, by_keyword} == {by_keyword}
+    with pytest.raises(AttributeError):
         setattr(by_position, first, fields[first])
-    else:
-        assert hash(by_position) == hash(by_keyword)
-        assert {by_position, by_keyword} == {by_keyword}
-        with pytest.raises(AttributeError):
-            setattr(by_position, first, fields[first])
 
 
 def test_defaults():
     assert hamming.ConjectureReport(True, None).error is None
     assert inputs.LoadedInput("graph", TABLE).cx is None
-    assert verify.IdentityResult() == verify.IdentityResult(0, [])
-    assert verify.BatteryReport(1, 3, 2) == verify.BatteryReport(1, 3, 2, {}, {})
-
-
-def test_each_tally_gets_its_own_default_containers():
-    a, b = verify.IdentityResult(), verify.IdentityResult()
-    a.failures.append({"ranks": [0]})
-    assert b.failures == []
-    c, d = verify.BatteryReport(1, 3, 2), verify.BatteryReport(1, 3, 2)
-    c.identities["x"] = a
-    c.conjecture_census["holds"] = 1
-    assert d.identities == {} and d.conjecture_census == {}
 
 
 def test_a_field_spec_validates_its_characteristic():
