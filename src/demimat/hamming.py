@@ -31,8 +31,9 @@ function of the coordinates:
   ``subset_sum_coordinates``;
 - MacWilliams: ``macwilliams_coordinates`` against the dual's
   ``subset_sum_coordinates``;
-- the Tutte recovery and the recovery identity of ``conjecture_check``: sums
-  on (x-1, y-1, t) coordinates, where dividing by a power of x - 1 is an
+- the Tutte recovery (the Hamming route of T) and the recovery identity of
+  ``conjecture_check`` (its q-enumerator route, a theorem): sums on
+  (x-1, y-1, t) coordinates, where dividing by a power of x - 1 is an
   exponent shift, against the corank-nullity counts.
 
 The routes among them decide through ``poly.cross_checked_coordinates``,
@@ -226,16 +227,20 @@ def _at_one_over_x(terms: dict, n: int):
             yield (i, e), c * comb(n - b, i)
 
 
-def _divided(coordinates: dict[tuple[int, int, int], int], power: int) -> dict:
-    """The (x-1, y-1, t) coordinates divided by (x-1)^power: a shift of the
-    first exponent, without zeros.  A nonzero coordinate below (x-1)^power is
-    the remainder of the division and raises InexactDivisionError."""
+def _checked_against_tutte(table: RankTable, route: str, coordinates: dict, power: int) -> None:
+    """Return once ``route``'s (x-1, y-1, q) coordinates of (x-1)^power T,
+    shifted down by ``power`` in the first exponent, are the corank-nullity
+    counts relabelled to (a, b, 0).  A nonzero coordinate below
+    (x-1)^power is the remainder and raises InexactDivisionError."""
     low = {key: c for key, c in coordinates.items() if key[0] < power and c}
     if low:
         remainder = tutte_basis(low)
         raise InexactDivisionError(f"inexact division by (x-1)^{power}: remainder {remainder}",
                                    remainder=remainder)
-    return {(a - power, b, e): c for (a, b, e), c in coordinates.items() if c}
+    divided = {(a - power, b, e): c for (a, b, e), c in coordinates.items() if c}
+    counts = {(a, b, 0): c for (a, b), c in tutte_mod.corank_nullity_counts(table).items()}
+    cross_checked_coordinates("Tutte polynomial", route, divided,
+                              "corank-nullity", counts, tutte_basis)
 
 
 def tutte_from_hamming(table: RankTable) -> LaurentPoly:
@@ -254,10 +259,7 @@ def tutte_from_hamming(table: RankTable) -> LaurentPoly:
     for (i, e), c in _at_one_over_x(terms, table.n):
         key = (i + e, e, 0)
         cleared[key] = cleared.get(key, 0) + c
-    recovered = _divided(cleared, table.total_nullity)
-    counts = {(a, b, 0): c for (a, b), c in tutte_mod.corank_nullity_counts(table).items()}
-    cross_checked_coordinates("Tutte polynomial", "Hamming", recovered,
-                              "corank-nullity", counts, tutte_basis)
+    _checked_against_tutte(table, "Hamming", cleared, table.total_nullity)
     return tutte_mod.tutte(table)
 
 
@@ -410,48 +412,37 @@ def generalized_w_all(table: RankTable) -> tuple[LaurentPoly, ...]:
     )
 
 
-class ConjectureReport(record("ConjectureReport", "holds residual error", defaults=(None,))):
-    """The verdict, the residual polynomial (None where it could not be
-    formed) and the message of the error that stopped it."""
+class ConjectureReport(record("ConjectureReport", "holds error", defaults=(None,))):
+    """The recovery identity's report: ``conjecture_check`` returns it once
+    the identity holds, so ``holds`` is True and ``error`` None."""
 
     __slots__ = ()
 
 
 def conjecture_check(table: RankTable) -> ConjectureReport:
-    """Evaluate the q-enumerator recovery identity against the Tutte polynomial.
+    """The q-enumerator route of T: the recovery identity, a theorem on
+    demimatroids (README, Conventions), decided against the corank-nullity counts.
 
-        T(x,y) =? x^n (x-1)^(k-n) * sum_r prod_{j<r}((x-1)(y-1) - q^j) W^(r)(1, 1/x, q)
+        T(x,y) = x^n (x-1)^(k-n) * sum_r prod_{j<r}((x-1)(y-1) - q^j) W^(r)(1, 1/x, q)
 
     The right side is summed on its coordinates in the basis
     (x-1)^a (y-1)^b q^e, in Horner form: with u = (x-1)(y-1) and
     E_r = x^n W^(r)(1, 1/x, q) = sum C(n-b, i) (x-1)^i q^e over W^(r)'s
     terms, it is E_0 + (u - 1)(E_1 + (u - q)(E_2 + ...)), and multiplying by
     u - q^r adds two shifted copies.  Dividing by (x-1)^(n-k) shifts the
-    first exponent.  The identity holds when the result equals the
-    corank-nullity counts; the residual (rhs - T) is the expansion of the
-    coordinate difference.  A nonzero coordinate below (x-1)^(n-k) is
-    reported as the clearing error, not raised.
+    first exponent; a remainder or a disagreement raises.
     """
     table.require_demimatroid("conjecture check")
     n = table.n
-    k = table.rank
     rhs: dict[tuple[int, int, int], int] = {}
     family = generalized_w_all(table)
-    try:
-        for r in reversed(range(len(family))):
-            shifted = {(a + 1, b + 1, e): c for (a, b, e), c in rhs.items()}
-            for (a, b, e), c in rhs.items():  # times u - q^r
-                key = a, b, e + r
-                shifted[key] = shifted.get(key, 0) - c
-            for (i, e), c in _at_one_over_x(family[r].terms(), n):  # plus E_r
-                shifted[i, 0, e] = shifted.get((i, 0, e), 0) + c
-            rhs = shifted
-        difference = _divided(rhs, n - k)
-    except InexactDivisionError as exc:
-        return ConjectureReport(False, None, error=str(exc))
-    for (a, b), c in tutte_mod.corank_nullity_counts(table).items():
-        key = a, b, 0
-        difference[key] = difference.get(key, 0) - c
-    difference = {key: c for key, c in difference.items() if c}
-    residual = tutte_basis(difference)
-    return ConjectureReport(not difference, residual)
+    for r in reversed(range(len(family))):
+        shifted = {(a + 1, b + 1, e): c for (a, b, e), c in rhs.items()}
+        for (a, b, e), c in rhs.items():  # times u - q^r
+            key = a, b, e + r
+            shifted[key] = shifted.get(key, 0) - c
+        for (i, e), c in _at_one_over_x(family[r].terms(), n):  # plus E_r
+            shifted[i, 0, e] = shifted.get((i, 0, e), 0) + c
+        rhs = shifted
+    _checked_against_tutte(table, "q-enumerator", rhs, n - table.rank)
+    return ConjectureReport(True)

@@ -399,10 +399,20 @@ def cross_checked_coordinates(invariant: str, left: str, a: Mapping, right: str,
     Equal coordinates expand to equal polynomials, and different ones to
     different polynomials, so this decides what comparing the expansions
     would.  Only a disagreement expands both sides, and ``cross_checked``
-    raises with its witness, the first differing monomial.
+    raises with its witness, the first differing monomial.  Where a side has
+    no expansion (a negative binomial power), the witness is the least
+    differing coordinate instead.
     """
-    if a != b:
-        cross_checked(invariant, left, basis(a), right, basis(b))
+    if a == b:
+        return
+    try:
+        expanded = basis(a), basis(b)
+    except UnsupportedSubstitutionError as exc:
+        key = min(key for key in a.keys() | b.keys() if a.get(key, 0) != b.get(key, 0))
+        raise InvariantViolationError(
+            f"{invariant}: the {left} and {right} routes disagree first at coordinate"
+            f" {key} ({a.get(key, 0)} against {b.get(key, 0)})") from exc
+    cross_checked(invariant, left, expanded[0], right, expanded[1])
 
 
 def binomial_expansion(

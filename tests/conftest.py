@@ -68,6 +68,20 @@ def counts_plus(extra):
     return fault
 
 
+def top_w_r_plus(extra):
+    """A fault for ``hamming.generalized_w_all``: the top W^(r) plus
+    ``extra(n, k)``.  With (x-y)^(n-k) y^k, which x^n W(1, 1/x, q) sends to
+    (x-1)^(n-k), the recovery sum still clears and T moves by the top
+    product; with y^n, sent to 1, the division by (x-1)^(n-k) is inexact
+    once k < n."""
+    def fault(family_of):
+        def corrupted(table):
+            *rest, top = family_of(table)
+            return (*rest, top + extra(table.n, table.rank))
+        return corrupted
+    return fault
+
+
 @pytest.fixture
 def classify_calls(monkeypatch):
     """Ground-set sizes of every ``core._kind`` call (the classification

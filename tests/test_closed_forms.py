@@ -22,11 +22,11 @@ from demimat import cli, core, hamming, tutte
 from demimat.errors import (
     InexactDivisionError,
     InvariantViolationError,
-    RationalFunctionError,
     UnsupportedSubstitutionError,
 )
-from demimat.poly import LaurentPoly, T, X, Y, monomial, one, zero
+from demimat.poly import LaurentPoly, T, X, Y, cross_checked, monomial, one, zero
 
+from conftest import top_w_r_plus
 from oracles import generalized_w_by_definition, macwilliams_transform, substitute
 from strategies import demimatroid_tables, exponents, laurent_polys
 
@@ -106,14 +106,9 @@ def check_table_routes(table):
     if eta:
         _, a = hamming.a_coefficients(table)
         assert a == a_coefficients_by_coefficient(table, w)
-    try:
-        expected = recovery_sum_by_products(table)
-    except (InexactDivisionError, UnsupportedSubstitutionError, RationalFunctionError):
-        assert hamming.conjecture_check(table).error is not None
-    else:
-        verdict = hamming.conjecture_check(table)
-        assert verdict.error is None
-        assert verdict.residual == expected - tutte.tutte(table)
+    # The recovery identity is a theorem on demimatroids, and its route returns.
+    assert recovery_sum_by_products(table) == tutte.tutte(table)
+    assert hamming.conjecture_check(table) == hamming.ConjectureReport(True)
 
 
 def check_complex_routes(cx):
@@ -136,39 +131,30 @@ def test_closed_forms_match_the_generic_expressions_on_demimatroids(table):
     check_complex_routes(core.independence_complex(table))
 
 
-def _top_w_r_plus(extra):
-    """A ``generalized_w_all`` fault: the top W^(r) plus ``extra(n, k)``."""
-    def corrupt(original):
-        def corrupted(table):
-            *rest, top = original(table)
-            return (*rest, top + extra(table.n, table.rank))
-        return corrupted
-    return corrupt
-
-
 @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda path: path.stem)
 def test_the_recovery_sum_reads_the_family_it_is_given(path, monkeypatch):
-    # (x-y)^(n-k) y^k becomes (x-1)^(n-k) under x^n W(1, 1/x, q), so the sum
-    # still clears and the residual is the top product; y^n becomes 1, which
-    # (x-1)^(n-k) does not divide once k < n.
+    # Where the sum clears, the route raises the witness that the oracle sum
+    # names against T; where the division is inexact, both raise it.
     table = cli.load_input(str(path)).table
-    clears = _top_w_r_plus(lambda n, k: (X - Y) ** (n - k) * Y ** k)
-    monkeypatch.setattr(hamming, "generalized_w_all", clears(hamming.generalized_w_all))
-    verdict = hamming.conjecture_check(table)
-    assert verdict.holds is False and verdict.error is None
-    assert verdict.residual == recovery_sum_by_products(table) - tutte.tutte(table)
-    monkeypatch.undo()
-    stuck = _top_w_r_plus(lambda n, k: monomial(1, y=n))
-    monkeypatch.setattr(hamming, "generalized_w_all", stuck(hamming.generalized_w_all))
-    verdict = hamming.conjecture_check(table)
-    if table.rank == table.n:
-        assert verdict.holds is False and verdict.error is None
-        assert verdict.residual == recovery_sum_by_products(table) - tutte.tutte(table)
-    else:
-        with pytest.raises(InexactDivisionError):
-            recovery_sum_by_products(table)
-        assert (verdict.holds, verdict.residual) == (False, None)
-        assert verdict.error.startswith(f"inexact division by (x-1)^{table.n - table.rank}")
+    clears = top_w_r_plus(lambda n, k: (X - Y) ** (n - k) * Y ** k)
+    stuck = top_w_r_plus(lambda n, k: monomial(1, y=n))
+    for corruption in (clears, stuck):
+        monkeypatch.setattr(hamming, "generalized_w_all", corruption(hamming.generalized_w_all))
+        if corruption is stuck and table.rank < table.n:
+            with pytest.raises(InexactDivisionError):
+                recovery_sum_by_products(table)
+            with pytest.raises(InexactDivisionError) as exc:
+                hamming.conjecture_check(table)
+            assert str(exc.value).startswith(
+                f"inexact division by (x-1)^{table.n - table.rank}")
+        else:
+            with pytest.raises(InvariantViolationError) as expected:
+                cross_checked("Tutte polynomial", "q-enumerator", recovery_sum_by_products(table),
+                              "corank-nullity", tutte.tutte(table))
+            with pytest.raises(InvariantViolationError) as exc:
+                hamming.conjecture_check(table)
+            assert str(exc.value) == str(expected.value)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda path: path.stem)
@@ -177,7 +163,7 @@ def test_the_definition_route_checks_the_family_it_is_given(path, monkeypatch):
     table = cli.load_input(str(path)).table
     n, eta = table.n, table.total_nullity
     c = hamming.generalized_w_all(table)[eta].terms().get((0, n, 0), 0)
-    stuck = _top_w_r_plus(lambda n, k: monomial(1, y=n))
+    stuck = top_w_r_plus(lambda n, k: monomial(1, y=n))
     monkeypatch.setattr(hamming, "generalized_w_all", stuck(hamming.generalized_w_all))
     with pytest.raises(InvariantViolationError) as exc:
         hamming.generalized_w(table, eta, "tutte")

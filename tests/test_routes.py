@@ -2,7 +2,8 @@
 
 Each case corrupts one route by monkeypatching and expects the library
 function that computes it to raise the ``poly.cross_checked`` witness: the
-invariant, the route pair and the first differing monomial.  Where
+invariant, the route pair and the first differing monomial, or the least
+differing coordinate where a side has no expansion.  Where
 ``compute`` reaches the route, the run exits 1 with that error and prints no
 report.
 """
@@ -16,7 +17,7 @@ from demimat import cli, core, hamming, simplicial, tutte
 from demimat.errors import InvariantViolationError
 from demimat.poly import T, X, Y, monomial
 
-from conftest import counts_plus, minus_x2_y_t_minus_3
+from conftest import counts_plus, minus_x2_y_t_minus_3, top_w_r_plus
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -94,6 +95,12 @@ CASES = [
         "W: the Tutte and subset-sum routes disagree first at x^4*y^-1 (1 against 0)",
         id="W by Tutte, corank and nullity swapped"),
     pytest.param(
+        tutte, "corank_nullity_counts", _swapped_counts, ETA_ONE,
+        lambda loaded: hamming.hamming_via_tutte(loaded.table), "--hamming",
+        "W: the Tutte and subset-sum routes disagree first at coordinate (-1, 4, 2)"
+        " (1 against 0)",
+        id="W by Tutte, corank and nullity swapped, a negative (x-y) exponent"),
+    pytest.param(
         hamming, "pj_family", _top_p_plus_t7, ETA_ONE,
         lambda loaded: hamming.w_from_pj(loaded.table), "--hamming",
         "W: the P_j and subset-sum routes disagree first at y^3*t^7 (1 against 0)",
@@ -152,6 +159,13 @@ CASES = [
         "Tutte polynomial: the Hamming and corank-nullity routes disagree first"
         " at 1 (1 against 0)",
         id="Tutte by Hamming"),
+    pytest.param(
+        hamming, "generalized_w_all", top_w_r_plus(lambda n, k: (X - Y) ** (n - k) * Y ** k),
+        ETA_ONE,
+        lambda loaded: hamming.conjecture_check(loaded.table), "--conjecture",
+        "Tutte polynomial: the q-enumerator and corank-nullity routes disagree first"
+        " at x (0 against 1)",
+        id="Tutte by q-enumerators"),
 ]
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from demimat import codes, core, hamming, inputs, ops, registry, simplicial, weights
 from demimat.errors import MalformedInputError
-from demimat.poly import X
 
 TABLE = core.uniform(3, 1)
 COMPLEX = core.Complex.build(3, [0b011, 0b100])
@@ -27,7 +26,7 @@ CASES = [
     (core.GaloisReport, {"items": (("up_down_identity", True),)}),
     (codes.PrimeMatrix, {"p": 2, "rows": ((1, 0, 1), (0, 1, 1))}),
     (codes.LinearCodeView, {"p": 2, "n": 3, "k": 1, "generator": ((1, 1, 1),)}),
-    (hamming.ConjectureReport, {"holds": False, "residual": X, "error": "no"}),
+    (hamming.ConjectureReport, {"holds": False, "error": "no"}),
     (simplicial.FieldSpec, {"characteristic": 3}),
     (simplicial.BettiTable, {"entries": (((0, 0), 1), ((1, 2), 3))}),
     (weights.WeiProfile, {"k": 1, "d": (1,), "d_up": (0, 3)}),
@@ -60,7 +59,7 @@ def test_value_semantics(cls, fields):
 
 
 def test_defaults():
-    assert hamming.ConjectureReport(True, None).error is None
+    assert hamming.ConjectureReport(True).error is None
     assert inputs.LoadedInput("graph", TABLE).cx is None
 
 

@@ -1,5 +1,6 @@
 import functools
 import inspect
+import json
 import os
 import random
 import subprocess
@@ -8,11 +9,11 @@ import sys
 import pytest
 from hypothesis import given
 
-from demimat import core, hamming, ops, poly, simplicial, tutte, verify, weights
+from demimat import cli, core, hamming, ops, poly, simplicial, tutte, verify, weights
 from demimat.core import RankTable
-from demimat.poly import LaurentPoly, X
+from demimat.poly import LaurentPoly, X, Y, monomial
 
-from conftest import minus_x2_y_t_minus_3
+from conftest import minus_x2_y_t_minus_3, top_w_r_plus
 from strategies import all_demimatroids, demimatroid_tables
 
 NAMES = (
@@ -191,6 +192,23 @@ def test_a_witness_alone_reproduces_its_failure(monkeypatch):
     assert result["passes"] and result["failures"] and report["ok"] is False
     for witness in result["failures"]:
         assert verify.IDENTITIES["minor_duality"](RankTable.build(5, witness["ranks"])) is False
+
+
+@pytest.mark.parametrize("extra", [
+    pytest.param(lambda n, k: (X - Y) ** (n - k) * Y ** k, id="the sum clears"),
+    pytest.param(lambda n, k: monomial(1, y=n), id="the division is inexact"),
+])
+def test_a_wrong_w_r_family_makes_the_battery_not_ok(extra, monkeypatch, capsys):
+    # Only the recovery identity reads the top W^(r) of these samples, so no
+    # identity fails, and the route's raise alone must fail the battery.
+    monkeypatch.setattr(hamming, "generalized_w_all",
+                        top_w_r_plus(extra)(hamming.generalized_w_all))
+    report = verify.run_battery(seed=1, n=5, samples=5)
+    assert not any(result["failures"] for result in report["identities"].values())
+    assert report["conjecture_census"] == {"holds": 0, "fails": 5, "unsupported": 0}
+    assert report["ok"] is False
+    assert cli.main(["verify", "--seed", "1", "--n", "5", "--samples", "5"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_partners_are_the_same_in_every_process():
