@@ -230,13 +230,9 @@ def _at_one_over_x(terms: dict, n: int):
 def _checked_against_tutte(table: RankTable, route: str, coordinates: dict, power: int) -> None:
     """Return once ``route``'s (x-1, y-1, q) coordinates of (x-1)^power T,
     shifted down by ``power`` in the first exponent, are the corank-nullity
-    counts relabelled to (a, b, 0).  A nonzero coordinate below
-    (x-1)^power is the remainder and raises InexactDivisionError."""
-    low = {key: c for key, c in coordinates.items() if key[0] < power and c}
-    if low:
-        remainder = tutte_basis(low)
-        raise InexactDivisionError(f"inexact division by (x-1)^{power}: remainder {remainder}",
-                                   remainder=remainder)
+    counts relabelled to (a, b, 0).  A nonzero coordinate below (x-1)^power
+    lands at a negative first exponent, which T's side never has, so it is a
+    differing coordinate like any other."""
     divided = {(a - power, b, e): c for (a, b, e), c in coordinates.items() if c}
     counts = {(a, b, 0): c for (a, b), c in tutte_mod.corank_nullity_counts(table).items()}
     cross_checked_coordinates("Tutte polynomial", route, divided,
@@ -248,8 +244,8 @@ def tutte_from_hamming(table: RankTable) -> LaurentPoly:
     (x-1, y-1) coordinates and returned as ``tutte.tutte``.
 
     A term c x^a y^b t^e of W goes to sum_i c C(n-b, i) (x-1)^(i+e-eta)
-    (y-1)^e, so the division by (x-1)^eta is an exponent shift; a nonzero
-    coordinate below (x-1)^eta raises InexactDivisionError.  The result must
+    (y-1)^e, so the division by (x-1)^eta is an exponent shift, and a
+    nonzero coordinate below (x-1)^eta differs from T's.  The result must
     equal the corank-nullity counts.  A negative t power has no Laurent
     image and raises UnsupportedSubstitutionError.
     """
@@ -430,7 +426,7 @@ def conjecture_check(table: RankTable) -> ConjectureReport:
     E_r = x^n W^(r)(1, 1/x, q) = sum C(n-b, i) (x-1)^i q^e over W^(r)'s
     terms, it is E_0 + (u - 1)(E_1 + (u - q)(E_2 + ...)), and multiplying by
     u - q^r adds two shifted copies.  Dividing by (x-1)^(n-k) shifts the
-    first exponent; a remainder or a disagreement raises.
+    first exponent, and any coordinate that differs from T's raises.
     """
     table.require_demimatroid("conjecture check")
     n = table.n

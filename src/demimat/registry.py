@@ -21,11 +21,12 @@ combinatroid, which has no Betti route, still gets its W.
 
 Routes are never compared here.  Each library function that computes an
 invariant by a second route (the GHWE block runs the definition route of
-each W^(r), ``hamming.generalized_w(table, r, "tutte")``) checks it against
-the primary route (``poly.cross_checked``) and raises on a disagreement,
-which exits 1 with the invariant, the route pair and the first differing
-monomial.  So every route flag in a report is ``true``, or the error of a
-route the input does not have.
+each W^(r), ``hamming.generalized_w(table, r, "tutte")``, and the
+``conjecture`` flag the q-enumerator route of T, ``hamming.conjecture_check``)
+checks it against the primary route (``poly.cross_checked``) and raises on a
+disagreement, which exits 1 with the invariant, the route pair and the first
+differing monomial.  So every route flag in a report is ``true``, or the
+error of a route the input does not have.
 """
 
 from __future__ import annotations
@@ -140,11 +141,6 @@ def _ghwe_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
     }
 
 
-def _conjecture_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
-    hamming.conjecture_check(loaded.table)  # the q-enumerator route of T checks itself
-    return {"holds": True, "residual": "0", "error": None}
-
-
 TABLE = "a rank-table-backed input"
 COMPLEX = "a nonvoid complex input"
 
@@ -183,7 +179,8 @@ INVARIANTS = {
     "macwilliams": _polynomial(lambda table: hamming.macwilliams(table)),
     "ghwe": Invariant(TABLE, _ghwe_block,
                       lambda loaded, field: _enumerators(hamming.generalized_w_all(loaded.table))),
-    "conjecture": Invariant(TABLE, _conjecture_block, None),
+    "conjecture": Invariant(
+        TABLE, lambda loaded, field: _ran(hamming.conjecture_check, loaded.table), None),
     "betti": Invariant(TABLE, _betti_block, lambda loaded, field: [
         str(bt.poly()) for bt in simplicial.betti_of_elongations(loaded.table, field)]),
     "wei": Invariant(TABLE, _wei_block, None),

@@ -6,7 +6,9 @@ each checks itself against its primary route and raises on a disagreement,
 which the battery records as a failure with its message.  A check that needs
 partners (a subset, two more demimatroids) draws them from a generator seeded
 by the table's own ranks, so a failure records a witness (the offending
-ranks) that reproduces it alone, without the battery's seed.
+ranks) that reproduces it alone, without the battery's seed.  The recovery
+identity is the last law, ``recovery_identity``, and the report's
+``conjecture_census`` repeats its counts.
 
 Several identities are decided on basis coordinates, not on expanded
 polynomials.  For each element, the coordinates of the deletion-contraction
@@ -28,7 +30,6 @@ import random
 import zlib
 
 from . import core, hamming, ops, simplicial, tutte, weights
-from .errors import DemimatError
 from .poly import monomial, term_sum, tutte_basis
 
 
@@ -90,10 +91,10 @@ def _wei_bounds(m: core.RankTable) -> bool:
     n, k = m.n, m.rank
     lower = all(k + d <= n + r for r, d in enumerate(profile.d, start=1))
     upper = all(k + d <= n + r for r, d in enumerate(profile.d_up))
-    star = ops.dual(m)
+    # The largest subset of the dual with rank k* - r is its upper Wei number.
+    star = weights.wei_hierarchy(ops.dual(m))
     for r in range(m.total_nullity + 1):
-        drop = max(s for s, rk in star.profile if star.rank - rk == r)
-        if weights.min_size_at_nullity(m, r) + drop != m.n:
+        if weights.min_size_at_nullity(m, r) + star.d_up[star.k - r] != m.n:
             return False
     return lower and upper
 
@@ -171,6 +172,11 @@ def _coefficient_structure(m: core.RankTable) -> bool:
     return True
 
 
+def _recovery_identity(m: core.RankTable) -> bool:
+    hamming.conjecture_check(m)  # the q-enumerator route of T, checked against T
+    return True
+
+
 IDENTITIES = {
     "operator_group": _operator_group,
     "rank_complement": _rank_complement,
@@ -185,18 +191,19 @@ IDENTITIES = {
     "hamming_routes": _hamming_routes,
     "macwilliams": _macwilliams_pair,
     "coefficient_structure": _coefficient_structure,
+    # Last, so that its ``hamming.conjecture_check`` is each sample's last
+    # library call: the ``battery`` benchmark workload times a sample up to it.
+    "recovery_identity": _recovery_identity,
 }
 
 
 def run_battery(seed: int, n: int, samples: int) -> dict:
     """The battery's report, as ``verify`` prints it after its manifest:
     seed, n, samples, ok, each identity's passes and failures (by name) and
-    the recovery identity's census.  Each sample ends with its
-    ``conjecture_check``, the q-enumerator route of T: it counts under
-    ``holds`` when it returns and under ``fails`` (not ok) when it raises."""
+    the ``recovery_identity`` law's counts again as the census, ``holds``
+    and ``fails``."""
     rng = random.Random(seed)
     identities = {name: {"passes": 0, "failures": []} for name in sorted(IDENTITIES)}
-    census = {"holds": 0, "fails": 0, "unsupported": 0}
     for _ in range(samples):
         m = core.random_demimatroid(n, rng)
         for name, check in IDENTITIES.items():
@@ -210,12 +217,8 @@ def run_battery(seed: int, n: int, samples: int) -> dict:
                 result["passes"] += 1
             else:
                 result["failures"].append({"ranks": list(m.ranks)})
-        try:
-            hamming.conjecture_check(m)
-        except DemimatError:  # the route disagreed with T
-            census["fails"] += 1
-        else:
-            census["holds"] += 1
-    ok = not census["fails"] and not any(result["failures"] for result in identities.values())
+    ok = not any(result["failures"] for result in identities.values())
+    recovery = identities["recovery_identity"]
+    census = {"holds": recovery["passes"], "fails": len(recovery["failures"])}
     return {"seed": seed, "n": n, "samples": samples, "ok": ok,
             "identities": identities, "conjecture_census": census}

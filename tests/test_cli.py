@@ -42,7 +42,7 @@ def test_compute_all_on_rank_table(tmp_path, capsys):
         "betti_route": True,
     }
     assert results["wei"]["d"] == [2, 3]
-    assert results["conjecture"]["holds"] is True
+    assert results["conjecture"] is True
     assert results["betti"]["agrees_with_subset_sum"] is True
 
 
@@ -556,7 +556,7 @@ def test_compute_all_over_the_homology_cap_reports_the_other_blocks(monkeypatch,
     assert [name for name, block in results.items()
             if isinstance(block, dict) and block.get("error")] == ["betti"]
     assert results["ghwe"]["definition_route_agrees"] is True
-    assert results["conjecture"]["holds"] is True
+    assert results["conjecture"] is True
     assert results["wei"]["wei_duality"] is True
 
 

@@ -166,6 +166,13 @@ CASES = [
         "Tutte polynomial: the q-enumerator and corank-nullity routes disagree first"
         " at x (0 against 1)",
         id="Tutte by q-enumerators"),
+    pytest.param(
+        hamming, "generalized_w_all", top_w_r_plus(lambda n, k: monomial(1, y=n)),
+        FIXTURES / "vamos.json",
+        lambda loaded: hamming.conjecture_check(loaded.table), "--conjecture",
+        "Tutte polynomial: the q-enumerator and corank-nullity routes disagree first"
+        " at coordinate (-4, 0, 6) (1 against 0)",
+        id="Tutte by q-enumerators, a coordinate below the divisor"),
 ]
 
 

@@ -11,6 +11,7 @@ from hypothesis import given
 
 from demimat import cli, core, hamming, ops, poly, simplicial, tutte, verify, weights
 from demimat.core import RankTable
+from demimat.errors import InvariantViolationError
 from demimat.poly import LaurentPoly, X, Y, monomial
 
 from conftest import minus_x2_y_t_minus_3, top_w_r_plus
@@ -20,7 +21,7 @@ NAMES = (
     "operator_group", "rank_complement", "supplement_routes", "minor_duality",
     "lattice_laws", "wei_duality", "wei_bounds", "wei_sequence_roundtrip",
     "elongation_laws", "tutte_identities", "hamming_routes", "macwilliams",
-    "coefficient_structure",
+    "coefficient_structure", "recovery_identity",
 )
 
 
@@ -29,10 +30,12 @@ def test_battery_all_identities_pass():
     assert report["ok"] is True
     for name, result in report["identities"].items():
         assert result == {"passes": 50, "failures": []}, name
-    assert sum(report["conjecture_census"].values()) == 50
     assert list(report) == ["seed", "n", "samples", "ok", "identities", "conjecture_census"]
     assert list(report["identities"]) == sorted(verify.IDENTITIES)
-    assert list(report["conjecture_census"]) == ["holds", "fails", "unsupported"]
+    recovery = report["identities"]["recovery_identity"]
+    assert report["conjecture_census"] == {"holds": recovery["passes"],
+                                           "fails": len(recovery["failures"])}
+    assert list(report["conjecture_census"]) == ["holds", "fails"]
 
 
 def test_the_registry_holds_plain_predicates_in_a_fixed_order():
@@ -162,6 +165,8 @@ FAULTS = {
     "hamming_routes": (hamming, "hamming_subset_sum", _off_by_x),
     "macwilliams": (hamming, "macwilliams_coordinates", minus_x2_y_t_minus_3),
     "coefficient_structure": (hamming, "q_binomial", _off_by_x),
+    "recovery_identity": (hamming, "generalized_w_all",
+                          top_w_r_plus(lambda n, k: (X - Y) ** (n - k) * Y ** k)),
 }
 
 # Rank 2 and nullity 3, and not a matroid, so no fault above is masked.
@@ -200,15 +205,71 @@ def test_a_witness_alone_reproduces_its_failure(monkeypatch):
 ])
 def test_a_wrong_w_r_family_makes_the_battery_not_ok(extra, monkeypatch, capsys):
     # Only the recovery identity reads the top W^(r) of these samples, so no
-    # identity fails, and the route's raise alone must fail the battery.
+    # other identity fails, and each sample's witness is the route's raise.
     monkeypatch.setattr(hamming, "generalized_w_all",
                         top_w_r_plus(extra)(hamming.generalized_w_all))
     report = verify.run_battery(seed=1, n=5, samples=5)
-    assert not any(result["failures"] for result in report["identities"].values())
-    assert report["conjecture_census"] == {"holds": 0, "fails": 5, "unsupported": 0}
+    failures = report["identities"]["recovery_identity"]["failures"]
+    assert len(failures) == 5
+    assert not any(result["failures"] for name, result in report["identities"].items()
+                   if name != "recovery_identity")
+    assert report["conjecture_census"] == {"holds": 0, "fails": 5}
     assert report["ok"] is False
+    for witness in failures:  # each reproduces alone, with the same message
+        assert witness["error"].startswith(
+            "Tutte polynomial: the q-enumerator and corank-nullity routes disagree first at ")
+        with pytest.raises(InvariantViolationError) as exc:
+            verify.IDENTITIES["recovery_identity"](RankTable.build(5, witness["ranks"]))
+        assert str(exc.value) == witness["error"]
     assert cli.main(["verify", "--seed", "1", "--n", "5", "--samples", "5"]) == 1
     assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_each_battery_sample_ends_at_its_conjecture_check(monkeypatch):
+    # The ``battery`` benchmark workload replaces ``hamming.conjecture_check``
+    # and times each sample up to the end of that call.  So the battery reaches
+    # it through the module, once per sample and on the sample's table, and
+    # calls nothing in the package after it until it draws the next sample.
+    package, battery = os.path.dirname(verify.__file__), verify.run_battery.__code__
+    inner, events, drawing = hamming.conjecture_check, [], [False]
+
+    def conjecture_check(table):
+        try:
+            return inner(table)
+        finally:
+            events.append(("end", table.ranks))
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event not in ("call", "return") or not code.co_filename.startswith(package)
+                or code.co_name.startswith("<") or code is battery):
+            return
+        if code.co_name == "random_demimatroid" and frame.f_back.f_code is battery:
+            drawing[0] = event == "call"  # the calls that draw a sample belong to none
+            if event == "return":
+                events.append(("drawn", arg.ranks))
+        elif event == "call" and not drawing[0]:
+            events.append(("call", code.co_name))
+
+    monkeypatch.setattr(hamming, "conjecture_check", conjecture_check)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        report = verify.run_battery(seed=1, n=5, samples=5)
+    finally:
+        sys.setprofile(previous)
+    assert report["ok"] is True
+    samples = []
+    for event in events:
+        if event[0] == "drawn":
+            samples.append([event])
+        else:
+            assert samples, event
+            samples[-1].append(event)
+    assert len(samples) == 5
+    for (_, ranks), *calls in samples:
+        assert ("call", "conjecture_check") in calls
+        assert [event for event in calls if event[0] == "end"] == [calls[-1]] == [("end", ranks)]
 
 
 def test_partners_are_the_same_in_every_process():
