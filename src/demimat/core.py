@@ -19,8 +19,10 @@ and the ``ops`` builders run on it in whole-table byte and big-int steps; a
 table without one is a combinatroid, and the builders take their list path.
 
 ``subset_transform`` is the one whole-table pass over the subset lattice:
-the zeta transform of the code-side rank tables, the Moebius transform of
-the P_j family and the OR-zeta of a graph's edges.
+the zeta transform of the code-side rank tables (``codes``) and of the
+packed level counts of the Betti walk (``simplicial``), the OR-zeta of a
+graph's edges (``constructions``) and the max-zeta of a complex's face
+sizes (``complex_to_demimatroid``).
 
 A table's ``profile`` counts its subsets by (size, rank) in one C-level
 counting pass over packed int keys.  Three values are cached per ground-set

@@ -44,6 +44,7 @@ recurrence coordinates as their oracles.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from functools import cache
 from math import comb
 
@@ -135,42 +136,22 @@ def p_j(table: RankTable, j: int) -> LaurentPoly:
 
 @per_table
 def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
-    """(P_0, .., P_n) by one subset Moebius transform over packed integers.
+    """(P_0, .., P_n) in closed form on the count of subsets by (size, nullity).
 
-    P_sigma is the Moebius transform of g -> t^(eta(g)) over the subset
-    lattice, evaluated at sigma, and P_j sums it over the sigma of size j.
-    The transform runs once, on Kronecker-packed ints: with e_0 < e_1 < ..
-    the distinct nullities of the table, t^(e_i) is stored as
-    2^(i * (2n + 2)), so digit i is the coefficient of t^(e_i).  For a
-    demimatroid the nullities form an interval, and i = e - min eta; the
-    offset keeps the negative nullities of a combinatroid in range.  Every
-    coefficient of P_j is at most C(n, j) 2^j <= 3^n < 2^(2n+1) in absolute
-    value, so the digits of the summed ints decode exactly as balanced
-    (signed) base-2^(2n+2) digits.  That is n * 2^(n-1) big-int subtractions,
-    against the 3^n submask terms of ``p_j``, which stays as the
-    definitional route.  The nullities are ``ops.nullity_bytes`` when the
-    table has a byte view and no negative nullity, one byte per mask.
+    Each gamma of size s lies in C(n-s, j-s) sets sigma of size j, so the
+    definition P_j = sum_{|sigma|=j} sum_{gamma <= sigma} (-1)^(j-|gamma|)
+    t^(eta(gamma)) is sum_{(s, e)} count(s, e) (-1)^(j-s) C(n-s, j-s) t^e.
+    The count reads the table's nullities itself, ``ops.nullity_bytes`` when
+    the table has a byte view and no negative nullity, never its profile,
+    so the P_j route sees a wrong profile.  ``p_j`` is the definitional
+    route, over the 3^n submask terms.
     """
     n = table.n
     sizes = core.mask_sizes(n)
-    nullities = ops.nullity_bytes(table) or list(map(operator.sub, sizes, table.ranks))
-    exponents = sorted(set(nullities))
-    width = 2 * n + 2
-    digit = {e: 1 << (width * i) for i, e in enumerate(exponents)}
-    transformed = core.subset_transform(list(map(digit.__getitem__, nullities)), operator.sub)
-    totals = [0] * (n + 1)
-    for size, value in zip(sizes, transformed):
-        totals[size] += value
-    low, sign = (1 << width) - 1, 1 << (width - 1)
-    family = []
-    for total in totals:
-        terms = []
-        for e in exponents:
-            coeff = ((total & low) ^ sign) - sign  # the low digit, signed
-            total = (total - coeff) >> width
-            terms.append(((0, 0, e), coeff))
-        family.append(term_sum(terms))
-    return tuple(family)
+    counts = Counter(zip(sizes, ops.nullity_bytes(table) or map(operator.sub, sizes, table.ranks)))
+    return tuple(term_sum(((0, 0, e), (-1) ** (j - s) * comb(n - s, j - s) * c)
+                          for (s, e), c in counts.items() if s <= j)
+                 for j in range(n + 1))
 
 
 @per_table

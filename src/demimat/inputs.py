@@ -47,7 +47,7 @@ def _int(data: dict, key: str) -> int:
 
 
 def _ints(value, what: str) -> list[int]:
-    if not isinstance(value, list) or any(type(v) is not int for v in value):
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise MalformedInputError(f"{what} must be a list of integers, got {value!r}")
     return value
 

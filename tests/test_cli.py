@@ -395,8 +395,8 @@ def _count_computations(monkeypatch, module, name, counts):
 
 def test_compute_all_runs_each_route_once(monkeypatch, capsys):
     # vamos: n = 8, eta = 4, so the five elongation Betti tables come from
-    # one filtration walk; the P_j family
-    # is built once, by one packed Moebius transform.
+    # one filtration walk; the P_j family is built once, from one count of
+    # the subsets by (size, nullity).
     # W is computed for vamos and for its dual (MacWilliams), and the W^(r)
     # family once.  W is expanded once per table, by the subset sum: the
     # Tutte route and the definition route of every W^(r) read that W, and

@@ -402,6 +402,28 @@ def test_pj_route_disagreement_names_the_first_monomial(monkeypatch, full23):
     )
 
 
+def test_the_pj_route_reads_the_table_not_its_profile(monkeypatch):
+    # One singleton counted at the next rank: the subset sum and the Tutte
+    # route read the same wrong profile and agree, but the P_j route counts
+    # the table's nullities itself and sees it.
+    original = core._size_rank_profile
+
+    def shifted(n, ranks):
+        counts = dict(original(n, ranks))
+        counts[1, 1] -= 1
+        counts[1, 2] = counts.get((1, 2), 0) + 1
+        return core._FrozenCounts(counts)
+
+    monkeypatch.setattr(core, "_size_rank_profile", shifted)
+    table = core.uniform(3, 2)
+    with pytest.raises(InvariantViolationError) as exc:
+        hamming.w_from_pj(table)
+    assert str(exc.value) == (
+        "W: the P_j and subset-sum routes disagree first at x^2*y*t^-1 (0 against 1)"
+    )
+    assert hamming.hamming_via_tutte(table) == hamming.hamming_subset_sum(table)
+
+
 def test_macwilliams_disagreement_names_the_first_monomial(monkeypatch, full23):
     monkeypatch.setattr(hamming, "macwilliams_coordinates",
                         ref.minus_x2_y_t_minus_3(hamming.macwilliams_coordinates))

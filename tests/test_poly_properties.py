@@ -2,8 +2,8 @@
 
 ``LaurentPoly`` arithmetic and the tests' term-by-term ``substitute`` are
 checked against sympy; the closed-form binomial expansion against repeated
-multiplication; and the Moebius-transform P_j family against the
-definitional submask sums of ``p_j``.
+multiplication; and the closed-form P_j family against the definitional
+submask sums of ``p_j``.
 """
 
 from fractions import Fraction
@@ -388,7 +388,7 @@ def test_the_batterys_closed_forms_against_substitute(table):
     assert substitute(w, {"t": 1}) == monomial(1, x=table.n)
 
 
-# -- the P_j family by the Moebius transform ------------------------------------------
+# -- the P_j family in closed form ----------------------------------------------------
 
 
 def assemble_w(pj) -> LaurentPoly:
@@ -401,7 +401,7 @@ def assemble_w(pj) -> LaurentPoly:
 
 
 @given(demimatroid_tables())
-def test_moebius_pj_family_matches_the_submask_sums(table):
+def test_pj_family_matches_the_definitional_submask_sums(table):
     family = hamming.pj_family(table)
     assert family == tuple(hamming.p_j(table, j) for j in range(table.n + 1))
     assert assemble_w(family) == hamming.hamming_subset_sum(table)
@@ -409,7 +409,7 @@ def test_moebius_pj_family_matches_the_submask_sums(table):
 
 
 @given(rank_tables())
-def test_moebius_pj_family_on_any_combinatroid(table):
+def test_pj_family_matches_the_definitional_submask_sums_on_any_combinatroid(table):
     assume(table.n > 0)
     family = hamming.pj_family(table)
     assert family == tuple(hamming.p_j(table, j) for j in range(table.n + 1))
