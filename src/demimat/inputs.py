@@ -92,4 +92,4 @@ def field_from_flag(flag: str) -> simplicial.FieldSpec:
         p = int(flag)
     except ValueError:
         raise MalformedInputError(f"field must be Q or a prime, got {flag!r}") from None
-    return simplicial.FieldSpec.prime(p)
+    return simplicial.FieldSpec(p)

@@ -25,8 +25,9 @@ each W^(r), ``hamming.generalized_w(table, r, "tutte")``, and the
 ``conjecture`` flag the q-enumerator route of T, ``hamming.conjecture_check``)
 checks it against the primary route (``poly.cross_checked``) and raises on a
 disagreement, which exits 1 with the invariant, the route pair and the first
-differing monomial.  So every route flag in a report is ``true``, or the
-error of a route the input does not have.
+differing monomial.  ``weights.check_wei_duality`` likewise raises naming
+the duality that fails.  So every route flag in a report is ``true``, or
+the error of a route the input does not have.
 """
 
 from __future__ import annotations

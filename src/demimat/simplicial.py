@@ -72,19 +72,11 @@ class FieldSpec(record("FieldSpec", "characteristic")):
                 f"characteristic must be 0 or prime, got {characteristic}")
         return super().__new__(cls, characteristic)
 
-    @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(0)
-
-    @classmethod
-    def prime(cls, p: int) -> "FieldSpec":
-        return cls(p)
-
     def __str__(self) -> str:
         return "Q" if self.characteristic == 0 else str(self.characteristic)
 
 
-RATIONALS = FieldSpec.rationals()
+RATIONALS = FieldSpec(0)
 
 
 class BettiTable(record("BettiTable", "entries")):

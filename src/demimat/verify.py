@@ -51,13 +51,6 @@ def _rank_complement(m: core.RankTable) -> bool:
     return m.rank + ops.dual(m).rank == m.n
 
 
-def _supplement_routes(m: core.RankTable) -> bool:
-    a = ops.nullity_operator(ops.dual(m))
-    b = ops.dual(ops.nullity_operator(m))
-    c = ops.supplement(m)
-    return a.ranks == c.ranks and b.ranks == c.ranks
-
-
 def _minor_duality(m: core.RankTable) -> bool:
     a = core.random_subset(m.n, _partners(m))
     left = ops.dual(ops.delete(m, a)).ranks == ops.contract(ops.dual(m), a).ranks
@@ -180,7 +173,6 @@ def _recovery_identity(m: core.RankTable) -> bool:
 IDENTITIES = {
     "operator_group": _operator_group,
     "rank_complement": _rank_complement,
-    "supplement_routes": _supplement_routes,
     "minor_duality": _minor_duality,
     "lattice_laws": _lattice_laws,
     "wei_duality": weights.check_wei_duality,

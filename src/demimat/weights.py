@@ -1,19 +1,19 @@
 """Wei numbers, their dualities, Singleton bounds, and full/uniform tests.
 
 The Wei numbers and the nullity minima are read off the table's size-rank
-profile, the same counts the subset-sum polynomials expand; so are the
-closed forms the fullness test checks.  ``wei_hierarchy`` and the least size
-per nullity behind ``min_size_at_nullity`` are computed once per table, each
-from that table's own profile, and are read-only.
+profile, the same counts the subset-sum polynomials expand.  ``wei_hierarchy``
+and the least size per nullity behind ``min_size_at_nullity`` are computed
+once per table, each from that table's own profile, and are read-only.  The
+closed forms the fullness test checks give every subset a rank that depends
+on its size alone, so they are compared with each table's bytes, and no
+profile is counted for them.
 """
 
 from __future__ import annotations
 
-from math import comb
-
 from . import ops
 from ._records import record
-from .core import RankTable, _FrozenCounts, per_table
+from .core import RankTable, _FrozenCounts, mask_sizes, per_table
 from .errors import InvariantViolationError, MalformedInputError
 
 
@@ -55,17 +55,18 @@ def check_wei_duality(table: RankTable) -> bool:
 
     Lower: {d_1(M),..,d_k(M)} = {1..n} minus {n+1-d_r(M*)}.
     Upper: {d^0(M)+1,..,d^{k-1}(M)+1} = {1..n} minus {n-d^j(M*)}.
+    Returns True, or raises naming the first duality that fails.
     """
     n = table.n
     mine = wei_hierarchy(table)
     theirs = wei_hierarchy(ops.dual(table))
     everything = set(range(1, n + 1))
 
-    lower = set(mine.d) == everything - {n + 1 - v for v in theirs.d}
-    upper = {v + 1 for v in mine.d_up[:-1]} == everything - {
-        n - v for v in theirs.d_up[:-1]
-    }
-    return lower and upper
+    if set(mine.d) != everything - {n + 1 - v for v in theirs.d}:
+        raise InvariantViolationError("the lower Wei duality fails")
+    if {v + 1 for v in mine.d_up[:-1]} != everything - {n - v for v in theirs.d_up[:-1]}:
+        raise InvariantViolationError("the upper Wei duality fails")
+    return True
 
 
 def is_full(table: RankTable) -> bool:
@@ -73,9 +74,10 @@ def is_full(table: RankTable) -> bool:
 
     A trivial (rank-0) table is reported not full.  A positive answer is
     cross-checked against the closed forms a full table and its dual, nullity
-    and supplement must take; a mismatch would be a bug.  Each is checked on
-    the size-rank profile: the C(n, s) subsets of size s all fall under the
-    one key (s, f(s)) exactly when each has rank f(s).
+    and supplement must take; a mismatch would be a bug.  Each closed form
+    gives every subset of size s the rank f(s), so it is the byte string
+    ``mask_sizes(n)`` translated by f, and each table's view must equal it; a
+    table without a view (a rank outside 0..127) is off its closed form.
     """
     table.require_demimatroid("fullness test")
     n, k = table.n, table.rank
@@ -95,7 +97,7 @@ def is_full(table: RankTable) -> bool:
          "supplement of a full table is not uniform"),
     )
     for derived, rank_at_size, message in checks:
-        if derived.profile != {(s, rank_at_size(s)): comb(n, s) for s in range(n + 1)}:
+        if derived.view != mask_sizes(n).translate(bytes(map(rank_at_size, range(256)))):
             raise InvariantViolationError(message)
     return True
 

@@ -13,8 +13,8 @@ from demimat.poly import T, X, Y
 import conftest as ref
 from oracles import tutte_recurrence
 
-F2 = simplicial.FieldSpec.prime(2)
-F3 = simplicial.FieldSpec.prime(3)
+F2 = simplicial.FieldSpec(2)
+F3 = simplicial.FieldSpec(3)
 Q = simplicial.RATIONALS
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demimat import cli, codes, core, hamming, ops, simplicial, tutte
+from demimat import cli, codes, core, hamming, ops, simplicial, tutte, weights
 from demimat.errors import InvariantViolationError
 from demimat.poly import T, X, Y
 
@@ -429,6 +429,31 @@ def test_profile_is_computed_once_per_table(profile_calls, capsys):
     assert code == 0
     assert len({id(ranks) for ranks in profile_calls}) == len(profile_calls)
     assert len(profile_calls) == 3 and len(set(profile_calls)) == 3
+
+
+def test_the_closed_forms_of_a_full_table_count_no_profile(profile_calls, capsys):
+    # uniform(4,2): its nullity table N is full, so the uniformity test checks
+    # N, N's dual, nullity and supplement against their closed forms.  Those
+    # compare bytes, so the only profiles are T's, T*'s and N's, the last for
+    # N's Wei numbers.  T is self-dual, so T and T* have the same ranks.
+    code, _, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "uniform_4_2.json"), "--all")
+    assert code == 0
+    t = tuple(min(m.bit_count(), 2) for m in range(16))
+    nullity = tuple(max(m.bit_count() - 2, 0) for m in range(16))
+    assert len({id(ranks) for ranks in profile_calls}) == len(profile_calls)
+    assert sorted(profile_calls) == sorted([t, t, nullity])
+
+
+def test_a_failing_wei_duality_exits_1_naming_it(monkeypatch, capsys):
+    # Each lower Wei number one too large, as the battery's planted fault.
+    original = weights.wei_hierarchy
+    monkeypatch.setattr(weights, "wei_hierarchy",
+                        lambda t: original(t)._replace(d=tuple(v + 1 for v in original(t).d)))
+    code, out, err = run_cli(capsys, "compute", "--in", str(FIXTURES / "uniform_4_2.json"),
+                             "--wei")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "InvariantViolationError",
+                               "detail": "the lower Wei duality fails"}
 
 
 def test_betti_sweeps_build_no_complex_per_restriction(monkeypatch, capsys):

@@ -31,7 +31,7 @@ def test_primality_is_exact_and_bounded():
     assert is_prime((1 << 64) - 59)
     start = time.process_time()
     matrix = codes.PrimeMatrix.build(10000000000000061, [[1]])
-    assert simplicial.FieldSpec.prime(10000000000000061).characteristic == matrix.p
+    assert simplicial.FieldSpec(10000000000000061).characteristic == matrix.p
     assert time.process_time() - start < 0.1
     with pytest.raises(MalformedInputError, match="2\\^64"):
         codes.PrimeMatrix.build(18446744073709551629, [[1]])  # the first prime above 2^64

@@ -13,7 +13,7 @@ from demimat import core, hamming, ops, simplicial, tutte, weights
 from demimat.errors import KindError
 from strategies import demimatroid_tables, rank_tables
 
-F2 = simplicial.FieldSpec.prime(2)
+F2 = simplicial.FieldSpec(2)
 
 # Every function memoized on a rank table, with argument tuples the library
 # passes it; each is valid on every demimatroid table, n = 0 included.

@@ -16,8 +16,8 @@ from oracles import (hochster_betti_multigraded, minimal_non_faces, rank_fractio
                      reduced_homology_dims, restriction)
 from strategies import demimatroid_tables
 
-F2 = simplicial.FieldSpec.prime(2)
-F3 = simplicial.FieldSpec.prime(3)
+F2 = simplicial.FieldSpec(2)
+F3 = simplicial.FieldSpec(3)
 Q = simplicial.RATIONALS
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -64,8 +64,7 @@ def test_defaults():
 
 
 def test_a_field_spec_validates_its_characteristic():
-    for build in (lambda: simplicial.FieldSpec(4), lambda: simplicial.FieldSpec.prime(4),
-                  lambda: simplicial.FieldSpec(characteristic=-2)):
+    for build in (lambda: simplicial.FieldSpec(4), lambda: simplicial.FieldSpec(characteristic=-2)):
         with pytest.raises(MalformedInputError):
             build()
     assert simplicial.FieldSpec(0) == simplicial.RATIONALS

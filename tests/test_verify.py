@@ -18,8 +18,8 @@ from conftest import minus_x2_y_t_minus_3, top_w_r_plus
 from strategies import all_demimatroids, demimatroid_tables
 
 NAMES = (
-    "operator_group", "rank_complement", "supplement_routes", "minor_duality",
-    "lattice_laws", "wei_duality", "wei_bounds", "wei_sequence_roundtrip",
+    "operator_group", "rank_complement", "minor_duality", "lattice_laws",
+    "wei_duality", "wei_bounds", "wei_sequence_roundtrip",
     "elongation_laws", "tutte_identities", "hamming_routes", "macwilliams",
     "coefficient_structure", "recovery_identity",
 )
@@ -152,7 +152,6 @@ FAULTS = {
                        lambda f: lambda tag, t: f(
                            ops.SUPPLEMENT if tag == ops.NULLITY else tag, t)),
     "rank_complement": (ops, "dual", lambda f: ops.supplement),
-    "supplement_routes": (ops, "supplement", lambda f: ops.dual),
     "minor_duality": (ops, "contract", lambda f: ops.delete),
     "lattice_laws": (ops, "meet", lambda f: ops.join),
     "wei_duality": (weights, "wei_hierarchy",  # each lower number one too large
@@ -307,8 +306,7 @@ def _verdict(check, table) -> bool:
 @pytest.mark.parametrize("builder, name", [
     ("delete", "tutte_identities"), ("delete", "hamming_routes"),
     ("contract", "tutte_identities"), ("contract", "hamming_routes"),
-    ("supplement", "operator_group"), ("supplement", "supplement_routes"),
-    ("nullity_operator", "operator_group"), ("nullity_operator", "supplement_routes"),
+    ("supplement", "operator_group"), ("nullity_operator", "operator_group"),
 ])
 def test_a_fault_in_a_shared_builder_still_fails_the_identity(builder, name, monkeypatch):
     check = verify.IDENTITIES[name]

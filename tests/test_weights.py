@@ -71,6 +71,17 @@ def test_wei_duality_random():
         assert weights.check_wei_duality(table)
 
 
+@pytest.mark.parametrize("field, duality", [("d", "lower"), ("d_up", "upper")])
+def test_a_failing_wei_duality_raises_naming_it(monkeypatch, field, duality):
+    # Every Wei number of the field one too large, on the table and its dual.
+    original = weights.wei_hierarchy
+    monkeypatch.setattr(weights, "wei_hierarchy", lambda t: original(t)._replace(
+        **{field: tuple(v + 1 for v in getattr(original(t), field))}))
+    with pytest.raises(InvariantViolationError) as exc:
+        weights.check_wei_duality(core.uniform(4, 2))
+    assert str(exc.value) == f"the {duality} Wei duality fails"
+
+
 def test_is_full_examples(full23):
     assert weights.is_full(full23)
     assert weights.is_full(ops.dual(full23))
@@ -97,7 +108,7 @@ def test_full_closed_under_dual():
 ])
 def test_is_full_names_a_derived_table_off_its_closed_form(monkeypatch, operator, message):
     # A full table of rank 2 on 4 elements; one derived table gets one rank
-    # moved, so its size-rank profile leaves the closed form.
+    # moved, so its bytes leave the closed form.
     table = core.from_wei_sequence(4, [3, 4])
     assert weights.is_full(table)
     original = getattr(ops, operator)
