@@ -17,9 +17,11 @@ table and of its dual, each builder's table against its definition written
 mask by mask, the profile against a mask-by-mask count, P_j by alternating
 submask sums, the uniformity test's known answer (true on the uniform
 tables, false on the random one), and the rank table by one elimination per
-mask.  A wrong answer, or a layer call or oracle check that raises (named
-with its input, its layer and the exception), is listed under ``failures``;
-the JSON is still printed, and the script exits 1.
+mask.  The classification and the P_j submask sums are the tests' oracles,
+imported from ``tests/oracles.py``.  A wrong answer, or a layer call or
+oracle check that raises (named with its input, its layer and the
+exception), is listed under ``failures``; the JSON is still printed, and the
+script exits 1.
 
     python scripts/probe_tables.py --max-n 12
 """
@@ -29,11 +31,16 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 from demimat import codes, core, hamming, ops, weights
 from demimat._linalg import rref_mod_p
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import oracles  # noqa: E402
 
 ORACLE_MAX_N = 12
 
@@ -134,16 +141,16 @@ def probe_table(label: str, n: int, build, uniform: bool, failures: list[str]) -
                                       lambda: weights.is_uniform_demimatroid(table))
     if checked:
         checks = (
-            ("kind", kind, lambda: kind != core._classify(n, table.ranks).kind,
+            ("kind", kind, lambda: kind != oracles.classify(n, table.ranks).kind,
              "kind differs from the mask-by-mask classification"),
             ("dual kind", table,
-             lambda: ops.dual(table).kind != core._classify(n, ops.dual(table).ranks).kind,
+             lambda: ops.dual(table).kind != oracles.classify(n, ops.dual(table).ranks).kind,
              "the dual's kind differs from its classification"),
             ("profile", profile,
              lambda: profile != Counter((m.bit_count(), table.ranks[m]) for m in range(1 << n)),
              "profile differs from the mask-by-mask count"),
             ("pj_family", family,
-             lambda: family != tuple(hamming.p_j(table, j) for j in range(n + 1)),
+             lambda: family != tuple(oracles.p_j(table, j) for j in range(n + 1)),
              "P_j family differs from the submask sums"),
             ("check_wei_duality", duality, lambda: duality is not True,
              "Wei duality fails on a demimatroid"),

@@ -6,16 +6,7 @@ numbers via restriction homology, parity matroids of prime-field codes, and
 a CLI that cross-verifies every multi-route quantity.
 """
 
-from .core import (
-    Complex,
-    RankTable,
-    ValidationReport,
-    complex_to_demimatroid,
-    independence_complex,
-    level_complex,
-    sharp_demimatroid,
-    validate,
-)
+from .core import Complex, RankTable, complex_to_demimatroid
 from .constructions import (
     from_matroid_bases,
     from_wei_sequence,
@@ -40,7 +31,6 @@ __all__ = [
     "Complex",
     "LaurentPoly",
     "RankTable",
-    "ValidationReport",
     "WeiProfile",
     "check_wei_duality",
     "complex_to_demimatroid",
@@ -52,16 +42,12 @@ __all__ = [
     "from_wei_sequence",
     "generalized_hamming_weights",
     "graph_demimatroid",
-    "independence_complex",
     "join",
-    "level_complex",
     "meet",
     "nullity_operator",
     "random_demimatroid",
-    "sharp_demimatroid",
     "supplement",
     "uniform",
-    "validate",
     "wei_hierarchy",
 ]
 

@@ -228,6 +228,8 @@ def _cmd_convert(args, expected_key: str, construction: str) -> int:
         raise MalformedInputError(
             f"expected a {expected_key} input for this converter, got {loaded.construction}"
         )
+    if loaded.table is None:
+        raise MalformedInputError("the void complex has no rank table")
     payload = table_json(loaded.table)
     payload["manifest"] = {"command": construction, "input": args.input}
     _emit(payload, args.out)

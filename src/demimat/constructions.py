@@ -1,4 +1,4 @@
-"""Named constructions of rank tables, the Galois check, and the sampler.
+"""Named constructions of rank tables, and the sampler.
 
 Each constructor builds a ``core.RankTable`` from a description (a size and
 rank, a basis family, a graph, a Wei sequence) and checks the ground-set cap
@@ -7,7 +7,9 @@ before the 2^n table is built.  Per-mask work is read from the mask sizes
 counted once per size, and a graph's edges are spread to their supersets by
 one OR-zeta transform.  ``random_demimatroid`` and ``random_subset`` draw the
 battery's samples from a ``random.Random``; ``random`` is named only in their
-annotations and never imported, so loading the CLI does not load it.
+annotations and never imported, so loading the CLI does not load it.  The
+check of the complex/demimatroid Galois connection is a test oracle
+(``oracles.galois_check``): no input of the CLI needs it.
 """
 
 from __future__ import annotations
@@ -15,18 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import or_
 
-from ._records import record
-from .core import (
-    Complex,
-    RankTable,
-    check_cap,
-    complex_to_demimatroid,
-    independence_complex,
-    mask_of,
-    mask_sizes,
-    popcount,
-    subset_transform,
-)
+from .core import RankTable, check_cap, mask_of, mask_sizes, popcount, subset_transform
 from .errors import MalformedInputError
 
 # -- constructions ---------------------------------------------------------------
@@ -43,8 +34,8 @@ def uniform(n: int, k: int) -> RankTable:
 def from_matroid_bases(n: int, bases: Iterable) -> RankTable:
     """Rank table from a family of claimed bases: rho(X) = max |X & B|.
 
-    The basis-exchange axiom is not verified here; validation downgrades the
-    kind if the family is not a legitimate basis family.
+    The basis-exchange axiom is not verified here; the table's kind is
+    downgraded if the family is not a legitimate basis family.
     """
     masks = [b if isinstance(b, int) else mask_of(b, n) for b in bases]
     if not masks:
@@ -87,55 +78,6 @@ def from_wei_sequence(n: int, d: Sequence[int]) -> RankTable:
         )
     at_size = [sum(1 for v in ds if v <= s) for s in range(n + 1)]
     return RankTable.build(n, list(map(at_size.__getitem__, mask_sizes(n))))
-
-
-# -- Galois connection check -------------------------------------------------------
-
-
-class GaloisReport(record("GaloisReport", "items")):
-    """The ``(check name, passed)`` pairs of ``galois_check``, in order."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed in self.items)
-
-
-def galois_check(cx: Complex, table: RankTable) -> GaloisReport:
-    """Itemized checks of the complex/demimatroid adjunction on shared n."""
-    if cx.n != table.n:
-        raise MalformedInputError("complex and table must share the ground set")
-    table.require_demimatroid("galois check")
-    items: list[tuple[str, bool]] = []
-
-    up = complex_to_demimatroid(cx) if not cx.is_void else None
-    items.append(("up_down_identity", up is not None and independence_complex(up) == cx))
-
-    ind = independence_complex(table)
-    down_up = complex_to_demimatroid(ind)
-    items.append(
-        ("down_up_below", all(a <= b for a, b in zip(down_up.ranks, table.ranks)))
-    )
-
-    # Monotone samples: single-facet subcomplexes must map below the whole.
-    up_monotone = True
-    if up is not None:
-        for f in cx.facets:
-            sub = Complex.build(cx.n, [f])
-            sub_up = complex_to_demimatroid(sub)
-            if not all(a <= b for a, b in zip(sub_up.ranks, up.ranks)):
-                up_monotone = False
-                break
-    items.append(("up_monotone", up_monotone))
-
-    # Restrictions of the independence complex must come from tables below.
-    capped = RankTable.build(
-        table.n, [min(r, max(table.rank - 1, 0)) for r in table.ranks]
-    )
-    items.append(("down_monotone", independence_complex(capped).face_set <= ind.face_set))
-
-    return GaloisReport(tuple(items))
 
 
 # -- random generation --------------------------------------------------------------

@@ -8,9 +8,8 @@ Certified kinds form a chain: every table is a combinatroid (only the
 normalization rank(empty) = 0 is required); adding the unit-step monotone
 axiom gives a demimatroid; adding submodularity gives a matroid.  A table
 stores only ``(n, ranks)``; its kind is derived when first read, by the
-big-int check ``_kind``.  The mask-by-mask ``_classify`` finds the same kind
-and names a witness per violated axiom; it backs ``validate`` and is the
-tests' oracle for ``_kind``.
+big-int check ``_kind``; its oracle, the mask-by-mask classification with a
+witness per violated axiom, is in the tests (``oracles.classify``).
 
 A table whose ranks all lie in 0..127 (a demimatroid's lie in 0..n) has a
 byte view, ``RankTable.view``: the ranks as one ``bytes``, made on first
@@ -38,10 +37,10 @@ from __future__ import annotations
 from collections import _count_elements
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cache, wraps
-from itertools import combinations, repeat
+from itertools import repeat
 from operator import add, mul
 
-from ._records import Frozen, record
+from ._records import Frozen
 from .errors import KindError, MalformedInputError, SizeCapError
 
 # Caps keep the 2^n tables and the Hochster sweeps desk-sized; assign new
@@ -52,9 +51,6 @@ HOMOLOGY_CAP = 16
 COMBINATROID = "combinatroid"
 DEMIMATROID = "demimatroid"
 MATROID = "matroid"
-
-AXIOM_UNIT_STEP = "R1"
-AXIOM_SUBMODULAR = "R2"
 
 
 # -- subset masks -------------------------------------------------------------
@@ -75,17 +71,6 @@ def mask_of(elements: Iterable[int], n: int) -> int:
             raise MalformedInputError(f"element {e} outside ground set 1..{n}")
         mask |= 1 << (e - 1)
     return mask
-
-
-def elements_of(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -142,53 +127,7 @@ def check_cap(n: int) -> None:
         )
 
 
-# -- rank tables and validation -------------------------------------------------
-
-
-class Violation(record("Violation", "axiom witnesses")):
-    """A violated axiom and the subset masks that exhibit the failure."""
-
-    __slots__ = ()
-
-
-class ValidationReport(record("ValidationReport", "kind violations")):
-    """The certified kind and one ``Violation`` per violated axiom."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _classify(n: int, ranks: Sequence[int]) -> ValidationReport:
-    full = full_mask(n)
-
-    unit_step = None
-    for mask in range(full + 1):
-        rest = full & ~mask
-        for bit in bits_of(rest):
-            step = ranks[mask | bit] - ranks[mask]
-            if step < 0 or step > 1:
-                unit_step = Violation(AXIOM_UNIT_STEP, (mask, mask | bit))
-                break
-        if unit_step:
-            break
-
-    submodular = None
-    for mask in range(full + 1):
-        rest = elements_of(full & ~mask)
-        for a, b in combinations(rest, 2):
-            xa = mask | (1 << (a - 1))
-            xb = mask | (1 << (b - 1))
-            if ranks[xa | xb] + ranks[mask] > ranks[xa] + ranks[xb]:
-                submodular = Violation(AXIOM_SUBMODULAR, (xa | xb, mask))
-                break
-        if submodular:
-            break
-
-    kind = COMBINATROID if unit_step else DEMIMATROID if submodular else MATROID
-    return ValidationReport(kind, tuple(v for v in (unit_step, submodular) if v))
+# -- rank tables -----------------------------------------------------------------
 
 
 def _byte_view(ranks: Sequence[int]) -> bytes | None:
@@ -201,7 +140,7 @@ def _byte_view(ranks: Sequence[int]) -> bytes | None:
 
 
 def _kind(n: int, view: bytes | None) -> str:
-    """The kind ``_classify`` finds, by whole-table big-int steps on the view.
+    """The table's kind, by whole-table big-int steps on the view.
 
     Unit steps force 0 <= rank <= n, so a table without a byte view is a
     combinatroid.  Otherwise the ranks are one int T, rank(X) in byte X.  The
@@ -358,11 +297,6 @@ class RankTable(Frozen):
     def profile(self) -> Mapping[tuple[int, int], int]:
         return _size_rank_profile(self.n, self.ranks)
 
-    def nullity(self, mask: int) -> int:
-        if not 0 <= mask < len(self.ranks):
-            raise MalformedInputError("mask outside the ground set")
-        return popcount(mask) - self.ranks[mask]
-
     @property
     def full(self) -> int:
         return full_mask(self.n)
@@ -420,12 +354,6 @@ def per_table(fn: Callable) -> Callable:
         return value
 
     return memoized
-
-
-def validate(table: RankTable) -> ValidationReport:
-    """Re-derive the certified kind mask by mask, with a first witness per
-    violated axiom."""
-    return _classify(table.n, table.ranks)
 
 
 # -- simplicial complexes --------------------------------------------------------
@@ -497,7 +425,7 @@ class Complex(Frozen):
         return counts
 
 
-# -- complexes and their demimatroids -----------------------------------------
+# -- a complex's demimatroid ----------------------------------------------------
 
 
 @per_table
@@ -514,41 +442,12 @@ def complex_to_demimatroid(cx: Complex) -> RankTable:
     return RankTable.build(cx.n, subset_transform(sizes, max))
 
 
-def independence_complex(table: RankTable) -> Complex:
-    """Faces are the independent sets {X : rho(X) = |X|}."""
-    table.require_demimatroid("independence complex")
-    faces = [m for m in range(1 << table.n) if table.ranks[m] == popcount(m)]
-    return Complex.build(table.n, faces)
-
-
-def sharp_demimatroid(cx: Complex) -> RankTable:
-    """rho(X) = |X| for faces, |X| - 1 for non-faces."""
-    if cx.is_void:
-        raise MalformedInputError("the void complex has no associated demimatroid")
-    ranks = [
-        popcount(m) if m in cx else popcount(m) - 1 for m in range(1 << cx.n)
-    ]
-    return RankTable.build(cx.n, ranks)
-
-
-def level_complex(table: RankTable, r: int) -> Complex:
-    """The complex of subsets of rank at most r."""
-    table.require_demimatroid("level complex")
-    if r < 0:
-        raise MalformedInputError("level must be nonnegative")
-    faces = [m for m in range(1 << table.n) if table.ranks[m] <= r]
-    return Complex.build(table.n, faces)
-
-
-
 # The constructions live in ``constructions``, which imports this module, so
 # they are re-exported here last: callers (tests, scripts, the benchmark) keep
 # reaching them as ``core.uniform`` and the like.
 from .constructions import (
-    GaloisReport,
     from_matroid_bases,
     from_wei_sequence,
-    galois_check,
     graph_demimatroid,
     random_demimatroid,
     random_subset,

@@ -50,7 +50,7 @@ from math import comb
 
 from . import core, ops, tutte as tutte_mod, weights
 from ._records import record
-from .core import RankTable, per_table, popcount
+from .core import RankTable, per_table
 from .errors import (
     InexactDivisionError,
     InvariantViolationError,
@@ -115,25 +115,6 @@ def hamming_via_tutte(table: RankTable) -> LaurentPoly:
 # -- coefficient polynomials -----------------------------------------------------
 
 
-def p_sigma(table: RankTable, sigma: int) -> LaurentPoly:
-    """Alternating nullity sum over the subsets of sigma."""
-    if sigma & ~table.full:
-        raise MalformedInputError("sigma outside the ground set")
-    size = popcount(sigma)
-    return poly_sum(
-        (-1) ** (size - popcount(g)) * monomial(1, t=table.nullity(g))
-        for g in core.submasks(sigma)
-    )
-
-
-def p_j(table: RankTable, j: int) -> LaurentPoly:
-    if not 0 <= j <= table.n:
-        raise MalformedInputError(f"need 0 <= j <= {table.n}, got {j}")
-    return poly_sum(
-        p_sigma(table, m) for m in range(table.full + 1) if popcount(m) == j
-    )
-
-
 @per_table
 def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
     """(P_0, .., P_n) in closed form on the count of subsets by (size, nullity).
@@ -143,8 +124,8 @@ def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
     t^(eta(gamma)) is sum_{(s, e)} count(s, e) (-1)^(j-s) C(n-s, j-s) t^e.
     The count reads the table's nullities itself, ``ops.nullity_bytes`` when
     the table has a byte view and no negative nullity, never its profile,
-    so the P_j route sees a wrong profile.  ``p_j`` is the definitional
-    route, over the 3^n submask terms.
+    so the P_j route sees a wrong profile.  The definitional route, over
+    the 3^n submask terms, is the tests' oracle ``oracles.p_j``.
     """
     n = table.n
     sizes = core.mask_sizes(n)

@@ -23,9 +23,9 @@ OverflowError before any term is written or any product is cached.  Each
 basis that coordinates are kept in has one writer on it: ``w_basis``,
 (x-y)^a y^b t^e, and ``tutte_basis``, (x-1)^a (y-1)^b t^e.  The changes of
 variables in ``hamming`` and ``tutte`` (the Tutte side of the
-characteristic polynomial, f and h, the definition route of the W^(r)) and
-the battery's f(x-1, y-1) == T are closed forms built on them and on
-``term_sum``: one pass over the source terms into one term dict.  A route
+characteristic polynomial, f and h, the definition route of the W^(r))
+are closed forms built on them and on ``term_sum``: one pass over the
+source terms into one term dict.  A route
 decided on basis coordinates compares them in
 ``cross_checked_coordinates``, which expands both sides only on a
 disagreement, for ``cross_checked`` to name its witness.  There is no

@@ -13,14 +13,24 @@ every call, the graph trichotomy tested edge by edge, and the sampler that
 draws each rank by ``randint``.  So are the definitions of the table
 builders of ``ops``, which run on byte views: each derived table's ranks
 written mask by mask.
+
+The references that no program path runs live here as well: the
+mask-by-mask classification (``classify``, with a witness per violated
+axiom) behind ``core._kind``; the definitional P_j route (``p_sigma`` and
+``p_j``, over the 3^n submask terms) behind ``hamming.pj_family``; a
+table's nullity at one mask; the independence and level complexes of a
+table; and the itemized check of the complex/demimatroid Galois connection
+(``galois_check``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
+from itertools import combinations
 from math import comb
 from operator import or_
+from typing import NamedTuple
 
 from demimat import core, hamming, simplicial, tutte, weights
 from demimat.errors import InvariantViolationError, MalformedInputError
@@ -30,6 +40,7 @@ from demimat.poly import (
     angle,
     constant,
     monomial,
+    poly_sum,
     q_binomial,
     term_sum,
     tutte_basis,
@@ -311,3 +322,131 @@ def random_demimatroid_by_randint(n: int, rng) -> list[int]:
         else:
             seen[top] = map(or_, seen[top], map(bit_of, ranks[mask + 1 - step:mask + 1]))
     return ranks
+
+
+# -- the classification, the P_j definition and the complexes of a table -------------
+
+AXIOM_UNIT_STEP = "R1"
+AXIOM_SUBMODULAR = "R2"
+
+
+class Violation(NamedTuple):
+    """A violated axiom and the subset masks that exhibit the failure."""
+
+    axiom: str
+    witnesses: tuple[int, ...]
+
+
+class ValidationReport(NamedTuple):
+    """The certified kind and one ``Violation`` per violated axiom."""
+
+    kind: str
+    violations: tuple[Violation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def elements_of(mask: int) -> tuple[int, ...]:
+    """The elements of ``mask``, ascending: element i is bit i - 1."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def classify(n: int, ranks: Sequence[int]) -> ValidationReport:
+    """The kind ``core._kind`` finds, re-derived mask by mask, with the first
+    witness of each violated axiom."""
+    full = core.full_mask(n)
+
+    unit_step = None
+    for mask in range(full + 1):
+        for bit in core.bits_of(full & ~mask):
+            step = ranks[mask | bit] - ranks[mask]
+            if step < 0 or step > 1:
+                unit_step = Violation(AXIOM_UNIT_STEP, (mask, mask | bit))
+                break
+        if unit_step:
+            break
+
+    submodular = None
+    for mask in range(full + 1):
+        for a, b in combinations(elements_of(full & ~mask), 2):
+            xa = mask | (1 << (a - 1))
+            xb = mask | (1 << (b - 1))
+            if ranks[xa | xb] + ranks[mask] > ranks[xa] + ranks[xb]:
+                submodular = Violation(AXIOM_SUBMODULAR, (xa | xb, mask))
+                break
+        if submodular:
+            break
+
+    kind = (core.COMBINATROID if unit_step else
+            core.DEMIMATROID if submodular else core.MATROID)
+    return ValidationReport(kind, tuple(v for v in (unit_step, submodular) if v))
+
+
+def nullity(table: core.RankTable, mask: int) -> int:
+    """eta(X) = |X| - rho(X)."""
+    return mask.bit_count() - table.ranks[mask]
+
+
+def p_sigma(table: core.RankTable, sigma: int) -> LaurentPoly:
+    """The alternating nullity sum over the subsets of sigma."""
+    size = sigma.bit_count()
+    return poly_sum((-1) ** (size - g.bit_count()) * monomial(1, t=nullity(table, g))
+                    for g in core.submasks(sigma))
+
+
+def p_j(table: core.RankTable, j: int) -> LaurentPoly:
+    """P_j by its definition: the sum of ``p_sigma`` over the sets of size j."""
+    return poly_sum(p_sigma(table, m) for m in range(table.full + 1) if m.bit_count() == j)
+
+
+def independence_complex(table: core.RankTable) -> core.Complex:
+    """Faces are the independent sets {X : rho(X) = |X|}."""
+    table.require_demimatroid("independence complex")
+    faces = [m for m in range(1 << table.n) if table.ranks[m] == m.bit_count()]
+    return core.Complex.build(table.n, faces)
+
+
+def level_complex(table: core.RankTable, r: int) -> core.Complex:
+    """The complex of subsets of rank at most r."""
+    table.require_demimatroid("level complex")
+    return core.Complex.build(table.n, [m for m in range(1 << table.n) if table.ranks[m] <= r])
+
+
+class GaloisReport(NamedTuple):
+    """The ``(check name, passed)`` pairs of ``galois_check``, in order."""
+
+    items: tuple[tuple[str, bool], ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(passed for _, passed in self.items)
+
+
+def galois_check(cx: core.Complex, table: core.RankTable) -> GaloisReport:
+    """Itemized checks of the complex/demimatroid adjunction on shared n."""
+    if cx.n != table.n:
+        raise MalformedInputError("complex and table must share the ground set")
+    table.require_demimatroid("galois check")
+    items: list[tuple[str, bool]] = []
+
+    up = core.complex_to_demimatroid(cx) if not cx.is_void else None
+    items.append(("up_down_identity", up is not None and independence_complex(up) == cx))
+
+    ind = independence_complex(table)
+    down_up = core.complex_to_demimatroid(ind)
+    items.append(("down_up_below", all(a <= b for a, b in zip(down_up.ranks, table.ranks))))
+
+    # Monotone samples: single-facet subcomplexes must map below the whole.
+    up_monotone = up is None or all(
+        all(a <= b for a, b in zip(core.complex_to_demimatroid(
+            core.Complex.build(cx.n, [f])).ranks, up.ranks))
+        for f in cx.facets)
+    items.append(("up_monotone", up_monotone))
+
+    # Restrictions of the independence complex must come from tables below.
+    capped = core.RankTable.build(table.n, [min(r, max(table.rank - 1, 0)) for r in table.ranks])
+    items.append(("down_monotone", independence_complex(capped).face_set <= ind.face_set))
+
+    return GaloisReport(tuple(items))

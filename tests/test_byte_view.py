@@ -27,7 +27,7 @@ def _same(built: core.RankTable, n: int, ranks: tuple[int, ...], *sources: core.
     from_builder = "view" in vars(built)
     assert from_builder == (view is not None and all(s.view is not None for s in sources))
     assert (built.n, built.ranks, built.view) == (n, ranks, view)
-    assert built.kind == core._classify(n, ranks).kind
+    assert built.kind == oracles.classify(n, ranks).kind
 
 
 def _check_builders(table: core.RankTable, other: core.RankTable, removals) -> None:

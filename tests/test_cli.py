@@ -15,6 +15,8 @@ from demimat import cli, codes, core, hamming, ops, simplicial, tutte, weights
 from demimat.errors import InvariantViolationError
 from demimat.poly import T, X, Y
 
+from oracles import independence_complex, nullity
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -161,6 +163,15 @@ def test_converters(capsys):
         capsys, "from-graph", "--in", str(FIXTURES / "wei_n3.json")
     )
     assert code == 2
+
+
+def test_from_facets_on_the_void_complex_exits_2(tmp_path, capsys):
+    path = tmp_path / "void.json"
+    path.write_text(json.dumps({"n": 2, "facets": []}))
+    code, out, err = run_cli(capsys, "from-facets", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "malformed-input",
+                               "detail": "the void complex has no rank table"}
 
 
 def test_verify_battery_small(capsys):
@@ -624,7 +635,7 @@ def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys
     # with no kernel run; every other side is reduced, with at most half of
     # sigma's 2^|sigma| submasks, all inside sigma.
     table = cli.load_input(str(FIXTURES / "vamos.json")).table
-    elongation_complexes = [core.independence_complex(ops.elongate(table, r))
+    elongation_complexes = [independence_complex(ops.elongate(table, r))
                             for r in range(table.total_nullity + 1)]
     listed: list[tuple[int, int, list[list[int]]]] = []
     homology_calls: list[tuple[list[list[int]], bool]] = []
@@ -652,7 +663,7 @@ def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys
     monkeypatch.setattr(simplicial, "_dims", recorded_dims)
     code, _, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
     assert code == 0
-    visited = [(sigma, r) for sigma in range(1 << table.n) for r in range(table.nullity(sigma))]
+    visited = [(sigma, r) for sigma in range(1 << table.n) for r in range(nullity(table, sigma))]
     assert [(sigma, r) for sigma, r, _ in listed] == visited
     assert len(visited) == 145
     assert [layers for layers, _ in homology_calls] == [
@@ -661,9 +672,9 @@ def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys
     for sigma, r, layers in listed:
         reduced = len(layers) > 2 and next(reductions)
         assert sigma not in elongation_complexes[r]
-        faces = [x for x in core.submasks(sigma) if table.nullity(x) <= r]
+        faces = [x for x in core.submasks(sigma) if nullity(table, x) <= r]
         if 2 * len(faces) > 2 ** core.popcount(sigma):
-            faces = [sigma ^ x for x in core.submasks(sigma) if table.nullity(x) > r]
+            faces = [sigma ^ x for x in core.submasks(sigma) if nullity(table, x) > r]
         assert reduced == (max(map(core.popcount, faces)) > 2)
         if reduced:
             assert all(not f & ~sigma for layer in layers for f in layer)

@@ -27,7 +27,8 @@ from demimat.errors import (
 from demimat.poly import LaurentPoly, T, X, Y, cross_checked, monomial, one, zero
 
 from conftest import top_w_r_plus
-from oracles import generalized_w_by_definition, macwilliams_transform, substitute
+from oracles import (generalized_w_by_definition, independence_complex, macwilliams_transform,
+                     substitute)
 from strategies import demimatroid_tables, exponents, laurent_polys
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -122,13 +123,13 @@ def check_complex_routes(cx):
 def test_closed_forms_match_the_generic_expressions_on_fixtures(path):
     loaded = cli.load_input(str(path))
     check_table_routes(loaded.table)
-    check_complex_routes(loaded.cx or core.independence_complex(loaded.table))
+    check_complex_routes(loaded.cx or independence_complex(loaded.table))
 
 
 @given(demimatroid_tables(max_n=6))
 def test_closed_forms_match_the_generic_expressions_on_demimatroids(table):
     check_table_routes(table)
-    check_complex_routes(core.independence_complex(table))
+    check_complex_routes(independence_complex(table))
 
 
 @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda path: path.stem)

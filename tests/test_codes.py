@@ -9,12 +9,13 @@ from demimat._linalg import is_prime, rref_mod_p
 from demimat.errors import InvariantViolationError, MalformedInputError, SizeCapError
 
 from conftest import CODE63A_ROWS, CODE63B_ROWS, HAMMING74_ROWS, HAMMING84_ROWS
+from oracles import elements_of
 
 
 def bases_of(table):
     k = table.rank
     return {
-        core.elements_of(m)
+        elements_of(m)
         for m in range(table.full + 1)
         if core.popcount(m) == k and table.ranks[m] == k
     }

@@ -36,7 +36,7 @@ from strategies import demimatroid_tables, rank_tables
 
 def test_mask_helpers():
     assert core.mask_of([1, 3], 3) == 0b101
-    assert core.elements_of(0b101) == (1, 3)
+    assert oracles.elements_of(0b101) == (1, 3)
     assert sorted(core.submasks(0b101)) == [0b000, 0b001, 0b100, 0b101]
     with pytest.raises(MalformedInputError):
         core.mask_of([4], 3)
@@ -46,7 +46,7 @@ def test_mask_helpers():
 
 
 def test_validate_matroid(two_basis):
-    report = core.validate(two_basis)
+    report = oracles.classify(two_basis.n, two_basis.ranks)
     assert report.kind == core.MATROID
     assert report.ok
 
@@ -55,11 +55,11 @@ def test_validate_submodularity_witness(two_basis):
     from demimat import ops
 
     supp = ops.supplement(two_basis)
-    report = core.validate(supp)
+    report = oracles.classify(supp.n, supp.ranks)
     assert report.kind == core.DEMIMATROID
     assert len(report.violations) == 1
     violation = report.violations[0]
-    assert violation.axiom == core.AXIOM_SUBMODULAR
+    assert violation.axiom == oracles.AXIOM_SUBMODULAR
     # rank(23) + rank(empty) = 1 > 0 = rank(2) + rank(3)
     assert violation.witnesses == (core.mask_of([2, 3], 3), 0)
 
@@ -69,8 +69,8 @@ def test_validate_trivial_is_demimatroid():
     assert table.kind == core.MATROID  # the zero table is even submodular
     skipping = core.RankTable.build(2, [0, 0, 0, 2])
     assert skipping.kind == core.COMBINATROID
-    report = core.validate(skipping)
-    assert report.violations[0].axiom == core.AXIOM_UNIT_STEP
+    report = oracles.classify(skipping.n, skipping.ranks)
+    assert report.violations[0].axiom == oracles.AXIOM_UNIT_STEP
 
 
 def test_validate_malformed():
@@ -80,14 +80,6 @@ def test_validate_malformed():
         core.RankTable.build(2, [1, 1, 1, 2])
     with pytest.raises(SizeCapError):
         core.RankTable.build(21, [0] * (1 << 21))
-
-
-def test_nullity_rejects_a_mask_outside_the_ground_set():
-    table = core.uniform(3, 1)
-    assert table.nullity(table.full) == 2
-    for mask in (-1, 1 << table.n):
-        with pytest.raises(MalformedInputError):
-            table.nullity(mask)
 
 
 # -- constructions -------------------------------------------------------------------
@@ -158,33 +150,24 @@ def test_complex_to_demimatroid_is_memoized_on_the_complex():
 
 
 def test_independence_complex_examples(full23):
-    assert core.independence_complex(full23) == core.Complex.build(3, [0])
-    assert core.independence_complex(core.uniform(4, 2)) == core.Complex.build(
+    assert oracles.independence_complex(full23) == core.Complex.build(3, [0])
+    assert oracles.independence_complex(core.uniform(4, 2)) == core.Complex.build(
         4, [m for m in range(16) if core.popcount(m) <= 2]
     )
     cx = core.Complex.from_facet_lists(5, CHAIN_FACETS)
-    assert core.independence_complex(core.complex_to_demimatroid(cx)) == cx
+    assert oracles.independence_complex(core.complex_to_demimatroid(cx)) == cx
 
 
 def test_independence_complex_requires_demimatroid():
     bad = core.RankTable.build(2, [0, 0, 0, 2])
     with pytest.raises(KindError):
-        core.independence_complex(bad)
-
-
-def test_sharp_demimatroid():
-    empty_only = core.Complex.build(1, [0])
-    assert core.sharp_demimatroid(empty_only).ranks == (0, 0)
-    full = core.Complex.from_facet_lists(2, [[1, 2]])
-    assert core.sharp_demimatroid(full).ranks == (0, 1, 1, 2)
-    points = core.Complex.from_facet_lists(2, [[1], [2]])
-    assert core.sharp_demimatroid(points).ranks == (0, 1, 1, 1)
+        oracles.independence_complex(bad)
 
 
 def test_level_complex(full23):
-    assert core.level_complex(full23, 0) == core.Complex.build(3, [0, 1, 2, 4])
-    assert core.level_complex(full23, 2) == core.Complex.from_facet_lists(3, [[1, 2, 3]])
-    assert core.level_complex(core.uniform(3, 1), 1) == core.Complex.from_facet_lists(
+    assert oracles.level_complex(full23, 0) == core.Complex.build(3, [0, 1, 2, 4])
+    assert oracles.level_complex(full23, 2) == core.Complex.from_facet_lists(3, [[1, 2, 3]])
+    assert oracles.level_complex(core.uniform(3, 1), 1) == core.Complex.from_facet_lists(
         3, [[1, 2, 3]]
     )
 
@@ -197,7 +180,7 @@ def test_graph_demimatroid():
     wheelish = core.graph_demimatroid(6, ALMOST_WHEEL_EDGES)
     assert wheelish.is_demimatroid
     # its independent sets form exactly the printed independence complex
-    assert core.level_complex(wheelish, 1) == core.Complex.from_facet_lists(
+    assert oracles.level_complex(wheelish, 1) == core.Complex.from_facet_lists(
         6, ALMOST_WHEEL_IND_FACETS
     )
     with pytest.raises(MalformedInputError):
@@ -271,16 +254,16 @@ def test_from_wei_sequence(full23):
 def test_galois_check(full23):
     cx = core.Complex.from_facet_lists(5, CHAIN_FACETS)
     up = core.complex_to_demimatroid(cx)
-    assert core.galois_check(cx, up).ok
+    assert oracles.galois_check(cx, up).ok
 
-    report = core.galois_check(core.independence_complex(full23), full23)
+    report = oracles.galois_check(oracles.independence_complex(full23), full23)
     assert dict(report.items)["down_up_below"]
     # the adjunction is strict here: the independence complex is just {empty}
-    down_up = core.complex_to_demimatroid(core.independence_complex(full23))
+    down_up = core.complex_to_demimatroid(oracles.independence_complex(full23))
     assert down_up.ranks == (0,) * 8
 
     trivial = core.RankTable.build(2, [0, 0, 0, 0])
-    assert core.galois_check(core.Complex.build(2, [0]), trivial).ok
+    assert oracles.galois_check(core.Complex.build(2, [0]), trivial).ok
 
 
 # -- random generation -----------------------------------------------------------------
@@ -370,8 +353,8 @@ def test_up_down_identity_on_random_complexes():
     rng = random.Random(9)
     for _ in range(30):
         table = core.random_demimatroid(5, rng)
-        cx = core.independence_complex(table)
-        assert core.independence_complex(core.complex_to_demimatroid(cx)) == cx
+        cx = oracles.independence_complex(table)
+        assert oracles.independence_complex(core.complex_to_demimatroid(cx)) == cx
 
 
 # -- stored data: ranks for tables, face sets for complexes ---------------------------
@@ -403,19 +386,19 @@ def test_kind_is_classified_once_per_table(classify_calls):
 
 @given(rank_tables())
 def test_kind_matches_the_mask_by_mask_classification(table):
-    assert table.kind == core._classify(table.n, table.ranks).kind
+    assert table.kind == oracles.classify(table.n, table.ranks).kind
 
 
 @given(demimatroid_tables(max_n=9), st.data())
 def test_kind_matches_the_classification_near_demimatroids(table, data):
     # A rank moved by one mostly stays in [0, n], where the byte-level steps,
     # not the view's range, decide the kind.
-    assert table.kind == core._classify(table.n, table.ranks).kind
+    assert table.kind == oracles.classify(table.n, table.ranks).kind
     if table.n:
         ranks = list(table.ranks)
         ranks[data.draw(st.integers(1, table.full))] += data.draw(st.sampled_from((-1, 1)))
         kind = core._kind(table.n, core._byte_view(ranks))
-        assert kind == core._classify(table.n, ranks).kind
+        assert kind == oracles.classify(table.n, ranks).kind
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -425,7 +408,7 @@ def test_kind_finds_submodularity_failing_at_any_one_element_pair(n):
     for a, b in combinations(range(n), 2):
         pair = 1 << a | 1 << b
         view = bytes(int(mask & pair == pair) for mask in range(1 << n))
-        assert core._classify(n, view).kind == core.DEMIMATROID
+        assert oracles.classify(n, view).kind == core.DEMIMATROID
         assert core._kind(n, view) == core.DEMIMATROID
 
 
@@ -484,7 +467,7 @@ def test_table_pickles_after_its_derived_values_are_read(table):
 
 @given(demimatroid_tables())
 def test_independence_complex_face_set(t):
-    cx = core.independence_complex(t)
+    cx = oracles.independence_complex(t)
     faces = set(cx.faces())
     assert faces == {m for m in range(1 << t.n) if t.ranks[m] == core.popcount(m)}
     assert core.Complex.build(t.n, cx.facets) == cx

@@ -1,26 +1,30 @@
 """Every public function and method of ``demimat`` is reached from the
-program, not only from the tests.
+program or its documented API, not only from the tests.
 
 The roots of the scan are the names that module-level package code reads,
 identifier strings included (so the name-based dispatch of
-``ops.apply_operator`` and ``verify.IDENTITIES`` counts); the names package
-modules import by name (the ``__init__`` exports and ``core``'s re-exports);
-and the names and attributes that ``benchmark/*.py`` and ``scripts/*.py``
-read.  A reached function reaches every name its body reads, so a function
-that only unreached ones call is unreached.  Dunder methods run by protocol.
-A method is reached through an attribute or a string, never a bare name, as
-a local variable is.  Names match without their module or class, which can
-pass a function, never fail one.  A reference that only tests compare
-against belongs in ``oracles``.
+``ops.apply_operator`` and ``verify.IDENTITIES`` counts); the exports in
+``demimat.__all__`` that README names in its code; and the names and
+attributes that ``benchmark/*.py`` and ``scripts/*.py`` read.  An import is
+not a read, so neither ``__init__``'s imports nor ``core``'s re-exports are
+roots, and an export README does not document keeps nothing alive.  A
+reached function reaches every name its body reads, so a function that only
+unreached ones call is unreached.  Dunder methods run by protocol.  A method
+is reached through an attribute or a string, never a bare name, as a local
+variable is.  Names match without their module or class, which can pass a
+function, never fail one.  A reference that only tests compare against
+belongs in ``oracles``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import demimat
 
 PACKAGE = Path(demimat.__file__).resolve().parent
 READERS = [PACKAGE.parent.parent / folder for folder in ("benchmark", "scripts")]
+README = PACKAGE.parent.parent / "README.md"
 
 
 def _names_read(nodes, strings=True, members=False) -> set[str]:
@@ -42,17 +46,20 @@ def _names_read(nodes, strings=True, members=False) -> set[str]:
     return names
 
 
-def unreached(modules: dict[str, str], readers: list[str]) -> list[str]:
+def unreached(modules: dict[str, str], readers: list[str], documented: set[str]) -> list[str]:
     """The public functions and methods of ``modules`` (name -> source) that
-    nothing reaches, as ``module.name`` or ``module.Class.name``.  Only the
+    nothing reaches from ``documented`` (the documented exports) and what
+    the package reads, as ``module.name`` or ``module.Class.name``.  Only the
     names ``readers`` (sources outside the package) read count, not their
     strings."""
     bodies: dict[str, list] = {}  # key -> the definitions' bodies
     public: dict[str, str] = {}  # qualified name -> key
-    roots: set[str] = set()
+    roots: set[str] = set(documented)
 
     def visit(statements, prefix, in_class=False):
         for statement in statements:
+            if isinstance(statement, (ast.Import, ast.ImportFrom)) or _is_all(statement):
+                continue  # an import or an export list reads nothing
             if isinstance(statement, ast.FunctionDef):
                 key = "." * in_class + statement.name
                 bodies.setdefault(key, []).append([statement.args, *statement.body])
@@ -81,13 +88,29 @@ def unreached(modules: dict[str, str], readers: list[str]) -> list[str]:
     return sorted(q for q, key in public.items() if key not in reached)
 
 
+def _is_all(statement) -> bool:
+    return isinstance(statement, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in statement.targets)
+
+
+def readme_names() -> set[str]:
+    """The identifiers in README's code: its fenced blocks and inline spans."""
+    code = re.findall(r"```.*?```|`[^`\n]+`", README.read_text(), flags=re.S)
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
 def _sources():
     modules = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
-    return modules, [path.read_text() for folder in READERS for path in folder.glob("*.py")]
+    readers = [path.read_text() for folder in READERS for path in folder.glob("*.py")]
+    return modules, readers, set(demimat.__all__) & readme_names()
 
 
 def test_every_public_function_of_the_package_is_reached():
     assert unreached(*_sources()) == []
+
+
+def test_readme_names_every_export():
+    assert sorted(set(demimat.__all__) - readme_names()) == []
 
 
 PLANTED = """
@@ -111,14 +134,20 @@ def used():
 
 
 def test_the_scan_reports_a_planted_orphan_and_what_only_it_reaches():
-    modules, readers = _sources()
+    modules, readers, documented = _sources()
     modules["planted"] = PLANTED
-    assert unreached(modules, readers) == ["planted.Box.lonely", "planted.helper",
-                                           "planted.orphan"]
+    assert unreached(modules, readers, documented) == ["planted.Box.lonely", "planted.helper",
+                                                       "planted.orphan"]
     modules["planted"] = PLANTED + "\nVALUE = orphan()\n"
-    assert unreached(modules, readers) == ["planted.Box.lonely"]
+    assert unreached(modules, readers, documented) == ["planted.Box.lonely"]
     modules["planted"] = PLANTED
     box_reader = "demimat.planted.Box().lonely()\n"
-    assert unreached(modules, [*readers, box_reader]) == ["planted.helper", "planted.orphan"]
+    assert unreached(modules, [*readers, box_reader], documented) == ["planted.helper",
+                                                                      "planted.orphan"]
     # A reader's strings are not reads: the tracer names functions in strings.
-    assert "planted.orphan" in unreached(modules, [*readers, 'KEY = "orphan"\n'])
+    assert "planted.orphan" in unreached(modules, [*readers, 'KEY = "orphan"\n'], documented)
+    # An import or an export is not a read; a documented export is a root.
+    exported = PLANTED + "\n__all__ = ['orphan']\n"
+    modules["planted"], modules["importer"] = exported, "from .planted import orphan\n"
+    assert "planted.orphan" in unreached(modules, readers, documented)
+    assert "planted.orphan" not in unreached(modules, readers, {*documented, "orphan"})

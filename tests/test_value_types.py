@@ -19,11 +19,8 @@ COMPLEX = core.Complex.build(3, [0b011, 0b100])
 
 # (type, its fields in order with one value each)
 CASES = [
-    (core.Violation, {"axiom": "R2", "witnesses": (3, 0)}),
-    (core.ValidationReport, {"kind": "matroid", "violations": ()}),
     (core.RankTable, {"n": 3, "ranks": TABLE.ranks}),
     (core.Complex, {"n": 3, "face_set": COMPLEX.face_set}),
-    (core.GaloisReport, {"items": (("up_down_identity", True),)}),
     (codes.PrimeMatrix, {"p": 2, "rows": ((1, 0, 1), (0, 1, 1))}),
     (codes.LinearCodeView, {"p": 2, "n": 3, "k": 1, "generator": ((1, 1, 1),)}),
     (hamming.ConjectureReport, {"holds": False, "error": "no"}),

@@ -7,6 +7,7 @@ from demimat import core, hamming, ops, weights
 from demimat.errors import InvariantViolationError, KindError, MalformedInputError
 
 from conftest import FULL24_RHO, table_from_labels
+from oracles import nullity
 from strategies import demimatroid_tables
 
 
@@ -226,7 +227,7 @@ def _check_minima_against_mask_scans(table):
     masks = range(table.full + 1)
     by_rank = [[core.popcount(m) for m in masks if table.ranks[m] == r]
                for r in range(table.rank + 1)]
-    by_nullity = [[core.popcount(m) for m in masks if table.nullity(m) == r]
+    by_nullity = [[core.popcount(m) for m in masks if nullity(table, m) == r]
                   for r in range(table.total_nullity + 1)]
 
     profile = weights.wei_hierarchy(table)
