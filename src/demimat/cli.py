@@ -151,9 +151,18 @@ def _check_fixture(path: str, fieldspec) -> list[str]:
     return problems
 
 
+# The battery's run when its flags are left out.  The parser's defaults are
+# None, so that ``--fixtures``, which reads none of them, can refuse them.
+_BATTERY_RUN = {"seed": 1, "n": 5, "samples": 20}
+
+
 def cmd_verify(args) -> int:
+    fieldspec = field_from_flag(args.field)
+    given = {name: getattr(args, name) for name in _BATTERY_RUN
+             if getattr(args, name) is not None}
     if args.fixtures:
-        fieldspec = field_from_flag(args.field)
+        if given:
+            raise MalformedInputError(f"verify --fixtures does not read --{', --'.join(given)}")
         root = os.path.normpath(args.fixtures)
         try:
             files = sorted(os.path.join(root, name) for name in os.listdir(root)
@@ -174,19 +183,21 @@ def cmd_verify(args) -> int:
         _emit(payload, args.out)
         return 0 if not problems else 1
 
-    for flag, value in (("--n", args.n), ("--samples", args.samples)):
-        if value < 1:
-            raise MalformedInputError(f"{flag} must be at least 1, got {value}")
+    if fieldspec.characteristic:
+        raise MalformedInputError(f"the battery runs over Q, not --field {args.field}")
+    run = {**_BATTERY_RUN, **given}
+    for flag in ("n", "samples"):
+        if run[flag] < 1:
+            raise MalformedInputError(f"--{flag} must be at least 1, got {run[flag]}")
     # The battery's Hamming routes include the Betti route, so the homology
     # cap bounds --n as well.
     for name, cap in (("ground-set", core.GROUND_SET_CAP), ("homology", core.HOMOLOGY_CAP)):
-        if args.n > cap:
-            raise MalformedInputError(f"--n {args.n} exceeds the {name} cap {cap}")
+        if run["n"] > cap:
+            raise MalformedInputError(f"--n {run['n']} exceeds the {name} cap {cap}")
     from . import verify  # only the battery needs it
 
-    report = verify.run_battery(args.seed, args.n, args.samples)
-    payload = {"manifest": {"command": "verify", "seed": args.seed, "n": args.n,
-                            "samples": args.samples}}
+    report = verify.run_battery(**run)
+    payload = {"manifest": {"command": "verify", **run}}
     payload.update(report)
     _emit(payload, args.out)
     return 0 if report["ok"] else 1
@@ -276,9 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_compute.add_argument(f"--{flag}", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run the identity battery or fixture goldens")
-    p_verify.add_argument("--seed", type=int, default=1)
-    p_verify.add_argument("--n", type=int, default=5)
-    p_verify.add_argument("--samples", type=int, default=20)
+    for name, default in _BATTERY_RUN.items():
+        p_verify.add_argument(f"--{name}", type=int, help=f"battery only (default {default})")
     p_verify.add_argument("--fixtures", help="directory of golden fixture files")
     p_verify.add_argument("--field", default="Q")
     p_verify.add_argument("--out")

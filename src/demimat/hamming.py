@@ -25,10 +25,6 @@ function of the coordinates:
   subset sum's coordinates;
 - the P_j route: each P_j's terms t^e, moved to x^(n-j) y^j t^e, against
   the subset sum's terms (the Betti route does the same with its sums);
-- the deletion-contraction recurrence: ``recurrence_coordinates`` merges
-  both minors' profiles in the basis (x-y)^a y^b t^e, shifted by the
-  recurrence's powers, and the battery compares them with the table's own
-  ``subset_sum_coordinates``;
 - MacWilliams: ``macwilliams_coordinates`` against the dual's
   ``subset_sum_coordinates``;
 - the Tutte recovery (the Hamming route of T) and the recovery identity of
@@ -38,8 +34,9 @@ function of the coordinates:
 
 The routes among them decide through ``poly.cross_checked_coordinates``,
 which expands both sides only when they disagree, so that ``cross_checked``
-names the first differing monomial; the tests expand the MacWilliams and
-recurrence coordinates as their oracles.
+names the first differing monomial; the tests expand the MacWilliams
+coordinates as their oracle.  W's deletion-contraction recurrence holds
+exactly when T's does (``tutte``), so the battery decides it there.
 """
 from __future__ import annotations
 
@@ -115,7 +112,6 @@ def hamming_via_tutte(table: RankTable) -> LaurentPoly:
 # -- coefficient polynomials -----------------------------------------------------
 
 
-@per_table
 def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
     """(P_0, .., P_n) in closed form on the count of subsets by (size, nullity).
 
@@ -135,7 +131,6 @@ def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
                  for j in range(n + 1))
 
 
-@per_table
 def w_from_pj(table: RankTable) -> LaurentPoly:
     """W as sum_j P_j x^(n-j) y^j: the subset sum, once each P_j's terms t^e,
     moved to x^(n-j) y^j t^e, are its terms."""
@@ -219,26 +214,6 @@ def tutte_from_hamming(table: RankTable) -> LaurentPoly:
         cleared[key] = cleared.get(key, 0) + c
     _checked_against_tutte(table, "Hamming", cleared, table.total_nullity)
     return tutte_mod.tutte(table)
-
-
-def recurrence_coordinates(table: RankTable, p: int) -> dict[tuple[int, int, int], int]:
-    """The (x-y, y, t) coordinates of the deletion-contraction side
-
-        (x-y) W(M\\p) + t^(1-rho(p)) y W(M/p)
-
-    at element p: both minors' ``subset_sum_coordinates`` merged, the
-    deletion's (x-y) exponents raised by one and the contraction's y
-    exponents by one and t exponents by 1 - rho(p).  The recurrence
-    W(M) = that side holds exactly when these equal the table's own
-    coordinates, since the basis (x-y)^a y^b t^e is linearly independent;
-    any t exponent is a Laurent monomial, so any table is accepted.
-    """
-    deleted, contracted, _, nu = tutte_mod.deletion_contraction(table, p)
-    coordinates = {(a + 1, b, e): c for (a, b, e), c in subset_sum_coordinates(deleted).items()}
-    for (a, b, e), c in subset_sum_coordinates(contracted).items():
-        key = a, b + 1, e + nu
-        coordinates[key] = coordinates.get(key, 0) + c
-    return coordinates
 
 
 # -- formal minimum distance and A-coefficients ---------------------------------------

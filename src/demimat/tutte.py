@@ -14,9 +14,9 @@ pairs, shifted by the recurrence's powers, and those are the (x-1, y-1)
 coordinates of the T side and the monomials of the f side.  The identity
 battery compares them with the table's own pairs, which is not weaker than
 comparing polynomials, because the expansion is a function of the
-coordinates; the tests expand them as their oracles.  The duality swap is
-one such comparison too: the dual's (corank, nullity) counts against the
-table's, each pair swapped, which decides T's duality and f's at once.
+coordinates; the tests expand them as their oracles.  T, f and W relabel
+the same (size, rank) counts injectively, so this comparison decides W's
+recurrence too, and MacWilliams decides the duality swap of T and f.
 """
 
 from __future__ import annotations
@@ -78,20 +78,10 @@ def tutte(table: RankTable) -> LaurentPoly:
     return tutte_basis({(a, b, 0): c for (a, b), c in counts.items()})
 
 
-def tutte_dual_check(table: RankTable) -> bool:
-    """Dualizing the table swaps the variables of the Tutte polynomial and of
-    the Whitney function: the dual's (corank, nullity) counts are the
-    table's, each pair swapped.  Those counts are T's (x-1, y-1) coordinates
-    and f's monomials, so this one comparison is both dualities."""
-    swapped = {(b, a): c for (a, b), c in corank_nullity_counts(table).items()}
-    return corank_nullity_counts(ops.dual(table)) == swapped
-
-
 def deletion_contraction(table: RankTable, p: int) -> tuple[RankTable, RankTable, int, int]:
     """(M\\p, M/p, eta*(p), 1 - rho(p)) for the element p, with
-    eta*(p) = rho(E) - rho(E\\p): the minors and exponents of the recurrences
-    for T, the Whitney function and W.  The minors are memoized on the table,
-    so the recurrences share them with their profiles."""
+    eta*(p) = rho(E) - rho(E\\p): the minors and exponents of the
+    deletion-contraction recurrences."""
     if not 1 <= p <= table.n:
         raise MalformedInputError(f"element {p} outside ground set 1..{table.n}")
     bit = 1 << (p - 1)

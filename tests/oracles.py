@@ -5,8 +5,9 @@ library computes on coordinates or in one walk: the term-by-term
 ``substitute`` behind every closed form (itself checked against sympy),
 homology of one complex and the per-sigma Hochster formula behind the Betti
 walk, dense Bareiss elimination behind the sparse kernel, the expansions of
-the coordinates the routes and the battery decide on, the whole-polynomial
-definition of the W^(r), and the Stanley-Reisner generators.  The plain
+the coordinates the routes and the battery decide on, W's recurrence on the
+minors' own W, the whole-polynomial definition of the W^(r), and the
+Stanley-Reisner generators.  The plain
 definitions behind the memoized table views are here too: the size-rank
 profile counted mask by mask and the coordinate views re-read from it on
 every call, the graph trichotomy tested edge by edge, and the sampler that
@@ -36,6 +37,8 @@ from demimat import core, hamming, simplicial, tutte, weights
 from demimat.errors import InvariantViolationError, MalformedInputError
 from demimat.poly import (
     VARIABLES,
+    X,
+    Y,
     LaurentPoly,
     angle,
     constant,
@@ -146,9 +149,12 @@ def macwilliams_transform(w: LaurentPoly, eta: int) -> LaurentPoly:
 
 
 def hamming_recurrence(table: core.RankTable, p: int) -> LaurentPoly:
-    """The deletion-contraction side of W at element p as a polynomial: the
-    expansion of ``hamming.recurrence_coordinates``."""
-    return w_basis(hamming.recurrence_coordinates(table, p))
+    """The deletion-contraction side of W at element p from the minors' own
+    W: (x-y) W(M\\p) + y t^(1-rho(p)) W(M/p).  Any t exponent is a Laurent
+    monomial, so any table is accepted."""
+    deleted, contracted, _, nu = tutte.deletion_contraction(table, p)
+    return ((X - Y) * hamming.hamming_subset_sum(deleted)
+            + monomial(1, y=1, t=nu) * hamming.hamming_subset_sum(contracted))
 
 
 def tutte_recurrence(table: core.RankTable, p: int) -> LaurentPoly:

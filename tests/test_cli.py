@@ -228,7 +228,13 @@ def test_verify_rejects_bad_run_size(capsys, monkeypatch, argv, homology_cap):
     ("compute", "--in", str(FIXTURES / "uniform_4_2.json"), "--bogus"),
     ("verify", "--n", "abc"),
     (),
-], ids=["unknown-flag", "non-integer-n", "missing-verb"])
+    # A flag the mode does not read is an error, not ignored: the battery's
+    # Betti law runs over Q, and --fixtures reads no run size.
+    ("verify", "--seed", "1", "--n", "3", "--samples", "1", "--field", "4"),
+    ("verify", "--seed", "1", "--n", "3", "--samples", "1", "--field", "3"),
+    ("verify", "--fixtures", str(FIXTURES), "--n", "99"),
+], ids=["unknown-flag", "non-integer-n", "missing-verb", "battery-field-not-prime",
+        "battery-field-not-q", "fixtures-with-n"])
 def test_usage_errors_exit_2_with_the_error_json(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -415,7 +421,8 @@ def test_compute_all_runs_each_route_once(monkeypatch, capsys):
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, simplicial, "_betti_walk", counts)
     _count_calls(monkeypatch, hamming, "w_basis", counts)
-    for module, name in ((simplicial, "betti_of_elongations"), (hamming, "pj_family"),
+    _count_calls(monkeypatch, hamming, "pj_family", counts)
+    for module, name in ((simplicial, "betti_of_elongations"),
                          (hamming, "hamming_subset_sum"), (hamming, "generalized_w_all"),
                          (tutte, "tutte"), (ops, "dual")):
         _count_computations(monkeypatch, module, name, counts)

@@ -28,8 +28,6 @@ MEMOIZED = [
     (tutte.tutte, ()),
     (hamming.subset_sum_coordinates, ()),
     (hamming.hamming_subset_sum, ()),
-    (hamming.pj_family, ()),
-    (hamming.w_from_pj, ()),
     (hamming.generalized_w_all, ()),
     (simplicial.betti_of_elongations, ()),
     (simplicial.betti_of_elongations, (F2,)),
