@@ -45,7 +45,7 @@ def main(argv=None) -> int:
         table = build()
         _ = table.kind  # classify outside the timed call
         start = time.process_time()
-        simplicial.w_via_betti(table)
+        simplicial.w_via_betti(table, simplicial.RATIONALS)
         rows.append({
             "input": label,
             "n": n,

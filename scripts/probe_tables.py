@@ -5,8 +5,9 @@ Prints JSON with the CPU time of ``RankTable.kind``, ``RankTable.profile``
 (the size-rank counts, timed alone on their first read), each table builder
 of ``ops`` (``dual``, ``nullity_operator``, ``supplement``, ``join`` and
 ``meet`` with the dual, ``elongate`` by 1, or by 0 when the nullity is 0,
-and ``delete`` and ``contract`` of element 1, each built afresh past its
-per-table memo), ``hamming.pj_family``, ``weights.check_wei_duality`` and
+and ``delete`` and ``contract`` of element 1, each built afresh: only the
+three operator images are called past their per-table memo),
+``hamming.pj_family``, ``weights.check_wei_duality`` and
 ``weights.is_uniform_demimatroid`` on ``core.uniform(n, n // 2)`` for n = 12,
 16, 18 and 20 and on a demimatroid drawn by ``core.random_demimatroid`` at
 n = 12, and of ``codes.parity_matroid`` on seeded binary [12,6] and ternary
@@ -96,9 +97,10 @@ class _Probe:
 
 
 def _builders(table: core.RankTable):
-    """(name, call, mask-by-mask ranks) for each table builder; the memoized
-    builders are called through ``__wrapped__``, so each call builds.  The
-    join and meet partner is the table's memoized dual."""
+    """(name, call, mask-by-mask ranks) for each table builder; only the
+    three operator images are memoized, and they are called through
+    ``__wrapped__``, so each call builds.  The join and meet partner is the
+    table's memoized dual."""
     full, ranks, k = table.full, table.ranks, table.rank
     i = min(1, table.total_nullity)
     return (
@@ -112,11 +114,11 @@ def _builders(table: core.RankTable):
          lambda: list(map(max, ranks, ops.dual(table).ranks))),
         ("meet", lambda: ops.meet(table, ops.dual(table)),
          lambda: list(map(min, ranks, ops.dual(table).ranks))),
-        ("elongate", lambda: ops.elongate.__wrapped__(table, i),
+        ("elongate", lambda: ops.elongate(table, i),
          lambda: [min(x.bit_count(), r + i) for x, r in enumerate(ranks)]),
-        ("delete", lambda: ops.delete.__wrapped__(table, 1),
+        ("delete", lambda: ops.delete(table, 1),
          lambda: [ranks[x] for x in range(0, full + 1, 2)]),
-        ("contract", lambda: ops.contract.__wrapped__(table, 1),
+        ("contract", lambda: ops.contract(table, 1),
          lambda: [ranks[x | 1] - ranks[1] for x in range(0, full + 1, 2)]),
     )
 

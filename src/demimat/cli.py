@@ -225,6 +225,9 @@ def cmd_op(args) -> int:
     elif verb == "elongate":
         if args.i is None:
             raise MalformedInputError("elongate needs --i")
+        if not table.is_demimatroid:  # the input's fault, as an out-of-range --i is
+            raise MalformedInputError(
+                f"elongation needs a demimatroid, table certifies {table.kind}")
         payload = table_json(ops.elongate(table, args.i))
     else:
         raise MalformedInputError(f"unknown operator verb {verb!r}")

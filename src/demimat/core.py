@@ -318,34 +318,23 @@ class RankTable(Frozen):
             raise KindError(f"{operation} needs a demimatroid, table certifies {self.kind}")
 
 
-_REQUIRED = object()  # keys a left-out argument that has no default
-
-
 def per_table(fn: Callable) -> Callable:
     """Memoize ``fn(table, *args)`` in the table's instance dict, as ``kind`` is.
 
     Tables never change, so each value is computed once per table object.
     Any other immutable object with an instance dict can carry a memo too: a
     ``Complex`` carries its demimatroid.  The arguments after the table are
-    passed positionally, and the key is the tuple of the function's name and
-    them; a trailing argument that has a default and is left out is keyed by
-    that default, so both spellings share one entry.  The defaults are
-    ``fn.__defaults__``, which belong to the last of the
-    ``fn.__code__.co_argcount`` positional parameters; one without a default
-    is keyed by a private sentinel, not by None, so an explicit None keys an
-    entry of its own.  The key of a call with no arguments is built once.
-    The tuple keys share the instance dict with the fields, so a hit is one
-    dict lookup.  Values are immutable; an exception is raised afresh on
-    every call, never stored.
+    passed positionally, and the key is the function's name and them, as
+    passed.  The tuple keys share the instance dict with the fields, so a
+    hit is one dict lookup.  Values are immutable; an exception is raised
+    afresh on every call, never stored.
     """
-    defaults = fn.__defaults__ or ()
-    defaults = (_REQUIRED,) * (fn.__code__.co_argcount - 1 - len(defaults)) + defaults
     name = f"{fn.__module__}.{fn.__qualname__}"  # a name, so a table still pickles
-    bare = (name, *defaults)
+    bare = (name,)
 
     @wraps(fn)
     def memoized(table: RankTable, *args):
-        key = (name, *args, *defaults[len(args):]) if args else bare
+        key = (name, *args) if args else bare
         try:
             return table.__dict__[key]
         except KeyError:

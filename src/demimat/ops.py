@@ -4,10 +4,10 @@ The identity, dual, nullity and supplement operators form a Klein four-group
 acting on tables over a fixed ground set; any two of the non-identity
 operators compose to the third.
 
-Every builder here that derives one table from another (the operators,
-minors and elongations) is memoized on its source table (``per_table``), so
-the identities that meet the same image or minor share it, together with
-its own memoized values.
+The three operator images are memoized on their source table
+(``per_table``), so the identities that meet the same image share it,
+together with its own memoized values.  Minors and elongations are built on
+each call: no program path reads the same one twice.
 
 The derived tables (operators, minors, join, meet and elongations) are made
 without ``RankTable.build``: every check ``build`` makes already holds by
@@ -197,7 +197,6 @@ def _minor_view(view: bytes, removed: int, upper: bool) -> bytes:
     return view
 
 
-@per_table
 def delete(table: RankTable, removed: int) -> RankTable:
     """Restriction of the rank function to E \\ removed, indices compacted.
 
@@ -214,7 +213,6 @@ def delete(table: RankTable, removed: int) -> RankTable:
     return RankTable(n, tuple([r for mask, r in enumerate(table.ranks) if not mask & removed]))
 
 
-@per_table
 def contract(table: RankTable, removed: int) -> RankTable:
     """Contraction: rho_{M/A}(X) = rho(X | A) - rho(A), compacted as in
     ``delete``: the masks that contain A, translated by -rho(A)."""
@@ -261,7 +259,6 @@ def lattice_top(n: int) -> RankTable:
 # -- elongations --------------------------------------------------------------
 
 
-@per_table
 def elongate(table: RankTable, i: int) -> RankTable:
     """i-th elongation: rank raised by i, capped at cardinality.  A
     demimatroid has a view, and every rank plus i is at most 2n < 128, so

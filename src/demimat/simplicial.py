@@ -22,10 +22,10 @@ that kernel.
 The Betti tables come from one walk over the filtration Delta_0 < Delta_1 <
 ... of the elongation complexes, each mask entering at its level, its
 nullity.  A single complex's table is the r = 0 table of its demimatroid,
-``betti_of_elongations(core.complex_to_demimatroid(cx))[0]``.  The walk
-visits each vertex set sigma once and, for every r below sigma's level,
-reduces whichever is smaller: the restriction of Delta_r to sigma or its
-Alexander dual.  One zeta transform over Kronecker-packed level indicators
+``betti_of_elongations(core.complex_to_demimatroid(cx), fieldspec)[0]``.
+The walk visits each vertex set sigma once and, for every r below sigma's
+level, reduces whichever is smaller: the restriction of Delta_r to sigma or
+its Alexander dual.  One zeta transform over Kronecker-packed level indicators
 counts every sigma's submasks at each level, so both sides' sizes are prefix
 sums and the side is chosen before anything is listed.  A side with no face
 above its vertices, {empty} or the empty set and V vertices, is answered in
@@ -335,9 +335,7 @@ def _betti_walk(n: int, levels: list[int], top: int, p: int) -> tuple[BettiTable
 
 
 @per_table
-def betti_of_elongations(
-    table: RankTable, fieldspec: FieldSpec = RATIONALS
-) -> tuple[BettiTable, ...]:
+def betti_of_elongations(table: RankTable, fieldspec: FieldSpec) -> tuple[BettiTable, ...]:
     """Betti tables of the elongation complexes for r = 0 .. eta(E), from one
     walk in which each subset enters at its nullity; no complex is built."""
     _check_homology_cap(table.n)
@@ -347,7 +345,7 @@ def betti_of_elongations(
 
 
 @per_table
-def w_via_betti(table: RankTable, fieldspec: FieldSpec = RATIONALS) -> LaurentPoly:
+def w_via_betti(table: RankTable, fieldspec: FieldSpec) -> LaurentPoly:
     """W rebuilt from the alternating Betti sums of the elongation family: the
     subset sum, once the two have the same terms.
 

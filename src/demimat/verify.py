@@ -136,7 +136,7 @@ def _hamming_routes(m: core.RankTable) -> bool:
     # Each second route checks itself against the subset sum and raises.
     hamming.hamming_via_tutte(m)
     hamming.w_from_pj(m)
-    simplicial.w_via_betti(m)
+    simplicial.w_via_betti(m, simplicial.RATIONALS)
     w = hamming.hamming_subset_sum(m).terms()  # W(x, y, 1) == x^n: sum over t per (x, y)
     return term_sum(((a, b, 0), c) for (a, b, _), c in w.items()) == monomial(1, x=m.n)
 

@@ -135,6 +135,19 @@ def test_op_elongate_to_top(capsys):
     assert payload["ranks"] == [core.popcount(m) for m in range(8)]
 
 
+def test_op_elongate_on_a_combinatroid_is_an_input_error(tmp_path, capsys):
+    # Only a demimatroid has elongations: like an out-of-range --i, the
+    # input is at fault, so the exit is 2, not the exit 1 of a failed check.
+    path = tmp_path / "combinatroid.json"
+    path.write_text(json.dumps({"n": 2, "ranks": [0, 2, 0, 1]}))
+    code, out, err = run_cli(capsys, "op", "elongate", "--in", str(path), "--i", "0")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "malformed-input",
+        "detail": "elongation needs a demimatroid, table certifies combinatroid",
+    }
+
+
 def test_converters(capsys):
     code, out, _ = run_cli(capsys, "from-wei", "--in", str(FIXTURES / "wei_n3.json"))
     assert code == 0
@@ -503,7 +516,7 @@ def test_betti_route_disagreement_names_witness(tmp_path, monkeypatch, capsys):
     table = core.from_wei_sequence(3, [2, 3])
     original = simplicial.betti_of_elongations
 
-    def off_by_one(t, fieldspec=simplicial.RATIONALS):
+    def off_by_one(t, fieldspec):
         tables = original(t, fieldspec)
         last = dict(tables[-1].entries)
         last[(0, 0)] = last.get((0, 0), 0) + 1
@@ -512,7 +525,7 @@ def test_betti_route_disagreement_names_witness(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(simplicial, "betti_of_elongations", off_by_one)
     message = "W: the Betti and subset-sum routes disagree first at x^3*t (1 against 0)"
     with pytest.raises(InvariantViolationError) as exc:
-        simplicial.w_via_betti(table)
+        simplicial.w_via_betti(table, simplicial.RATIONALS)
     assert str(exc.value) == message
 
     path = tmp_path / "table.json"
@@ -618,7 +631,7 @@ def test_compute_over_the_ground_set_cap_still_exits_2(monkeypatch, capsys):
 def test_compute_all_still_fails_on_route_disagreement(tmp_path, monkeypatch, capsys):
     original = simplicial.betti_of_elongations
 
-    def off_by_one(t, fieldspec=simplicial.RATIONALS):
+    def off_by_one(t, fieldspec):
         tables = original(t, fieldspec)
         first = dict(tables[0].entries)
         first[(0, 0)] += 1

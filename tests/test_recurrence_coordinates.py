@@ -65,7 +65,7 @@ def _polynomial_tutte_identities(m) -> bool:
 def _polynomial_hamming_routes(m) -> bool:
     hamming.hamming_via_tutte(m)
     hamming.w_from_pj(m)
-    simplicial.w_via_betti(m)
+    simplicial.w_via_betti(m, simplicial.RATIONALS)
     return substitute(hamming.hamming_subset_sum(m), {"t": 1}) == monomial(1, x=m.n)
 
 

@@ -51,7 +51,7 @@ def _top_p_plus_t7(original):
 
 
 def _extra_beta_00(original):
-    def corrupted(table, fieldspec=simplicial.RATIONALS):
+    def corrupted(table, fieldspec):
         *rest, last = original(table, fieldspec)
         entries = dict(last.entries)
         entries[(0, 0)] = entries.get((0, 0), 0) + 1
@@ -61,7 +61,7 @@ def _extra_beta_00(original):
 
 def _extra_beta_12_below_the_top(original):
     # Below the top table an entry reaches two powers of t, with opposite signs.
-    def corrupted(table, fieldspec=simplicial.RATIONALS):
+    def corrupted(table, fieldspec):
         first, *rest = original(table, fieldspec)
         entries = dict(first.entries)
         entries[(1, 2)] = entries.get((1, 2), 0) + 3
@@ -112,7 +112,7 @@ CASES = [
         id="W by P_j, eta = 0"),
     pytest.param(
         simplicial, "betti_of_elongations", _extra_beta_00, ETA_ONE,
-        lambda loaded: simplicial.w_via_betti(loaded.table), "--betti",
+        lambda loaded: simplicial.w_via_betti(loaded.table, simplicial.RATIONALS), "--betti",
         "W: the Betti and subset-sum routes disagree first at x^3*t (1 against 0)",
         id="W by Betti"),
     pytest.param(
@@ -207,12 +207,12 @@ def test_a_corrupted_second_route_raises_its_witness(
         id="P_j"),
     pytest.param(
         simplicial, "betti_of_elongations", _extra_beta_00,
-        lambda table: simplicial.w_via_betti(table),
+        lambda table: simplicial.w_via_betti(table, simplicial.RATIONALS),
         "W: the Betti and subset-sum routes disagree first at x^8*t^4 (1 against 0)",
         id="Betti, top table"),
     pytest.param(
         simplicial, "betti_of_elongations", _extra_beta_12_below_the_top,
-        lambda table: simplicial.w_via_betti(table),
+        lambda table: simplicial.w_via_betti(table, simplicial.RATIONALS),
         "W: the Betti and subset-sum routes disagree first at x^6*y^2 (-3 against 0)",
         id="Betti, first table"),
 ])

@@ -378,7 +378,7 @@ def test_elongation_betti_checks_the_cap_before_building_a_complex(monkeypatch):
     monkeypatch.setattr(core.Complex, "build", staticmethod(counting))
     monkeypatch.setattr(core, "HOMOLOGY_CAP", 3)
     with pytest.raises(SizeCapError):
-        simplicial.betti_of_elongations(core.uniform(4, 2))
+        simplicial.betti_of_elongations(core.uniform(4, 2), Q)
     assert built == []
 
 
@@ -401,7 +401,7 @@ def test_elongation_complex_needs_a_demimatroid():
 
 def test_betti_of_elongations_classifies_the_table_once(classify_calls):
     table = cli.load_input(str(FIXTURES / "vamos.json")).table
-    simplicial.betti_of_elongations(table)
+    simplicial.betti_of_elongations(table, Q)
     assert classify_calls == [8]
 
 
