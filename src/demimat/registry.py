@@ -210,10 +210,12 @@ def entry_for(name: str, loaded: LoadedInput) -> Invariant:
 def golden(loaded: LoadedInput, fieldspec: simplicial.FieldSpec, key: str):
     """The value a fixture's ``expected`` block freezes under ``key``.
 
-    ``betti/p`` is the Betti golden over F_p; a bare key uses ``fieldspec``.
+    ``betti/p`` is the Betti golden over F_p, and no other key takes a
+    suffix; a bare key uses ``fieldspec``.
     """
-    name, _, field = key.partition("/")
-    if name not in INVARIANTS or INVARIANTS[name].golden is None:
+    name, slash, field = key.partition("/")
+    if (name not in INVARIANTS or INVARIANTS[name].golden is None
+            or slash and (name != "betti" or not field)):
         raise MalformedInputError(f"unknown expected key {key!r}")
     if field:
         fieldspec = field_from_flag(field)

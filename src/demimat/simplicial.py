@@ -28,14 +28,13 @@ level, reduces whichever is smaller: the restriction of Delta_r to sigma or
 its Alexander dual.  One zeta transform over Kronecker-packed level indicators
 counts every sigma's submasks at each level, so both sides' sizes are prefix
 sums and the side is chosen before anything is listed.  A side with no face
-above its vertices, {empty} or the empty set and V vertices, is answered in
-the walk itself, [1] or [0, V - 1], with no call into the homology code; one
-with none above its edges is read off its components; any other side is
-grown in cardinality layers, each member from the member without its
-highest element, so a restriction costs O(|sigma| * |side|), not
-2^|sigma|.  Each sigma's one-bit submasks come from a tuple per mask,
-cached per n beside the row positions (about 7.3 MB at n = 16, built in
-0.02 s).  One column cache serves the walk.
+above its vertices, {empty} or the empty set and V vertices, has reduced
+homology [1] or [0, V - 1]; one with none above its edges is read off its
+components; neither runs a kernel.  Any other side is grown in cardinality
+layers, each member from the member without its highest element, so a
+restriction costs O(|sigma| * |side|), not 2^|sigma|.  Each sigma's one-bit
+submasks come from a tuple per mask, cached per n beside the row positions
+(about 7.3 MB at n = 16, built in 0.02 s).  One column cache serves the walk.
 
 The Betti route to W compares its alternating Betti sums with the subset
 sum's terms through ``poly.cross_checked_coordinates``, whose witness is
@@ -303,12 +302,11 @@ def _betti_walk(n: int, levels: list[int], top: int, p: int) -> tuple[BettiTable
     the restriction to sigma, and the others X give its Alexander dual
     ``{sigma - X}``.  ``_restrictions`` picks the smaller of the two from
     one packed count of every sigma's submasks by level, and lists it in
-    cardinality layers.  A side of at most two layers is answered here,
-    as ``_homology_dims`` answers it; a side with no face above its edges
-    is three layers long, so its homology is read off its vertex count and
-    components without the kernels.  From sigma's level up the restriction
-    is a full simplex, with no reduced homology, so sigma = 0 gives only
-    beta_{0,0} = 1 to each table.
+    cardinality layers; ``_homology_dims`` answers every side, one of at
+    most two layers directly and one with no face above its edges from its
+    vertex count and components, without the kernels.  From sigma's level
+    up the restriction is a full simplex, with no reduced homology, so
+    sigma = 0 gives only beta_{0,0} = 1 to each table.
     """
     tables: list[dict[tuple[int, int], int]] = [{(0, 0): 1} for _ in range(top)]
     columns = _Columns(n)
@@ -318,13 +316,7 @@ def _betti_walk(n: int, levels: list[int], top: int, p: int) -> tuple[BettiTable
         # i = j-d-1.  Over any field, degree e of the dual is degree j-e-3
         # of the restriction, so i = e+2.
         table = tables[r]
-        if len(layers) > 2:
-            dims = enumerate(_homology_dims(layers, columns, p))
-        elif len(layers) == 2:  # the empty set and V vertices: [0, V - 1]
-            dims = ((1, len(layers[1]) - 1),)
-        else:  # {empty}: [1]
-            dims = ((0, 1),)
-        for slot, d in dims:
+        for slot, d in enumerate(_homology_dims(layers, columns, p)):
             if d:
                 i = slot + 1 if dual else j - slot
                 table[i, j] = table.get((i, j), 0) + d

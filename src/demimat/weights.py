@@ -124,18 +124,3 @@ def min_size_at_nullity(table: RankTable, r: int) -> int:
     if r not in least:
         raise MalformedInputError(f"no subset has nullity {r}")
     return least[r]
-
-
-def elongation_distance_check(table: RankTable, r: int) -> bool:
-    """d_{r+1} of the nullity table equals d_1 of the r-th elongation's nullity.
-
-    The two sides read the profiles of two different tables.
-    """
-    table.require_demimatroid("elongation distance check")
-    eta = table.total_nullity
-    if not 0 <= r < eta:
-        raise MalformedInputError(f"need 0 <= r < {eta}, got {r}")
-    left = min_size_at_nullity(table, r + 1)
-    elongated = ops.elongate(table, r)
-    right = min_size_at_nullity(elongated, 1)
-    return left == right

@@ -246,7 +246,8 @@ def test_criterion_09_elongations(almost_wheel):
                 for mask in range(table.full + 1):
                     assert (nullity(elongated, mask) == 0) == (nullity(table, mask) <= i)
             for r in range(eta):
-                assert weights.elongation_distance_check(table, r)
+                assert (weights.min_size_at_nullity(table, r + 1)
+                        == weights.min_size_at_nullity(ops.elongate(table, r), 1))
         # the wheel-like fixture's elongation family feeds the printed Betti data
         assert almost_wheel.total_nullity == 4
 

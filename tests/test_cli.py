@@ -295,6 +295,21 @@ def test_verify_fixtures_detects_drift(tmp_path, capsys):
     assert "broken.json" in payload["problems"][0]
 
 
+def test_verify_fixtures_reads_a_field_suffix_only_on_betti(tmp_path, capsys):
+    # Each key holds its bare key's golden, so only the key itself is wrong.
+    fixture = json.loads((FIXTURES / "almost_wheel.json").read_text())
+    expected = fixture["expected"]
+    fixture["expected"] = {"tutte/2": expected["tutte"], "kind/7": expected["kind"],
+                           "betti/": expected["betti"]}
+    (tmp_path / "almost_wheel.json").write_text(json.dumps(fixture))
+    code, out, _ = run_cli(capsys, "verify", "--fixtures", str(tmp_path))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["problems"] == [f"almost_wheel.json: unknown expected key {key!r}"
+                                   for key in ("tutte/2", "kind/7", "betti/")]
+
+
 def test_malformed_input_paths(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -648,12 +663,11 @@ def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys
     # The one walk visits sigma in ascending order and, for each r below
     # sigma's nullity, where sigma is a non-face of the r-th elongation
     # complex, lists the smaller of the restriction and its Alexander dual.
-    # A face restricts to a full simplex and is never visited.  A side with
-    # no face above its vertices is answered in the walk, and only the sides
-    # with an edge reach ``_homology_dims``.  A side with no face above its
-    # edges (a graph) is read off its vertex count and connected components,
-    # with no kernel run; every other side is reduced, with at most half of
-    # sigma's 2^|sigma| submasks, all inside sigma.
+    # A face restricts to a full simplex and is never visited.  Every side
+    # reaches ``_homology_dims``.  A side with no face above its edges (a
+    # graph, or no edge at all) is answered from its vertex count and
+    # connected components, with no kernel run; every other side is reduced,
+    # with at most half of sigma's 2^|sigma| submasks, all inside sigma.
     table = cli.load_input(str(FIXTURES / "vamos.json")).table
     elongation_complexes = [independence_complex(ops.elongate(table, r))
                             for r in range(table.total_nullity + 1)]
@@ -686,11 +700,8 @@ def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys
     visited = [(sigma, r) for sigma in range(1 << table.n) for r in range(nullity(table, sigma))]
     assert [(sigma, r) for sigma, r, _ in listed] == visited
     assert len(visited) == 145
-    assert [layers for layers, _ in homology_calls] == [
-        layers for _, _, layers in listed if len(layers) > 2]
-    reductions = iter(reduced for _, reduced in homology_calls)
-    for sigma, r, layers in listed:
-        reduced = len(layers) > 2 and next(reductions)
+    assert [layers for layers, _ in homology_calls] == [layers for _, _, layers in listed]
+    for (sigma, r, layers), (_, reduced) in zip(listed, homology_calls):
         assert sigma not in elongation_complexes[r]
         faces = [x for x in core.submasks(sigma) if nullity(table, x) <= r]
         if 2 * len(faces) > 2 ** core.popcount(sigma):

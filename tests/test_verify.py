@@ -12,15 +12,15 @@ from hypothesis import given
 from demimat import cli, core, hamming, ops, poly, simplicial, tutte, verify, weights
 from demimat.core import RankTable
 from demimat.errors import InvariantViolationError
-from demimat.poly import LaurentPoly, X, Y, monomial
+from demimat.poly import T, LaurentPoly, X, Y, monomial
 
 from conftest import minus_x2_y_t_minus_3, top_w_r_plus
 from strategies import all_demimatroids, demimatroid_tables
 
 NAMES = (
-    "operator_group", "rank_complement", "minor_duality", "lattice_laws",
-    "wei_duality", "wei_bounds", "wei_sequence_roundtrip",
-    "elongation_laws", "tutte_identities", "hamming_routes", "macwilliams",
+    "operator_group", "minor_duality", "lattice_laws", "wei_duality",
+    "wei_bounds", "wei_sequence_roundtrip", "elongation_laws",
+    "tutte_identities", "hamming_routes", "macwilliams",
     "coefficient_structure", "recovery_identity",
 )
 
@@ -151,7 +151,6 @@ FAULTS = {
     "operator_group": (ops, "apply_operator",  # the nullity tag applies the supplement
                        lambda f: lambda tag, t: f(
                            ops.SUPPLEMENT if tag == ops.NULLITY else tag, t)),
-    "rank_complement": (ops, "dual", lambda f: ops.supplement),
     "minor_duality": (ops, "contract", lambda f: ops.delete),
     "lattice_laws": (ops, "meet", lambda f: ops.join),
     "wei_duality": (weights, "wei_hierarchy",  # each lower number one too large
@@ -168,21 +167,55 @@ FAULTS = {
                           top_w_r_plus(lambda n, k: (X - Y) ** (n - k) * Y ** k)),
 }
 
+
+def _one_too_high_at_e(dual):
+    def corrupted(t):
+        ranks = list(dual(t).ranks)
+        ranks[-1] += 1
+        return RankTable(t.n, tuple(ranks))
+    return corrupted
+
+
+# Faults that checks no longer in the battery caught, each with a law that
+# still fails on it: rank(M) + rank(M*) = n is the dual at E, and W^(0) = x^n
+# is the E_0 term of the recovery sum.
+DECIDED_ELSEWHERE = {
+    "dual-is-the-supplement": ("operator_group", (ops, "dual", lambda f: ops.supplement)),
+    "dual-one-too-high-at-E": ("operator_group", (ops, "dual", _one_too_high_at_e)),
+    "q-binomial-e-0-is-1-plus-t": ("recovery_identity", (
+        hamming, "q_binomial", lambda f: lambda m, j: f(m, j) + (T if j == 0 else 0))),
+}
+
 # Rank 2 and nullity 3, and not a matroid, so no fault above is masked.
 TARGET = core.random_demimatroid(5, random.Random(2)).ranks
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_a_planted_fault_makes_the_identity_fail(name, monkeypatch):
+@pytest.mark.parametrize("name, planted", [
+    *(pytest.param(name, FAULTS[name], id=name) for name in NAMES),
+    *(pytest.param(name, planted, id=case)
+      for case, (name, planted) in DECIDED_ELSEWHERE.items()),
+])
+def test_a_planted_fault_makes_the_identity_fail(name, planted, monkeypatch):
     check = verify.IDENTITIES[name]
     assert check(RankTable.build(5, TARGET))
-    module, attribute, fault = FAULTS[name]
+    module, attribute, fault = planted
     monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
     try:  # a fresh table, so no memoized value hides the fault
         verdict = check(RankTable.build(5, TARGET))
     except Exception:
         verdict = False
     assert verdict is False
+
+
+def test_the_elongation_law_builds_each_elongation_once(monkeypatch):
+    # One elongation to the top, then per i one step and one direct: the
+    # distance identity reads the elongations the law has built.
+    table = RankTable.build(5, TARGET)
+    assert table.total_nullity == 3
+    calls = []
+    _counting(monkeypatch, ops, "elongate", calls)
+    assert verify.IDENTITIES["elongation_laws"](table) is True
+    assert len(calls) == 7
 
 
 def test_a_witness_alone_reproduces_its_failure(monkeypatch):
