@@ -62,9 +62,6 @@ class PrimeMatrix(Frozen):
         idx = [i for i in range(self.n_cols) if mask & (1 << i)]
         return [[row[i] for i in idx] for row in self.rows]
 
-    def rank(self) -> int:
-        return len(self.echelon[1])
-
 
 def parity_matroid(matrix: PrimeMatrix) -> RankTable:
     """rho(X) = rank of the columns of the check matrix indexed by X.

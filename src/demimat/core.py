@@ -83,13 +83,6 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def bits_of(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
 def subset_transform(values: Sequence, combine: Callable) -> list:
     """Apply ``v[X] = combine(v[X], v[X - e])`` for each element e in turn.
 
@@ -388,21 +381,11 @@ class Complex(Frozen):
         return mask in self.face_set
 
     @property
-    def facets(self) -> tuple[int, ...]:
-        """The inclusion-maximal faces, ascending by mask value."""
-        full = full_mask(self.n)
-        return tuple(f for f in self.faces() if all(f | b not in self for b in bits_of(full & ~f)))
-
-    @property
     def dim(self) -> int:
         """Dimension; the {empty} complex has dimension -1.  Void is an error."""
         if self.is_void:
             raise ValueError("the void complex has no dimension")
         return max(popcount(f) for f in self.face_set) - 1
-
-    def faces(self) -> Iterator[int]:
-        """All face masks, ascending by mask value."""
-        return iter(sorted(self.face_set))
 
     def face_counts(self) -> list[int]:
         """Number of faces of each cardinality, index = cardinality."""

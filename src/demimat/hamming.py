@@ -5,13 +5,13 @@ W is homogeneous of degree n in (x, y); the t slot doubles as the q of the
 generalized enumerators, so a single variable stores both and the caller
 chooses how to print it.  Each quantity has one implementation, and W is
 expanded once per table, by the subset sum.  The definition route of the
-W^(r), ``generalized_w(table, r, "tutte")``, reads the W that
+W^(r), ``generalized_w(table, r)``, reads the W that
 ``hamming_via_tutte`` returns, so it checks the Tutte relabelling before it
 uses W.  The definition is Z[x, y]-linear in W, so that route applies it to
 each monomial t^e; its image of t^e depends only on (r, e) and is cached
 per (r, e), beside ``q_binomial`` and ``angle``.  ``generalized_w_all`` is
 the subset route of the whole family, and ``a_coefficients`` the one source
-of the A_j.
+of the A_j; delta and c are ``formal_min_distance``'s.
 
 W's coordinates in the basis (x-y)^a y^b t^e, ``subset_sum_coordinates``,
 are a read-only view computed once per table from that table's own profile;
@@ -66,7 +66,6 @@ from .poly import (
     term_sum,
     tutte_basis,
     w_basis,
-    zero,
 )
 
 
@@ -236,8 +235,8 @@ def _uniform_a_closed_form(n: int, i: int, delta: int) -> LaurentPoly:
     return (T - 1) * comb(n, i) * inner
 
 
-def a_coefficients(table: RankTable) -> tuple[int, dict[int, LaurentPoly]]:
-    """delta and the weight coefficients A_j read off W, as a dict by j.
+def a_coefficients(table: RankTable) -> dict[int, LaurentPoly]:
+    """The weight coefficients A_j read off W, as a dict by j.
 
     Verifies the structure the level sets force: A_j = 0 below delta and
     A_delta = c (t-1); when the table is uniform the closed form for every
@@ -263,7 +262,7 @@ def a_coefficients(table: RankTable) -> tuple[int, dict[int, LaurentPoly]]:
         for i in range(delta, n + 1):
             if coeffs[i] != _uniform_a_closed_form(n, i, delta):
                 raise InvariantViolationError(f"uniform closed form fails at A_{i}")
-    return delta, coeffs
+    return coeffs
 
 
 # -- generalized enumerators -----------------------------------------------------------
@@ -295,27 +294,24 @@ def _definition_at_t_power(r: int, e: int) -> LaurentPoly:
     ).divide_exact(angle(r))
 
 
-def generalized_w(table: RankTable, r: int, route: str = "subset") -> LaurentPoly:
-    """r-th generalized Hamming weight enumerator.
+def generalized_w(table: RankTable, r: int, route: str = "tutte") -> LaurentPoly:
+    """r-th generalized Hamming weight enumerator by its definition.
 
-    The subset route reads it off ``generalized_w_all`` (zero above
-    eta(E)).  The Tutte route is the definition: the alternating q-binomial
-    combination of W(x, y, q^j) for j = 0 .. r, divided exactly by the angle
-    bracket <r>_q, and cross-checked against the subset route.  The
-    definition is Z[x, y]-linear in W, so it is applied to each slice
-    W_e(x, y) q^e of the W(x, y, q) that ``hamming_via_tutte`` returns; the
-    image of q^e is cached per (r, e).  The q variable is stored in the t
-    slot.
+    The definition is the alternating q-binomial combination of W(x, y, q^j)
+    for j = 0 .. r, divided exactly by the angle bracket <r>_q, and it is
+    cross-checked against ``generalized_w_all`` (zero above eta(E)), the
+    subset route.  The definition is Z[x, y]-linear in W, so it is applied
+    to each slice W_e(x, y) q^e of the W(x, y, q) that ``hamming_via_tutte``
+    returns; the image of q^e is cached per (r, e).  The q variable is
+    stored in the t slot.  ``route`` takes only ``"tutte"``.
     """
     table.require_demimatroid("generalized enumerator")
     if not 0 <= r <= table.n:
         raise MalformedInputError(f"need 0 <= r <= {table.n}, got {r}")
-    if route not in ("subset", "tutte"):
+    if route != "tutte":
         raise MalformedInputError(f"unknown route {route!r}")
     family = generalized_w_all(table)
-    subset = family[r] if r < len(family) else zero()
-    if route == "subset":
-        return subset
+    subset = family[r] if r < len(family) else LaurentPoly()
     value = term_sum(((a, b, k), c * d)
                      for e, w_e in _t_slices(hamming_via_tutte(table)).items()
                      for (_, _, k), d in _definition_at_t_power(r, e).terms().items()
@@ -331,8 +327,8 @@ def generalized_w_all(table: RankTable) -> tuple[LaurentPoly, ...]:
     coefficient of W: the definition's j-sum, taken on W_e q^(je), is
     W_e prod_{i<r} (q^e - q^i), and that product over <r>_q is [e, r]_q
     (zero for e < r).  So one W gives the family, with no substitution and
-    no division.  ``generalized_w(table, r, "tutte")`` is the definition
-    route that checks it.
+    no division.  ``generalized_w(table, r)`` is the definition route that
+    checks it.
     """
     table.require_demimatroid("generalized enumerator")
     slices = _t_slices(hamming_subset_sum(table))

@@ -2,7 +2,8 @@
 
 The identity, dual, nullity and supplement operators form a Klein four-group
 acting on tables over a fixed ground set; any two of the non-identity
-operators compose to the third.
+operators compose to the third.  ``compose_check`` applies two of them and
+raises unless the composite is the one ``GROUP_TABLE`` names.
 
 The three operator images are memoized on their source table
 (``per_table``), so the identities that meet the same image share it,
@@ -144,12 +145,10 @@ def apply_operator(tag: str, table: RankTable) -> RankTable:
     return _APPLY[tag](table)
 
 
-def compose_check(a: str, b: str, table: RankTable) -> str:
-    """Apply ``a`` then ``b`` and identify the composite in the group table.
-
-    The composite table is compared entry-for-entry against the table-entry
-    operator applied directly; a mismatch would mean the group law failed and
-    raises (it should be unreachable).
+def compose_check(a: str, b: str, table: RankTable) -> None:
+    """Apply ``a`` then ``b`` and compare the composite, entry for entry,
+    with the operator ``GROUP_TABLE`` names applied directly; a mismatch
+    would mean the group law failed and raises (it should be unreachable).
     """
     if a not in OPERATORS or b not in OPERATORS:
         raise MalformedInputError(f"unknown operator pair ({a!r}, {b!r})")
@@ -160,7 +159,6 @@ def compose_check(a: str, b: str, table: RankTable) -> str:
         raise InvariantViolationError(
             f"composite {a};{b} does not match {expected} on this table"
         )
-    return expected
 
 
 # -- minors ----------------------------------------------------------------

@@ -9,7 +9,9 @@ monomial: ``monomial_inverse`` and a negative power take nothing else
 integer raises InexactDivisionError, which a divisor led by +-1, as every
 divisor in the package is, never does.  There is no floating point anywhere.
 Values are immutable by convention: every operation returns a fresh
-polynomial.  Scalar products are one map over the coefficients.
+polynomial.  Scalar products are one map over the coefficients.  Zero is
+``LaurentPoly()``, and the variables ``X``, ``Y`` and ``T`` are
+``monomial`` values.
 
 ``binomial_expansion`` writes products of powers of binomials such as
 (x-y)^m or (x-1)^a (y-1)^b through a packed kernel (``_binomial``): each
@@ -325,10 +327,6 @@ class LaurentPoly:
 # -- constructors -------------------------------------------------------------
 
 
-def zero() -> LaurentPoly:
-    return LaurentPoly()
-
-
 def one() -> LaurentPoly:
     return _from_terms({_ZERO_EXP: 1})
 
@@ -336,12 +334,6 @@ def one() -> LaurentPoly:
 def constant(value: int) -> LaurentPoly:
     c = index(value)
     return _from_terms({_ZERO_EXP: c} if c else {})
-
-
-def variable(name: str) -> LaurentPoly:
-    exp = [0] * len(VARIABLES)
-    exp[_INDEX[name]] = 1
-    return LaurentPoly({tuple(exp): 1})
 
 
 def monomial(coeff: int, **exps: int) -> LaurentPoly:
@@ -354,9 +346,9 @@ def monomial(coeff: int, **exps: int) -> LaurentPoly:
     return _from_terms({tuple(exp): c} if c else {})
 
 
-X = variable("x")
-Y = variable("y")
-T = variable("t")
+X = monomial(1, x=1)
+Y = monomial(1, y=1)
+T = monomial(1, t=1)
 
 
 def term_sum(items: Iterable[tuple[tuple, int]]) -> LaurentPoly:

@@ -21,7 +21,7 @@ combinatroid, which has no Betti route, still gets its W.
 
 Routes are never compared here.  Each library function that computes an
 invariant by a second route (the GHWE block runs the definition route of
-each W^(r), ``hamming.generalized_w(table, r, "tutte")``, and the
+each W^(r), ``hamming.generalized_w(table, r)``, and the
 ``conjecture`` flag the q-enumerator route of T, ``hamming.conjecture_check``)
 checks it against the primary route (``poly.cross_checked``) and raises on a
 disagreement, which exits 1 with the invariant, the route pair and the first
@@ -90,7 +90,7 @@ def _hamming_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict
         delta = c = None
         a = {}
     else:
-        a = hamming.a_coefficients(table)[1]
+        a = hamming.a_coefficients(table)
     return {
         "w": str(w),
         "routes": routes,
@@ -137,7 +137,7 @@ def _ghwe_block(loaded: LoadedInput, fieldspec: simplicial.FieldSpec) -> dict:
     family = hamming.generalized_w_all(table)
     return {
         "w_r": _enumerators(family),
-        "definition_route_agrees": all(_ran(hamming.generalized_w, table, r, "tutte")
+        "definition_route_agrees": all(_ran(hamming.generalized_w, table, r)
                                        for r in range(len(family))),
     }
 

@@ -160,7 +160,7 @@ def _coefficient_structure(m: core.RankTable) -> bool:
     if m.total_nullity == 0:
         return True
     hamming.a_coefficients(m)  # raises if the A_j structure is off
-    hamming.generalized_w(m, 1, route="tutte")  # checked against the subset route
+    hamming.generalized_w(m, 1)  # checked against the subset route
     return True
 
 

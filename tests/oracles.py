@@ -20,14 +20,15 @@ mask-by-mask classification (``classify``, with a witness per violated
 axiom) behind ``core._kind``; the definitional P_j route (``p_sigma`` and
 ``p_j``, over the 3^n submask terms) behind ``hamming.pj_family``; a
 table's nullity at one mask; the independence and level complexes of a
-table; and the itemized check of the complex/demimatroid Galois connection
-(``galois_check``).
+table; the itemized check of the complex/demimatroid Galois connection
+(``galois_check``); and a mask's one-bit submasks (``bits_of``) and a
+complex's faces and facets, in ascending mask order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from itertools import combinations
 from math import comb
 from operator import or_
@@ -48,7 +49,6 @@ from demimat.poly import (
     term_sum,
     tutte_basis,
     w_basis,
-    zero,
 )
 
 
@@ -62,7 +62,7 @@ def substitute(p: LaurentPoly, assignments: dict) -> LaurentPoly:
         if name not in VARIABLES:
             raise KeyError(f"unknown variable {name!r}")
         values[VARIABLES.index(name)] = value if isinstance(value, LaurentPoly) else constant(value)
-    total = zero()
+    total = LaurentPoly()
     for exp, coeff in p.terms().items():
         term = LaurentPoly({tuple(0 if i in values else e for i, e in enumerate(exp)): coeff})
         for i, value in values.items():
@@ -78,7 +78,7 @@ def reduced_homology_dims(cx: core.Complex, fieldspec=simplicial.RATIONALS) -> l
         return []
     simplicial._check_homology_cap(cx.n)
     layers: list[list[int]] = [[] for _ in range(cx.dim + 2)]
-    for face in cx.faces():
+    for face in faces(cx):
         layers[face.bit_count()].append(face)
     return simplicial._homology_dims(layers, simplicial._Columns(cx.n), fieldspec.characteristic)
 
@@ -102,7 +102,7 @@ def minimal_non_faces(cx: core.Complex) -> tuple[int, ...]:
     """Masks of the inclusion-minimal non-faces: the Stanley-Reisner generators."""
     return tuple(
         mask for mask in range(1, 1 << cx.n)
-        if mask not in cx and all(mask ^ bit in cx for bit in core.bits_of(mask))
+        if mask not in cx and all(mask ^ bit in cx for bit in bits_of(mask))
     )
 
 
@@ -354,6 +354,25 @@ class ValidationReport(NamedTuple):
         return not self.violations
 
 
+def bits_of(mask: int) -> Iterator[int]:
+    """The one-bit submasks of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def faces(cx: core.Complex) -> Iterator[int]:
+    """All face masks of ``cx``, ascending by mask value."""
+    return iter(sorted(cx.face_set))
+
+
+def facets(cx: core.Complex) -> tuple[int, ...]:
+    """The inclusion-maximal faces of ``cx``, ascending by mask value."""
+    full = core.full_mask(cx.n)
+    return tuple(f for f in faces(cx) if all(f | b not in cx for b in bits_of(full & ~f)))
+
+
 def elements_of(mask: int) -> tuple[int, ...]:
     """The elements of ``mask``, ascending: element i is bit i - 1."""
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
@@ -366,7 +385,7 @@ def classify(n: int, ranks: Sequence[int]) -> ValidationReport:
 
     unit_step = None
     for mask in range(full + 1):
-        for bit in core.bits_of(full & ~mask):
+        for bit in bits_of(full & ~mask):
             step = ranks[mask | bit] - ranks[mask]
             if step < 0 or step > 1:
                 unit_step = Violation(AXIOM_UNIT_STEP, (mask, mask | bit))
@@ -448,7 +467,7 @@ def galois_check(cx: core.Complex, table: core.RankTable) -> GaloisReport:
     up_monotone = up is None or all(
         all(a <= b for a, b in zip(core.complex_to_demimatroid(
             core.Complex.build(cx.n, [f])).ranks, up.ranks))
-        for f in cx.facets)
+        for f in facets(cx))
     items.append(("up_monotone", up_monotone))
 
     # Restrictions of the independence complex must come from tables below.

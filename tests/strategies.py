@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from demimat import core
 from demimat.poly import VARIABLES, LaurentPoly
+from oracles import bits_of
 
 int_coefficients = st.integers(-20, 20)
 
@@ -39,7 +40,7 @@ def demimatroid_tables(draw, max_n: int = 6):
     loopless = draw(st.booleans())
     ranks = [0] * (1 << n)
     for mask in range(1, 1 << n):
-        below = [ranks[mask ^ bit] for bit in core.bits_of(mask)]
+        below = [ranks[mask ^ bit] for bit in bits_of(mask)]
         low = 1 if loopless and not mask & (mask - 1) else max(below)
         ranks[mask] = draw(st.integers(low, min(below) + 1))
     return core.RankTable.build(n, ranks)
@@ -67,7 +68,7 @@ def all_demimatroids(n: int):
         if mask == 1 << n:
             yield core.RankTable.build(n, ranks)
             return
-        below = [ranks[mask ^ bit] for bit in core.bits_of(mask)]
+        below = [ranks[mask ^ bit] for bit in bits_of(mask)]
         for r in range(max(below), min(below) + 2):
             ranks[mask] = r
             yield from extend(mask + 1)

@@ -107,7 +107,7 @@ def test_parity_matroid_matches_elimination_per_mask(monkeypatch):
     sides = set()
     for p, rows in _oracle_cases():
         matrix = codes.PrimeMatrix.build(p, rows)
-        rank, n = matrix.rank(), matrix.n_cols
+        rank, n = len(matrix.echelon[1]), matrix.n_cols
         assert codes.parity_matroid(matrix).ranks == _rank_table_by_elimination(matrix)
         assert spaces.pop() == min(rank, n - rank)
         sides.add(n - rank <= rank)

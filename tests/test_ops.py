@@ -84,14 +84,14 @@ def test_atom_operators():
 
 
 def test_compose_check_table(two_basis):
-    assert ops.compose_check(ops.DUAL, ops.NULLITY, two_basis) == ops.SUPPLEMENT
-    assert ops.compose_check(ops.SUPPLEMENT, ops.SUPPLEMENT, two_basis) == ops.IDENTITY
+    assert ops.nullity_operator(ops.dual(two_basis)).ranks == ops.supplement(two_basis).ranks
+    assert ops.supplement(ops.supplement(two_basis)).ranks == two_basis.ranks
     rng = random.Random(3)
     table = core.random_demimatroid(5, rng)
-    assert ops.compose_check(ops.DUAL, ops.DUAL, table) == ops.IDENTITY
+    assert ops.dual(ops.dual(table)).ranks == table.ranks
     for a in ops.OPERATORS:
         for b in ops.OPERATORS:
-            assert ops.compose_check(a, b, table) == ops.GROUP_TABLE[(a, b)]
+            ops.compose_check(a, b, table)  # raises on a mismatch
     with pytest.raises(MalformedInputError):
         ops.compose_check("dualize", ops.DUAL, table)
 

@@ -129,18 +129,18 @@ CASES = [
         id="characteristic"),
     pytest.param(
         tutte, "corank_nullity_counts", counts_plus(lambda table: monomial(1, x=table.n)),
-        ETA_ONE, lambda loaded: hamming.generalized_w(loaded.table, 1, route="tutte"), "--ghwe",
+        ETA_ONE, lambda loaded: hamming.generalized_w(loaded.table, 1), "--ghwe",
         "W: the Tutte and subset-sum routes disagree first at x^3 (2 against 1)",
         id="W^(r) by definition reads the checked Tutte route"),
     pytest.param(
         hamming, "hamming_via_tutte", _w_at_t_plus_a_multiple_of_t_minus_1, ETA_ONE,
-        lambda loaded: [hamming.generalized_w(loaded.table, r, "tutte")
+        lambda loaded: [hamming.generalized_w(loaded.table, r)
                         for r in range(loaded.table.total_nullity + 1)], "--ghwe",
         "W^(1): the Tutte and subset-sum routes disagree first at x^3 (1 against 0)",
         id="W^(r) family by definition"),
     pytest.param(
         hamming, "hamming_via_tutte", _w_at_t_plus_a_multiple_of_t_minus_1, ETA_ONE,
-        lambda loaded: hamming.generalized_w(loaded.table, 1, route="tutte"), None,
+        lambda loaded: hamming.generalized_w(loaded.table, 1), None,
         "W^(1): the Tutte and subset-sum routes disagree first at x^3 (1 against 0)",
         id="W^(1) by definition"),
     pytest.param(

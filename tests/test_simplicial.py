@@ -12,9 +12,9 @@ from demimat.errors import KindError, MalformedInputError, SizeCapError
 from demimat.poly import monomial, one
 
 import conftest as ref
-from oracles import (elements_of, hochster_betti_multigraded, independence_complex,
-                     minimal_non_faces, nullity, rank_fraction_free, reduced_homology_dims,
-                     restriction)
+from oracles import (bits_of, elements_of, faces, hochster_betti_multigraded,
+                     independence_complex, minimal_non_faces, nullity, rank_fraction_free,
+                     reduced_homology_dims, restriction)
 from strategies import demimatroid_tables
 
 F2 = simplicial.FieldSpec(2)
@@ -68,7 +68,7 @@ def euler_characteristics(cx, fieldspec=Q):
     """The reduced Euler characteristic of a nonvoid complex by homology and by faces."""
     homological = sum((-1) ** (slot - 1) * d
                       for slot, d in enumerate(reduced_homology_dims(cx, fieldspec)))
-    by_faces = sum((-1) ** (core.popcount(f) - 1) for f in cx.faces())
+    by_faces = sum((-1) ** (core.popcount(f) - 1) for f in faces(cx))
     return homological, by_faces
 
 
@@ -194,14 +194,14 @@ def test_projective_plane_torsion_shows_over_f2_only(projective_plane):
 def _dense_homology_dims(cx, fieldspec):
     """Reduced homology from dense boundary matrices and the dense oracles."""
     layers = [[] for _ in range(cx.dim + 2)]
-    for f in cx.faces():
+    for f in faces(cx):
         layers[core.popcount(f)].append(f)
     ranks = [0] * (len(layers) + 1)
     for c in range(1, len(layers)):
         lower, upper = layers[c - 1], layers[c]
         mat = [[0] * len(upper) for _ in lower]
         for col, face in enumerate(upper):
-            for k, bit in enumerate(core.bits_of(face)):
+            for k, bit in enumerate(bits_of(face)):
                 mat[lower.index(face ^ bit)][col] = (-1) ** k
         p = fieldspec.characteristic
         ranks[c] = rank_fraction_free(mat) if p == 0 else len(rref_mod_p(mat, p)[1])
@@ -409,11 +409,11 @@ def _sparse_kernel_dims(cx, p):
     """Reduced homology of ``cx`` with each boundary map reduced on its own by
     ``rank_sparse_columns``: no clearing and no F_2 certificate."""
     layers = [[] for _ in range(cx.dim + 2)]
-    for f in cx.faces():
+    for f in faces(cx):
         layers[core.popcount(f)].append(f)
     ranks = [0] * (len(layers) + 1)
     for c in range(1, len(layers)):
-        columns = {f: {f ^ bit: (-1) ** k for k, bit in enumerate(core.bits_of(f))}
+        columns = {f: {f ^ bit: (-1) ** k for k, bit in enumerate(bits_of(f))}
                    for f in layers[c]}
         ranks[c] = len(rank_sparse_columns(columns, p))
     return [len(layer) - ranks[c] - ranks[c + 1] for c, layer in enumerate(layers)]
@@ -425,7 +425,7 @@ def test_the_cached_bit_lists_are_each_masks_bits(n):
     assert type(bit_lists) is tuple and len(bit_lists) == 1 << n
     for mask, bits in enumerate(bit_lists):
         assert type(bits) is tuple
-        assert bits == tuple(core.bits_of(mask))
+        assert bits == tuple(bits_of(mask))
     assert simplicial._bit_lists(n) is bit_lists
 
 

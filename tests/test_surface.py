@@ -13,7 +13,9 @@ unreached ones call is unreached.  Dunder methods run by protocol.  A method
 is reached through an attribute or a string, never a bare name, as a local
 variable is.  Names match without their module or class, which can pass a
 function, never fail one.  A reference that only tests compare against
-belongs in ``oracles``.
+belongs in ``oracles``.  A static scan cannot see a method of a live class,
+a branch no input takes or a return value no caller reads; what the CLI
+never enters at run time is decided in ``test_entered.py``.
 """
 
 import ast
