@@ -11,8 +11,8 @@ compiles and inspects several methods per class.  Two shapes:
   validate in ``__new__``.
 - ``Frozen`` is the base of a read-only, hashable value whose fields are
   plain instance attributes, which hot loops read, and into whose instance
-  dict derived values are written (``cached_property``, ``core``'s lazily
-  derived table values and ``core.per_table``).  Since assignment raises, a
+  dict derived values are written (``cached_property``, as a rank table's
+  lazily derived values are, and ``core.per_table``).  Since assignment raises, a
   subclass's ``__init__`` stores its fields straight into ``self.__dict__``.
 
 The fields of a ``Frozen`` are the parameters of its class's ``__init__``.

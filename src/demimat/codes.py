@@ -8,11 +8,12 @@ generator of C = ker H and the parity matroid all read that RREF.  The rank
 table is counted, not eliminated (Greene 1976; Jurrius-Pellikaan 2013):
 #{c in C : supp(c) ⊆ X} = p^(|X| - rank X), and for the row space R of H,
 #{v in R : v vanishes on X} = p^(rank H - rank X).  The smaller space, of
-p^m vectors, has its supports listed once (``_span_supports``), histogrammed
-and zeta-transformed.  Above p^m = 8 * 2^n, where listing costs more than
+p^m vectors, has its supports listed (``_span_supports``), histogrammed and
+zeta-transformed.  Above p^m = 8 * 2^n, where listing costs more than
 eliminating every column subset, or above the memory bound
 ``SUBSPACE_ENUM_CAP``, ``rref_mod_p`` runs per mask on the RREF's rows.  The
-listing of C also gives every subcode's support: the OR of the listed
+ranks lie in 0..n either way, so ``RankTable.from_view`` makes the table.
+The listing of C also gives every subcode's support: the OR of the listed
 supports of its RREF basis (``subcode_support_sizes``).
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import combinations, product
 
 from ._linalg import is_prime, rref_mod_p
@@ -77,7 +78,7 @@ def parity_matroid(matrix: PrimeMatrix) -> RankTable:
     if p ** min(rank, n - rank) > min(SUBSPACE_ENUM_CAP, 8 << n):
         reduced = PrimeMatrix(p, rref[:rank])  # the same column ranks, in rank rows
         ranks = [len(rref_mod_p(reduced.columns(m), p)[1]) for m in range(1 << n)]
-        return RankTable.build(n, ranks)
+        return RankTable.from_view(n, bytes(ranks))
     if n - rank <= rank:
         nullities = _log_p(_subspace_counts(nullspace_basis(matrix), n, p), p)
         ranks = list(map(operator.sub, mask_sizes(n), nullities))
@@ -85,29 +86,24 @@ def parity_matroid(matrix: PrimeMatrix) -> RankTable:
         # Vanishing on X means a support inside the complement, full ^ X.
         coranks = _log_p(_subspace_counts(rref[:rank], n, p), p)
         ranks = [rank - c for c in reversed(coranks)]
-    return RankTable.build(n, ranks)
+    return RankTable.from_view(n, bytes(ranks))
 
 
-@lru_cache(maxsize=1)
-def _span_supports(basis: tuple[tuple[int, ...], ...], n: int, p: int) -> tuple[int, ...]:
+def _span_supports(basis: Sequence[Sequence[int]], n: int, p: int) -> list[int]:
     """The support mask of every vector of span(basis), at the index that
-    reads its coefficient vector in base p (row 0 the lowest digit).
-
-    The last listing (at most ``SUBSPACE_ENUM_CAP`` ints) is kept, so a
-    parity matroid and every r of its code's subcode count share one.
-    """
+    reads its coefficient vector in base p (row 0 the lowest digit)."""
     vectors: list[Sequence[int]] = [[0] * n]
     for row in basis:
         vectors = [[(a + c * b) % p for a, b in zip(v, row)] for c in range(p) for v in vectors]
     bits = [1 << i for i in range(n)]
-    return tuple(sum(bit for bit, a in zip(bits, v) if a) for v in vectors)
+    return [sum(bit for bit, a in zip(bits, v) if a) for v in vectors]
 
 
 def _subspace_counts(basis: Sequence[Sequence[int]], n: int, p: int) -> list[int]:
     """#{v in span(basis) : supp(v) ⊆ X} for every mask X: the listed
     supports histogrammed, then one zeta transform over the subsets of X."""
     histogram = [0] * (1 << n)
-    for support in _span_supports(tuple(map(tuple, basis)), n, p):
+    for support in _span_supports(basis, n, p):
         histogram[support] += 1
     return subset_transform(histogram, operator.add)
 

@@ -2,13 +2,15 @@
 
 Each constructor builds a ``core.RankTable`` from a description (a size and
 rank, a basis family, a graph, a Wei sequence) and checks the ground-set cap
-before the 2^n table is built.  Per-mask work is read from the mask sizes
-``core`` caches per n or from one whole-table pass: a Wei sequence's rank is
-counted once per size, and a graph's edges are spread to their supersets by
-one OR-zeta transform.  ``random_demimatroid`` and ``random_subset`` draw the
-battery's samples from a ``random.Random``; ``random`` is named only in their
-annotations and never imported, so loading the CLI does not load it.  The
-check of the complex/demimatroid Galois connection is a test oracle
+before the 2^n table is built.  Its ranks lie in 0..n and its empty set has
+rank 0 by construction, so it is made by ``RankTable.from_view`` with no
+further check.  A rank that depends on |X| alone (``uniform``, a Wei
+sequence) is taken once per size and spread by ``core.size_view``; a graph's
+edges are spread to their supersets by one OR-zeta transform.
+``random_demimatroid`` and ``random_subset`` draw the battery's samples from
+a ``random.Random``; ``random`` is named only in their annotations and never
+imported, so loading the CLI does not load it.  The check of the
+complex/demimatroid Galois connection is a test oracle
 (``oracles.galois_check``): no input of the CLI needs it.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import or_
 
-from .core import RankTable, check_cap, mask_of, mask_sizes, popcount, subset_transform
+from .core import RankTable, check_cap, mask_of, popcount, size_view, subset_transform
 from .errors import MalformedInputError
 
 # -- constructions ---------------------------------------------------------------
@@ -28,7 +30,7 @@ def uniform(n: int, k: int) -> RankTable:
     if not 0 <= k <= n:
         raise MalformedInputError(f"uniform needs 0 <= k <= n, got k={k}, n={n}")
     check_cap(n)
-    return RankTable.build(n, [min(popcount(m), k) for m in range(1 << n)])
+    return RankTable.from_view(n, size_view(n, [min(s, k) for s in range(n + 1)]))
 
 
 def from_matroid_bases(n: int, bases: Iterable) -> RankTable:
@@ -42,7 +44,7 @@ def from_matroid_bases(n: int, bases: Iterable) -> RankTable:
         raise MalformedInputError("need at least one basis")
     check_cap(n)
     ranks = [max(popcount(m & b) for b in masks) for m in range(1 << n)]
-    return RankTable.build(n, ranks)
+    return RankTable.from_view(n, bytes(ranks))
 
 
 def graph_demimatroid(n: int, edges: Iterable[tuple[int, int]]) -> RankTable:
@@ -61,7 +63,7 @@ def graph_demimatroid(n: int, edges: Iterable[tuple[int, int]]) -> RankTable:
         has_edge[mask_of((a, b), n)] = 1
     ranks = [1 + contains for contains in subset_transform(has_edge, or_)]
     ranks[0] = 0
-    return RankTable.build(n, ranks)
+    return RankTable.from_view(n, bytes(ranks))
 
 
 def from_wei_sequence(n: int, d: Sequence[int]) -> RankTable:
@@ -77,7 +79,7 @@ def from_wei_sequence(n: int, d: Sequence[int]) -> RankTable:
             f"need a strictly increasing sequence within 1..{n}, got {ds}"
         )
     at_size = [sum(1 for v in ds if v <= s) for s in range(n + 1)]
-    return RankTable.build(n, list(map(at_size.__getitem__, mask_sizes(n))))
+    return RankTable.from_view(n, size_view(n, at_size))
 
 
 # -- random generation --------------------------------------------------------------
@@ -115,7 +117,7 @@ def random_demimatroid(n: int, rng: random.Random) -> RankTable:
             up = rest & -rest
             seen[mask | up] |= bit
             rest ^= up
-    return RankTable.build(n, ranks)
+    return RankTable.from_view(n, bytes(ranks))
 
 
 def random_subset(n: int, rng: random.Random) -> int:

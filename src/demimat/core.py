@@ -13,9 +13,11 @@ witness per violated axiom, is in the tests (``oracles.classify``).
 
 A table whose ranks all lie in 0..127 (a demimatroid's lie in 0..n) has a
 byte view, ``RankTable.view``: the ranks as one ``bytes``, made on first
-read, or handed over by the ``ops`` builder that made the table.  ``_kind``
-and the ``ops`` builders run on it in whole-table byte and big-int steps; a
-table without one is a combinatroid, and the builders take their list path.
+read of a rank list from outside (``RankTable.build`` checks it), or stored
+by ``RankTable.from_view``, which makes every table the package computes.
+``_kind`` and the ``ops`` builders run on it in whole-table byte and big-int
+steps; a table without one is a combinatroid, and the builders take their
+list path.
 
 ``subset_transform`` is the one whole-table pass over the subset lattice:
 the zeta transform of the code-side rank tables (``codes``) and of the
@@ -24,19 +26,18 @@ graph's edges (``constructions``) and the max-zeta of a complex's face
 sizes (``complex_to_demimatroid``).
 
 A table's ``profile`` counts its subsets by (size, rank) in one C-level
-counting pass over packed int keys.  Three values are cached per ground-set
+counting pass over packed int keys.  Two values are cached per ground-set
 size n, never per table contents, each O(2^n) bytes: ``mask_sizes(n)``, the
-size of every mask; ``byte_operands(n)``, those sizes and a 0x01 per mask as
-ints; and the decode of each packed profile key with its rank in 0..n.
-``per_table`` memoizes a derived value in the table's own instance dict, so
-a repeated call costs one dict lookup.
+size of every mask, and ``byte_operands(n)``, those sizes and a 0x01 per
+mask as ints.  ``per_table`` memoizes a derived value in the table's own
+instance dict, so a repeated call costs one dict lookup.
 """
 
 from __future__ import annotations
 
 from collections import _count_elements
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from functools import cache, wraps
+from functools import cache, cached_property, wraps
 from itertools import repeat
 from operator import add, mul
 
@@ -206,41 +207,23 @@ def byte_operands(n: int) -> tuple[int, int]:
     return int.from_bytes(mask_sizes(n), "little"), int.from_bytes(b"\x01" * (1 << n), "little")
 
 
-@cache
-def _profile_keys(n: int) -> dict[int, tuple[int, int]]:
-    """(s, r) by its packed key r * (n + 1) + s, for 0 <= s, r <= n."""
-    base = n + 1
-    return {r * base + s: (s, r) for r in range(base) for s in range(base)}
+def size_view(n: int, at_size: Iterable[int]) -> bytes:
+    """The byte view of the table whose rank at X is ``at_size[|X|]``: the
+    mask sizes translated through ``at_size``, each value in 0..255."""
+    return mask_sizes(n).translate(bytes(at_size).ljust(256, b"\0"))
 
 
 def _size_rank_profile(n: int, ranks: Sequence[int]) -> Mapping[tuple[int, int], int]:
     """#{X : |X| = s, rank(X) = r} keyed by (s, r), for any ranks at all.
 
     Each pair is counted as the one int r * (n + 1) + s, which hashes faster
-    than a tuple, in one C-level pass; a key with its rank in 0..n is decoded
-    by the per-n table, any other by ``divmod``, negative ranks included.
+    than a tuple, in one C-level pass, and decoded as (key % (n + 1),
+    key // (n + 1)); floor division decodes negative ranks too.
     """
     base = n + 1
     packed: dict[int, int] = {}
     _count_elements(packed, map(add, map(mul, ranks, repeat(base)), mask_sizes(n)))
-    decode = _profile_keys(n).get
-    return _FrozenCounts({decode(key) or divmod(key, base)[::-1]: c for key, c in packed.items()})
-
-
-class _lazy:
-    """A value computed from its object on first read and stored in the
-    object's instance dict, which later reads find first: a lock-free
-    ``functools.cached_property``, since a non-data descriptor yields to the
-    instance dict.  Assignment still raises on a ``Frozen`` object."""
-
-    def __init__(self, fn: Callable):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
+    return _FrozenCounts({(key % base, key // base): c for key, c in packed.items()})
 
 
 class RankTable(Frozen):
@@ -248,8 +231,8 @@ class RankTable(Frozen):
 
     ``kind`` is classified on first read and cached, never at build; so are
     ``profile``, the size-rank counts every subset-sum invariant reads, and
-    ``view``, the ranks as bytes that the table kernels read.  Other shared
-    derived values are memoized on the table by ``per_table``.
+    ``view``, the ranks as bytes the kernels read, unless ``from_view`` set
+    it.  Other shared derived values are memoized on the table by ``per_table``.
     """
 
     def __init__(self, n: int, ranks: tuple[int, ...]):
@@ -258,6 +241,7 @@ class RankTable(Frozen):
 
     @classmethod
     def build(cls, n: int, ranks: Sequence[int]) -> "RankTable":
+        """A rank list from outside, checked: the cap, 2^n ranks, rho(empty) = 0."""
         check_cap(n)
         values = tuple(map(int, ranks))
         if len(values) != 1 << n:
@@ -270,23 +254,23 @@ class RankTable(Frozen):
 
     @classmethod
     def from_view(cls, n: int, view: bytes) -> "RankTable":
-        """The table whose byte view is ``view``: a builder's output, which
-        needs no check."""
+        """The table whose byte view is ``view``: one the package computed,
+        capped, of 2^n bytes and 0 at the empty set by construction."""
         table = cls(n, tuple(view))
         table.__dict__["view"] = view
         return table
 
-    @_lazy
+    @cached_property
     def view(self) -> bytes | None:
         """The ranks, one byte per mask, if all lie in 0..127 (a
         demimatroid's do); else None, and the kernels take the list path."""
         return _byte_view(self.ranks)
 
-    @_lazy
+    @cached_property
     def kind(self) -> str:
         return _kind(self.n, self.view)
 
-    @_lazy
+    @cached_property
     def profile(self) -> Mapping[tuple[int, int], int]:
         return _size_rank_profile(self.n, self.ranks)
 
@@ -411,7 +395,7 @@ def complex_to_demimatroid(cx: Complex) -> RankTable:
     if cx.is_void:
         raise MalformedInputError("the void complex has no associated demimatroid")
     sizes = [popcount(mask) if mask in cx else 0 for mask in range(1 << cx.n)]
-    return RankTable.build(cx.n, subset_transform(sizes, max))
+    return RankTable.from_view(cx.n, bytes(subset_transform(sizes, max)))
 
 
 # The constructions live in ``constructions``, which imports this module, so

@@ -40,7 +40,6 @@ exactly when T's does (``tutte``), so the battery decides it there.
 """
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from functools import cache
 from math import comb
@@ -117,14 +116,13 @@ def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
     Each gamma of size s lies in C(n-s, j-s) sets sigma of size j, so the
     definition P_j = sum_{|sigma|=j} sum_{gamma <= sigma} (-1)^(j-|gamma|)
     t^(eta(gamma)) is sum_{(s, e)} count(s, e) (-1)^(j-s) C(n-s, j-s) t^e.
-    The count reads the table's nullities itself, ``ops.nullity_bytes`` when
-    the table has a byte view and no negative nullity, never its profile,
-    so the P_j route sees a wrong profile.  The definitional route, over
-    the 3^n submask terms, is the tests' oracle ``oracles.p_j``.
+    The count reads the table's nullities, the ranks of
+    ``ops.nullity_operator``, never its profile, so the P_j route sees a
+    wrong profile.  The definitional route, over the 3^n submask terms, is
+    the tests' oracle ``oracles.p_j``.
     """
     n = table.n
-    sizes = core.mask_sizes(n)
-    counts = Counter(zip(sizes, ops.nullity_bytes(table) or map(operator.sub, sizes, table.ranks)))
+    counts = Counter(zip(core.mask_sizes(n), ops.nullity_operator(table).ranks))
     return tuple(term_sum(((0, 0, e), (-1) ** (j - s) * comb(n - s, j - s) * c)
                           for (s, e), c in counts.items() if s <= j)
                  for j in range(n + 1))

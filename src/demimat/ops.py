@@ -10,12 +10,12 @@ The three operator images are memoized on their source table
 together with its own memoized values.  Minors and elongations are built on
 each call: no program path reads the same one twice.
 
-The derived tables (operators, minors, join, meet and elongations) are made
-without ``RankTable.build``: every check ``build`` makes already holds by
-construction.  Their n is at most the source's, and each writes 0 at the
-empty set (rho(E) - rho(E), rho(A) - rho(A), min(0, i) and the like), on
-combinatroid sources too.  ``build`` stays for the tables that come from
-outside, the lattice's ends included.
+The derived tables (operators, minors, join, meet and elongations) and the
+lattice's ends are made without ``RankTable.build``: every check ``build``
+makes already holds by construction.  Their n is at most the source's, and
+each writes 0 at the empty set (rho(E) - rho(E), rho(A) - rho(A), min(0, i)
+and the like), on combinatroid sources too; the ends check the cap first.
+``build`` stays for the tables that come from outside.
 
 Each builder works on the source's byte view (``RankTable.view``, one byte
 per mask, ranks in 0..127) in whole-table byte and big-int steps: a sum of
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from operator import sub
 
-from .core import RankTable, byte_operands, mask_sizes, per_table, popcount
+from .core import RankTable, byte_operands, check_cap, mask_sizes, per_table, popcount, size_view
 from .errors import InvariantViolationError, MalformedInputError
 
 IDENTITY = "id"
@@ -97,25 +97,19 @@ def dual(table: RankTable) -> RankTable:
     return RankTable(n, tuple([s + r - k for s, r in zip(mask_sizes(n), table.ranks[::-1])]))
 
 
-def nullity_bytes(table: RankTable) -> bytes | None:
-    """|X| - rho(X) per mask as bytes, if the table has a view and no rank
-    exceeds its set's size: (sizes | 0x80..) - ranks keeps every guard
-    bit exactly then."""
-    if table.view is None:
-        return None
-    sizes, ones = byte_operands(table.n)
-    guards = ones << 7
-    diff = (sizes | guards) - _int(table)
-    return (diff ^ guards).to_bytes(1 << table.n, "little") if diff & guards == guards else None
-
-
 @per_table
 def nullity_operator(table: RankTable) -> RankTable:
-    """rho°(X) = |X| - rho(X)."""
-    view = nullity_bytes(table)
-    if view is None:
-        return RankTable(table.n, tuple(map(sub, mask_sizes(table.n), table.ranks)))
-    return RankTable.from_view(table.n, view)
+    """rho°(X) = |X| - rho(X), the one source of per-mask nullities.  On the
+    view, (sizes | 0x80..) - ranks keeps every guard bit exactly when no rank
+    exceeds its set's size."""
+    n, view = table.n, table.view
+    if view is not None:
+        sizes, ones = byte_operands(n)
+        guards = ones << 7
+        diff = (sizes | guards) - _int(table)
+        if diff & guards == guards:
+            return RankTable.from_view(n, (diff ^ guards).to_bytes(1 << n, "little"))
+    return RankTable(n, tuple(map(sub, mask_sizes(n), table.ranks)))
 
 
 @per_table
@@ -247,11 +241,13 @@ def meet(a: RankTable, b: RankTable) -> RankTable:
 
 
 def lattice_bottom(n: int) -> RankTable:
-    return RankTable.build(n, [0] * (1 << n))
+    check_cap(n)
+    return RankTable.from_view(n, size_view(n, [0] * (n + 1)))
 
 
 def lattice_top(n: int) -> RankTable:
-    return RankTable.build(n, mask_sizes(n))
+    check_cap(n)
+    return RankTable.from_view(n, size_view(n, range(n + 1)))
 
 
 # -- elongations --------------------------------------------------------------

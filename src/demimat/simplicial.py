@@ -50,9 +50,9 @@ homology in degree -1; that is what makes degree-one ideal generators
 from __future__ import annotations
 
 from functools import cache, partial
-from operator import add, sub
+from operator import add
 
-from . import core, hamming
+from . import core, hamming, ops
 from ._linalg import is_prime, rank_bit_columns, rank_sparse_columns
 from ._records import record
 from .core import RankTable, per_table
@@ -231,7 +231,7 @@ def _homology_dims(layers: list[list[int]], columns: _Columns, p: int) -> list[i
                  lambda face: (face, columns[face]))
 
 
-def _level_counts(n: int, levels: list[int]) -> list[int]:
+def _level_counts(n: int, levels: tuple[int, ...]) -> list[int]:
     """Each mask's submasks counted by level, as one packed int per mask.
 
     Digit k of entry sigma, n + 1 bits wide, is the number of submasks X of
@@ -243,7 +243,7 @@ def _level_counts(n: int, levels: list[int]) -> list[int]:
     return core.subset_transform([1 << width * level for level in levels], add)
 
 
-def _restrictions(n: int, levels: list[int]):
+def _restrictions(n: int, levels: tuple[int, ...]):
     """Yield ``(sigma, r, dual, layers)`` for each sigma > 0, ascending, and
     each r below sigma's level.
 
@@ -293,7 +293,7 @@ def _restrictions(n: int, levels: list[int]):
             yield sigma, r, dual, layers
 
 
-def _betti_walk(n: int, levels: list[int], top: int, p: int) -> tuple[BettiTable, ...]:
+def _betti_walk(n: int, levels: tuple[int, ...], top: int, p: int) -> tuple[BettiTable, ...]:
     """Betti tables of Delta_0 .. Delta_(top-1), where mask X is a face of
     Delta_r when ``levels[X] <= r``; levels lie in 0..top, the empty set's
     is 0, and they do not fall along inclusion.
@@ -329,10 +329,11 @@ def _betti_walk(n: int, levels: list[int], top: int, p: int) -> tuple[BettiTable
 @per_table
 def betti_of_elongations(table: RankTable, fieldspec: FieldSpec) -> tuple[BettiTable, ...]:
     """Betti tables of the elongation complexes for r = 0 .. eta(E), from one
-    walk in which each subset enters at its nullity; no complex is built."""
+    walk in which each subset enters at its nullity, its rank in
+    ``ops.nullity_operator``; no complex is built."""
     _check_homology_cap(table.n)
     table.require_demimatroid("elongation Betti tables")
-    nullities = list(map(sub, core.mask_sizes(table.n), table.ranks))
+    nullities = ops.nullity_operator(table).ranks
     return _betti_walk(table.n, nullities, table.total_nullity + 1, fieldspec.characteristic)
 
 

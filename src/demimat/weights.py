@@ -5,15 +5,15 @@ profile, the same counts the subset-sum polynomials expand.  ``wei_hierarchy``
 and the least size per nullity behind ``min_size_at_nullity`` are computed
 once per table, each from that table's own profile, and are read-only.  The
 closed forms the fullness test checks give every subset a rank that depends
-on its size alone, so they are compared with each table's bytes, and no
-profile is counted for them.
+on its size alone, so each is ``core.size_view`` of its rank at each size,
+compared with a table's bytes, and no profile is counted for them.
 """
 
 from __future__ import annotations
 
 from . import ops
 from ._records import record
-from .core import RankTable, _FrozenCounts, mask_sizes, per_table
+from .core import RankTable, _FrozenCounts, per_table, size_view
 from .errors import InvariantViolationError, MalformedInputError
 
 
@@ -75,9 +75,9 @@ def is_full(table: RankTable) -> bool:
     A trivial (rank-0) table is reported not full.  A positive answer is
     cross-checked against the closed forms a full table and its dual, nullity
     and supplement must take; a mismatch would be a bug.  Each closed form
-    gives every subset of size s the rank f(s), so it is the byte string
-    ``mask_sizes(n)`` translated by f, and each table's view must equal it; a
-    table without a view (a rank outside 0..127) is off its closed form.
+    gives every subset of size s the rank f(s), so it is ``size_view`` of
+    f, and each table's view must equal it; a table without a view (a rank
+    outside 0..127) is off its closed form.
     """
     table.require_demimatroid("fullness test")
     n, k = table.n, table.rank
@@ -97,7 +97,7 @@ def is_full(table: RankTable) -> bool:
          "supplement of a full table is not uniform"),
     )
     for derived, rank_at_size, message in checks:
-        if derived.view != mask_sizes(n).translate(bytes(map(rank_at_size, range(256)))):
+        if derived.view != size_view(n, map(rank_at_size, range(n + 1))):
             raise InvariantViolationError(message)
     return True
 

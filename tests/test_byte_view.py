@@ -6,14 +6,22 @@ of the mask-by-mask definitions in ``tests/oracles.py``, and the output's
 view must be its ranks as bytes exactly when they all fit.  The drawn tables
 have ranks in [-1, n + 1], so negative ranks, ranks above n and outputs that
 leave 0..127 all occur.
+
+A table read from outside is the one that goes through ``RankTable.build``;
+every table the package computes holds its view from construction, and a
+table whose rank depends on |X| alone is ``core.size_view``.
 """
+
+import json
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from demimat import core, ops
+from demimat import constructions, core, inputs, ops
 
 from strategies import demimatroid_tables, rank_tables
 
@@ -96,3 +104,50 @@ def test_a_builder_output_outside_the_view_takes_the_list_path():
     for built, ranks in cases:
         assert min(ranks) < 0
         _same(built, len(ranks).bit_length() - 1, ranks)
+
+
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 255), min_size=n + 1, max_size=n + 1))))
+def test_size_view_is_the_rank_at_each_mask_size(drawn):
+    n, at_size = drawn
+    assert core.size_view(n, at_size) == bytes(at_size[m.bit_count()] for m in range(1 << n))
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """The n of every ``RankTable.build`` call."""
+    calls: list[int] = []
+    build = core.RankTable.build.__func__
+
+    def counting(cls, n, ranks):
+        calls.append(n)
+        return build(cls, n, ranks)
+
+    monkeypatch.setattr(core.RankTable, "build", classmethod(counting))
+    return calls
+
+
+def _holds_its_view(table: core.RankTable) -> None:
+    assert "view" in vars(table) and table.view == bytes(table.ranks)
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent
+                                         / "fixtures").glob("*.json")), ids=lambda p: p.stem)
+def test_only_an_input_rank_list_goes_through_build(build_calls, path):
+    data = json.loads(path.read_text())
+    table = inputs.interpret_input(data).table
+    if "ranks" in data:
+        assert build_calls == [data["n"]] and "view" not in vars(table)
+    else:
+        assert build_calls == []
+        _holds_its_view(table)
+
+
+def test_computed_tables_never_go_through_build(build_calls):
+    for n in range(7):
+        for table in (constructions.uniform(n, n // 2),
+                      constructions.random_demimatroid(n, random.Random(n)),
+                      constructions.from_matroid_bases(n, [(1 << n) - 1 >> 1, 1]),
+                      ops.lattice_top(n), ops.lattice_bottom(n)):
+            _holds_its_view(table)
+    assert build_calls == []

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from demimat import cli, core, hamming, simplicial, tutte
+from demimat import cli, core, hamming, ops, simplicial, tutte
 from demimat.errors import InvariantViolationError
 from demimat.poly import T, X, Y, monomial
 
@@ -220,6 +220,37 @@ def test_a_route_decided_on_terms_keeps_its_witness_on_a_fixture(
     monkeypatch, module, name, corruption, route, message
 ):
     monkeypatch.setattr(module, name, corruption(getattr(module, name)))
+    with pytest.raises(InvariantViolationError) as exc:
+        route(cli.load_input(str(FIXTURES / "vamos.json")).table)
+    assert str(exc.value) == message
+
+
+def _planted_nullity(original):
+    # The last mask whose nullity is below eta(E) gets one more, so the
+    # nullities still lie in 0..eta(E) and never fall along inclusion.
+    def corrupted(table):
+        nullities = list(original(table).ranks)
+        last = max(m for m, e in enumerate(nullities) if e < table.total_nullity)
+        nullities[last] += 1
+        return core.RankTable.from_view(table.n, bytes(nullities))
+    return corrupted
+
+
+# The P_j and Betti routes read every subset's nullity from the nullity
+# operator, so a wrong nullity fails both: on vamos, E - {1} moves from
+# nullity 3 to 4, one subset fewer at (x-y) y^7 t^3.
+@pytest.mark.parametrize("route, message", [
+    pytest.param(
+        lambda table: hamming.w_from_pj(table),
+        "W: the P_j and subset-sum routes disagree first at x*y^7*t^3 (7 against 8)",
+        id="P_j"),
+    pytest.param(
+        lambda table: simplicial.w_via_betti(table, simplicial.RATIONALS),
+        "W: the Betti and subset-sum routes disagree first at x*y^7*t^3 (7 against 8)",
+        id="Betti"),
+])
+def test_a_planted_nullity_fails_the_routes_that_read_nullities(monkeypatch, route, message):
+    monkeypatch.setattr(ops, "nullity_operator", _planted_nullity(ops.nullity_operator))
     with pytest.raises(InvariantViolationError) as exc:
         route(cli.load_input(str(FIXTURES / "vamos.json")).table)
     assert str(exc.value) == message

@@ -91,14 +91,3 @@ def test_the_per_n_caches_are_shared_and_exact():
     for n in range(9):
         assert list(core.mask_sizes(n)) == [mask.bit_count() for mask in range(1 << n)]
         assert core.mask_sizes(n) is core.mask_sizes(n)
-        keys = core._profile_keys(n)
-        assert keys == {r * (n + 1) + s: (s, r) for s in range(n + 1) for r in range(n + 1)}
-        assert core._profile_keys(n) is keys
-
-
-def test_a_planted_decode_that_swaps_size_and_rank_fails(monkeypatch):
-    decode = core._profile_keys
-    monkeypatch.setattr(core, "_profile_keys",
-                        lambda n: {key: (r, s) for key, (s, r) in decode(n).items()})
-    with pytest.raises(AssertionError):
-        _assert_profile_is_the_mask_by_mask_count(core.uniform(3, 1))
