@@ -9,12 +9,12 @@ table is counted, not eliminated (Greene 1976; Jurrius-Pellikaan 2013):
 #{c in C : supp(c) ⊆ X} = p^(|X| - rank X), and for the row space R of H,
 #{v in R : v vanishes on X} = p^(rank H - rank X).  The smaller space, of
 p^m vectors, has its supports listed (``_span_supports``), histogrammed and
-zeta-transformed.  Above p^m = 8 * 2^n, where listing costs more than
-eliminating every column subset, or above the memory bound
-``SUBSPACE_ENUM_CAP``, ``rref_mod_p`` runs per mask on the RREF's rows.  The
-ranks lie in 0..n either way, so ``RankTable.from_view`` makes the table.
-The listing of C also gives every subcode's support: the OR of the listed
-supports of its RREF basis (``subcode_support_sizes``).
+zeta-transformed (``_layout.subset_transform``).  Above p^m = 8 * 2^n, where
+listing costs more than eliminating every column subset, or above the memory
+bound ``SUBSPACE_ENUM_CAP``, ``rref_mod_p`` runs per mask on the RREF's
+rows.  The ranks lie in 0..n either way, so ``RankTable.from_view`` makes
+the table.  The listing of C also gives every subcode's support: the OR of
+the listed supports of its RREF basis (``subcode_support_sizes``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from itertools import combinations, product
 
 from ._linalg import is_prime, rref_mod_p
 from ._records import Frozen, record
-from .core import RankTable, check_cap, mask_sizes, subset_transform
+from ._layout import mask_sizes, subset_transform
+from .core import RankTable, check_cap
 from .errors import InvariantViolationError, MalformedInputError, SizeCapError
 
 SUBSPACE_ENUM_CAP = 1 << 20

@@ -5,13 +5,14 @@ rank, a basis family, a graph, a Wei sequence) and checks the ground-set cap
 before the 2^n table is built.  Its ranks lie in 0..n and its empty set has
 rank 0 by construction, so it is made by ``RankTable.from_view`` with no
 further check.  A rank that depends on |X| alone (``uniform``, a Wei
-sequence) is taken once per size and spread by ``core.size_view``; a graph's
-edges are spread to their supersets by one OR-zeta transform.
-``random_demimatroid`` and ``random_subset`` draw the battery's samples from
-a ``random.Random``; ``random`` is named only in their annotations and never
-imported, so loading the CLI does not load it.  The check of the
-complex/demimatroid Galois connection is a test oracle
-(``oracles.galois_check``): no input of the CLI needs it.
+sequence) is taken once per size and spread by ``_layout.size_view``; a
+graph's edges are spread to their supersets by one OR-zeta transform
+(``_layout.subset_transform``).  ``random_demimatroid`` and
+``random_subset`` draw the battery's samples from a ``random.Random``;
+``random`` is named only in their annotations and never imported, so
+loading the CLI does not load it.  The check of the complex/demimatroid
+Galois connection is a test oracle (``oracles.galois_check``): no input of
+the CLI needs it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import or_
 
-from .core import RankTable, check_cap, mask_of, popcount, size_view, subset_transform
+from ._layout import size_view, subset_transform
+from .core import RankTable, check_cap, mask_of, popcount
 from .errors import MalformedInputError
 
 # -- constructions ---------------------------------------------------------------

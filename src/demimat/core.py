@@ -1,46 +1,32 @@
 """Ground sets, rank tables and simplicial complexes.
 
-A subset of the ground set {1, .., n} is a plain int bitmask with element i
-on bit i-1; the empty set is 0 and the full set is 2^n - 1.  Rank tables are
-indexed by mask value, so ``ranks[mask]`` is the rank of that subset.
+A subset of {1, .., n} is an int mask, element i on bit i-1, and
+``ranks[mask]`` is its rank; the 2^n layout of a table, its byte view and
+the whole-table steps on it are ``_layout``'s.
 
 Certified kinds form a chain: every table is a combinatroid (only the
 normalization rank(empty) = 0 is required); adding the unit-step monotone
 axiom gives a demimatroid; adding submodularity gives a matroid.  A table
 stores only ``(n, ranks)``; its kind is derived when first read, by the
-big-int check ``_kind``; its oracle, the mask-by-mask classification with a
-witness per violated axiom, is in the tests (``oracles.classify``).
-
-A table whose ranks all lie in 0..127 (a demimatroid's lie in 0..n) has a
-byte view, ``RankTable.view``: the ranks as one ``bytes``, made on first
-read of a rank list from outside (``RankTable.build`` checks it), or stored
-by ``RankTable.from_view``, which makes every table the package computes.
-``_kind`` and the ``ops`` builders run on it in whole-table byte and big-int
-steps; a table without one is a combinatroid, and the builders take their
-list path.
-
-``subset_transform`` is the one whole-table pass over the subset lattice:
-the zeta transform of the code-side rank tables (``codes``) and of the
-packed level counts of the Betti walk (``simplicial``), the OR-zeta of a
-graph's edges (``constructions``) and the max-zeta of a complex's face
-sizes (``complex_to_demimatroid``).
-
-A table's ``profile`` counts its subsets by (size, rank) in one C-level
-counting pass over packed int keys.  Two values are cached per ground-set
-size n, never per table contents, each O(2^n) bytes: ``mask_sizes(n)``, the
-size of every mask, and ``byte_operands(n)``, those sizes and a 0x01 per
-mask as ints.  ``per_table`` memoizes a derived value in the table's own
-instance dict, so a repeated call costs one dict lookup.
+big-int check ``_kind`` on its byte view; its oracle, the mask-by-mask
+classification with a witness per violated axiom, is in the tests
+(``oracles.classify``).  ``RankTable.build`` checks a rank list from
+outside, and ``RankTable.from_view`` makes every table the package computes,
+with its view.  ``profile`` counts the subsets by (size, rank) in one
+C-level pass over packed int keys, and ``per_table`` memoizes a derived
+value in the table's own instance dict, so a repeated call costs one dict
+lookup.
 """
 
 from __future__ import annotations
 
 from collections import _count_elements
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from functools import cache, cached_property, wraps
+from functools import cached_property, wraps
 from itertools import repeat
 from operator import add, mul
 
+from ._layout import _as_int, _byte_view, byte_operands, mask_sizes, subset_transform
 from ._records import Frozen
 from .errors import KindError, MalformedInputError, SizeCapError
 
@@ -84,33 +70,6 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def subset_transform(values: Sequence, combine: Callable) -> list:
-    """Apply ``v[X] = combine(v[X], v[X - e])`` for each element e in turn.
-
-    With ``operator.add`` this is the zeta transform (the sum over the
-    subsets of X), with ``operator.sub`` the Moebius transform (the
-    alternating sum).  The pass for bit b pairs the masks with bit b set
-    with those without, in blocks of 2^b: it runs over the 2^b residues
-    mod 2^(b+1) as strided slices when blocks are short, and over the
-    blocks as plain slices when they are long, so each of the n passes is
-    at most 2^(n/2) slice assignments and no Python loop over the masks.
-    """
-    table = list(values)
-    size = len(table)
-    for b in range(size.bit_length() - 1):
-        low = 1 << b
-        step = low << 1
-        if low * low < size:
-            for r in range(low):
-                top = slice(r + low, size, step)
-                table[top] = map(combine, table[top], table[r:size:step])
-        else:
-            for start in range(0, size, step):
-                top = slice(start + low, start + step)
-                table[top] = map(combine, table[top], table[start:start + low])
-    return table
-
-
 def check_cap(n: int) -> None:
     if n < 0:
         raise MalformedInputError("ground-set size must be nonnegative")
@@ -122,15 +81,6 @@ def check_cap(n: int) -> None:
 
 
 # -- rank tables -----------------------------------------------------------------
-
-
-def _byte_view(ranks: Sequence[int]) -> bytes | None:
-    """The ranks as one byte per mask, or None if any lies outside 0..127."""
-    try:
-        view = bytes(ranks)
-    except ValueError:  # a rank outside 0..255
-        return None
-    return view if view.isascii() else None
 
 
 def _kind(n: int, view: bytes | None) -> str:
@@ -151,7 +101,7 @@ def _kind(n: int, view: bytes | None) -> str:
     """
     if view is None:
         return COMBINATROID
-    table, ones = int.from_bytes(view, "little"), byte_operands(n)[1]
+    table, ones = _as_int(view), byte_operands(n)[1]
     mask = (1 << (4 << n)) - 1  # the lower half: the masks without element n
     above: list[tuple[int, int]] | None = []  # (shift, mask) per element above e
     for e in reversed(range(n)):
@@ -185,32 +135,6 @@ class _FrozenCounts(dict):
 
     def __reduce__(self):
         return _FrozenCounts, (dict(self),)
-
-
-@cache
-def mask_sizes(n: int) -> bytes:
-    """|X| for every mask X of the ground set, in mask order, one byte each.
-
-    The masks with element i + 1 follow those without it, one larger each,
-    so n doublings by ``bytes.translate`` build it: a megabyte at n = 20.
-    """
-    sizes, plus_one = b"\x00", bytes(range(1, 256)) + b"\x00"
-    for _ in range(n):
-        sizes += sizes.translate(plus_one)
-    return sizes
-
-
-@cache
-def byte_operands(n: int) -> tuple[int, int]:
-    """``mask_sizes(n)`` and a 0x01 byte per mask, each as a little-endian
-    int: the operands the byte-view kernels add, subtract and guard with."""
-    return int.from_bytes(mask_sizes(n), "little"), int.from_bytes(b"\x01" * (1 << n), "little")
-
-
-def size_view(n: int, at_size: Iterable[int]) -> bytes:
-    """The byte view of the table whose rank at X is ``at_size[|X|]``: the
-    mask sizes translated through ``at_size``, each value in 0..255."""
-    return mask_sizes(n).translate(bytes(at_size).ljust(256, b"\0"))
 
 
 def _size_rank_profile(n: int, ranks: Sequence[int]) -> Mapping[tuple[int, int], int]:

@@ -45,6 +45,7 @@ from functools import cache
 from math import comb
 
 from . import core, ops, tutte as tutte_mod, weights
+from ._layout import mask_sizes
 from ._records import record
 from .core import RankTable, per_table
 from .errors import (
@@ -122,7 +123,7 @@ def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
     the tests' oracle ``oracles.p_j``.
     """
     n = table.n
-    counts = Counter(zip(core.mask_sizes(n), ops.nullity_operator(table).ranks))
+    counts = Counter(zip(mask_sizes(n), ops.nullity_operator(table).ranks))
     return tuple(term_sum(((0, 0, e), (-1) ** (j - s) * comb(n - s, j - s) * c)
                           for (s, e), c in counts.items() if s <= j)
                  for j in range(n + 1))

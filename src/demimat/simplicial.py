@@ -33,8 +33,8 @@ homology [1] or [0, V - 1]; one with none above its edges is read off its
 components; neither runs a kernel.  Any other side is grown in cardinality
 layers, each member from the member without its highest element, so a
 restriction costs O(|sigma| * |side|), not 2^|sigma|.  Each sigma's one-bit
-submasks come from a tuple per mask, cached per n beside the row positions
-(about 7.3 MB at n = 16, built in 0.02 s).  One column cache serves the walk.
+submasks and each face's row position are cached per n (``_layout``), and
+one column cache serves the walk.
 
 The Betti route to W compares its alternating Betti sums with the subset
 sum's terms through ``poly.cross_checked_coordinates``, whose witness is
@@ -49,10 +49,11 @@ homology in degree -1; that is what makes degree-one ideal generators
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 from operator import add
 
 from . import core, hamming, ops
+from ._layout import _bit_lists, _positions, subset_transform
 from ._linalg import is_prime, rank_bit_columns, rank_sparse_columns
 from ._records import record
 from .core import RankTable, per_table
@@ -98,29 +99,6 @@ def _check_homology_cap(n: int) -> None:
             f"homology on {n} vertices exceeds cap {core.HOMOLOGY_CAP}"
             " (raise demimat.core.HOMOLOGY_CAP to override)"
         )
-
-
-@cache
-def _positions(n: int) -> tuple[int, ...]:
-    """Each mask's position among the masks of its cardinality, in mask order."""
-    seen = [0] * (n + 1)
-    positions = []
-    for c in core.mask_sizes(n):
-        positions.append(seen[c])
-        seen[c] += 1
-    return tuple(positions)
-
-
-@cache
-def _bit_lists(n: int) -> tuple[tuple[int, ...], ...]:
-    """Each mask's one-bit submasks, ascending, in mask order: the masks
-    below 2^e, each followed by the bit 2^e, are the masks of the next
-    half.  Every tuple shares the n bit ints."""
-    bits: list[tuple[int, ...]] = [()]
-    for e in range(n):
-        bit = (1 << e,)
-        bits += [b + bit for b in bits]
-    return tuple(bits)
 
 
 class _Columns(dict):
@@ -240,7 +218,7 @@ def _level_counts(n: int, levels: tuple[int, ...]) -> list[int]:
     digit carries into the next.
     """
     width = n + 1
-    return core.subset_transform([1 << width * level for level in levels], add)
+    return subset_transform([1 << width * level for level in levels], add)
 
 
 def _restrictions(n: int, levels: tuple[int, ...]):

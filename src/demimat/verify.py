@@ -37,6 +37,7 @@ import random
 import zlib
 
 from . import core, hamming, ops, simplicial, tutte, weights
+from ._layout import mask_sizes
 from .poly import monomial, term_sum
 
 
@@ -107,7 +108,7 @@ def _elongation_laws(m: core.RankTable) -> bool:
     eta = m.total_nullity
     if ops.elongate(m, eta).ranks != ops.lattice_top(m.n).ranks:
         return False
-    sizes = core.mask_sizes(m.n)
+    sizes = mask_sizes(m.n)
     step = previous = m
     for i in range(1, eta + 1):
         step = ops.elongate(step, 1)

@@ -5,7 +5,7 @@ profile, the same counts the subset-sum polynomials expand.  ``wei_hierarchy``
 and the least size per nullity behind ``min_size_at_nullity`` are computed
 once per table, each from that table's own profile, and are read-only.  The
 closed forms the fullness test checks give every subset a rank that depends
-on its size alone, so each is ``core.size_view`` of its rank at each size,
+on its size alone, so each is ``_layout.size_view`` of its rank at each size,
 compared with a table's bytes, and no profile is counted for them.
 """
 
@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from . import ops
 from ._records import record
-from .core import RankTable, _FrozenCounts, per_table, size_view
+from ._layout import size_view
+from .core import RankTable, _FrozenCounts, per_table
 from .errors import InvariantViolationError, MalformedInputError
 
 

@@ -246,13 +246,17 @@ def test_verify_rejects_bad_run_size(capsys, monkeypatch, argv, homology_cap):
     ("verify", "--seed", "1", "--n", "3", "--samples", "1", "--field", "4"),
     ("verify", "--seed", "1", "--n", "3", "--samples", "1", "--field", "3"),
     ("verify", "--fixtures", str(FIXTURES), "--n", "99"),
+    ("op", "delete", "--in", str(FIXTURES / "vamos.json"), "--elements", "a"),
 ], ids=["unknown-flag", "non-integer-n", "missing-verb", "battery-field-not-prime",
-        "battery-field-not-q", "fixtures-with-n"])
+        "battery-field-not-q", "fixtures-with-n", "non-integer-elements"])
 def test_usage_errors_exit_2_with_the_error_json(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "malformed-input"
+    if "--elements" in argv:
+        assert json.loads(err)["detail"] == (
+            "demimat op: argument --elements: expects comma-separated element numbers")
 
 
 def test_help_still_exits_0(capsys):
@@ -293,6 +297,27 @@ def test_verify_fixtures_detects_drift(tmp_path, capsys):
     payload = json.loads(out)
     assert not payload["ok"]
     assert "broken.json" in payload["problems"][0]
+
+
+def test_verify_fixtures_reports_a_golden_the_input_does_not_have(tmp_path, capsys):
+    # A combinatroid has no Wei hierarchy, no Betti tables and here no Laurent
+    # Tutte polynomial: each golden is that fixture's problem, and the run
+    # goes on to check the other fixture.
+    (tmp_path / "vamos.json").write_text((FIXTURES / "vamos.json").read_text())
+    combinatroid = {"n": 2, "ranks": [0, 2, 0, 1],
+                    "expected": {"d": [1], "betti": [], "tutte": "x"}}
+    (tmp_path / "a_combinatroid.json").write_text(json.dumps(combinatroid))
+    code, out, err = run_cli(capsys, "verify", "--fixtures", str(tmp_path))
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert (payload["files"], payload["ok"]) == (2, False)
+    lacks = "needs a demimatroid, table certifies combinatroid"
+    assert payload["problems"] == [
+        f"a_combinatroid.json: d: KindError: Wei hierarchy {lacks}",
+        f"a_combinatroid.json: betti: KindError: elongation Betti tables {lacks}",
+        "a_combinatroid.json: tutte: RationalFunctionError: negative corank or nullity:"
+        " the Tutte sum is a genuine rational function, which is outside Laurent scope",
+    ]
 
 
 def test_verify_fixtures_reads_a_field_suffix_only_on_betti(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from demimat import constructions, core, hamming, ops
+from demimat import _layout, constructions, core, hamming, ops
 from demimat.errors import KindError, MalformedInputError, SizeCapError
 
 from conftest import (
@@ -397,7 +397,7 @@ def test_kind_matches_the_classification_near_demimatroids(table, data):
     if table.n:
         ranks = list(table.ranks)
         ranks[data.draw(st.integers(1, table.full))] += data.draw(st.sampled_from((-1, 1)))
-        kind = core._kind(table.n, core._byte_view(ranks))
+        kind = core._kind(table.n, _layout._byte_view(ranks))
         assert kind == oracles.classify(table.n, ranks).kind
 
 
@@ -430,14 +430,14 @@ def test_subset_transform_is_the_subset_sum_and_its_inverse():
     rng = random.Random(9)
     for n in range(6):
         values = [rng.randint(-5, 5) for _ in range(1 << n)]
-        zeta = core.subset_transform(values, operator.add)
+        zeta = _layout.subset_transform(values, operator.add)
         assert zeta == [sum(values[g] for g in core.submasks(m)) for m in range(1 << n)]
-        moebius = core.subset_transform(values, operator.sub)
+        moebius = _layout.subset_transform(values, operator.sub)
         assert moebius == [
             sum((-1) ** core.popcount(m ^ g) * values[g] for g in core.submasks(m))
             for m in range(1 << n)
         ]
-        assert core.subset_transform(zeta, operator.sub) == values
+        assert _layout.subset_transform(zeta, operator.sub) == values
 
 
 @given(rank_tables())

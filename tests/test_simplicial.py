@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demimat import cli, core, hamming, ops, simplicial
+from demimat import _layout, cli, core, hamming, ops, simplicial
 from demimat._linalg import rank_sparse_columns, rref_mod_p
 from demimat.errors import KindError, MalformedInputError, SizeCapError
 from demimat.poly import monomial, one
@@ -421,12 +421,12 @@ def _sparse_kernel_dims(cx, p):
 
 @pytest.mark.parametrize("n", range(11))
 def test_the_cached_bit_lists_are_each_masks_bits(n):
-    bit_lists = simplicial._bit_lists(n)
+    bit_lists = _layout._bit_lists(n)
     assert type(bit_lists) is tuple and len(bit_lists) == 1 << n
     for mask, bits in enumerate(bit_lists):
         assert type(bits) is tuple
         assert bits == tuple(bits_of(mask))
-    assert simplicial._bit_lists(n) is bit_lists
+    assert _layout._bit_lists(n) is bit_lists
 
 
 @given(demimatroid_tables(max_n=7))

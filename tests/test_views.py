@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 
 import oracles
-from demimat import core, hamming, tutte, weights
+from demimat import _layout, core, hamming, tutte, weights
 from strategies import rank_tables
 
 # The read-only dict views, each by the function that reads it.
@@ -89,5 +89,5 @@ def test_a_pickled_table_keeps_its_views(table):
 
 def test_the_per_n_caches_are_shared_and_exact():
     for n in range(9):
-        assert list(core.mask_sizes(n)) == [mask.bit_count() for mask in range(1 << n)]
-        assert core.mask_sizes(n) is core.mask_sizes(n)
+        assert list(_layout.mask_sizes(n)) == [mask.bit_count() for mask in range(1 << n)]
+        assert _layout.mask_sizes(n) is _layout.mask_sizes(n)
