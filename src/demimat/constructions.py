@@ -8,11 +8,13 @@ further check.  A rank that depends on |X| alone (``uniform``, a Wei
 sequence) is taken once per size and spread by ``_layout.size_view``; a
 graph's edges are spread to their supersets by one OR-zeta transform
 (``_layout.subset_transform``).  ``random_demimatroid`` and
-``random_subset`` draw the battery's samples from a ``random.Random``;
-``random`` is named only in their annotations and never imported, so
-loading the CLI does not load it.  The check of the complex/demimatroid
-Galois connection is a test oracle (``oracles.galois_check``): no input of
-the CLI needs it.
+``random_subset`` draw the battery's samples from a ``random.Random``:
+the sampler reads each rank's feasible interval from the ranks below it and
+makes the ``getrandbits`` calls that ``randint`` would make over that
+interval, so its samples are ``randint``'s.  ``random`` is named only in
+their annotations and never imported, so loading the CLI does not load it.
+The check of the complex/demimatroid Galois connection is a test oracle
+(``oracles.galois_check``): no input of the CLI needs it.
 """
 
 from __future__ import annotations
@@ -92,33 +94,46 @@ def random_demimatroid(n: int, rng: random.Random) -> RankTable:
 
     Ranks are assigned in ascending mask order (every proper subset precedes
     its supersets), each drawn uniformly from the feasible interval
-    [max rho(X\\x), min rho(X\\x) + 1], which is never empty because
-    removing two different elements changes the rank by at most one in each
-    step.  The draw is the low end plus ``rng.randrange(width)``: that is the
-    one ``_randbelow(width)`` call ``randint`` makes, so the ranks and the
-    generator's state are those of ``randint``, at less cost per call (and
-    less than ``choice(range(...))``, which makes the same call).
-    ``seen[X]`` gathers the ranks of X's lower neighbours as bits, so the
-    interval is its highest bit and its lowest bit plus one; each rank, once
-    drawn, is ORed into the ``seen`` of every upper neighbour.
+    [max rho(X\\x), min rho(X\\x) + 1], read from X's lower neighbours X\\x.
+    Any two of those ranks differ by at most one (each is rho(X\\{x, y}) or
+    one more), so the interval is {lo, lo + 1} when they all equal lo, and
+    otherwise the single value max rho(X\\x): the scan stops at the first
+    rank that differs from lo, the rank of X without its lowest element.
+
+    The draw makes exactly the ``getrandbits`` calls of
+    ``rng.randrange(width)``, and so of ``randint``: CPython's
+    ``_randbelow(w)`` draws ``w.bit_length()`` bits until they fall below
+    w.  For width 2 that is two bits until they are below 2; for width 1 it
+    is one bit until it is 0, although ``randrange(1)`` always returns 0.
+    So the ranks and the generator's state are those of ``randint``
+    (``oracles.random_demimatroid_by_randint``), with no ``randrange`` or
+    ``_randbelow`` frame per mask.
+    ``test_core::test_the_sampler_draws_what_randint_draws`` pins that on
+    every Python version CI runs.
     """
     check_cap(n)
-    size = 1 << n
-    full = size - 1
-    ranks = [0] * size
-    seen = [0] * size
-    for i in range(n):
-        seen[1 << i] = 1  # rank 0 of the empty set
-    for mask in range(1, size):
-        s = seen[mask]
-        low = s.bit_length() - 1
-        rank = ranks[mask] = low + rng.randrange((s & -s).bit_length() + 1 - low)
-        bit = 1 << rank
-        rest = full ^ mask
+    getrandbits = rng.getrandbits
+    ranks = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        rest = mask & (mask - 1)
+        lo = ranks[rest]
         while rest:
-            up = rest & -rest
-            seen[mask | up] |= bit
-            rest ^= up
+            bit = rest & -rest
+            r = ranks[mask ^ bit]
+            if r != lo:
+                break
+            rest ^= bit
+        if rest:
+            if r > lo:
+                lo = r
+            while getrandbits(1):
+                pass
+        else:
+            r = getrandbits(2)
+            while r > 1:
+                r = getrandbits(2)
+            lo += r
+        ranks[mask] = lo
     return RankTable.from_view(n, bytes(ranks))
 
 

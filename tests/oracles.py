@@ -309,8 +309,10 @@ def graph_demimatroid(n: int, edges) -> core.RankTable:
 
 def random_demimatroid_by_randint(n: int, rng) -> list[int]:
     """The seeded sampler's ranks with every rank drawn by
-    ``rng.randint(low, high)`` over its feasible interval, lower neighbours
-    gathered a block at a time as in ``core.random_demimatroid``."""
+    ``rng.randint(low, high)`` over its feasible interval.  Each mask's
+    lower-neighbour ranks are gathered as bits of ``seen``, a block of masks
+    at a time, a mechanism apart from ``core.random_demimatroid``'s scan of
+    the lower neighbours and its own ``getrandbits`` draws."""
     size = 1 << n
     ranks = [0] * size
     seen = [0] * size

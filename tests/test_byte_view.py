@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import oracles
 from demimat import constructions, core, inputs, ops
-from demimat._layout import _byte_view, size_view
+from demimat._layout import _byte_view, _reflected, _shifted, size_view
 
 from strategies import demimatroid_tables, rank_tables
 
@@ -81,6 +81,26 @@ def test_ranks_at_the_edge_of_the_byte_view(top):
     assert table.kind == other.kind == core.COMBINATROID
     _check_builders(table, other, range(8))
     _check_builders(other, table, range(8))
+
+
+def test_a_dual_rank_of_128_leaves_the_view():
+    # rho*({1}) = 1 + rho({0}) - rho(E) = 128: one above what a view holds,
+    # so the dual takes the list path and has no view.
+    dual = ops.dual(core.RankTable.build(2, [0, 127, 0, 0]))
+    assert (dual.ranks, dual.view) == ((0, 1, 128, 2), None)
+
+
+def test_the_translates_give_a_view_or_none_at_every_offset():
+    # At every offset k, a translate of a view is a view (bytes 0..127) or
+    # None; exactly the bytes k..127 + k shift by -k and 0..k reflect to k - v.
+    every = bytes(range(128))
+    for k in range(128):
+        for out in (_shifted(every, k), _reflected(every, k)):
+            assert out is None or out.isascii()
+        assert _shifted(bytes(range(k, 128 + k)), k) == every
+        assert _shifted(bytes([128 + k]), k) is None
+        assert _reflected(bytes(range(k + 1)), k) == bytes(range(k, -1, -1))
+        assert _reflected(bytes([k + 1]), k) is None
 
 
 def test_minors_of_several_elements_on_long_and_short_blocks():

@@ -284,17 +284,19 @@ def test_random_demimatroid_always_valid():
 
 
 class _RecordingRandom(random.Random):
-    """Records the width of each draw's interval, whether the draw is
-    ``randint(a, b)`` (which calls ``randrange(a, b + 1)``) or
-    ``a + randrange(b + 1 - a)``."""
+    """Records each ``getrandbits(k)`` call as ``(k, bits)``: the calls
+    ``randint`` makes through ``_randbelow`` (defining ``getrandbits`` here
+    keeps CPython's ``_randbelow`` on it), and those the sampler makes
+    itself."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.draws = []
 
-    def randrange(self, start, stop=None):
-        self.draws.append(start if stop is None else stop - start)
-        return super().randrange(start, stop)
+    def getrandbits(self, k):
+        bits = super().getrandbits(k)
+        self.draws.append((k, bits))
+        return bits
 
 
 def _mask_by_mask_demimatroid(n: int, rng: random.Random) -> list[int]:
@@ -313,9 +315,8 @@ def _mask_by_mask_demimatroid(n: int, rng: random.Random) -> list[int]:
 
 
 def test_random_demimatroid_makes_the_reference_loops_draws():
-    # Draws of the same widths in the same order that give the same ranks
-    # from the same generator states are draws over the same intervals, so
-    # every seeded sample stays.
+    # The same bit draws in the same order, giving the same ranks and the
+    # same generator state: every seeded sample stays.
     for n in range(9):
         for seed in range(40):
             fast, slow = _RecordingRandom(seed), _RecordingRandom(seed)
@@ -325,11 +326,12 @@ def test_random_demimatroid_makes_the_reference_loops_draws():
 
 
 def _assert_draws_match_randint(sampler):
-    for n in range(9):
-        for seed in range(200):
-            fast, slow = random.Random(seed), random.Random(seed)
-            assert list(sampler(n, fast).ranks) == oracles.random_demimatroid_by_randint(n, slow)
-            assert fast.getstate() == slow.getstate()
+    # n = 12 for a few seeds reaches the strides 2^8..2^11.
+    cases = [(n, seed) for n in range(9) for seed in range(200)]
+    for n, seed in cases + [(12, seed) for seed in range(3)]:
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert list(sampler(n, fast).ranks) == oracles.random_demimatroid_by_randint(n, slow)
+        assert fast.getstate() == slow.getstate()
 
 
 def test_the_sampler_draws_what_randint_draws():
@@ -339,9 +341,10 @@ def test_the_sampler_draws_what_randint_draws():
 
 
 def test_a_sampler_drawing_from_range_lo_hi_fails_the_randint_check():
-    # The planted fault leaves the top of each feasible interval out.
+    # The planted fault drops the draw from a two-value interval, so its
+    # top is never picked; the bits drawn stay the same.
     source = textwrap.dedent(inspect.getsource(constructions.random_demimatroid))
-    planted = source.replace("+ 1 - low)", "- low)")
+    planted = source.replace("lo += r", "pass")
     assert planted != source
     namespace = dict(vars(constructions))
     exec(compile(planted, "<planted>", "exec", __future__.annotations.compiler_flag), namespace)
