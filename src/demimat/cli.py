@@ -3,9 +3,10 @@
 Verbs: compute, verify, op, from-code, from-facets, from-graph, from-wei.
 Exit codes: 0 ok, 1 invariant/verification failure, 2 usage or input error
 (an input over the ground-set cap, a golden whose exponents leave the
-polynomial kernel's range, and an ``--out`` path that cannot be written are
-input errors), 141 (128 + SIGPIPE) when the reader closes stdout before the
-report is written, with nothing on stderr.  A ``compute`` block that the
+polynomial kernel's range, a ``betti`` golden over the homology cap, and an
+``--out`` path that cannot be written are input errors), 141 (128 +
+SIGPIPE) when the reader closes stdout before the report is written, with
+nothing on stderr.  A ``compute`` block that the
 input does not have, or that is over a size cap, is recorded in its own
 place and leaves the exit code alone (``registry.recorded``).
 
@@ -194,9 +195,8 @@ def cmd_verify(args) -> int:
             raise MalformedInputError(f"--{flag} must be at least 1, got {run[flag]}")
     # The battery's Hamming routes include the Betti route, so the homology
     # cap bounds --n as well.
-    for name, cap in (("ground-set", core.GROUND_SET_CAP), ("homology", core.HOMOLOGY_CAP)):
-        if run["n"] > cap:
-            raise MalformedInputError(f"--n {run['n']} exceeds the {name} cap {cap}")
+    core.check_cap(run["n"])
+    core.check_homology_cap(run["n"])
     from . import verify  # only the battery needs it
 
     report = verify.run_battery(**run)

@@ -7,11 +7,13 @@ rank 0 by construction, so it is made by ``RankTable.from_view`` with no
 further check.  A rank that depends on |X| alone (``uniform``, a Wei
 sequence) is taken once per size and spread by ``_layout.size_view``; a
 graph's edges are spread to their supersets by one OR-zeta transform
-(``_layout.subset_transform``).  ``random_demimatroid`` and
-``random_subset`` draw the battery's samples from a ``random.Random``:
-the sampler reads each rank's feasible interval from the ranks below it and
-makes the ``getrandbits`` calls that ``randint`` would make over that
-interval, so its samples are ``randint``'s.  ``random`` is named only in
+(``_layout.subset_transform``).  A basis family's table is the demimatroid
+of the family's complex of independent sets, ``core.complex_to_demimatroid``
+of ``Complex.build``, which checks the cap and each basis mask.
+``random_demimatroid`` and ``random_subset`` draw the battery's samples
+from a ``random.Random``: the sampler reads each rank's feasible interval
+from the ranks below it and makes the ``getrandbits`` calls that
+``randint`` would make over that interval, so its samples are ``randint``'s.  ``random`` is named only in
 their annotations and never imported, so loading the CLI does not load it.
 The check of the complex/demimatroid Galois connection is a test oracle
 (``oracles.galois_check``): no input of the CLI needs it.
@@ -23,7 +25,7 @@ from collections.abc import Iterable, Sequence
 from operator import or_
 
 from ._layout import size_view, subset_transform
-from .core import RankTable, check_cap, mask_of, popcount
+from .core import Complex, RankTable, check_cap, complex_to_demimatroid, mask_of
 from .errors import MalformedInputError
 
 # -- constructions ---------------------------------------------------------------
@@ -40,15 +42,17 @@ def uniform(n: int, k: int) -> RankTable:
 def from_matroid_bases(n: int, bases: Iterable) -> RankTable:
     """Rank table from a family of claimed bases: rho(X) = max |X & B|.
 
-    The basis-exchange axiom is not verified here; the table's kind is
-    downgraded if the family is not a legitimate basis family.
+    That is the demimatroid of the family's complex of independent sets,
+    since the largest face inside X is X & B for some B.  Each basis is an
+    int mask or a list of elements, and one outside the ground set is
+    rejected either way.  The basis-exchange axiom is not verified here; the
+    table's kind is downgraded if the family is not a legitimate basis
+    family.
     """
     masks = [b if isinstance(b, int) else mask_of(b, n) for b in bases]
     if not masks:
         raise MalformedInputError("need at least one basis")
-    check_cap(n)
-    ranks = [max(popcount(m & b) for b in masks) for m in range(1 << n)]
-    return RankTable.from_view(n, bytes(ranks))
+    return complex_to_demimatroid(Complex.build(n, masks))
 
 
 def graph_demimatroid(n: int, edges: Iterable[tuple[int, int]]) -> RankTable:

@@ -16,6 +16,10 @@ with its view.  ``profile`` counts the subsets by (size, rank) in one
 C-level pass over packed int keys, and ``per_table`` memoizes a derived
 value in the table's own instance dict, so a repeated call costs one dict
 lookup.
+
+Both size caps are checked here and nowhere else: ``check_cap`` bounds the
+ground set before any 2^n table is allocated, and ``check_homology_cap``
+bounds the Hochster sweep of ``simplicial`` and the battery's ``--n``.
 """
 
 from __future__ import annotations
@@ -77,6 +81,14 @@ def check_cap(n: int) -> None:
         raise SizeCapError(
             f"ground set of size {n} exceeds cap {GROUND_SET_CAP}"
             " (raise demimat.core.GROUND_SET_CAP to override)"
+        )
+
+
+def check_homology_cap(n: int) -> None:
+    if n > HOMOLOGY_CAP:
+        raise SizeCapError(
+            f"homology on {n} vertices exceeds cap {HOMOLOGY_CAP}"
+            " (raise demimat.core.HOMOLOGY_CAP to override)"
         )
 
 

@@ -10,12 +10,14 @@ The three operator images are memoized on their source table
 together with its own memoized values.  Minors and elongations are built on
 each call: no program path reads the same one twice.
 
-The derived tables (operators, minors, join, meet and elongations) and the
-lattice's ends are made without ``RankTable.build``: every check ``build``
-makes already holds by construction.  Their n is at most the source's, and
-each writes 0 at the empty set (rho(E) - rho(E), rho(A) - rho(A), min(0, i)
-and the like), on combinatroid sources too; the ends check the cap first.
-``build`` stays for the tables that come from outside.
+The derived tables (operators, minors, join, meet and elongations) are
+made without ``RankTable.build``: every check ``build`` makes already holds
+by construction.  Their n is at most the source's, and each writes 0 at the
+empty set (rho(E) - rho(E), rho(A) - rho(A), min(0, i) and the like), on
+combinatroid sources too.  ``build`` stays for the tables that come from
+outside.  The lattice's ends are the uniform demimatroids U(0, n) and
+U(n, n), so ``lattice_bottom`` and ``lattice_top`` are
+``constructions.uniform``, which checks the cap.
 
 Each builder works on the source's byte view (``RankTable.view``) in the
 whole-table steps of ``_layout``: a sum of packed tables, a guarded
@@ -31,8 +33,9 @@ from __future__ import annotations
 from operator import sub
 
 from ._layout import (_as_int, _difference, _guard_select, _minor_view, _reflected, _shifted,
-                      _to_view, byte_operands, mask_sizes, size_view)
-from .core import RankTable, check_cap, per_table, popcount
+                      _to_view, byte_operands, mask_sizes)
+from .constructions import uniform
+from .core import RankTable, per_table, popcount
 from .errors import InvariantViolationError, MalformedInputError
 
 IDENTITY = "id"
@@ -188,13 +191,13 @@ def meet(a: RankTable, b: RankTable) -> RankTable:
 
 
 def lattice_bottom(n: int) -> RankTable:
-    check_cap(n)
-    return RankTable.from_view(n, size_view(n, [0] * (n + 1)))
+    """U(0, n), rank 0 everywhere: the identity of ``join``."""
+    return uniform(n, 0)
 
 
 def lattice_top(n: int) -> RankTable:
-    check_cap(n)
-    return RankTable.from_view(n, size_view(n, range(n + 1)))
+    """U(n, n), rank |X|: the identity of ``meet``."""
+    return uniform(n, n)
 
 
 # -- elongations --------------------------------------------------------------

@@ -34,7 +34,9 @@ components; neither runs a kernel.  Any other side is grown in cardinality
 layers, each member from the member without its highest element, so a
 restriction costs O(|sigma| * |side|), not 2^|sigma|.  Each sigma's one-bit
 submasks and each face's row position are cached per n (``_layout``), and
-one column cache serves the walk.
+one column cache serves the walk.  No walk starts on more vertices than the
+homology cap: ``core.check_homology_cap`` checks it, beside the ground-set
+cap.
 
 The Betti route to W compares its alternating Betti sums with the subset
 sum's terms through ``poly.cross_checked_coordinates``, whose witness is
@@ -57,7 +59,7 @@ from ._layout import _bit_lists, _positions, subset_transform
 from ._linalg import is_prime, rank_bit_columns, rank_sparse_columns
 from ._records import record
 from .core import RankTable, per_table
-from .errors import MalformedInputError, SizeCapError
+from .errors import MalformedInputError
 from .poly import LaurentPoly, cross_checked_coordinates, term_sum
 
 
@@ -91,14 +93,6 @@ class BettiTable(record("BettiTable", "entries")):
 
     def poly(self) -> LaurentPoly:
         return term_sum(((i, j, 0), v) for (i, j), v in self.entries)
-
-
-def _check_homology_cap(n: int) -> None:
-    if n > core.HOMOLOGY_CAP:
-        raise SizeCapError(
-            f"homology on {n} vertices exceeds cap {core.HOMOLOGY_CAP}"
-            " (raise demimat.core.HOMOLOGY_CAP to override)"
-        )
 
 
 class _Columns(dict):
@@ -309,7 +303,7 @@ def betti_of_elongations(table: RankTable, fieldspec: FieldSpec) -> tuple[BettiT
     """Betti tables of the elongation complexes for r = 0 .. eta(E), from one
     walk in which each subset enters at its nullity, its rank in
     ``ops.nullity_operator``; no complex is built."""
-    _check_homology_cap(table.n)
+    core.check_homology_cap(table.n)
     table.require_demimatroid("elongation Betti tables")
     nullities = ops.nullity_operator(table).ranks
     return _betti_walk(table.n, nullities, table.total_nullity + 1, fieldspec.characteristic)

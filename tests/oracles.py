@@ -10,8 +10,9 @@ minors' own W, the whole-polynomial definition of the W^(r), and the
 Stanley-Reisner generators.  The plain
 definitions behind the memoized table views are here too: the size-rank
 profile counted mask by mask and the coordinate views re-read from it on
-every call, the graph trichotomy tested edge by edge, and the sampler that
-draws each rank by ``randint``.  So are the definitions of the table
+every call, the graph trichotomy tested edge by edge, a basis family's
+ranks as the max over its bases mask by mask, and the sampler that draws
+each rank by ``randint``.  So are the definitions of the table
 builders of ``ops``, which run on byte views: each derived table's ranks
 written mask by mask.
 
@@ -76,7 +77,7 @@ def reduced_homology_dims(cx: core.Complex, fieldspec=simplicial.RATIONALS) -> l
     the void complex has none."""
     if cx.is_void:
         return []
-    simplicial._check_homology_cap(cx.n)
+    core.check_homology_cap(cx.n)
     layers: list[list[int]] = [[] for _ in range(cx.dim + 2)]
     for face in faces(cx):
         layers[face.bit_count()].append(face)
@@ -305,6 +306,17 @@ def graph_demimatroid(n: int, edges) -> core.RankTable:
     for m in range(1, 1 << n):
         ranks[m] = 2 if any(e & ~m == 0 for e in edge_masks) else 1
     return core.RankTable.build(n, ranks)
+
+
+def from_matroid_bases(n: int, bases) -> core.RankTable:
+    """rho(X) = max |X & B|: each mask against every basis, an int basis
+    taken as given."""
+    masks = [b if isinstance(b, int) else core.mask_of(b, n) for b in bases]
+    if not masks:
+        raise MalformedInputError("need at least one basis")
+    core.check_cap(n)
+    return core.RankTable.build(n, [max((m & b).bit_count() for b in masks)
+                                    for m in range(1 << n)])
 
 
 def random_demimatroid_by_randint(n: int, rng) -> list[int]:

@@ -171,7 +171,7 @@ def test_computed_tables_never_go_through_build(build_calls):
     for n in range(7):
         for table in (constructions.uniform(n, n // 2),
                       constructions.random_demimatroid(n, random.Random(n)),
-                      constructions.from_matroid_bases(n, [(1 << n) - 1 >> 1, 1]),
+                      constructions.from_matroid_bases(n, [(1 << n) - 1 >> 1, 1 if n else 0]),
                       ops.lattice_top(n), ops.lattice_bottom(n)):
             _holds_its_view(table)
     assert build_calls == []

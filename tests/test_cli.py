@@ -787,6 +787,20 @@ def test_a_golden_out_of_exponent_range_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "malformed-input"
 
 
+def test_a_betti_golden_over_the_homology_cap_exits_2(tmp_path, capsys):
+    # n = 17 is inside the ground-set cap and one over the homology cap.
+    fixture = {"n": 17, "d": [17], "expected": {"betti": []}}
+    (tmp_path / "wide.json").write_text(json.dumps(fixture))
+    code, out, err = run_cli(capsys, "verify", "--fixtures", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {
+        "error": "malformed-input",
+        "detail": "homology on 17 vertices exceeds cap 16"
+                  " (raise demimat.core.HOMOLOGY_CAP to override)",
+    }
+
+
 @pytest.mark.parametrize("verb", [
     ["compute", "--in", str(FIXTURES / "uniform_4_2.json"), "--tutte"],
     ["verify", "--seed", "1", "--n", "3", "--samples", "1"],

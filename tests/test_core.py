@@ -99,6 +99,29 @@ def test_from_matroid_bases_examples():
         core.from_matroid_bases(2, [])
 
 
+@st.composite
+def basis_families(draw, max_n: int = 6):
+    """A ground-set size and a nonempty family of subsets, each given as an
+    int mask or as its list of elements; the family need not be a matroid's."""
+    n = draw(st.integers(0, max_n))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+    as_lists = draw(st.lists(st.booleans(), min_size=len(masks), max_size=len(masks)))
+    return n, [list(oracles.elements_of(m)) if listed else m for m, listed in zip(masks, as_lists)]
+
+
+@given(basis_families())
+def test_a_basis_family_table_is_the_max_over_its_bases(family):
+    n, bases = family
+    assert core.from_matroid_bases(n, bases) == oracles.from_matroid_bases(n, bases)
+
+
+def test_an_int_basis_outside_the_ground_set_is_rejected():
+    with pytest.raises(MalformedInputError):
+        core.from_matroid_bases(2, [0b11, 0b100])
+    with pytest.raises(MalformedInputError):
+        core.from_matroid_bases(0, [1])
+
+
 def test_uniform_tables():
     u = core.uniform(3, 1)
     assert u.ranks == tuple(min(core.popcount(m), 1) for m in range(8))

@@ -57,7 +57,6 @@ NEVER_ENTERED = {
     "errors.InexactDivisionError.__init__": ARITHMETIC + "; test_poly_properties reads remainder",
     "codes.PrimeMatrix.columns": FALLBACK + " (test_codes sets SUBSPACE_ENUM_CAP to 0)",
     "cli._Parser.error": FALLBACK + " (a usage error; test_cli exits 2 on one)",
-    "constructions.uniform": EXPORT,
     "constructions.from_matroid_bases": EXPORT,
     "weights.generalized_hamming_weights": EXPORT + " (ROADMAP item 13)",
     "poly.LaurentPoly.coefficient": BENCHMARK,
