@@ -2,8 +2,8 @@
 
 Verbs: compute, verify, op, from-code, from-facets, from-graph, from-wei.
 Exit codes: 0 ok, 1 invariant/verification failure, 2 usage or input error
-(an input over the ground-set cap, a golden whose exponents leave the
-polynomial kernel's range, a ``betti`` golden over the homology cap, and an
+(an input over the ground-set cap, a golden whose binomial product is over
+the term bound, a ``betti`` golden over the homology cap, and an
 ``--out`` path that cannot be written are input errors), 141 (128 +
 SIGPIPE) when the reader closes stdout before the report is written, with
 nothing on stderr.  A ``compute`` block that the

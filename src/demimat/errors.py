@@ -13,8 +13,8 @@ class SizeCapError(DemimatError):
     """Ground set exceeds the configured cap for the requested operation."""
 
 
-class ExponentRangeError(SizeCapError, OverflowError):
-    """A polynomial exponent leaves the range of the packed kernel's slots."""
+class ExponentRangeError(SizeCapError):
+    """A product of binomial powers has more than (GROUND_SET_CAP + 1)^2 terms."""
 
 
 class KindError(DemimatError):

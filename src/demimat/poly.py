@@ -14,24 +14,25 @@ polynomial.  Scalar products are one map over the coefficients.  Zero is
 ``monomial`` values.
 
 ``binomial_expansion`` writes products of powers of binomials such as
-(x-y)^m or (x-1)^a (y-1)^b through a packed kernel (``_binomial``): each
-exponent vector is one int with a fixed slot offset for negative exponents,
-each factor tuple's whole product is cached once per process as pairs of a
-packed delta and a coefficient, built from cached rows of ``math.comb``
-values, every item is written with one loop over its product, and the
-packed ints are decoded once at the end.  An exponent that would leave its
-slot, or a product of more than (GROUND_SET_CAP + 1)^2 terms, raises
-OverflowError before any term is written or any product is cached.  Each
-basis that coordinates are kept in has one writer on it: ``w_basis``,
-(x-y)^a y^b t^e, and ``tutte_basis``, (x-1)^a (y-1)^b t^e.  The changes of
-variables in ``hamming`` and ``tutte`` (the Tutte side of the
+(x-y)^m or (x-1)^a (y-1)^b: each factor tuple's whole product is cached once
+per process as pairs of an exponent delta and a coefficient, built from
+rows of ``math.comb`` values, and every item adds its monomial to those
+deltas in one loop.  Exponents are Python ints of any size; a product of
+more than (GROUND_SET_CAP + 1)^2 terms raises ExponentRangeError before it
+is built or cached.  Each basis that coordinates are kept in has one
+writer on it: ``w_basis``, (x-y)^a y^b t^e, and ``tutte_basis``,
+(x-1)^a (y-1)^b t^e.  The changes of variables in ``hamming`` and
+``tutte`` (the Tutte side of the
 characteristic polynomial, f and h, the definition route of the W^(r))
 are closed forms built on them and on ``term_sum``: one pass over the
 source terms into one term dict.  ``term_sum`` is the one writer of a term
-dict here: the constructor, ``+``, the product of two polynomials and
-``coefficient`` gather through it, and only ``divide_exact`` keeps rows of
-its own, which it reads while it writes them.  The rule stops at this
-module: the route accumulators of ``hamming``, ``tutte`` and ``simplicial``
+dict here: the constructor, ``+``, the product of two polynomials,
+``coefficient`` and the cached binomial products gather through it.  Two
+loops write their own: the rows of ``divide_exact``, which it reads while
+it writes them, and the item loop of ``binomial_expansion``, called about
+4 times per battery sample, which took a fifth longer through ``term_sum``
+in a replay of the battery's calls.  The rule stops at this module: the
+route accumulators of ``hamming``, ``tutte`` and ``simplicial``
 (coordinates, recurrence counts, Betti sums) run on every table of the
 battery and keep their inline loops, since a shared writer made each of
 those functions 12-33% slower.  A route
@@ -57,10 +58,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cache
+from math import comb, prod
 from operator import index
 
-from ._binomial import _expand
-from .errors import InexactDivisionError, InvariantViolationError, UnsupportedSubstitutionError
+from . import core
+from .errors import (ExponentRangeError, InexactDivisionError, InvariantViolationError,
+                     UnsupportedSubstitutionError)
 
 VARIABLES = ("x", "y", "t")
 _INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -391,6 +394,37 @@ def cross_checked_coordinates(invariant: str, left: str, a: Mapping, right: str,
     cross_checked(invariant, left, expanded[0], right, expanded[1])
 
 
+_UNIT = {None: _ZERO_EXP, "x": (1, 0, 0), "y": (0, 1, 0), "t": (0, 0, 1)}
+
+
+@cache
+def _product(factors: tuple) -> tuple[tuple[tuple, int], ...]:
+    """prod (u - v)^k over ``factors`` as ((dx, dy, dt), coefficient) pairs
+    without zeros, cached per factor tuple.
+
+    Each factor's names and sign are checked, and the term count as written,
+    prod (k + 1), is held to (GROUND_SET_CAP + 1)^2, before anything is
+    built or cached.
+    """
+    for u, v, k in factors:
+        _UNIT[u], _UNIT[v]  # a name outside x, y, t raises KeyError
+        if k < 0:
+            raise UnsupportedSubstitutionError(
+                f"cannot raise {u} - {v or 1} to negative power {k}"
+            )
+    terms, bound = prod(k + 1 for _, _, k in factors), (core.GROUND_SET_CAP + 1) ** 2
+    if terms > bound:
+        raise ExponentRangeError(f"factors {factors} expand to {terms} terms, above {bound}")
+    out = {_ZERO_EXP: 1}
+    for u, v, k in factors:
+        # (u - v)^k = sum_i (-1)^i C(k, i) u^(k-i) v^i
+        row = [(tuple((k - i) * a + i * b for a, b in zip(_UNIT[u], _UNIT[v])),
+                (-1) ** i * comb(k, i)) for i in range(k + 1)]
+        out = term_sum(((e[0] + d[0], e[1] + d[1], e[2] + d[2]), c * cd)
+                       for e, c in out.items() for d, cd in row)._terms
+    return tuple(out.items())
+
+
 def binomial_expansion(
     items: Iterable[tuple[int, Mapping[str, int], Sequence[tuple[str, str | None, int]]]],
 ) -> LaurentPoly:
@@ -398,15 +432,32 @@ def binomial_expansion(
 
     ``mono`` maps variable names to the exponents of a monomial; each factor
     (u, v, k) is the binomial u - v, with u and v variable names or None for
-    1, raised to k >= 0.  The packed kernel (``_binomial``) writes each
-    item with one loop over its factor tuple's cached product, so no
-    intermediate polynomial is built.  A coefficient that is not an int
-    raises TypeError; a negative k has no Laurent expansion and raises
-    UnsupportedSubstitutionError; an exponent outside the packed slot range,
-    or a factor tuple with more than (GROUND_SET_CAP + 1)^2 terms as
-    written, prod (k + 1), raises OverflowError (``ExponentRangeError``).
+    1, raised to k >= 0.  Each item adds its monomial to the deltas of its
+    factor tuple's cached ``_product``, in one term dict wrapped once.  A
+    coefficient, exponent or power that is not an int raises TypeError, a
+    name outside x, y, t KeyError, and a negative k, which has no Laurent
+    expansion, UnsupportedSubstitutionError; a factor tuple with more than
+    (GROUND_SET_CAP + 1)^2 terms as written raises ExponentRangeError.
     """
-    return _from_terms(_expand(items))
+    terms: dict[tuple, int] = {}
+    get = terms.get
+    for coeff, mono, factors in items:
+        if type(factors) is not tuple:
+            factors = tuple(factors)
+        for _, _, k in factors:  # before the cache, where a power 2.0 equals 2
+            if type(k) is not int:
+                index(k)
+        product = _product(factors)
+        exp = [0, 0, 0]
+        for name, e in mono.items():
+            exp[_INDEX[name]] = index(e)
+        x, y, t = exp
+        if type(coeff) is not int:
+            coeff = index(coeff)
+        for (dx, dy, dt), c in product:
+            key = (x + dx, y + dy, t + dt)
+            terms[key] = get(key, 0) + coeff * c
+    return _from_terms({key: c for key, c in terms.items() if c})
 
 
 def w_basis(coordinates: Mapping[tuple[int, int, int], int]) -> LaurentPoly:

@@ -14,7 +14,7 @@ cached per (r, e) in the process.
 A ``compute`` block whose invariant the input's kind does not have (a
 KindError or RationalFunctionError), or whose route is over a size cap (a
 SizeCapError: the homology cap, which the Betti route checks before any
-work, or the exponent range, an ExponentRangeError), reports
+work, or the term bound of a binomial product, an ExponentRangeError), reports
 ``{"error": ..., "detail": ...}`` in its own place and leaves the exit code
 alone; so does each entry of the Hamming block's ``routes``, so a
 combinatroid, which has no Betti route, still gets its W.

@@ -21,9 +21,8 @@ involution compares ``hamming.macwilliams_coordinates`` of the dual's W with
 the table's subset-sum coordinates; and the Tutte, P_j and Betti routes,
 MacWilliams, the Tutte recovery and the recovery identity decide their own
 routes on coordinates, and f(x-1, y-1) == T and W(x, y, 1) == x^n read term
-dicts: no identity calls ``LaurentPoly.substitute``.  Equal coordinates
-give equal polynomials, and a polynomial comparison could only miss what
-they show.
+dicts.  Equal coordinates give equal polynomials, and a polynomial
+comparison could only miss what they show.
 
 No law repeats another's fact: ``operator_group`` and ``macwilliams``
 decide rank(M) + rank(M*) = n, ``hamming_routes`` W^(0) = W(x, y, 1) = x^n,

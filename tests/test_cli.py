@@ -756,31 +756,35 @@ def test_a_closed_pipe_exits_141_without_a_traceback():
     assert err == b""
 
 
-HUGE_RANK = {"n": 1, "ranks": [0, 1000000]}  # W's t exponent leaves its 20-bit slot
-
-
 def test_a_rank_far_outside_the_ground_set_is_recorded_in_compute(tmp_path, capsys):
+    # Exponents of any size are exact, so the combinatroid gets its W; the
+    # routes and blocks it does not have record their errors.
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(HUGE_RANK))
+    path.write_text(json.dumps({"n": 1, "ranks": [0, 1000000]}))
     code, out, _ = run_cli(capsys, "compute", "--in", str(path), "--all")
     assert code == 0
     results = json.loads(out)["results"]
-    assert results["hamming"]["error"] == "ExponentRangeError"
-    assert "error" in results["tutte"]
+    assert results["hamming"]["w"] == "y*t^-999999 + x - y"
+    assert results["hamming"]["routes"]["tutte_route"] is True
+    assert results["hamming"]["routes"]["betti_route"]["error"] == "KindError"
+    assert results["tutte"]["error"] == "RationalFunctionError"
+
+
+WIDE_TUTTE = {"n": 2, "ranks": [0, -600, 0, 2]}
 
 
 def test_a_tutte_product_above_the_term_bound_is_recorded_in_compute(tmp_path, capsys):
-    # Corank 602 and nullity 601 stay inside the exponent slots, but
-    # (x-1)^602 (y-1)^601 has more terms than any demimatroid's product.
+    # Corank 602 and nullity 601: (x-1)^602 (y-1)^601 has more terms than
+    # any demimatroid's product.
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps({"n": 2, "ranks": [0, -600, 0, 2]}))
+    path.write_text(json.dumps(WIDE_TUTTE))
     code, out, _ = run_cli(capsys, "compute", "--in", str(path), "--all")
     assert code == 0
     assert json.loads(out)["results"]["tutte"]["error"] == "ExponentRangeError"
 
 
 def test_a_golden_out_of_exponent_range_exits_2(tmp_path, capsys):
-    (tmp_path / "huge.json").write_text(json.dumps({**HUGE_RANK, "expected": {"hamming": "x"}}))
+    (tmp_path / "wide.json").write_text(json.dumps({**WIDE_TUTTE, "expected": {"tutte": "x"}}))
     code, out, err = run_cli(capsys, "verify", "--fixtures", str(tmp_path))
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1

@@ -2,7 +2,8 @@
 
 ``LaurentPoly`` arithmetic and the tests' term-by-term ``substitute`` are
 checked against sympy; the closed-form binomial expansion against repeated
-multiplication; and the closed-form P_j family against the definitional
+multiplication, with its input checks, its cached products and their term
+bound; and the closed-form P_j family against the definitional
 submask sums of ``p_j``.
 """
 
@@ -13,9 +14,10 @@ import sympy
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from demimat import hamming, tutte
-from demimat.errors import InexactDivisionError, UnsupportedSubstitutionError
-from demimat.poly import VARIABLES, LaurentPoly, T, X, Y, binomial_expansion, monomial, one
+from demimat import core, hamming, tutte
+from demimat.errors import ExponentRangeError, InexactDivisionError, UnsupportedSubstitutionError
+from demimat.poly import (VARIABLES, LaurentPoly, T, X, Y, _product, binomial_expansion, monomial,
+                          one)
 
 from oracles import nullity, p_j, substitute
 from strategies import demimatroid_tables, exponents, int_coefficients, laurent_polys, rank_tables
@@ -292,25 +294,33 @@ def repeated_product(u, v, k) -> LaurentPoly:
     return out
 
 
+def expected_sum(items) -> LaurentPoly:
+    total = LaurentPoly()
+    for coeff, mono, factors in items:
+        term = coeff * monomial(1, **mono)
+        for u, v, k in factors:
+            term = term * repeated_product(u, v, k)
+        total = total + term
+    return total
+
+
+# Small exponents and huge ones, beyond +-2^19: an exponent of any size is exact.
+MONO_EXPONENTS = st.integers(-3, 3) | st.integers(2**19, 2**64) | st.integers(-2**64, -2**19)
+
+
 @given(
     st.lists(
         st.tuples(
             int_coefficients,
-            st.dictionaries(st.sampled_from(VARIABLES), st.integers(-3, 3)),
+            st.dictionaries(st.sampled_from(VARIABLES), MONO_EXPONENTS),
             st.lists(st.tuples(OPERANDS, OPERANDS, st.integers(0, 20)), max_size=2),
         ),
         max_size=3,
     )
 )
 def test_binomial_expansion_matches_repeated_multiplication(items):
-    expected = LaurentPoly()
-    for coeff, mono, factors in items:
-        term = coeff * monomial(1, **mono)
-        for u, v, k in factors:
-            term = term * repeated_product(u, v, k)
-        expected = expected + term
     got = binomial_expansion(items)
-    assert got == expected
+    assert got == expected_sum(items)
     assert all(type(c) is int for c in got.terms().values())
 
 
@@ -333,14 +343,8 @@ def cancelling_items(draw):
 
 @given(cancelling_items())
 def test_binomial_expansion_keeps_the_constructor_guarantees(items):
-    expected = LaurentPoly()
-    for coeff, mono, factors in items:
-        term = coeff * monomial(1, **mono)
-        for u, v, k in factors:
-            term = term * repeated_product(u, v, k)
-        expected = expected + term
     got = binomial_expansion(items)
-    assert got == expected
+    assert got == expected_sum(items)
     assert_int_coefficients(got)
     terms = got.terms()
     assert all(c != 0 for c in terms.values())
@@ -355,10 +359,77 @@ def test_binomial_expansion_rejects_a_negative_power():
         binomial_expansion([(1, {}, (("x", "y", -1),))])
 
 
+def test_a_negative_power_raises_before_any_other_check():
+    # A float coefficient, an unknown name and, as written, (-2)^2 * 10^6
+    # terms: the negative power is still what raises.
+    with pytest.raises(UnsupportedSubstitutionError):
+        binomial_expansion([(0.5, {"x": 2**40, "z": 1},
+                             (("x", None, -3), ("y", None, -3), ("t", None, 10**6)))])
+
+
 @pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(4, 2), 0.5])
 def test_binomial_expansion_rejects_a_coefficient_that_is_not_an_int(coeff):
     with pytest.raises(TypeError):
         binomial_expansion([(1, {"x": 1}, ()), (coeff, {}, (("x", "y", 2),))])
+
+
+@pytest.mark.parametrize("items, error", [
+    ([(1, {"z": 1}, ())], KeyError),
+    ([(1, {}, (("z", None, 1),))], KeyError),
+    ([(1, {}, (("x", "z", 1),))], KeyError),
+    ([(1, {"x": 1.0}, ())], TypeError),
+    # The power 2.0 equals the power 2 of the product cached just before it.
+    ([(1, {}, (("x", None, 2),)), (1, {}, (("x", None, 2.0),))], TypeError),
+])
+def test_binomial_expansion_rejects_a_name_or_exponent_it_cannot_write(items, error):
+    with pytest.raises(error):
+        binomial_expansion(items)
+
+
+def test_items_that_share_a_product_add_up_exactly():
+    # y (x-1)^2 - (x-1)^2 is one more (x-1)^2 (y-1).
+    items = [(1, {}, (("x", None, 2), ("y", None, 1))),
+             (1, {"y": 1}, (("x", None, 2),)),
+             (-1, {}, (("x", None, 2),))]
+    assert binomial_expansion(items) == expected_sum(items) == 2 * expected_sum(items[:1])
+
+
+@given(st.lists(st.tuples(OPERANDS, OPERANDS, st.integers(0, 6)), max_size=3))
+def test_a_cached_product_is_the_product_of_its_factors(factors):
+    factors = tuple(factors)
+    product = _product(factors)
+    assert type(product) is tuple and all(type(pair) is tuple for pair in product)
+    assert all(c for _, c in product) and len({d for d, _ in product}) == len(product)
+    assert LaurentPoly(dict(product)) == expected_sum([(1, {}, factors)])
+
+
+def test_no_expansion_shares_state_with_the_cached_products():
+    factors = (("x", None, 3), ("y", "t", 2))
+    items = [(2, {"x": 1}, factors), (-1, {"t": -1}, factors)]
+    first = binomial_expansion(items)
+    cached = _product(factors)
+    assert cached is _product(factors)
+    snapshot = list(cached)
+    first._terms.clear()  # a result is a fresh dict, not a view of the cache
+    second = binomial_expansion(items)
+    assert second._terms is not first._terms
+    assert second == expected_sum(items)
+    assert list(_product(factors)) == snapshot
+
+
+def test_the_term_bound_is_the_squared_ground_set_cap_at_call_time(monkeypatch):
+    bound = (core.GROUND_SET_CAP + 1) ** 2
+    at_bound = (("x", None, core.GROUND_SET_CAP), ("y", None, core.GROUND_SET_CAP))
+    assert len(_product(at_bound)) == bound
+    above = (("x", None, core.GROUND_SET_CAP + 1), ("y", None, core.GROUND_SET_CAP))
+    before = _product.cache_info().currsize
+    with pytest.raises(ExponentRangeError, match=f"expand to {bound + 21} terms, above {bound}"):
+        _product(above)
+    with pytest.raises(ExponentRangeError):
+        binomial_expansion([(1, {}, above)])
+    assert _product.cache_info().currsize == before  # nothing was built or kept
+    monkeypatch.setattr(core, "GROUND_SET_CAP", core.GROUND_SET_CAP + 1)
+    assert len(_product(above)) == bound + 21
 
 
 @given(demimatroid_tables())
