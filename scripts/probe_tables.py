@@ -18,9 +18,9 @@ table and of its dual, each builder's table against its definition written
 mask by mask, the profile against a mask-by-mask count, P_j by alternating
 submask sums, the uniformity test's known answer (true on the uniform
 tables, false on the random one), and the rank table by one elimination per
-mask.  The classification and the P_j submask sums are the tests' oracles,
-imported from ``tests/oracles.py``.  A wrong answer, or a layer call or
-oracle check that raises (named with its input, its layer and the
+mask.  Every reference but the uniformity answers is one of the tests'
+oracles, imported from ``tests/oracles.py``.  A wrong answer, or a layer
+call or oracle check that raises (named with its input, its layer and the
 exception), is listed under ``failures``; the JSON is still printed, and the
 script exits 1.
 
@@ -34,11 +34,9 @@ import json
 import random
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 from demimat import codes, core, hamming, ops, weights
-from demimat._linalg import rref_mod_p
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import oracles  # noqa: E402
@@ -97,29 +95,25 @@ class _Probe:
 
 
 def _builders(table: core.RankTable):
-    """(name, call, mask-by-mask ranks) for each table builder; only the
-    three operator images are memoized, and they are called through
+    """(name, call, oracle call) for each table builder; only the three
+    operator images are memoized, and they are called through
     ``__wrapped__``, so each call builds.  The join and meet partner is the
-    table's memoized dual."""
-    full, ranks, k = table.full, table.ranks, table.rank
+    table's memoized dual, and the oracle is the builder's mask-by-mask
+    definition in ``tests/oracles.py``."""
     i = min(1, table.total_nullity)
     return (
-        ("dual", lambda: ops.dual.__wrapped__(table),
-         lambda: [x.bit_count() + ranks[full ^ x] - k for x in range(full + 1)]),
+        ("dual", lambda: ops.dual.__wrapped__(table), lambda: oracles.dual(table)),
         ("nullity_operator", lambda: ops.nullity_operator.__wrapped__(table),
-         lambda: [x.bit_count() - r for x, r in enumerate(ranks)]),
+         lambda: oracles.nullity_operator(table)),
         ("supplement", lambda: ops.supplement.__wrapped__(table),
-         lambda: [k - ranks[full ^ x] for x in range(full + 1)]),
+         lambda: oracles.supplement(table)),
         ("join", lambda: ops.join(table, ops.dual(table)),
-         lambda: list(map(max, ranks, ops.dual(table).ranks))),
+         lambda: oracles.join(table, ops.dual(table))),
         ("meet", lambda: ops.meet(table, ops.dual(table)),
-         lambda: list(map(min, ranks, ops.dual(table).ranks))),
-        ("elongate", lambda: ops.elongate(table, i),
-         lambda: [min(x.bit_count(), r + i) for x, r in enumerate(ranks)]),
-        ("delete", lambda: ops.delete(table, 1),
-         lambda: [ranks[x] for x in range(0, full + 1, 2)]),
-        ("contract", lambda: ops.contract(table, 1),
-         lambda: [ranks[x | 1] - ranks[1] for x in range(0, full + 1, 2)]),
+         lambda: oracles.meet(table, ops.dual(table))),
+        ("elongate", lambda: ops.elongate(table, i), lambda: oracles.elongate(table, i)),
+        ("delete", lambda: ops.delete(table, 1), lambda: oracles.delete(table, 1)),
+        ("contract", lambda: ops.contract(table, 1), lambda: oracles.contract(table, 1)),
     )
 
 
@@ -135,7 +129,7 @@ def probe_table(label: str, n: int, build, uniform: bool, failures: list[str]) -
     for name, call, definition in _builders(table):
         built, builders_s[name] = probe.run(name, call)
         if checked and built is not None:
-            probe.check(name, lambda: list(built.ranks) != definition(),
+            probe.check(name, lambda: built.ranks != definition(),
                         f"{name} differs from its mask-by-mask definition")
     family, pj_s = probe.run("pj_family", lambda: hamming.pj_family(table))
     duality, duality_s = probe.run("check_wei_duality", lambda: weights.check_wei_duality(table))
@@ -149,7 +143,7 @@ def probe_table(label: str, n: int, build, uniform: bool, failures: list[str]) -
              lambda: ops.dual(table).kind != oracles.classify(n, ops.dual(table).ranks).kind,
              "the dual's kind differs from its classification"),
             ("profile", profile,
-             lambda: profile != Counter((m.bit_count(), table.ranks[m]) for m in range(1 << n)),
+             lambda: profile != oracles.size_rank_profile(table),
              "profile differs from the mask-by-mask count"),
             ("pj_family", family,
              lambda: family != tuple(oracles.p_j(table, j) for j in range(n + 1)),
@@ -176,9 +170,9 @@ def probe_code(label: str, p: int, rows, failures: list[str]) -> dict:
     table, build_s = probe.run("parity_matroid", lambda: codes.parity_matroid(matrix))
     checked = n <= ORACLE_MAX_N and table is not None
     if checked:
-        probe.check("parity_matroid", lambda: table.ranks != tuple(
-            len(rref_mod_p(matrix.columns(m), p)[1]) for m in range(1 << n)),
-            "rank table differs from elimination per mask")
+        probe.check("parity_matroid",
+                    lambda: table.ranks != oracles.rank_table_by_elimination(matrix),
+                    "rank table differs from elimination per mask")
     return {"input": label, "p": p, "n": n,
             "k": None if table is None else table.total_nullity,
             "parity_matroid_s": build_s, "checked": checked}

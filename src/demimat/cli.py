@@ -232,8 +232,6 @@ def cmd_op(args) -> int:
             raise MalformedInputError(
                 f"elongation needs a demimatroid, table certifies {table.kind}")
         payload = table_json(ops.elongate(table, args.i))
-    else:
-        raise MalformedInputError(f"unknown operator verb {verb!r}")
     payload["manifest"] = {"command": "op", "operator": verb, "input": args.input}
     _emit(payload, args.out)
     return 0

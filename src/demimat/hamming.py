@@ -10,8 +10,10 @@ W^(r), ``generalized_w(table, r)``, reads the W that
 uses W.  The definition is Z[x, y]-linear in W, so that route applies it to
 each monomial t^e; its image of t^e depends only on (r, e) and is cached
 per (r, e), beside ``q_binomial`` and ``angle``.  ``generalized_w_all`` is
-the subset route of the whole family, and ``a_coefficients`` the one source
-of the A_j; delta and c are ``formal_min_distance``'s.
+the subset route of the whole family.  The A_j that ``a_coefficients``
+reports are the P_j of ``pj_family``, since W = sum_j P_j x^(n-j) y^j (the
+P_j route checks that identity); its structure checks compare that count
+of the nullity table with the profile's delta, c and uniformity.
 
 W's coordinates in the basis (x-y)^a y^b t^e, ``subset_sum_coordinates``,
 are a read-only view computed once per table from that table's own profile;
@@ -111,6 +113,7 @@ def hamming_via_tutte(table: RankTable) -> LaurentPoly:
 # -- coefficient polynomials -----------------------------------------------------
 
 
+@per_table
 def pj_family(table: RankTable) -> tuple[LaurentPoly, ...]:
     """(P_0, .., P_n) in closed form on the count of subsets by (size, nullity).
 
@@ -235,22 +238,18 @@ def _uniform_a_closed_form(n: int, i: int, delta: int) -> LaurentPoly:
 
 
 def a_coefficients(table: RankTable) -> dict[int, LaurentPoly]:
-    """The weight coefficients A_j read off W, as a dict by j.
+    """The weight coefficients A_j = P_j (``pj_family``), j = 1 .. n, by j.
 
     Verifies the structure the level sets force: A_j = 0 below delta and
     A_delta = c (t-1); when the table is uniform the closed form for every
-    A_i is cross-checked as well.
+    A_i is cross-checked as well.  The A_j count subsets by (size, nullity)
+    on the nullity table, and delta, c and uniformity are read off the
+    profile, so each check compares two separate counts.
     """
     delta, c = formal_min_distance(table)
-    # A_j is the t polynomial multiplying x^(n-j) y^j: group W's terms by
-    # their (x, y) exponents once.
     n = table.n
-    groups: dict[tuple[int, int], list] = {}
-    for (a, b, e), coeff in hamming_subset_sum(table).terms().items():
-        groups.setdefault((a, b), []).append(((0, 0, e), coeff))
-    coeffs = {j: term_sum(groups.get((n - j, j), ())) for j in range(1, n + 1)}
-    if term_sum(groups.get((n, 0), ())) != 1:
-        raise InvariantViolationError("leading coefficient of W is not x^n")
+    coeffs = dict(enumerate(pj_family(table)))
+    del coeffs[0]
     for j in range(1, delta):
         if not coeffs[j].is_zero:
             raise InvariantViolationError(f"A_{j} should vanish below delta={delta}")

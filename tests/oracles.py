@@ -4,17 +4,18 @@ None has a caller in the package.  Each is the plain form of a quantity the
 library computes on coordinates or in one walk: the term-by-term
 ``substitute`` behind every closed form (itself checked against sympy),
 homology of one complex and the per-sigma Hochster formula behind the Betti
-walk, dense Bareiss elimination behind the sparse kernel, the expansions of
-the coordinates the routes and the battery decide on, W's recurrence on the
-minors' own W, the whole-polynomial definition of the W^(r), and the
-Stanley-Reisner generators.  The plain
-definitions behind the memoized table views are here too: the size-rank
-profile counted mask by mask and the coordinate views re-read from it on
-every call, the graph trichotomy tested edge by edge, a basis family's
-ranks as the max over its bases mask by mask, and the sampler that draws
-each rank by ``randint``.  So are the definitions of the table
-builders of ``ops``, which run on byte views: each derived table's ranks
-written mask by mask.
+walk, dense Bareiss elimination behind the sparse kernel, a code's rank
+table by one elimination mod p per column subset
+(``rank_table_by_elimination``) behind ``codes.parity_matroid``'s subspace
+count, the expansions of the coordinates the routes and the battery decide
+on, W's recurrence on the minors' own W, the whole-polynomial definition of
+the W^(r), and the Stanley-Reisner generators.  The plain definitions behind
+the memoized table views are here too: the size-rank profile counted mask by
+mask and the coordinate views re-read from it on every call, the graph
+trichotomy tested edge by edge, a basis family's ranks as the max over its
+bases mask by mask, and the sampler that draws each rank by ``randint``.  So
+are the definitions of the table builders of ``ops``, which run on byte
+views: each derived table's ranks written mask by mask.
 
 The references that no program path runs live here as well: the
 mask-by-mask classification (``classify``, with a witness per violated
@@ -36,6 +37,7 @@ from operator import or_
 from typing import NamedTuple
 
 from demimat import core, hamming, simplicial, tutte, weights
+from demimat._linalg import rref_mod_p
 from demimat.errors import InvariantViolationError, MalformedInputError
 from demimat.poly import (
     VARIABLES,
@@ -141,6 +143,13 @@ def rank_fraction_free(rows) -> int:
         if pivot_row == n_rows:
             break
     return rank
+
+
+def rank_table_by_elimination(matrix) -> tuple[int, ...]:
+    """The rank table of a ``codes.PrimeMatrix``: one elimination mod p of
+    each column subset."""
+    return tuple(len(rref_mod_p(matrix.columns(m), matrix.p)[1])
+                 for m in range(1 << matrix.n_cols))
 
 
 def macwilliams_transform(w: LaurentPoly, eta: int) -> LaurentPoly:

@@ -249,8 +249,10 @@ def test_verify_rejects_bad_run_size(capsys, monkeypatch, argv, homology_cap):
     ("verify", "--seed", "1", "--n", "3", "--samples", "1", "--field", "3"),
     ("verify", "--fixtures", str(FIXTURES), "--n", "99"),
     ("op", "delete", "--in", str(FIXTURES / "vamos.json"), "--elements", "a"),
+    # argparse's choices reject a verb cmd_op has no branch for.
+    ("op", "transpose", "--in", str(FIXTURES / "vamos.json")),
 ], ids=["unknown-flag", "non-integer-n", "missing-verb", "battery-field-not-prime",
-        "battery-field-not-q", "fixtures-with-n", "non-integer-elements"])
+        "battery-field-not-q", "fixtures-with-n", "non-integer-elements", "unknown-verb"])
 def test_usage_errors_exit_2_with_the_error_json(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -468,7 +470,7 @@ def _count_computations(monkeypatch, module, name, counts):
 def test_compute_all_runs_each_route_once(monkeypatch, capsys):
     # vamos: n = 8, eta = 4, so the five elongation Betti tables come from
     # one filtration walk; the P_j family is built once, from one count of
-    # the subsets by (size, nullity).
+    # the subsets by (size, nullity), and the P_j route and the A_j read it.
     # W is computed for vamos and for its dual (MacWilliams), and the W^(r)
     # family once.  W is expanded once per table, by the subset sum: the
     # Tutte route and the definition route of every W^(r) read that W, and
@@ -476,8 +478,7 @@ def test_compute_all_runs_each_route_once(monkeypatch, capsys):
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, simplicial, "_betti_walk", counts)
     _count_calls(monkeypatch, hamming, "w_basis", counts)
-    _count_calls(monkeypatch, hamming, "pj_family", counts)
-    for module, name in ((simplicial, "betti_of_elongations"),
+    for module, name in ((simplicial, "betti_of_elongations"), (hamming, "pj_family"),
                          (hamming, "hamming_subset_sum"), (hamming, "generalized_w_all"),
                          (tutte, "tutte"), (ops, "dual")):
         _count_computations(monkeypatch, module, name, counts)

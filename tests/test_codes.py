@@ -4,12 +4,13 @@ from itertools import product
 
 import pytest
 
-from demimat import codes, core, simplicial, weights
+from demimat import codes, core, hamming, ops, simplicial, weights
 from demimat._linalg import is_prime, rref_mod_p
 from demimat.errors import InvariantViolationError, MalformedInputError, SizeCapError
+from demimat.poly import X, Y
 
 from conftest import CODE63A_ROWS, CODE63B_ROWS, HAMMING74_ROWS, HAMMING84_ROWS
-from oracles import elements_of
+from oracles import elements_of, rank_table_by_elimination
 
 
 def bases_of(table):
@@ -70,12 +71,6 @@ def test_parity_matroid_rank_bound(hamming84_matrix):
         assert table.ranks[mask] <= min(core.popcount(mask), len(hamming84_matrix.rows))
 
 
-def _rank_table_by_elimination(matrix):
-    # The oracle: one elimination per column subset.
-    return tuple(len(rref_mod_p(matrix.columns(m), matrix.p)[1])
-                 for m in range(1 << matrix.n_cols))
-
-
 def _oracle_cases():
     rng = random.Random(17)
     cases = [
@@ -108,7 +103,7 @@ def test_parity_matroid_matches_elimination_per_mask(monkeypatch):
     for p, rows in _oracle_cases():
         matrix = codes.PrimeMatrix.build(p, rows)
         rank, n = len(matrix.echelon[1]), matrix.n_cols
-        assert codes.parity_matroid(matrix).ranks == _rank_table_by_elimination(matrix)
+        assert codes.parity_matroid(matrix).ranks == rank_table_by_elimination(matrix)
         assert spaces.pop() == min(rank, n - rank)
         sides.add(n - rank <= rank)
     assert sides == {True, False}
@@ -126,7 +121,7 @@ def test_parity_matroid_falls_back_to_elimination_above_the_cap(monkeypatch):
     for p, rows in _oracle_cases()[:12]:
         matrix = codes.PrimeMatrix.build(p, rows)
         eliminations.clear()
-        assert codes.parity_matroid(matrix).ranks == _rank_table_by_elimination(matrix)
+        assert codes.parity_matroid(matrix).ranks == rank_table_by_elimination(matrix)
         assert len(eliminations) == 1 + (1 << matrix.n_cols)
 
 
@@ -251,3 +246,51 @@ def test_enumeration_cap():
     code = codes.LinearCodeView.from_parity(codes.PrimeMatrix.build(2, [[1, 0], [0, 1]]))
     with pytest.raises(MalformedInputError):
         codes.code_ghw_bruteforce(code, 1)  # k = 0 leaves no valid r
+
+
+# -- values from theorems: the Hamming [15,11] and simplex [15,4] codes ----------------
+
+
+def _at_t(poly, t: int) -> dict[tuple[int, int], int]:
+    """``poly``'s x^a y^b coefficients with t set to ``t``, term by term."""
+    values: dict[tuple[int, int], int] = {}
+    for (a, b, e), c in poly.terms().items():
+        values[a, b] = values.get((a, b), 0) + c * t ** e
+    return {key: c for key, c in values.items() if c}
+
+
+def _gaussian_binomial_2(m: int, r: int) -> int:
+    """[m, r]_2: the number of r-dimensional subspaces of F_2^m."""
+    ordered = per_subspace = 1
+    for i in range(r):  # ordered bases of r-spaces in F_2^m, and of one r-space
+        ordered *= 2 ** m - 2 ** i
+        per_subspace *= 2 ** r - 2 ** i
+    return ordered // per_subspace
+
+
+@pytest.fixture(scope="module")
+def hamming15():
+    """The parity matroid of the Hamming [15,11] code: the check matrix's
+    columns are 1..15 in binary."""
+    rows = [[j >> i & 1 for j in range(1, 16)] for i in range(4)]
+    return codes.parity_matroid(codes.PrimeMatrix.build(2, rows))
+
+
+def test_the_hamming_15_weight_enumerator_is_its_closed_form(hamming15):
+    # The Hamming code of length n = 15: 16 W(x, y, 2) = (x+y)^n + n (x+y)^7 (x-y)^8.
+    closed = (X + Y) ** 15 + 15 * (X + Y) ** 7 * (X - Y) ** 8
+    w = _at_t(hamming.hamming_subset_sum(hamming15), 2)
+    assert {key: 16 * c for key, c in w.items()} == _at_t(closed, 2)
+
+
+def test_the_simplex_15_4_subcodes_have_the_theorem_supports(hamming15):
+    # Every r-dimensional subcode of the simplex code [2^m - 1, m]_2 has
+    # support 2^m - 2^(m-r), so W^(r) at q = 2 is
+    # [m, r]_2 x^(2^(m-r) - 1) y^(2^m - 2^(m-r)) and d_r = 2^m - 2^(m-r).
+    simplex = ops.dual(hamming15)
+    family = hamming.generalized_w_all(simplex)
+    assert len(family) == 5
+    for r, w_r in enumerate(family):
+        support = 16 - 2 ** (4 - r)
+        assert _at_t(w_r, 2) == {(15 - support, support): _gaussian_binomial_2(4, r)}, r
+    assert weights.generalized_hamming_weights(simplex) == (8, 12, 14, 15)

@@ -4,7 +4,6 @@ import operator
 import pickle
 import random
 import textwrap
-from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -322,28 +321,14 @@ class _RecordingRandom(random.Random):
         return bits
 
 
-def _mask_by_mask_demimatroid(n: int, rng: random.Random) -> list[int]:
-    """The sampler as one loop over the lower neighbours of each mask: the
-    reference for ``core.random_demimatroid``."""
-    ranks = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        lo = 0
-        hi = core.popcount(mask)
-        for bit in oracles.bits_of(mask):
-            r = ranks[mask ^ bit]
-            lo = max(lo, r)
-            hi = min(hi, r + 1)
-        ranks[mask] = rng.randint(lo, hi)
-    return ranks
-
-
 def test_random_demimatroid_makes_the_reference_loops_draws():
     # The same bit draws in the same order, giving the same ranks and the
     # same generator state: every seeded sample stays.
     for n in range(9):
         for seed in range(40):
             fast, slow = _RecordingRandom(seed), _RecordingRandom(seed)
-            assert list(core.random_demimatroid(n, fast).ranks) == _mask_by_mask_demimatroid(n, slow)
+            assert (list(core.random_demimatroid(n, fast).ranks)
+                    == oracles.random_demimatroid_by_randint(n, slow))
             assert fast.draws == slow.draws
             assert fast.random() == slow.random()
 
@@ -468,8 +453,7 @@ def test_subset_transform_is_the_subset_sum_and_its_inverse():
 
 @given(rank_tables())
 def test_profile_counts_every_size_rank_pair(table):
-    direct = Counter((core.popcount(m), table.ranks[m]) for m in range(1 << table.n))
-    assert dict(table.profile) == direct
+    assert dict(table.profile) == oracles.size_rank_profile(table)
 
 
 def test_profile_is_read_only_and_cached(profile_calls):

@@ -204,6 +204,23 @@ def test_a_delta_counts_minimal_supports(hamming84):
     assert count == 14
 
 
+def test_the_a_coefficients_are_the_pj_family(full23, hamming84):
+    for table in (full23, hamming84, core.uniform(4, 2)):
+        a, family = hamming.a_coefficients(table), hamming.pj_family(table)
+        assert sorted(a) == list(range(1, table.n + 1))
+        assert all(a[j] is family[j] for j in a)
+
+
+def test_a_wrong_p_delta_fails_the_a_delta_check(monkeypatch):
+    # The P_j count and the profile's (delta, c) are separate counts, so a
+    # P_delta one too high is caught; uniform(4,2) has delta = 3.
+    family = hamming.pj_family
+    monkeypatch.setattr(hamming, "pj_family", lambda table: tuple(
+        p + 1 if j == 3 else p for j, p in enumerate(family(table))))
+    with pytest.raises(InvariantViolationError, match=r"A_delta does not equal c \(t-1\)"):
+        hamming.a_coefficients(core.uniform(4, 2))
+
+
 def test_hamming_data_structure(full23):
     assert hamming.formal_min_distance(full23) == (1, 3)
     assert hamming.w_from_pj(full23) == ref.full23_hamming()

@@ -25,6 +25,7 @@ MEMOIZED = [
     (tutte.tutte, ()),
     (hamming.subset_sum_coordinates, ()),
     (hamming.hamming_subset_sum, ()),
+    (hamming.pj_family, ()),
     (hamming.generalized_w_all, ()),
     (simplicial.betti_of_elongations, (simplicial.RATIONALS,)),
     (simplicial.betti_of_elongations, (F2,)),
