@@ -1,9 +1,10 @@
 """Duality operators, minors, the demimatroid lattice, and elongations.
 
 The identity, dual, nullity and supplement operators form a Klein four-group
-acting on tables over a fixed ground set; any two of the non-identity
-operators compose to the third.  ``compose_check`` applies two of them and
-raises unless the composite is the one ``GROUP_TABLE`` names.
+acting on tables over a fixed ground set: the identity is neutral, each
+operator is its own inverse, and any two distinct non-identity operators
+compose to the third.  ``compose_check`` applies two of them and raises
+unless the composite is the one this rule names.
 
 The three operator images are memoized on their source table
 (``per_table``), so the identities that meet the same image share it,
@@ -43,22 +44,6 @@ DUAL = "dual"
 NULLITY = "nullity"
 SUPPLEMENT = "supplement"
 OPERATORS = (IDENTITY, DUAL, NULLITY, SUPPLEMENT)
-
-# Klein four-group composition table, symmetric.
-GROUP_TABLE = {
-    (IDENTITY, IDENTITY): IDENTITY,
-    (IDENTITY, DUAL): DUAL,
-    (IDENTITY, NULLITY): NULLITY,
-    (IDENTITY, SUPPLEMENT): SUPPLEMENT,
-    (DUAL, DUAL): IDENTITY,
-    (DUAL, NULLITY): SUPPLEMENT,
-    (DUAL, SUPPLEMENT): NULLITY,
-    (NULLITY, NULLITY): IDENTITY,
-    (NULLITY, SUPPLEMENT): DUAL,
-    (SUPPLEMENT, SUPPLEMENT): IDENTITY,
-}
-for (_a, _b), _c in list(GROUP_TABLE.items()):
-    GROUP_TABLE[(_b, _a)] = _c
 
 
 # The builders read rho(E\X) from the reversed ranks: E\X is the mask
@@ -117,12 +102,17 @@ def apply_operator(tag: str, table: RankTable) -> RankTable:
 
 def compose_check(a: str, b: str, table: RankTable) -> None:
     """Apply ``a`` then ``b`` and compare the composite, entry for entry,
-    with the operator ``GROUP_TABLE`` names applied directly; a mismatch
+    with the operator the four-group rule names applied directly; a mismatch
     would mean the group law failed and raises (it should be unreachable).
     """
     if a not in OPERATORS or b not in OPERATORS:
         raise MalformedInputError(f"unknown operator pair ({a!r}, {b!r})")
-    expected = GROUP_TABLE[(a, b)]
+    if IDENTITY in (a, b):
+        expected = b if a == IDENTITY else a
+    elif a == b:
+        expected = IDENTITY
+    else:
+        (expected,) = set(OPERATORS[1:]) - {a, b}
     composed = apply_operator(b, apply_operator(a, table))
     direct = apply_operator(expected, table)
     if composed.ranks != direct.ranks:

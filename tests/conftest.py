@@ -3,12 +3,16 @@
 Rank-table oracles are entered as label->rank maps (labels like "13" mean the
 subset {1,3}) so the mask-order conversion happens in exactly one place.
 Polynomial oracles are built from expressions in the exported variables.
+The call recorders and the repository paths live here too, so that each
+test module reads them from one place.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -82,33 +86,52 @@ def top_w_r_plus(extra):
     return fault
 
 
+REPO = Path(__file__).resolve().parent.parent
+FIXTURES = REPO / "fixtures"
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    """Count each call of ``owner.name`` during the test in ``counts[name]``."""
+    original = getattr(owner, name)
+
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def record_calls(monkeypatch, owner, name, entry):
+    """The list of ``entry(*args)`` for each call of ``owner.name`` during the test."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(entry(*args))
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
 @pytest.fixture
 def classify_calls(monkeypatch):
     """Ground-set sizes of every ``core._kind`` call (the classification
     ``RankTable.kind`` runs on the table's byte view) made during a test."""
-    calls: list[int] = []
-    original = core._kind
-
-    def counting(n, view):
-        calls.append(n)
-        return original(n, view)
-
-    monkeypatch.setattr(core, "_kind", counting)
-    return calls
+    return record_calls(monkeypatch, core, "_kind", lambda n, view: n)
 
 
 @pytest.fixture
 def profile_calls(monkeypatch):
     """The rank tuple of every ``core._size_rank_profile`` call made during a test."""
-    calls: list[tuple[int, ...]] = []
-    original = core._size_rank_profile
+    return record_calls(monkeypatch, core, "_size_rank_profile", lambda n, ranks: ranks)
 
-    def counting(n, ranks):
-        calls.append(ranks)
-        return original(n, ranks)
 
-    monkeypatch.setattr(core, "_size_rank_profile", counting)
-    return calls
+@pytest.fixture
+def build_calls(monkeypatch):
+    """The n of every ``RankTable.build`` call made during a test."""
+    return record_calls(monkeypatch, core.RankTable, "build", lambda n, ranks: n)
 
 
 # -- small operator-table fixtures --------------------------------------------

@@ -15,7 +15,6 @@ table whose rank depends on |X| alone is ``_layout.size_view``.
 
 import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -25,6 +24,7 @@ import oracles
 from demimat import constructions, core, inputs, ops
 from demimat._layout import _byte_view, _reflected, _shifted, size_view
 
+from conftest import FIXTURES
 from strategies import demimatroid_tables, rank_tables
 
 
@@ -137,26 +137,11 @@ def test_size_view_is_the_rank_at_each_mask_size(drawn):
     assert size_view(n, at_size) == bytes(at_size[m.bit_count()] for m in range(1 << n))
 
 
-@pytest.fixture
-def build_calls(monkeypatch):
-    """The n of every ``RankTable.build`` call."""
-    calls: list[int] = []
-    build = core.RankTable.build.__func__
-
-    def counting(cls, n, ranks):
-        calls.append(n)
-        return build(cls, n, ranks)
-
-    monkeypatch.setattr(core.RankTable, "build", classmethod(counting))
-    return calls
-
-
 def _holds_its_view(table: core.RankTable) -> None:
     assert "view" in vars(table) and table.view == bytes(table.ranks)
 
 
-@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent
-                                         / "fixtures").glob("*.json")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
 def test_only_an_input_rank_list_goes_through_build(build_calls, path):
     data = json.loads(path.read_text())
     table = inputs.interpret_input(data).table

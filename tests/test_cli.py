@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -15,11 +14,11 @@ from demimat import cli, codes, core, hamming, ops, simplicial, tutte, weights
 from demimat.errors import InvariantViolationError
 from demimat.poly import T, X, Y
 
+from conftest import FIXTURES, REPO, count_calls
 from oracles import independence_complex, nullity
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-SRC = Path(__file__).resolve().parent.parent / "src"
-GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = REPO / "src"
+GOLDEN = REPO / "tests" / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -378,7 +377,7 @@ def test_malformed_input_paths(tmp_path, capsys):
 )
 def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, payload, extra):
     eliminations: dict[str, int] = {}
-    _count_calls(monkeypatch, codes, "rref_mod_p", eliminations)
+    count_calls(monkeypatch, codes, "rref_mod_p", eliminations)
     if payload is None:
         argv = ["verify", "--fixtures", str(FIXTURES), *extra]
     else:
@@ -444,16 +443,6 @@ def test_unreadable_input_exits_2_without_a_traceback(tmp_path, monkeypatch, cap
     assert report["detail"].startswith(detail)
 
 
-def _count_calls(monkeypatch, module, name, counts):
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        counts[name] = counts.get(name, 0) + 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-
-
 def _count_computations(monkeypatch, module, name, counts):
     # Count the values a per-table memoized function computes, not its calls:
     # a call answered from the table's memo never reaches ``counted``.
@@ -476,8 +465,8 @@ def test_compute_all_runs_each_route_once(monkeypatch, capsys):
     # Tutte route and the definition route of every W^(r) read that W, and
     # the MacWilliams and Tutte recoveries compare coordinates.
     counts: dict[str, int] = {}
-    _count_calls(monkeypatch, simplicial, "_betti_walk", counts)
-    _count_calls(monkeypatch, hamming, "w_basis", counts)
+    count_calls(monkeypatch, simplicial, "_betti_walk", counts)
+    count_calls(monkeypatch, hamming, "w_basis", counts)
     for module, name in ((simplicial, "betti_of_elongations"), (hamming, "pj_family"),
                          (hamming, "hamming_subset_sum"), (hamming, "generalized_w_all"),
                          (tutte, "tutte"), (ops, "dual")):
@@ -537,17 +526,11 @@ def test_betti_sweeps_build_no_complex_per_restriction(monkeypatch, capsys):
     # the F_2 kernel certifies every rank over Q: no column is reduced over Q.
     counts: dict[str, int] = {}
     for name in ("rank_sparse_columns", "rank_bit_columns"):
-        _count_calls(monkeypatch, simplicial, name, counts)
-    build = core.Complex.build
-
-    def counted_build(n, faces):
-        counts["Complex.build"] = counts.get("Complex.build", 0) + 1
-        return build(n, faces)
-
-    monkeypatch.setattr(core.Complex, "build", staticmethod(counted_build))
+        count_calls(monkeypatch, simplicial, name, counts)
+    count_calls(monkeypatch, core.Complex, "build", counts)
     code, _, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
     assert code == 0
-    assert counts.get("Complex.build", 0) == 0
+    assert counts.get("build", 0) == 0
     assert counts.get("rank_sparse_columns", 0) == 0
     assert counts["rank_bit_columns"] > 0
 

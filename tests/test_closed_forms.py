@@ -12,8 +12,6 @@ fail.  The guard tests pin that neither ``compute --all`` nor the battery
 expands a generic substitution.
 """
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,12 +24,11 @@ from demimat.errors import (
 )
 from demimat.poly import LaurentPoly, T, X, Y, cross_checked, monomial, one
 
-from conftest import top_w_r_plus
+from conftest import FIXTURES, top_w_r_plus
 from oracles import (generalized_w_by_definition, independence_complex, macwilliams_transform,
                      substitute)
 from strategies import demimatroid_tables, exponents, laurent_polys
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_PATHS = sorted(FIXTURES.glob("*.json"))
 
 

@@ -1,15 +1,16 @@
 import random
 import time
-from itertools import product
+from itertools import combinations, product
+from math import prod
 
 import pytest
 
-from demimat import codes, core, hamming, ops, simplicial, weights
+from demimat import codes, core, hamming, ops, simplicial, tutte, weights
 from demimat._linalg import is_prime, rref_mod_p
 from demimat.errors import InvariantViolationError, MalformedInputError, SizeCapError
-from demimat.poly import X, Y
+from demimat.poly import T, X, Y, one
 
-from conftest import CODE63A_ROWS, CODE63B_ROWS, HAMMING74_ROWS, HAMMING84_ROWS
+from conftest import CODE63A_ROWS, CODE63B_ROWS, HAMMING74_ROWS, HAMMING84_ROWS, record_calls
 from oracles import elements_of, rank_table_by_elimination
 
 
@@ -110,13 +111,7 @@ def test_parity_matroid_matches_elimination_per_mask(monkeypatch):
 
 
 def test_parity_matroid_falls_back_to_elimination_above_the_cap(monkeypatch):
-    eliminations = []
-
-    def counted(rows, p):
-        eliminations.append(len(rows))
-        return rref_mod_p(rows, p)
-
-    monkeypatch.setattr(codes, "rref_mod_p", counted)
+    eliminations = record_calls(monkeypatch, codes, "rref_mod_p", lambda rows, p: len(rows))
     monkeypatch.setattr(codes, "SUBSPACE_ENUM_CAP", 0)
     for p, rows in _oracle_cases()[:12]:
         matrix = codes.PrimeMatrix.build(p, rows)
@@ -248,7 +243,7 @@ def test_enumeration_cap():
         codes.code_ghw_bruteforce(code, 1)  # k = 0 leaves no valid r
 
 
-# -- values from theorems: the Hamming [15,11] and simplex [15,4] codes ----------------
+# -- values from theorems: Hamming, simplex, Reed-Muller and Golay codes, and M(K_v) ----
 
 
 def _at_t(poly, t: int) -> dict[tuple[int, int], int]:
@@ -294,3 +289,44 @@ def test_the_simplex_15_4_subcodes_have_the_theorem_supports(hamming15):
         support = 16 - 2 ** (4 - r)
         assert _at_t(w_r, 2) == {(15 - support, support): _gaussian_binomial_2(4, r)}, r
     assert weights.generalized_hamming_weights(simplex) == (8, 12, 14, 15)
+
+
+def _code_w(generator: list[list[int]], p: int):
+    """W of the code that ``generator`` spans: the parity matroid of a
+    generator is the dual code's, so the code's W is its MacWilliams transform."""
+    return hamming.macwilliams(codes.parity_matroid(codes.PrimeMatrix.build(p, generator)))
+
+
+def test_the_reed_muller_1_4_code_has_its_theorem_weights():
+    # RM(1,4) is [16,5]_2: the all-ones row and the 4 coordinate rows over
+    # the points of F_2^4.  Its dual is RM(2,4), spanned by the monomials of
+    # degree <= 2, so RM(2,4)'s parity matroid gives the same W.
+    coordinates = [[c >> i & 1 for c in range(16)] for i in range(4)]
+    rm14 = [[1] * 16, *coordinates]
+    rm24 = rm14 + [[u & v for u, v in zip(a, b)] for a, b in combinations(coordinates, 2)]
+    w = _code_w(rm14, 2)
+    assert _at_t(w, 2) == {(16, 0): 1, (8, 8): 30, (0, 16): 1}
+    assert hamming.hamming_subset_sum(codes.parity_matroid(codes.PrimeMatrix.build(2, rm24))) == w
+
+
+def test_the_ternary_golay_codes_have_their_theorem_weights():
+    # MacWilliams and Sloane, ch. 20: [11,6]_3 is the cyclic code generated by
+    # x^5 + x^4 - x^3 + x^2 - 1, and its extension [12,6]_3 adds a parity
+    # coordinate that makes each row sum to 0 mod 3.
+    g = [-1, 0, 1, -1, 1, 1]  # coefficients of x^0 .. x^5
+    golay = [[0] * i + g + [0] * (5 - i) for i in range(6)]
+    assert _at_t(_code_w(golay, 3), 3) == {
+        (11, 0): 1, (6, 5): 132, (5, 6): 132, (3, 8): 330, (2, 9): 110, (0, 11): 24}
+    extended = [row + [-sum(row) % 3] for row in golay]
+    assert _at_t(_code_w(extended, 3), 3) == {(12, 0): 1, (6, 6): 264, (3, 9): 440, (0, 12): 24}
+
+
+@pytest.mark.parametrize("v", [5, 6])
+def test_the_complete_graphs_have_their_characteristic_polynomials(v):
+    # M(K_v) is the parity matroid of the F_2 vertex-edge incidence matrix
+    # (n = 10 and 15); its characteristic polynomial is (t-1)(t-2)...(t-v+1).
+    edges = list(combinations(range(v), 2))
+    incidence = [[int(u in edge) for edge in edges] for u in range(v)]
+    table = codes.parity_matroid(codes.PrimeMatrix.build(2, incidence))
+    assert table.n == len(edges)
+    assert tutte.characteristic(table) == prod((T - i for i in range(1, v)), start=one())

@@ -20,12 +20,8 @@ from conftest import (
     CHAIN_FACETS,
     FIVE_BASIS_BASES,
     FIVE_BASIS_RHO,
-    FULL23_RHO,
-    FULL23_SUPP,
     TWO_BASIS_RHO,
-    TWO_BASIS_SUPP,
     ranks_from_labels,
-    table_from_labels,
 )
 from strategies import demimatroid_tables, rank_tables
 

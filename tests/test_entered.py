@@ -26,8 +26,9 @@ import pytest
 
 import demimat
 
+from conftest import FIXTURES
+
 PACKAGE = Path(demimat.__file__).resolve().parent
-FIXTURES = PACKAGE.parent.parent / "fixtures"
 
 GUARD = "a guard that raises on mutation, pinned by a test"
 VALUE = "value semantics of an exported record: README shows a repr, test_value_types pins them"

@@ -1,7 +1,6 @@
 import importlib.util
-from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from conftest import REPO
 
 
 def test_gen_fixtures_reproduces_committed_fixtures(tmp_path, monkeypatch):

@@ -11,9 +11,6 @@ from conftest import (
     FIVE_BASIS_DUAL,
     FIVE_BASIS_NULL,
     FIVE_BASIS_SUPP,
-    FULL23_DUAL,
-    FULL23_NULL,
-    FULL23_SUPP,
     FULL24_RHO,
     TWO_BASIS_DUAL,
     TWO_BASIS_NULL,
@@ -39,10 +36,8 @@ def test_operator_rows_five_basis(five_basis):
 
 
 def test_operator_rows_full23(full23):
-    assert ops.dual(full23).ranks == ranks_from_labels(3, FULL23_DUAL)
-    assert ops.nullity_operator(full23).ranks == ranks_from_labels(3, FULL23_NULL)
-    assert ops.supplement(full23).ranks == ranks_from_labels(3, FULL23_SUPP)
-    # the nullity table here is the uniform matroid of rank 1
+    # The printed rows are acceptance criterion 01's; the nullity table here
+    # is the uniform matroid of rank 1.
     assert ops.nullity_operator(full23).ranks == core.uniform(3, 1).ranks
 
 
@@ -81,12 +76,9 @@ def test_atom_operators():
     assert supp.ranks == tuple(1 if m else 0 for m in range(16))
 
 
-def test_compose_check_table(two_basis):
-    assert ops.nullity_operator(ops.dual(two_basis)).ranks == ops.supplement(two_basis).ranks
-    assert ops.supplement(ops.supplement(two_basis)).ranks == two_basis.ranks
-    rng = random.Random(3)
-    table = core.random_demimatroid(5, rng)
-    assert ops.dual(ops.dual(table)).ranks == table.ranks
+def test_compose_check_table():
+    # Acceptance criterion 01 runs every pair on the printed tables.
+    table = core.random_demimatroid(5, random.Random(3))
     for a in ops.OPERATORS:
         for b in ops.OPERATORS:
             ops.compose_check(a, b, table)  # raises on a mismatch
@@ -98,15 +90,8 @@ def test_duality_involutions_random():
     rng = random.Random(17)
     for _ in range(50):
         table = core.random_demimatroid(5, rng)
-        assert ops.dual(ops.dual(table)).ranks == table.ranks
-        assert ops.nullity_operator(ops.nullity_operator(table)).ranks == table.ranks
-        assert ops.supplement(ops.supplement(table)).ranks == table.ranks
-        assert table.rank + ops.dual(table).rank == table.n
-        # the two supplement routes agree with the direct formula
-        direct = ops.supplement(table)
-        assert ops.nullity_operator(ops.dual(table)).ranks == direct.ranks
-        assert ops.dual(ops.nullity_operator(table)).ranks == direct.ranks
-        # duality operators preserve the demimatroid axioms
+        # duality operators preserve the demimatroid axioms; the involutions
+        # and composites are the operator_group law of verify.IDENTITIES
         assert ops.dual(table).is_demimatroid
         assert ops.nullity_operator(table).is_demimatroid
         assert ops.supplement(table).is_demimatroid
@@ -140,14 +125,7 @@ def test_minor_duality_random():
     for _ in range(40):
         table = core.random_demimatroid(5, rng)
         a = core.random_subset(5, rng)
-        assert (
-            ops.dual(ops.delete(table, a)).ranks
-            == ops.contract(ops.dual(table), a).ranks
-        )
-        assert (
-            ops.dual(ops.contract(table, a)).ranks
-            == ops.delete(ops.dual(table), a).ranks
-        )
+        # minors stay demimatroids; their duality is the minor_duality law
         assert ops.delete(table, a).is_demimatroid
         assert ops.contract(table, a).is_demimatroid
 
@@ -170,22 +148,14 @@ def test_lattice_laws_random():
     for _ in range(30):
         a = core.random_demimatroid(4, rng)
         b = core.random_demimatroid(4, rng)
-        c = core.random_demimatroid(4, rng)
+        # closure; the lattice identities are the lattice_laws law
         assert ops.join(a, b).is_demimatroid
         assert ops.meet(a, b).is_demimatroid
-        assert ops.join(a, b).ranks == ops.join(b, a).ranks
-        assert ops.meet(a, ops.meet(b, c)).ranks == ops.meet(ops.meet(a, b), c).ranks
-        assert ops.join(a, ops.meet(a, b)).ranks == a.ranks
-        assert (
-            ops.meet(a, ops.join(b, c)).ranks
-            == ops.join(ops.meet(a, b), ops.meet(a, c)).ranks
-        )
 
 
 def test_elongation(full23):
     assert ops.elongate(full23, 0).ranks == full23.ranks
-    eta = full23.total_nullity
-    assert ops.elongate(full23, eta).ranks == ops.lattice_top(3).ranks
+    eta = full23.total_nullity  # elongate(full23, eta) is the top: criterion 09
     with pytest.raises(MalformedInputError):
         ops.elongate(full23, eta + 1)
 
@@ -194,20 +164,13 @@ def test_elongation_laws_random():
     rng = random.Random(37)
     for _ in range(30):
         table = core.random_demimatroid(5, rng)
-        eta = table.total_nullity
-        assert ops.elongate(table, eta).ranks == ops.lattice_top(5).ranks
-        for i in range(1, eta + 1):
-            stepped = table
-            for _ in range(i):
-                stepped = ops.elongate(stepped, 1)
-            assert stepped.ranks == ops.elongate(table, i).ranks
-        for i in range(eta + 1):
+        # the top, the steps and the independent sets are the elongation_laws
+        # law and acceptance criterion 09
+        for i in range(table.total_nullity + 1):
             elongated = ops.elongate(table, i)
             assert elongated.is_demimatroid
             assert elongated.rank == table.rank + i
             for mask in range(table.full + 1):
-                vanishes = nullity(elongated, mask) == 0
-                assert vanishes == (nullity(table, mask) <= i)
                 assert nullity(elongated, mask) == max(0, nullity(table, mask) - i)
 
 

@@ -5,14 +5,15 @@ planted fault in either layer is listed too."""
 
 import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 from demimat import core, hamming, ops
 from demimat.poly import T
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "probe_tables.py"
+from conftest import REPO
+
+SCRIPT = REPO / "scripts" / "probe_tables.py"
 
 
 @pytest.fixture

@@ -8,14 +8,15 @@ Conventions examples of exact division run too.
 """
 
 import re
-from pathlib import Path
 
 import pytest
 
 from demimat.errors import InexactDivisionError
 from demimat.poly import X
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+from conftest import REPO
+
+README = (REPO / "README.md").read_text()
 PROSE = " ".join(README.split())
 QUICK_START = re.search(r"## Library quick start\n\n```python\n(.*?)```", README, re.S).group(1)
 

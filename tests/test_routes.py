@@ -9,7 +9,6 @@ report.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -17,9 +16,7 @@ from demimat import cli, core, hamming, ops, simplicial, tutte
 from demimat.errors import InvariantViolationError
 from demimat.poly import T, X, Y, monomial
 
-from conftest import counts_plus, minus_x2_y_t_minus_3, top_w_r_plus
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from conftest import FIXTURES, counts_plus, minus_x2_y_t_minus_3, top_w_r_plus
 
 
 ETA_ONE = core.from_wei_sequence(3, [2, 3])  # n = 3, eta = 1

@@ -17,8 +17,10 @@ import pytest
 
 import demimat
 
+from conftest import FIXTURES
+
 SRC = Path(demimat.__file__).resolve().parent.parent
-RANK_TABLE = Path(__file__).resolve().parent.parent / "fixtures" / "uniform_4_2.json"
+RANK_TABLE = FIXTURES / "uniform_4_2.json"
 NOT_AT_IMPORT = ("dataclasses", "inspect", "typing", "demimat.verify", "random", "pathlib",
                  "fractions", "decimal", "numbers")
 

