@@ -27,16 +27,17 @@ The walk visits each vertex set sigma once and, for every r below sigma's
 level, reduces whichever is smaller: the restriction of Delta_r to sigma or
 its Alexander dual.  One zeta transform over Kronecker-packed level indicators
 counts every sigma's submasks at each level, so both sides' sizes are prefix
-sums and the side is chosen before anything is listed.  A side with no face
-above its vertices, {empty} or the empty set and V vertices, has reduced
-homology [1] or [0, V - 1]; one with none above its edges is read off its
-components; neither runs a kernel.  Any other side is grown in cardinality
-layers, each member from the member without its highest element, so a
-restriction costs O(|sigma| * |side|), not 2^|sigma|.  Each sigma's one-bit
-submasks and each face's row position are cached per n (``_layout``), and
-one column cache serves the walk.  No walk starts on more vertices than the
-homology cap: ``core.check_homology_cap`` checks it, beside the ground-set
-cap.
+sums and the side is chosen before anything is listed.  A side with no edge,
+{empty} or the empty set and V vertices, has reduced homology [1] or
+[0, V - 1], read off its size: one of at most three members is not listed
+at all, and a larger one only as far as its vertices.  A side with no face
+above its edges is read off its components; none of these runs a kernel.
+Any other side is grown in cardinality layers, each member from the member
+without its highest element, so a restriction costs O(|sigma| * |side|),
+not 2^|sigma|.  Each sigma's one-bit submasks and each face's row position
+are cached per n (``_layout``), and one column cache serves the walk.  No
+walk starts on more vertices than the homology cap:
+``core.check_homology_cap`` checks it, beside the ground-set cap.
 
 The Betti route to W compares its alternating Betti sums with the subset
 sum's terms through ``poly.cross_checked_coordinates``, whose witness is
@@ -216,18 +217,21 @@ def _level_counts(n: int, levels: tuple[int, ...]) -> list[int]:
 
 
 def _restrictions(n: int, levels: tuple[int, ...]):
-    """Yield ``(sigma, r, dual, layers)`` for each sigma > 0, ascending, and
-    each r below sigma's level.
+    """Yield ``(sigma, r, dual, size, layers)`` for each sigma > 0,
+    ascending, and each r below sigma's level.
 
-    ``layers[c]`` lists the members of cardinality c of the smaller side:
-    the faces of the restriction ``{X subset of sigma : levels[X] <= r}``,
-    or, when more than half of the 2^|sigma| submasks are faces (``dual``),
-    its Alexander dual ``{sigma - X : levels[X] > r}``.  The side sizes are
-    prefix sums of the packed level counts, so the side is chosen before
-    any member is listed.  Its vertices come from |sigma| lookups, over
-    sigma's bits from ``_bit_lists``, of the singletons or, on the dual
-    side, of sigma minus one element; when they and the empty set fill the
-    side, nothing more is listed.  Otherwise the side grows layer by layer,
+    The side is the smaller of the restriction ``{X subset of sigma :
+    levels[X] <= r}`` and, when more than half of the 2^|sigma| submasks
+    are faces (``dual``), its Alexander dual ``{sigma - X : levels[X] >
+    r}``; ``size`` counts its members.  The side sizes are prefix sums of
+    the packed level counts, so the side is chosen before any member is
+    listed.  ``layers`` is None for a side with no edge: the empty set and
+    size - 1 vertices.  A side of at most three members has none, and
+    nothing of it is listed.  Otherwise its vertices come from |sigma|
+    lookups, over sigma's bits from ``_bit_lists``, of the singletons or,
+    on the dual side, of sigma minus one element; when they and the empty
+    set fill the side, it has no edge either.  Any other side is listed:
+    ``layers[c]`` holds its members of cardinality c, grown layer by layer,
     each member from the member without its highest element, which is in
     the side because both sides are down-closed, until the count is
     reached.
@@ -246,15 +250,16 @@ def _restrictions(n: int, levels: tuple[int, ...]):
         for r in range(level):
             faces += packed >> width * r & digit
             dual = faces > half
+            size = 2 * half - faces if dual else faces
+            if size <= 3:  # {empty}, a point or two points
+                yield sigma, r, dual, size, None
+                continue
             if dual:
-                size = 2 * half - faces
                 layer = [b for b in bits if levels[sigma ^ b] > r]
             else:
-                size = faces
                 layer = [b for b in bits if levels[b] <= r]
-            layers = [[0], layer] if layer else [[0]]
-            found = 1 + len(layer)
-            while layer and found < size:
+            layers, found = [[0], layer], 1 + len(layer)
+            while found < size:
                 if dual:
                     layer = [m | b for m in layer for b in bits
                              if b > m and levels[sigma ^ m ^ b] > r]
@@ -262,7 +267,13 @@ def _restrictions(n: int, levels: tuple[int, ...]):
                     layer = [m | b for m in layer for b in bits if b > m and levels[m | b] <= r]
                 layers.append(layer)
                 found += len(layer)
-            yield sigma, r, dual, layers
+            yield sigma, r, dual, size, layers if len(layers) > 2 else None
+
+
+def _edgeless_dims(size: int) -> list[int]:
+    """Reduced homology of a side of ``size`` members with no edge: [1] for
+    {empty}, and [0, V - 1] for the empty set and V = size - 1 vertices."""
+    return [0, size - 2] if size > 1 else [1]
 
 
 def _betti_walk(n: int, levels: tuple[int, ...], top: int, p: int) -> tuple[BettiTable, ...]:
@@ -273,22 +284,23 @@ def _betti_walk(n: int, levels: tuple[int, ...], top: int, p: int) -> tuple[Bett
     Below sigma's own level r, the submasks of level <= r are the faces of
     the restriction to sigma, and the others X give its Alexander dual
     ``{sigma - X}``.  ``_restrictions`` picks the smaller of the two from
-    one packed count of every sigma's submasks by level, and lists it in
-    cardinality layers; ``_homology_dims`` answers every side, one of at
-    most two layers directly and one with no face above its edges from its
-    vertex count and components, without the kernels.  From sigma's level
-    up the restriction is a full simplex, with no reduced homology, so
-    sigma = 0 gives only beta_{0,0} = 1 to each table.
+    one packed count of every sigma's submasks by level.  A side with no
+    edge is answered from its size; any other is listed in cardinality
+    layers, and ``_homology_dims`` answers one with no face above its edges
+    from its vertex count and components, without the kernels.  From
+    sigma's level up the restriction is a full simplex, with no reduced
+    homology, so sigma = 0 gives only beta_{0,0} = 1 to each table.
     """
     tables: list[dict[tuple[int, int], int]] = [{(0, 0): 1} for _ in range(top)]
     columns = _Columns(n)
-    for sigma, r, dual, layers in _restrictions(n, levels):
+    for sigma, r, dual, size, layers in _restrictions(n, levels):
         j = sigma.bit_count()
         # Slot s of dims is degree s-1, and degree d of the restriction is
         # i = j-d-1.  Over any field, degree e of the dual is degree j-e-3
         # of the restriction, so i = e+2.
         table = tables[r]
-        for slot, d in enumerate(_homology_dims(layers, columns, p)):
+        dims = _homology_dims(layers, columns, p) if layers else _edgeless_dims(size)
+        for slot, d in enumerate(dims):
             if d:
                 i = slot + 1 if dual else j - slot
                 table[i, j] = table.get((i, j), 0) + d

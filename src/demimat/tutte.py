@@ -7,16 +7,14 @@ profile and the binomial expansion happens once per distinct pair.  Those
 counts, ``corank_nullity_counts``, are a read-only view computed once per
 table from that table's own profile.  The evaluations T(1-t, 0) and
 T(t+1, 1) and h(t) = f(t-1) are written in closed form, from binomial rows
-or one term sum.  The deletion-contraction
-recurrences for T and the Whitney function are one statement about
-coordinates: ``recurrence_counts`` merges both minors' (corank, nullity)
-pairs, shifted by the recurrence's powers, and those are the (x-1, y-1)
-coordinates of the T side and the monomials of the f side.  The identity
-battery compares them with the table's own pairs, which is not weaker than
-comparing polynomials, because the expansion is a function of the
-coordinates; the tests expand them as their oracles.  T, f and W relabel
-the same (size, rank) counts injectively, so this comparison decides W's
-recurrence too, and MacWilliams decides the duality swap of T and f.
+or one term sum.  The deletion-contraction recurrences for T, the Whitney
+function and W are one statement about the (size, rank) counts, which each
+of the three relabels injectively: ``recurrence_profile`` merges the
+deletion's counts with the contraction's, each subset through p moved to
+(s + 1, r + rho(p)), and the recurrences at p hold exactly when that is the
+table's own profile.  The identity battery compares the two; the tests
+expand each side's polynomials as their oracles.  MacWilliams decides the
+duality swap of T and f.
 """
 
 from __future__ import annotations
@@ -78,43 +76,20 @@ def tutte(table: RankTable) -> LaurentPoly:
     return tutte_basis({(a, b, 0): c for (a, b), c in counts.items()})
 
 
-def deletion_contraction(table: RankTable, p: int) -> tuple[RankTable, RankTable, int, int]:
-    """(M\\p, M/p, eta*(p), 1 - rho(p)) for the element p, with
-    eta*(p) = rho(E) - rho(E\\p): the minors and exponents of the
-    deletion-contraction recurrences."""
-    if not 1 <= p <= table.n:
-        raise MalformedInputError(f"element {p} outside ground set 1..{table.n}")
-    bit = 1 << (p - 1)
-    co = table.rank - table.ranks[table.full & ~bit]
-    return ops.delete(table, bit), ops.contract(table, bit), co, 1 - table.ranks[bit]
+def recurrence_profile(table: RankTable, p: int) -> dict[tuple[int, int], int]:
+    """The size-rank profile that deletion-contraction at element p gives:
+    the deletion's (size, rank) counts, and the contraction's moved to
+    (s + 1, r + rho(p)), as each subset through p is one of M/p plus p.
 
-
-def _shifted_counts(deleted: dict, contracted: dict, co: int, nu: int) -> dict:
-    """The minors' (corank, nullity) counts merged, the deletion's coranks
-    raised by co and the contraction's nullities by nu."""
-    counts = {(a + co, b): c for (a, b), c in deleted.items()}
-    for (a, b), c in contracted.items():
-        counts[a, b + nu] = counts.get((a, b + nu), 0) + c
-    return counts
-
-
-def recurrence_counts(table: RankTable, p: int) -> dict[tuple[int, int], int]:
-    """The (x-1, y-1) coordinates of the deletion-contraction side
-
-        (x-1)^(eta*(p)) T(M\\p) + (y-1)^(1 - rho(p)) T(M/p)
-
-    at element p: both minors' (corank, nullity) counts, shifted by the
-    recurrence's powers and merged.  The recurrence T(M) = that side holds exactly when these
-    equal ``corank_nullity_counts(table)``, since the basis
-    (x-1)^a (y-1)^b is linearly independent.  A negative shift, or a minor
-    with a negative corank or nullity, leaves Laurent scope and raises
-    RationalFunctionError; that only happens for non-demimatroid tables.
+    T, f and W each relabel the (size, rank) counts injectively, so their
+    recurrences at p hold exactly when this equals ``table.profile``.
     """
-    deleted, contracted, co, nu = deletion_contraction(table, p)
-    if co < 0 or nu < 0:
-        raise RationalFunctionError("recurrence exponents are negative on this table")
-    return _shifted_counts(_require_polynomial(corank_nullity_counts(deleted)),
-                           _require_polynomial(corank_nullity_counts(contracted)), co, nu)
+    bit = 1 << (p - 1)
+    rho = table.ranks[bit]
+    counts = dict(ops.delete(table, bit).profile)
+    for (s, r), c in ops.contract(table, bit).profile.items():
+        counts[s + 1, r + rho] = counts.get((s + 1, r + rho), 0) + c
+    return counts
 
 
 def whitney_f(table: RankTable) -> LaurentPoly:

@@ -10,18 +10,19 @@ ranks) that reproduces it alone, without the battery's seed.  The recovery
 identity is the last law, ``recovery_identity``, and the report's
 ``conjecture_census`` repeats its counts.
 
-Several identities are decided on basis coordinates, not on expanded
-polynomials.  For each element, the coordinates of the deletion-contraction
-side (``tutte.recurrence_counts``, which T and the Whitney function share)
-are compared with the table's own.  T, f and W relabel one count, the
-subsets by (size, rank), injectively, so each fact about it is decided once:
-the minors' profiles by T's recurrence, which is W's too, and the dual's
-profile by MacWilliams, which is the T/f duality swap too.  The MacWilliams
-involution compares ``hamming.macwilliams_coordinates`` of the dual's W with
-the table's subset-sum coordinates; and the Tutte, P_j and Betti routes,
-MacWilliams, the Tutte recovery and the recovery identity decide their own
-routes on coordinates, and f(x-1, y-1) == T and W(x, y, 1) == x^n read term
-dicts.  Equal coordinates give equal polynomials, and a polynomial
+Several identities are decided on counts or basis coordinates, not on
+expanded polynomials.  T, f and W relabel one count, the subsets by (size,
+rank), injectively, so each fact about it is decided once: the minors'
+profiles by the deletion-contraction law, which compares the profile the
+minors give at each element (``tutte.recurrence_profile``) with the table's
+own and, like the characteristic polynomial it also checks, takes
+demimatroids only; and the dual's profile by MacWilliams, which is the T/f
+duality swap too.  The MacWilliams involution compares
+``hamming.macwilliams_coordinates`` of the dual's W with the table's
+subset-sum coordinates; and the Tutte, P_j and Betti routes, MacWilliams,
+the Tutte recovery and the recovery identity decide their own routes on
+coordinates, and f(x-1, y-1) == T and W(x, y, 1) == x^n read term dicts.
+Equal counts or coordinates give equal polynomials, and a polynomial
 comparison could only miss what they show.
 
 No law repeats another's fact: ``operator_group`` and ``macwilliams``
@@ -125,12 +126,12 @@ def _elongation_laws(m: core.RankTable) -> bool:
 
 
 def _tutte_identities(m: core.RankTable) -> bool:
-    # The recurrences for T and f are one comparison: their sides share the
-    # coordinates ``recurrence_counts`` gives.
-    own = tutte.corank_nullity_counts(m)
-    if any(tutte.recurrence_counts(m, p) != own for p in range(1, m.n + 1)):
+    m.require_demimatroid("deletion-contraction")
+    # The recurrences for T, f and W are one comparison of profiles.
+    if any(tutte.recurrence_profile(m, p) != m.profile for p in range(1, m.n + 1)):
         return False
     # f(x-1, y-1) == T: f's monomials x^a y^b are T's coordinates (a, b, 0).
+    own = tutte.corank_nullity_counts(m)
     if tutte.whitney_f(m).terms() != {(a, b, 0): c for (a, b), c in own.items()}:
         return False
     tutte.characteristic(m)  # internally cross-checked

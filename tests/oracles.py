@@ -8,8 +8,10 @@ walk, dense Bareiss elimination behind the sparse kernel, a code's rank
 table by one elimination mod p per column subset
 (``rank_table_by_elimination``) behind ``codes.parity_matroid``'s subspace
 count, the expansions of the coordinates the routes and the battery decide
-on, W's recurrence on the minors' own W, the whole-polynomial definition of
-the W^(r), and the Stanley-Reisner generators.  The plain definitions behind
+on, the recurrences' (corank, nullity) coordinates merged from the minors'
+(``recurrence_counts``) behind the battery's comparison of profiles, W's
+recurrence on the minors' own W, the whole-polynomial definition of the
+W^(r), and the Stanley-Reisner generators.  The plain definitions behind
 the memoized table views are here too: the size-rank profile counted mask by
 mask and the coordinate views re-read from it on every call, the graph
 trichotomy tested edge by edge, a basis family's ranks as the max over its
@@ -36,9 +38,9 @@ from math import comb
 from operator import or_
 from typing import NamedTuple
 
-from demimat import core, hamming, simplicial, tutte, weights
+from demimat import core, hamming, ops, simplicial, tutte, weights
 from demimat._linalg import rref_mod_p
-from demimat.errors import InvariantViolationError, MalformedInputError
+from demimat.errors import InvariantViolationError, MalformedInputError, RationalFunctionError
 from demimat.poly import (
     VARIABLES,
     X,
@@ -158,28 +160,67 @@ def macwilliams_transform(w: LaurentPoly, eta: int) -> LaurentPoly:
     return w_basis(hamming.macwilliams_coordinates(w, eta))
 
 
+def deletion_contraction(table: core.RankTable, p: int) -> tuple:
+    """(M\\p, M/p, eta*(p), 1 - rho(p)) for the element p, with
+    eta*(p) = rho(E) - rho(E\\p): the minors and exponents of the
+    deletion-contraction recurrences."""
+    if not 1 <= p <= table.n:
+        raise MalformedInputError(f"element {p} outside ground set 1..{table.n}")
+    bit = 1 << (p - 1)
+    co = table.rank - table.ranks[table.full & ~bit]
+    return ops.delete(table, bit), ops.contract(table, bit), co, 1 - table.ranks[bit]
+
+
+def _shifted_counts(deleted: dict, contracted: dict, co: int, nu: int) -> dict:
+    """The minors' (corank, nullity) counts merged, the deletion's coranks
+    raised by co and the contraction's nullities by nu."""
+    counts = {(a + co, b): c for (a, b), c in deleted.items()}
+    for (a, b), c in contracted.items():
+        counts[a, b + nu] = counts.get((a, b + nu), 0) + c
+    return counts
+
+
+def recurrence_counts(table: core.RankTable, p: int) -> dict[tuple[int, int], int]:
+    """The (x-1, y-1) coordinates of the deletion-contraction side
+
+        (x-1)^(eta*(p)) T(M\\p) + (y-1)^(1 - rho(p)) T(M/p)
+
+    at element p: both minors' (corank, nullity) counts, shifted by the
+    recurrence's powers and merged, the relabelling of
+    ``tutte.recurrence_profile``.  A negative shift, or a minor with a
+    negative corank or nullity, leaves Laurent scope and raises
+    RationalFunctionError; that only happens for non-demimatroid tables.
+    """
+    deleted, contracted, co, nu = deletion_contraction(table, p)
+    if co < 0 or nu < 0:
+        raise RationalFunctionError("recurrence exponents are negative on this table")
+    return _shifted_counts(tutte._require_polynomial(tutte.corank_nullity_counts(deleted)),
+                           tutte._require_polynomial(tutte.corank_nullity_counts(contracted)),
+                           co, nu)
+
+
 def hamming_recurrence(table: core.RankTable, p: int) -> LaurentPoly:
     """The deletion-contraction side of W at element p from the minors' own
     W: (x-y) W(M\\p) + y t^(1-rho(p)) W(M/p).  Any t exponent is a Laurent
     monomial, so any table is accepted."""
-    deleted, contracted, _, nu = tutte.deletion_contraction(table, p)
+    deleted, contracted, _, nu = deletion_contraction(table, p)
     return ((X - Y) * hamming.hamming_subset_sum(deleted)
             + monomial(1, y=1, t=nu) * hamming.hamming_subset_sum(contracted))
 
 
 def tutte_recurrence(table: core.RankTable, p: int) -> LaurentPoly:
     """The deletion-contraction side of T at element p as a polynomial: the
-    expansion of ``tutte.recurrence_counts``."""
-    return tutte_basis({(a, b, 0): c for (a, b), c in tutte.recurrence_counts(table, p).items()})
+    expansion of ``recurrence_counts``."""
+    return tutte_basis({(a, b, 0): c for (a, b), c in recurrence_counts(table, p).items()})
 
 
 def whitney_recurrence(table: core.RankTable, p: int) -> LaurentPoly:
     """x^(eta*(p)) f(M\\p) + y^(1 - rho(p)) f(M/p): its monomials are the
-    coordinates of ``tutte.recurrence_counts``, taken without that function's
+    coordinates of ``recurrence_counts``, taken without that function's
     scope check, since any exponent is a Laurent monomial."""
-    deleted, contracted, co, nu = tutte.deletion_contraction(table, p)
-    counts = tutte._shifted_counts(tutte.corank_nullity_counts(deleted),
-                                   tutte.corank_nullity_counts(contracted), co, nu)
+    deleted, contracted, co, nu = deletion_contraction(table, p)
+    counts = _shifted_counts(tutte.corank_nullity_counts(deleted),
+                             tutte.corank_nullity_counts(contracted), co, nu)
     return term_sum(((a, b, 0), c) for (a, b), c in counts.items())
 
 

@@ -673,25 +673,28 @@ def test_compute_all_still_fails_on_route_disagreement(tmp_path, monkeypatch, ca
 def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys):
     # The one walk visits sigma in ascending order and, for each r below
     # sigma's nullity, where sigma is a non-face of the r-th elongation
-    # complex, lists the smaller of the restriction and its Alexander dual.
-    # A face restricts to a full simplex and is never visited.  Every side
-    # reaches ``_homology_dims``.  A side with no face above its edges (a
-    # graph, or no edge at all) is answered from its vertex count and
-    # connected components, with no kernel run; every other side is reduced,
-    # with at most half of sigma's 2^|sigma| submasks, all inside sigma.
+    # complex, counts the smaller of the restriction and its Alexander dual.
+    # A face restricts to a full simplex and is never visited.  A side with
+    # no edge is read off its size: one of at most three members is not
+    # listed at all, a larger one only as far as its bare vertices.  Every
+    # other side is listed and reaches ``_homology_dims``.  One with no face
+    # above its edges (a graph) is answered from its vertex count and
+    # connected components, with no kernel run; every other side is
+    # reduced, with at most half of sigma's 2^|sigma| submasks, all inside
+    # sigma.
     table = cli.load_input(str(FIXTURES / "vamos.json")).table
     elongation_complexes = [independence_complex(ops.elongate(table, r))
                             for r in range(table.total_nullity + 1)]
-    listed: list[tuple[int, int, list[list[int]]]] = []
+    listed: list[tuple[int, int, int, list[list[int]] | None]] = []
     homology_calls: list[tuple[list[list[int]], bool]] = []
     kernel_runs: list[int] = []
     restrictions, homology, dims = (
         simplicial._restrictions, simplicial._homology_dims, simplicial._dims)
 
     def recorded_restrictions(*args):
-        for sigma, r, dual, layers in restrictions(*args):
-            listed.append((sigma, r, layers))
-            yield sigma, r, dual, layers
+        for sigma, r, dual, size, layers in restrictions(*args):
+            listed.append((sigma, r, size, layers))
+            yield sigma, r, dual, size, layers
 
     def recorded_homology(layers, *args):
         runs = len(kernel_runs)
@@ -709,20 +712,30 @@ def test_betti_sweeps_skip_faces_and_reduce_the_smaller_side(monkeypatch, capsys
     code, _, _ = run_cli(capsys, "compute", "--in", str(FIXTURES / "vamos.json"), "--all")
     assert code == 0
     visited = [(sigma, r) for sigma in range(1 << table.n) for r in range(nullity(table, sigma))]
-    assert [(sigma, r) for sigma, r, _ in listed] == visited
+    assert [(sigma, r) for sigma, r, _, _ in listed] == visited
     assert len(visited) == 145
-    assert [layers for layers, _ in homology_calls] == [layers for _, _, layers in listed]
-    for (sigma, r, layers), (_, reduced) in zip(listed, homology_calls):
+    assert [layers for layers, _ in homology_calls] == [
+        layers for _, _, _, layers in listed if layers is not None]
+    calls = iter(homology_calls)
+    for sigma, r, size, layers in listed:
         assert sigma not in elongation_complexes[r]
         faces = [x for x in core.submasks(sigma) if nullity(table, x) <= r]
         if 2 * len(faces) > 2 ** core.popcount(sigma):
             faces = [sigma ^ x for x in core.submasks(sigma) if nullity(table, x) > r]
-        assert reduced == (max(map(core.popcount, faces)) > 2)
-        if reduced:
-            assert all(not f & ~sigma for layer in layers for f in layer)
-            assert sum(map(len, layers)) <= 2 ** (core.popcount(sigma) - 1)
+        assert size == len(faces)
+        top = max(map(core.popcount, faces))
+        assert (layers is None) == (top < 2)
+        if layers is not None:
+            _, reduced = next(calls)
+            assert reduced == (top > 2)
+            if reduced:
+                assert all(not f & ~sigma for layer in layers for f in layer)
+                assert sum(map(len, layers)) <= 2 ** (core.popcount(sigma) - 1)
+    counted = sum(layers is None and size <= 3 for _, _, size, layers in listed)
+    bare = sum(layers is None and size > 3 for _, _, size, layers in listed)
     reduced_count = sum(reduced for _, reduced in homology_calls)
-    assert (reduced_count, len(visited) - reduced_count) == (9, 136)
+    assert (counted, bare, len(homology_calls)) == (98, 13, 34)
+    assert (len(homology_calls) - reduced_count, reduced_count, len(kernel_runs)) == (25, 9, 9)
 
 
 def test_a_closed_pipe_exits_141_without_a_traceback():

@@ -1,14 +1,14 @@
 """Every function of ``demimat`` that the CLI never enters has a decision.
 
 One child interpreter sets a profile hook before it imports ``demimat``, so
-calls made at import count, and runs the CLI in-process over the inputs CI
-gives it: ``compute --all`` on every fixture and on CI's huge-rank,
-wide-Tutte and combinatroid inputs, ``verify --fixtures`` and one battery,
-the six ``op`` verbs on ``vamos`` and ``op dual`` on a combinatroid whose
-ranks leave the byte view, and the four ``from-*`` verbs.  Each code object
-the hook sees is named ``module.Class.name`` by its file and first line:
-the ``def`` line, or the first decorator's, which is where Python 3.10, with
-no ``co_qualname``, starts a decorated function.
+calls made at import count, and runs the CLI in-process over the inputs the
+CLI tests and CI give it: ``compute --all`` on every fixture and on the
+huge-rank, wide-Tutte and combinatroid inputs, ``verify --fixtures`` and one
+battery, the six ``op`` verbs on ``vamos`` and ``op dual`` on a combinatroid
+whose ranks leave the byte view, and the four ``from-*`` verbs.  Each code
+object the hook sees is named ``module.Class.name`` by its file and first
+line: the ``def`` line, or the first decorator's, which is where Python
+3.10, with no ``co_qualname``, starts a decorated function.
 
 The functions never entered must be exactly the keys of ``NEVER_ENTERED``,
 each with the reason it stays: a stale entry fails as a new function does.

@@ -1,12 +1,14 @@
-"""The deletion-contraction recurrences on basis coordinates.
+"""The deletion-contraction recurrences on size-rank profiles.
 
-The battery decides the recurrences for T and the Whitney function by
-comparing the coordinates ``tutte.recurrence_counts`` gives with the
-table's own; W's recurrence holds exactly when they agree, so the battery
-does not decide it again.  These tests tie the coordinates to the
-polynomials they stand for, assert W's recurrence on the minors' own W,
-keep the polynomial comparisons as the oracle for the battery's verdicts on
-any table, and plant faults in the shifts that the coordinates must catch.
+The battery decides the recurrences for T, the Whitney function and W by
+comparing the profile ``tutte.recurrence_profile`` merges from the minors
+with the table's own: each of the three relabels the (size, rank) counts
+injectively, so each recurrence holds exactly when the profiles agree.
+These tests tie the oracles' recurrence coordinates to the polynomials
+they stand for, assert W's recurrence on the minors' own W, keep the
+polynomial comparisons as the oracle for the battery's verdicts on every
+demimatroid (the law refuses any other table), and plant faults in the
+contraction's shift that the profiles must catch.
 """
 
 import random
@@ -15,12 +17,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demimat import core, hamming, simplicial, tutte, verify
+from demimat import core, hamming, ops, simplicial, tutte, verify
 from demimat.core import RankTable
-from demimat.errors import RationalFunctionError
+from demimat.errors import KindError, RationalFunctionError
 from demimat.poly import X, Y, monomial
 
-from oracles import hamming_recurrence, substitute, tutte_recurrence, whitney_recurrence
+from oracles import (
+    deletion_contraction,
+    hamming_recurrence,
+    substitute,
+    tutte_recurrence,
+    whitney_recurrence,
+)
 from strategies import demimatroid_tables, rank_tables
 
 
@@ -37,14 +45,14 @@ def test_the_coordinates_expand_to_the_invariants(table):
 
 
 def _tutte_side(m, p):
-    deleted, contracted, co, nu = tutte.deletion_contraction(m, p)
+    deleted, contracted, co, nu = deletion_contraction(m, p)
     if co < 0 or nu < 0:
         raise RationalFunctionError("negative recurrence exponent")
     return (X - 1) ** co * tutte.tutte(deleted) + (Y - 1) ** nu * tutte.tutte(contracted)
 
 
 def _whitney_side(m, p):
-    deleted, contracted, co, nu = tutte.deletion_contraction(m, p)
+    deleted, contracted, co, nu = deletion_contraction(m, p)
     return (monomial(1, x=co) * tutte.whitney_f(deleted)
             + monomial(1, y=nu) * tutte.whitney_f(contracted))
 
@@ -91,32 +99,41 @@ def polynomial_tutte_tables(draw, max_n: int = 5):
     ("tutte_identities", _polynomial_tutte_identities),
     ("hamming_routes", _polynomial_hamming_routes),
 ])
-@given(table=rank_tables(max_n=5) | polynomial_tutte_tables(max_n=5))
+@given(table=rank_tables(max_n=5) | polynomial_tutte_tables(max_n=5)
+       | demimatroid_tables(max_n=5))
 def test_the_verdicts_are_those_of_the_polynomial_comparisons(name, oracle, table):
-    assert _outcome(verify.IDENTITIES[name], table) == _outcome(oracle, table)
+    outcome = _outcome(verify.IDENTITIES[name], table)
+    if name == "tutte_identities" and not table.is_demimatroid:
+        assert outcome is KindError  # the recurrence law's domain is the demimatroids
+    else:
+        assert outcome == _outcome(oracle, table)
 
 
-# -- planted faults in the shifts --------------------------------------------------------
+# -- planted faults in the contraction's shift ---------------------------------------------
 
 
-def _shift_off_by_one(index):
-    def fault(original):
-        def shifted(table, p):
-            parts = list(original(table, p))
-            parts[index] += 1
-            return tuple(parts)
-        return shifted
-    return fault
+def _moved_by(size: int, rank):
+    """``tutte.recurrence_profile`` with the contraction's pair (s, r) moved
+    to (s + size, r + rank(table, bit)), in place of (s + 1, r + rho(p))."""
+    def recurrence_profile(table, p):
+        bit = 1 << (p - 1)
+        step = rank(table, bit)
+        counts = dict(ops.delete(table, bit).profile)
+        for (s, r), c in ops.contract(table, bit).profile.items():
+            counts[s + size, r + step] = counts.get((s + size, r + step), 0) + c
+        return counts
+    return recurrence_profile
 
 
-# Each fault with the identities whose recurrence it reaches: eta*(p) and
-# 1 - rho(p) are the powers of T's and f's recurrences, which the battery
-# decides once, in ``tutte_identities``.
-SHIFT_FAULTS = {
-    "co-off-by-one": (tutte, "deletion_contraction", _shift_off_by_one(2),
-                      ("tutte_identities",)),
-    "nu-off-by-one": (tutte, "deletion_contraction", _shift_off_by_one(3),
-                      ("tutte_identities",)),
+def _rho(table, bit):
+    return table.ranks[bit]
+
+
+# Each fault drops one part of the shift: every subset through p has size
+# one more, and rank rho(p) more, than its image in M/p.
+PROFILE_FAULTS = {
+    "contraction-without-rho": _moved_by(1, lambda table, bit: 0),
+    "contraction-without-size-step": _moved_by(0, _rho),
 }
 
 # Rank 2 and nullity 3, with loops and non-loops, so every shift matters.
@@ -130,14 +147,14 @@ def _verdict(check, table) -> bool:
         return False
 
 
-@pytest.mark.parametrize("fault", SHIFT_FAULTS)
+@pytest.mark.parametrize("fault", PROFILE_FAULTS)
 def test_a_fault_in_a_shift_fails_the_identity(fault, monkeypatch):
-    module, attribute, plant, names = SHIFT_FAULTS[fault]
     derived = RankTable.build(5, TARGET)
     for check in verify.IDENTITIES.values():  # memoize every true value on it
         assert check(derived)
-    monkeypatch.setattr(module, attribute, plant(getattr(module, attribute)))
-    for name in names:
-        check = verify.IDENTITIES[name]
-        assert _verdict(check, RankTable.build(5, TARGET)) is False
-        assert _verdict(check, derived) is False
+    for p in range(1, 6):  # with the whole shift, the copy is the library's function
+        assert _moved_by(1, _rho)(derived, p) == tutte.recurrence_profile(derived, p)
+    monkeypatch.setattr(tutte, "recurrence_profile", PROFILE_FAULTS[fault])
+    check = verify.IDENTITIES["tutte_identities"]
+    assert _verdict(check, RankTable.build(5, TARGET)) is False
+    assert _verdict(check, derived) is False

@@ -1,11 +1,13 @@
+import inspect
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demimat import _layout, cli, core, hamming, ops, simplicial
+from demimat import _layout, cli, constructions, core, hamming, ops, simplicial
 from demimat._linalg import rank_sparse_columns, rref_mod_p
 from demimat.errors import KindError, MalformedInputError, SizeCapError
 from demimat.poly import monomial, one
@@ -422,9 +424,11 @@ def test_the_cached_bit_lists_are_each_masks_bits(n):
 
 @given(demimatroid_tables(max_n=7))
 def test_walk_lists_the_smaller_side_from_packed_level_counts(table):
-    # Each (sigma, r) lists, layer by cardinality layer, exactly the side
-    # that a scan of all 2^|sigma| submasks picks: the restriction, or its
-    # Alexander dual when more than half the submasks are faces.
+    # Each (sigma, r) counts exactly the side that a scan of all 2^|sigma|
+    # submasks picks: the restriction, or its Alexander dual when more than
+    # half the submasks are faces.  A side with an edge is listed layer by
+    # cardinality layer; one without is read off its size, and
+    # ``_homology_dims`` gives the same dims on that side listed here.
     n, eta = table.n, table.total_nullity
     nullities = [nullity(table, x) for x in range(1 << n)]
     digit = (1 << (n + 1)) - 1
@@ -435,16 +439,24 @@ def test_walk_lists_the_smaller_side_from_packed_level_counts(table):
         assert [packed >> (n + 1) * k & digit for k in range(eta + 1)] == direct
         assert packed >> (n + 1) * (eta + 1) == 0
     listed = list(simplicial._restrictions(n, nullities))
-    assert [(sigma, r) for sigma, r, _, _ in listed] == [
+    assert [(sigma, r) for sigma, r, _, _, _ in listed] == [
         (sigma, r) for sigma in range(1, 1 << n) for r in range(nullities[sigma])
     ]
-    for sigma, r, dual, layers in listed:
+    columns = simplicial._Columns(n)
+    for sigma, r, dual, size, layers in listed:
         faces = [x for x in core.submasks(sigma) if nullities[x] <= r]
         assert dual == (2 * len(faces) > 2 ** core.popcount(sigma))
         side = [sigma ^ x for x in core.submasks(sigma) if nullities[x] > r] if dual else faces
-        assert all(layers)
-        assert all(core.popcount(f) == c for c, layer in enumerate(layers) for f in layer)
-        assert sorted(f for layer in layers for f in layer) == sorted(side)
+        assert size == len(side)
+        by_cardinality = [sorted(f for f in side if core.popcount(f) == c)
+                          for c in range(max(map(core.popcount, side)) + 1)]
+        if layers is None:
+            assert len(by_cardinality) <= 2
+            assert simplicial._homology_dims(by_cardinality, columns, 0) == \
+                simplicial._edgeless_dims(size)
+        else:
+            assert len(by_cardinality) > 2
+            assert [sorted(layer) for layer in layers] == by_cardinality
 
 
 def _assert_walk_matches_the_per_sigma_oracle(table, fieldspec):
@@ -474,6 +486,51 @@ def test_elongation_walk_matches_the_per_sigma_oracle_at_n_8(fieldspec):
     rng = random.Random(97)
     for _ in range(4):
         _assert_walk_matches_the_per_sigma_oracle(core.random_demimatroid(8, rng), fieldspec)
+
+
+# -- values from a theorem, at sizes no oracle reaches -------------------------------------
+
+
+def _uniform_strands(n, k):
+    """The Betti tables of the elongations of U(k, n), by theorem.  The r-th
+    elongation is U(m, n), m = k + r, whose complex is the (m-1)-skeleton of
+    the simplex, and its Stanley-Reisner ideal, generated by the (m+1)-sets,
+    has a linear resolution (Eagon and Reiner, 1998): beta_{0,0} = 1 and
+    beta_{i, m+i} = C(n, m+i) C(m+i-1, i-1) for 1 <= i <= n - m."""
+    return tuple(
+        simplicial.BettiTable.from_dict({(0, 0): 1, **{
+            (i, m + i): comb(n, m + i) * comb(m + i - 1, i - 1) for i in range(1, n - m + 1)}})
+        for m in range(k, n + 1))
+
+
+def _walked(n, k, fieldspec):
+    return simplicial.betti_of_elongations(constructions.uniform(n, k), fieldspec)
+
+
+@pytest.mark.parametrize("fieldspec", (Q, F2), ids=str)
+def test_uniform_elongations_have_one_linear_strand_up_to_n_10(fieldspec):
+    for n in range(11):
+        for k in range(n + 1):
+            assert _walked(n, k, fieldspec) == _uniform_strands(n, k)
+
+
+@pytest.mark.parametrize("n, fieldspec", [(12, Q), (12, F2), (14, Q), (14, F2), (16, Q)],
+                         ids=str)
+def test_uniform_elongations_have_one_linear_strand_at_half_rank(n, fieldspec):
+    assert _walked(n, n // 2, fieldspec) == _uniform_strands(n, n // 2)
+
+
+@pytest.mark.parametrize("mapping", [
+    "i = slot + 3 if dual else j - slot",
+    "i = slot + 1 if dual else j - slot - 2",
+])
+def test_an_off_by_two_degree_mapping_fails_the_uniform_strands(mapping, monkeypatch):
+    source = inspect.getsource(simplicial._betti_walk)
+    assert source.count("i = slot + 1 if dual else j - slot") == 1
+    namespace = dict(vars(simplicial))
+    exec(source.replace("i = slot + 1 if dual else j - slot", mapping), namespace)
+    monkeypatch.setattr(simplicial, "_betti_walk", namespace["_betti_walk"])
+    assert not all(_walked(8, k, Q) == _uniform_strands(8, k) for k in range(9))
 
 
 def test_projective_plane_rational_tables_take_the_q_fallback(projective_plane, monkeypatch):
