@@ -30,10 +30,9 @@ class UnsupportedSubstitutionError(DemimatError):
 
     Raised by a negative power of a polynomial that is not +-1 times a
     monomial, by ``binomial_expansion`` at a negative binomial power, and by
-    ``tutte.expandable_terms``, the guard of every closed-form change of
-    variables (MacWilliams, the Tutte recovery, the characteristic
-    polynomial, both f routes), when a variable it expands to a polynomial
-    sits at a negative exponent.
+    ``hamming.macwilliams_coordinates`` on a W with a negative power of x or
+    y.  The other closed-form changes of variables read tables whose
+    exponents are never negative.
     """
 
 

@@ -55,6 +55,7 @@ from .errors import (
     InvariantViolationError,
     KindError,
     MalformedInputError,
+    UnsupportedSubstitutionError,
 )
 from .poly import (
     LaurentPoly,
@@ -154,8 +155,12 @@ def macwilliams_coordinates(w: LaurentPoly, eta: int) -> dict[tuple[int, int, in
     sum_i C(a, i) (x-y)^(a+b-i) y^i t^(e+i-eta).  A negative power of x or
     y has no Laurent image and raises UnsupportedSubstitutionError.
     """
+    for name, image in (("x", "x + (t-1)y"), ("y", "x - y")):
+        if (low := w.min_exponent(name)) < 0:
+            raise UnsupportedSubstitutionError(
+                f"cannot expand {image} to the negative power {low} of {name}")
     coordinates: dict[tuple[int, int, int], int] = {}
-    for (a, b, e), c in tutte_mod.expandable_terms(w, x="x + (t-1)y", y="x - y").items():
+    for (a, b, e), c in w.terms().items():
         for i in range(a + 1):
             key = (a + b - i, i, e + i - eta)
             coordinates[key] = coordinates.get(key, 0) + c * comb(a, i)
@@ -204,11 +209,11 @@ def tutte_from_hamming(table: RankTable) -> LaurentPoly:
     A term c x^a y^b t^e of W goes to sum_i c C(n-b, i) (x-1)^(i+e-eta)
     (y-1)^e, so the division by (x-1)^eta is an exponent shift, and a
     nonzero coordinate below (x-1)^eta differs from T's.  The result must
-    equal the corank-nullity counts.  A negative t power has no Laurent
-    image and raises UnsupportedSubstitutionError.
+    equal the corank-nullity counts.  W has no negative t power: unit steps
+    from rho(empty) = 0 give a demimatroid 0 <= rho(X) <= |X|.
     """
     table.require_demimatroid("Tutte recovery")
-    terms = tutte_mod.expandable_terms(hamming_subset_sum(table), t="(x-1)(y-1)")
+    terms = hamming_subset_sum(table).terms()
     cleared: dict[tuple[int, int, int], int] = {}
     for (i, e), c in _at_one_over_x(terms, table.n):
         key = (i + e, e, 0)

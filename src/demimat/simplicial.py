@@ -181,8 +181,9 @@ def _dims(layers: list[list[int]], edge_rank: int, rank, column) -> list[int]:
 
 
 def _homology_dims(layers: list[list[int]], columns: _Columns, p: int) -> list[int]:
-    """Reduced homology dimensions of the nonvoid complex whose faces of
-    cardinality c are ``layers[c]``, each layer nonempty.
+    """Reduced homology dimensions of the complex whose faces of
+    cardinality c are ``layers[c]``, each layer nonempty, with an edge: a
+    side with none is read off its size (``_edgeless_dims``).
 
     The map from edges to vertices has rank V - (connected components)
     over every field, so a side with no face above its edges (a graph)
@@ -190,8 +191,6 @@ def _homology_dims(layers: list[list[int]], columns: _Columns, p: int) -> list[i
     F_2; over Q its dimensions stand when their nonzero degrees share one
     parity, and otherwise the signed columns are reduced over Q.
     """
-    if len(layers) < 3:
-        return [0, len(layers[1]) - 1] if len(layers) == 2 else [1]
     vertices, edges = layers[1], layers[2]
     edge_rank = len(vertices) - _components(vertices, edges)
     if len(layers) == 3:

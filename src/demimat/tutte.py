@@ -7,14 +7,15 @@ profile and the binomial expansion happens once per distinct pair.  Those
 counts, ``corank_nullity_counts``, are a read-only view computed once per
 table from that table's own profile.  The evaluations T(1-t, 0) and
 T(t+1, 1) and h(t) = f(t-1) are written in closed form, from binomial rows
-or one term sum.  The deletion-contraction recurrences for T, the Whitney
-function and W are one statement about the (size, rank) counts, which each
-of the three relabels injectively: ``recurrence_profile`` merges the
-deletion's counts with the contraction's, each subset through p moved to
-(s + 1, r + rho(p)), and the recurrences at p hold exactly when that is the
-table's own profile.  The identity battery compares the two; the tests
-expand each side's polynomials as their oracles.  MacWilliams decides the
-duality swap of T and f.
+or one term sum; the first two read T's terms as they are, since ``tutte``
+refuses a negative corank or nullity.  The deletion-contraction recurrences
+for T, the Whitney function and W are one statement about the (size, rank)
+counts, which each of the three relabels injectively: ``recurrence_profile``
+merges the deletion's counts with the contraction's, each subset through p
+moved to (s + 1, r + rho(p)), and the recurrences at p hold exactly when
+that is the table's own profile.  The identity battery compares the two;
+the tests expand each side's polynomials as their oracles.  MacWilliams
+decides the duality swap of T and f.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import comb
 
 from . import core, ops
 from .core import Complex, RankTable, _FrozenCounts, per_table
-from .errors import MalformedInputError, RationalFunctionError, UnsupportedSubstitutionError
+from .errors import MalformedInputError, RationalFunctionError
 from .poly import (
     X,
     Y,
@@ -34,23 +35,6 @@ from .poly import (
     term_sum,
     tutte_basis,
 )
-
-
-def expandable_terms(p: LaurentPoly, **images: str) -> dict:
-    """``p``'s terms, once no variable named in ``images`` has a negative
-    exponent.
-
-    A closed-form change of variables writes each such variable's image, a
-    polynomial that is not a monomial, as a binomial power; a negative power
-    of it has no Laurent expansion and raises UnsupportedSubstitutionError.
-    """
-    for name, image in images.items():
-        low = p.min_exponent(name)
-        if low < 0:
-            raise UnsupportedSubstitutionError(
-                f"cannot expand {image} to the negative power {low} of {name}"
-            )
-    return p.terms()
 
 
 @per_table
@@ -111,9 +95,9 @@ def characteristic(table: RankTable) -> LaurentPoly:
     table.require_demimatroid("characteristic polynomial")
     k = table.rank
     direct = term_sum(((0, 0, k - r), (-1) ** s * c) for (s, r), c in table.profile.items())
-    terms = expandable_terms(tutte(table), x="1 - t", y="0")
     via_tutte = binomial_expansion(
-        ((-1) ** k * c, {"t": e}, ((None, "t", a),)) for (a, b, e), c in terms.items() if not b
+        ((-1) ** k * c, {"t": e}, ((None, "t", a),))
+        for (a, b, e), c in tutte(table).terms().items() if not b
     )
     return cross_checked("characteristic polynomial", "subset-sum", direct, "Tutte", via_tutte)
 
@@ -155,7 +139,7 @@ def f_polynomial_via_tutte(cx: Complex) -> LaurentPoly:
     A Tutte term x^a y^b becomes (t+1)^a = sum_i C(a, i) t^i, gathered in
     one term sum.
     """
-    terms = expandable_terms(tutte(core.complex_to_demimatroid(cx)), x="t + 1")
+    terms = tutte(core.complex_to_demimatroid(cx)).terms()
     via_tutte = term_sum(
         ((0, 0, e + i), c * comb(a, i)) for (a, _, e), c in terms.items() for i in range(a + 1)
     )
@@ -169,15 +153,15 @@ def f_polynomial_via_hamming(cx: Complex) -> LaurentPoly:
 
     realized on W's t^0 terms, so no genuine rational function ever appears:
     with W homogeneous of degree n, a term x^a y^(n-a) becomes
-    sum_i C(a, i) t^(i-eta), gathered in one term sum.  A negative t power
-    has no value at t = 0 and raises UnsupportedSubstitutionError.
+    sum_i C(a, i) t^(i-eta), gathered in one term sum.  W has no negative
+    t power, as the demimatroid of a complex has rank at most |X| on each X.
     Cross-checked against the face counts.
     """
     from . import hamming  # local import; hamming depends on this module
 
     table = core.complex_to_demimatroid(cx)
     eta = table.total_nullity
-    terms = expandable_terms(hamming.hamming_subset_sum(table), t="0")
+    terms = hamming.hamming_subset_sum(table).terms()
     total = term_sum(
         ((0, 0, i - eta), c * comb(a, i))
         for (a, _, e), c in terms.items() if not e for i in range(a + 1)

@@ -85,6 +85,8 @@ def reduced_homology_dims(cx: core.Complex, fieldspec=simplicial.RATIONALS) -> l
     layers: list[list[int]] = [[] for _ in range(cx.dim + 2)]
     for face in faces(cx):
         layers[face.bit_count()].append(face)
+    if len(layers) < 3:  # no edge: {empty}, or the empty set and V vertices
+        return [0, len(layers[1]) - 1] if len(layers) == 2 else [1]
     return simplicial._homology_dims(layers, simplicial._Columns(cx.n), fieldspec.characteristic)
 
 

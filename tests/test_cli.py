@@ -282,10 +282,11 @@ def test_parser_is_built_once_and_dispatches_at_call_time(monkeypatch, capsys):
 
 
 def test_verify_fixtures_mode(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--fixtures", str(FIXTURES))
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["ok"] is True and payload["files"] >= 15
+    for field in ("Q", "2", "3"):
+        code, out, _ = run_cli(capsys, "verify", "--fixtures", str(FIXTURES), "--field", field)
+        assert code == 0, field
+        payload = json.loads(out)
+        assert payload["ok"] is True and payload["files"] >= 15, field
 
 
 def test_verify_fixtures_detects_drift(tmp_path, capsys):

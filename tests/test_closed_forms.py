@@ -229,7 +229,7 @@ def test_compute_all_never_expands_a_generic_substitution(path, expansions, caps
 
 
 def test_the_battery_never_expands_a_generic_substitution(expansions, capsys):
-    # The Whitney identity f(x-1, y-1) == T is written from binomial rows too.
+    # The laws' closed forms are written from binomial rows or coordinates too.
     assert cli.main(["verify", "--seed", "1", "--n", "5", "--samples", "7"]) == 0
     capsys.readouterr()
     assert expansions == []

@@ -362,6 +362,8 @@ def test_kind_preconditions():
         hamming.generalized_w(core.uniform(3, 1), 1, route="subset")
     with pytest.raises(KindError):
         hamming.macwilliams(bad)
+    with pytest.raises(KindError):  # its nullities are >= 0, yet it is no demimatroid
+        hamming.tutte_from_hamming(bad)
 
 
 # -- route disagreements name their witness ---------------------------------------

@@ -452,8 +452,9 @@ def test_closed_forms_match_the_power_formulas(table):
 
 @given(demimatroid_tables())
 def test_the_batterys_closed_forms_against_substitute(table):
-    # The battery decides f(x-1, y-1) == T and W(x, y, 1) == x^n on term
-    # dicts; ``substitute`` stays the oracle for both identities.
+    # ``whitney_f`` is a term sum over T's corank-nullity counts, and the
+    # battery decides W(x, y, 1) == x^n on a term dict; ``substitute`` is
+    # the oracle for both identities.
     assert substitute(tutte.whitney_f(table), {"x": X - 1, "y": Y - 1}) == tutte.tutte(table)
     w = hamming.hamming_subset_sum(table)
     assert substitute(w, {"t": 1}) == monomial(1, x=table.n)

@@ -148,7 +148,8 @@ FAULTS = {
     "wei_sequence_roundtrip": (core, "from_wei_sequence", lambda f: lambda n, d: f(n, d[1:])),
     "elongation_laws": (ops, "elongate",  # one step too far, within range
                         lambda f: lambda t, i: f(t, min(i + 1, t.total_nullity))),
-    "tutte_identities": (tutte, "whitney_f", _off_by_x),
+    "tutte_identities": (tutte, "corank_nullity_counts",  # the empty set counted twice
+                         lambda f: lambda t: {**f(t), (t.rank, 0): f(t)[t.rank, 0] + 1}),
     "hamming_routes": (hamming, "hamming_subset_sum", _off_by_x),
     "macwilliams": (hamming, "macwilliams_coordinates", minus_x2_y_t_minus_3),
     "coefficient_structure": (hamming, "q_binomial", _off_by_x),
